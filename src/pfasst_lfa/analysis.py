@@ -17,7 +17,8 @@ time-collocation mode then reproduces the actual error to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentContext:
-    """Assembled operators for one configuration, built once and shared."""
+    """Assembled operators for one configuration, built once and shared.
+
+    What the strategies derive from the operators is built on first use and
+    kept: the block decomposition and block spectra of each mode, the full
+    iteration matrix with its eigenvalues and 2-norm, the analytic
+    trajectory and the initial error.  The predictions, the aggregates and
+    the CLI's spectrum writer of one analysis thereby share one build.
+    """
 
     cfg: ExperimentConfig
     fine: ModelProblem
@@ -90,6 +98,56 @@ class ExperimentContext:
     rule: QuadratureRule
     setup: TwoLevelSetup
     components: lfa.SpectralComponents
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def decomposition(self, block_mode: str) -> lfa.BlockDecomposition:
+        """The "tc" or "c" block decomposition, built once."""
+        key = ("decomposition", block_mode)
+        if key not in self._blocks:
+            if block_mode == "tc":
+                self._blocks[key] = lfa.tc_decompose(self.components)
+            elif block_mode == "c":
+                self._blocks[key] = lfa.c_decompose(self.components)
+            else:
+                raise ConfigurationError(f"no block decomposition for mode {block_mode!r}")
+        return self._blocks[key]
+
+    def spectra(self, block_mode: str) -> lfa.BlockSpectra:
+        """Eigenvalues of every block of one mode, computed once."""
+        key = ("spectra", block_mode)
+        if key not in self._blocks:
+            self._blocks[key] = lfa.block_spectra(self.decomposition(block_mode))
+        return self._blocks[key]
+
+    def rho_norm(self, block_mode: str) -> tuple[float, float]:
+        """Spectral radius and 2-norm of the iteration matrix in one mode."""
+        if block_mode == "full":
+            return float(np.max(np.abs(self.full_eigenvalues))), self.full_norm
+        bs = self.spectra(block_mode)
+        return bs.spectral_radius, bs.norm
+
+    @cached_property
+    def full_matrix(self) -> np.ndarray:
+        return _full_matrix(self)
+
+    @cached_property
+    def full_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the full iteration matrix, in eigensolver order."""
+        return np.linalg.eigvals(self.full_matrix)
+
+    @cached_property
+    def full_norm(self) -> float:
+        return float(np.linalg.norm(self.full_matrix, 2))
+
+    @cached_property
+    def trajectory(self) -> np.ndarray:
+        """:func:`exact_trajectory`, computed once; treat as read-only."""
+        return exact_trajectory(self)
+
+    @cached_property
+    def initial_error(self) -> np.ndarray:
+        """Error of the spread initial iterate; treat as read-only."""
+        return initial_iterate(self) - self.trajectory
 
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
@@ -137,7 +195,7 @@ def exact_trajectory(ctx: ExperimentContext) -> np.ndarray:
 
 def error_vector(ctx: ExperimentContext, iterate: np.ndarray) -> np.ndarray:
     """Difference between a space-time iterate and the analytic solution."""
-    return np.asarray(iterate) - exact_trajectory(ctx)
+    return np.asarray(iterate) - ctx.trajectory
 
 
 def initial_iterate(ctx: ExperimentContext) -> np.ndarray:
@@ -155,7 +213,7 @@ def manufactured_rhs(ctx: ExperimentContext) -> list[np.ndarray]:
     iterate minus analytic samples, which the block analysis can reproduce.
     """
     cfg = ctx.cfg
-    u_ex = exact_trajectory(ctx).reshape(cfg.l, -1)
+    u_ex = ctx.trajectory.reshape(cfg.l, -1)
     m_f = ctx.setup.fine.matrix
     n_f, _ = ctx.setup.node_matrices()
     blocks = []
@@ -180,14 +238,6 @@ def excited_blocks(cfg: ExperimentConfig) -> set[int]:
     for h in (k, (n - k) % n):
         out.add(h if h < half else h - half)
     return out
-
-
-def _decomposition(ctx: ExperimentContext, block_mode: str) -> lfa.BlockDecomposition:
-    if block_mode == "tc":
-        return lfa.tc_decompose(ctx.components)
-    if block_mode == "c":
-        return lfa.c_decompose(ctx.components)
-    raise ConfigurationError(f"no block decomposition for mode {block_mode!r}")
 
 
 def _full_matrix(ctx: ExperimentContext) -> np.ndarray:
@@ -229,20 +279,17 @@ def predict(
     if block_mode not in BLOCK_MODES:
         raise ConfigurationError(f"unknown block mode {block_mode!r}")
     k_max = ctx.cfg.iterations if kappa is None else kappa
-    e0 = error_vector(ctx, initial_iterate(ctx))
+    e0 = ctx.initial_error
     e0_norm = float(np.linalg.norm(e0))
     values = np.empty(k_max + 1)
     values[0] = e0_norm
 
-    if block_mode == "full":
-        t = _full_matrix(ctx)
-        if strategy == "rho":
-            rho = float(np.max(np.abs(np.linalg.eigvals(t)))) if t.size else 0.0
-            values[1:] = e0_norm * rho ** np.arange(1, k_max + 1)
-        elif strategy == "norm":
-            nrm = float(np.linalg.norm(t, 2))
-            values[1:] = e0_norm * nrm ** np.arange(1, k_max + 1)
-        elif strategy == "norm-power":
+    if strategy in ("rho", "norm"):
+        rho, nrm = ctx.rho_norm(block_mode)
+        values[1:] = e0_norm * (rho if strategy == "rho" else nrm) ** np.arange(1, k_max + 1)
+    elif block_mode == "full":
+        t = ctx.full_matrix
+        if strategy == "norm-power":
             power = np.eye(t.shape[0])
             for k in range(1, k_max + 1):
                 power = power @ t
@@ -252,19 +299,10 @@ def predict(
             for k in range(1, k_max + 1):
                 e = t @ e
                 values[k] = float(np.linalg.norm(e))
-        return Prediction(strategy=strategy, block_mode=block_mode, values=values)
-
-    d = _decomposition(ctx, block_mode)
-    if strategy == "rho":
-        rho = lfa.block_spectra(d).spectral_radius
-        values[1:] = e0_norm * rho ** np.arange(1, k_max + 1)
-    elif strategy == "norm":
-        nrm = lfa.block_spectra(d).norm
-        values[1:] = e0_norm * nrm ** np.arange(1, k_max + 1)
     elif strategy == "norm-power":
-        for k in range(1, k_max + 1):
-            values[k] = lfa.block_power_norm(d, k) * e0_norm
+        values[1:] = lfa.block_power_norms(ctx.decomposition(block_mode), k_max)[1:] * e0_norm
     else:
+        d = ctx.decomposition(block_mode)
         harmonics = excited_blocks(ctx.cfg) if restrict_harmonics else None
         ehat = lfa.transform_vector(e0, d.meta)
         for k in range(1, k_max + 1):
@@ -364,6 +402,7 @@ class ErrorTrace:
     predictions: list[Prediction]
     phases: PhaseSegmentation
     aggregates: dict  # per block mode: {"rho": float, "norm": float}
+    context: ExperimentContext = field(repr=False)  # shared operators, blocks and spectra
 
     def prediction(self, strategy: str, block_mode: str) -> Prediction:
         for p in self.predictions:
@@ -384,8 +423,8 @@ def run_and_compare(
     """Run algorithmic PFASST and attach all requested predictions."""
     ctx = build_context(cfg)
     u0 = exact_solution(ctx.fine, cfg.wavenumber, 0.0)
-    u_ex = exact_trajectory(ctx)
-    e0 = initial_iterate(ctx) - u_ex
+    u_ex = ctx.trajectory
+    e0 = ctx.initial_error
     zero_rhs = [np.zeros(ctx.setup.fine.dim) for _ in range(cfg.l)]
     error_trace = pfasst_run_algorithmic(
         ctx.setup, u0, cfg.iterations, rhs_blocks=zero_rhs, initial_state=e0
@@ -405,15 +444,8 @@ def run_and_compare(
     ]
     aggregates = {}
     for mode in block_modes:
-        if mode == "full":
-            t = _full_matrix(ctx)
-            aggregates[mode] = {
-                "rho": float(np.max(np.abs(np.linalg.eigvals(t)))),
-                "norm": float(np.linalg.norm(t, 2)),
-            }
-        else:
-            bs = lfa.block_spectra(_decomposition(ctx, mode))
-            aggregates[mode] = {"rho": bs.spectral_radius, "norm": bs.norm}
+        rho, nrm = ctx.rho_norm(mode)
+        aggregates[mode] = {"rho": rho, "norm": nrm}
 
     return ErrorTrace(
         cfg=cfg,
@@ -424,6 +456,7 @@ def run_and_compare(
         predictions=predictions,
         phases=detect_phases(actual_2),
         aggregates=aggregates,
+        context=ctx,
     )
 
 

@@ -26,7 +26,6 @@ from .analysis import (
     BLOCK_MODES,
     STRATEGIES,
     ExperimentConfig,
-    build_context,
     run_and_compare,
 )
 from .collocation import collocation_matrix, composite_system
@@ -46,6 +45,16 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
+# Strategy 4 in tc mode must match the measured error to STRATEGY4_RTOL
+# relative, on the iterations whose error exceeds STRATEGY4_FLOOR times the
+# initial error.  The two differ by round-off of the initial error, at most
+# 7e-15 ||e0|| over n = 32..128, L = 2..8, k in {1, 2, n/16}, mu = 0.5..100
+# and CFL = 0.01..1; below the floor a relative comparison would test that
+# round-off, not the prediction.  Kept iterations can deviate by at most 7e-9
+# relative; the worst measured on that grid is 9e-12.
+STRATEGY4_FLOOR = 1e-6
+STRATEGY4_RTOL = 1e-8
+
 
 def _fmt(x: float) -> str:
     """Scientific notation with 17 significant digits."""
@@ -57,6 +66,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def strategy4_exact(actual_2: np.ndarray, apply_2: np.ndarray) -> bool:
+    """Whether the apply prediction reproduces the measured error above the round-off floor."""
+    mask = actual_2 > STRATEGY4_FLOOR * actual_2[0]
+    rel = np.abs(apply_2[mask] - actual_2[mask]) / actual_2[mask]
+    return bool(np.all(rel < STRATEGY4_RTOL))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,19 +164,14 @@ def cmd_analyze(args, parser) -> int:
     spectrum_path = out / "spectrum.csv"
     spec_rows = []
     if spectrum_mode == "full":
-        from .analysis import _full_matrix
-
-        ctx = build_context(cfg)
-        for v in np.linalg.eigvals(_full_matrix(ctx)):
+        for v in trace.context.full_eigenvalues:
             spec_rows.append(["-1", "-1", _fmt(v.real), _fmt(v.imag)])
     else:
-        ctx = build_context(cfg)
-        decompose = lfa.tc_decompose if spectrum_mode == "tc" else lfa.c_decompose
-        d = decompose(ctx.components)
-        for block, idx in zip(d.blocks, d.index):
+        spectra = trace.context.spectra(spectrum_mode)
+        for spectrum, idx in zip(spectra.per_block, spectra.index):
             block_k = idx[0]
             block_j = idx[1] if len(idx) > 1 else -1
-            for v in lfa.sort_eigenvalues(np.linalg.eigvals(block)):
+            for v in spectrum.eigenvalues:
                 spec_rows.append([str(block_k), str(block_j), _fmt(v.real), _fmt(v.imag)])
     _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], spec_rows)
     timings["write_outputs"] = time.perf_counter() - t0
@@ -175,10 +186,7 @@ def cmd_analyze(args, parser) -> int:
     except KeyError:
         checks["bound_chain_2norm"] = None
     try:
-        ap = trace.prediction("apply", "tc").values
-        mask = trace.actual_2 > 1e-13
-        rel = np.abs(ap[mask] - trace.actual_2[mask]) / trace.actual_2[mask]
-        checks["strategy4_tc_exact"] = bool(np.all(rel < 1e-8))
+        checks["strategy4_tc_exact"] = strategy4_exact(trace.actual_2, trace.prediction("apply", "tc").values)
     except KeyError:
         pass
 

@@ -35,21 +35,51 @@ class TransformMeta:
     def block_dim(self) -> int:
         return 2 * self.l * self.m if self.mode == "time-collocation" else 2 * self.m
 
+    @property
+    def blocks_per_pair(self) -> int:
+        """Blocks sharing one spatial harmonic pair: 1 (tc) or L time frequencies (c)."""
+        return 1 if self.mode == "time-collocation" else self.l
+
     def block_index(self) -> list[tuple]:
         if self.mode == "time-collocation":
             return [(k,) for k in range(self.n // 2)]
         return [(k, j) for k in range(self.n // 2) for j in range(self.l)]
 
+    def rows(self, harmonics) -> np.ndarray:
+        """Block rows whose spatial-harmonic index k is in ``harmonics``."""
+        per = self.blocks_per_pair
+        ks = sorted(k for k in harmonics if 0 <= k < self.n // 2)
+        return (per * np.asarray(ks, dtype=int)[:, None] + np.arange(per)).ravel()
+
 
 @dataclass
 class BlockDecomposition:
-    """A family of dense blocks jointly similar to the full iteration matrix."""
+    """A stack of dense blocks jointly similar to the full iteration matrix.
+
+    ``blocks`` has shape (number of blocks, d, d); row i belongs to
+    ``index[i]``.  With ``mirrored`` set (real stencils), harmonic h and
+    N - h are complex conjugates, so block k and its mirror block
+    (N/2 - k) mod N/2, with time frequency j paired with (L - j) mod L, are
+    related by B' = Pi conj(B) Pi, Pi swapping the two harmonic halves
+    (B_0 = conj(B_0) without the swap).  Mirror partners therefore have the
+    same singular values.
+    """
 
     mode: str
-    blocks: list[np.ndarray]
+    blocks: np.ndarray
     index: list[tuple]
     meta: TransformMeta
-    raw_blocks: list[np.ndarray] | None = None  # collocation mode, before zeroing
+    raw_blocks: list[np.ndarray | None] | None = None  # collocation mode, before zeroing
+    mirrored: bool = False
+
+    def pair_blocks(self, k: int) -> np.ndarray:
+        """The blocks of harmonic pair k, as a (blocks per pair, d, d) view."""
+        per = self.meta.blocks_per_pair
+        return self.blocks[k * per : (k + 1) * per]
+
+    def norm_pairs(self) -> range:
+        """Harmonic pairs whose singular values cover every block: k <= (N/2)//2 if mirrored."""
+        return range(self.meta.n // 4 + 1 if self.mirrored else self.meta.n // 2)
 
 
 @dataclass(frozen=True)
@@ -65,6 +95,11 @@ class SpectralComponents:
     lam_fine: np.ndarray  # length N, harmonic order
     lam_coarse: np.ndarray  # length N/2, harmonic order
     diags: HarmonicDiagonals
+    real_stencils: bool  # lambda_{N-k} = conj(lambda_k): the blocks are mirror pairs
+
+
+def _real_stencil(op: CirculantOperator) -> bool:
+    return bool(np.isrealobj(op.scale) and all(np.isrealobj(c) for c in op.stencil.values()))
 
 
 def spectral_components(
@@ -91,11 +126,16 @@ def spectral_components(
         lam_fine=circulant_eigenvalues(fine_op),
         lam_coarse=circulant_eigenvalues(coarse_op),
         diags=harmonic_diagonals(pair),
+        real_stencils=_real_stencil(fine_op) and _real_stencil(coarse_op),
     )
 
 
 def _tc_basic_blocks(sc: SpectralComponents):
-    """Factories for the LM x LM basic blocks of the rigorous transform."""
+    """Factories for the LM x LM basic blocks of the rigorous transform.
+
+    System blocks come as a stack of one, the batch shape of the collocation
+    factories; smoother and coarse blocks broadcast against it.
+    """
     i_lm = np.eye(sc.l * sc.m)
     e = np.diag(np.ones(sc.l - 1), -1) if sc.l > 1 else np.zeros((1, 1))
     ek = np.kron(e, node_propagation(sc.m))
@@ -103,7 +143,7 @@ def _tc_basic_blocks(sc: SpectralComponents):
     il_qd = np.kron(np.eye(sc.l), sc.qdelta)
 
     def b_system(lam):
-        return i_lm - ek - lam * sc.dt * il_q
+        return (i_lm - ek - lam * sc.dt * il_q)[None]
 
     def b_smoother(lam):
         # The fine smoother is block Jacobi: no interval coupling in P.
@@ -115,58 +155,69 @@ def _tc_basic_blocks(sc: SpectralComponents):
     return b_system, b_smoother, b_coarse
 
 
-def _c_basic_blocks(sc: SpectralComponents):
-    """Factories for the M x M basic blocks under assumed time periodicity."""
+def _c_basic_blocks(sc: SpectralComponents, phases: np.ndarray):
+    """Factories for the M x M basic blocks under assumed time periodicity.
+
+    System and coarse blocks are stacked over the time frequencies whose
+    phase factors are given; the smoother does not couple intervals and is
+    shared by all of them.
+    """
     i_m = np.eye(sc.m)
-    kprop = node_propagation(sc.m)
+    shifts = phases[:, None, None] * node_propagation(sc.m)
 
-    def b_system(lam, j):
-        return i_m - lam * sc.dt * sc.q - np.exp(-2j * np.pi * j / sc.l) * kprop
+    def b_system(lam):
+        return i_m - lam * sc.dt * sc.q - shifts
 
-    def b_smoother(lam, j):
+    def b_smoother(lam):
         return i_m - lam * sc.dt * sc.qdelta
 
-    def b_coarse(lam, j):
-        return i_m - lam * sc.dt * sc.qdelta - np.exp(-2j * np.pi * j / sc.l) * kprop
+    def b_coarse(lam):
+        return i_m - lam * sc.dt * sc.qdelta - shifts
 
     return b_system, b_smoother, b_coarse
 
 
-def _paired_block(sc, k, b_system, b_smoother, b_coarse, *args):
-    """S * CGC for the harmonic pair (k, k + N/2) from basic-block factories."""
+def _paired_blocks(sc, k, b_system, b_smoother, b_coarse) -> np.ndarray:
+    """S * CGC for the harmonic pair (k, k + N/2), batched over the factories' stack.
+
+    Every operation is the one-block operation applied slice by slice, so a
+    block does not depend on the size of the batch it was built in.
+    """
     lam_lo = sc.lam_fine[k]
     lam_hi = sc.lam_fine[k + sc.n // 2]
-    bm_lo = b_system(lam_lo, *args)
-    bm_hi = b_system(lam_hi, *args)
-    dim = bm_lo.shape[0]
+    bm_lo = b_system(lam_lo)
+    bm_hi = b_system(lam_hi)
+    nb, dim = bm_lo.shape[0], bm_lo.shape[-1]
     eye = np.eye(dim)
 
-    s = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    s[:dim, :dim] = eye - np.linalg.solve(b_smoother(lam_lo, *args), bm_lo)
-    s[dim:, dim:] = eye - np.linalg.solve(b_smoother(lam_hi, *args), bm_hi)
+    s = np.zeros((nb, 2 * dim, 2 * dim), dtype=complex)
+    s[:, :dim, :dim] = eye - np.linalg.solve(b_smoother(lam_lo), bm_lo)
+    s[:, dim:, dim:] = eye - np.linalg.solve(b_smoother(lam_hi), bm_hi)
 
-    pt = b_coarse(sc.lam_coarse[k], *args)
+    pt = b_coarse(sc.lam_coarse[k])
     x_lo = np.linalg.solve(pt, bm_lo)
     x_hi = np.linalg.solve(pt, bm_hi)
     d, d_hat = sc.diags.d[k], sc.diags.d_hat[k]
     f, f_hat = sc.diags.f[k], sc.diags.f_hat[k]
     cgc = np.zeros_like(s)
-    cgc[:dim, :dim] = eye - 0.5 * d * f * x_lo
-    cgc[:dim, dim:] = -0.5 * d * f_hat * x_hi
-    cgc[dim:, :dim] = -0.5 * d_hat * f * x_lo
-    cgc[dim:, dim:] = eye - 0.5 * d_hat * f_hat * x_hi
+    cgc[:, :dim, :dim] = eye - 0.5 * d * f * x_lo
+    cgc[:, :dim, dim:] = -0.5 * d * f_hat * x_hi
+    cgc[:, dim:, :dim] = -0.5 * d_hat * f * x_lo
+    cgc[:, dim:, dim:] = eye - 0.5 * d_hat * f_hat * x_hi
     return s @ cgc
 
 
 def tc_decompose(sc: SpectralComponents) -> BlockDecomposition:
     """N/2 time-collocation blocks of size 2LM; an exact similarity transform."""
-    b_system, b_smoother, b_coarse = _tc_basic_blocks(sc)
     meta = TransformMeta(mode="time-collocation", n=sc.n, l=sc.l, m=sc.m)
-    blocks = [
-        _paired_block(sc, k, b_system, b_smoother, b_coarse)
-        for k in range(sc.n // 2)
-    ]
-    return BlockDecomposition(mode="time-collocation", blocks=blocks, index=meta.block_index(), meta=meta)
+    basic = _tc_basic_blocks(sc)
+    blocks = np.empty((sc.n // 2, meta.block_dim, meta.block_dim), dtype=complex)
+    for k in range(sc.n // 2):
+        blocks[k] = _paired_blocks(sc, k, *basic)[0]
+    return BlockDecomposition(
+        mode="time-collocation", blocks=blocks, index=meta.block_index(), meta=meta,
+        mirrored=sc.real_stencils,
+    )
 
 
 def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
@@ -176,24 +227,36 @@ def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
     basic block is singular; those blocks are zeroed and the raw versions
     kept in ``raw_blocks`` (entries may be None where singular).
     """
-    b_system, b_smoother, b_coarse = _c_basic_blocks(sc)
     meta = TransformMeta(mode="collocation", n=sc.n, l=sc.l, m=sc.m)
-    blocks: list[np.ndarray] = []
+    # each phase factor from a scalar exp: an array exp may round differently,
+    # and a block must not depend on how many time frequencies share its batch
+    phases = np.array([np.exp(-2j * np.pi * j / sc.l) for j in range(sc.l)])
+    basic = _c_basic_blocks(sc, phases)
+    blocks = np.zeros((sc.n // 2 * sc.l, meta.block_dim, meta.block_dim), dtype=complex)
     raw: list[np.ndarray | None] = []
     for k in range(sc.n // 2):
-        for j in range(sc.l):
-            try:
-                block = _paired_block(sc, k, b_system, b_smoother, b_coarse, j)
-            except np.linalg.LinAlgError:
-                block = None
-            raw.append(block)
+        try:
+            batch = list(_paired_blocks(sc, k, *basic))
+        except np.linalg.LinAlgError:  # a singular basic block: build the pair's blocks one by one
+            batch = [_single_c_block(sc, k, phases[j : j + 1]) for j in range(sc.l)]
+        for j, block in enumerate(batch):
+            row = k * sc.l + j
             if j == 0 or block is None:
-                blocks.append(np.zeros((meta.block_dim, meta.block_dim), dtype=complex))
+                raw.append(None if block is None else block.copy())
             else:
-                blocks.append(block)
+                blocks[row] = block
+                raw.append(blocks[row])
     return BlockDecomposition(
-        mode="collocation", blocks=blocks, index=meta.block_index(), meta=meta, raw_blocks=raw
+        mode="collocation", blocks=blocks, index=meta.block_index(), meta=meta, raw_blocks=raw,
+        mirrored=sc.real_stencils,
     )
+
+
+def _single_c_block(sc, k, phase) -> np.ndarray | None:
+    try:
+        return _paired_blocks(sc, k, *_c_basic_blocks(sc, phase))[0]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
@@ -207,42 +270,26 @@ def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
     grid = np.asarray(v).reshape(l, m, n)
     psi_h = dft_matrix(n).conj().T
     hat = np.einsum("kn,lmn->lmk", psi_h, grid)
+    # split the harmonic axis into (half s, pair k): harmonic s*N/2 + k
     if meta.mode == "collocation":
         psi_l_h = dft_matrix(l).conj().T
         hat = np.einsum("jl,lmk->jmk", psi_l_h, hat)
-        out = np.empty((n // 2 * l, 2 * m), dtype=complex)
-        row = 0
-        for k in range(n // 2):
-            for j in range(l):
-                out[row] = np.concatenate((hat[j, :, k], hat[j, :, k + n // 2]))
-                row += 1
-        return out
-    out = np.empty((n // 2, 2 * l * m), dtype=complex)
-    for k in range(n // 2):
-        out[k] = np.concatenate((hat[:, :, k].ravel(), hat[:, :, k + n // 2].ravel()))
-    return out
+        # row k*L + j holds (hat[j, :, k], hat[j, :, k + N/2])
+        return hat.reshape(l, m, 2, n // 2).transpose(3, 0, 2, 1).reshape(n // 2 * l, 2 * m)
+    # row k holds (hat[:, :, k], hat[:, :, k + N/2]), each raveled over (l, m)
+    return hat.reshape(l * m, 2, n // 2).transpose(2, 1, 0).reshape(n // 2, 2 * l * m)
 
 
 def inverse_transform_vector(vhat: np.ndarray, meta: TransformMeta) -> np.ndarray:
     """Invert :func:`transform_vector`; returns the flat (L, M, N) vector."""
     n, l, m = meta.n, meta.l, meta.m
-    hat = np.empty((l, m, n), dtype=complex)
+    vhat = np.asarray(vhat)
     if meta.mode == "collocation":
-        tmp = np.empty((l, m, n), dtype=complex)
-        row = 0
-        for k in range(n // 2):
-            for j in range(l):
-                tmp[j, :, k] = vhat[row, :m]
-                tmp[j, :, k + n // 2] = vhat[row, m:]
-                row += 1
-        psi_l = dft_matrix(l)
-        hat = np.einsum("lj,jmk->lmk", psi_l, tmp)
+        tmp = vhat.reshape(n // 2, l, 2, m).transpose(1, 3, 2, 0).reshape(l, m, n)
+        hat = np.einsum("lj,jmk->lmk", dft_matrix(l), tmp)
     else:
-        for k in range(n // 2):
-            hat[:, :, k] = vhat[k, : l * m].reshape(l, m)
-            hat[:, :, k + n // 2] = vhat[k, l * m :].reshape(l, m)
-    psi = dft_matrix(n)
-    grid = np.einsum("nk,lmk->lmn", psi, hat)
+        hat = vhat.reshape(n // 2, 2, l * m).transpose(2, 1, 0).reshape(l, m, n)
+    grid = np.einsum("nk,lmk->lmn", dft_matrix(n), hat)
     return grid.ravel()
 
 
@@ -253,11 +300,9 @@ def apply_blocks(d: BlockDecomposition, vhat: np.ndarray, harmonics: set[int] | 
     spatial-harmonic index is in the set; other rows are zeroed (they carry
     no energy for single-mode initial data).
     """
+    rows = slice(None) if harmonics is None else d.meta.rows(harmonics)
     out = np.zeros_like(vhat)
-    for i, (block, idx) in enumerate(zip(d.blocks, d.index)):
-        if harmonics is not None and idx[0] not in harmonics:
-            continue
-        out[i] = block @ vhat[i]
+    out[rows] = np.matmul(d.blocks[rows], vhat[rows, :, None])[:, :, 0]
     return out
 
 
@@ -271,27 +316,49 @@ class BlockSpectra:
     norm: float
 
 
+def _max_norm2(stack: np.ndarray) -> float:
+    """Largest 2-norm in a stack of matrices."""
+    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
+
+
 def block_spectra(d: BlockDecomposition) -> BlockSpectra:
+    """Eigenvalues of every block; the 2-norm from the pairs of ``d.norm_pairs()``.
+
+    Eigenvalues are never taken from a mirror partner: defective clusters
+    scatter at eps^(1/p), so partners that agree to round-off can still
+    differ visibly in their computed eigenvalues.
+    """
     per_block = []
     rho = 0.0
-    norm = 0.0
     for block in d.blocks:
         vals = sort_eigenvalues(np.linalg.eigvals(block))
         per_block.append(Spectrum(vals, block.shape[0]))
         if len(vals):
             rho = max(rho, float(np.max(np.abs(vals))))
-        norm = max(norm, float(np.linalg.norm(block, 2)))
+    norm = 0.0
+    for k in d.norm_pairs():
+        norm = max(norm, _max_norm2(d.pair_blocks(k)))
     return BlockSpectra(per_block=per_block, index=list(d.index), spectral_radius=rho, norm=norm)
 
 
-def block_power_norm(d: BlockDecomposition, kappa: int) -> float:
-    """max over blocks of ||B^kappa||_2, i.e. ||T^kappa||_2 block-wise."""
-    if kappa < 0:
+def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
+    """max over blocks of ||B^k||_2 for k = 0..k_max, i.e. ||T^k||_2 block-wise.
+
+    One pass per harmonic pair of ``d.norm_pairs()`` forms B^k = B^(k-1) B
+    for all the pair's blocks at once; no power outlives its pair.
+    """
+    if k_max < 0:
         raise RangeError("power must be nonnegative")
-    norm = 0.0
-    for block in d.blocks:
-        norm = max(norm, float(np.linalg.norm(np.linalg.matrix_power(block, kappa), 2)))
-    return norm
+    norms = np.zeros(k_max + 1)
+    norms[0] = 1.0
+    for pair in d.norm_pairs():
+        blocks = d.pair_blocks(pair)
+        power = blocks
+        for k in range(1, k_max + 1):
+            if k > 1:
+                power = power @ blocks
+            norms[k] = max(norms[k], _max_norm2(power))
+    return norms
 
 
 def eigenvalue_union(d: BlockDecomposition) -> np.ndarray:

@@ -198,18 +198,22 @@ _CRITERION_7_RUNS = [
 ]
 
 
-def _criterion_7_traces():
+@pytest.fixture(scope="module")
+def criterion_7_traces():
+    """The five runs of criteria 7 and 8, built once; (traces, seconds to build)."""
+    start = time.perf_counter()
     traces = []
     for problem, kw, k in _CRITERION_7_RUNS:
         cfg = ExperimentConfig(problem=problem, wavenumber=k, iterations=20, **kw)
         traces.append(run_and_compare(cfg))
-    return traces
+    return traces, time.perf_counter() - start
 
 
-def test_criterion_07_strategy4_exactness():
-    start = time.perf_counter()
+def test_criterion_07_strategy4_exactness(criterion_7_traces):
+    traces, build_seconds = criterion_7_traces
+    start = time.perf_counter() - build_seconds  # the runs count towards this criterion's time
     worst = 0.0
-    for trace in _criterion_7_traces():
+    for trace in traces:
         ap = trace.prediction("apply", "tc").values
         mask = trace.actual_2 > 1e-13
         rel = np.abs(ap[mask] - trace.actual_2[mask]) / trace.actual_2[mask]
@@ -220,9 +224,9 @@ def test_criterion_07_strategy4_exactness():
     _report(7, "strategy 4 reproduces the actual error", f"max rel {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_08_bound_chain():
+def test_criterion_08_bound_chain(criterion_7_traces):
     violations = 0
-    for trace in _criterion_7_traces():
+    for trace in criterion_7_traces[0]:
         s2 = trace.prediction("norm", "tc").values
         s3 = trace.prediction("norm-power", "tc").values
         violations += int(np.sum(trace.actual_2 > s3 * (1 + 1e-12)))

@@ -1,8 +1,11 @@
 """Error vectors, prediction strategies and phase detection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from pfasst_lfa import analysis, lfa
 from pfasst_lfa.analysis import (
     ExperimentConfig,
     asymptotic_ratio,
@@ -167,6 +170,41 @@ def test_run_and_compare_measurement_consistency():
     assert trace.actual_2[0] == pytest.approx(
         np.linalg.norm(error_vector(build_context(trace.cfg), initial_iterate(build_context(trace.cfg))))
     )
+
+
+def test_run_and_compare_builds_each_operator_once(monkeypatch):
+    calls = Counter()
+    cfg = _small_cfg(iterations=6)
+    full_dim = cfg.l * cfg.m * cfg.n
+
+    def counting(owner, name, key=None, when=lambda *a: True):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            if when(*args):
+                calls[key or name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("tc_decompose", "c_decompose", "block_spectra"):
+        counting(lfa, name)
+    counting(analysis, "_full_matrix")
+    counting(analysis, "exact_trajectory")
+    counting(np.linalg, "eigvals", "full eigvals", lambda a: a.shape[-1] == full_dim)
+    trace = run_and_compare(cfg, block_modes=("tc", "c", "full"))
+    assert calls == {
+        "tc_decompose": 1,
+        "c_decompose": 1,
+        "block_spectra": 2,
+        "_full_matrix": 1,
+        "exact_trajectory": 1,
+        "full eigvals": 1,
+    }
+    # the shared spectra are the ones the trace reports
+    ctx = trace.context
+    assert trace.aggregates["tc"]["rho"] == ctx.spectra("tc").spectral_radius
+    assert trace.aggregates["full"]["norm"] == ctx.full_norm
 
 
 def test_run_and_compare_k0_gives_single_row():

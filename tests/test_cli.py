@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from pfasst_lfa.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from pfasst_lfa import analysis
+from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
+from pfasst_lfa.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
 
 
 def _analyze(tmp_path, *extra):
@@ -69,6 +71,40 @@ def test_spectrum_csv_covers_all_blocks(tmp_path):
     assert len(data) == 16 * 24
     assert {d[0] for d in data} == {str(k) for k in range(16)}
     assert {d[1] for d in data} == {"-1"}
+
+
+def test_analyze_builds_one_context(tmp_path, monkeypatch):
+    built = []
+    original = analysis.build_context
+    monkeypatch.setattr(analysis, "build_context", lambda cfg: built.append(cfg) or original(cfg))
+    out = _analyze(tmp_path, "--blocks", "c,tc,full")
+    assert len(built) == 1
+    # the spectrum comes from the first mode's shared block spectra
+    rows = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 16 * 4 * 6
+
+
+@pytest.mark.parametrize("mu", ["1", "3", "10", "30"])
+def test_strategy4_check_ignores_round_off_tail(tmp_path, mu):
+    # smooth diffusion converges to round-off well within K = 20; the tail
+    # below the floor differs from the prediction by round-off only
+    out = tmp_path / "out"
+    argv = ["analyze", "--problem", "diffusion", "--mu", mu, "--n", "64", "--l", "2",
+            "--wavenumber", "1", "--iterations", "20", "--strategies", "apply", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["strategy4_tc_exact"] is True
+
+
+def test_strategy4_check_rejects_a_wrong_apply_column():
+    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=64, l=2, wavenumber=1, iterations=20)
+    trace = run_and_compare(cfg, strategies=("apply",))
+    actual, apply_2 = trace.actual_2, trace.prediction("apply", "tc").values
+    assert strategy4_exact(actual, apply_2)
+    assert not strategy4_exact(actual, apply_2 * (1 + 1e-7))
+    # the prediction for a slightly different problem is wrong from iteration 1 on
+    other = build_context(ExperimentConfig(problem="diffusion", mu=10.5, n=64, l=2, wavenumber=1, iterations=20))
+    assert not strategy4_exact(actual, predict(other, "apply", "tc").values)
 
 
 def test_analyze_reruns_are_byte_identical(tmp_path):

@@ -1,5 +1,7 @@
 """Block Fourier decomposition against the materialized iteration matrix."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,121 @@ def test_transform_is_unitary_and_invertible():
         np.testing.assert_allclose(lfa.inverse_transform_vector(vhat, d.meta), v, atol=1e-12)
 
 
+@pytest.mark.parametrize("l", [1, 3])
+def test_transform_round_trip_is_unitary(l):
+    prob = make_advection(16, 4.88e-3)
+    _, sc = _assemble(prob, 2, l, 0.1, "lu")
+    rng = np.random.default_rng(5)
+    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+        v = rng.standard_normal(l * 2 * 16) + 1j * rng.standard_normal(l * 2 * 16)
+        vhat = lfa.transform_vector(v, d.meta)
+        assert vhat.shape == (len(d.blocks), d.meta.block_dim)
+        assert np.linalg.norm(vhat) == pytest.approx(np.linalg.norm(v), rel=1e-13)
+        np.testing.assert_allclose(lfa.inverse_transform_vector(vhat, d.meta), v, atol=1e-13)
+
+
+def test_apply_blocks_restricted_to_harmonics():
+    prob = make_diffusion(16, 5e-3)
+    _, sc = _assemble(prob, 3, 3, 0.1, "implicit-euler")
+    rng = np.random.default_rng(2)
+    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+        vhat = rng.standard_normal((len(d.blocks), d.meta.block_dim)) + 0j
+        full = lfa.apply_blocks(d, vhat)
+        part = lfa.apply_blocks(d, vhat, harmonics={2, 5})
+        for i, idx in enumerate(d.index):
+            np.testing.assert_array_equal(part[i], full[i] if idx[0] in (2, 5) else 0.0)
+            np.testing.assert_allclose(full[i], d.blocks[i] @ vhat[i], rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "make,qdelta_kind,l",
+    [(make_diffusion, "implicit-euler", 4), (make_advection, "lu", 3), (make_diffusion, "lu", 7)],
+)
+def test_batched_kernel_equals_one_pair_at_a_time(make, qdelta_kind, l):
+    prob = make(32, 5e-3)
+    _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    tc = lfa.tc_decompose(sc)
+    assert isinstance(tc.blocks, np.ndarray) and tc.blocks.shape == (16, 6 * l, 6 * l)
+    for k in range(16):
+        one = lfa._paired_blocks(sc, k, *lfa._tc_basic_blocks(sc))
+        assert np.array_equal(tc.blocks[k], one[0])
+    c = lfa.c_decompose(sc)
+    assert c.blocks.shape == (16 * l, 6, 6)
+    for row, (k, j) in enumerate(c.index):
+        # the phase factor as a scalar, exactly as a single block would use it
+        phase = np.array([np.exp(-2j * np.pi * j / l)])
+        try:
+            one = lfa._paired_blocks(sc, k, *lfa._c_basic_blocks(sc, phase))[0]
+        except np.linalg.LinAlgError:
+            one = None
+        if one is None:
+            assert c.raw_blocks[row] is None
+        else:
+            assert np.array_equal(c.raw_blocks[row], one)
+        expected = one if one is not None and j != 0 else np.zeros((6, 6))
+        assert np.array_equal(c.blocks[row], expected)
+    # k = 0, j = 0 is the singular constant mode; its pair's other blocks still exist
+    assert c.raw_blocks[0] is None
+    assert all(b is not None for b in c.raw_blocks[1:l])
+
+
+def _mirror_row(meta, k, j):
+    half = meta.n // 2
+    mk = (half - k) % half
+    return mk if meta.mode == "time-collocation" else mk * meta.l + (-j) % meta.l
+
+
+@pytest.mark.parametrize(
+    "make,coefficient,qdelta_kind",
+    [(make_diffusion, 1e-2, "implicit-euler"), (make_advection, 4.88e-3, "lu")],
+)
+def test_mirror_blocks_have_equal_power_norms(make, coefficient, qdelta_kind):
+    prob = make(32, coefficient)
+    _, sc = _assemble(prob, 3, 4, 0.1, qdelta_kind)
+    k_max = 20
+    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+        assert d.mirrored
+        dim = d.meta.block_dim // 2
+        # exchanges the two harmonic halves; harmonics 0 and N/2 are self-conjugate
+        swap = np.roll(np.eye(2 * dim), dim, axis=0)
+        for row, idx in enumerate(d.index):
+            partner = d.blocks[_mirror_row(d.meta, idx[0], idx[-1])]
+            block = d.blocks[row]
+            mirrored = block.conj() if idx[0] == 0 else swap @ block.conj() @ swap
+            assert np.max(np.abs(partner - mirrored)) <= 1e-14 * max(np.abs(block).max(), 1.0)
+            p, q = block, partner
+            for _ in range(k_max):
+                a, b = np.linalg.norm(p, 2), np.linalg.norm(q, 2)
+                assert abs(a - b) <= 1e-13 * max(a, b)
+                p, q = p @ block, q @ partner
+
+
+def test_mirror_needs_real_stencils():
+    n, rule = 16, QuadratureRule.radau_right(2)
+    op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
+    op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
+    qd = build_qdelta(rule, "implicit-euler")
+    sc = lfa.spectral_components(op_f, op_c, rule, qd, 0.1, 2, build_ci_pair(n))
+    d = lfa.tc_decompose(sc)
+    assert not d.mirrored
+    assert d.norm_pairs() == range(8)
+    assert lfa.tc_decompose(replace(sc, real_stencils=True)).norm_pairs() == range(5)
+
+
+@pytest.mark.parametrize("make,qdelta_kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])
+def test_block_power_norms_match_matrix_power(make, qdelta_kind):
+    prob = make(32, 5e-3)
+    _, sc = _assemble(prob, 3, 3, 0.1, qdelta_kind)
+    k_max = 12
+    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+        norms = lfa.block_power_norms(d, k_max)
+        assert norms.shape == (k_max + 1,)
+        assert norms[0] == 1.0
+        for k in range(1, k_max + 1):
+            ref = max(np.linalg.norm(np.linalg.matrix_power(b, k), 2) for b in d.blocks)
+            assert norms[k] == pytest.approx(ref, rel=1e-12)
+
+
 def test_tc_eigenvalues_match_full_spectrum_via_clusters():
     prob = make_diffusion(16, 5e-3)
     t, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
@@ -75,10 +192,10 @@ def test_block_power_norm_reduces_to_norm_and_identity():
     prob = make_diffusion(16, 5e-3)
     _, sc = _assemble(prob, 3, 2, 0.1, "implicit-euler")
     d = lfa.tc_decompose(sc)
-    assert lfa.block_power_norm(d, 0) == pytest.approx(1.0)
-    assert lfa.block_power_norm(d, 1) == pytest.approx(lfa.block_spectra(d).norm, rel=1e-12)
+    assert lfa.block_power_norms(d, 0)[0] == pytest.approx(1.0)
+    assert lfa.block_power_norms(d, 1)[1] == pytest.approx(lfa.block_spectra(d).norm, rel=1e-12)
     with pytest.raises(RangeError):
-        lfa.block_power_norm(d, -1)
+        lfa.block_power_norms(d, -1)
 
 
 def _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, qdelta_kind):
@@ -130,7 +247,7 @@ def test_c_blocks_action_matches_periodic_oracle():
     sc = lfa.spectral_components(op_f, op_c, rule, qd, dt, l, pair)
     d = lfa.c_decompose(sc)
     d_all = lfa.BlockDecomposition(
-        mode=d.mode, blocks=list(d.raw_blocks), index=d.index, meta=d.meta
+        mode=d.mode, blocks=np.stack(d.raw_blocks), index=d.index, meta=d.meta
     )
     t = _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, "implicit-euler")
     rng = np.random.default_rng(7)
