@@ -9,10 +9,8 @@ and advection problems with four estimation strategies.
 __version__ = "1.0.0"
 
 from .errors import (
-    CapabilityError,
     ConfigurationError,
     ConsistencyError,
-    ConvergenceError,
     DegeneracyError,
     DimensionError,
     FactorizationError,
@@ -23,10 +21,8 @@ from .errors import (
 
 __all__ = [
     "__version__",
-    "CapabilityError",
     "ConfigurationError",
     "ConsistencyError",
-    "ConvergenceError",
     "DegeneracyError",
     "DimensionError",
     "FactorizationError",

@@ -24,10 +24,10 @@ import numpy as np
 
 from .collocation import collocation_matrix, spread_initial
 from .errors import ConfigurationError, RangeError
-from .quadrature import QuadratureRule, build_qdelta
+from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
 from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_run_algorithmic
-from .transfer import build_ci_pair
+from .transfer import build_ci_pair, midpoint_stencil_points
 from . import lfa
 
 STRATEGIES = ("rho", "norm", "norm-power", "apply")
@@ -60,6 +60,28 @@ class ExperimentConfig:
             raise ConfigurationError("give exactly one of coefficient and mu")
         if self.iterations < 0:
             raise RangeError(f"iteration count must be >= 0, got {self.iterations}")
+        if not self.dt > 0:
+            raise RangeError(f"dt must be positive, got {self.dt}")
+        if self.l < 1:
+            raise RangeError(f"l (time intervals) must be >= 1, got {self.l}")
+        if not 1 <= self.m <= MAX_NODES:
+            raise RangeError(f"m (quadrature nodes) must lie in 1..{MAX_NODES}, got {self.m}")
+        if self.interp_exactness < 1 or self.restr_exactness < 1:
+            raise RangeError(
+                "interp_exactness and restr_exactness must be >= 1, got "
+                f"{self.interp_exactness} and {self.restr_exactness}"
+            )
+        width = max(map(midpoint_stencil_points, (self.interp_exactness, self.restr_exactness)))
+        if self.n % 2 or self.n // 2 < width:
+            raise RangeError(
+                f"n must be even with n/2 >= {width}, the transfer stencil width, got {self.n}"
+            )
+        if not 1 <= self.wavenumber < self.n:
+            raise RangeError(f"wavenumber must lie in 1..n-1 = {self.n - 1}, got {self.wavenumber}")
+        if self.qdelta_kind is not None and self.qdelta_kind not in QDELTA_KINDS:
+            raise ConfigurationError(
+                f"unknown qdelta_kind {self.qdelta_kind!r} (choose from {', '.join(QDELTA_KINDS)})"
+            )
 
     @property
     def dx(self) -> float:
@@ -204,25 +226,20 @@ def initial_iterate(ctx: ExperimentContext) -> np.ndarray:
     return np.tile(spread_initial(u0, ctx.cfg.m), ctx.cfg.l)
 
 
-def manufactured_rhs(ctx: ExperimentContext) -> list[np.ndarray]:
+def manufactured_rhs(ctx: ExperimentContext) -> np.ndarray:
     """Per-interval right-hand sides whose discrete solution is the analytic one.
 
-    Multiplying the composite matrix block row by the sampled analytic
-    trajectory gives a right-hand side for which the collocation solution
-    equals the analytic samples exactly; the iteration error is then exactly
-    iterate minus analytic samples, which the block analysis can reproduce.
+    Applying the composite operator block row by block row to the sampled
+    analytic trajectory gives a right-hand side for which the collocation
+    solution equals the analytic samples exactly; the iteration error is then
+    exactly iterate minus analytic samples, which the block analysis can
+    reproduce.  Row l of the (L, M*N) result belongs to interval l.
     """
     cfg = ctx.cfg
-    u_ex = ctx.trajectory.reshape(cfg.l, -1)
-    m_f = ctx.setup.fine.matrix
-    n_f, _ = ctx.setup.node_matrices()
-    blocks = []
-    for i in range(cfg.l):
-        rhs = m_f @ u_ex[i]
-        if i > 0:
-            rhs = rhs - n_f @ u_ex[i - 1]
-        blocks.append(rhs)
-    return blocks
+    u_ex = ctx.trajectory.reshape(cfg.l, cfg.m, cfg.n)
+    rhs = ctx.setup.fine.apply(u_ex)
+    rhs[1:] -= u_ex[:-1, -1:]  # node propagation: the previous interval's last node
+    return rhs.reshape(cfg.l, -1)
 
 
 def excited_blocks(cfg: ExperimentConfig) -> set[int]:
@@ -425,9 +442,8 @@ def run_and_compare(
     u0 = exact_solution(ctx.fine, cfg.wavenumber, 0.0)
     u_ex = ctx.trajectory
     e0 = ctx.initial_error
-    zero_rhs = [np.zeros(ctx.setup.fine.dim) for _ in range(cfg.l)]
     error_trace = pfasst_run_algorithmic(
-        ctx.setup, u0, cfg.iterations, rhs_blocks=zero_rhs, initial_state=e0
+        ctx.setup, u0, cfg.iterations, rhs_blocks=np.zeros_like(e0), initial_state=e0
     )
     actual_inf = np.array([np.max(np.abs(e)) for e in error_trace])
     actual_2 = np.array([np.linalg.norm(e) for e in error_trace])

@@ -9,6 +9,7 @@ node value onto every node of the next interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,12 +20,24 @@ from .transfer import node_propagation
 
 @dataclass(frozen=True)
 class CollocationProblem:
-    """I - dt*(Q kron A) on one subinterval of length dt."""
+    """I - dt*(Q kron A) on one subinterval of length dt.
+
+    An iterate on one interval is an (M, N) array, node by grid point; its
+    row-major flattening is the Kronecker layout of the dense ``matrix``.
+    """
 
     a: np.ndarray
     rule: QuadratureRule
     dt: float
-    matrix: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (M*N) x (M*N) matrix, built on first use by the matrix route."""
+        return np.eye(self.dim) - self.dt * np.kron(self.rule.q, self.a)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """U - dt*Q U A^T for every (M, N) slice of an (..., M, N) stack."""
+        return u - self.dt * (self.rule.q @ (u @ self.a.T))
 
     @property
     def n_space(self) -> int:
@@ -39,8 +52,7 @@ def collocation_matrix(a, rule: QuadratureRule, dt: float) -> CollocationProblem
     a = np.asarray(a)
     if dt <= 0:
         raise RangeError(f"subinterval length must be positive, got {dt}")
-    mat = np.eye(rule.m * a.shape[0]) - dt * np.kron(rule.q, a)
-    return CollocationProblem(a=a, rule=rule, dt=dt, matrix=mat)
+    return CollocationProblem(a=a, rule=rule, dt=dt)
 
 
 def spread_initial(u0, m: int, l: int = 1) -> np.ndarray:

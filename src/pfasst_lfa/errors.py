@@ -25,17 +25,9 @@ class FactorizationError(PfasstLfaError):
     """A matrix factorization failed (singular or near-singular input)."""
 
 
-class ConvergenceError(PfasstLfaError):
-    """An iterative routine did not converge within its iteration cap."""
-
-
 class ConsistencyError(PfasstLfaError):
     """A structural self-check failed beyond its tolerance."""
 
 
 class ConfigurationError(PfasstLfaError):
     """Components were combined in an unsupported way."""
-
-
-class CapabilityError(PfasstLfaError):
-    """The requested computation needs data that is not available."""

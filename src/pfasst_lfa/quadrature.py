@@ -16,6 +16,7 @@ from scipy.special import roots_jacobi
 from .errors import DegeneracyError, FactorizationError, RangeError
 
 MAX_NODES = 12
+QDELTA_KINDS = ("implicit-euler", "lu")
 
 
 def radau_nodes(m: int) -> np.ndarray:

@@ -9,14 +9,29 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .collocation import CollocationProblem, CompositeSystem, spread_initial
+from .collocation import CollocationProblem
 from .errors import ConfigurationError, FactorizationError
 from .quadrature import QDelta, build_qdelta
 from .transfer import TransferPair, check_restriction_condition, node_propagation
+
+
+def _lu_factor(matrix: np.ndarray) -> tuple:
+    """scipy LU factors; a zero pivot or a failed factorization is a FactorizationError."""
+    try:
+        with warnings.catch_warnings():
+            # the zero-pivot check below turns the warning into an error
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(matrix)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise FactorizationError(f"cannot factor preconditioner: {exc}") from exc
+    if np.any(np.diag(lu[0]) == 0):
+        raise FactorizationError("singular preconditioner")
+    return lu
 
 
 @dataclass
@@ -30,16 +45,46 @@ class Preconditioner:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
-            try:
-                with warnings.catch_warnings():
-                    # the zero-pivot check below turns the warning into an error
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    self._lu = scipy.linalg.lu_factor(self.matrix)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                raise FactorizationError(f"cannot factor preconditioner: {exc}") from exc
-            if np.any(np.diag(self._lu[0]) == 0):
-                raise FactorizationError("singular preconditioner")
+            self._lu = _lu_factor(self.matrix)
         return scipy.linalg.lu_solve(self._lu, rhs)
+
+
+@dataclass(frozen=True)
+class NodeSweep:
+    """P^{-1} for the sweep P = I - dt*(Q_Delta kron A), applied node by node.
+
+    Q_Delta is lower triangular, so P is block lower triangular over the
+    nodes: node m solves (I - dt*qd_mm*A) x_m = r_m + dt*sum_{j<m} qd_mj*A x_j
+    with its own N x N LU factor.  This is the solve of the dense
+    ``sdc_preconditioner`` without its (M*N) x (M*N) matrix.
+    """
+
+    problem: CollocationProblem
+    qdelta: np.ndarray
+    factors: tuple  # scipy LU factors of I - dt*qd_mm*A, one per node
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """P^{-1} r for every (M, N) slice of an (..., M, N) stack."""
+        r = np.asarray(r)
+        stack = r.reshape(-1, *r.shape[-2:])
+        x = np.empty(stack.shape, dtype=np.result_type(stack, float))
+        ax = np.empty_like(x)  # A x_j of the nodes already solved
+        dt, a = self.problem.dt, self.problem.a
+        for i, lu in enumerate(self.factors):
+            acc = stack[:, i] + dt * np.einsum("j,kjn->kn", self.qdelta[i, :i], ax[:, :i])
+            x[:, i] = scipy.linalg.lu_solve(lu, acc.T).T
+            if i + 1 < len(self.factors):
+                ax[:, i] = x[:, i] @ a.T
+        return x.reshape(r.shape)
+
+
+def node_sweep(problem: CollocationProblem, qdelta: QDelta) -> NodeSweep:
+    """Factor the M diagonal blocks I - dt*qd_mm*A of one sweep."""
+    eye = np.eye(problem.n_space)
+    factors = tuple(
+        _lu_factor(eye - problem.dt * q_mm * problem.a) for q_mm in np.diag(qdelta.matrix)
+    )
+    return NodeSweep(problem=problem, qdelta=qdelta.matrix, factors=factors)
 
 
 def sdc_preconditioner(problem: CollocationProblem, qdelta: QDelta, level_tag: str = "fine") -> Preconditioner:
@@ -168,21 +213,39 @@ def build_iteration_matrix(kind: str, **parts) -> IterationOperator:
 
 @dataclass
 class TwoLevelSetup:
-    """Everything one PFASST run needs, assembled once and reused."""
+    """Everything one PFASST run needs, assembled once and reused.
+
+    The node sweeps serve the algorithmic run; the dense preconditioners
+    and node-propagation matrices serve the matrix route.  Each is built on
+    first use, so the run allocates no (M*N) x (M*N) matrix.
+    """
 
     fine: CollocationProblem
     coarse: CollocationProblem
     pair: TransferPair
     l: int
-    p_fine: Preconditioner
-    p_coarse: Preconditioner
+    qdelta_fine: QDelta
+    qdelta_coarse: QDelta
 
     @property
     def m_nodes(self) -> int:
         return self.fine.rule.m
 
-    def interval_transfer(self) -> tuple[np.ndarray, np.ndarray]:
-        return lift_transfer(self.pair, self.m_nodes, 1)
+    @cached_property
+    def fine_sweep(self) -> NodeSweep:
+        return node_sweep(self.fine, self.qdelta_fine)
+
+    @cached_property
+    def coarse_sweep(self) -> NodeSweep:
+        return node_sweep(self.coarse, self.qdelta_coarse)
+
+    @cached_property
+    def p_fine(self) -> Preconditioner:
+        return sdc_preconditioner(self.fine, self.qdelta_fine, "fine")
+
+    @cached_property
+    def p_coarse(self) -> Preconditioner:
+        return sdc_preconditioner(self.coarse, self.qdelta_coarse, "coarse")
 
     def node_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         k = node_propagation(self.m_nodes)
@@ -207,15 +270,13 @@ def build_two_level_setup(
     l: int,
     qdelta_kind: str,
 ) -> TwoLevelSetup:
-    qd_f = build_qdelta(fine.rule, qdelta_kind)
-    qd_c = build_qdelta(coarse.rule, qdelta_kind)
     return TwoLevelSetup(
         fine=fine,
         coarse=coarse,
         pair=pair,
         l=l,
-        p_fine=sdc_preconditioner(fine, qd_f, "fine"),
-        p_coarse=sdc_preconditioner(coarse, qd_c, "coarse"),
+        qdelta_fine=build_qdelta(fine.rule, qdelta_kind),
+        qdelta_coarse=build_qdelta(coarse.rule, qdelta_kind),
     )
 
 
@@ -223,64 +284,55 @@ def pfasst_run_algorithmic(
     setup: TwoLevelSetup,
     u0: np.ndarray,
     iterations: int,
-    n_fine: int = 1,
-    n_coarse: int = 1,
-    rhs_blocks: list[np.ndarray] | None = None,
+    rhs_blocks: np.ndarray | list[np.ndarray] | None = None,
     initial_state: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Run PFASST by simulating the per-processor message schedule serially.
 
-    Each iteration: every interval restricts its iterate, forms the FAS
-    correction, receives the coarse initial value from its predecessor
-    (Gauss-Seidel order), sweeps on the coarse level, sends, interpolates
-    the corrections and finally performs fine sweeps that only use values
-    already available (Jacobi order).  Returns all iterates, flattened to
-    length L*M*N, starting with the spread initial iterate (or with
-    ``initial_state``, e.g. to propagate an error vector through the
-    homogeneous iteration).
+    Iterates are (L, M, N) arrays: interval, node, grid point.  Each
+    iteration: every interval restricts its iterate and forms the FAS
+    correction; in Gauss-Seidel order each interval then receives the
+    coarse value at its predecessor's last node and sweeps on the coarse
+    level; the corrections are interpolated, and all intervals perform their
+    fine sweep at once on values already available (Jacobi order).
+    ``rhs_blocks`` holds the L per-interval right-hand sides (default: the
+    spread initial value on the first interval, zero elsewhere).  Returns
+    all iterates, flattened to length L*M*N, starting with the spread
+    initial iterate (or with ``initial_state``, e.g. to propagate an error
+    vector through the homogeneous iteration).
     """
-    l_count, m_f, m_c = setup.l, setup.fine.matrix, setup.coarse.matrix
-    t_up, t_down = setup.interval_transfer()
-    n_f, n_c = setup.node_matrices()
+    fine, coarse = setup.fine, setup.coarse
+    shape = (setup.l, setup.m_nodes, fine.n_space)
+    restrict_t, interpolate_t = setup.pair.restriction.T, setup.pair.interpolation.T
+    u0 = np.asarray(u0)
     if rhs_blocks is None:
-        rhs_blocks = [np.zeros(setup.fine.dim) for _ in range(l_count)]
-        rhs_blocks[0] = spread_initial(u0, setup.m_nodes)
-    dtype = np.result_type(np.asarray(u0), *rhs_blocks, float)
-
-    if initial_state is not None:
-        u = np.asarray(initial_state).reshape(l_count, setup.fine.dim).astype(dtype)
+        rhs = np.zeros(shape, dtype=np.result_type(u0, float))
+        rhs[0] = u0
     else:
-        u = np.tile(spread_initial(u0, setup.m_nodes), (l_count, 1)).astype(dtype)
-    trace = [u.ravel().copy()]
+        rhs = np.asarray(rhs_blocks).reshape(shape)
+    if initial_state is None:
+        start = np.broadcast_to(u0, shape)
+    else:
+        start = np.asarray(initial_state).reshape(shape)
+    u = start.astype(np.result_type(start, rhs, float))
+    rhs_coarse = rhs @ restrict_t
+    trace = [u.ravel()]
     for _ in range(iterations):
-        u_half = np.empty_like(u)
-        coarse_half = np.empty((l_count, setup.coarse.dim), dtype=dtype)
-        for l in range(l_count):
-            restricted = t_down @ u[l]
-            tau = m_c @ restricted - t_down @ (m_f @ u[l])
-            c_tilde = t_down @ rhs_blocks[l]
+        # coarse level: the FAS right-hand side R c + tau of every interval at
+        # once, then the sweeps in sequence
+        restricted = u @ restrict_t
+        m_restricted = coarse.apply(restricted)
+        tau = m_restricted - fine.apply(u) @ restrict_t
+        residual = rhs_coarse + tau - m_restricted
+        corrected = np.empty_like(restricted)
+        for l in range(setup.l):
             if l > 0:
-                c_tilde = c_tilde + n_c @ coarse_half[l - 1]
-            ut = restricted
-            for _ in range(n_coarse):
-                ut = ut + setup.p_coarse.solve(c_tilde + tau - m_c @ ut)
-            coarse_half[l] = ut
-            u_half[l] = u[l] + t_up @ (ut - restricted)
-        u_new = np.empty_like(u)
-        for l in range(l_count):
-            c_fine = rhs_blocks[l]
-            if l > 0:
-                c_fine = c_fine + n_f @ u_half[l - 1]
-            un = u_half[l]
-            for _ in range(n_fine):
-                un = un + setup.p_fine.solve(c_fine - m_f @ un)
-            u_new[l] = un
-        u = u_new
-        trace.append(u.ravel().copy())
+                residual[l] += corrected[l - 1, -1]  # the predecessor's last node, on every node
+            corrected[l] = restricted[l] + setup.coarse_sweep.solve(residual[l])
+        u_half = u + (corrected - restricted) @ interpolate_t
+        # fine level: one batched sweep over all intervals
+        residual = rhs - fine.apply(u_half)
+        residual[1:] += u_half[:-1, -1:]  # the predecessor's last node, on every node
+        u = u_half + setup.fine_sweep.solve(residual)
+        trace.append(u.ravel())
     return trace
-
-
-def composite_from_setup(setup: TwoLevelSetup, u0: np.ndarray) -> CompositeSystem:
-    from .collocation import composite_system
-
-    return composite_system(setup.fine, setup.l, u0)

@@ -46,6 +46,33 @@ def test_config_validation():
         ExperimentConfig(problem="diffusion", mu=1.0, iterations=-1)
 
 
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        ("dt", -0.1, RangeError),
+        ("dt", 0.0, RangeError),
+        ("l", 0, RangeError),
+        ("m", 0, RangeError),
+        ("m", 13, RangeError),
+        ("n", 33, RangeError),
+        ("n", 8, RangeError),
+        ("n", 4, RangeError),
+        ("wavenumber", 0, RangeError),
+        ("wavenumber", 200, RangeError),
+        ("qdelta_kind", "rk4", ConfigurationError),
+        ("interp_exactness", 0, RangeError),
+    ],
+)
+def test_config_rejects_invalid_field_by_name(field, value, error):
+    with pytest.raises(error, match=field):
+        ExperimentConfig(problem="diffusion", mu=10.0, **{"n": 128, field: value})
+
+
+def test_config_accepts_the_edges_of_each_range():
+    ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=12, l=1, wavenumber=15, qdelta_kind="lu")
+    ExperimentConfig(problem="advection", coefficient=1e-3, n=16, m=1, wavenumber=1)
+
+
 def test_mu_resolves_to_parabolic_mesh_ratio():
     cfg = ExperimentConfig(problem="diffusion", mu=10.0)
     assert cfg.resolved_coefficient() == pytest.approx(10.0 * (1.0 / 128) ** 2 / 0.1)
@@ -205,6 +232,14 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
     ctx = trace.context
     assert trace.aggregates["tc"]["rho"] == ctx.spectra("tc").spectral_radius
     assert trace.aggregates["full"]["norm"] == ctx.full_norm
+
+
+@pytest.mark.parametrize("mode", ["tc", "c"])
+def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
+    ctx = run_and_compare(_small_cfg(), block_modes=(mode,)).context
+    assert "matrix" not in vars(ctx.setup.fine) and "matrix" not in vars(ctx.setup.coarse)
+    assert "p_fine" not in vars(ctx.setup) and "p_coarse" not in vars(ctx.setup)
+    assert "fine_sweep" in vars(ctx.setup)
 
 
 def test_run_and_compare_k0_gives_single_row():

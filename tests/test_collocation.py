@@ -23,6 +23,15 @@ def test_collocation_matrix_shape_and_structure():
     np.testing.assert_allclose(p.matrix, np.eye(6) - 0.1 * np.kron(rule.q, a))
 
 
+def test_collocation_apply_equals_dense_matrix_on_stacks():
+    rule = QuadratureRule.radau_right(3)
+    a = make_diffusion(8, 0.05).operator.materialize()
+    p = collocation_matrix(a, rule, 0.1)
+    u = np.random.default_rng(1).standard_normal((2, 4, 3, 8))
+    expected = (p.matrix @ u.reshape(8, 24).T).T.reshape(u.shape)
+    np.testing.assert_allclose(p.apply(u), expected, atol=1e-13)
+
+
 def test_collocation_rejects_nonpositive_dt():
     rule = QuadratureRule.radau_right(2)
     with pytest.raises(RangeError):

@@ -5,7 +5,7 @@ import pytest
 
 from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
 from pfasst_lfa.errors import ConfigurationError, FactorizationError
-from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
+from pfasst_lfa.quadrature import QDelta, QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
     Preconditioner,
     build_iteration_matrix,
@@ -14,12 +14,13 @@ from pfasst_lfa.solvers import (
     composite_jacobi,
     mlsdc_preconditioner_inverse,
     mlsdc_step,
+    node_sweep,
     pfasst_run_algorithmic,
     pfasst_step_matrix,
     richardson_step,
     sdc_preconditioner,
 )
-from pfasst_lfa.space_operators import coarsen, make_diffusion
+from pfasst_lfa.space_operators import coarsen, make_advection, make_diffusion
 from pfasst_lfa.transfer import build_ci_pair
 
 
@@ -42,6 +43,25 @@ def test_preconditioner_rejects_singular_matrix():
     p = Preconditioner(kind="test", matrix=np.zeros((3, 3)))
     with pytest.raises(FactorizationError):
         p.solve(np.ones(3))
+
+
+@pytest.mark.parametrize("kind", ["implicit-euler", "lu"])
+def test_node_sweep_equals_dense_preconditioner(kind):
+    prob, rule, cp = _small_problem(n=8, m=3)
+    qd = build_qdelta(rule, kind)
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal((2, 4, 3, 8)) + 1j * rng.standard_normal((2, 4, 3, 8))
+    dense = sdc_preconditioner(cp, qd).solve(r.reshape(8, 24).T).T.reshape(r.shape)
+    np.testing.assert_allclose(node_sweep(cp, qd).solve(r), dense, atol=1e-13)
+
+
+def test_node_sweep_rejects_singular_node_factor():
+    # dt * qd_11 * A = I: the middle node's factor is exactly zero
+    rule = QuadratureRule.radau_right(3)
+    cp = collocation_matrix(np.eye(2), rule, 1.0)
+    qd = QDelta(kind="test", matrix=np.diag([0.5, 1.0, 0.5]))
+    with pytest.raises(FactorizationError):
+        node_sweep(cp, qd)
 
 
 def test_sdc_sweeps_converge_to_collocation_solution():
@@ -155,6 +175,39 @@ def test_pfasst_algorithmic_equals_matrix_form():
     for k in range(1, 7):
         u = pfasst_step_matrix(p_gs, p_j, pair, comp.matrix, comp.rhs, u, m, l)
         np.testing.assert_allclose(trace[k], u, atol=1e-11)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make,kind",
+    [
+        (make_diffusion, "implicit-euler"),
+        (make_diffusion, "lu"),
+        (make_advection, "implicit-euler"),
+        (make_advection, "lu"),
+    ],
+)
+def test_pfasst_algorithmic_equals_step_matrix_iterates(make, kind, l, m):
+    n, dt = 16, 0.1
+    prob = make(n, 5e-3)
+    rule = QuadratureRule.radau_right(m)
+    fine = collocation_matrix(prob.operator.materialize(), rule, dt)
+    coarse = collocation_matrix(coarsen(prob).operator.materialize(), rule, dt)
+    pair = build_ci_pair(n)
+    setup = build_two_level_setup(fine, coarse, pair, l, kind)
+    p_gs, p_j = setup.composite_preconditioners()
+    comp = composite_system(fine, l, np.zeros(n))
+    rng = np.random.default_rng(l + 10 * m)
+    rhs = rng.standard_normal(comp.dim)
+    u = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
+    trace = pfasst_run_algorithmic(
+        setup, np.zeros(n), 5, rhs_blocks=rhs.reshape(l, -1), initial_state=u
+    )
+    np.testing.assert_array_equal(trace[0], u)
+    for k in range(1, 6):
+        u = pfasst_step_matrix(p_gs, p_j, pair, comp.matrix, rhs, u, m, l)
+        np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
 
 
 def test_pfasst_initial_state_override_propagates_errors():
