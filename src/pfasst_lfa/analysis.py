@@ -22,11 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .collocation import collocation_matrix, spread_initial
+from .collocation import collocation_matrix, composite_system, spread_initial
 from .errors import ConfigurationError, RangeError
 from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
-from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_run_algorithmic
+from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_iteration_matrix, pfasst_run_algorithmic
 from .transfer import build_ci_pair, midpoint_stencil_points
 from . import lfa
 
@@ -108,10 +108,10 @@ class ExperimentContext:
     """Assembled operators for one configuration, built once and shared.
 
     What the strategies derive from the operators is built on first use and
-    kept: the block decomposition and block spectra of each mode, the full
-    iteration matrix with its eigenvalues and 2-norm, the analytic
-    trajectory and the initial error.  The predictions, the aggregates and
-    the CLI's spectrum writer of one analysis thereby share one build.
+    kept: the block decomposition and block spectra of each mode, the
+    analytic trajectory and the initial error.  The predictions, the
+    aggregates and the CLI's spectrum writer of one analysis thereby share
+    one build.
     """
 
     cfg: ExperimentConfig
@@ -123,13 +123,22 @@ class ExperimentContext:
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def decomposition(self, block_mode: str) -> lfa.BlockDecomposition:
-        """The "tc" or "c" block decomposition, built once."""
+        """The block decomposition of one mode, built once.
+
+        "tc" and "c" are the Fourier block families; "full" is the iteration
+        matrix itself, one block in the identity basis.
+        """
         key = ("decomposition", block_mode)
         if key not in self._blocks:
             if block_mode == "tc":
                 self._blocks[key] = lfa.tc_decompose(self.components)
             elif block_mode == "c":
                 self._blocks[key] = lfa.c_decompose(self.components)
+            elif block_mode == "full":
+                setup, cfg = self.setup, self.cfg
+                m = composite_system(setup.fine, cfg.l, np.zeros(cfg.n)).matrix
+                t = pfasst_iteration_matrix(*setup.composite_preconditioners(), setup.pair, m, cfg.m, cfg.l)
+                self._blocks[key] = lfa.identity_decompose(t, cfg.n, cfg.l, cfg.m)
             else:
                 raise ConfigurationError(f"no block decomposition for mode {block_mode!r}")
         return self._blocks[key]
@@ -140,26 +149,6 @@ class ExperimentContext:
         if key not in self._blocks:
             self._blocks[key] = lfa.block_spectra(self.decomposition(block_mode))
         return self._blocks[key]
-
-    def rho_norm(self, block_mode: str) -> tuple[float, float]:
-        """Spectral radius and 2-norm of the iteration matrix in one mode."""
-        if block_mode == "full":
-            return float(np.max(np.abs(self.full_eigenvalues))), self.full_norm
-        bs = self.spectra(block_mode)
-        return bs.spectral_radius, bs.norm
-
-    @cached_property
-    def full_matrix(self) -> np.ndarray:
-        return _full_matrix(self)
-
-    @cached_property
-    def full_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the full iteration matrix, in eigensolver order."""
-        return np.linalg.eigvals(self.full_matrix)
-
-    @cached_property
-    def full_norm(self) -> float:
-        return float(np.linalg.norm(self.full_matrix, 2))
 
     @cached_property
     def trajectory(self) -> np.ndarray:
@@ -257,23 +246,6 @@ def excited_blocks(cfg: ExperimentConfig) -> set[int]:
     return out
 
 
-def _full_matrix(ctx: ExperimentContext) -> np.ndarray:
-    from .collocation import composite_system
-    from .solvers import build_iteration_matrix
-
-    comp = composite_system(ctx.setup.fine, ctx.cfg.l, np.zeros(ctx.cfg.n))
-    p_gs, p_j = ctx.setup.composite_preconditioners()
-    return build_iteration_matrix(
-        "pfasst",
-        coarse_gs=p_gs,
-        fine_jacobi=p_j,
-        pair=ctx.setup.pair,
-        m=comp.matrix,
-        m_nodes=ctx.cfg.m,
-        l=ctx.cfg.l,
-    ).t
-
-
 @dataclass
 class Prediction:
     """K+1 predicted error values for one strategy and block mode."""
@@ -287,39 +259,25 @@ def predict(
     ctx: ExperimentContext,
     strategy: str,
     block_mode: str,
-    kappa: int | None = None,
     restrict_harmonics: bool = True,
 ) -> Prediction:
     """Predicted 2-norm error for iterations 0..K."""
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-    if block_mode not in BLOCK_MODES:
-        raise ConfigurationError(f"unknown block mode {block_mode!r}")
-    k_max = ctx.cfg.iterations if kappa is None else kappa
+    d = ctx.decomposition(block_mode)
+    k_max = ctx.cfg.iterations
     e0 = ctx.initial_error
     e0_norm = float(np.linalg.norm(e0))
     values = np.empty(k_max + 1)
     values[0] = e0_norm
 
     if strategy in ("rho", "norm"):
-        rho, nrm = ctx.rho_norm(block_mode)
-        values[1:] = e0_norm * (rho if strategy == "rho" else nrm) ** np.arange(1, k_max + 1)
-    elif block_mode == "full":
-        t = ctx.full_matrix
-        if strategy == "norm-power":
-            power = np.eye(t.shape[0])
-            for k in range(1, k_max + 1):
-                power = power @ t
-                values[k] = float(np.linalg.norm(power, 2)) * e0_norm
-        else:
-            e = e0.astype(complex)
-            for k in range(1, k_max + 1):
-                e = t @ e
-                values[k] = float(np.linalg.norm(e))
+        bs = ctx.spectra(block_mode)
+        rate = bs.spectral_radius if strategy == "rho" else bs.norm
+        values[1:] = e0_norm * rate ** np.arange(1, k_max + 1)
     elif strategy == "norm-power":
-        values[1:] = lfa.block_power_norms(ctx.decomposition(block_mode), k_max)[1:] * e0_norm
+        values[1:] = lfa.block_power_norms(d, k_max)[1:] * e0_norm
     else:
-        d = ctx.decomposition(block_mode)
         harmonics = excited_blocks(ctx.cfg) if restrict_harmonics else None
         ehat = lfa.transform_vector(e0, d.meta)
         for k in range(1, k_max + 1):
@@ -460,8 +418,8 @@ def run_and_compare(
     ]
     aggregates = {}
     for mode in block_modes:
-        rho, nrm = ctx.rho_norm(mode)
-        aggregates[mode] = {"rho": rho, "norm": nrm}
+        bs = ctx.spectra(mode)
+        aggregates[mode] = {"rho": bs.spectral_radius, "norm": bs.norm}
 
     return ErrorTrace(
         cfg=cfg,

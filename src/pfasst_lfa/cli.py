@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +27,13 @@ from .analysis import (
     BLOCK_MODES,
     STRATEGIES,
     ExperimentConfig,
+    build_context,
     run_and_compare,
 )
-from .collocation import collocation_matrix, composite_system
-from .errors import PfasstLfaError
-from .quadrature import QuadratureRule, build_qdelta
-from .solvers import (
-    build_iteration_matrix,
-    build_two_level_setup,
-    pfasst_run_algorithmic,
-    pfasst_step_matrix,
-)
-from .space_operators import coarsen, make_diffusion
-from .transfer import build_ci_pair, check_restriction_condition, harmonic_diagonals
+from .collocation import composite_system
+from .errors import ConfigurationError, PfasstLfaError
+from .solvers import pfasst_iteration_matrix, pfasst_run_algorithmic, pfasst_step_matrix
+from .transfer import check_restriction_condition, harmonic_diagonals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,26 +117,23 @@ def cmd_analyze(args, parser) -> int:
             parser.error(f"unknown block mode {m!r} (choose from {', '.join(BLOCK_MODES)})")
     if not strategies or not block_modes:
         parser.error("need at least one strategy and one block mode")
-    if args.problem == "advection" and args.mu is not None:
-        parser.error("--mu applies to diffusion only; use --coefficient for advection")
-    if args.coefficient is not None and args.mu is not None:
-        parser.error("give exactly one of --coefficient and --mu")
-    if args.coefficient is None and args.mu is None:
-        parser.error("give one of --coefficient and --mu")
 
     timings = {}
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(
-        problem=args.problem,
-        n=args.n,
-        m=args.m,
-        l=args.l,
-        dt=args.dt,
-        coefficient=args.coefficient,
-        mu=args.mu,
-        wavenumber=args.wavenumber,
-        iterations=args.iterations,
-    )
+    try:
+        cfg = ExperimentConfig(
+            problem=args.problem,
+            n=args.n,
+            m=args.m,
+            l=args.l,
+            dt=args.dt,
+            coefficient=args.coefficient,
+            mu=args.mu,
+            wavenumber=args.wavenumber,
+            iterations=args.iterations,
+        )
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     trace = run_and_compare(cfg, strategies=strategies, block_modes=block_modes)
     timings["run_and_compare"] = time.perf_counter() - t0
 
@@ -163,16 +155,12 @@ def cmd_analyze(args, parser) -> int:
     spectrum_mode = block_modes[0]
     spectrum_path = out / "spectrum.csv"
     spec_rows = []
-    if spectrum_mode == "full":
-        for v in trace.context.full_eigenvalues:
-            spec_rows.append(["-1", "-1", _fmt(v.real), _fmt(v.imag)])
-    else:
-        spectra = trace.context.spectra(spectrum_mode)
-        for spectrum, idx in zip(spectra.per_block, spectra.index):
-            block_k = idx[0]
-            block_j = idx[1] if len(idx) > 1 else -1
-            for v in spectrum.eigenvalues:
-                spec_rows.append([str(block_k), str(block_j), _fmt(v.real), _fmt(v.imag)])
+    spectra = trace.context.spectra(spectrum_mode)
+    for spectrum, idx in zip(spectra.per_block, spectra.index):
+        block_k = idx[0]
+        block_j = idx[1] if len(idx) > 1 else -1
+        for v in spectrum.eigenvalues:
+            spec_rows.append([str(block_k), str(block_j), _fmt(v.real), _fmt(v.imag)])
     _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], spec_rows)
     timings["write_outputs"] = time.perf_counter() - t0
 
@@ -232,19 +220,13 @@ def _verify_checks(scale: str, flip_qdelta_sign: bool):
     """Yield (name, residual, tolerance) for each verification check."""
     n = 32 if scale == "small" else 128
     m = 3 if scale == "small" else 5
-    l, dt = 4, 0.1
-    nu = 10.0 * (1.0 / n) ** 2 / dt
-    prob = make_diffusion(n, nu)
-    cprob = coarsen(prob)
-    rule = QuadratureRule.radau_right(m)
-    pair = build_ci_pair(n, 6, 2)
-    fine = collocation_matrix(prob.operator.materialize(), rule, dt)
-    coarse = collocation_matrix(cprob.operator.materialize(), rule, dt)
-    setup = build_two_level_setup(fine, coarse, pair, l, "implicit-euler")
+    l = 4
+    ctx = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l, dt=0.1))
+    setup, pair = ctx.setup, ctx.setup.pair
 
     # 1: algorithmic run against the matrix formulation
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(fine, l, u0)
+    comp = composite_system(setup.fine, l, u0)
     p_gs, p_j = setup.composite_preconditioners()
     iterations = 5
     trace = pfasst_run_algorithmic(setup, u0, iterations)
@@ -256,15 +238,10 @@ def _verify_checks(scale: str, flip_qdelta_sign: bool):
     yield "pfasst matrix vs algorithmic", dev, 1e-10
 
     # 2: block spectrum against the full spectrum (cluster means)
-    t_full = build_iteration_matrix(
-        "pfasst", coarse_gs=p_gs, fine_jacobi=p_j, pair=pair, m=comp.matrix, m_nodes=m, l=l
-    ).t
-    qd = build_qdelta(rule, "implicit-euler")
+    t_full = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
+    sc = ctx.components
     if flip_qdelta_sign:
-        from dataclasses import replace
-
-        qd = replace(qd, matrix=-qd.matrix)
-    sc = lfa.spectral_components(prob.operator, cprob.operator, rule, qd, dt, l, pair)
+        sc = replace(sc, qdelta=-sc.qdelta)
     d = lfa.tc_decompose(sc)
     dist = lfa.matched_cluster_distance(np.linalg.eigvals(t_full), lfa.eigenvalue_union(d))
     yield "block spectrum vs full spectrum", dist, 1e-8

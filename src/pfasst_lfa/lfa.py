@@ -6,7 +6,8 @@ their eigenvalue union is the spectrum of the full iteration matrix.
 Collocation blocks (2M x 2M, additionally indexed by a time frequency)
 assume periodicity in time, which is an approximation; the singular
 constant-in-time blocks at time frequency 0 are replaced by zero blocks and
-the raw versions kept alongside.
+the raw versions kept alongside.  The unreduced iteration matrix is the
+one-block case: T itself in the identity basis.
 """
 
 from __future__ import annotations
@@ -26,27 +27,33 @@ from .transfer import HarmonicDiagonals, TransferPair, harmonic_diagonals, node_
 class TransformMeta:
     """Shapes and mode of the block transform, enough to invert it."""
 
-    mode: str  # "time-collocation" or "collocation"
+    mode: str  # "time-collocation", "collocation" or "identity" (one block, T itself)
     n: int
     l: int
     m: int
 
     @property
     def block_dim(self) -> int:
+        if self.mode == "identity":
+            return self.l * self.m * self.n
         return 2 * self.l * self.m if self.mode == "time-collocation" else 2 * self.m
 
     @property
     def blocks_per_pair(self) -> int:
-        """Blocks sharing one spatial harmonic pair: 1 (tc) or L time frequencies (c)."""
-        return 1 if self.mode == "time-collocation" else self.l
+        """Blocks sharing one spatial harmonic pair: L time frequencies (c), else 1."""
+        return self.l if self.mode == "collocation" else 1
 
     def block_index(self) -> list[tuple]:
+        if self.mode == "identity":
+            return [(-1,)]
         if self.mode == "time-collocation":
             return [(k,) for k in range(self.n // 2)]
         return [(k, j) for k in range(self.n // 2) for j in range(self.l)]
 
-    def rows(self, harmonics) -> np.ndarray:
-        """Block rows whose spatial-harmonic index k is in ``harmonics``."""
+    def rows(self, harmonics) -> np.ndarray | slice:
+        """Block rows whose spatial-harmonic index k is in ``harmonics``; every row in identity mode."""
+        if self.mode == "identity":
+            return slice(None)
         per = self.blocks_per_pair
         ks = sorted(k for k in harmonics if 0 <= k < self.n // 2)
         return (per * np.asarray(ks, dtype=int)[:, None] + np.arange(per)).ravel()
@@ -79,7 +86,7 @@ class BlockDecomposition:
 
     def norm_pairs(self) -> range:
         """Harmonic pairs whose singular values cover every block: k <= (N/2)//2 if mirrored."""
-        return range(self.meta.n // 4 + 1 if self.mirrored else self.meta.n // 2)
+        return range(self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // self.meta.blocks_per_pair)
 
 
 @dataclass(frozen=True)
@@ -259,13 +266,22 @@ def _single_c_block(sc, k, phase) -> np.ndarray | None:
         return None
 
 
+def identity_decompose(t: np.ndarray, n: int, l: int, m: int) -> BlockDecomposition:
+    """The iteration matrix T of an (L, M, N) layout as one block in the identity basis."""
+    meta = TransformMeta(mode="identity", n=n, l=l, m=m)
+    return BlockDecomposition(mode="identity", blocks=t[None], index=meta.block_index(), meta=meta)
+
+
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
     """Map a space-time vector into block coordinates, one row per block.
 
     Applies the conjugate-transposed Fourier matrix on the spatial layer
     (and on the interval layer for collocation mode) and gathers the
-    harmonic pairs.  The map is unitary: 2-norms are preserved.
+    harmonic pairs.  The map is unitary: 2-norms are preserved.  In identity
+    mode the vector is the single row.
     """
+    if meta.mode == "identity":
+        return np.asarray(v).reshape(1, -1)
     n, l, m = meta.n, meta.l, meta.m
     grid = np.asarray(v).reshape(l, m, n)
     psi_h = dft_matrix(n).conj().T
@@ -284,6 +300,8 @@ def inverse_transform_vector(vhat: np.ndarray, meta: TransformMeta) -> np.ndarra
     """Invert :func:`transform_vector`; returns the flat (L, M, N) vector."""
     n, l, m = meta.n, meta.l, meta.m
     vhat = np.asarray(vhat)
+    if meta.mode == "identity":
+        return vhat.ravel()
     if meta.mode == "collocation":
         tmp = vhat.reshape(n // 2, l, 2, m).transpose(1, 3, 2, 0).reshape(l, m, n)
         hat = np.einsum("lj,jmk->lmk", dft_matrix(l), tmp)

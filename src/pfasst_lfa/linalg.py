@@ -1,8 +1,8 @@
-"""Dense complex linear algebra used by every other module.
+"""Spectra and the unitary Fourier matrix shared by the other modules.
 
 Matrices are plain ``numpy.ndarray`` objects (2-d, complex or real).  The
-helpers here add the validation, ordering and size-cap conventions the rest
-of the package relies on.
+helpers here fix the eigenvalue ordering and the Fourier convention the
+rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -10,21 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionError, SizeError
-
-#: Largest matrix dimension the dense routines accept.
-MAX_DIM = 4096
-
-
-def _as_matrix(m) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DimensionError("matrix contains non-finite entries")
-    return m
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -56,34 +43,6 @@ def sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def eigenvalues(m) -> Spectrum:
-    """All eigenvalues of a square matrix, with algebraic multiplicity."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"eigenvalues need a square matrix, got {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise SizeError(f"dimension {m.shape[0]} exceeds cap {MAX_DIM}")
-    vals = np.linalg.eigvals(m)
-    return Spectrum(sort_eigenvalues(vals), m.shape[0])
-
-
-def spectral_norm(m) -> float:
-    """The 2-norm (largest singular value) of a matrix."""
-    m = _as_matrix(m)
-    return float(np.linalg.norm(m, 2))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with a size cap on the result."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_DIM:
-        raise SizeError(f"kron result {rows}x{cols} exceeds cap {MAX_DIM}")
-    return np.kron(a, b)
-
-
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary Fourier matrix whose columns are the circulant eigenvectors.
 
@@ -93,13 +52,3 @@ def dft_matrix(n: int) -> np.ndarray:
         raise DimensionError(f"dft_matrix needs n >= 1, got {n}")
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-
-
-def determinant_via_lu(m) -> complex:
-    """det(m) from an LU factorization; used as an eigenvalue cross-check."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError("determinant needs a square matrix")
-    p, l, u = scipy.linalg.lu(m.astype(complex))
-    sign = np.linalg.det(p)  # +-1, permutation matrix
-    return complex(sign * np.prod(np.diag(u)))

@@ -15,9 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from .collocation import CollocationProblem
-from .errors import ConfigurationError, FactorizationError
+from .errors import FactorizationError
 from .quadrature import QDelta, build_qdelta
-from .transfer import TransferPair, check_restriction_condition, node_propagation
+from .transfer import TransferPair, node_propagation
 
 
 def _lu_factor(matrix: np.ndarray) -> tuple:
@@ -38,9 +38,7 @@ def _lu_factor(matrix: np.ndarray) -> tuple:
 class Preconditioner:
     """A matrix P whose (cached-LU) inverse defines one Richardson step."""
 
-    kind: str
     matrix: np.ndarray
-    level_tag: str = "fine"
     _lu: tuple = field(default=None, repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -87,10 +85,9 @@ def node_sweep(problem: CollocationProblem, qdelta: QDelta) -> NodeSweep:
     return NodeSweep(problem=problem, qdelta=qdelta.matrix, factors=factors)
 
 
-def sdc_preconditioner(problem: CollocationProblem, qdelta: QDelta, level_tag: str = "fine") -> Preconditioner:
+def sdc_preconditioner(problem: CollocationProblem, qdelta: QDelta) -> Preconditioner:
     """P = I - dt*(Q_Delta kron A)."""
-    mat = np.eye(problem.dim) - problem.dt * np.kron(qdelta.matrix, problem.a)
-    return Preconditioner(kind=f"sdc-{level_tag}", matrix=mat, level_tag=level_tag)
+    return Preconditioner(np.eye(problem.dim) - problem.dt * np.kron(qdelta.matrix, problem.a))
 
 
 def composite_gauss_seidel(p_single: Preconditioner, l: int, n_matrix: np.ndarray) -> Preconditioner:
@@ -99,16 +96,12 @@ def composite_gauss_seidel(p_single: Preconditioner, l: int, n_matrix: np.ndarra
     mat = np.kron(np.eye(l), p_single.matrix)
     for i in range(1, l):
         mat[i * d : (i + 1) * d, (i - 1) * d : i * d] = -n_matrix
-    return Preconditioner(kind="block-gs", matrix=mat, level_tag=p_single.level_tag)
+    return Preconditioner(mat)
 
 
 def composite_jacobi(p_single: Preconditioner, l: int) -> Preconditioner:
     """Block-diagonal preconditioner: independent intervals."""
-    return Preconditioner(
-        kind="block-jacobi",
-        matrix=np.kron(np.eye(l), p_single.matrix),
-        level_tag=p_single.level_tag,
-    )
+    return Preconditioner(np.kron(np.eye(l), p_single.matrix))
 
 
 def richardson_step(p: Preconditioner, m: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -133,11 +126,6 @@ def mlsdc_step(
     l: int = 1,
 ) -> np.ndarray:
     """One two-level step: coarse-corrected half step, then a fine sweep."""
-    ok, violation = check_restriction_condition(pair, m_nodes)
-    if not ok:
-        raise ConfigurationError(
-            f"restriction condition violated, |L|_inf = {np.max(np.abs(violation)):.3e}"
-        )
     t_up, t_down = lift_transfer(pair, m_nodes, l)
     residual = c - m @ u
     u_half = u + t_up @ coarse.solve(t_down @ residual)
@@ -174,41 +162,26 @@ def pfasst_step_matrix(
     return u_half + fine_jacobi.solve(c - m @ u_half)
 
 
-@dataclass(frozen=True)
-class IterationOperator:
-    """Error-propagation matrix T with a record of how it was built."""
-
-    t: np.ndarray
-    builder: str
+def sdc_iteration_matrix(p: Preconditioner, m: np.ndarray) -> np.ndarray:
+    """T = I - P_sdc^{-1} M."""
+    return np.eye(m.shape[0]) - p.solve(m)
 
 
-def build_iteration_matrix(kind: str, **parts) -> IterationOperator:
-    """Materialize T for one of the supported methods.
+def mlsdc_iteration_matrix(
+    fine: Preconditioner, coarse: Preconditioner, pair: TransferPair, m: np.ndarray, m_nodes: int, l: int = 1
+) -> np.ndarray:
+    """T = I - P_mlsdc^{-1} M."""
+    return np.eye(m.shape[0]) - mlsdc_preconditioner_inverse(fine, coarse, pair, m, m_nodes, l) @ m
 
-    kind "sdc":    parts p, m.
-    kind "mlsdc":  parts fine, coarse, pair, m, m_nodes (l optional).
-    kind "pfasst": parts coarse_gs, fine_jacobi, pair, m, m_nodes, l.
-    """
-    if kind == "sdc":
-        p, m = parts["p"], parts["m"]
-        t = np.eye(m.shape[0]) - p.solve(m)
-        return IterationOperator(t=t, builder="I - P_sdc^{-1} M")
-    if kind == "mlsdc":
-        p_inv = mlsdc_preconditioner_inverse(
-            parts["fine"], parts["coarse"], parts["pair"], parts["m"], parts["m_nodes"], parts.get("l", 1)
-        )
-        t = np.eye(parts["m"].shape[0]) - p_inv @ parts["m"]
-        return IterationOperator(t=t, builder="I - P_mlsdc^{-1} M")
-    if kind == "pfasst":
-        m = parts["m"]
-        t_up, t_down = lift_transfer(parts["pair"], parts["m_nodes"], parts["l"])
-        cgc_factor = np.eye(m.shape[0]) - t_up @ parts["coarse_gs"].solve(t_down @ m)
-        smoother_factor = np.eye(m.shape[0]) - parts["fine_jacobi"].solve(m)
-        return IterationOperator(
-            t=smoother_factor @ cgc_factor,
-            builder="(I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M)",
-        )
-    raise ConfigurationError(f"unknown iteration-matrix kind {kind!r}")
+
+def pfasst_iteration_matrix(
+    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray, m_nodes: int, l: int
+) -> np.ndarray:
+    """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M)."""
+    t_up, t_down = lift_transfer(pair, m_nodes, l)
+    cgc_factor = np.eye(m.shape[0]) - t_up @ coarse_gs.solve(t_down @ m)
+    smoother_factor = np.eye(m.shape[0]) - fine_jacobi.solve(m)
+    return smoother_factor @ cgc_factor
 
 
 @dataclass
@@ -216,8 +189,8 @@ class TwoLevelSetup:
     """Everything one PFASST run needs, assembled once and reused.
 
     The node sweeps serve the algorithmic run; the dense preconditioners
-    and node-propagation matrices serve the matrix route.  Each is built on
-    first use, so the run allocates no (M*N) x (M*N) matrix.
+    serve the matrix route.  Each is built on first use, so the run
+    allocates no (M*N) x (M*N) matrix.
     """
 
     fine: CollocationProblem
@@ -241,22 +214,15 @@ class TwoLevelSetup:
 
     @cached_property
     def p_fine(self) -> Preconditioner:
-        return sdc_preconditioner(self.fine, self.qdelta_fine, "fine")
+        return sdc_preconditioner(self.fine, self.qdelta_fine)
 
     @cached_property
     def p_coarse(self) -> Preconditioner:
-        return sdc_preconditioner(self.coarse, self.qdelta_coarse, "coarse")
-
-    def node_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        k = node_propagation(self.m_nodes)
-        return (
-            np.kron(k, np.eye(self.fine.n_space)),
-            np.kron(k, np.eye(self.coarse.n_space)),
-        )
+        return sdc_preconditioner(self.coarse, self.qdelta_coarse)
 
     def composite_preconditioners(self) -> tuple[Preconditioner, Preconditioner]:
         """(coarse block Gauss-Seidel, fine block Jacobi) on the full domain."""
-        _, n_c = self.node_matrices()
+        n_c = np.kron(node_propagation(self.m_nodes), np.eye(self.coarse.n_space))
         return (
             composite_gauss_seidel(self.p_coarse, self.l, n_c),
             composite_jacobi(self.p_fine, self.l),

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError
-from .linalg import Spectrum, sort_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,6 @@ class CirculantOperator:
         for off, coeff in self.stencil.items():
             lam += coeff * np.exp(2j * np.pi * k * off / self.n)
         return self.scale * lam
-
-
-def circulant_spectrum(op: CirculantOperator) -> Spectrum:
-    """Analytic spectrum, in index order k = 0..n-1."""
-    return Spectrum(sort_eigenvalues(op.symbol(np.arange(op.n))), op.n)
 
 
 def circulant_eigenvalues(op: CirculantOperator) -> np.ndarray:

@@ -19,10 +19,10 @@ from pfasst_lfa.analysis import (
 from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
-    build_iteration_matrix,
     build_two_level_setup,
     mlsdc_preconditioner_inverse,
     mlsdc_step,
+    pfasst_iteration_matrix,
     pfasst_run_algorithmic,
     pfasst_step_matrix,
     richardson_step,
@@ -133,9 +133,7 @@ def test_criterion_04_rigorous_block_transform():
     rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
     p_gs, p_j = setup.composite_preconditioners()
     comp = composite_system(fine, l, np.zeros(n))
-    t = build_iteration_matrix(
-        "pfasst", coarse_gs=p_gs, fine_jacobi=p_j, pair=pair, m=comp.matrix, m_nodes=m, l=l
-    ).t
+    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
     qd = build_qdelta(rule, "implicit-euler")
     sc = lfa.spectral_components(prob.operator, coarsen(prob).operator, rule, qd, dt, l, pair)
     d = lfa.tc_decompose(sc)
@@ -175,9 +173,7 @@ def test_criterion_06_norm_identity():
     rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
     p_gs, p_j = setup.composite_preconditioners()
     comp = composite_system(fine, l, np.zeros(n))
-    t = build_iteration_matrix(
-        "pfasst", coarse_gs=p_gs, fine_jacobi=p_j, pair=pair, m=comp.matrix, m_nodes=m, l=l
-    ).t
+    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
     qd = build_qdelta(rule, "implicit-euler")
     sc = lfa.spectral_components(prob.operator, coarsen(prob).operator, rule, qd, dt, l, pair)
     block_norm = lfa.block_spectra(lfa.tc_decompose(sc)).norm

@@ -174,6 +174,29 @@ def test_predictions_full_mode_agree_with_tc_mode():
         np.testing.assert_allclose(tc, full, rtol=rtol, atol=1e-12)
 
 
+def test_full_mode_predictions_equal_the_dense_matrix_oracle():
+    # the one-block identity decomposition against T used directly
+    cfg = _small_cfg(iterations=6)
+    ctx = build_context(cfg)
+    t = ctx.decomposition("full").blocks[0]
+    assert t.shape == (cfg.l * cfg.m * cfg.n,) * 2 and np.isrealobj(t)
+    e0 = ctx.initial_error
+    k = np.arange(cfg.iterations + 1)
+    rho = np.max(np.abs(np.linalg.eigvals(t)))
+    nrm = np.linalg.norm(t, 2)
+    e0_norm = np.linalg.norm(e0)
+    powers = [np.linalg.matrix_power(t, p) for p in k]
+    oracle = {
+        "rho": e0_norm * rho**k,
+        "norm": e0_norm * nrm**k,
+        "norm-power": np.array([np.linalg.norm(p, 2) for p in powers]) * e0_norm,
+        "apply": np.array([np.linalg.norm(p @ e0.astype(complex)) for p in powers]),
+    }
+    for strategy, expected in oracle.items():
+        got = predict(ctx, strategy, "full").values
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14 * e0_norm)
+
+
 def test_predict_rejects_unknown_names():
     ctx = build_context(_small_cfg())
     with pytest.raises(ConfigurationError):
@@ -216,22 +239,22 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
 
     for name in ("tc_decompose", "c_decompose", "block_spectra"):
         counting(lfa, name)
-    counting(analysis, "_full_matrix")
+    counting(analysis, "pfasst_iteration_matrix")
     counting(analysis, "exact_trajectory")
     counting(np.linalg, "eigvals", "full eigvals", lambda a: a.shape[-1] == full_dim)
     trace = run_and_compare(cfg, block_modes=("tc", "c", "full"))
     assert calls == {
         "tc_decompose": 1,
         "c_decompose": 1,
-        "block_spectra": 2,
-        "_full_matrix": 1,
+        "block_spectra": 3,
+        "pfasst_iteration_matrix": 1,
         "exact_trajectory": 1,
         "full eigvals": 1,
     }
     # the shared spectra are the ones the trace reports
     ctx = trace.context
     assert trace.aggregates["tc"]["rho"] == ctx.spectra("tc").spectral_radius
-    assert trace.aggregates["full"]["norm"] == ctx.full_norm
+    assert trace.aggregates["full"]["norm"] == ctx.spectra("full").norm
 
 
 @pytest.mark.parametrize("mode", ["tc", "c"])

@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from pfasst_lfa import analysis
+from pfasst_lfa import analysis, lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
-from pfasst_lfa.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
+from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
+from pfasst_lfa.collocation import composite_system
+from pfasst_lfa.linalg import sort_eigenvalues
+from pfasst_lfa.solvers import pfasst_iteration_matrix
 
 
 def _analyze(tmp_path, *extra):
@@ -82,6 +85,20 @@ def test_analyze_builds_one_context(tmp_path, monkeypatch):
     # the spectrum comes from the first mode's shared block spectra
     rows = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 16 * 4 * 6
+
+
+def test_full_spectrum_csv_is_the_sorted_matrix_spectrum(tmp_path):
+    out = _analyze(tmp_path, "--blocks", "full")
+    rows = [r.split(",") for r in (out / "spectrum.csv").read_text().strip().split("\n")[1:]]
+    n, m, l = 32, 3, 4
+    assert len(rows) == l * m * n
+    assert all(r[:2] == ["-1", "-1"] for r in rows)
+    vals = np.array([complex(float(r[2]), float(r[3])) for r in rows])
+    np.testing.assert_array_equal(vals, sort_eigenvalues(vals))
+    setup = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l)).setup
+    comp = composite_system(setup.fine, l, np.zeros(n))
+    t = pfasst_iteration_matrix(*setup.composite_preconditioners(), setup.pair, comp.matrix, m, l)
+    assert lfa.matched_cluster_distance(vals, np.linalg.eigvals(t)) < 1e-8
 
 
 @pytest.mark.parametrize("mu", ["1", "3", "10", "30"])
@@ -202,6 +219,51 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--problem", "membrane", "--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "analyze",
+                "--problem",
+                "diffusion",
+                "--coefficient",
+                "1e-3",
+                "--mu",
+                "10",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
+    # ExperimentConfig is the one place that checks the fields; nothing is written
+    for field, value, fragment in [
+        ("--m", "13", "m (quadrature nodes)"),
+        ("--wavenumber", "0", "wavenumber"),
+        ("--n", "31", "n must be even"),
+    ]:
+        out = tmp_path / "out"
+        args = ["analyze", "--problem", "diffusion", "--mu", "10", field, value, "--out", str(out)]
+        assert main(args) == EXIT_NUMERICAL
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_verify_shares_one_composite_matrix(monkeypatch):
+    from pfasst_lfa import cli
+
+    calls = {"composite_system": 0, "pfasst_iteration_matrix": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["verify", "--scale", "small"]) == EXIT_OK
+    assert calls == {"composite_system": 1, "pfasst_iteration_matrix": 1}
 
 
 def test_verify_small_passes():

@@ -9,7 +9,7 @@ from pfasst_lfa import lfa
 from pfasst_lfa.collocation import collocation_matrix, composite_system
 from pfasst_lfa.errors import RangeError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
-from pfasst_lfa.solvers import build_iteration_matrix, build_two_level_setup, lift_transfer
+from pfasst_lfa.solvers import build_two_level_setup, lift_transfer, pfasst_iteration_matrix
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
 from pfasst_lfa.transfer import build_ci_pair
 
@@ -23,9 +23,7 @@ def _assemble(prob, m, l, dt, qdelta_kind):
     setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
     p_gs, p_j = setup.composite_preconditioners()
     comp = composite_system(fine, l, np.zeros(prob.n))
-    t = build_iteration_matrix(
-        "pfasst", coarse_gs=p_gs, fine_jacobi=p_j, pair=pair, m=comp.matrix, m_nodes=m, l=l
-    ).t
+    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
     qd = build_qdelta(rule, qdelta_kind)
     sc = lfa.spectral_components(prob.operator, cprob.operator, rule, qd, dt, l, pair)
     return t, sc
@@ -198,6 +196,41 @@ def test_block_power_norm_reduces_to_norm_and_identity():
         lfa.block_power_norms(d, -1)
 
 
+def test_identity_decompose_is_the_matrix_as_one_block():
+    prob = make_advection(16, 4.88e-3)
+    n, m, l = 16, 3, 2
+    t, _ = _assemble(prob, m, l, 0.1, "lu")
+    d = lfa.identity_decompose(t, n, l, m)
+    assert d.blocks.shape == (1, l * m * n, l * m * n)
+    np.testing.assert_array_equal(d.blocks[0], t)
+    assert d.index == [(-1,)] and d.meta.block_dim == l * m * n
+    assert not d.mirrored and list(d.norm_pairs()) == [0]
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(t.shape[0])
+    vhat = lfa.transform_vector(v, d.meta)
+    np.testing.assert_array_equal(vhat, v[None])
+    np.testing.assert_array_equal(lfa.inverse_transform_vector(vhat, d.meta), v)
+    # every harmonic selection keeps the single block
+    back = lfa.apply_blocks(d, vhat, harmonics={1})
+    np.testing.assert_allclose(lfa.inverse_transform_vector(back, d.meta), t @ v, rtol=0, atol=1e-14)
+
+
+def test_identity_block_spectra_and_power_norms_match_the_matrix():
+    prob = make_diffusion(16, 5e-3)
+    n, m, l = 16, 3, 2
+    t, _ = _assemble(prob, m, l, 0.1, "implicit-euler")
+    d = lfa.identity_decompose(t, n, l, m)
+    bs = lfa.block_spectra(d)
+    assert bs.index == [(-1,)]
+    eig = np.linalg.eigvals(t)
+    assert bs.spectral_radius == pytest.approx(np.max(np.abs(eig)), rel=1e-12)
+    assert lfa.matched_cluster_distance(lfa.eigenvalue_union(d), eig) < 1e-8
+    assert bs.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
+    norms = lfa.block_power_norms(d, 6)
+    for k in range(7):
+        assert norms[k] == pytest.approx(np.linalg.norm(np.linalg.matrix_power(t, k), 2), rel=1e-12)
+
+
 def _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, qdelta_kind):
     """Oracle: the PFASST matrix for the time-periodic composite system."""
     from pfasst_lfa.transfer import node_propagation
@@ -206,7 +239,8 @@ def _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, qdelta_kind):
     fine = collocation_matrix(op_f.materialize(), rule, dt)
     coarse = collocation_matrix(op_c.materialize(), rule, dt)
     setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
-    n_f, n_c = setup.node_matrices()
+    n_f = np.kron(node_propagation(m), np.eye(op_f.n))
+    n_c = np.kron(node_propagation(m), np.eye(op_c.n))
     e_hat = np.diag(np.ones(l - 1), -1)
     e_hat[0, -1] = 1.0  # periodic wrap-around in time
     m_comp = np.kron(np.eye(l), fine.matrix) - np.kron(e_hat, n_f)

@@ -1,20 +1,8 @@
 """Dense linear-algebra helpers against independent oracles."""
 
 import numpy as np
-import pytest
-import scipy.linalg
 
-from pfasst_lfa.errors import SizeError
-from pfasst_lfa.linalg import (
-    MAX_DIM,
-    Spectrum,
-    determinant_via_lu,
-    dft_matrix,
-    eigenvalues,
-    kron,
-    sort_eigenvalues,
-    spectral_norm,
-)
+from pfasst_lfa.linalg import Spectrum, dft_matrix, sort_eigenvalues
 
 
 def test_dft_matrix_is_unitary():
@@ -39,37 +27,6 @@ def test_sort_eigenvalues_orders_by_real_then_imag_descending():
     vals = np.array([1 + 1j, 2 - 1j, 1 - 1j, 2 + 1j])
     got = sort_eigenvalues(vals)
     np.testing.assert_array_equal(got, np.array([2 + 1j, 2 - 1j, 1 + 1j, 1 - 1j]))
-
-
-def test_eigenvalues_against_characteristic_polynomial_oracle():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((6, 6))
-    spec = eigenvalues(m)
-    # eigenvalues are roots of the characteristic polynomial
-    for lam in spec.eigenvalues:
-        assert abs(np.linalg.det(m - lam * np.eye(6))) < 1e-8
-    assert spec.spectral_radius == pytest.approx(np.max(np.abs(np.roots(np.poly(m)))))
-
-
-def test_spectral_norm_matches_largest_singular_value():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((7, 4))
-    assert spectral_norm(m) == pytest.approx(scipy.linalg.svdvals(m)[0], rel=1e-12)
-
-
-def test_kron_matches_numpy_and_enforces_size_cap():
-    a = np.arange(4.0).reshape(2, 2)
-    b = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(kron(a, b), np.kron(a, b))
-    big = np.zeros((MAX_DIM, 2))
-    with pytest.raises(SizeError):
-        kron(big, np.zeros((2, 2)))
-
-
-def test_determinant_via_lu_matches_numpy():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((5, 5))
-    assert determinant_via_lu(m) == pytest.approx(np.linalg.det(m), rel=1e-10)
 
 
 def test_spectrum_radius_of_empty_is_zero():

@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
-from pfasst_lfa.errors import ConfigurationError, FactorizationError
+from pfasst_lfa.errors import FactorizationError
 from pfasst_lfa.quadrature import QDelta, QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
     Preconditioner,
-    build_iteration_matrix,
     build_two_level_setup,
     composite_gauss_seidel,
     composite_jacobi,
+    mlsdc_iteration_matrix,
     mlsdc_preconditioner_inverse,
     mlsdc_step,
     node_sweep,
+    pfasst_iteration_matrix,
     pfasst_run_algorithmic,
     pfasst_step_matrix,
     richardson_step,
+    sdc_iteration_matrix,
     sdc_preconditioner,
 )
 from pfasst_lfa.space_operators import coarsen, make_advection, make_diffusion
@@ -34,13 +36,13 @@ def _small_problem(n=16, m=3, dt=0.1, nu=None):
 def test_preconditioner_solve_matches_dense_solve():
     rng = np.random.default_rng(5)
     mat = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-    p = Preconditioner(kind="test", matrix=mat)
+    p = Preconditioner(mat)
     rhs = rng.standard_normal(8)
     np.testing.assert_allclose(p.solve(rhs), np.linalg.solve(mat, rhs), atol=1e-12)
 
 
 def test_preconditioner_rejects_singular_matrix():
-    p = Preconditioner(kind="test", matrix=np.zeros((3, 3)))
+    p = Preconditioner(np.zeros((3, 3)))
     with pytest.raises(FactorizationError):
         p.solve(np.ones(3))
 
@@ -81,7 +83,7 @@ def test_sdc_iteration_matrix_consistent_with_step():
     prob, rule, cp = _small_problem(n=8)
     qd = build_qdelta(rule, "lu")
     p = sdc_preconditioner(cp, qd)
-    t = build_iteration_matrix("sdc", p=p, m=cp.matrix).t
+    t = sdc_iteration_matrix(p, cp.matrix)
     rng = np.random.default_rng(2)
     c = rng.standard_normal(cp.dim)
     u = rng.standard_normal(cp.dim)
@@ -111,7 +113,7 @@ def test_mlsdc_step_equals_explicit_preconditioner_formula():
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
-    pc = sdc_preconditioner(coarse, qd, "coarse")
+    pc = sdc_preconditioner(coarse, qd)
     rng = np.random.default_rng(9)
     c = rng.standard_normal(fine.dim)
     u = rng.standard_normal(fine.dim)
@@ -119,6 +121,23 @@ def test_mlsdc_step_equals_explicit_preconditioner_formula():
     p_inv = mlsdc_preconditioner_inverse(pf, pc, pair, fine.matrix, m)
     expected = u + p_inv @ (c - fine.matrix @ u)
     np.testing.assert_allclose(stepped, expected, atol=1e-12)
+
+
+def test_mlsdc_iteration_matrix_consistent_with_step():
+    n, m, dt = 32, 3, 0.1
+    prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
+    coarse = collocation_matrix(coarsen(prob).operator.materialize(), rule, dt)
+    pair = build_ci_pair(n)
+    qd = build_qdelta(rule, "implicit-euler")
+    pf = sdc_preconditioner(fine, qd)
+    pc = sdc_preconditioner(coarse, qd)
+    t = mlsdc_iteration_matrix(pf, pc, pair, fine.matrix, m)
+    rng = np.random.default_rng(10)
+    c = rng.standard_normal(fine.dim)
+    u = rng.standard_normal(fine.dim)
+    exact = np.linalg.solve(fine.matrix, c)
+    stepped = mlsdc_step(pf, pc, pair, fine.matrix, c, u, m)
+    np.testing.assert_allclose(stepped - exact, t @ (u - exact), atol=1e-11)
 
 
 def test_mlsdc_step_rejects_broken_restriction_condition():
@@ -129,7 +148,7 @@ def test_mlsdc_step_rejects_broken_restriction_condition():
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
-    pc = sdc_preconditioner(coarse, qd, "coarse")
+    pc = sdc_preconditioner(coarse, qd)
     from pfasst_lfa.transfer import check_restriction_condition
 
     broken = np.eye(m)
@@ -142,6 +161,23 @@ def test_mlsdc_step_rejects_broken_restriction_condition():
     mlsdc_step(pf, pc, pair, fine.matrix, c, u, m)
 
 
+@pytest.mark.parametrize("l", [1, 3])
+def test_lifted_transfer_commutes_with_node_propagation(l):
+    # spatial-only coarsening: the lifted restriction commutes exactly with the
+    # node propagation of every interval and of the interval coupling, for every
+    # M, so mlsdc_step and the PFASST matrices need no per-call check
+    from pfasst_lfa.solvers import lift_transfer
+    from pfasst_lfa.transfer import node_propagation
+
+    pair = build_ci_pair(16)
+    coupling = np.eye(l) + np.diag(np.ones(l - 1), -1)
+    for m in (1, 3, 5):
+        _, t_down = lift_transfer(pair, m, l)
+        n_f = np.kron(coupling, np.kron(node_propagation(m), np.eye(pair.n_fine)))
+        n_c = np.kron(coupling, np.kron(node_propagation(m), np.eye(pair.n_coarse)))
+        np.testing.assert_array_equal(t_down @ n_f, n_c @ t_down)
+
+
 def test_pfasst_step_matrix_matches_iteration_operator():
     n, m, l, dt = 16, 3, 4, 0.1
     prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
@@ -151,9 +187,7 @@ def test_pfasst_step_matrix_matches_iteration_operator():
     p_gs, p_j = setup.composite_preconditioners()
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
     comp = composite_system(fine, l, u0)
-    t = build_iteration_matrix(
-        "pfasst", coarse_gs=p_gs, fine_jacobi=p_j, pair=pair, m=comp.matrix, m_nodes=m, l=l
-    ).t
+    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
     exact = np.linalg.solve(comp.matrix, comp.rhs)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(comp.dim)
@@ -218,9 +252,7 @@ def test_pfasst_initial_state_override_propagates_errors():
     setup = build_two_level_setup(fine, coarse, pair, l, "implicit-euler")
     p_gs, p_j = setup.composite_preconditioners()
     comp = composite_system(fine, l, np.zeros(n))
-    t = build_iteration_matrix(
-        "pfasst", coarse_gs=p_gs, fine_jacobi=p_j, pair=pair, m=comp.matrix, m_nodes=m, l=l
-    ).t
+    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
     rng = np.random.default_rng(8)
     e0 = rng.standard_normal(comp.dim)
     zero_rhs = [np.zeros(fine.dim) for _ in range(l)]
@@ -242,8 +274,3 @@ def test_pfasst_converges_to_composite_solution():
     exact = np.linalg.solve(comp.matrix, comp.rhs)
     trace = pfasst_run_algorithmic(setup, u0, 30)
     assert np.max(np.abs(trace[-1] - exact)) < 1e-12
-
-
-def test_build_iteration_matrix_unknown_kind():
-    with pytest.raises(ConfigurationError):
-        build_iteration_matrix("parareal")

@@ -7,7 +7,6 @@ from pfasst_lfa.errors import RangeError
 from pfasst_lfa.space_operators import (
     CirculantOperator,
     circulant_eigenvalues,
-    circulant_spectrum,
     coarsen,
     exact_solution,
     make_advection,
@@ -33,13 +32,6 @@ def test_circulant_eigenvectors_are_fourier_modes():
     for k in range(8):
         v = np.exp(2j * np.pi * k * j / 8)
         np.testing.assert_allclose(a @ v, lam[k] * v, atol=1e-12)
-
-
-def test_circulant_spectrum_is_sorted_with_multiplicity():
-    op = CirculantOperator(n=6, stencil={-1: 1.0, 1: 1.0})
-    spec = circulant_spectrum(op)
-    assert spec.source_dim == 6
-    assert np.all(np.diff(spec.eigenvalues.real) <= 1e-15)
 
 
 def test_diffusion_matrix_entries_and_spectrum():
