@@ -78,6 +78,11 @@ class ExperimentConfig:
             )
         if not 1 <= self.wavenumber < self.n:
             raise RangeError(f"wavenumber must lie in 1..n-1 = {self.n - 1}, got {self.wavenumber}")
+        if 2 * self.wavenumber == self.n:
+            raise RangeError(
+                f"wavenumber must not be the Nyquist mode n/2 = {self.wavenumber}: "
+                "sin(2 pi k x) samples to round-off there"
+            )
         if self.qdelta_kind is not None and self.qdelta_kind not in QDELTA_KINDS:
             raise ConfigurationError(
                 f"unknown qdelta_kind {self.qdelta_kind!r} (choose from {', '.join(QDELTA_KINDS)})"
@@ -167,8 +172,8 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
     rule = QuadratureRule.radau_right(cfg.m)
     pair = build_ci_pair(cfg.n, cfg.interp_exactness, cfg.restr_exactness)
     setup = build_two_level_setup(
-        collocation_matrix(fine.operator.materialize(), rule, cfg.dt),
-        collocation_matrix(coarse.operator.materialize(), rule, cfg.dt),
+        collocation_matrix(fine.operator, rule, cfg.dt),
+        collocation_matrix(coarse.operator, rule, cfg.dt),
         pair,
         cfg.l,
         cfg.resolved_qdelta_kind(),

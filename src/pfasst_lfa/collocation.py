@@ -15,20 +15,28 @@ import numpy as np
 
 from .errors import RangeError
 from .quadrature import QuadratureRule
+from .space_operators import CirculantOperator
 from .transfer import node_propagation
 
 
 @dataclass(frozen=True)
 class CollocationProblem:
-    """I - dt*(Q kron A) on one subinterval of length dt.
+    """I - dt*(Q kron A) on one subinterval of length dt, A a circulant.
 
     An iterate on one interval is an (M, N) array, node by grid point; its
     row-major flattening is the Kronecker layout of the dense ``matrix``.
+    The circulant ``operator`` is the one spatial representation; the dense
+    N x N ``a`` is built only by the matrix route.
     """
 
-    a: np.ndarray
+    operator: CirculantOperator
     rule: QuadratureRule
     dt: float
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """The dense N x N spatial matrix, built on first use by the matrix route."""
+        return self.operator.materialize()
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -36,23 +44,22 @@ class CollocationProblem:
         return np.eye(self.dim) - self.dt * np.kron(self.rule.q, self.a)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """U - dt*Q U A^T for every (M, N) slice of an (..., M, N) stack."""
-        return u - self.dt * (self.rule.q @ (u @ self.a.T))
+        """U - dt*Q (A U) for every (M, N) slice of an (..., M, N) stack, A as a stencil."""
+        return u - self.dt * (self.rule.q @ self.operator.apply(u))
 
     @property
     def n_space(self) -> int:
-        return self.a.shape[0]
+        return self.operator.n
 
     @property
     def dim(self) -> int:
         return self.rule.m * self.n_space
 
 
-def collocation_matrix(a, rule: QuadratureRule, dt: float) -> CollocationProblem:
-    a = np.asarray(a)
+def collocation_matrix(operator: CirculantOperator, rule: QuadratureRule, dt: float) -> CollocationProblem:
     if dt <= 0:
         raise RangeError(f"subinterval length must be positive, got {dt}")
-    return CollocationProblem(a=a, rule=rule, dt=dt)
+    return CollocationProblem(operator=operator, rule=rule, dt=dt)
 
 
 def spread_initial(u0, m: int, l: int = 1) -> np.ndarray:

@@ -49,40 +49,40 @@ class Preconditioner:
 
 @dataclass(frozen=True)
 class NodeSweep:
-    """P^{-1} for the sweep P = I - dt*(Q_Delta kron A), applied node by node.
+    """P^{-1} for the sweep P = I - dt*(Q_Delta kron A), applied node by node in Fourier space.
 
-    Q_Delta is lower triangular, so P is block lower triangular over the
-    nodes: node m solves (I - dt*qd_mm*A) x_m = r_m + dt*sum_{j<m} qd_mj*A x_j
-    with its own N x N LU factor.  This is the solve of the dense
-    ``sdc_preconditioner`` without its (M*N) x (M*N) matrix.
+    A is circulant, so the Fourier transform on the grid axis diagonalizes
+    it with the symbol sigma = fft(first column of A).  Q_Delta is lower
+    triangular, so P^{-1} r is forward substitution over the nodes, one
+    scalar division per harmonic:
+    x_m = (r_m + dt*sigma*sum_{j<m} qd_mj x_j) / (1 - dt*qd_mm*sigma).
+    This is the solve of the dense ``sdc_preconditioner`` without any
+    N x N or (M*N) x (M*N) matrix.
     """
 
-    problem: CollocationProblem
     qdelta: np.ndarray
-    factors: tuple  # scipy LU factors of I - dt*qd_mm*A, one per node
+    dt_sigma: np.ndarray  # dt * fft(first column of A), length N
+    denominators: np.ndarray  # (M, N): 1 - dt*qd_mm*sigma
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """P^{-1} r for every (M, N) slice of an (..., M, N) stack."""
+        """P^{-1} r for every (M, N) slice of an (..., M, N) stack; real input gives real output."""
         r = np.asarray(r)
-        stack = r.reshape(-1, *r.shape[-2:])
-        x = np.empty(stack.shape, dtype=np.result_type(stack, float))
-        ax = np.empty_like(x)  # A x_j of the nodes already solved
-        dt, a = self.problem.dt, self.problem.a
-        for i, lu in enumerate(self.factors):
-            acc = stack[:, i] + dt * np.einsum("j,kjn->kn", self.qdelta[i, :i], ax[:, :i])
-            x[:, i] = scipy.linalg.lu_solve(lu, acc.T).T
-            if i + 1 < len(self.factors):
-                ax[:, i] = x[:, i] @ a.T
-        return x.reshape(r.shape)
+        xhat = np.fft.fft(r.astype(np.result_type(r, float), copy=False), axis=-1)
+        for i, denominator in enumerate(self.denominators):
+            if i:
+                xhat[..., i, :] += self.dt_sigma * (self.qdelta[i, :i] @ xhat[..., :i, :])
+            xhat[..., i, :] /= denominator
+        x = np.fft.ifft(xhat, axis=-1)
+        return x if np.iscomplexobj(r) else x.real
 
 
 def node_sweep(problem: CollocationProblem, qdelta: QDelta) -> NodeSweep:
-    """Factor the M diagonal blocks I - dt*qd_mm*A of one sweep."""
-    eye = np.eye(problem.n_space)
-    factors = tuple(
-        _lu_factor(eye - problem.dt * q_mm * problem.a) for q_mm in np.diag(qdelta.matrix)
-    )
-    return NodeSweep(problem=problem, qdelta=qdelta.matrix, factors=factors)
+    """The Fourier symbol of one sweep; a denominator that is exactly 0 is a FactorizationError."""
+    dt_sigma = problem.dt * np.fft.fft(problem.operator.first_column())
+    denominators = 1.0 - np.diag(qdelta.matrix)[:, None] * dt_sigma
+    if np.any(denominators == 0):
+        raise FactorizationError("singular node sweep")
+    return NodeSweep(qdelta=qdelta.matrix, dt_sigma=dt_sigma, denominators=denominators)
 
 
 def sdc_preconditioner(problem: CollocationProblem, qdelta: QDelta) -> Preconditioner:
@@ -188,9 +188,9 @@ def pfasst_iteration_matrix(
 class TwoLevelSetup:
     """Everything one PFASST run needs, assembled once and reused.
 
-    The node sweeps serve the algorithmic run; the dense preconditioners
-    serve the matrix route.  Each is built on first use, so the run
-    allocates no (M*N) x (M*N) matrix.
+    The Fourier node sweeps serve the algorithmic run; the dense
+    preconditioners serve the matrix route.  Each is built on first use, so
+    the run allocates no N x N or (M*N) x (M*N) matrix.
     """
 
     fine: CollocationProblem

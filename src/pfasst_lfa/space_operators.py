@@ -32,6 +32,17 @@ class CirculantOperator:
             a[np.arange(self.n), idx] += coeff
         return self.scale * a
 
+    def first_column(self) -> np.ndarray:
+        """Column 0 of the materialized matrix, bit for bit."""
+        col = np.zeros(self.n)
+        for off, coeff in self.stencil.items():
+            col[-off % self.n] += coeff
+        return self.scale * col
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u along the last (grid) axis: sum_o scale * c_o * roll(u, -o), no n x n product."""
+        return sum(self.scale * coeff * np.roll(u, -off, axis=-1) for off, coeff in self.stencil.items())
+
     def symbol(self, k) -> np.ndarray:
         """Eigenvalue(s) lambda_k = scale * sum_j c_j exp(i 2 pi k j / n)."""
         k = np.asarray(k)

@@ -40,8 +40,8 @@ def _two_level(prob, m, l, dt, qdelta_kind):
     cprob = coarsen(prob)
     rule = QuadratureRule.radau_right(m)
     pair = build_ci_pair(prob.n)
-    fine = collocation_matrix(prob.operator.materialize(), rule, dt)
-    coarse = collocation_matrix(cprob.operator.materialize(), rule, dt)
+    fine = collocation_matrix(prob.operator, rule, dt)
+    coarse = collocation_matrix(cprob.operator, rule, dt)
     setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
     return rule, pair, fine, coarse, setup
 
@@ -65,7 +65,7 @@ def test_criterion_01_sdc_equivalence():
     n, m, dt = 16, 3, 0.1
     prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
     rule = QuadratureRule.radau_right(m)
-    cp = collocation_matrix(prob.operator.materialize(), rule, dt)
+    cp = collocation_matrix(prob.operator, rule, dt)
     qd = build_qdelta(rule, "implicit-euler")
     p = sdc_preconditioner(cp, qd)
     u0 = np.sin(2 * np.pi * np.arange(n) / n)

@@ -59,6 +59,7 @@ def test_config_validation():
         ("n", 4, RangeError),
         ("wavenumber", 0, RangeError),
         ("wavenumber", 200, RangeError),
+        ("wavenumber", 64, RangeError),  # the Nyquist mode n/2
         ("qdelta_kind", "rk4", ConfigurationError),
         ("interp_exactness", 0, RangeError),
     ],
@@ -261,6 +262,7 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
 def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
     ctx = run_and_compare(_small_cfg(), block_modes=(mode,)).context
     assert "matrix" not in vars(ctx.setup.fine) and "matrix" not in vars(ctx.setup.coarse)
+    assert "a" not in vars(ctx.setup.fine) and "a" not in vars(ctx.setup.coarse)  # no N x N spatial matrix
     assert "p_fine" not in vars(ctx.setup) and "p_coarse" not in vars(ctx.setup)
     assert "fine_sweep" in vars(ctx.setup)
 

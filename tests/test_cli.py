@@ -241,6 +241,7 @@ def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
     for field, value, fragment in [
         ("--m", "13", "m (quadrature nodes)"),
         ("--wavenumber", "0", "wavenumber"),
+        ("--wavenumber", "64", "Nyquist mode"),
         ("--n", "31", "n must be even"),
     ]:
         out = tmp_path / "out"

@@ -10,13 +10,14 @@ from pfasst_lfa.collocation import (
 )
 from pfasst_lfa.errors import RangeError
 from pfasst_lfa.quadrature import QuadratureRule
-from pfasst_lfa.space_operators import make_diffusion
+from pfasst_lfa.space_operators import CirculantOperator, make_diffusion
 
 
 def test_collocation_matrix_shape_and_structure():
     rule = QuadratureRule.radau_right(3)
-    a = np.diag([-1.0, -2.0])
-    p = collocation_matrix(a, rule, 0.1)
+    op = CirculantOperator(2, {0: -1.0, 1: -0.5})
+    a = op.materialize()
+    p = collocation_matrix(op, rule, 0.1)
     assert p.matrix.shape == (6, 6)
     assert p.dim == 6
     assert p.n_space == 2
@@ -25,8 +26,8 @@ def test_collocation_matrix_shape_and_structure():
 
 def test_collocation_apply_equals_dense_matrix_on_stacks():
     rule = QuadratureRule.radau_right(3)
-    a = make_diffusion(8, 0.05).operator.materialize()
-    p = collocation_matrix(a, rule, 0.1)
+    op = make_diffusion(8, 0.05).operator
+    p = collocation_matrix(op, rule, 0.1)
     u = np.random.default_rng(1).standard_normal((2, 4, 3, 8))
     expected = (p.matrix @ u.reshape(8, 24).T).T.reshape(u.shape)
     np.testing.assert_allclose(p.apply(u), expected, atol=1e-13)
@@ -35,7 +36,7 @@ def test_collocation_apply_equals_dense_matrix_on_stacks():
 def test_collocation_rejects_nonpositive_dt():
     rule = QuadratureRule.radau_right(2)
     with pytest.raises(RangeError):
-        collocation_matrix(np.eye(2), rule, 0.0)
+        collocation_matrix(CirculantOperator(2, {0: 1.0}), rule, 0.0)
 
 
 def test_scalar_collocation_solution_matches_exponential():
@@ -43,7 +44,7 @@ def test_scalar_collocation_solution_matches_exponential():
     lam, dt = -1.3, 0.05
     for m, tol in ((3, 1e-9), (5, 1e-13)):
         rule = QuadratureRule.radau_right(m)
-        p = collocation_matrix(np.array([[lam]]), rule, dt)
+        p = collocation_matrix(CirculantOperator(1, {0: lam}), rule, dt)
         u = np.linalg.solve(p.matrix, spread_initial(np.array([1.0]), m))
         assert abs(u[-1] - np.exp(lam * dt)) < tol
 
@@ -53,7 +54,7 @@ def test_scalar_collocation_convergence_order():
     rule = QuadratureRule.radau_right(m)
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        p = collocation_matrix(np.array([[lam]]), rule, dt)
+        p = collocation_matrix(CirculantOperator(1, {0: lam}), rule, dt)
         u = np.linalg.solve(p.matrix, spread_initial(np.array([1.0]), m))
         errs.append(abs(u[-1] - np.exp(lam * dt)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -69,7 +70,7 @@ def test_spread_initial_tiles_nodes_and_intervals():
 def test_composite_system_equals_three_layer_assembly():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
-    p = collocation_matrix(prob.operator.materialize(), rule, 0.1)
+    p = collocation_matrix(prob.operator, rule, 0.1)
     comp = composite_system(p, 4, np.zeros(8))
     np.testing.assert_allclose(comp.matrix, comp.three_layer_matrix(), atol=1e-14)
 
@@ -80,7 +81,7 @@ def test_composite_solution_continues_single_interval_solution():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
     dt, l = 0.1, 3
-    p = collocation_matrix(prob.operator.materialize(), rule, dt)
+    p = collocation_matrix(prob.operator, rule, dt)
     u0 = np.sin(2 * np.pi * np.arange(8) / 8)
     comp = composite_system(p, l, u0)
     u = np.linalg.solve(comp.matrix, comp.rhs)
@@ -94,7 +95,7 @@ def test_composite_solution_continues_single_interval_solution():
 def test_composite_rhs_only_first_interval():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(2)
-    p = collocation_matrix(prob.operator.materialize(), rule, 0.1)
+    p = collocation_matrix(prob.operator, rule, 0.1)
     u0 = np.ones(8)
     comp = composite_system(p, 3, u0)
     np.testing.assert_array_equal(comp.rhs[: p.dim], spread_initial(u0, 2))
@@ -104,6 +105,6 @@ def test_composite_rhs_only_first_interval():
 def test_composite_needs_at_least_one_interval():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(2)
-    p = collocation_matrix(prob.operator.materialize(), rule, 0.1)
+    p = collocation_matrix(prob.operator, rule, 0.1)
     with pytest.raises(RangeError):
         composite_system(p, 0, np.zeros(8))

@@ -18,8 +18,8 @@ def _assemble(prob, m, l, dt, qdelta_kind):
     cprob = coarsen(prob)
     rule = QuadratureRule.radau_right(m)
     pair = build_ci_pair(prob.n)
-    fine = collocation_matrix(prob.operator.materialize(), rule, dt)
-    coarse = collocation_matrix(cprob.operator.materialize(), rule, dt)
+    fine = collocation_matrix(prob.operator, rule, dt)
+    coarse = collocation_matrix(cprob.operator, rule, dt)
     setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
     p_gs, p_j = setup.composite_preconditioners()
     comp = composite_system(fine, l, np.zeros(prob.n))
@@ -178,6 +178,27 @@ def test_tc_eigenvalues_match_full_spectrum_via_clusters():
     assert dist < 1e-8
 
 
+@pytest.mark.parametrize(
+    "make,coefficient,qdelta_kind",
+    [(make_diffusion, 5e-3, "implicit-euler"), (make_advection, 4.88e-3, "lu")],
+)
+def test_tc_blocks_are_block_lower_triangular_over_intervals(make, coefficient, qdelta_kind):
+    # In (interval, half, node) order every tc block is block lower triangular
+    # over the L intervals, and each diagonal 2M x 2M block is the L = 1 tc
+    # block: the spectrum is the L = 1 spectrum with multiplicity L.
+    l, m = 4, 3
+    _, sc = _assemble(make(16, coefficient), m, l, 0.1, qdelta_kind)
+    d = lfa.tc_decompose(sc)
+    one = lfa.tc_decompose(replace(sc, l=1))
+    order = np.arange(2 * l * m).reshape(2, l, m).transpose(1, 0, 2).ravel()  # from (half, interval, node)
+    blocks = d.blocks[:, order][:, :, order].reshape(-1, l, 2 * m, l, 2 * m)
+    for i in range(l):
+        assert np.all(blocks[:, i, :, i + 1 :] == 0.0)
+        np.testing.assert_allclose(blocks[:, i, :, i], one.blocks, rtol=0, atol=1e-14)
+    dist = lfa.matched_cluster_distance(lfa.eigenvalue_union(d), np.tile(lfa.eigenvalue_union(one), l))
+    assert dist < 1e-8
+
+
 def test_tc_norm_identity():
     prob = make_diffusion(16, 5e-3)
     t, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
@@ -236,8 +257,8 @@ def _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, qdelta_kind):
     from pfasst_lfa.transfer import node_propagation
 
     m = rule.m
-    fine = collocation_matrix(op_f.materialize(), rule, dt)
-    coarse = collocation_matrix(op_c.materialize(), rule, dt)
+    fine = collocation_matrix(op_f, rule, dt)
+    coarse = collocation_matrix(op_c, rule, dt)
     setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
     n_f = np.kron(node_propagation(m), np.eye(op_f.n))
     n_c = np.kron(node_propagation(m), np.eye(op_c.n))

@@ -24,6 +24,21 @@ def test_circulant_symbol_matches_fft_oracle():
     np.testing.assert_allclose(got, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        CirculantOperator(n=12, stencil={-2: 0.5, 0: -1.0, 3: 2.0}, scale=1.7),
+        CirculantOperator(n=2, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=3.0),  # offsets alias
+        make_advection(16, 0.7).operator,
+    ],
+)
+def test_circulant_stencil_action_and_first_column_match_the_matrix(op):
+    a = op.materialize()
+    np.testing.assert_array_equal(op.first_column(), a[:, 0])
+    u = np.random.default_rng(4).standard_normal((3, 2, op.n))
+    np.testing.assert_allclose(op.apply(u), u @ a.T, rtol=0, atol=1e-13 * np.abs(a).max())
+
+
 def test_circulant_eigenvectors_are_fourier_modes():
     op = CirculantOperator(n=8, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=3.0)
     a = op.materialize()
