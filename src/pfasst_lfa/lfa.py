@@ -4,10 +4,11 @@ Two granularities are supported.  Time-collocation blocks (one 2LM x 2LM
 block per spatial harmonic pair) come from an exact similarity transform:
 their eigenvalue union is the spectrum of the full iteration matrix.
 Collocation blocks (2M x 2M, additionally indexed by a time frequency)
-assume periodicity in time, which is an approximation; the singular
-constant-in-time blocks at time frequency 0 are replaced by zero blocks and
-the raw versions kept alongside.  The unreduced iteration matrix is the
-one-block case: T itself in the identity basis.
+assume periodicity in time, which is an approximation: the phase
+e^{-2 pi i j/L} takes the place of the interval shift E.  The
+constant-in-time blocks at time frequency 0, singular at k = 0, are left
+zero and not built.  The unreduced iteration matrix is the one-block case:
+T itself in the identity basis.
 """
 
 from __future__ import annotations
@@ -64,20 +65,25 @@ class BlockDecomposition:
     """A stack of dense blocks jointly similar to the full iteration matrix.
 
     ``blocks`` has shape (number of blocks, d, d); row i belongs to
-    ``index[i]``.  With ``mirrored`` set (real stencils), harmonic h and
-    N - h are complex conjugates, so block k and its mirror block
-    (N/2 - k) mod N/2, with time frequency j paired with (L - j) mod L, are
-    related by B' = Pi conj(B) Pi, Pi swapping the two harmonic halves
-    (B_0 = conj(B_0) without the swap).  Mirror partners therefore have the
-    same singular values.
+    ``index[i]``; mode and index are read from ``meta``.  With ``mirrored``
+    set (real stencils), harmonic h and N - h are complex conjugates, so
+    block k and its mirror block (N/2 - k) mod N/2, with time frequency j
+    paired with (L - j) mod L, are related by B' = Pi conj(B) Pi, Pi
+    swapping the two harmonic halves (B_0 = conj(B_0) without the swap).
+    Mirror partners therefore have the same singular values.
     """
 
-    mode: str
     blocks: np.ndarray
-    index: list[tuple]
     meta: TransformMeta
-    raw_blocks: list[np.ndarray | None] | None = None  # collocation mode, before zeroing
     mirrored: bool = False
+
+    @property
+    def mode(self) -> str:
+        return self.meta.mode
+
+    @property
+    def index(self) -> list[tuple]:
+        return self.meta.block_index()
 
     def pair_blocks(self, k: int) -> np.ndarray:
         """The blocks of harmonic pair k, as a (blocks per pair, d, d) view."""
@@ -132,54 +138,35 @@ def spectral_components(
         qdelta=qdelta.matrix,
         lam_fine=circulant_eigenvalues(fine_op),
         lam_coarse=circulant_eigenvalues(coarse_op),
-        diags=harmonic_diagonals(pair, verify=False),
+        diags=harmonic_diagonals(pair),
         real_stencils=_real_stencil(fine_op) and _real_stencil(coarse_op),
     )
 
 
-def _tc_basic_blocks(sc: SpectralComponents):
-    """Factories for the LM x LM basic blocks of the rigorous transform.
+def _basic_blocks(sc: SpectralComponents, shift: np.ndarray):
+    """Factories for the TM x TM basic blocks, stacked over a stack of time shifts.
 
-    System blocks come as a stack of one, the batch shape of the collocation
-    factories; smoother and coarse blocks broadcast against it.
+    ``shift`` is an (nb, T, T) stack: the interval shift E for tc (one entry,
+    T = L), or the phase e^{-2 pi i j/L} of each time frequency for c
+    (T = 1).  The coupling shift kron node propagation enters the system and
+    coarse blocks; the fine smoother is block Jacobi, with no interval
+    coupling, and is shared by the whole stack.
     """
-    i_lm = np.eye(sc.l * sc.m)
-    e = np.diag(np.ones(sc.l - 1), -1) if sc.l > 1 else np.zeros((1, 1))
-    ek = np.kron(e, node_propagation(sc.m))
-    il_q = np.kron(np.eye(sc.l), sc.q)
-    il_qd = np.kron(np.eye(sc.l), sc.qdelta)
+    nb, t = shift.shape[0], shift.shape[-1]
+    dim = t * sc.m
+    eye = np.eye(dim)
+    coupling = (shift[:, :, None, :, None] * node_propagation(sc.m)[:, None, :]).reshape(nb, dim, dim)
+    it_q = np.kron(np.eye(t), sc.q)
+    it_qd = np.kron(np.eye(t), sc.qdelta)
 
     def b_system(lam):
-        return (i_lm - ek - lam * sc.dt * il_q)[None]
+        return eye - lam * sc.dt * it_q - coupling
 
     def b_smoother(lam):
-        # The fine smoother is block Jacobi: no interval coupling in P.
-        return i_lm - lam * sc.dt * il_qd
+        return eye - lam * sc.dt * it_qd
 
     def b_coarse(lam):
-        return i_lm - ek - lam * sc.dt * il_qd
-
-    return b_system, b_smoother, b_coarse
-
-
-def _c_basic_blocks(sc: SpectralComponents, phases: np.ndarray):
-    """Factories for the M x M basic blocks under assumed time periodicity.
-
-    System and coarse blocks are stacked over the time frequencies whose
-    phase factors are given; the smoother does not couple intervals and is
-    shared by all of them.
-    """
-    i_m = np.eye(sc.m)
-    shifts = phases[:, None, None] * node_propagation(sc.m)
-
-    def b_system(lam):
-        return i_m - lam * sc.dt * sc.q - shifts
-
-    def b_smoother(lam):
-        return i_m - lam * sc.dt * sc.qdelta
-
-    def b_coarse(lam):
-        return i_m - lam * sc.dt * sc.qdelta - shifts
+        return eye - lam * sc.dt * it_qd - coupling
 
     return b_system, b_smoother, b_coarse
 
@@ -214,62 +201,39 @@ def _paired_blocks(sc, k, b_system, b_smoother, b_coarse) -> np.ndarray:
     return s @ cgc
 
 
+def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray) -> BlockDecomposition:
+    """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0."""
+    meta = TransformMeta(mode=mode, n=sc.n, l=sc.l, m=sc.m)
+    basic = _basic_blocks(sc, shift)
+    per, built = meta.blocks_per_pair, len(shift)
+    blocks = np.zeros((sc.n // 2 * per, meta.block_dim, meta.block_dim), dtype=complex)
+    for k in range(sc.n // 2):
+        blocks[(k + 1) * per - built : (k + 1) * per] = _paired_blocks(sc, k, *basic)
+    return BlockDecomposition(blocks=blocks, meta=meta, mirrored=sc.real_stencils)
+
+
 def tc_decompose(sc: SpectralComponents) -> BlockDecomposition:
     """N/2 time-collocation blocks of size 2LM; an exact similarity transform."""
-    meta = TransformMeta(mode="time-collocation", n=sc.n, l=sc.l, m=sc.m)
-    basic = _tc_basic_blocks(sc)
-    blocks = np.empty((sc.n // 2, meta.block_dim, meta.block_dim), dtype=complex)
-    for k in range(sc.n // 2):
-        blocks[k] = _paired_blocks(sc, k, *basic)[0]
-    return BlockDecomposition(
-        mode="time-collocation", blocks=blocks, index=meta.block_index(), meta=meta,
-        mirrored=sc.real_stencils,
-    )
+    return _decompose(sc, "time-collocation", np.eye(sc.l, k=-1)[None])
 
 
 def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
     """N/2 * L collocation blocks of size 2M, assuming periodicity in time.
 
     Time frequency j = 0 belongs to constant-in-time modes whose coarse
-    basic block is singular; those blocks are zeroed and the raw versions
-    kept in ``raw_blocks`` (entries may be None where singular).
+    basic block is singular at k = 0; those blocks are zero and not built.
+    A singular block at j >= 1 raises ``np.linalg.LinAlgError``.
     """
-    meta = TransformMeta(mode="collocation", n=sc.n, l=sc.l, m=sc.m)
     # each phase factor from a scalar exp: an array exp may round differently,
     # and a block must not depend on how many time frequencies share its batch
-    phases = np.array([np.exp(-2j * np.pi * j / sc.l) for j in range(sc.l)])
-    basic = _c_basic_blocks(sc, phases)
-    blocks = np.zeros((sc.n // 2 * sc.l, meta.block_dim, meta.block_dim), dtype=complex)
-    raw: list[np.ndarray | None] = []
-    for k in range(sc.n // 2):
-        try:
-            batch = list(_paired_blocks(sc, k, *basic))
-        except np.linalg.LinAlgError:  # a singular basic block: build the pair's blocks one by one
-            batch = [_single_c_block(sc, k, phases[j : j + 1]) for j in range(sc.l)]
-        for j, block in enumerate(batch):
-            row = k * sc.l + j
-            if j == 0 or block is None:
-                raw.append(None if block is None else block.copy())
-            else:
-                blocks[row] = block
-                raw.append(blocks[row])
-    return BlockDecomposition(
-        mode="collocation", blocks=blocks, index=meta.block_index(), meta=meta, raw_blocks=raw,
-        mirrored=sc.real_stencils,
-    )
-
-
-def _single_c_block(sc, k, phase) -> np.ndarray | None:
-    try:
-        return _paired_blocks(sc, k, *_c_basic_blocks(sc, phase))[0]
-    except np.linalg.LinAlgError:
-        return None
+    phases = np.array([np.exp(-2j * np.pi * j / sc.l) for j in range(1, sc.l)], dtype=complex)
+    return _decompose(sc, "collocation", phases.reshape(-1, 1, 1))
 
 
 def identity_decompose(t: np.ndarray, n: int, l: int, m: int) -> BlockDecomposition:
     """The iteration matrix T of an (L, M, N) layout as one block in the identity basis."""
     meta = TransformMeta(mode="identity", n=n, l=l, m=m)
-    return BlockDecomposition(mode="identity", blocks=t[None], index=meta.block_index(), meta=meta)
+    return BlockDecomposition(blocks=t[None], meta=meta)
 
 
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:

@@ -188,9 +188,9 @@ def pfasst_iteration_matrix(
 class TwoLevelSetup:
     """Everything one PFASST run needs, assembled once and reused.
 
-    The Fourier node sweeps serve the algorithmic run; the dense
-    preconditioners serve the matrix route.  Each is built on first use, so
-    the run allocates no N x N or (M*N) x (M*N) matrix.
+    The Fourier node sweeps and the stencil transfers serve the algorithmic
+    run; the dense preconditioners serve the matrix route.  Each is built on
+    first use, so the run allocates no N x N or (M*N) x (M*N) matrix.
     """
 
     fine: CollocationProblem
@@ -269,7 +269,7 @@ def pfasst_run_algorithmic(
     """
     fine, coarse = setup.fine, setup.coarse
     shape = (setup.l, setup.m_nodes, fine.n_space)
-    restrict_t, interpolate_t = setup.pair.restriction.T, setup.pair.interpolation.T
+    pair = setup.pair
     u0 = np.asarray(u0)
     if rhs_blocks is None:
         rhs = np.zeros(shape, dtype=np.result_type(u0, float))
@@ -281,21 +281,21 @@ def pfasst_run_algorithmic(
     else:
         start = np.asarray(initial_state).reshape(shape)
     u = start.astype(np.result_type(start, rhs, float))
-    rhs_coarse = rhs @ restrict_t
+    rhs_coarse = pair.restrict(rhs)
     trace = [u.ravel()]
     for _ in range(iterations):
         # coarse level: the FAS right-hand side R c + tau of every interval at
         # once, then the sweeps in sequence
-        restricted = u @ restrict_t
+        restricted = pair.restrict(u)
         m_restricted = coarse.apply(restricted)
-        tau = m_restricted - fine.apply(u) @ restrict_t
+        tau = m_restricted - pair.restrict(fine.apply(u))
         residual = rhs_coarse + tau - m_restricted
         corrected = np.empty_like(restricted)
         for l in range(setup.l):
             if l > 0:
                 residual[l] += corrected[l - 1, -1]  # the predecessor's last node, on every node
             corrected[l] = restricted[l] + setup.coarse_sweep.solve(residual[l])
-        u_half = u + (corrected - restricted) @ interpolate_t
+        u_half = u + pair.interpolate(corrected - restricted)
         # fine level: one batched sweep over all intervals
         residual = rhs - fine.apply(u_half)
         residual[1:] += u_half[:-1, -1:]  # the predecessor's last node, on every node

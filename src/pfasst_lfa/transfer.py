@@ -1,34 +1,24 @@
 """Circulant-interweaved (CI) transfer operators between periodic grids.
 
 The fine grid has N points, the coarse grid N/2, aligned so that every even
-fine point coincides with a coarse point.  Interpolation interweaves identity
-rows (coinciding points) with rows of a circulant midpoint stencil C;
-restriction is half the transpose of another CI-interpolation.  Both
-transform into two-diagonal matrices under the Fourier bases of the two
-grids, with closed-form harmonic diagonals.
+fine point coincides with a coarse point.  Interpolation keeps the coarse
+values on the even points and fills the odd points with a circulant
+midpoint stencil C; restriction is half the adjoint of another
+CI-interpolation.  Both act as stencils; their dense matrices are built only
+on request.  Both transform into two-diagonal matrices under the Fourier
+bases of the two grids, with closed-form harmonic diagonals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, RangeError, SizeError
 from .linalg import dft_matrix
 from .space_operators import CirculantOperator
-
-
-def interweave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two equally shaped matrices row-alternatingly, a's rows first."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"interweave shape mismatch: {a.shape} vs {b.shape}")
-    out = np.empty((2 * a.shape[0], a.shape[1]), dtype=np.result_type(a, b))
-    out[0::2] = a
-    out[1::2] = b
-    return out
 
 
 def midpoint_stencil_points(degree: int) -> int:
@@ -61,18 +51,44 @@ def midpoint_generator(n_coarse: int, degree: int) -> CirculantOperator:
 
 @dataclass(frozen=True)
 class TransferPair:
-    """CI interpolation/restriction pair between grids of size N and N/2."""
+    """CI interpolation/restriction pair between grids of size N and N/2, held as stencils."""
 
     n_fine: int
     generator_interp: CirculantOperator
     generator_restr: CirculantOperator
-    interpolation: np.ndarray
-    restriction: np.ndarray
-    restriction_scale: float = 2.0
 
     @property
     def n_coarse(self) -> int:
         return self.n_fine // 2
+
+    def interpolate(self, u: np.ndarray) -> np.ndarray:
+        """Interpolate the last axis of a stack from N/2 to N points.
+
+        The even points take u, the odd points the midpoint stencil applied to u.
+        """
+        u = np.asarray(u)
+        odd = self.generator_interp.apply(u)
+        out = np.empty(u.shape[:-1] + (self.n_fine,), dtype=np.result_type(u, odd))
+        out[..., 0::2] = u
+        out[..., 1::2] = odd
+        return out
+
+    def restrict(self, u: np.ndarray) -> np.ndarray:
+        """Restrict the last axis of a stack from N to N/2 points: (u_even + G_r^T u_odd) / 2."""
+        u = np.asarray(u)
+        gen = self.generator_restr
+        adjoint = CirculantOperator(n=gen.n, stencil={-o: c for o, c in gen.stencil.items()}, scale=gen.scale)
+        return 0.5 * (u[..., 0::2] + adjoint.apply(u[..., 1::2]))
+
+    @cached_property
+    def interpolation(self) -> np.ndarray:
+        """The dense N x N/2 interpolation matrix, built on first use."""
+        return self.interpolate(np.eye(self.n_coarse)).T
+
+    @cached_property
+    def restriction(self) -> np.ndarray:
+        """The dense N/2 x N restriction matrix, built on first use."""
+        return self.restrict(np.eye(self.n_fine)).T
 
 
 def build_ci_pair(n_fine: int, interp_exactness: int = 6, restr_exactness: int = 2) -> TransferPair:
@@ -80,16 +96,10 @@ def build_ci_pair(n_fine: int, interp_exactness: int = 6, restr_exactness: int =
     if n_fine % 2:
         raise RangeError(f"fine grid size must be even, got {n_fine}")
     nc = n_fine // 2
-    gen_i = midpoint_generator(nc, interp_exactness)
-    gen_r = midpoint_generator(nc, restr_exactness)
-    interpolation = interweave(np.eye(nc), gen_i.materialize())
-    restriction = 0.5 * interweave(np.eye(nc), gen_r.materialize()).T
     return TransferPair(
         n_fine=n_fine,
-        generator_interp=gen_i,
-        generator_restr=gen_r,
-        interpolation=interpolation,
-        restriction=restriction,
+        generator_interp=midpoint_generator(nc, interp_exactness),
+        generator_restr=midpoint_generator(nc, restr_exactness),
     )
 
 
@@ -116,17 +126,19 @@ def _diagonal_pair(gen: CirculantOperator, n_fine: int) -> tuple[np.ndarray, np.
     return d, d_hat
 
 
-def harmonic_diagonals(pair: TransferPair, verify: bool = True, tol: float = 1e-12) -> HarmonicDiagonals:
-    """Harmonic diagonals; optionally verified against the materialized transform."""
+def harmonic_diagonals(pair: TransferPair) -> HarmonicDiagonals:
+    """Closed-form harmonic diagonals of the pair's two legs."""
     d, d_hat = _diagonal_pair(pair.generator_interp, pair.n_fine)
     f, f_hat = _diagonal_pair(pair.generator_restr, pair.n_fine)
-    diags = HarmonicDiagonals(d=d, d_hat=d_hat, f=f, f_hat=f_hat)
-    if verify:
-        _verify_structure(pair, diags, tol)
-    return diags
+    return HarmonicDiagonals(d=d, d_hat=d_hat, f=f, f_hat=f_hat)
 
 
-def _verify_structure(pair: TransferPair, diags: HarmonicDiagonals, tol: float) -> None:
+def check_transfer_structure(pair: TransferPair, diags: HarmonicDiagonals, tol: float = 1e-12) -> None:
+    """Check that the dense transforms are two-diagonal with the given diagonals.
+
+    Builds the dense transfer and DFT matrices, O(N^3); a deviation above
+    ``tol`` is a ConsistencyError.
+    """
     n, nc = pair.n_fine, pair.n_coarse
     psi = dft_matrix(n)
     psi_c = dft_matrix(nc)

@@ -29,7 +29,12 @@ from pfasst_lfa.solvers import (
     sdc_preconditioner,
 )
 from pfasst_lfa.space_operators import coarsen, make_advection, make_diffusion
-from pfasst_lfa.transfer import build_ci_pair, check_restriction_condition, harmonic_diagonals
+from pfasst_lfa.transfer import (
+    build_ci_pair,
+    check_restriction_condition,
+    check_transfer_structure,
+    harmonic_diagonals,
+)
 
 
 def _report(number, label, detail):
@@ -157,7 +162,8 @@ def test_criterion_04_rigorous_block_transform():
 def test_criterion_05_transfer_transform():
     start = time.perf_counter()
     pair = build_ci_pair(64)
-    diags = harmonic_diagonals(pair, verify=True, tol=1e-12)  # raises if off-structure
+    diags = harmonic_diagonals(pair)
+    check_transfer_structure(pair, diags, tol=1e-12)  # raises if off-structure
     k0 = sorted([abs(diags.d[0]), abs(diags.d_hat[0])])
     elapsed = time.perf_counter() - start
     assert k0[0] == pytest.approx(0.0, abs=1e-13)

@@ -264,6 +264,7 @@ def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
     assert "matrix" not in vars(ctx.setup.fine) and "matrix" not in vars(ctx.setup.coarse)
     assert "a" not in vars(ctx.setup.fine) and "a" not in vars(ctx.setup.coarse)  # no N x N spatial matrix
     assert "p_fine" not in vars(ctx.setup) and "p_coarse" not in vars(ctx.setup)
+    assert "interpolation" not in vars(ctx.setup.pair) and "restriction" not in vars(ctx.setup.pair)
     assert "fine_sweep" in vars(ctx.setup)
 
 

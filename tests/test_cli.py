@@ -43,7 +43,11 @@ def test_analyze_writes_all_artifacts(tmp_path):
     assert (out / "spectrum.csv").exists()
     assert (out / "report.json").exists()
     report = json.loads((out / "report.json").read_text())
-    assert set(report["files"]) == {"trace.csv", "spectrum.csv", "report.json"}
+    assert set(report["files"]) == {"trace.csv", "spectrum.csv", "report.json", "timings.json"}
+    assert set(json.loads((out / "timings.json").read_text())["wall_time_seconds"]) == {
+        "run_and_compare",
+        "write_outputs",
+    }
     assert report["config"]["problem"] == "diffusion"
     assert report["config"]["qdelta_kind"] == "implicit-euler"
     assert "tc" in report["aggregates"]
@@ -129,6 +133,7 @@ def test_analyze_reruns_are_byte_identical(tmp_path):
     out2 = _analyze(tmp_path / "b")
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
 def test_analyze_zero_iterations_single_row(tmp_path):

@@ -90,27 +90,20 @@ def test_batched_kernel_equals_one_pair_at_a_time(make, qdelta_kind, l):
     _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
     tc = lfa.tc_decompose(sc)
     assert isinstance(tc.blocks, np.ndarray) and tc.blocks.shape == (16, 6 * l, 6 * l)
+    shift = np.eye(l, k=-1)[None]
     for k in range(16):
-        one = lfa._paired_blocks(sc, k, *lfa._tc_basic_blocks(sc))
+        one = lfa._paired_blocks(sc, k, *lfa._basic_blocks(sc, shift))
         assert np.array_equal(tc.blocks[k], one[0])
     c = lfa.c_decompose(sc)
     assert c.blocks.shape == (16 * l, 6, 6)
     for row, (k, j) in enumerate(c.index):
+        if j == 0:  # the constant-in-time modes are not built
+            assert np.array_equal(c.blocks[row], np.zeros((6, 6)))
+            continue
         # the phase factor as a scalar, exactly as a single block would use it
-        phase = np.array([np.exp(-2j * np.pi * j / l)])
-        try:
-            one = lfa._paired_blocks(sc, k, *lfa._c_basic_blocks(sc, phase))[0]
-        except np.linalg.LinAlgError:
-            one = None
-        if one is None:
-            assert c.raw_blocks[row] is None
-        else:
-            assert np.array_equal(c.raw_blocks[row], one)
-        expected = one if one is not None and j != 0 else np.zeros((6, 6))
-        assert np.array_equal(c.blocks[row], expected)
-    # k = 0, j = 0 is the singular constant mode; its pair's other blocks still exist
-    assert c.raw_blocks[0] is None
-    assert all(b is not None for b in c.raw_blocks[1:l])
+        phase = np.array([np.exp(-2j * np.pi * j / l)]).reshape(1, 1, 1)
+        one = lfa._paired_blocks(sc, k, *lfa._basic_blocks(sc, phase))[0]
+        assert np.array_equal(c.blocks[row], one)
 
 
 def _mirror_row(meta, k, j):
@@ -252,6 +245,15 @@ def test_identity_block_spectra_and_power_norms_match_the_matrix():
         assert norms[k] == pytest.approx(np.linalg.norm(np.linalg.matrix_power(t, k), 2), rel=1e-12)
 
 
+def _all_c_blocks(sc):
+    """All L collocation blocks of every harmonic pair, j = 0 included, as a decomposition."""
+    phases = np.exp(-2j * np.pi * np.arange(sc.l) / sc.l).reshape(-1, 1, 1)
+    basic = lfa._basic_blocks(sc, phases)
+    blocks = np.concatenate([lfa._paired_blocks(sc, k, *basic) for k in range(sc.n // 2)])
+    meta = lfa.TransformMeta(mode="collocation", n=sc.n, l=sc.l, m=sc.m)
+    return lfa.BlockDecomposition(blocks=blocks, meta=meta)
+
+
 def _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, qdelta_kind):
     """Oracle: the PFASST matrix for the time-periodic composite system."""
     from pfasst_lfa.transfer import node_propagation
@@ -284,11 +286,9 @@ def test_c_blocks_match_periodic_composite_oracle():
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     sc = lfa.spectral_components(op_f, op_c, rule, qd, dt, l, pair)
-    d = lfa.c_decompose(sc)
-    assert all(b is not None for b in d.raw_blocks)
+    d = _all_c_blocks(sc)
     t = _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, "implicit-euler")
-    union = np.concatenate([np.linalg.eigvals(b) for b in d.raw_blocks])
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t), union)
+    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t), lfa.eigenvalue_union(d))
     assert dist < 1e-8
 
 
@@ -300,15 +300,12 @@ def test_c_blocks_action_matches_periodic_oracle():
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     sc = lfa.spectral_components(op_f, op_c, rule, qd, dt, l, pair)
-    d = lfa.c_decompose(sc)
-    d_all = lfa.BlockDecomposition(
-        mode=d.mode, blocks=np.stack(d.raw_blocks), index=d.index, meta=d.meta
-    )
+    d = _all_c_blocks(sc)
     t = _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, "implicit-euler")
     rng = np.random.default_rng(7)
     v = rng.standard_normal(t.shape[0])
     vhat = lfa.transform_vector(v, d.meta)
-    back = lfa.inverse_transform_vector(lfa.apply_blocks(d_all, vhat), d.meta)
+    back = lfa.inverse_transform_vector(lfa.apply_blocks(d, vhat), d.meta)
     np.testing.assert_allclose(back, t @ v, atol=1e-11)
 
 
@@ -319,8 +316,23 @@ def test_c_decompose_zeroes_constant_time_frequency():
     for block, idx in zip(d.blocks, d.index):
         if idx[1] == 0:
             np.testing.assert_array_equal(block, 0.0)
-    # the model problem has a singular coarse symbol at k = 0, j = 0 only
-    assert d.raw_blocks[0] is None or np.all(np.isfinite(d.raw_blocks[0]))
+        else:
+            assert np.all(np.isfinite(block)) and np.any(block != 0)
+
+
+def test_c_decompose_raises_on_a_singular_block():
+    # M = 1, L = 2, dt = qd = 1: the coarse basic block 1 - lam - phase at j = 1
+    # is exactly 0 for a coarse symbol lam = 1 - phase
+    n, dt = 16, 1.0
+    rule = QuadratureRule.radau_right(1)
+    qd = build_qdelta(rule, "implicit-euler")
+    assert qd.matrix[0, 0] == 1.0
+    lam = 1.0 - np.exp(-2j * np.pi * 1 / 2)
+    op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0})
+    op_c = CirculantOperator(n=n // 2, stencil={0: lam})
+    sc = lfa.spectral_components(op_f, op_c, rule, qd, dt, 2, build_ci_pair(n))
+    with pytest.raises(np.linalg.LinAlgError):
+        lfa.c_decompose(sc)
 
 
 def test_block_indexing_and_dimensions():

@@ -1,28 +1,21 @@
 """CI transfer operators: stencils, exactness and harmonic structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pfasst_lfa.errors import ConsistencyError, DimensionError, RangeError, SizeError
+from pfasst_lfa.errors import ConsistencyError, RangeError, SizeError
 from pfasst_lfa.linalg import dft_matrix
 from pfasst_lfa.transfer import (
     build_ci_pair,
     check_restriction_condition,
+    check_transfer_structure,
     harmonic_diagonals,
-    interweave,
     midpoint_generator,
     midpoint_stencil_points,
     node_propagation,
 )
-
-
-def test_interweave_alternates_rows():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    out = interweave(a, b)
-    np.testing.assert_array_equal(out, [[1, 2], [5, 6], [3, 4], [7, 8]])
-    with pytest.raises(DimensionError):
-        interweave(a, np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("degree,points", [(1, 2), (2, 2), (3, 6), (4, 6), (5, 8), (6, 8)])
@@ -69,14 +62,15 @@ def test_interpolation_reproduces_smooth_periodic_data():
 def test_interpolation_even_rows_are_identity():
     pair = build_ci_pair(16)
     np.testing.assert_array_equal(pair.interpolation[0::2], np.eye(8))
+    np.testing.assert_array_equal(pair.interpolation[1::2], pair.generator_interp.materialize())
 
 
 def test_restriction_is_half_transposed_interpolation_of_its_generator():
     pair = build_ci_pair(16, restr_exactness=2)
-    from pfasst_lfa.transfer import interweave as iw
-
-    expected = 0.5 * iw(np.eye(8), pair.generator_restr.materialize()).T
-    np.testing.assert_array_equal(pair.restriction, expected)
+    expected = np.empty((16, 8))
+    expected[0::2] = np.eye(8)
+    expected[1::2] = pair.generator_restr.materialize()
+    np.testing.assert_array_equal(pair.restriction, 0.5 * expected.T)
     # full weighting: restriction preserves constants
     np.testing.assert_allclose(pair.restriction @ np.ones(16), np.ones(8), atol=1e-13)
 
@@ -89,7 +83,8 @@ def test_build_ci_pair_needs_even_grid():
 def test_harmonic_diagonals_match_materialized_transform():
     n = 32
     pair = build_ci_pair(n)
-    diags = harmonic_diagonals(pair, verify=True, tol=1e-12)  # raises on mismatch
+    diags = harmonic_diagonals(pair)
+    check_transfer_structure(pair, diags, tol=1e-12)  # raises on mismatch
     psi = dft_matrix(n)
     psi_c = dft_matrix(n // 2)
     t_int = psi.conj().T @ pair.interpolation @ psi_c
@@ -111,12 +106,13 @@ def test_harmonic_diagonals_k0_pair():
 
 def test_harmonic_diagonals_detect_tampering():
     pair = build_ci_pair(16)
-    bad = pair.interpolation.copy()
-    bad[1, 0] += 1e-6
-    from dataclasses import replace
-
-    with pytest.raises(ConsistencyError):
-        harmonic_diagonals(replace(pair, interpolation=bad))
+    diags = harmonic_diagonals(pair)
+    check_transfer_structure(pair, diags)
+    for field in ("d", "f_hat"):  # one interpolation and one restriction diagonal
+        bad = getattr(diags, field).copy()
+        bad[3] += 1e-6
+        with pytest.raises(ConsistencyError):
+            check_transfer_structure(pair, replace(diags, **{field: bad}))
 
 
 def test_node_propagation_copies_last_node():
