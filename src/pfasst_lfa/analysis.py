@@ -22,11 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .collocation import collocation_matrix, composite_system, spread_initial
+from .collocation import collocation_matrix, spread_initial
 from .errors import ConfigurationError, RangeError
-from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
+from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
-from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_iteration_matrix, pfasst_run_algorithmic
+from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_run_algorithmic
 from .transfer import build_ci_pair, midpoint_stencil_points
 from . import lfa
 
@@ -58,10 +58,12 @@ class ExperimentConfig:
             raise ConfigurationError("the mesh ratio mu applies to diffusion only")
         if (self.coefficient is None) == (self.mu is None):
             raise ConfigurationError("give exactly one of coefficient and mu")
+        for name in ("dt", "mu", "coefficient"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise RangeError(f"{name} must be finite and positive, got {value}")
         if self.iterations < 0:
             raise RangeError(f"iteration count must be >= 0, got {self.iterations}")
-        if not self.dt > 0:
-            raise RangeError(f"dt must be positive, got {self.dt}")
         if self.l < 1:
             raise RangeError(f"l (time intervals) must be >= 1, got {self.l}")
         if not 1 <= self.m <= MAX_NODES:
@@ -76,6 +78,9 @@ class ExperimentConfig:
             raise RangeError(
                 f"n must be even with n/2 >= {width}, the transfer stencil width, got {self.n}"
             )
+        nu = self.resolved_coefficient()
+        if not (np.isfinite(nu) and nu > 0):  # mu*dx^2/dt can overflow or underflow
+            raise RangeError(f"mu = {self.mu} gives the coefficient {nu} at n = {self.n}, dt = {self.dt}")
         if not 1 <= self.wavenumber < self.n:
             raise RangeError(f"wavenumber must lie in 1..n-1 = {self.n - 1}, got {self.wavenumber}")
         if 2 * self.wavenumber == self.n:
@@ -110,21 +115,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentContext:
-    """Assembled operators for one configuration, built once and shared.
+    """One configuration's model problem and two-level setup, shared by the three routes.
 
-    What the strategies derive from the operators is built on first use and
-    kept: the block decomposition and block spectra of each mode, the
-    analytic trajectory and the initial error.  The predictions, the
-    aggregates and the CLI's spectrum writer of one analysis thereby share
-    one build.
+    What the strategies derive from them is built on first use and kept:
+    the spectral components, the block decomposition and block spectra of
+    each mode, the analytic trajectory, the initial iterate and the initial
+    error.  The runs, the predictions, the aggregates and the CLI's spectrum
+    writer of one analysis thereby share one build.
     """
 
     cfg: ExperimentConfig
     fine: ModelProblem
-    coarse: ModelProblem
-    rule: QuadratureRule
     setup: TwoLevelSetup
-    components: lfa.SpectralComponents
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def decomposition(self, block_mode: str) -> lfa.BlockDecomposition:
@@ -140,9 +142,7 @@ class ExperimentContext:
             elif block_mode == "c":
                 self._blocks[key] = lfa.c_decompose(self.components)
             elif block_mode == "full":
-                setup, cfg = self.setup, self.cfg
-                m = composite_system(setup.fine, cfg.l, np.zeros(cfg.n)).matrix
-                t = pfasst_iteration_matrix(*setup.composite_preconditioners(), setup.pair, m, cfg.m, cfg.l)
+                t, cfg = self.setup.iteration_matrix, self.cfg
                 self._blocks[key] = lfa.identity_decompose(t, cfg.n, cfg.l, cfg.m)
             else:
                 raise ConfigurationError(f"no block decomposition for mode {block_mode!r}")
@@ -156,40 +156,37 @@ class ExperimentContext:
         return self._blocks[key]
 
     @cached_property
+    def components(self) -> lfa.SpectralComponents:
+        """The symbols of the setup, from which the tc and c blocks are built."""
+        return lfa.spectral_components(self.setup)
+
+    @cached_property
     def trajectory(self) -> np.ndarray:
         """:func:`exact_trajectory`, computed once; treat as read-only."""
         return exact_trajectory(self)
 
     @cached_property
+    def initial_iterate(self) -> np.ndarray:
+        """The spread iterate, u0 on every node of every interval; treat as read-only."""
+        return spread_initial(exact_solution(self.fine, self.cfg.wavenumber, 0.0), self.cfg.m, self.cfg.l)
+
+    @cached_property
     def initial_error(self) -> np.ndarray:
         """Error of the spread initial iterate; treat as read-only."""
-        return initial_iterate(self) - self.trajectory
+        return self.initial_iterate - self.trajectory
 
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
     fine = cfg.make_problem()
-    coarse = coarsen(fine)
     rule = QuadratureRule.radau_right(cfg.m)
-    pair = build_ci_pair(cfg.n, cfg.interp_exactness, cfg.restr_exactness)
     setup = build_two_level_setup(
         collocation_matrix(fine.operator, rule, cfg.dt),
-        collocation_matrix(coarse.operator, rule, cfg.dt),
-        pair,
+        collocation_matrix(coarsen(fine).operator, rule, cfg.dt),
+        build_ci_pair(cfg.n, cfg.interp_exactness, cfg.restr_exactness),
         cfg.l,
         cfg.resolved_qdelta_kind(),
     )
-    components = lfa.spectral_components(
-        fine.operator,
-        coarse.operator,
-        rule,
-        build_qdelta(rule, cfg.resolved_qdelta_kind()),
-        cfg.dt,
-        cfg.l,
-        pair,
-    )
-    return ExperimentContext(
-        cfg=cfg, fine=fine, coarse=coarse, rule=rule, setup=setup, components=components
-    )
+    return ExperimentContext(cfg=cfg, fine=fine, setup=setup)
 
 
 def node_times(cfg: ExperimentConfig, rule: QuadratureRule) -> np.ndarray:
@@ -201,7 +198,7 @@ def node_times(cfg: ExperimentConfig, rule: QuadratureRule) -> np.ndarray:
 def exact_trajectory(ctx: ExperimentContext) -> np.ndarray:
     """Analytic PDE solution sampled at every (interval, node, grid point)."""
     cfg = ctx.cfg
-    times = node_times(cfg, ctx.rule)
+    times = node_times(cfg, ctx.setup.fine.rule)
     out = np.empty((cfg.l, cfg.m, cfg.n))
     for i in range(cfg.l):
         for j in range(cfg.m):
@@ -212,12 +209,6 @@ def exact_trajectory(ctx: ExperimentContext) -> np.ndarray:
 def error_vector(ctx: ExperimentContext, iterate: np.ndarray) -> np.ndarray:
     """Difference between a space-time iterate and the analytic solution."""
     return np.asarray(iterate) - ctx.trajectory
-
-
-def initial_iterate(ctx: ExperimentContext) -> np.ndarray:
-    """The spread iterate: u0 copied to every node of every interval."""
-    u0 = exact_solution(ctx.fine, ctx.cfg.wavenumber, 0.0)
-    return np.tile(spread_initial(u0, ctx.cfg.m), ctx.cfg.l)
 
 
 def manufactured_rhs(ctx: ExperimentContext) -> np.ndarray:
@@ -402,17 +393,12 @@ def run_and_compare(
 ) -> ErrorTrace:
     """Run algorithmic PFASST and attach all requested predictions."""
     ctx = build_context(cfg)
-    u0 = exact_solution(ctx.fine, cfg.wavenumber, 0.0)
     u_ex = ctx.trajectory
     e0 = ctx.initial_error
-    error_trace = pfasst_run_algorithmic(
-        ctx.setup, u0, cfg.iterations, rhs_blocks=np.zeros_like(e0), initial_state=e0
-    )
+    error_trace = pfasst_run_algorithmic(ctx.setup, np.zeros_like(e0), e0, cfg.iterations)
     actual_inf = np.array([np.max(np.abs(e)) for e in error_trace])
     actual_2 = np.array([np.linalg.norm(e) for e in error_trace])
-    u_trace = pfasst_run_algorithmic(
-        ctx.setup, u0, cfg.iterations, rhs_blocks=manufactured_rhs(ctx)
-    )
+    u_trace = pfasst_run_algorithmic(ctx.setup, manufactured_rhs(ctx), ctx.initial_iterate, cfg.iterations)
     u_run_inf = np.array([np.max(np.abs(u - u_ex)) for u in u_trace])
     u_run_2 = np.array([np.linalg.norm(u - u_ex) for u in u_trace])
 

@@ -32,10 +32,10 @@ from .analysis import (
     build_context,
     run_and_compare,
 )
-from .collocation import composite_system
-from .errors import ConfigurationError, PfasstLfaError
-from .solvers import pfasst_iteration_matrix, pfasst_run_algorithmic, pfasst_step_matrix
-from .transfer import check_restriction_condition, check_transfer_structure, harmonic_diagonals
+from .collocation import spread_initial
+from .errors import ConfigurationError, PfasstLfaError, RangeError
+from .solvers import pfasst_run_algorithmic, pfasst_step_matrix
+from .transfer import check_restriction_condition, check_transfer_structure
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,7 +66,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def strategy4_exact(actual_2: np.ndarray, apply_2: np.ndarray) -> bool:
-    """Whether the apply prediction reproduces the measured error above the round-off floor."""
+    """Whether the apply prediction matches the measured error above the round-off floor; NaN or inf fails."""
+    if not (np.all(np.isfinite(actual_2)) and np.all(np.isfinite(apply_2))):
+        return False
     mask = actual_2 > STRATEGY4_FLOOR * actual_2[0]
     rel = np.abs(apply_2[mask] - actual_2[mask]) / actual_2[mask]
     return bool(np.all(rel < STRATEGY4_RTOL))
@@ -138,30 +140,29 @@ def cmd_analyze(args, parser) -> int:
         parser.error(str(exc))
     trace = run_and_compare(cfg, strategies=strategies, block_modes=block_modes)
     timings["run_and_compare"] = time.perf_counter() - t0
+    columns = {"actual_inf": trace.actual_inf, "actual_2": trace.actual_2}
+    columns.update({f"pred_{p.strategy}_{p.block_mode}": p.values for p in trace.predictions})
+    for name, values in columns.items():
+        if not np.all(np.isfinite(values)):
+            k = int(np.argmin(np.isfinite(values)))
+            raise RangeError(f"{name} is not finite from iteration {k}: the run overflows double precision")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    header = ["iteration", "actual_inf", "actual_2"] + [
-        f"pred_{p.strategy}_{p.block_mode}" for p in trace.predictions
-    ]
-    rows = []
-    for k in range(cfg.iterations + 1):
-        row = [str(k), _fmt(trace.actual_inf[k]), _fmt(trace.actual_2[k])]
-        row += [_fmt(p.values[k]) for p in trace.predictions]
-        rows.append(row)
+    rows = [[str(k)] + [_fmt(values[k]) for values in columns.values()] for k in range(cfg.iterations + 1)]
     trace_path = out / "trace.csv"
-    _write_csv(trace_path, header, rows)
+    _write_csv(trace_path, ["iteration", *columns], rows)
 
     spectrum_mode = block_modes[0]
     spectrum_path = out / "spectrum.csv"
     spec_rows = []
     spectra = trace.context.spectra(spectrum_mode)
-    for spectrum, idx in zip(spectra.per_block, spectra.index):
+    for vals, idx in zip(spectra.eigenvalues, spectra.index):
         block_k = idx[0]
         block_j = idx[1] if len(idx) > 1 else -1
-        for v in spectrum.eigenvalues:
+        for v in vals:
             spec_rows.append([str(block_k), str(block_j), _fmt(v.real), _fmt(v.imag)])
     _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], spec_rows)
     timings["write_outputs"] = time.perf_counter() - t0
@@ -210,7 +211,7 @@ def cmd_analyze(args, parser) -> int:
         "files": [trace_path.name, spectrum_path.name, "report.json", "timings.json"],
     }
     if cfg.problem == "advection":
-        report["cfl"] = cfg.make_problem().cfl(cfg.dt)
+        report["cfl"] = trace.context.fine.cfl(cfg.dt)
     _write_json(out / "report.json", report)
     _write_json(out / "timings.json", {"wall_time_seconds": timings})
     return EXIT_OK
@@ -230,31 +231,31 @@ def _verify_checks(scale: str, flip_qdelta_sign: bool):
     ctx = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l, dt=0.1))
     setup, pair = ctx.setup, ctx.setup.pair
 
-    # 1: algorithmic run against the matrix formulation
+    # 1: algorithmic run against the matrix formulation, u0 spread over the first interval
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(setup.fine, l, u0)
-    p_gs, p_j = setup.composite_preconditioners()
+    rhs = np.zeros((l, m, n))
+    rhs[0] = u0
+    p_gs, p_j = setup.composite_preconditioners
     iterations = 5
-    trace = pfasst_run_algorithmic(setup, u0, iterations)
+    trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), iterations)
     u = trace[0].copy()
     dev = 0.0
     for k in range(1, iterations + 1):
-        u = pfasst_step_matrix(p_gs, p_j, pair, comp.matrix, comp.rhs, u, m, l)
+        u = pfasst_step_matrix(p_gs, p_j, pair, setup.composite_matrix, rhs.ravel(), u, m, l)
         dev = max(dev, float(np.max(np.abs(u - trace[k]))))
     yield "pfasst matrix vs algorithmic", dev, 1e-10
 
     # 2: block spectrum against the full spectrum (cluster means)
-    t_full = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
     sc = ctx.components
     if flip_qdelta_sign:
         sc = replace(sc, qdelta=-sc.qdelta)
-    d = lfa.tc_decompose(sc)
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t_full), lfa.eigenvalue_union(d))
+    blocks = lfa.block_spectra(lfa.tc_decompose(sc)).eigenvalues.ravel()
+    dist = lfa.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), blocks)
     yield "block spectrum vs full spectrum", dist, 1e-8
 
     # 3: transfer operators transform to two-diagonal form
     try:
-        diags = harmonic_diagonals(pair)
+        diags = ctx.components.diags
         check_transfer_structure(pair, diags, tol=1e-12)
         pair_vals = sorted([abs(diags.d[0]), abs(diags.d_hat[0])])
         k0_dev = max(abs(pair_vals[0] - 0.0), abs(pair_vals[1] - np.sqrt(2.0)))

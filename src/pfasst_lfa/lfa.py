@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .linalg import Spectrum, sort_eigenvalues
-from .quadrature import QDelta, QuadratureRule
+from .linalg import sort_eigenvalues
+from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator, circulant_eigenvalues
-from .transfer import HarmonicDiagonals, TransferPair, harmonic_diagonals, node_propagation
+from .transfer import HarmonicDiagonals, harmonic_diagonals, node_propagation
 
 
 @dataclass(frozen=True)
@@ -115,31 +115,20 @@ def _real_stencil(op: CirculantOperator) -> bool:
     return bool(np.isrealobj(op.scale) and all(np.isrealobj(c) for c in op.stencil.values()))
 
 
-def spectral_components(
-    fine_op: CirculantOperator,
-    coarse_op: CirculantOperator,
-    rule: QuadratureRule,
-    qdelta: QDelta,
-    dt: float,
-    l: int,
-    pair: TransferPair,
-) -> SpectralComponents:
-    n = fine_op.n
-    if n % 2:
-        raise RangeError(f"block pairing needs an even grid size, got {n}")
-    if coarse_op.n != n // 2 or pair.n_fine != n:
-        raise RangeError("coarse operator / transfer pair do not match the fine grid")
+def spectral_components(setup: TwoLevelSetup) -> SpectralComponents:
+    """The symbols of a two-level setup; its grids were checked by ``build_two_level_setup``."""
+    fine, coarse = setup.fine, setup.coarse
     return SpectralComponents(
-        n=n,
-        l=l,
-        m=rule.m,
-        dt=dt,
-        q=rule.q,
-        qdelta=qdelta.matrix,
-        lam_fine=circulant_eigenvalues(fine_op),
-        lam_coarse=circulant_eigenvalues(coarse_op),
-        diags=harmonic_diagonals(pair),
-        real_stencils=_real_stencil(fine_op) and _real_stencil(coarse_op),
+        n=fine.n_space,
+        l=setup.l,
+        m=setup.m_nodes,
+        dt=fine.dt,
+        q=fine.rule.q,
+        qdelta=setup.qdelta.matrix,
+        lam_fine=circulant_eigenvalues(fine.operator),
+        lam_coarse=circulant_eigenvalues(coarse.operator),
+        diags=harmonic_diagonals(setup.pair),
+        real_stencils=_real_stencil(fine.operator) and _real_stencil(coarse.operator),
     )
 
 
@@ -287,9 +276,13 @@ def apply_blocks(d: BlockDecomposition, vhat: np.ndarray, harmonics: set[int] | 
 
 @dataclass(frozen=True)
 class BlockSpectra:
-    """Per-block eigenvalues plus the aggregates used by the estimators."""
+    """Per-block eigenvalues plus the aggregates used by the estimators.
 
-    per_block: list[Spectrum]
+    ``eigenvalues`` is an (number of blocks, d) array; row i holds the
+    eigenvalues of block ``index[i]``, sorted by (real, imag) descending.
+    """
+
+    eigenvalues: np.ndarray
     index: list[tuple]
     spectral_radius: float
     norm: float
@@ -301,23 +294,18 @@ def _max_norm2(stack: np.ndarray) -> float:
 
 
 def block_spectra(d: BlockDecomposition) -> BlockSpectra:
-    """Eigenvalues of every block; the 2-norm from the pairs of ``d.norm_pairs()``.
+    """Eigenvalues of every block, in one batched call; the 2-norm from the pairs of ``d.norm_pairs()``.
 
     Eigenvalues are never taken from a mirror partner: defective clusters
     scatter at eps^(1/p), so partners that agree to round-off can still
     differ visibly in their computed eigenvalues.
     """
-    per_block = []
-    rho = 0.0
-    for block in d.blocks:
-        vals = sort_eigenvalues(np.linalg.eigvals(block))
-        per_block.append(Spectrum(vals, block.shape[0]))
-        if len(vals):
-            rho = max(rho, float(np.max(np.abs(vals))))
+    vals = sort_eigenvalues(np.linalg.eigvals(d.blocks))
+    rho = float(np.max(np.abs(vals)))
     norm = 0.0
     for k in d.norm_pairs():
         norm = max(norm, _max_norm2(d.pair_blocks(k)))
-    return BlockSpectra(per_block=per_block, index=list(d.index), spectral_radius=rho, norm=norm)
+    return BlockSpectra(eigenvalues=vals, index=list(d.index), spectral_radius=rho, norm=norm)
 
 
 def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
@@ -338,12 +326,6 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
                 power = power @ blocks
             norms[k] = max(norms[k], _max_norm2(power))
     return norms
-
-
-def eigenvalue_union(d: BlockDecomposition) -> np.ndarray:
-    """Sorted multiset union of all block eigenvalues."""
-    vals = np.concatenate([np.linalg.eigvals(b) for b in d.blocks])
-    return sort_eigenvalues(vals)
 
 
 def cluster_eigenvalues(vals: np.ndarray, tol: float = 2e-4) -> list[tuple[int, complex]]:

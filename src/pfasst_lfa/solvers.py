@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .collocation import CollocationProblem
-from .errors import FactorizationError
+from .collocation import CollocationProblem, composite_system
+from .errors import FactorizationError, RangeError
 from .quadrature import QDelta, build_qdelta
 from .transfer import TransferPair, node_propagation
 
@@ -186,19 +186,19 @@ def pfasst_iteration_matrix(
 
 @dataclass
 class TwoLevelSetup:
-    """Everything one PFASST run needs, assembled once and reused.
+    """One configuration's two-level operators; the coarsening is spatial, so the levels share one Q_Delta.
 
-    The Fourier node sweeps and the stencil transfers serve the algorithmic
-    run; the dense preconditioners serve the matrix route.  Each is built on
-    first use, so the run allocates no N x N or (M*N) x (M*N) matrix.
+    The node sweeps and the stencil transfers serve the algorithmic run; the
+    dense preconditioners, composite matrix and iteration matrix serve the
+    matrix route.  Each is built on first use, so the run allocates no N x N
+    or (M*N) x (M*N) matrix.
     """
 
     fine: CollocationProblem
     coarse: CollocationProblem
     pair: TransferPair
     l: int
-    qdelta_fine: QDelta
-    qdelta_coarse: QDelta
+    qdelta: QDelta
 
     @property
     def m_nodes(self) -> int:
@@ -206,26 +206,39 @@ class TwoLevelSetup:
 
     @cached_property
     def fine_sweep(self) -> NodeSweep:
-        return node_sweep(self.fine, self.qdelta_fine)
+        return node_sweep(self.fine, self.qdelta)
 
     @cached_property
     def coarse_sweep(self) -> NodeSweep:
-        return node_sweep(self.coarse, self.qdelta_coarse)
+        return node_sweep(self.coarse, self.qdelta)
 
     @cached_property
     def p_fine(self) -> Preconditioner:
-        return sdc_preconditioner(self.fine, self.qdelta_fine)
+        return sdc_preconditioner(self.fine, self.qdelta)
 
     @cached_property
     def p_coarse(self) -> Preconditioner:
-        return sdc_preconditioner(self.coarse, self.qdelta_coarse)
+        return sdc_preconditioner(self.coarse, self.qdelta)
 
+    @cached_property
+    def composite_matrix(self) -> np.ndarray:
+        """The dense composite collocation matrix over the L intervals."""
+        return composite_system(self.fine, self.l, np.zeros(self.fine.n_space)).matrix
+
+    @cached_property
     def composite_preconditioners(self) -> tuple[Preconditioner, Preconditioner]:
         """(coarse block Gauss-Seidel, fine block Jacobi) on the full domain."""
         n_c = np.kron(node_propagation(self.m_nodes), np.eye(self.coarse.n_space))
         return (
             composite_gauss_seidel(self.p_coarse, self.l, n_c),
             composite_jacobi(self.p_fine, self.l),
+        )
+
+    @cached_property
+    def iteration_matrix(self) -> np.ndarray:
+        """The dense PFASST iteration matrix T of the composite system."""
+        return pfasst_iteration_matrix(
+            *self.composite_preconditioners, self.pair, self.composite_matrix, self.m_nodes, self.l
         )
 
 
@@ -236,22 +249,19 @@ def build_two_level_setup(
     l: int,
     qdelta_kind: str,
 ) -> TwoLevelSetup:
-    return TwoLevelSetup(
-        fine=fine,
-        coarse=coarse,
-        pair=pair,
-        l=l,
-        qdelta_fine=build_qdelta(fine.rule, qdelta_kind),
-        qdelta_coarse=build_qdelta(coarse.rule, qdelta_kind),
-    )
+    """The setup of a fine problem, its coarsening to n/2 points and their transfers."""
+    n = fine.n_space
+    if n % 2 or coarse.n_space != n // 2 or pair.n_fine != n:
+        raise RangeError(
+            f"need an even fine grid n, a coarse grid of n/2 and transfers for n, got "
+            f"{n}, {coarse.n_space} and {pair.n_fine}"
+        )
+    qdelta = build_qdelta(fine.rule, qdelta_kind)
+    return TwoLevelSetup(fine=fine, coarse=coarse, pair=pair, l=l, qdelta=qdelta)
 
 
 def pfasst_run_algorithmic(
-    setup: TwoLevelSetup,
-    u0: np.ndarray,
-    iterations: int,
-    rhs_blocks: np.ndarray | list[np.ndarray] | None = None,
-    initial_state: np.ndarray | None = None,
+    setup: TwoLevelSetup, rhs: np.ndarray, start: np.ndarray, iterations: int
 ) -> list[np.ndarray]:
     """Run PFASST by simulating the per-processor message schedule serially.
 
@@ -261,25 +271,16 @@ def pfasst_run_algorithmic(
     coarse value at its predecessor's last node and sweeps on the coarse
     level; the corrections are interpolated, and all intervals perform their
     fine sweep at once on values already available (Jacobi order).
-    ``rhs_blocks`` holds the L per-interval right-hand sides (default: the
-    spread initial value on the first interval, zero elsewhere).  Returns
-    all iterates, flattened to length L*M*N, starting with the spread
-    initial iterate (or with ``initial_state``, e.g. to propagate an error
-    vector through the homogeneous iteration).
+    ``rhs`` holds the L per-interval right-hand sides and ``start`` the
+    initial iterate, each of L*M*N values (a zero ``rhs`` propagates an error
+    vector through the homogeneous iteration).  Returns all iterates,
+    flattened to length L*M*N, starting with ``start``.
     """
     fine, coarse = setup.fine, setup.coarse
     shape = (setup.l, setup.m_nodes, fine.n_space)
     pair = setup.pair
-    u0 = np.asarray(u0)
-    if rhs_blocks is None:
-        rhs = np.zeros(shape, dtype=np.result_type(u0, float))
-        rhs[0] = u0
-    else:
-        rhs = np.asarray(rhs_blocks).reshape(shape)
-    if initial_state is None:
-        start = np.broadcast_to(u0, shape)
-    else:
-        start = np.asarray(initial_state).reshape(shape)
+    rhs = np.asarray(rhs).reshape(shape)
+    start = np.asarray(start).reshape(shape)
     u = start.astype(np.result_type(start, rhs, float))
     rhs_coarse = pair.restrict(rhs)
     trace = [u.ravel()]

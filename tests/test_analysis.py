@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pfasst_lfa import analysis, lfa
+from pfasst_lfa import analysis, lfa, solvers
 from pfasst_lfa.analysis import (
     ExperimentConfig,
     asymptotic_ratio,
@@ -14,7 +14,6 @@ from pfasst_lfa.analysis import (
     error_vector,
     exact_trajectory,
     excited_blocks,
-    initial_iterate,
     manufactured_rhs,
     node_times,
     predict,
@@ -51,6 +50,16 @@ def test_config_validation():
     [
         ("dt", -0.1, RangeError),
         ("dt", 0.0, RangeError),
+        ("dt", float("inf"), RangeError),
+        ("dt", float("nan"), RangeError),
+        ("mu", -1.0, RangeError),
+        ("mu", 0.0, RangeError),
+        ("mu", float("nan"), RangeError),
+        ("mu", float("inf"), RangeError),
+        ("mu", 1e-320, RangeError),  # positive, but mu*dx^2/dt underflows to 0
+        ("coefficient", float("nan"), RangeError),
+        ("coefficient", float("inf"), RangeError),
+        ("coefficient", -0.5, RangeError),
         ("l", 0, RangeError),
         ("m", 0, RangeError),
         ("m", 13, RangeError),
@@ -65,8 +74,13 @@ def test_config_validation():
     ],
 )
 def test_config_rejects_invalid_field_by_name(field, value, error):
+    if field == "coefficient":
+        kwargs = {"problem": "advection", "coefficient": 1e-2}
+    else:
+        kwargs = {"problem": "diffusion", "mu": 10.0}
+    kwargs.update({"n": 128, field: value})
     with pytest.raises(error, match=field):
-        ExperimentConfig(problem="diffusion", mu=10.0, **{"n": 128, field: value})
+        ExperimentConfig(**kwargs)
 
 
 def test_config_accepts_the_edges_of_each_range():
@@ -92,19 +106,20 @@ def test_default_qdelta_kinds_per_problem():
 def test_node_times_layout():
     cfg = _small_cfg()
     ctx = build_context(cfg)
-    times = node_times(cfg, ctx.rule)
+    rule = ctx.setup.fine.rule
+    times = node_times(cfg, rule)
     assert times.shape == (4, 3)
-    np.testing.assert_allclose(times[0], 0.1 * ctx.rule.nodes)
-    np.testing.assert_allclose(times[2], 0.2 + 0.1 * ctx.rule.nodes)
+    np.testing.assert_allclose(times[0], 0.1 * rule.nodes)
+    np.testing.assert_allclose(times[2], 0.2 + 0.1 * rule.nodes)
 
 
 def test_diffusion_initial_error_tensor_form():
     cfg = _small_cfg()
     ctx = build_context(cfg)
-    e0 = error_vector(ctx, initial_iterate(ctx)).reshape(cfg.l, cfg.m, cfg.n)
+    e0 = error_vector(ctx, ctx.initial_iterate).reshape(cfg.l, cfg.m, cfg.n)
     nu, k = cfg.resolved_coefficient(), cfg.wavenumber
     x = np.arange(cfg.n) / cfg.n
-    times = node_times(cfg, ctx.rule)
+    times = node_times(cfg, ctx.setup.fine.rule)
     for i in range(cfg.l):
         for j in range(cfg.m):
             expected = (1.0 - np.exp(-nu * (2 * np.pi * k) ** 2 * times[i, j])) * np.sin(
@@ -116,10 +131,10 @@ def test_diffusion_initial_error_tensor_form():
 def test_advection_initial_error_entries():
     cfg = _small_cfg("advection")
     ctx = build_context(cfg)
-    e0 = error_vector(ctx, initial_iterate(ctx)).reshape(cfg.l, cfg.m, cfg.n)
+    e0 = error_vector(ctx, ctx.initial_iterate).reshape(cfg.l, cfg.m, cfg.n)
     c, k = cfg.resolved_coefficient(), cfg.wavenumber
     x = np.arange(cfg.n) / cfg.n
-    times = node_times(cfg, ctx.rule)
+    times = node_times(cfg, ctx.setup.fine.rule)
     for i in range(cfg.l):
         for j in range(cfg.m):
             expected = np.sin(2 * np.pi * k * x) - np.sin(2 * np.pi * k * (x - c * times[i, j]))
@@ -132,19 +147,16 @@ def test_initial_error_vanishes_as_dt_goes_to_zero():
     for dt in (0.1, 0.01, 0.001):
         cfg = _small_cfg(dt=dt, l=1, mu=None, coefficient=2e-2)
         ctx = build_context(cfg)
-        norms.append(np.linalg.norm(error_vector(ctx, initial_iterate(ctx))))
+        norms.append(np.linalg.norm(error_vector(ctx, ctx.initial_iterate)))
     assert norms[2] < norms[1] < norms[0]
     assert norms[2] < 2e-2 * norms[0]
 
 
 def test_manufactured_rhs_makes_analytic_samples_the_discrete_solution():
-    from pfasst_lfa.collocation import composite_system
-
     cfg = _small_cfg()
     ctx = build_context(cfg)
-    comp = composite_system(ctx.setup.fine, cfg.l, np.zeros(cfg.n))
     rhs = np.concatenate(manufactured_rhs(ctx))
-    solution = np.linalg.solve(comp.matrix, rhs)
+    solution = np.linalg.solve(ctx.setup.composite_matrix, rhs)
     np.testing.assert_allclose(solution, exact_trajectory(ctx), atol=1e-11)
 
 
@@ -218,9 +230,8 @@ def test_run_and_compare_measurement_consistency():
     trace = run_and_compare(_small_cfg(iterations=6))
     # propagated and subtracted error measurements describe the same run
     assert trace.consistency_gap() < 1e-11
-    assert trace.actual_2[0] == pytest.approx(
-        np.linalg.norm(error_vector(build_context(trace.cfg), initial_iterate(build_context(trace.cfg))))
-    )
+    ctx = build_context(trace.cfg)
+    assert trace.actual_2[0] == pytest.approx(np.linalg.norm(error_vector(ctx, ctx.initial_iterate)))
 
 
 def test_run_and_compare_builds_each_operator_once(monkeypatch):
@@ -240,17 +251,24 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
 
     for name in ("tc_decompose", "c_decompose", "block_spectra"):
         counting(lfa, name)
-    counting(analysis, "pfasst_iteration_matrix")
+    for name in ("build_qdelta", "composite_system", "pfasst_iteration_matrix"):
+        counting(solvers, name)
     counting(analysis, "exact_trajectory")
+    counting(analysis, "exact_solution")
     counting(np.linalg, "eigvals", "full eigvals", lambda a: a.shape[-1] == full_dim)
+    counting(np.linalg, "eigvals")  # one batched call per block mode
     trace = run_and_compare(cfg, block_modes=("tc", "c", "full"))
     assert calls == {
         "tc_decompose": 1,
         "c_decompose": 1,
         "block_spectra": 3,
+        "build_qdelta": 1,
+        "composite_system": 1,
         "pfasst_iteration_matrix": 1,
         "exact_trajectory": 1,
+        "exact_solution": cfg.l * cfg.m + 1,  # the trajectory's node times and u0, each once
         "full eigvals": 1,
+        "eigvals": 3,
     }
     # the shared spectra are the ones the trace reports
     ctx = trace.context
@@ -263,7 +281,8 @@ def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
     ctx = run_and_compare(_small_cfg(), block_modes=(mode,)).context
     assert "matrix" not in vars(ctx.setup.fine) and "matrix" not in vars(ctx.setup.coarse)
     assert "a" not in vars(ctx.setup.fine) and "a" not in vars(ctx.setup.coarse)  # no N x N spatial matrix
-    assert "p_fine" not in vars(ctx.setup) and "p_coarse" not in vars(ctx.setup)
+    for dense in ("p_fine", "p_coarse", "composite_matrix", "composite_preconditioners", "iteration_matrix"):
+        assert dense not in vars(ctx.setup)
     assert "interpolation" not in vars(ctx.setup.pair) and "restriction" not in vars(ctx.setup.pair)
     assert "fine_sweep" in vars(ctx.setup)
 

@@ -5,12 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from pfasst_lfa import analysis, lfa
+from pfasst_lfa import analysis, lfa, solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
-from pfasst_lfa.collocation import composite_system
 from pfasst_lfa.linalg import sort_eigenvalues
-from pfasst_lfa.solvers import pfasst_iteration_matrix
 
 
 def _analyze(tmp_path, *extra):
@@ -99,9 +97,8 @@ def test_full_spectrum_csv_is_the_sorted_matrix_spectrum(tmp_path):
     assert all(r[:2] == ["-1", "-1"] for r in rows)
     vals = np.array([complex(float(r[2]), float(r[3])) for r in rows])
     np.testing.assert_array_equal(vals, sort_eigenvalues(vals))
-    setup = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l)).setup
-    comp = composite_system(setup.fine, l, np.zeros(n))
-    t = pfasst_iteration_matrix(*setup.composite_preconditioners(), setup.pair, comp.matrix, m, l)
+    ctx = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l))
+    t = ctx.setup.iteration_matrix
     assert lfa.matched_cluster_distance(vals, np.linalg.eigvals(t)) < 1e-8
 
 
@@ -126,6 +123,25 @@ def test_strategy4_check_rejects_a_wrong_apply_column():
     # the prediction for a slightly different problem is wrong from iteration 1 on
     other = build_context(ExperimentConfig(problem="diffusion", mu=10.5, n=64, l=2, wavenumber=1, iterations=20))
     assert not strategy4_exact(actual, predict(other, "apply", "tc").values)
+    # a non-finite value fails the check, also in a row below the round-off floor
+    for column in (actual, apply_2):
+        for k in (0, 1, len(column) - 1):
+            for bad in (np.nan, np.inf):
+                spoiled = column.copy()
+                spoiled[k] = bad
+                args = (spoiled, apply_2) if column is actual else (actual, spoiled)
+                assert not strategy4_exact(*args)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_analyze_refuses_non_finite_results(tmp_path, capsys):
+    # the run overflows from iteration 1 on; nothing is written
+    out = tmp_path / "out"
+    argv = ["analyze", "--problem", "diffusion", "--mu", "1e300", "--n", "16", "--m", "3", "--l", "2",
+            "--iterations", "3", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "actual_inf is not finite from iteration 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_reruns_are_byte_identical(tmp_path):
@@ -243,31 +259,38 @@ def test_usage_errors_exit_2(tmp_path):
 
 def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
     # ExperimentConfig is the one place that checks the fields; nothing is written
-    for field, value, fragment in [
-        ("--m", "13", "m (quadrature nodes)"),
-        ("--wavenumber", "0", "wavenumber"),
-        ("--wavenumber", "64", "Nyquist mode"),
-        ("--n", "31", "n must be even"),
+    diffusion = ["--problem", "diffusion", "--mu", "10"]
+    advection = ["--problem", "advection", "--coefficient"]
+    for flags, fragment in [
+        ([*diffusion, "--m", "13"], "m (quadrature nodes)"),
+        ([*diffusion, "--wavenumber", "0"], "wavenumber"),
+        ([*diffusion, "--wavenumber", "64"], "Nyquist mode"),
+        ([*diffusion, "--n", "31"], "n must be even"),
+        ([*diffusion, "--dt", "inf"], "dt must be finite and positive, got inf"),
+        ([*diffusion, "--dt", "nan"], "dt must be finite and positive, got nan"),
+        (["--problem", "diffusion", "--mu", "-1"], "mu must be finite and positive, got -1.0"),
+        (["--problem", "diffusion", "--mu", "nan"], "mu must be finite and positive, got nan"),
+        (["--problem", "diffusion", "--coefficient", "nan"], "coefficient must be finite and positive"),
+        ([*advection, "nan"], "coefficient must be finite and positive, got nan"),
+        ([*advection, "inf"], "coefficient must be finite and positive, got inf"),
+        ([*advection, "-0.5"], "coefficient must be finite and positive, got -0.5"),
     ]:
         out = tmp_path / "out"
-        args = ["analyze", "--problem", "diffusion", "--mu", "10", field, value, "--out", str(out)]
-        assert main(args) == EXIT_NUMERICAL
+        assert main(["analyze", *flags, "--out", str(out)]) == EXIT_NUMERICAL
         assert fragment in capsys.readouterr().err
         assert not out.exists()
 
 
 def test_verify_shares_one_composite_matrix(monkeypatch):
-    from pfasst_lfa import cli
-
     calls = {"composite_system": 0, "pfasst_iteration_matrix": 0}
     for name in calls:
-        original = getattr(cli, name)
+        original = getattr(solvers, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(solvers, name, counted)
     assert main(["verify", "--scale", "small"]) == EXIT_OK
     assert calls == {"composite_system": 1, "pfasst_iteration_matrix": 1}
 

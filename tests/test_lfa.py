@@ -6,27 +6,29 @@ import numpy as np
 import pytest
 
 from pfasst_lfa import lfa
-from pfasst_lfa.collocation import collocation_matrix, composite_system
+from pfasst_lfa.collocation import collocation_matrix
 from pfasst_lfa.errors import RangeError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
-from pfasst_lfa.solvers import build_two_level_setup, lift_transfer, pfasst_iteration_matrix
+from pfasst_lfa.solvers import build_two_level_setup, lift_transfer
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
 from pfasst_lfa.transfer import build_ci_pair
 
 
-def _assemble(prob, m, l, dt, qdelta_kind):
-    cprob = coarsen(prob)
+def _setup(op_f, op_c, m, l, dt, qdelta_kind="implicit-euler"):
     rule = QuadratureRule.radau_right(m)
-    pair = build_ci_pair(prob.n)
-    fine = collocation_matrix(prob.operator, rule, dt)
-    coarse = collocation_matrix(cprob.operator, rule, dt)
-    setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
-    p_gs, p_j = setup.composite_preconditioners()
-    comp = composite_system(fine, l, np.zeros(prob.n))
-    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
-    qd = build_qdelta(rule, qdelta_kind)
-    sc = lfa.spectral_components(prob.operator, cprob.operator, rule, qd, dt, l, pair)
-    return t, sc
+    fine = collocation_matrix(op_f, rule, dt)
+    coarse = collocation_matrix(op_c, rule, dt)
+    return build_two_level_setup(fine, coarse, build_ci_pair(op_f.n), l, qdelta_kind)
+
+
+def _assemble(prob, m, l, dt, qdelta_kind):
+    """(the setup, its spectral components); the setup builds T on first use of ``iteration_matrix``."""
+    setup = _setup(prob.operator, coarsen(prob).operator, m, l, dt, qdelta_kind)
+    return setup, lfa.spectral_components(setup)
+
+
+def _eigenvalues(d):
+    return lfa.block_spectra(d).eigenvalues.ravel()
 
 
 @pytest.mark.parametrize(
@@ -35,7 +37,8 @@ def _assemble(prob, m, l, dt, qdelta_kind):
 )
 def test_tc_action_equals_full_matrix(make, qdelta_kind):
     prob = make(16, 5e-3)
-    t, sc = _assemble(prob, 3, 4, 0.1, qdelta_kind)
+    setup, sc = _assemble(prob, 3, 4, 0.1, qdelta_kind)
+    t = setup.iteration_matrix
     d = lfa.tc_decompose(sc)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(t.shape[0])
@@ -138,11 +141,10 @@ def test_mirror_blocks_have_equal_power_norms(make, coefficient, qdelta_kind):
 
 
 def test_mirror_needs_real_stencils():
-    n, rule = 16, QuadratureRule.radau_right(2)
+    n = 16
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
     op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
-    qd = build_qdelta(rule, "implicit-euler")
-    sc = lfa.spectral_components(op_f, op_c, rule, qd, 0.1, 2, build_ci_pair(n))
+    sc = lfa.spectral_components(_setup(op_f, op_c, 2, 2, 0.1))
     d = lfa.tc_decompose(sc)
     assert not d.mirrored
     assert d.norm_pairs() == range(8)
@@ -165,10 +167,16 @@ def test_block_power_norms_match_matrix_power(make, qdelta_kind):
 
 def test_tc_eigenvalues_match_full_spectrum_via_clusters():
     prob = make_diffusion(16, 5e-3)
-    t, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
     d = lfa.tc_decompose(sc)
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t), lfa.eigenvalue_union(d))
+    dist = lfa.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d))
     assert dist < 1e-8
+
+
+def _interval_blocks(d, l, m):
+    """The tc blocks in (interval, half, node) order, as an (nb, L, 2M, L, 2M) array."""
+    order = np.arange(2 * l * m).reshape(2, l, m).transpose(1, 0, 2).ravel()
+    return d.blocks[:, order][:, :, order].reshape(-1, l, 2 * m, l, 2 * m)
 
 
 @pytest.mark.parametrize(
@@ -177,24 +185,50 @@ def test_tc_eigenvalues_match_full_spectrum_via_clusters():
 )
 def test_tc_blocks_are_block_lower_triangular_over_intervals(make, coefficient, qdelta_kind):
     # In (interval, half, node) order every tc block is block lower triangular
-    # over the L intervals, and each diagonal 2M x 2M block is the L = 1 tc
-    # block: the spectrum is the L = 1 spectrum with multiplicity L.
+    # Toeplitz over the L intervals: block (i, j) depends on i - j only, and
+    # each diagonal 2M x 2M block is the L = 1 tc block, so the spectrum is
+    # the L = 1 spectrum with multiplicity L.
     l, m = 4, 3
     _, sc = _assemble(make(16, coefficient), m, l, 0.1, qdelta_kind)
     d = lfa.tc_decompose(sc)
     one = lfa.tc_decompose(replace(sc, l=1))
-    order = np.arange(2 * l * m).reshape(2, l, m).transpose(1, 0, 2).ravel()  # from (half, interval, node)
-    blocks = d.blocks[:, order][:, :, order].reshape(-1, l, 2 * m, l, 2 * m)
+    blocks = _interval_blocks(d, l, m)
     for i in range(l):
         assert np.all(blocks[:, i, :, i + 1 :] == 0.0)
         np.testing.assert_allclose(blocks[:, i, :, i], one.blocks, rtol=0, atol=1e-14)
-    dist = lfa.matched_cluster_distance(lfa.eigenvalue_union(d), np.tile(lfa.eigenvalue_union(one), l))
+        for j in range(i):
+            np.testing.assert_allclose(blocks[:, i, :, j], blocks[:, i - j, :, 0], rtol=0, atol=1e-14)
+    dist = lfa.matched_cluster_distance(_eigenvalues(d), np.tile(_eigenvalues(one), l))
     assert dist < 1e-8
+
+
+@pytest.mark.parametrize(
+    "make,coefficient,qdelta_kind,l",
+    [
+        (make_diffusion, 10.0 / 32**2 / 0.1, "implicit-euler", 8),  # mu = 10
+        (make_diffusion, 10.0 / 32**2 / 0.1, "implicit-euler", 16),
+        (make_advection, 4.88e-3, "lu", 4),
+        (make_advection, 4.88e-3, "lu", 8),
+    ],
+)
+def test_tc_blocks_are_leading_sections_of_one_block_toeplitz_operator(make, coefficient, qdelta_kind, l):
+    # Every block diagonal is constant, and the leading L-interval section of
+    # the 2L block is the L block: the tc block of every L is a section of one
+    # causal block Toeplitz operator per harmonic pair.
+    m = 3
+    _, sc = _assemble(make(32, coefficient), m, l, 0.1, qdelta_kind)
+    blocks = _interval_blocks(lfa.tc_decompose(sc), l, m)
+    for i in range(l):
+        for j in range(i + 1):
+            np.testing.assert_allclose(blocks[:, i, :, j], blocks[:, i - j, :, 0], rtol=0, atol=1e-14)
+    double = _interval_blocks(lfa.tc_decompose(replace(sc, l=2 * l)), 2 * l, m)
+    np.testing.assert_allclose(double[:, :l, :, :l], blocks, rtol=0, atol=1e-14)
 
 
 def test_tc_norm_identity():
     prob = make_diffusion(16, 5e-3)
-    t, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    t = setup.iteration_matrix
     bs = lfa.block_spectra(lfa.tc_decompose(sc))
     assert bs.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-10)
     assert bs.spectral_radius <= np.linalg.norm(t, 2) + 1e-12
@@ -213,7 +247,7 @@ def test_block_power_norm_reduces_to_norm_and_identity():
 def test_identity_decompose_is_the_matrix_as_one_block():
     prob = make_advection(16, 4.88e-3)
     n, m, l = 16, 3, 2
-    t, _ = _assemble(prob, m, l, 0.1, "lu")
+    t = _assemble(prob, m, l, 0.1, "lu")[0].iteration_matrix
     d = lfa.identity_decompose(t, n, l, m)
     assert d.blocks.shape == (1, l * m * n, l * m * n)
     np.testing.assert_array_equal(d.blocks[0], t)
@@ -232,13 +266,14 @@ def test_identity_decompose_is_the_matrix_as_one_block():
 def test_identity_block_spectra_and_power_norms_match_the_matrix():
     prob = make_diffusion(16, 5e-3)
     n, m, l = 16, 3, 2
-    t, _ = _assemble(prob, m, l, 0.1, "implicit-euler")
+    t = _assemble(prob, m, l, 0.1, "implicit-euler")[0].iteration_matrix
     d = lfa.identity_decompose(t, n, l, m)
     bs = lfa.block_spectra(d)
     assert bs.index == [(-1,)]
     eig = np.linalg.eigvals(t)
     assert bs.spectral_radius == pytest.approx(np.max(np.abs(eig)), rel=1e-12)
-    assert lfa.matched_cluster_distance(lfa.eigenvalue_union(d), eig) < 1e-8
+    assert bs.eigenvalues.shape == (1, l * m * n)
+    assert lfa.matched_cluster_distance(_eigenvalues(d), eig) < 1e-8
     assert bs.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
     norms = lfa.block_power_norms(d, 6)
     for k in range(7):
@@ -254,14 +289,12 @@ def _all_c_blocks(sc):
     return lfa.BlockDecomposition(blocks=blocks, meta=meta)
 
 
-def _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, qdelta_kind):
+def _periodic_full_matrix(setup):
     """Oracle: the PFASST matrix for the time-periodic composite system."""
     from pfasst_lfa.transfer import node_propagation
 
-    m = rule.m
-    fine = collocation_matrix(op_f, rule, dt)
-    coarse = collocation_matrix(op_c, rule, dt)
-    setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
+    fine, pair, l, m = setup.fine, setup.pair, setup.l, setup.m_nodes
+    op_f, op_c = setup.fine.operator, setup.coarse.operator
     n_f = np.kron(node_propagation(m), np.eye(op_f.n))
     n_c = np.kron(node_propagation(m), np.eye(op_c.n))
     e_hat = np.diag(np.ones(l - 1), -1)
@@ -282,13 +315,10 @@ def test_c_blocks_match_periodic_composite_oracle():
     scale = 0.3
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=scale)
     op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=scale)
-    rule = QuadratureRule.radau_right(m)
-    pair = build_ci_pair(n)
-    qd = build_qdelta(rule, "implicit-euler")
-    sc = lfa.spectral_components(op_f, op_c, rule, qd, dt, l, pair)
-    d = _all_c_blocks(sc)
-    t = _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, "implicit-euler")
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t), lfa.eigenvalue_union(d))
+    setup = _setup(op_f, op_c, m, l, dt)
+    d = _all_c_blocks(lfa.spectral_components(setup))
+    t = _periodic_full_matrix(setup)
+    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t), _eigenvalues(d))
     assert dist < 1e-8
 
 
@@ -296,12 +326,9 @@ def test_c_blocks_action_matches_periodic_oracle():
     n, m, l, dt = 16, 3, 4, 0.1
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=0.3)
     op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=0.3)
-    rule = QuadratureRule.radau_right(m)
-    pair = build_ci_pair(n)
-    qd = build_qdelta(rule, "implicit-euler")
-    sc = lfa.spectral_components(op_f, op_c, rule, qd, dt, l, pair)
-    d = _all_c_blocks(sc)
-    t = _periodic_full_matrix(op_f, op_c, rule, dt, l, pair, "implicit-euler")
+    setup = _setup(op_f, op_c, m, l, dt)
+    d = _all_c_blocks(lfa.spectral_components(setup))
+    t = _periodic_full_matrix(setup)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(t.shape[0])
     vhat = lfa.transform_vector(v, d.meta)
@@ -330,7 +357,8 @@ def test_c_decompose_raises_on_a_singular_block():
     lam = 1.0 - np.exp(-2j * np.pi * 1 / 2)
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0})
     op_c = CirculantOperator(n=n // 2, stencil={0: lam})
-    sc = lfa.spectral_components(op_f, op_c, rule, qd, dt, 2, build_ci_pair(n))
+    sc = lfa.spectral_components(_setup(op_f, op_c, 1, 2, dt))
+    np.testing.assert_array_equal(sc.qdelta, qd.matrix)
     with pytest.raises(np.linalg.LinAlgError):
         lfa.c_decompose(sc)
 
@@ -348,23 +376,10 @@ def test_block_indexing_and_dimensions():
     assert c.index == [(k, j) for k in range(8) for j in range(4)]
 
 
-def test_spectral_components_validation():
-    prob = make_diffusion(10, 5e-3)
-    rule = QuadratureRule.radau_right(2)
-    qd = build_qdelta(rule, "implicit-euler")
-    pair = build_ci_pair(10, interp_exactness=2, restr_exactness=2)
-    with pytest.raises(RangeError):
-        lfa.spectral_components(
-            prob.operator, coarsen(make_diffusion(16, 5e-3)).operator, rule, qd, 0.1, 2, pair
-        )
-
-
 def test_matched_cluster_distance_detects_mutation():
     prob = make_diffusion(16, 5e-3)
-    t, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
-    from dataclasses import replace
-
+    setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
     sc_bad = replace(sc, qdelta=-sc.qdelta)
     d_bad = lfa.tc_decompose(sc_bad)
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t), lfa.eigenvalue_union(d_bad))
+    dist = lfa.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d_bad))
     assert dist > 1e-8

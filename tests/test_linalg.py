@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pfasst_lfa.linalg import Spectrum, dft_matrix, sort_eigenvalues
+from pfasst_lfa.linalg import dft_matrix, sort_eigenvalues
 
 
 def test_dft_matrix_is_unitary():
@@ -29,6 +29,10 @@ def test_sort_eigenvalues_orders_by_real_then_imag_descending():
     np.testing.assert_array_equal(got, np.array([2 + 1j, 2 - 1j, 1 + 1j, 1 - 1j]))
 
 
-def test_spectrum_radius_of_empty_is_zero():
-    spec = Spectrum(np.array([]), 0)
-    assert spec.spectral_radius == 0.0
+def test_sort_eigenvalues_sorts_each_row_of_a_stack():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    stack[:, 3] = stack[:, 5].real + 1j  # ties in the real part fall back to imag
+    got = sort_eigenvalues(stack)
+    for row, vals in zip(got, stack):
+        np.testing.assert_array_equal(row, sort_eigenvalues(vals))

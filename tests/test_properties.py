@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pfasst_lfa import lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context, run_and_compare
 from pfasst_lfa.cli import strategy4_exact
-from pfasst_lfa.collocation import composite_system
+from pfasst_lfa.collocation import composite_system, spread_initial
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import pfasst_run_algorithmic, pfasst_step_matrix
 from pfasst_lfa.transfer import build_ci_pair
@@ -52,8 +52,8 @@ def test_fft_swept_run_equals_matrix_iterates(cfg):
     setup = build_context(cfg).setup
     u0 = np.sin(2 * np.pi * cfg.wavenumber * np.arange(cfg.n) / cfg.n)
     comp = composite_system(setup.fine, cfg.l, u0)
-    p_gs, p_j = setup.composite_preconditioners()
-    trace = pfasst_run_algorithmic(setup, u0, cfg.iterations)
+    p_gs, p_j = setup.composite_preconditioners
+    trace = pfasst_run_algorithmic(setup, comp.rhs, spread_initial(u0, cfg.m, cfg.l), cfg.iterations)
     u = trace[0]
     for k in range(1, cfg.iterations + 1):
         u = pfasst_step_matrix(p_gs, p_j, setup.pair, comp.matrix, comp.rhs, u, cfg.m, cfg.l)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
-from pfasst_lfa.errors import FactorizationError
+from pfasst_lfa.errors import FactorizationError, RangeError
 from pfasst_lfa.quadrature import QDelta, QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
     Preconditioner,
@@ -15,7 +15,6 @@ from pfasst_lfa.solvers import (
     mlsdc_preconditioner_inverse,
     mlsdc_step,
     node_sweep,
-    pfasst_iteration_matrix,
     pfasst_run_algorithmic,
     pfasst_step_matrix,
     richardson_step,
@@ -31,6 +30,14 @@ def _small_problem(n=16, m=3, dt=0.1, nu=None):
     prob = make_diffusion(n, nu)
     rule = QuadratureRule.radau_right(m)
     return prob, rule, collocation_matrix(prob.operator, rule, dt)
+
+
+def _setup(prob, m, l, kind="implicit-euler", dt=0.1):
+    """The two-level setup of ``prob`` and its coarsening, on one Radau rule."""
+    rule = QuadratureRule.radau_right(m)
+    fine = collocation_matrix(prob.operator, rule, dt)
+    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
+    return build_two_level_setup(fine, coarse, build_ci_pair(prob.n), l, kind)
 
 
 def test_preconditioner_solve_matches_dense_solve():
@@ -186,35 +193,50 @@ def test_lifted_transfer_commutes_with_node_propagation(l):
 
 
 def test_pfasst_step_matrix_matches_iteration_operator():
-    n, m, l, dt = 16, 3, 4, 0.1
-    prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
-    pair = build_ci_pair(n)
-    setup = build_two_level_setup(fine, coarse, pair, l, "implicit-euler")
-    p_gs, p_j = setup.composite_preconditioners()
+    n, m, l = 16, 3, 4
+    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    p_gs, p_j = setup.composite_preconditioners
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(fine, l, u0)
-    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
+    comp = composite_system(setup.fine, l, u0)
+    t = setup.iteration_matrix
     exact = np.linalg.solve(comp.matrix, comp.rhs)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(comp.dim)
-    stepped = pfasst_step_matrix(p_gs, p_j, pair, comp.matrix, comp.rhs, u, m, l)
+    stepped = pfasst_step_matrix(p_gs, p_j, setup.pair, comp.matrix, comp.rhs, u, m, l)
     np.testing.assert_allclose(stepped - exact, t @ (u - exact), atol=1e-10)
 
 
+def test_setup_matrix_route_is_built_once_from_the_composite_system():
+    setup = _setup(_small_problem(n=16, m=3)[0], 3, 4)
+    comp = composite_system(setup.fine, 4, np.zeros(16))
+    np.testing.assert_array_equal(setup.composite_matrix, comp.matrix)
+    assert setup.composite_preconditioners is setup.composite_preconditioners
+    assert setup.iteration_matrix is setup.iteration_matrix
+
+
+def test_two_level_setup_rejects_mismatched_grids():
+    rule = QuadratureRule.radau_right(2)
+
+    def level(n):
+        return collocation_matrix(CirculantOperator(n, {-1: 1.0, 0: -2.0, 1: 1.0}, 0.3), rule, 0.1)
+
+    build_two_level_setup(level(10), level(5), build_ci_pair(10, 2, 2), 2, "lu")
+    # a coarse grid not n/2, transfers for another grid, an odd fine grid
+    for n_fine, n_coarse, n_pair in [(10, 8, 10), (10, 5, 16), (11, 5, 10)]:
+        with pytest.raises(RangeError):
+            build_two_level_setup(level(n_fine), level(n_coarse), build_ci_pair(n_pair, 2, 2), 2, "lu")
+
+
 def test_pfasst_algorithmic_equals_matrix_form():
-    n, m, l, dt = 16, 3, 4, 0.1
-    prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
-    pair = build_ci_pair(n)
-    setup = build_two_level_setup(fine, coarse, pair, l, "implicit-euler")
-    p_gs, p_j = setup.composite_preconditioners()
+    n, m, l = 16, 3, 4
+    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    p_gs, p_j = setup.composite_preconditioners
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(fine, l, u0)
-    trace = pfasst_run_algorithmic(setup, u0, 6)
+    comp = composite_system(setup.fine, l, u0)
+    trace = pfasst_run_algorithmic(setup, comp.rhs, spread_initial(u0, m, l), 6)
     u = trace[0].copy()
     for k in range(1, 7):
-        u = pfasst_step_matrix(p_gs, p_j, pair, comp.matrix, comp.rhs, u, m, l)
+        u = pfasst_step_matrix(p_gs, p_j, setup.pair, comp.matrix, comp.rhs, u, m, l)
         np.testing.assert_allclose(trace[k], u, atol=1e-11)
 
 
@@ -230,54 +252,36 @@ def test_pfasst_algorithmic_equals_matrix_form():
     ],
 )
 def test_pfasst_algorithmic_equals_step_matrix_iterates(make, kind, l, m):
-    n, dt = 16, 0.1
-    prob = make(n, 5e-3)
-    rule = QuadratureRule.radau_right(m)
-    fine = collocation_matrix(prob.operator, rule, dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
-    pair = build_ci_pair(n)
-    setup = build_two_level_setup(fine, coarse, pair, l, kind)
-    p_gs, p_j = setup.composite_preconditioners()
-    comp = composite_system(fine, l, np.zeros(n))
+    n = 16
+    setup = _setup(make(n, 5e-3), m, l, kind)
+    p_gs, p_j = setup.composite_preconditioners
+    dim = setup.composite_matrix.shape[0]
     rng = np.random.default_rng(l + 10 * m)
-    rhs = rng.standard_normal(comp.dim)
-    u = rng.standard_normal(comp.dim) + 1j * rng.standard_normal(comp.dim)
-    trace = pfasst_run_algorithmic(
-        setup, np.zeros(n), 5, rhs_blocks=rhs.reshape(l, -1), initial_state=u
-    )
+    rhs = rng.standard_normal(dim)
+    u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    trace = pfasst_run_algorithmic(setup, rhs, u, 5)
     np.testing.assert_array_equal(trace[0], u)
     for k in range(1, 6):
-        u = pfasst_step_matrix(p_gs, p_j, pair, comp.matrix, rhs, u, m, l)
+        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u, m, l)
         np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
 
 
 def test_pfasst_initial_state_override_propagates_errors():
-    n, m, l, dt = 16, 3, 4, 0.1
-    prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
-    pair = build_ci_pair(n)
-    setup = build_two_level_setup(fine, coarse, pair, l, "implicit-euler")
-    p_gs, p_j = setup.composite_preconditioners()
-    comp = composite_system(fine, l, np.zeros(n))
-    t = pfasst_iteration_matrix(p_gs, p_j, pair, comp.matrix, m, l)
+    n, m, l = 16, 3, 4
+    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    t = setup.iteration_matrix
     rng = np.random.default_rng(8)
-    e0 = rng.standard_normal(comp.dim)
-    zero_rhs = [np.zeros(fine.dim) for _ in range(l)]
-    trace = pfasst_run_algorithmic(
-        setup, np.zeros(n), 3, rhs_blocks=zero_rhs, initial_state=e0
-    )
+    e0 = rng.standard_normal(t.shape[0])
+    trace = pfasst_run_algorithmic(setup, np.zeros_like(e0), e0, 3)
     np.testing.assert_allclose(trace[1], t @ e0, atol=1e-11)
     np.testing.assert_allclose(trace[3], t @ t @ t @ e0, atol=1e-10)
 
 
 def test_pfasst_converges_to_composite_solution():
-    n, m, l, dt = 16, 3, 4, 0.1
-    prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
-    pair = build_ci_pair(n)
-    setup = build_two_level_setup(fine, coarse, pair, l, "implicit-euler")
+    n, m, l = 16, 3, 4
+    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(fine, l, u0)
+    comp = composite_system(setup.fine, l, u0)
     exact = np.linalg.solve(comp.matrix, comp.rhs)
-    trace = pfasst_run_algorithmic(setup, u0, 30)
+    trace = pfasst_run_algorithmic(setup, comp.rhs, spread_initial(u0, m, l), 30)
     assert np.max(np.abs(trace[-1] - exact)) < 1e-12
