@@ -241,7 +241,7 @@ def _verify_checks(scale: str, flip_qdelta_sign: bool):
     u = trace[0].copy()
     dev = 0.0
     for k in range(1, iterations + 1):
-        u = pfasst_step_matrix(p_gs, p_j, pair, setup.composite_matrix, rhs.ravel(), u, m, l)
+        u = pfasst_step_matrix(p_gs, p_j, pair, setup.composite_matrix, rhs.ravel(), u)
         dev = max(dev, float(np.max(np.abs(u - trace[k]))))
     yield "pfasst matrix vs algorithmic", dev, 1e-10
 

@@ -76,7 +76,6 @@ class CompositeSystem:
     problem: CollocationProblem
     n_matrix: np.ndarray
     matrix: np.ndarray
-    rhs: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -94,11 +93,10 @@ class CompositeSystem:
         )
 
 
-def composite_system(problem: CollocationProblem, l: int, u0) -> CompositeSystem:
-    """Assemble the composite collocation matrix and its right-hand side."""
+def composite_system(problem: CollocationProblem, l: int) -> CompositeSystem:
+    """Assemble the composite collocation matrix."""
     if l < 1:
         raise RangeError(f"need at least one subinterval, got {l}")
-    u0 = np.asarray(u0)
     n_mat = np.kron(node_propagation(problem.rule.m), np.eye(problem.n_space))
     dim = l * problem.dim
     mat = np.zeros((dim, dim))
@@ -107,6 +105,4 @@ def composite_system(problem: CollocationProblem, l: int, u0) -> CompositeSystem
         mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = problem.matrix
         if i > 0:
             mat[i * d : (i + 1) * d, (i - 1) * d : i * d] = -n_mat
-    rhs = np.zeros(dim, dtype=u0.dtype)
-    rhs[:d] = spread_initial(u0, problem.rule.m)
-    return CompositeSystem(l=l, problem=problem, n_matrix=n_mat, matrix=mat, rhs=rhs)
+    return CompositeSystem(l=l, problem=problem, n_matrix=n_mat, matrix=mat)

@@ -14,6 +14,7 @@ T itself in the identity basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,11 @@ class BlockDecomposition:
     def norm_pairs(self) -> range:
         """Harmonic pairs whose singular values cover every block: k <= (N/2)//2 if mirrored."""
         return range(self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // self.meta.blocks_per_pair)
+
+    @cached_property
+    def norm(self) -> float:
+        """max ||B||_2 over the blocks, from the pairs of ``norm_pairs()``; computed once."""
+        return max(_max_norm2(self.pair_blocks(k)) for k in self.norm_pairs())
 
 
 @dataclass(frozen=True)
@@ -289,8 +295,21 @@ class BlockSpectra:
 
 
 def _max_norm2(stack: np.ndarray) -> float:
-    """Largest 2-norm in a stack of matrices."""
-    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
+    """Largest 2-norm in a stack of matrices.
+
+    A real stack takes it from the largest eigenvalue of each Gram matrix:
+    ||X||_2 = s*sqrt(lambda_max((X/s)^T (X/s))) with s = max|X|, the scaling
+    keeping the squares clear of over- and underflow.  Its relative error
+    is about d*eps for d columns, and the symmetric eigensolver is about
+    twice as fast as the SVD.  A complex stack keeps the SVD, which is the
+    faster of the two there.
+    """
+    if np.iscomplexobj(stack):
+        return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
+    scale = np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
+    x = stack / np.where(scale > 0, scale, 1.0)
+    top = np.linalg.eigvalsh(np.swapaxes(x, -2, -1) @ x)[..., -1]
+    return float(np.max(scale[..., 0, 0] * np.sqrt(top)))
 
 
 def block_spectra(d: BlockDecomposition) -> BlockSpectra:
@@ -302,51 +321,57 @@ def block_spectra(d: BlockDecomposition) -> BlockSpectra:
     """
     vals = sort_eigenvalues(np.linalg.eigvals(d.blocks))
     rho = float(np.max(np.abs(vals)))
-    norm = 0.0
-    for k in d.norm_pairs():
-        norm = max(norm, _max_norm2(d.pair_blocks(k)))
-    return BlockSpectra(eigenvalues=vals, index=list(d.index), spectral_radius=rho, norm=norm)
+    return BlockSpectra(eigenvalues=vals, index=list(d.index), spectral_radius=rho, norm=d.norm)
 
 
 def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, i.e. ||T^k||_2 block-wise.
 
-    One pass per harmonic pair of ``d.norm_pairs()`` forms B^k = B^(k-1) B
-    for all the pair's blocks at once; no power outlives its pair.
+    k = 1 is the decomposition's cached ``norm``.  One pass per harmonic
+    pair of ``d.norm_pairs()`` forms B^k = B^(k-1) B for all the pair's
+    blocks at once; no power outlives its pair.
     """
     if k_max < 0:
         raise RangeError("power must be nonnegative")
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
+    if k_max:
+        norms[1] = d.norm
     for pair in d.norm_pairs():
         blocks = d.pair_blocks(pair)
         power = blocks
-        for k in range(1, k_max + 1):
-            if k > 1:
-                power = power @ blocks
+        for k in range(2, k_max + 1):
+            power = power @ blocks
             norms[k] = max(norms[k], _max_norm2(power))
     return norms
 
 
-def cluster_eigenvalues(vals: np.ndarray, tol: float = 2e-4) -> list[tuple[int, complex]]:
-    """Group eigenvalues into clusters of nearby values; (multiplicity, mean).
+def _single_linkage(vals: np.ndarray):
+    """Single-linkage tree of eigenvalues in the complex plane; None for a single value."""
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
+
+    if len(vals) == 1:
+        return None
+    return linkage(pdist(np.column_stack([vals.real, vals.imag])), method="single")
+
+
+def _clusters(vals: np.ndarray, tree, tol: float) -> list[tuple[int, complex]]:
+    """Eigenvalue clusters at one linkage distance, cut from the tree; (multiplicity, mean).
 
     The iteration matrix has defective eigenvalues of high multiplicity; a
     double-precision eigensolver scatters each into a ring of radius roughly
     eps^(1/p) around the true value.  Individual ring members are therefore
     meaningless to compare, but the cluster mean cancels the ring scatter and
-    is accurate to round-off.  Single-linkage clustering at the given
-    tolerance (above the scatter radius, below the cluster gaps) recovers the
-    true (value, multiplicity) pairs.
+    is accurate to round-off.  Single-linkage clustering at a tolerance
+    above the scatter radius and below the cluster gaps recovers the true
+    (value, multiplicity) pairs.
     """
-    from scipy.cluster.hierarchy import fcluster, linkage
-    from scipy.spatial.distance import pdist
+    from scipy.cluster.hierarchy import fcluster
 
-    vals = np.asarray(vals)
-    if len(vals) == 1:
+    if tree is None:
         return [(1, complex(vals[0]))]
-    pts = np.column_stack([vals.real, vals.imag])
-    labels = fcluster(linkage(pdist(pts), method="single"), tol, criterion="distance")
+    labels = fcluster(tree, tol, criterion="distance")
     out = []
     for c in np.unique(labels):
         sel = vals[labels == c]
@@ -366,18 +391,19 @@ def matched_cluster_distance(
     cluster gaps, and both vary with the problem size; scanning a ladder
     avoids hand-tuning, and cannot produce a false match because the
     returned distance itself measures the agreement of the cluster means.
+    Each spectrum's linkage tree is built once and cut at every tolerance.
     """
+    a, b = np.asarray(a), np.asarray(b)
+    tree_a, tree_b = _single_linkage(a), _single_linkage(b)
     best = float("inf")
     for tol in tols:
-        best = min(best, _matched_cluster_distance_at(np.asarray(a), np.asarray(b), tol))
+        best = min(best, _matched_distance(_clusters(a, tree_a, tol), _clusters(b, tree_b, tol)))
     return best
 
 
-def _matched_cluster_distance_at(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+def _matched_distance(ca: list[tuple[int, complex]], cb: list[tuple[int, complex]]) -> float:
     from scipy.optimize import linear_sum_assignment
 
-    ca = cluster_eigenvalues(a, tol)
-    cb = cluster_eigenvalues(b, tol)
     if len(ca) != len(cb):
         return float("inf")
     if sorted(m for m, _ in ca) != sorted(m for m, _ in cb):

@@ -99,9 +99,26 @@ def composite_gauss_seidel(p_single: Preconditioner, l: int, n_matrix: np.ndarra
     return Preconditioner(mat)
 
 
-def composite_jacobi(p_single: Preconditioner, l: int) -> Preconditioner:
-    """Block-diagonal preconditioner: independent intervals."""
-    return Preconditioner(np.kron(np.eye(l), p_single.matrix))
+@dataclass(frozen=True)
+class BlockJacobi:
+    """kron(I_L, P): independent intervals, solved through the LU of the one-interval P.
+
+    The (L*d) x (L*d) block-diagonal matrix is never formed.
+    """
+
+    block: Preconditioner
+    l: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """P^{-1} rhs for a vector or column stack of L*d rows, one row block per interval."""
+        rhs = np.asarray(rhs)
+        d = rhs.shape[0] // self.l
+        # the LU solve returns Fortran-ordered blocks; a Fortran-ordered
+        # result takes them without a transposing copy
+        out = np.empty(rhs.shape, dtype=np.result_type(rhs, float), order="F")
+        for i in range(self.l):
+            out[i * d : (i + 1) * d] = self.block.solve(rhs[i * d : (i + 1) * d])
+        return out
 
 
 def richardson_step(p: Preconditioner, m: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -109,57 +126,54 @@ def richardson_step(p: Preconditioner, m: np.ndarray, c: np.ndarray, u: np.ndarr
     return u + p.solve(c - m @ u)
 
 
-def lift_transfer(pair: TransferPair, m_nodes: int, l: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial transfer operators lifted to the (L, M, N) space-time layout."""
-    eye = np.eye(l * m_nodes)
-    return np.kron(eye, pair.interpolation), np.kron(eye, pair.restriction)
+def _lifted(transfer: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """kron(I_{LM}, transfer) x: the dense spatial transfer applied to each (interval, node) row block.
+
+    ``x`` is a vector or a column stack of L*M row blocks; the L*M-fold
+    Kronecker product is never formed.
+    """
+    blocks = x.reshape(x.shape[0] // transfer.shape[1], transfer.shape[1], -1)
+    return (transfer @ blocks).reshape(-1, *x.shape[1:])
 
 
 def mlsdc_step(
-    fine: Preconditioner,
+    fine: Preconditioner | BlockJacobi,
     coarse: Preconditioner,
     pair: TransferPair,
     m: np.ndarray,
     c: np.ndarray,
     u: np.ndarray,
-    m_nodes: int,
-    l: int = 1,
 ) -> np.ndarray:
     """One two-level step: coarse-corrected half step, then a fine sweep."""
-    t_up, t_down = lift_transfer(pair, m_nodes, l)
-    residual = c - m @ u
-    u_half = u + t_up @ coarse.solve(t_down @ residual)
+    u_half = u + _lifted(pair.interpolation, coarse.solve(_lifted(pair.restriction, c - m @ u)))
     return u_half + fine.solve(c - m @ u_half)
 
 
 def mlsdc_preconditioner_inverse(
-    fine: Preconditioner, coarse: Preconditioner, pair: TransferPair, m: np.ndarray, m_nodes: int, l: int = 1
+    fine: Preconditioner, coarse: Preconditioner, pair: TransferPair, m: np.ndarray
 ) -> np.ndarray:
     """The explicit P_MLSDC^{-1} combining both levels in one matrix."""
-    t_up, t_down = lift_transfer(pair, m_nodes, l)
-    cgc = t_up @ coarse.solve(t_down)
-    p_inv = fine.solve(np.eye(m.shape[0]))
+    eye = np.eye(m.shape[0])
+    cgc = _lifted(pair.interpolation, coarse.solve(_lifted(pair.restriction, eye)))
+    p_inv = fine.solve(eye)
     return cgc + p_inv - p_inv @ m @ cgc
 
 
 def pfasst_step_matrix(
     coarse_gs: Preconditioner,
-    fine_jacobi: Preconditioner,
+    fine_jacobi: BlockJacobi,
     pair: TransferPair,
     m: np.ndarray,
     c: np.ndarray,
     u: np.ndarray,
-    m_nodes: int,
-    l: int,
 ) -> np.ndarray:
     """One PFASST iteration on the composite problem, in matrix form.
 
     The fine sweep starts from the coarse-corrected half step; this is the
     form whose error propagation factors into the PFASST iteration matrix.
+    It is the two-level step with the composite preconditioners.
     """
-    t_up, t_down = lift_transfer(pair, m_nodes, l)
-    u_half = u + t_up @ coarse_gs.solve(t_down @ (c - m @ u))
-    return u_half + fine_jacobi.solve(c - m @ u_half)
+    return mlsdc_step(fine_jacobi, coarse_gs, pair, m, c, u)
 
 
 def sdc_iteration_matrix(p: Preconditioner, m: np.ndarray) -> np.ndarray:
@@ -168,19 +182,29 @@ def sdc_iteration_matrix(p: Preconditioner, m: np.ndarray) -> np.ndarray:
 
 
 def mlsdc_iteration_matrix(
-    fine: Preconditioner, coarse: Preconditioner, pair: TransferPair, m: np.ndarray, m_nodes: int, l: int = 1
+    fine: Preconditioner, coarse: Preconditioner, pair: TransferPair, m: np.ndarray
 ) -> np.ndarray:
     """T = I - P_mlsdc^{-1} M."""
-    return np.eye(m.shape[0]) - mlsdc_preconditioner_inverse(fine, coarse, pair, m, m_nodes, l) @ m
+    return np.eye(m.shape[0]) - mlsdc_preconditioner_inverse(fine, coarse, pair, m) @ m
+
+
+def _identity_minus(x: np.ndarray) -> np.ndarray:
+    """I - x, overwriting the square x."""
+    np.negative(x, out=x)
+    x.flat[:: x.shape[0] + 1] += 1.0
+    return x
 
 
 def pfasst_iteration_matrix(
-    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray, m_nodes: int, l: int
+    coarse_gs: Preconditioner, fine_jacobi: BlockJacobi, pair: TransferPair, m: np.ndarray
 ) -> np.ndarray:
-    """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M)."""
-    t_up, t_down = lift_transfer(pair, m_nodes, l)
-    cgc_factor = np.eye(m.shape[0]) - t_up @ coarse_gs.solve(t_down @ m)
-    smoother_factor = np.eye(m.shape[0]) - fine_jacobi.solve(m)
+    """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
+
+    The block Jacobi Phat is solved interval by interval and the lifted
+    transfers act block by block; only M, the two factors and T are formed.
+    """
+    cgc_factor = _identity_minus(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m))))
+    smoother_factor = _identity_minus(fine_jacobi.solve(m))
     return smoother_factor @ cgc_factor
 
 
@@ -223,23 +247,18 @@ class TwoLevelSetup:
     @cached_property
     def composite_matrix(self) -> np.ndarray:
         """The dense composite collocation matrix over the L intervals."""
-        return composite_system(self.fine, self.l, np.zeros(self.fine.n_space)).matrix
+        return composite_system(self.fine, self.l).matrix
 
     @cached_property
-    def composite_preconditioners(self) -> tuple[Preconditioner, Preconditioner]:
+    def composite_preconditioners(self) -> tuple[Preconditioner, BlockJacobi]:
         """(coarse block Gauss-Seidel, fine block Jacobi) on the full domain."""
         n_c = np.kron(node_propagation(self.m_nodes), np.eye(self.coarse.n_space))
-        return (
-            composite_gauss_seidel(self.p_coarse, self.l, n_c),
-            composite_jacobi(self.p_fine, self.l),
-        )
+        return composite_gauss_seidel(self.p_coarse, self.l, n_c), BlockJacobi(self.p_fine, self.l)
 
     @cached_property
     def iteration_matrix(self) -> np.ndarray:
         """The dense PFASST iteration matrix T of the composite system."""
-        return pfasst_iteration_matrix(
-            *self.composite_preconditioners, self.pair, self.composite_matrix, self.m_nodes, self.l
-        )
+        return pfasst_iteration_matrix(*self.composite_preconditioners, self.pair, self.composite_matrix)
 
 
 def build_two_level_setup(

@@ -16,7 +16,7 @@ from pfasst_lfa.analysis import (
     build_context,
     run_and_compare,
 )
-from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
+from pfasst_lfa.collocation import collocation_matrix, spread_initial
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
     build_two_level_setup,
@@ -95,8 +95,8 @@ def test_criterion_02_mlsdc_equivalence():
     rng = np.random.default_rng(12)
     c = rng.standard_normal(fine.dim)
     u = rng.standard_normal(fine.dim)
-    stepped = mlsdc_step(setup.p_fine, setup.p_coarse, pair, fine.matrix, c, u, m)
-    p_inv = mlsdc_preconditioner_inverse(setup.p_fine, setup.p_coarse, pair, fine.matrix, m)
+    stepped = mlsdc_step(setup.p_fine, setup.p_coarse, pair, fine.matrix, c, u)
+    p_inv = mlsdc_preconditioner_inverse(setup.p_fine, setup.p_coarse, pair, fine.matrix)
     expected = u + p_inv @ (c - fine.matrix @ u)
     dev = float(np.max(np.abs(stepped - expected)))
     elapsed = time.perf_counter() - start
@@ -118,11 +118,12 @@ def test_criterion_03_pfasst_equivalence():
         rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, kind)
         p_gs, p_j = setup.composite_preconditioners
         u0 = np.sin(2 * np.pi * np.arange(n) / n)
-        comp = composite_system(fine, l, u0)
-        trace = pfasst_run_algorithmic(setup, comp.rhs, spread_initial(u0, m, l), iterations)
+        rhs = np.zeros((l, m, n))
+        rhs[0] = u0
+        trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), iterations)
         u = trace[0].copy()
         for k in range(1, iterations + 1):
-            u = pfasst_step_matrix(p_gs, p_j, pair, comp.matrix, comp.rhs, u, m, l)
+            u = pfasst_step_matrix(p_gs, p_j, pair, setup.composite_matrix, rhs.ravel(), u)
             worst = max(worst, float(np.max(np.abs(u - trace[k]))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10

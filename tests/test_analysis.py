@@ -276,6 +276,29 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
     assert trace.aggregates["full"]["norm"] == ctx.spectra("full").norm
 
 
+def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
+    # ||B|| is taken once per block mode and read by the norm strategy, the
+    # aggregates and norm-power at k = 1: K batched norms per harmonic pair
+    calls = Counter()
+    cfg = _small_cfg(iterations=6)
+    original = lfa._max_norm2
+
+    def counted(stack):
+        calls[stack.shape[-1]] += 1
+        return original(stack)
+
+    monkeypatch.setattr(lfa, "_max_norm2", counted)
+    trace = run_and_compare(cfg, block_modes=("tc", "full"))
+    tc_dim, full_dim = 2 * cfg.l * cfg.m, cfg.l * cfg.m * cfg.n
+    assert calls == {tc_dim: (cfg.n // 4 + 1) * cfg.iterations, full_dim: cfg.iterations}
+    for mode in ("tc", "full"):
+        norm = trace.aggregates[mode]["norm"]
+        assert norm == trace.context.decomposition(mode).norm
+        e0_norm = trace.prediction("norm", mode).values[0]
+        assert trace.prediction("norm", mode).values[1] == e0_norm * norm
+        assert trace.prediction("norm-power", mode).values[1] == e0_norm * norm
+
+
 @pytest.mark.parametrize("mode", ["tc", "c"])
 def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
     ctx = run_and_compare(_small_cfg(), block_modes=(mode,)).context

@@ -71,7 +71,7 @@ def test_composite_system_equals_three_layer_assembly():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
     p = collocation_matrix(prob.operator, rule, 0.1)
-    comp = composite_system(p, 4, np.zeros(8))
+    comp = composite_system(p, 4)
     np.testing.assert_allclose(comp.matrix, comp.three_layer_matrix(), atol=1e-14)
 
 
@@ -83,8 +83,9 @@ def test_composite_solution_continues_single_interval_solution():
     dt, l = 0.1, 3
     p = collocation_matrix(prob.operator, rule, dt)
     u0 = np.sin(2 * np.pi * np.arange(8) / 8)
-    comp = composite_system(p, l, u0)
-    u = np.linalg.solve(comp.matrix, comp.rhs)
+    rhs = np.zeros((l, p.dim))
+    rhs[0] = spread_initial(u0, 3)
+    u = np.linalg.solve(composite_system(p, l).matrix, rhs.ravel())
     seq = u0
     for i in range(l):
         ui = np.linalg.solve(p.matrix, spread_initial(seq, 3))
@@ -92,19 +93,9 @@ def test_composite_solution_continues_single_interval_solution():
         seq = ui[-8:]
 
 
-def test_composite_rhs_only_first_interval():
-    prob = make_diffusion(8, 1e-2)
-    rule = QuadratureRule.radau_right(2)
-    p = collocation_matrix(prob.operator, rule, 0.1)
-    u0 = np.ones(8)
-    comp = composite_system(p, 3, u0)
-    np.testing.assert_array_equal(comp.rhs[: p.dim], spread_initial(u0, 2))
-    np.testing.assert_array_equal(comp.rhs[p.dim :], 0.0)
-
-
 def test_composite_needs_at_least_one_interval():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(2)
     p = collocation_matrix(prob.operator, rule, 0.1)
     with pytest.raises(RangeError):
-        composite_system(p, 0, np.zeros(8))
+        composite_system(p, 0)

@@ -1,5 +1,6 @@
 """Block Fourier decomposition against the materialized iteration matrix."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from pfasst_lfa import lfa
 from pfasst_lfa.collocation import collocation_matrix
 from pfasst_lfa.errors import RangeError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
-from pfasst_lfa.solvers import build_two_level_setup, lift_transfer
+from pfasst_lfa.solvers import build_two_level_setup
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
 from pfasst_lfa.transfer import build_ci_pair
 
@@ -302,7 +303,8 @@ def _periodic_full_matrix(setup):
     m_comp = np.kron(np.eye(l), fine.matrix) - np.kron(e_hat, n_f)
     p_gs = np.kron(np.eye(l), setup.p_coarse.matrix) - np.kron(e_hat, n_c)
     p_j = np.kron(np.eye(l), setup.p_fine.matrix)
-    t_up, t_down = lift_transfer(pair, m, l)
+    t_up = np.kron(np.eye(l * m), pair.interpolation)
+    t_down = np.kron(np.eye(l * m), pair.restriction)
     eye = np.eye(m_comp.shape[0])
     cgc = eye - t_up @ np.linalg.solve(p_gs, t_down @ m_comp)
     return (eye - np.linalg.solve(p_j, m_comp)) @ cgc
@@ -383,3 +385,53 @@ def test_matched_cluster_distance_detects_mutation():
     d_bad = lfa.tc_decompose(sc_bad)
     dist = lfa.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d_bad))
     assert dist > 1e-8
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_real_stack_norm_matches_the_svd_norm(scale):
+    rng = np.random.default_rng(17)
+    rank_one = rng.standard_normal((3, 9, 1)) * rng.standard_normal((3, 1, 9))
+    stacks = [
+        rng.standard_normal((4, 9, 9)),
+        rng.standard_normal((2, 7, 4)),
+        rank_one,
+        np.zeros((2, 5, 5)),
+        np.concatenate([np.zeros((1, 6, 6)), rng.standard_normal((1, 6, 6))]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for stack in stacks:
+            stack = scale * stack
+            per_matrix = np.linalg.norm(stack, 2, axis=(-2, -1))
+            assert abs(lfa._max_norm2(stack) - per_matrix.max()) <= 1e-13 * per_matrix.max()
+            for x, expected in zip(stack, per_matrix):
+                assert abs(lfa._max_norm2(x[None]) - expected) <= 1e-13 * expected
+
+
+def test_matched_cluster_distance_equals_per_tolerance_recomputation():
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist
+
+    # a defective eigenvalue scattered on rings of two radii: the wide ring
+    # splits at the smaller tolerances, so some tolerances give inf
+    ring = np.exp(2j * np.pi * np.arange(6) / 6)
+    singles = np.array([0.1, -0.3 + 0.2j, 0.25j])
+    a = np.concatenate([0.5 + 3e-4 * ring, singles])
+    b = np.concatenate([0.5 + 2e-5 * ring[::-1] + 1e-6, singles + 1e-7])
+    tols = (1e-4, 2e-4, 5e-4, 1e-3)
+    per_tol = [lfa.matched_cluster_distance(a, b, (tol,)) for tol in tols]
+    assert np.isinf(per_tol[0]) and np.isfinite(per_tol[-1])
+    assert lfa.matched_cluster_distance(a, b, tols) == min(per_tol)
+    # the clusters cut from one tree are the clusters of a fresh linkage at each tolerance
+    tree = lfa._single_linkage(a)
+    for tol in tols:
+        points = np.column_stack([a.real, a.imag])
+        labels = fcluster(linkage(pdist(points), method="single"), tol, criterion="distance")
+        fresh = [(int(np.sum(labels == c)), complex(a[labels == c].mean())) for c in np.unique(labels)]
+        assert lfa._clusters(a, tree, tol) == fresh
+    # and on a real pair of spectra
+    setup, sc = _assemble(make_diffusion(16, 5e-3), 3, 4, 0.1, "implicit-euler")
+    full, blocks = np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(lfa.tc_decompose(sc))
+    assert lfa.matched_cluster_distance(full, blocks, tols) == min(
+        lfa.matched_cluster_distance(full, blocks, (tol,)) for tol in tols
+    )

@@ -1,7 +1,8 @@
 """Property tests: the algorithmic run, the matrix form and the blocks agree on small random configs.
 
-Configurations are drawn from n in {16, 32}, m in 1..5, l in 1..4, both
-problems and both Q_Delta kinds; mu is log-uniform on [1, 100] and the
+Configurations are drawn from n in {16, 32}, m in 1..5, l in 1..4 (the
+iteration-matrix oracle: m in {1, 3}, l in {1, 2, 4}), both problems and
+both Q_Delta kinds; mu is log-uniform on [1, 100] and the
 advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
 complex stacks.  The draws are derandomized, so every run of the suite
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from pfasst_lfa import lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context, run_and_compare
 from pfasst_lfa.cli import strategy4_exact
-from pfasst_lfa.collocation import composite_system, spread_initial
+from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import pfasst_run_algorithmic, pfasst_step_matrix
 from pfasst_lfa.transfer import build_ci_pair
@@ -25,7 +26,8 @@ PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def configs(draw, iterations=6):
+def configs(draw, iterations=6, ls=None, ms=None):
+    """Small configurations; ``ls`` / ``ms`` restrict l and m to the given values."""
     problem = draw(st.sampled_from(("diffusion", "advection")))
     n = draw(st.sampled_from((16, 32)))
     exponent = draw(st.floats(0.0, 2.0))
@@ -36,8 +38,8 @@ def configs(draw, iterations=6):
     return ExperimentConfig(
         problem=problem,
         n=n,
-        m=draw(st.integers(1, 5)),
-        l=draw(st.integers(1, 4)),
+        m=draw(st.integers(1, 5) if ms is None else st.sampled_from(ms)),
+        l=draw(st.integers(1, 4) if ls is None else st.sampled_from(ls)),
         dt=DT,
         wavenumber=draw(st.integers(1, n - 1).filter(lambda k: 2 * k != n)),
         iterations=iterations,
@@ -51,13 +53,30 @@ def configs(draw, iterations=6):
 def test_fft_swept_run_equals_matrix_iterates(cfg):
     setup = build_context(cfg).setup
     u0 = np.sin(2 * np.pi * cfg.wavenumber * np.arange(cfg.n) / cfg.n)
-    comp = composite_system(setup.fine, cfg.l, u0)
+    rhs = np.zeros((cfg.l, cfg.m, cfg.n))
+    rhs[0] = u0
     p_gs, p_j = setup.composite_preconditioners
-    trace = pfasst_run_algorithmic(setup, comp.rhs, spread_initial(u0, cfg.m, cfg.l), cfg.iterations)
+    trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, cfg.m, cfg.l), cfg.iterations)
     u = trace[0]
     for k in range(1, cfg.iterations + 1):
-        u = pfasst_step_matrix(p_gs, p_j, setup.pair, comp.matrix, comp.rhs, u, cfg.m, cfg.l)
+        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs.ravel(), u)
         np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(configs(ls=(1, 2, 4), ms=(1, 3)))
+def test_iteration_matrix_equals_the_kron_oracle(cfg):
+    # the factors the matrix route applies block by block, formed as Kronecker products
+    setup = build_context(cfg).setup
+    l, m = cfg.l, cfg.m
+    p_gs, _ = setup.composite_preconditioners
+    mat = setup.composite_matrix
+    p_jacobi = np.kron(np.eye(l), setup.p_fine.matrix)
+    t_up = np.kron(np.eye(l * m), setup.pair.interpolation)
+    t_down = np.kron(np.eye(l * m), setup.pair.restriction)
+    eye = np.eye(len(mat))
+    oracle = (eye - np.linalg.solve(p_jacobi, mat)) @ (eye - t_up @ np.linalg.solve(p_gs.matrix, t_down @ mat))
+    assert np.max(np.abs(setup.iteration_matrix - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 @PROPERTY

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pfasst_lfa import solvers
 from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
 from pfasst_lfa.errors import FactorizationError, RangeError
 from pfasst_lfa.quadrature import QDelta, QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
+    BlockJacobi,
     Preconditioner,
     build_two_level_setup,
     composite_gauss_seidel,
-    composite_jacobi,
     mlsdc_iteration_matrix,
     mlsdc_preconditioner_inverse,
     mlsdc_step,
@@ -38,6 +40,13 @@ def _setup(prob, m, l, kind="implicit-euler", dt=0.1):
     fine = collocation_matrix(prob.operator, rule, dt)
     coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
     return build_two_level_setup(fine, coarse, build_ci_pair(prob.n), l, kind)
+
+
+def _first_interval_rhs(u0, m, l):
+    """The composite right-hand side: u0 on every node of the first interval, zero after."""
+    rhs = np.zeros((l, m, len(u0)))
+    rhs[0] = u0
+    return rhs.ravel()
 
 
 def test_preconditioner_solve_matches_dense_solve():
@@ -111,13 +120,17 @@ def test_composite_preconditioners_structure():
     prob, rule, cp = _small_problem(n=8)
     qd = build_qdelta(rule, "implicit-euler")
     p = sdc_preconditioner(cp, qd)
-    n_mat = composite_system(cp, 3, np.zeros(8)).n_matrix
+    n_mat = composite_system(cp, 3).n_matrix
     gs = composite_gauss_seidel(p, 3, n_mat)
     d = cp.dim
     np.testing.assert_array_equal(gs.matrix[d : 2 * d, :d], -n_mat)
     np.testing.assert_array_equal(gs.matrix[:d, d:], 0.0)
-    ja = composite_jacobi(p, 3)
-    np.testing.assert_array_equal(ja.matrix, np.kron(np.eye(3), p.matrix))
+    # the block Jacobi is solved interval by interval, against the kron oracle
+    ja = BlockJacobi(p, 3)
+    rng = np.random.default_rng(6)
+    dense = np.kron(np.eye(3), p.matrix)
+    for rhs in (rng.standard_normal(3 * d), rng.standard_normal((3 * d, 5)) + 1j * rng.standard_normal((3 * d, 5))):
+        np.testing.assert_allclose(ja.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-13)
 
 
 def test_mlsdc_step_equals_explicit_preconditioner_formula():
@@ -131,8 +144,8 @@ def test_mlsdc_step_equals_explicit_preconditioner_formula():
     rng = np.random.default_rng(9)
     c = rng.standard_normal(fine.dim)
     u = rng.standard_normal(fine.dim)
-    stepped = mlsdc_step(pf, pc, pair, fine.matrix, c, u, m)
-    p_inv = mlsdc_preconditioner_inverse(pf, pc, pair, fine.matrix, m)
+    stepped = mlsdc_step(pf, pc, pair, fine.matrix, c, u)
+    p_inv = mlsdc_preconditioner_inverse(pf, pc, pair, fine.matrix)
     expected = u + p_inv @ (c - fine.matrix @ u)
     np.testing.assert_allclose(stepped, expected, atol=1e-12)
 
@@ -145,12 +158,12 @@ def test_mlsdc_iteration_matrix_consistent_with_step():
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
     pc = sdc_preconditioner(coarse, qd)
-    t = mlsdc_iteration_matrix(pf, pc, pair, fine.matrix, m)
+    t = mlsdc_iteration_matrix(pf, pc, pair, fine.matrix)
     rng = np.random.default_rng(10)
     c = rng.standard_normal(fine.dim)
     u = rng.standard_normal(fine.dim)
     exact = np.linalg.solve(fine.matrix, c)
-    stepped = mlsdc_step(pf, pc, pair, fine.matrix, c, u, m)
+    stepped = mlsdc_step(pf, pc, pair, fine.matrix, c, u)
     np.testing.assert_allclose(stepped - exact, t @ (u - exact), atol=1e-11)
 
 
@@ -172,7 +185,7 @@ def test_mlsdc_step_rejects_broken_restriction_condition():
     # with the default spatial-only pair, the step runs fine
     c = np.zeros(fine.dim)
     u = np.zeros(fine.dim)
-    mlsdc_step(pf, pc, pair, fine.matrix, c, u, m)
+    mlsdc_step(pf, pc, pair, fine.matrix, c, u)
 
 
 @pytest.mark.parametrize("l", [1, 3])
@@ -180,13 +193,13 @@ def test_lifted_transfer_commutes_with_node_propagation(l):
     # spatial-only coarsening: the lifted restriction commutes exactly with the
     # node propagation of every interval and of the interval coupling, for every
     # M, so mlsdc_step and the PFASST matrices need no per-call check
-    from pfasst_lfa.solvers import lift_transfer
     from pfasst_lfa.transfer import node_propagation
 
     pair = build_ci_pair(16)
     coupling = np.eye(l) + np.diag(np.ones(l - 1), -1)
     for m in (1, 3, 5):
-        _, t_down = lift_transfer(pair, m, l)
+        t_down = solvers._lifted(pair.restriction, np.eye(l * m * pair.n_fine))
+        np.testing.assert_array_equal(t_down, np.kron(np.eye(l * m), pair.restriction))
         n_f = np.kron(coupling, np.kron(node_propagation(m), np.eye(pair.n_fine)))
         n_c = np.kron(coupling, np.kron(node_propagation(m), np.eye(pair.n_coarse)))
         np.testing.assert_array_equal(t_down @ n_f, n_c @ t_down)
@@ -196,19 +209,35 @@ def test_pfasst_step_matrix_matches_iteration_operator():
     n, m, l = 16, 3, 4
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     p_gs, p_j = setup.composite_preconditioners
-    u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(setup.fine, l, u0)
+    rhs = _first_interval_rhs(np.sin(2 * np.pi * np.arange(n) / n), m, l)
     t = setup.iteration_matrix
-    exact = np.linalg.solve(comp.matrix, comp.rhs)
+    exact = np.linalg.solve(setup.composite_matrix, rhs)
     rng = np.random.default_rng(4)
-    u = rng.standard_normal(comp.dim)
-    stepped = pfasst_step_matrix(p_gs, p_j, setup.pair, comp.matrix, comp.rhs, u, m, l)
+    u = rng.standard_normal(len(rhs))
+    stepped = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u)
     np.testing.assert_allclose(stepped - exact, t @ (u - exact), atol=1e-10)
+
+
+def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
+    # the block Jacobi is solved through the one-interval LU, so the only
+    # factorizations are P_fine (M*N rows) and the coarse Gauss-Seidel (L*M*N/2)
+    n, m, l = 16, 3, 4
+    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    sizes = []
+    original = scipy.linalg.lu_factor
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    assert setup.iteration_matrix.shape == (l * m * n, l * m * n)
+    assert sorted(sizes) == [(m * n, m * n), (l * m * n // 2, l * m * n // 2)]
 
 
 def test_setup_matrix_route_is_built_once_from_the_composite_system():
     setup = _setup(_small_problem(n=16, m=3)[0], 3, 4)
-    comp = composite_system(setup.fine, 4, np.zeros(16))
+    comp = composite_system(setup.fine, 4)
     np.testing.assert_array_equal(setup.composite_matrix, comp.matrix)
     assert setup.composite_preconditioners is setup.composite_preconditioners
     assert setup.iteration_matrix is setup.iteration_matrix
@@ -232,11 +261,11 @@ def test_pfasst_algorithmic_equals_matrix_form():
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     p_gs, p_j = setup.composite_preconditioners
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(setup.fine, l, u0)
-    trace = pfasst_run_algorithmic(setup, comp.rhs, spread_initial(u0, m, l), 6)
+    rhs = _first_interval_rhs(u0, m, l)
+    trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), 6)
     u = trace[0].copy()
     for k in range(1, 7):
-        u = pfasst_step_matrix(p_gs, p_j, setup.pair, comp.matrix, comp.rhs, u, m, l)
+        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u)
         np.testing.assert_allclose(trace[k], u, atol=1e-11)
 
 
@@ -262,7 +291,7 @@ def test_pfasst_algorithmic_equals_step_matrix_iterates(make, kind, l, m):
     trace = pfasst_run_algorithmic(setup, rhs, u, 5)
     np.testing.assert_array_equal(trace[0], u)
     for k in range(1, 6):
-        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u, m, l)
+        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u)
         np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
 
 
@@ -281,7 +310,7 @@ def test_pfasst_converges_to_composite_solution():
     n, m, l = 16, 3, 4
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    comp = composite_system(setup.fine, l, u0)
-    exact = np.linalg.solve(comp.matrix, comp.rhs)
-    trace = pfasst_run_algorithmic(setup, comp.rhs, spread_initial(u0, m, l), 30)
+    rhs = _first_interval_rhs(u0, m, l)
+    exact = np.linalg.solve(setup.composite_matrix, rhs)
+    trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), 30)
     assert np.max(np.abs(trace[-1] - exact)) < 1e-12
