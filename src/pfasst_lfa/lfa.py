@@ -71,12 +71,16 @@ class BlockDecomposition:
     block k and its mirror block (N/2 - k) mod N/2, with time frequency j
     paired with (L - j) mod L, are related by B' = Pi conj(B) Pi, Pi
     swapping the two harmonic halves (B_0 = conj(B_0) without the swap).
-    Mirror partners therefore have the same singular values.
+    Mirror partners therefore have the same singular values.  With ``real``
+    set (symmetric stencils, tc mode) every block is a real matrix held as
+    complex, its imaginary part round-off from the transfer phases; 2-norms
+    are taken of the real part, eigenvalues of the stored complex stack.
     """
 
     blocks: np.ndarray
     meta: TransformMeta
     mirrored: bool = False
+    real: bool = False
 
     @property
     def mode(self) -> str:
@@ -95,10 +99,15 @@ class BlockDecomposition:
         """Harmonic pairs whose singular values cover every block: k <= (N/2)//2 if mirrored."""
         return range(self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // self.meta.blocks_per_pair)
 
+    def norm_blocks(self, k: int) -> np.ndarray:
+        """The blocks of pair k in the field their 2-norms are taken in: real parts if ``real``."""
+        blocks = self.pair_blocks(k)
+        return np.ascontiguousarray(blocks.real) if self.real else blocks
+
     @cached_property
     def norm(self) -> float:
         """max ||B||_2 over the blocks, from the pairs of ``norm_pairs()``; computed once."""
-        return max(_max_norm2(self.pair_blocks(k)) for k in self.norm_pairs())
+        return max(_max_norm2(self.norm_blocks(k)) for k in self.norm_pairs())
 
 
 @dataclass(frozen=True)
@@ -115,10 +124,15 @@ class SpectralComponents:
     lam_coarse: np.ndarray  # length N/2, harmonic order
     diags: HarmonicDiagonals
     real_stencils: bool  # lambda_{N-k} = conj(lambda_k): the blocks are mirror pairs
+    symmetric_stencils: bool  # real and c_o = c_{-o}: every lambda_k is real, and so are the tc blocks
 
 
 def _real_stencil(op: CirculantOperator) -> bool:
     return bool(np.isrealobj(op.scale) and all(np.isrealobj(c) for c in op.stencil.values()))
+
+
+def _symmetric_stencil(op: CirculantOperator) -> bool:
+    return _real_stencil(op) and all(op.stencil.get(-o) == c for o, c in op.stencil.items())
 
 
 def spectral_components(setup: TwoLevelSetup) -> SpectralComponents:
@@ -135,6 +149,7 @@ def spectral_components(setup: TwoLevelSetup) -> SpectralComponents:
         lam_coarse=circulant_eigenvalues(coarse.operator),
         diags=harmonic_diagonals(setup.pair),
         real_stencils=_real_stencil(fine.operator) and _real_stencil(coarse.operator),
+        symmetric_stencils=_symmetric_stencil(fine.operator) and _symmetric_stencil(coarse.operator),
     )
 
 
@@ -196,7 +211,7 @@ def _paired_blocks(sc, k, b_system, b_smoother, b_coarse) -> np.ndarray:
     return s @ cgc
 
 
-def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray) -> BlockDecomposition:
+def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray, real: bool = False) -> BlockDecomposition:
     """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0."""
     meta = TransformMeta(mode=mode, n=sc.n, l=sc.l, m=sc.m)
     basic = _basic_blocks(sc, shift)
@@ -204,12 +219,12 @@ def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray) -> BlockDec
     blocks = np.zeros((sc.n // 2 * per, meta.block_dim, meta.block_dim), dtype=complex)
     for k in range(sc.n // 2):
         blocks[(k + 1) * per - built : (k + 1) * per] = _paired_blocks(sc, k, *basic)
-    return BlockDecomposition(blocks=blocks, meta=meta, mirrored=sc.real_stencils)
+    return BlockDecomposition(blocks=blocks, meta=meta, mirrored=sc.real_stencils, real=real)
 
 
 def tc_decompose(sc: SpectralComponents) -> BlockDecomposition:
-    """N/2 time-collocation blocks of size 2LM; an exact similarity transform."""
-    return _decompose(sc, "time-collocation", np.eye(sc.l, k=-1)[None])
+    """N/2 time-collocation blocks of size 2LM; an exact similarity transform; real with symmetric stencils."""
+    return _decompose(sc, "time-collocation", np.eye(sc.l, k=-1)[None], real=sc.symmetric_stencils)
 
 
 def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
@@ -301,8 +316,9 @@ def _max_norm2(stack: np.ndarray) -> float:
     ||X||_2 = s*sqrt(lambda_max((X/s)^T (X/s))) with s = max|X|, the scaling
     keeping the squares clear of over- and underflow.  Its relative error
     is about d*eps for d columns, and the symmetric eigensolver is about
-    twice as fast as the SVD.  A complex stack keeps the SVD, which is the
-    faster of the two there.
+    twice as fast as the SVD.  Real stacks are the dense T of ``full`` mode
+    and the real parts of symmetric-stencil tc blocks (``BlockDecomposition.real``).
+    A complex stack keeps the SVD, which is the faster of the two there.
     """
     if np.iscomplexobj(stack):
         return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
@@ -329,7 +345,8 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
 
     k = 1 is the decomposition's cached ``norm``.  One pass per harmonic
     pair of ``d.norm_pairs()`` forms B^k = B^(k-1) B for all the pair's
-    blocks at once; no power outlives its pair.
+    blocks at once, in real arithmetic if ``d.real``; no power outlives
+    its pair.
     """
     if k_max < 0:
         raise RangeError("power must be nonnegative")
@@ -338,7 +355,7 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     if k_max:
         norms[1] = d.norm
     for pair in d.norm_pairs():
-        blocks = d.pair_blocks(pair)
+        blocks = d.norm_blocks(pair)
         power = blocks
         for k in range(2, k_max + 1):
             power = power @ blocks

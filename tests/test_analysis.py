@@ -1,5 +1,6 @@
 """Error vectors, prediction strategies and phase detection."""
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -274,6 +275,22 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
     ctx = trace.context
     assert trace.aggregates["tc"]["rho"] == ctx.spectra("tc").spectral_radius
     assert trace.aggregates["full"]["norm"] == ctx.spectra("full").norm
+
+
+@pytest.mark.parametrize("problem,complex_svds", [("diffusion", False), ("advection", True)])
+def test_symmetric_stencil_tc_norms_take_no_complex_svd(monkeypatch, problem, complex_svds):
+    dtypes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    # np.linalg.norm calls the svd of its own module
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", recording)
+    run_and_compare(_small_cfg(problem, iterations=6))
+    assert any(np.issubdtype(t, np.complexfloating) for t in dtypes) == complex_svds
 
 
 def test_run_and_compare_takes_each_block_norm_once(monkeypatch):

@@ -12,7 +12,7 @@ from pfasst_lfa.errors import RangeError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import build_two_level_setup
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
-from pfasst_lfa.transfer import build_ci_pair
+from pfasst_lfa.transfer import build_ci_pair, harmonic_diagonals
 
 
 def _setup(op_f, op_c, m, l, dt, qdelta_kind="implicit-euler"):
@@ -150,6 +150,43 @@ def test_mirror_needs_real_stencils():
     assert not d.mirrored
     assert d.norm_pairs() == range(8)
     assert lfa.tc_decompose(replace(sc, real_stencils=True)).norm_pairs() == range(5)
+    assert not sc.symmetric_stencils and not d.real
+
+
+@pytest.mark.parametrize("n", [16, 32, 128, 512])
+def test_transfer_diagonals_are_real_up_to_round_off(n):
+    # premise of real tc blocks: the midpoint stencils are symmetric about the midpoint
+    for degree in range(1, 7):
+        diags = harmonic_diagonals(build_ci_pair(n, degree, degree))
+        for diag in (diags.d, diags.d_hat, diags.f, diags.f_hat):
+            assert np.max(np.abs(diag.imag)) <= 1e-15
+
+
+@pytest.mark.parametrize("l,qdelta_kind", [(1, "implicit-euler"), (4, "lu"), (7, "implicit-euler")])
+def test_symmetric_stencil_tc_blocks_are_real_and_flagged(l, qdelta_kind):
+    prob = make_diffusion(32, 5e-3)
+    _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    assert sc.symmetric_stencils
+    tc = lfa.tc_decompose(sc)
+    assert tc.real
+    assert np.max(np.abs(tc.blocks.imag)) <= 1e-14 * np.max(np.abs(tc.blocks))
+    # the stored stack stays complex; test_batched_kernel_equals_one_pair_at_a_time
+    # pins it bit for bit to the per-pair build
+    assert tc.blocks.dtype == complex
+    assert not lfa.c_decompose(sc).real  # the phases make c blocks complex
+
+
+def test_real_flag_is_false_without_symmetric_stencils():
+    _, sc = _assemble(make_advection(32, 4.88e-3), 3, 4, 0.1, "lu")
+    assert sc.real_stencils and not sc.symmetric_stencils
+    assert not lfa.tc_decompose(sc).real
+    assert not lfa.c_decompose(sc).real
+    # a real stencil with c_1 != c_{-1} is not symmetric either
+    op_f = CirculantOperator(n=16, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
+    op_c = CirculantOperator(n=8, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
+    assert not lfa.spectral_components(_setup(op_f, op_c, 2, 2, 0.1)).symmetric_stencils
+    t = _assemble(make_diffusion(16, 5e-3), 2, 2, 0.1, "lu")[0].iteration_matrix
+    assert not lfa.identity_decompose(t, 16, 2, 2).real
 
 
 @pytest.mark.parametrize("make,qdelta_kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])

@@ -17,6 +17,7 @@ from pfasst_lfa import lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context, run_and_compare
 from pfasst_lfa.cli import strategy4_exact
 from pfasst_lfa.collocation import spread_initial
+from pfasst_lfa.linalg import sort_eigenvalues
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import pfasst_run_algorithmic, pfasst_step_matrix
 from pfasst_lfa.transfer import build_ci_pair
@@ -26,9 +27,9 @@ PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def configs(draw, iterations=6, ls=None, ms=None):
-    """Small configurations; ``ls`` / ``ms`` restrict l and m to the given values."""
-    problem = draw(st.sampled_from(("diffusion", "advection")))
+def configs(draw, iterations=6, ls=None, ms=None, problems=("diffusion", "advection")):
+    """Small configurations; ``ls`` / ``ms`` / ``problems`` restrict l, m and the problem to the given values."""
+    problem = draw(st.sampled_from(problems))
     n = draw(st.sampled_from((16, 32)))
     exponent = draw(st.floats(0.0, 2.0))
     if problem == "diffusion":
@@ -84,6 +85,26 @@ def test_iteration_matrix_equals_the_kron_oracle(cfg):
 def test_tc_apply_reproduces_the_run(cfg):
     trace = run_and_compare(cfg, strategies=("apply",))
     assert strategy4_exact(trace.actual_2, trace.prediction("apply", "tc").values)
+
+
+@PROPERTY
+@given(configs(iterations=8, problems=("diffusion",)))
+def test_real_tc_norms_equal_the_complex_route(cfg):
+    d = build_context(cfg).decomposition("tc")
+    assert d.real
+    # the complex route: SVD 2-norms of the stored complex pair stacks and their powers
+    expected = np.zeros(cfg.iterations + 1)
+    expected[0] = 1.0
+    for pair in d.norm_pairs():
+        blocks = d.pair_blocks(pair)
+        power = blocks
+        for k in range(1, cfg.iterations + 1):
+            expected[k] = max(expected[k], np.max(np.linalg.norm(power, 2, axis=(-2, -1))))
+            power = power @ blocks
+    # entry 1 is the cached norm
+    np.testing.assert_allclose(lfa.block_power_norms(d, cfg.iterations), expected, rtol=1e-13, atol=0)
+    # the eigenvalues still come from the complex stack
+    assert np.array_equal(lfa.block_spectra(d).eigenvalues, sort_eigenvalues(np.linalg.eigvals(d.blocks)))
 
 
 @PROPERTY
