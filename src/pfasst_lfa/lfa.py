@@ -295,6 +295,31 @@ def apply_blocks(d: BlockDecomposition, vhat: np.ndarray, harmonics: set[int] | 
     return out
 
 
+def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
+    """max |F T F^H - diag(tc blocks)| / max(max |T|, 1): the tc similarity checked entry by entry.
+
+    F is the unitary FFT on the grid axis of the (L, M, N) layout (the
+    basis of :func:`transform_vector`), applied one row interval of T at a
+    time.  The scale is at least 1 because T can be round-off itself: T = 0
+    in exact arithmetic when M = L = 1, where Q_Delta = Q.
+    """
+    meta = d.meta
+    if meta.mode != "time-collocation":
+        raise RangeError(f"need time-collocation blocks, got mode {meta.mode!r}")
+    n, l, m, h = meta.n, meta.l, meta.m, meta.n // 2
+    # axes (pair k, half s, interval, node, half s', interval, node): harmonics s*N/2 + k and s'*N/2 + k
+    blocks = d.blocks.reshape(h, 2, l, m, 2, l, m)
+    pairs = np.arange(h)
+    worst = 0.0
+    for i, rows in enumerate(t.reshape(l, m, n, l, m, n)):
+        hat = np.fft.ifft(np.fft.fft(rows, axis=1, norm="ortho"), axis=4, norm="ortho")
+        hat = hat.reshape(m, 2, h, l, m, 2, h)
+        # every entry off the pair blocks must be 0; the pair entries are indexed (k, node, s, interval, node', s')
+        hat[:, :, pairs, :, :, :, pairs] -= blocks[:, :, i].transpose(0, 2, 1, 4, 5, 3)
+        worst = max(worst, float(np.max(np.abs(hat))))
+    return worst / max(float(np.max(np.abs(t))), 1.0)
+
+
 @dataclass(frozen=True)
 class BlockSpectra:
     """Per-block eigenvalues plus the aggregates used by the estimators.
@@ -361,78 +386,3 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
             power = power @ blocks
             norms[k] = max(norms[k], _max_norm2(power))
     return norms
-
-
-def _single_linkage(vals: np.ndarray):
-    """Single-linkage tree of eigenvalues in the complex plane; None for a single value."""
-    from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import pdist
-
-    if len(vals) == 1:
-        return None
-    return linkage(pdist(np.column_stack([vals.real, vals.imag])), method="single")
-
-
-def _clusters(vals: np.ndarray, tree, tol: float) -> list[tuple[int, complex]]:
-    """Eigenvalue clusters at one linkage distance, cut from the tree; (multiplicity, mean).
-
-    The iteration matrix has defective eigenvalues of high multiplicity; a
-    double-precision eigensolver scatters each into a ring of radius roughly
-    eps^(1/p) around the true value.  Individual ring members are therefore
-    meaningless to compare, but the cluster mean cancels the ring scatter and
-    is accurate to round-off.  Single-linkage clustering at a tolerance
-    above the scatter radius and below the cluster gaps recovers the true
-    (value, multiplicity) pairs.
-    """
-    from scipy.cluster.hierarchy import fcluster
-
-    if tree is None:
-        return [(1, complex(vals[0]))]
-    labels = fcluster(tree, tol, criterion="distance")
-    out = []
-    for c in np.unique(labels):
-        sel = vals[labels == c]
-        out.append((len(sel), complex(sel.mean())))
-    return out
-
-
-def matched_cluster_distance(
-    a: np.ndarray, b: np.ndarray, tols: tuple[float, ...] = (1e-4, 2e-4, 5e-4, 1e-3)
-) -> float:
-    """Max distance between matched eigenvalue clusters of two spectra.
-
-    Each clustering tolerance in ``tols`` is tried; the best (smallest)
-    matched distance over tolerances at which both spectra produce the same
-    cluster structure is returned, inf if no tolerance does.  The right
-    linkage scale sits between the eigensolver scatter radius and the
-    cluster gaps, and both vary with the problem size; scanning a ladder
-    avoids hand-tuning, and cannot produce a false match because the
-    returned distance itself measures the agreement of the cluster means.
-    Each spectrum's linkage tree is built once and cut at every tolerance.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    tree_a, tree_b = _single_linkage(a), _single_linkage(b)
-    best = float("inf")
-    for tol in tols:
-        best = min(best, _matched_distance(_clusters(a, tree_a, tol), _clusters(b, tree_b, tol)))
-    return best
-
-
-def _matched_distance(ca: list[tuple[int, complex]], cb: list[tuple[int, complex]]) -> float:
-    from scipy.optimize import linear_sum_assignment
-
-    if len(ca) != len(cb):
-        return float("inf")
-    if sorted(m for m, _ in ca) != sorted(m for m, _ in cb):
-        return float("inf")
-    mult_a = np.array([m for m, _ in ca])
-    mult_b = np.array([m for m, _ in cb])
-    mean_a = np.array([v for _, v in ca])
-    mean_b = np.array([v for _, v in cb])
-    cost = np.abs(mean_a[:, None] - mean_b[None, :])
-    cost = np.where(mult_a[:, None] == mult_b[None, :], cost, np.inf)
-    try:
-        rows, cols = linear_sum_assignment(cost)
-    except ValueError:  # infeasible: no multiplicity-respecting matching
-        return float("inf")
-    return float(cost[rows, cols].max())

@@ -90,15 +90,6 @@ def sdc_preconditioner(problem: CollocationProblem, qdelta: QDelta) -> Precondit
     return Preconditioner(np.eye(problem.dim) - problem.dt * np.kron(qdelta.matrix, problem.a))
 
 
-def composite_gauss_seidel(p_single: Preconditioner, l: int, n_matrix: np.ndarray) -> Preconditioner:
-    """Block lower-bidiagonal preconditioner: P blocks on the diagonal, -N below."""
-    d = p_single.matrix.shape[0]
-    mat = np.kron(np.eye(l), p_single.matrix)
-    for i in range(1, l):
-        mat[i * d : (i + 1) * d, (i - 1) * d : i * d] = -n_matrix
-    return Preconditioner(mat)
-
-
 @dataclass(frozen=True)
 class BlockJacobi:
     """kron(I_L, P): independent intervals, solved through the LU of the one-interval P.
@@ -117,8 +108,28 @@ class BlockJacobi:
         # result takes them without a transposing copy
         out = np.empty(rhs.shape, dtype=np.result_type(rhs, float), order="F")
         for i in range(self.l):
-            out[i * d : (i + 1) * d] = self.block.solve(rhs[i * d : (i + 1) * d])
+            r = rhs[i * d : (i + 1) * d]
+            out[i * d : (i + 1) * d] = self.block.solve(self._coupled(r, out[(i - 1) * d : i * d]) if i else r)
         return out
+
+    def _coupled(self, r: np.ndarray, previous: np.ndarray) -> np.ndarray:
+        """The right-hand side of interval i > 0 given x_{i-1}: r_i itself, the intervals being independent."""
+        return r
+
+
+@dataclass(frozen=True)
+class BlockGaussSeidel(BlockJacobi):
+    """P blocks on the diagonal, -N = -kron(coupling, I) below: forward substitution over the intervals.
+
+    x_i = P^{-1}(r_i + N x_{i-1}); the M x M ``coupling`` acts on the node
+    axis of each interval, so neither N nor the (L*d) x (L*d) matrix is formed.
+    """
+
+    coupling: np.ndarray
+
+    def _coupled(self, r: np.ndarray, previous: np.ndarray) -> np.ndarray:
+        """r_i + N x_{i-1}."""
+        return r + (self.coupling @ previous.reshape(len(self.coupling), -1)).reshape(previous.shape)
 
 
 def richardson_step(p: Preconditioner, m: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -138,7 +149,7 @@ def _lifted(transfer: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def mlsdc_step(
     fine: Preconditioner | BlockJacobi,
-    coarse: Preconditioner,
+    coarse: Preconditioner | BlockGaussSeidel,
     pair: TransferPair,
     m: np.ndarray,
     c: np.ndarray,
@@ -160,7 +171,7 @@ def mlsdc_preconditioner_inverse(
 
 
 def pfasst_step_matrix(
-    coarse_gs: Preconditioner,
+    coarse_gs: BlockGaussSeidel,
     fine_jacobi: BlockJacobi,
     pair: TransferPair,
     m: np.ndarray,
@@ -196,7 +207,7 @@ def _identity_minus(x: np.ndarray) -> np.ndarray:
 
 
 def pfasst_iteration_matrix(
-    coarse_gs: Preconditioner, fine_jacobi: BlockJacobi, pair: TransferPair, m: np.ndarray
+    coarse_gs: BlockGaussSeidel, fine_jacobi: BlockJacobi, pair: TransferPair, m: np.ndarray
 ) -> np.ndarray:
     """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
 
@@ -250,10 +261,10 @@ class TwoLevelSetup:
         return composite_system(self.fine, self.l).matrix
 
     @cached_property
-    def composite_preconditioners(self) -> tuple[Preconditioner, BlockJacobi]:
+    def composite_preconditioners(self) -> tuple[BlockGaussSeidel, BlockJacobi]:
         """(coarse block Gauss-Seidel, fine block Jacobi) on the full domain."""
-        n_c = np.kron(node_propagation(self.m_nodes), np.eye(self.coarse.n_space))
-        return composite_gauss_seidel(self.p_coarse, self.l, n_c), BlockJacobi(self.p_fine, self.l)
+        coarse_gs = BlockGaussSeidel(self.p_coarse, self.l, node_propagation(self.m_nodes))
+        return coarse_gs, BlockJacobi(self.p_fine, self.l)
 
     @cached_property
     def iteration_matrix(self) -> np.ndarray:

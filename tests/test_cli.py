@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import clusters
 from pfasst_lfa import analysis, lfa, solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
@@ -99,7 +100,7 @@ def test_full_spectrum_csv_is_the_sorted_matrix_spectrum(tmp_path):
     np.testing.assert_array_equal(vals, sort_eigenvalues(vals))
     ctx = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l))
     t = ctx.setup.iteration_matrix
-    assert lfa.matched_cluster_distance(vals, np.linalg.eigvals(t)) < 1e-8
+    assert clusters.matched_cluster_distance(vals, np.linalg.eigvals(t)) < 1e-8
 
 
 @pytest.mark.parametrize("mu", ["1", "3", "10", "30"])
@@ -150,6 +151,19 @@ def test_analyze_reruns_are_byte_identical(tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_analyze_records_the_tc_similarity_residual_with_tc_and_full(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        out = _analyze(tmp_path / name, "--blocks", "tc,full")
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    residual = json.loads(reports[0])["checks"]["tc_similarity_residual"]
+    assert 0.0 < residual <= 1e-14
+    for blocks in ("tc", "full", "c,full"):
+        out = _analyze(tmp_path / blocks, "--blocks", blocks)
+        assert "tc_similarity_residual" not in json.loads((out / "report.json").read_text())["checks"]
 
 
 def test_analyze_zero_iterations_single_row(tmp_path):
@@ -297,6 +311,16 @@ def test_verify_shares_one_composite_matrix(monkeypatch):
 
 def test_verify_small_passes():
     assert main(["verify", "--scale", "small"]) == EXIT_OK
+
+
+def test_verify_computes_no_dense_eigenvalues(monkeypatch, capsys):
+    calls = []
+    original = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or original(a))
+    assert main(["verify", "--scale", "small"]) == EXIT_OK
+    assert calls == []
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("tc blocks vs transformed T"))
+    assert float(row.split()[-3]) <= 1e-14
 
 
 def test_verify_detects_qdelta_mutation():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import clusters
 from pfasst_lfa import lfa
 from pfasst_lfa.collocation import collocation_matrix
 from pfasst_lfa.errors import RangeError
@@ -207,8 +208,30 @@ def test_tc_eigenvalues_match_full_spectrum_via_clusters():
     prob = make_diffusion(16, 5e-3)
     setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
     d = lfa.tc_decompose(sc)
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d))
+    dist = clusters.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d))
     assert dist < 1e-8
+
+
+@pytest.mark.parametrize(
+    "make,coefficient,qdelta_kind",
+    [(make_diffusion, 5e-3, "implicit-euler"), (make_advection, 4.88e-3, "lu")],
+)
+def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qdelta_kind):
+    n, m, l, delta = 16, 3, 4, 1e-9
+    setup, sc = _assemble(make(n, coefficient), m, l, 0.1, qdelta_kind)
+    t, d = setup.iteration_matrix, lfa.tc_decompose(sc)
+    scale = max(np.max(np.abs(t)), 1.0)
+    assert lfa.tc_similarity_residual(t, d) <= 1e-14
+    # one tc block entry: the deviation is the change itself
+    blocks = d.blocks.copy()
+    blocks[3, 5, 17] += delta
+    assert lfa.tc_similarity_residual(t, replace(d, blocks=blocks)) == pytest.approx(delta / scale, rel=1e-4)
+    # one entry of T: the unitary transforms spread it over N^2 entries of modulus delta/N
+    changed = t.copy()
+    changed[20, 100] += delta
+    assert lfa.tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
+    with pytest.raises(RangeError):
+        lfa.tc_similarity_residual(t, lfa.c_decompose(sc))
 
 
 def _interval_blocks(d, l, m):
@@ -236,7 +259,7 @@ def test_tc_blocks_are_block_lower_triangular_over_intervals(make, coefficient, 
         np.testing.assert_allclose(blocks[:, i, :, i], one.blocks, rtol=0, atol=1e-14)
         for j in range(i):
             np.testing.assert_allclose(blocks[:, i, :, j], blocks[:, i - j, :, 0], rtol=0, atol=1e-14)
-    dist = lfa.matched_cluster_distance(_eigenvalues(d), np.tile(_eigenvalues(one), l))
+    dist = clusters.matched_cluster_distance(_eigenvalues(d), np.tile(_eigenvalues(one), l))
     assert dist < 1e-8
 
 
@@ -311,7 +334,7 @@ def test_identity_block_spectra_and_power_norms_match_the_matrix():
     eig = np.linalg.eigvals(t)
     assert bs.spectral_radius == pytest.approx(np.max(np.abs(eig)), rel=1e-12)
     assert bs.eigenvalues.shape == (1, l * m * n)
-    assert lfa.matched_cluster_distance(_eigenvalues(d), eig) < 1e-8
+    assert clusters.matched_cluster_distance(_eigenvalues(d), eig) < 1e-8
     assert bs.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
     norms = lfa.block_power_norms(d, 6)
     for k in range(7):
@@ -357,7 +380,7 @@ def test_c_blocks_match_periodic_composite_oracle():
     setup = _setup(op_f, op_c, m, l, dt)
     d = _all_c_blocks(lfa.spectral_components(setup))
     t = _periodic_full_matrix(setup)
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(t), _eigenvalues(d))
+    dist = clusters.matched_cluster_distance(np.linalg.eigvals(t), _eigenvalues(d))
     assert dist < 1e-8
 
 
@@ -420,7 +443,7 @@ def test_matched_cluster_distance_detects_mutation():
     setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
     sc_bad = replace(sc, qdelta=-sc.qdelta)
     d_bad = lfa.tc_decompose(sc_bad)
-    dist = lfa.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d_bad))
+    dist = clusters.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d_bad))
     assert dist > 1e-8
 
 
@@ -456,19 +479,19 @@ def test_matched_cluster_distance_equals_per_tolerance_recomputation():
     a = np.concatenate([0.5 + 3e-4 * ring, singles])
     b = np.concatenate([0.5 + 2e-5 * ring[::-1] + 1e-6, singles + 1e-7])
     tols = (1e-4, 2e-4, 5e-4, 1e-3)
-    per_tol = [lfa.matched_cluster_distance(a, b, (tol,)) for tol in tols]
+    per_tol = [clusters.matched_cluster_distance(a, b, (tol,)) for tol in tols]
     assert np.isinf(per_tol[0]) and np.isfinite(per_tol[-1])
-    assert lfa.matched_cluster_distance(a, b, tols) == min(per_tol)
+    assert clusters.matched_cluster_distance(a, b, tols) == min(per_tol)
     # the clusters cut from one tree are the clusters of a fresh linkage at each tolerance
-    tree = lfa._single_linkage(a)
+    tree = clusters._single_linkage(a)
     for tol in tols:
         points = np.column_stack([a.real, a.imag])
         labels = fcluster(linkage(pdist(points), method="single"), tol, criterion="distance")
         fresh = [(int(np.sum(labels == c)), complex(a[labels == c].mean())) for c in np.unique(labels)]
-        assert lfa._clusters(a, tree, tol) == fresh
+        assert clusters._clusters(a, tree, tol) == fresh
     # and on a real pair of spectra
     setup, sc = _assemble(make_diffusion(16, 5e-3), 3, 4, 0.1, "implicit-euler")
     full, blocks = np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(lfa.tc_decompose(sc))
-    assert lfa.matched_cluster_distance(full, blocks, tols) == min(
-        lfa.matched_cluster_distance(full, blocks, (tol,)) for tol in tols
+    assert clusters.matched_cluster_distance(full, blocks, tols) == min(
+        clusters.matched_cluster_distance(full, blocks, (tol,)) for tol in tols
     )

@@ -9,10 +9,10 @@ from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_
 from pfasst_lfa.errors import FactorizationError, RangeError
 from pfasst_lfa.quadrature import QDelta, QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
+    BlockGaussSeidel,
     BlockJacobi,
     Preconditioner,
     build_two_level_setup,
-    composite_gauss_seidel,
     mlsdc_iteration_matrix,
     mlsdc_preconditioner_inverse,
     mlsdc_step,
@@ -24,7 +24,7 @@ from pfasst_lfa.solvers import (
     sdc_preconditioner,
 )
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
-from pfasst_lfa.transfer import build_ci_pair
+from pfasst_lfa.transfer import build_ci_pair, node_propagation
 
 
 def _small_problem(n=16, m=3, dt=0.1, nu=None):
@@ -121,16 +121,19 @@ def test_composite_preconditioners_structure():
     qd = build_qdelta(rule, "implicit-euler")
     p = sdc_preconditioner(cp, qd)
     n_mat = composite_system(cp, 3).n_matrix
-    gs = composite_gauss_seidel(p, 3, n_mat)
     d = cp.dim
-    np.testing.assert_array_equal(gs.matrix[d : 2 * d, :d], -n_mat)
-    np.testing.assert_array_equal(gs.matrix[:d, d:], 0.0)
-    # the block Jacobi is solved interval by interval, against the kron oracle
+    # oracles: the dense block lower-bidiagonal Gauss-Seidel and the kron block Jacobi
+    dense_gs = np.kron(np.eye(3), p.matrix)
+    for i in range(1, 3):
+        dense_gs[i * d : (i + 1) * d, (i - 1) * d : i * d] = -n_mat
+    dense_jacobi = np.kron(np.eye(3), p.matrix)
+    # both are solved interval by interval through the one-interval LU
+    gs = BlockGaussSeidel(p, 3, node_propagation(rule.m))
     ja = BlockJacobi(p, 3)
     rng = np.random.default_rng(6)
-    dense = np.kron(np.eye(3), p.matrix)
     for rhs in (rng.standard_normal(3 * d), rng.standard_normal((3 * d, 5)) + 1j * rng.standard_normal((3 * d, 5))):
-        np.testing.assert_allclose(ja.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-13)
+        np.testing.assert_allclose(gs.solve(rhs), np.linalg.solve(dense_gs, rhs), atol=1e-13)
+        np.testing.assert_allclose(ja.solve(rhs), np.linalg.solve(dense_jacobi, rhs), atol=1e-13)
 
 
 def test_mlsdc_step_equals_explicit_preconditioner_formula():
@@ -193,8 +196,6 @@ def test_lifted_transfer_commutes_with_node_propagation(l):
     # spatial-only coarsening: the lifted restriction commutes exactly with the
     # node propagation of every interval and of the interval coupling, for every
     # M, so mlsdc_step and the PFASST matrices need no per-call check
-    from pfasst_lfa.transfer import node_propagation
-
     pair = build_ci_pair(16)
     coupling = np.eye(l) + np.diag(np.ones(l - 1), -1)
     for m in (1, 3, 5):
@@ -219,8 +220,8 @@ def test_pfasst_step_matrix_matches_iteration_operator():
 
 
 def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
-    # the block Jacobi is solved through the one-interval LU, so the only
-    # factorizations are P_fine (M*N rows) and the coarse Gauss-Seidel (L*M*N/2)
+    # both block preconditioners are solved through the one-interval LU, so
+    # the only factorizations are P_fine (M*N rows) and P_coarse (M*N/2 rows)
     n, m, l = 16, 3, 4
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     sizes = []
@@ -232,7 +233,7 @@ def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
     assert setup.iteration_matrix.shape == (l * m * n, l * m * n)
-    assert sorted(sizes) == [(m * n, m * n), (l * m * n // 2, l * m * n // 2)]
+    assert sorted(sizes) == [(m * n // 2, m * n // 2), (m * n, m * n)]
 
 
 def test_setup_matrix_route_is_built_once_from_the_composite_system():
