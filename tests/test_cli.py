@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import clusters
-from pfasst_lfa import analysis, lfa, solvers
+from pfasst_lfa import analysis, solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
 from pfasst_lfa.linalg import sort_eigenvalues
