@@ -7,10 +7,11 @@ Two subcommands:
   verify    run the cross-module equivalence suite and print a check table
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 verification
-failure.  CSV files use a decimal point, scientific notation with 17
-significant digits, LF line endings and a leading header row; identical
-configurations produce byte-identical CSV files and report.json (timings.json
-holds the only run-dependent values).
+failure (verify, or an analyze --blocks tc,full whose tc blocks differ from
+the iteration matrix; it writes its artifacts first).  CSV files use a decimal
+point, scientific notation with 17 significant digits, LF line endings and a
+leading header row; identical configurations produce byte-identical CSV files
+and report.json (timings.json holds the only run-dependent values).
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ EXIT_VERIFICATION = 4
 # relative; the worst measured on that grid is 9e-12.
 STRATEGY4_FLOOR = 1e-6
 STRATEGY4_RTOL = 1e-8
-# Verify check 2: lfa.tc_similarity_residual is round-off, 7.9e-16 (small) and
-# 9.9e-16 (large), and at most 1.4e-14 on small configs up to mu = 100; a
-# negated Q_Delta reads 3.1e7 (small) and 3.2e16 (large).
+# Verify check 2 and the analyze --blocks tc,full gate: lfa.tc_similarity_residual
+# is round-off, 7.9e-16 (small) and 9.9e-16 (large), at most 1.4e-14 on small
+# configs up to mu = 100 and 9.9e-15 on the n = 32 dense-verify benchmark
+# configs of seeds 0-20; a negated Q_Delta reads 3.1e7 (small) and 3.2e16 (large).
 TC_SIMILARITY_TOL = 1e-12
 
 
@@ -215,12 +217,22 @@ def cmd_analyze(args, parser) -> int:
         },
         "checks": checks,
         "error_measurement_consistency": trace.consistency_gap(),
+        "numerics": {
+            "node_sweep_condition": {
+                "fine": trace.context.setup.fine_sweep.condition,
+                "coarse": trace.context.setup.coarse_sweep.condition,
+            },
+        },
         "files": [trace_path.name, spectrum_path.name, "report.json", "timings.json"],
     }
     if cfg.problem == "advection":
         report["cfl"] = trace.context.fine.cfl(cfg.dt)
     _write_json(out / "report.json", report)
     _write_json(out / "timings.json", {"wall_time_seconds": timings})
+    residual = checks.get("tc_similarity_residual", 0.0)
+    if not residual <= TC_SIMILARITY_TOL:
+        print(f"error: tc similarity residual {residual:.3e} > {TC_SIMILARITY_TOL:.0e}", file=sys.stderr)
+        return EXIT_VERIFICATION
     return EXIT_OK
 
 

@@ -11,12 +11,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DegeneracyError, FactorizationError, RangeError
 
 MAX_NODES = 12
 QDELTA_KINDS = ("implicit-euler", "lu")
+
+# The m - 1 roots of the Jacobi polynomial P_{m-1}^{(1,0)} on (-1, 1), ascending,
+# for m = 2..MAX_NODES, as scipy.special.roots_jacobi(m - 1, 1, 0) returns them
+# (scipy 1.17.1), written with repr so each float round-trips exactly.  They are
+# constants of the rule; tabulating them keeps scipy out of the analysis path.
+JACOBI_ROOTS = {
+    2: (-0.3333333333333333,),
+    3: (-0.6898979485566357, 0.2898979485566358),
+    4: (-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+    5: (-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389),
+    6: (
+        -0.9203802858970626, -0.6039731642527836, -0.1240503795052277, 0.39092854670727223,
+        0.8029298284023472,
+    ),
+    7: (
+        -0.9413671456804301, -0.7038428006630314, -0.3260306194376914, 0.1173430375431003,
+        0.538467724060109, 0.8538913426394822,
+    ),
+    8: (
+        -0.955041227122575, -0.7706418936781917, -0.4684203544308209, -0.09430725266111074,
+        0.2947505657736607, 0.6395186165262152, 0.8874748789261557,
+    ),
+    9: (
+        -0.9644401697052731, -0.817352784200412, -0.5713830412087385, -0.2561356708334554,
+        0.09037336960685335, 0.4263504857111389, 0.7112674859157089, 0.9107320894200603,
+    ),
+    10: (
+        -0.9711751807022471, -0.8512252205816078, -0.6477666876740094, -0.3806648401447244,
+        -0.07605919783797811, 0.23623446939058804, 0.5256460303700793, 0.7638420424200026,
+        0.9274843742335811,
+    ),
+    11: (
+        -0.9761647731351688, -0.8765358562457037, -0.7057771007138595, -0.4776806479830877,
+        -0.21072030622842625, 0.0734775314313213, 0.3518889233533302, 0.6019578420737977,
+        0.8034219755802935, 0.939941935677027,
+    ),
+    12: (
+        -0.9799634390766392, -0.8959290977456389, -0.7507615497111139, -0.5543187859123242,
+        -0.3199836841706695, -0.06372477382083189, 0.1969945595342783, 0.4444065697819358,
+        0.6616497992456372, 0.8339167731051897, 0.9494527592049593,
+    ),
+}
 
 
 def radau_nodes(m: int) -> np.ndarray:
@@ -29,7 +70,7 @@ def radau_nodes(m: int) -> np.ndarray:
         raise RangeError(f"radau_nodes supports 1 <= m <= {MAX_NODES}, got {m}")
     if m == 1:
         return np.array([1.0])
-    interior, _ = roots_jacobi(m - 1, 1.0, 0.0)
+    interior = np.array(JACOBI_ROOTS[m])
     nodes = np.concatenate(((interior + 1.0) / 2.0, [1.0]))
     return np.sort(nodes)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .collocation import CollocationProblem, composite_system
 from .errors import FactorizationError, RangeError
@@ -22,6 +21,8 @@ from .transfer import TransferPair, node_propagation
 
 def _lu_factor(matrix: np.ndarray) -> tuple:
     """scipy LU factors; a zero pivot or a failed factorization is a FactorizationError."""
+    import scipy.linalg  # only the matrix route factors: the tc and c analyses never import scipy
+
     try:
         with warnings.catch_warnings():
             # the zero-pivot check below turns the warning into an error
@@ -42,6 +43,8 @@ class Preconditioner:
     _lu: tuple = field(default=None, repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        import scipy.linalg
+
         if self._lu is None:
             self._lu = _lu_factor(self.matrix)
         return scipy.linalg.lu_solve(self._lu, rhs)
@@ -74,6 +77,12 @@ class NodeSweep:
             xhat[..., i, :] /= denominator
         x = np.fft.ifft(xhat, axis=-1)
         return x if np.iscomplexobj(r) else x.real
+
+    @property
+    def condition(self) -> float:
+        """max/min |denominator|: the spread of the sweep's pivots, cond_2(P) when Q_Delta is diagonal."""
+        magnitudes = np.abs(self.denominators)
+        return float(magnitudes.max() / magnitudes.min())
 
 
 def node_sweep(problem: CollocationProblem, qdelta: QDelta) -> NodeSweep:

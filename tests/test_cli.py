@@ -1,18 +1,22 @@
 """Command-line interface: artifacts, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clusters
-from pfasst_lfa import analysis, solvers
+from pfasst_lfa import analysis, lfa, solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
 from pfasst_lfa.linalg import sort_eigenvalues
 
 
-def _analyze(tmp_path, *extra):
+def _analyze(tmp_path, *extra, code=EXIT_OK):
     out = tmp_path / "out"
     args = [
         "analyze",
@@ -32,7 +36,7 @@ def _analyze(tmp_path, *extra):
         str(out),
         *extra,
     ]
-    assert main(args) == EXIT_OK
+    assert main(args) == code
     return out
 
 
@@ -164,6 +168,46 @@ def test_analyze_records_the_tc_similarity_residual_with_tc_and_full(tmp_path):
     for blocks in ("tc", "full", "c,full"):
         out = _analyze(tmp_path / blocks, "--blocks", blocks)
         assert "tc_similarity_residual" not in json.loads((out / "report.json").read_text())["checks"]
+
+
+def test_analyze_exits_4_after_writing_artifacts_when_tc_differs_from_t(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(lfa, "tc_similarity_residual", lambda t, tc: 1.0)
+    out = _analyze(tmp_path, "--blocks", "tc,full", code=EXIT_VERIFICATION)
+    assert json.loads((out / "report.json").read_text())["checks"]["tc_similarity_residual"] == 1.0
+    assert {"trace.csv", "spectrum.csv", "timings.json"} <= {p.name for p in out.iterdir()}
+    assert "tc similarity residual 1.000e+00 > 1e-12" in capsys.readouterr().err
+
+
+def test_analyze_reports_the_node_sweep_condition_in_closed_form(tmp_path):
+    # M = 1 implicit Euler: the pivots are 1 - dt*lambda over the Laplacian's
+    # spectrum [-4 nu/dx^2, 0], so the spread is 1 + 4 mu; the coarse grid
+    # has twice the spacing and a quarter of the mesh ratio
+    out = _analyze(tmp_path, "--m", "1", "--l", "2")
+    condition = json.loads((out / "report.json").read_text())["numerics"]["node_sweep_condition"]
+    assert condition["fine"] == pytest.approx(1 + 4 * 10.0, rel=1e-14)
+    assert condition["coarse"] == pytest.approx(1 + 10.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("blocks", ["tc,c", "full"])
+def test_analyze_cold_start_imports_scipy_only_for_the_matrix_route(tmp_path, blocks):
+    # a fresh interpreter: the tc and c analyses import numpy alone, and only
+    # the matrix route loads scipy, for its LU
+    code = (
+        "import sys\n"
+        "from pfasst_lfa.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    argv = ["analyze", "--problem", "advection", "--coefficient", "0.5", "--n", "16", "--m", "3", "--l", "2",
+            "--iterations", "3", "--blocks", blocks, "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = proc.stdout.split()
+    if blocks == "full":
+        assert "scipy.linalg" in loaded
+    else:
+        assert loaded == []
 
 
 def test_analyze_zero_iterations_single_row(tmp_path):

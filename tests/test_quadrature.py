@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from pfasst_lfa.errors import DegeneracyError, RangeError
 from pfasst_lfa.quadrature import (
+    JACOBI_ROOTS,
+    MAX_NODES,
     QuadratureRule,
     build_q,
     build_qdelta,
@@ -40,6 +43,12 @@ def test_radau_nodes_in_half_open_interval_ascending(m):
     assert nodes[-1] == 1.0
     assert np.all(nodes > 0.0)
     assert np.all(np.diff(nodes) > 0)
+
+
+def test_jacobi_root_table_matches_scipy():
+    assert list(JACOBI_ROOTS) == list(range(2, MAX_NODES + 1))
+    for m, roots in JACOBI_ROOTS.items():
+        np.testing.assert_array_max_ulp(np.array(roots), roots_jacobi(m - 1, 1.0, 0.0)[0], maxulp=2)
 
 
 @pytest.mark.parametrize("m", [0, -1, 13])

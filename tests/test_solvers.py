@@ -23,7 +23,13 @@ from pfasst_lfa.solvers import (
     sdc_iteration_matrix,
     sdc_preconditioner,
 )
-from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
+from pfasst_lfa.space_operators import (
+    CirculantOperator,
+    circulant_eigenvalues,
+    coarsen,
+    make_advection,
+    make_diffusion,
+)
 from pfasst_lfa.transfer import build_ci_pair, node_propagation
 
 
@@ -78,6 +84,17 @@ def test_node_sweep_equals_dense_preconditioner(kind, make, coefficient, complex
     x = node_sweep(cp, qd).solve(r)
     assert np.iscomplexobj(x) == complex_stack  # real input gives real output
     np.testing.assert_allclose(x, dense, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "make,coefficient,kind", [(make_diffusion, 0.05, "implicit-euler"), (make_advection, 0.5, "lu")]
+)
+def test_node_sweep_condition_is_the_pivot_spread_of_each_stencil(make, coefficient, kind):
+    prob = make(16, coefficient)
+    setup = _setup(prob, 3, 2, kind)
+    for level, sweep in ((prob, setup.fine_sweep), (coarsen(prob), setup.coarse_sweep)):
+        pivots = np.abs(1.0 - 0.1 * np.outer(np.diag(setup.qdelta.matrix), circulant_eigenvalues(level.operator)))
+        assert sweep.condition == pytest.approx(pivots.max() / pivots.min(), rel=1e-13)
 
 
 def test_node_sweep_rejects_singular_node_factor():
