@@ -206,11 +206,6 @@ def exact_trajectory(ctx: ExperimentContext) -> np.ndarray:
     return out.ravel()
 
 
-def error_vector(ctx: ExperimentContext, iterate: np.ndarray) -> np.ndarray:
-    """Difference between a space-time iterate and the analytic solution."""
-    return np.asarray(iterate) - ctx.trajectory
-
-
 def manufactured_rhs(ctx: ExperimentContext) -> np.ndarray:
     """Per-interval right-hand sides whose discrete solution is the analytic one.
 
@@ -305,13 +300,55 @@ def _segment_sse(y: np.ndarray) -> tuple[float, float]:
     return float(resid @ resid), float(coeffs[0])
 
 
+def _segment_sses(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The least-squares line SSE of every segment y[a:b] in closed form, an (n+1, n+1) array, and its round-off.
+
+    S_yy - S_y^2/c - S_xy^2/S_xx for c points, from prefix sums of y, y^2
+    and i*y, with x centered on the segment and y on its mean (which
+    changes no SSE).  The round-off is below 8 n^3 eps sum(y^2); a
+    non-finite y gives NaN.
+    """
+    n = len(y)
+    with np.errstate(all="ignore"):
+        y_c = y - y.mean()
+        s_y, s_yy, s_iy = (np.concatenate([[0.0], np.cumsum(v)]) for v in (y_c, y_c * y_c, np.arange(n) * y_c))
+        a, b = np.ogrid[: n + 1, : n + 1]
+        c = (b - a).astype(float)
+        sy = s_y[b] - s_y[a]
+        sxy = s_iy[b] - s_iy[a] - 0.5 * (a + b - 1) * sy
+        sse = s_yy[b] - s_yy[a] - sy**2 / c - sxy**2 / (c * (c**2 - 1) / 12)
+    return sse, 8 * n**3 * np.finfo(float).eps * s_yy[-1]
+
+
+def _best_split(y: np.ndarray, splits: list[tuple[int, ...]], seg: np.ndarray, margin: float):
+    """(sse, boundaries, slopes) of the split that ``_segment_sse`` fits best, the first on a tie; None without splits.
+
+    ``splits`` lists each split's inner boundaries.  Only the splits whose
+    closed-form SSE from ``seg`` lies within ``margin`` of the least are
+    refitted, so the choice and its numbers are those of refitting every
+    split.  NaN SSEs refit every split.
+    """
+    if not splits:
+        return None
+    edges = np.array([(0, *split, len(y)) for split in splits])
+    totals = seg[edges[:, :-1], edges[:, 1:]].sum(axis=1)
+    best = None
+    for row in edges[~(totals > np.min(totals) + margin)].tolist():
+        fits = [_segment_sse(y[lo:hi]) for lo, hi in zip(row, row[1:])]
+        total = sum(sse for sse, _ in fits)
+        if best is None or total < best[0]:
+            best = (total, row[:-1], [slope for _, slope in fits])
+    return best
+
+
 def detect_phases(errors: np.ndarray, min_len: int = 3, improvement: float = 0.25, rel_floor: float = 1e-14) -> PhaseSegmentation:
     """Segment log10(error) into 1-3 linear pieces.
 
     An extra segment is accepted only when it shrinks the fit residual by
     more than the improvement fraction.  Values below rel_floor times the
     initial error are excluded: they sit outside the observable range of a
-    double-precision run and carry no slope information.
+    double-precision run and carry no slope information.  The best 2- and
+    3-segment splits are found from closed-form segment residuals.
     """
     errors = np.asarray(errors, dtype=float)
     mask = errors > rel_floor * errors[0]
@@ -328,22 +365,10 @@ def detect_phases(errors: np.ndarray, min_len: int = 3, improvement: float = 0.2
     if sse1 <= noise_sse:
         return PhaseSegmentation(boundaries=[0], slopes=[slope1], residuals=[sse1])
 
-    best2 = None
-    for b in range(min_len, n - min_len + 1):
-        s_a, sl_a = _segment_sse(y[:b])
-        s_b, sl_b = _segment_sse(y[b:])
-        if best2 is None or s_a + s_b < best2[0]:
-            best2 = (s_a + s_b, [0, b], [sl_a, sl_b])
-
-    best3 = None
-    for b1 in range(min_len, n - 2 * min_len + 1):
-        s_a, sl_a = _segment_sse(y[:b1])
-        for b2 in range(b1 + min_len, n - min_len + 1):
-            s_b, sl_b = _segment_sse(y[b1:b2])
-            s_c, sl_c = _segment_sse(y[b2:])
-            total = s_a + s_b + s_c
-            if best3 is None or total < best3[0]:
-                best3 = (total, [0, b1, b2], [sl_a, sl_b, sl_c])
+    seg, margin = _segment_sses(y)
+    starts = range(min_len, n - min_len + 1)
+    best2 = _best_split(y, [(b,) for b in starts], seg, margin)
+    best3 = _best_split(y, [(b1, b2) for b1 in starts for b2 in starts if b2 - b1 >= min_len], seg, margin)
 
     residuals = [sse1, best2[0], best3[0] if best3 else best2[0]]
     if best2[0] >= (1.0 - improvement) * sse1:
@@ -395,12 +420,13 @@ def run_and_compare(
     ctx = build_context(cfg)
     u_ex = ctx.trajectory
     e0 = ctx.initial_error
-    error_trace = pfasst_run_algorithmic(ctx.setup, np.zeros_like(e0), e0, cfg.iterations)
-    actual_inf = np.array([np.max(np.abs(e)) for e in error_trace])
-    actual_2 = np.array([np.linalg.norm(e) for e in error_trace])
-    u_trace = pfasst_run_algorithmic(ctx.setup, manufactured_rhs(ctx), ctx.initial_iterate, cfg.iterations)
-    u_run_inf = np.array([np.max(np.abs(u - u_ex)) for u in u_trace])
-    u_run_2 = np.array([np.linalg.norm(u - u_ex) for u in u_trace])
+    # the propagated error (zero rhs) and the manufactured run, stacked into one run
+    rhs = np.stack([np.zeros_like(e0), manufactured_rhs(ctx).ravel()])
+    trace = pfasst_run_algorithmic(ctx.setup, rhs, np.stack([e0, ctx.initial_iterate]), cfg.iterations)
+    actual_inf = np.array([np.max(np.abs(e)) for e, _ in trace])
+    actual_2 = np.array([np.linalg.norm(e) for e, _ in trace])
+    u_run_inf = np.array([np.max(np.abs(u - u_ex)) for _, u in trace])
+    u_run_2 = np.array([np.linalg.norm(u - u_ex) for _, u in trace])
 
     predictions = [
         predict(ctx, strategy, mode)

@@ -59,16 +59,12 @@ STRATEGY4_RTOL = 1e-8
 TC_SIMILARITY_TOL = 1e-12
 
 
-def _fmt(x: float) -> str:
-    """Scientific notation with 17 significant digits."""
-    return f"{x:.16e}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], table: np.ndarray, int_columns: int) -> None:
+    """Write the header and the table in one %-format: int_columns integers, then 17-digit scientific notation."""
+    rows, cols = table.shape
+    row = ",".join(["%d"] * int_columns + ["%.16e"] * (cols - int_columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n" + row * rows % tuple(table.ravel().tolist()))
 
 
 def strategy4_exact(actual_2: np.ndarray, apply_2: np.ndarray) -> bool:
@@ -157,20 +153,18 @@ def cmd_analyze(args, parser) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    rows = [[str(k)] + [_fmt(values[k]) for values in columns.values()] for k in range(cfg.iterations + 1)]
     trace_path = out / "trace.csv"
-    _write_csv(trace_path, ["iteration", *columns], rows)
+    table = np.column_stack([np.arange(cfg.iterations + 1), *columns.values()])
+    _write_csv(trace_path, ["iteration", *columns], table, 1)
 
     spectrum_mode = block_modes[0]
     spectrum_path = out / "spectrum.csv"
-    spec_rows = []
     spectra = trace.context.spectra(spectrum_mode)
-    for vals, idx in zip(spectra.eigenvalues, spectra.index):
-        block_k = idx[0]
-        block_j = idx[1] if len(idx) > 1 else -1
-        for v in vals:
-            spec_rows.append([str(block_k), str(block_j), _fmt(v.real), _fmt(v.imag)])
-    _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], spec_rows)
+    # one row per eigenvalue: block k, time frequency j (-1 without one), real and imaginary part
+    index = np.array([(idx[0], idx[1] if len(idx) > 1 else -1) for idx in spectra.index])
+    vals = spectra.eigenvalues
+    table = np.column_stack([np.repeat(index, vals.shape[1], axis=0), vals.real.ravel(), vals.imag.ravel()])
+    _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], table, 2)
     timings["write_outputs"] = time.perf_counter() - t0
 
     checks = {"bound_chain_2norm": True, "strategy4_tc_exact": None}

@@ -24,6 +24,11 @@ from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator, circulant_eigenvalues
 from .transfer import HarmonicDiagonals, harmonic_diagonals, node_propagation
 
+# Matrix entries per chunk of the norm and power kernels: the whole
+# mirror-representative prefix of a c stack, one or two blocks of a large tc
+# stack.  A block's 2-norm and powers do not depend on the chunk it is in.
+NORM_CHUNK_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class TransformMeta:
@@ -90,24 +95,25 @@ class BlockDecomposition:
     def index(self) -> list[tuple]:
         return self.meta.block_index()
 
-    def pair_blocks(self, k: int) -> np.ndarray:
-        """The blocks of harmonic pair k, as a (blocks per pair, d, d) view."""
+    def norm_chunks(self):
+        """The blocks whose singular values cover every block, in the field their 2-norms are taken in.
+
+        Those are the harmonic pairs k <= (N/2)//2 if mirrored, else all
+        pairs: a prefix of the stack, yielded as row chunks of at most
+        ``NORM_CHUNK_ENTRIES`` matrix entries (at least one block), real
+        parts if ``real``.
+        """
         per = self.meta.blocks_per_pair
-        return self.blocks[k * per : (k + 1) * per]
-
-    def norm_pairs(self) -> range:
-        """Harmonic pairs whose singular values cover every block: k <= (N/2)//2 if mirrored."""
-        return range(self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // self.meta.blocks_per_pair)
-
-    def norm_blocks(self, k: int) -> np.ndarray:
-        """The blocks of pair k in the field their 2-norms are taken in: real parts if ``real``."""
-        blocks = self.pair_blocks(k)
-        return np.ascontiguousarray(blocks.real) if self.real else blocks
+        prefix = (self.meta.n // 4 + 1) * per if self.mirrored else len(self.blocks)
+        step = max(1, NORM_CHUNK_ENTRIES // self.blocks[0].size)
+        for start in range(0, prefix, step):
+            chunk = self.blocks[start : min(start + step, prefix)]
+            yield np.ascontiguousarray(chunk.real) if self.real else chunk
 
     @cached_property
     def norm(self) -> float:
-        """max ||B||_2 over the blocks, from the pairs of ``norm_pairs()``; computed once."""
-        return max(_max_norm2(self.norm_blocks(k)) for k in self.norm_pairs())
+        """max ||B||_2 over the blocks, from the chunks of ``norm_chunks()``; computed once."""
+        return max(_max_norm2(chunk) for chunk in self.norm_chunks())
 
 
 @dataclass(frozen=True)
@@ -354,7 +360,7 @@ def _max_norm2(stack: np.ndarray) -> float:
 
 
 def block_spectra(d: BlockDecomposition) -> BlockSpectra:
-    """Eigenvalues of every block, in one batched call; the 2-norm from the pairs of ``d.norm_pairs()``.
+    """Eigenvalues of every block, in one batched call; the 2-norm from the chunks of ``d.norm_chunks()``.
 
     Eigenvalues are never taken from a mirror partner: defective clusters
     scatter at eps^(1/p), so partners that agree to round-off can still
@@ -368,10 +374,9 @@ def block_spectra(d: BlockDecomposition) -> BlockSpectra:
 def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, i.e. ||T^k||_2 block-wise.
 
-    k = 1 is the decomposition's cached ``norm``.  One pass per harmonic
-    pair of ``d.norm_pairs()`` forms B^k = B^(k-1) B for all the pair's
-    blocks at once, in real arithmetic if ``d.real``; no power outlives
-    its pair.
+    k = 1 is the decomposition's cached ``norm``.  One pass per chunk of
+    ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
+    once, in real arithmetic if ``d.real``; no power outlives its chunk.
     """
     if k_max < 0:
         raise RangeError("power must be nonnegative")
@@ -379,8 +384,7 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     norms[0] = 1.0
     if k_max:
         norms[1] = d.norm
-    for pair in d.norm_pairs():
-        blocks = d.norm_blocks(pair)
+    for blocks in d.norm_chunks():
         power = blocks
         for k in range(2, k_max + 1):
             power = power @ blocks

@@ -310,19 +310,23 @@ def pfasst_run_algorithmic(
     coarse value at its predecessor's last node and sweeps on the coarse
     level; the corrections are interpolated, and all intervals perform their
     fine sweep at once on values already available (Jacobi order).
-    ``rhs`` holds the L per-interval right-hand sides and ``start`` the
-    initial iterate, each of L*M*N values (a zero ``rhs`` propagates an error
-    vector through the homogeneous iteration).  Returns all iterates,
-    flattened to length L*M*N, starting with ``start``.
+    ``start`` holds the initial iterate, L*M*N values after any leading
+    axes, and ``rhs`` the L per-interval right-hand sides, as many values in
+    any layout (a zero ``rhs`` propagates an error vector through the
+    homogeneous iteration).  Leading axes stack independent runs: every
+    operation acts on each run alone, so each run's iterates are bitwise
+    those of running it by itself.  Returns all iterates, shaped like
+    ``start``, starting with ``start``.
     """
     fine, coarse = setup.fine, setup.coarse
-    shape = (setup.l, setup.m_nodes, fine.n_space)
     pair = setup.pair
+    start = np.asarray(start)
+    stack = start.shape[:-1]
+    shape = (*stack, setup.l, setup.m_nodes, fine.n_space)
     rhs = np.asarray(rhs).reshape(shape)
-    start = np.asarray(start).reshape(shape)
-    u = start.astype(np.result_type(start, rhs, float))
+    u = start.reshape(shape).astype(np.result_type(start, rhs, float))
     rhs_coarse = pair.restrict(rhs)
-    trace = [u.ravel()]
+    trace = [u.reshape(*stack, -1)]
     for _ in range(iterations):
         # coarse level: the FAS right-hand side R c + tau of every interval at
         # once, then the sweeps in sequence
@@ -333,12 +337,12 @@ def pfasst_run_algorithmic(
         corrected = np.empty_like(restricted)
         for l in range(setup.l):
             if l > 0:
-                residual[l] += corrected[l - 1, -1]  # the predecessor's last node, on every node
-            corrected[l] = restricted[l] + setup.coarse_sweep.solve(residual[l])
+                residual[..., l, :, :] += corrected[..., l - 1, -1:, :]  # the predecessor's last node, on every node
+            corrected[..., l, :, :] = restricted[..., l, :, :] + setup.coarse_sweep.solve(residual[..., l, :, :])
         u_half = u + pair.interpolate(corrected - restricted)
         # fine level: one batched sweep over all intervals
         residual = rhs - fine.apply(u_half)
-        residual[1:] += u_half[:-1, -1:]  # the predecessor's last node, on every node
+        residual[..., 1:, :, :] += u_half[..., :-1, -1:, :]  # the predecessor's last node, on every node
         u = u_half + setup.fine_sweep.solve(residual)
-        trace.append(u.ravel())
+        trace.append(u.reshape(*stack, -1))
     return trace

@@ -1,0 +1,67 @@
+"""Unbatched forms of kernels the program runs batched, kept as the oracles of its tests.
+
+``pairwise_power_norms`` walks the block stack one harmonic pair at a time,
+where ``lfa.block_power_norms`` walks row chunks; ``exhaustive_phases``
+refits every split, where ``analysis.detect_phases`` refits only the splits
+its closed-form residuals shortlist.  Both must give the same floats bit for
+bit.
+"""
+
+import numpy as np
+
+from pfasst_lfa import lfa
+from pfasst_lfa.analysis import PhaseSegmentation, _segment_sse
+
+
+def pair_stacks(d: lfa.BlockDecomposition):
+    """The stored blocks of each harmonic pair whose singular values cover the stack: k <= (N/2)//2 if mirrored."""
+    per = d.meta.blocks_per_pair
+    pairs = d.meta.n // 4 + 1 if d.mirrored else len(d.blocks) // per
+    for k in range(pairs):
+        yield d.blocks[k * per : (k + 1) * per]
+
+
+def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
+    """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in real arithmetic if ``d.real``."""
+    norms = np.zeros(k_max + 1)
+    norms[0] = 1.0
+    for blocks in pair_stacks(d):
+        blocks = np.ascontiguousarray(blocks.real) if d.real else blocks
+        power = blocks
+        for k in range(1, k_max + 1):
+            if k > 1:
+                power = power @ blocks
+            norms[k] = max(norms[k], lfa._max_norm2(power))
+    return norms
+
+
+def exhaustive_phases(errors, min_len=3, improvement=0.25, rel_floor=1e-14) -> PhaseSegmentation:
+    """``detect_phases`` with every 2- and 3-segment split refitted by ``_segment_sse``."""
+    errors = np.asarray(errors, dtype=float)
+    y = np.log10(errors[errors > rel_floor * errors[0]])
+    n = len(y)
+    sse1, slope1 = _segment_sse(y)
+    if n < 2 * min_len or sse1 <= 1e-10:
+        return PhaseSegmentation(boundaries=[0], slopes=[slope1], residuals=[sse1])
+
+    best2 = None
+    for b in range(min_len, n - min_len + 1):
+        s_a, sl_a = _segment_sse(y[:b])
+        s_b, sl_b = _segment_sse(y[b:])
+        if best2 is None or s_a + s_b < best2[0]:
+            best2 = (s_a + s_b, [0, b], [sl_a, sl_b])
+    best3 = None
+    for b1 in range(min_len, n - 2 * min_len + 1):
+        s_a, sl_a = _segment_sse(y[:b1])
+        for b2 in range(b1 + min_len, n - min_len + 1):
+            s_b, sl_b = _segment_sse(y[b1:b2])
+            s_c, sl_c = _segment_sse(y[b2:])
+            if best3 is None or s_a + s_b + s_c < best3[0]:
+                best3 = (s_a + s_b + s_c, [0, b1, b2], [sl_a, sl_b, sl_c])
+
+    residuals = [sse1, best2[0], best3[0] if best3 else best2[0]]
+    if best2[0] >= (1.0 - improvement) * sse1:
+        return PhaseSegmentation(boundaries=[0], slopes=[slope1], residuals=residuals)
+    if best3 is None or best2[0] <= 1e-10 or best3[0] >= (1.0 - improvement) * best2[0]:
+        return PhaseSegmentation(boundaries=best2[1], slopes=best2[2], residuals=residuals)
+    return PhaseSegmentation(boundaries=best3[1], slopes=best3[2], residuals=residuals)

@@ -12,7 +12,6 @@ from pfasst_lfa.analysis import (
     asymptotic_ratio,
     build_context,
     detect_phases,
-    error_vector,
     exact_trajectory,
     excited_blocks,
     manufactured_rhs,
@@ -117,7 +116,7 @@ def test_node_times_layout():
 def test_diffusion_initial_error_tensor_form():
     cfg = _small_cfg()
     ctx = build_context(cfg)
-    e0 = error_vector(ctx, ctx.initial_iterate).reshape(cfg.l, cfg.m, cfg.n)
+    e0 = ctx.initial_error.reshape(cfg.l, cfg.m, cfg.n)
     nu, k = cfg.resolved_coefficient(), cfg.wavenumber
     x = np.arange(cfg.n) / cfg.n
     times = node_times(cfg, ctx.setup.fine.rule)
@@ -132,7 +131,7 @@ def test_diffusion_initial_error_tensor_form():
 def test_advection_initial_error_entries():
     cfg = _small_cfg("advection")
     ctx = build_context(cfg)
-    e0 = error_vector(ctx, ctx.initial_iterate).reshape(cfg.l, cfg.m, cfg.n)
+    e0 = ctx.initial_error.reshape(cfg.l, cfg.m, cfg.n)
     c, k = cfg.resolved_coefficient(), cfg.wavenumber
     x = np.arange(cfg.n) / cfg.n
     times = node_times(cfg, ctx.setup.fine.rule)
@@ -148,7 +147,7 @@ def test_initial_error_vanishes_as_dt_goes_to_zero():
     for dt in (0.1, 0.01, 0.001):
         cfg = _small_cfg(dt=dt, l=1, mu=None, coefficient=2e-2)
         ctx = build_context(cfg)
-        norms.append(np.linalg.norm(error_vector(ctx, ctx.initial_iterate)))
+        norms.append(np.linalg.norm(ctx.initial_error))
     assert norms[2] < norms[1] < norms[0]
     assert norms[2] < 2e-2 * norms[0]
 
@@ -232,7 +231,7 @@ def test_run_and_compare_measurement_consistency():
     # propagated and subtracted error measurements describe the same run
     assert trace.consistency_gap() < 1e-11
     ctx = build_context(trace.cfg)
-    assert trace.actual_2[0] == pytest.approx(np.linalg.norm(error_vector(ctx, ctx.initial_iterate)))
+    assert trace.actual_2[0] == pytest.approx(np.linalg.norm(ctx.initial_error))
 
 
 def test_run_and_compare_builds_each_operator_once(monkeypatch):
@@ -255,6 +254,7 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
     for name in ("build_qdelta", "composite_system", "pfasst_iteration_matrix"):
         counting(solvers, name)
     counting(analysis, "exact_trajectory")
+    counting(analysis, "pfasst_run_algorithmic")  # the error run and the manufactured run, stacked
     counting(analysis, "exact_solution")
     counting(np.linalg, "eigvals", "full eigvals", lambda a: a.shape[-1] == full_dim)
     counting(np.linalg, "eigvals")  # one batched call per block mode
@@ -267,6 +267,7 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
         "composite_system": 1,
         "pfasst_iteration_matrix": 1,
         "exact_trajectory": 1,
+        "pfasst_run_algorithmic": 1,
         "exact_solution": cfg.l * cfg.m + 1,  # the trajectory's node times and u0, each once
         "full eigvals": 1,
         "eigvals": 3,
@@ -275,6 +276,24 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
     ctx = trace.context
     assert trace.aggregates["tc"]["rho"] == ctx.spectra("tc").spectral_radius
     assert trace.aggregates["full"]["norm"] == ctx.spectra("full").norm
+
+
+@pytest.mark.parametrize("problem", ["diffusion", "advection"])
+def test_stacked_run_equals_the_two_runs_bitwise(problem):
+    cfg = _small_cfg(problem, iterations=6)
+    ctx = build_context(cfg)
+    rhs = manufactured_rhs(ctx).ravel()
+    runs = [(np.zeros_like(rhs), ctx.initial_error), (rhs, ctx.initial_iterate)]
+    rhs_stack, start_stack = (np.stack(column) for column in zip(*runs))
+    stacked = solvers.pfasst_run_algorithmic(ctx.setup, rhs_stack, start_stack, cfg.iterations)
+    assert [u.shape for u in stacked] == [(2, rhs.size)] * (cfg.iterations + 1)
+    for i, (r, start) in enumerate(runs):
+        alone = solvers.pfasst_run_algorithmic(ctx.setup, r, start, cfg.iterations)
+        assert all(np.array_equal(s[i], a) for s, a in zip(stacked, alone))
+    # the same right-hand sides as a stack of (L, M, N) arrays
+    rhs_stack = rhs_stack.reshape(2, cfg.l, cfg.m, cfg.n)
+    again = solvers.pfasst_run_algorithmic(ctx.setup, rhs_stack, start_stack, cfg.iterations)
+    assert all(np.array_equal(s, a) for s, a in zip(stacked, again))
 
 
 @pytest.mark.parametrize("problem,complex_svds", [("diffusion", False), ("advection", True)])
@@ -295,19 +314,23 @@ def test_symmetric_stencil_tc_norms_take_no_complex_svd(monkeypatch, problem, co
 
 def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
     # ||B|| is taken once per block mode and read by the norm strategy, the
-    # aggregates and norm-power at k = 1: K batched norms per harmonic pair
-    calls = Counter()
+    # aggregates and norm-power at k = 1: K batched norms per row chunk of the
+    # N/4 + 1 mirror-representative pairs; at the default size one chunk
+    # holds them all, at two blocks per chunk it takes three
     cfg = _small_cfg(iterations=6)
-    original = lfa._max_norm2
-
-    def counted(stack):
-        calls[stack.shape[-1]] += 1
-        return original(stack)
-
-    monkeypatch.setattr(lfa, "_max_norm2", counted)
-    trace = run_and_compare(cfg, block_modes=("tc", "full"))
     tc_dim, full_dim = 2 * cfg.l * cfg.m, cfg.l * cfg.m * cfg.n
-    assert calls == {tc_dim: (cfg.n // 4 + 1) * cfg.iterations, full_dim: cfg.iterations}
+    original = lfa._max_norm2
+    for entries, tc_chunks in ((lfa.NORM_CHUNK_ENTRIES, 1), (2 * tc_dim**2, 3)):
+        calls = Counter()
+
+        def counted(stack):
+            calls[stack.shape[-1]] += 1
+            return original(stack)
+
+        monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(lfa, "_max_norm2", counted)
+        trace = run_and_compare(cfg, block_modes=("tc", "full"))
+        assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: cfg.iterations}
     for mode in ("tc", "full"):
         norm = trace.aggregates[mode]["norm"]
         assert norm == trace.context.decomposition(mode).norm

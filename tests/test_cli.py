@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import clusters
-from pfasst_lfa import analysis, lfa, solvers
+from pfasst_lfa import analysis, cli, lfa, solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
 from pfasst_lfa.linalg import sort_eigenvalues
@@ -81,6 +81,29 @@ def test_spectrum_csv_covers_all_blocks(tmp_path):
     assert len(data) == 16 * 24
     assert {d[0] for d in data} == {str(k) for k in range(16)}
     assert {d[1] for d in data} == {"-1"}
+
+
+def _per_value_csv(header, rows) -> bytes:
+    """The CSV as formatted one value at a time: str() of integers, 17-digit f-strings of floats."""
+    lines = [",".join(header)] + [",".join(str(v) if isinstance(v, int) else f"{v:.16e}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_tables_are_the_per_value_format(tmp_path):
+    out = _analyze(tmp_path, "--blocks", "c,tc")
+    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=32, m=3, wavenumber=2, iterations=5)
+    trace = run_and_compare(cfg, block_modes=("c", "tc"))
+    columns = {"actual_inf": trace.actual_inf, "actual_2": trace.actual_2}
+    columns.update({f"pred_{p.strategy}_{p.block_mode}": p.values for p in trace.predictions})
+    rows = [[k] + [float(v[k]) for v in columns.values()] for k in range(cfg.iterations + 1)]
+    assert (out / "trace.csv").read_bytes() == _per_value_csv(["iteration", *columns], rows)
+    spectra = trace.context.spectra("c")
+    rows = [[k, j, float(v.real), float(v.imag)] for vals, (k, j) in zip(spectra.eigenvalues, spectra.index) for v in vals]
+    assert (out / "spectrum.csv").read_bytes() == _per_value_csv(["block_k", "block_j", "eig_re", "eig_im"], rows)
+    # values the analyses rarely produce
+    rows = [[-1, 7, -0.0, 1e-310], [3, 0, float("inf"), float("nan")], [12, -3, -1e300, 1 / 3]]
+    cli._write_csv(tmp_path / "odd.csv", ["a", "b", "c", "d"], np.array(rows, dtype=float), 2)
+    assert (tmp_path / "odd.csv").read_bytes() == _per_value_csv(["a", "b", "c", "d"], rows)
 
 
 def test_analyze_builds_one_context(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import clusters
+import oracles
 from pfasst_lfa import lfa
 from pfasst_lfa.collocation import collocation_matrix
 from pfasst_lfa.errors import RangeError
@@ -149,8 +150,8 @@ def test_mirror_needs_real_stencils():
     sc = lfa.spectral_components(_setup(op_f, op_c, 2, 2, 0.1))
     d = lfa.tc_decompose(sc)
     assert not d.mirrored
-    assert d.norm_pairs() == range(8)
-    assert lfa.tc_decompose(replace(sc, real_stencils=True)).norm_pairs() == range(5)
+    assert sum(map(len, d.norm_chunks())) == 8  # every pair
+    assert sum(map(len, lfa.tc_decompose(replace(sc, real_stencils=True)).norm_chunks())) == 5
     assert not sc.symmetric_stencils and not d.real
 
 
@@ -313,7 +314,7 @@ def test_identity_decompose_is_the_matrix_as_one_block():
     assert d.blocks.shape == (1, l * m * n, l * m * n)
     np.testing.assert_array_equal(d.blocks[0], t)
     assert d.index == [(-1,)] and d.meta.block_dim == l * m * n
-    assert not d.mirrored and list(d.norm_pairs()) == [0]
+    assert not d.mirrored and [len(chunk) for chunk in d.norm_chunks()] == [1]
     rng = np.random.default_rng(5)
     v = rng.standard_normal(t.shape[0])
     vhat = lfa.transform_vector(v, d.meta)
@@ -445,6 +446,44 @@ def test_matched_cluster_distance_detects_mutation():
     d_bad = lfa.tc_decompose(sc_bad)
     dist = clusters.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d_bad))
     assert dist > 1e-8
+
+
+def _stencil_family(family: str, n: int):
+    """(fine, coarse) operators: symmetric real, real advection, or complex-scaled (not mirrored)."""
+    if family == "complex-scale":
+        stencil = {-1: 1.0, 0: -2.0, 1: 1.0}
+        return tuple(CirculantOperator(n=k, stencil=stencil, scale=0.3 + 0.1j) for k in (n, n // 2))
+    prob = (make_diffusion if family.startswith("diffusion") else make_advection)(n, 5e-3)
+    return prob.operator, coarsen(prob).operator
+
+
+@pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("family", ["diffusion", "advection", "complex-scale", "diffusion-unmirrored"])
+@pytest.mark.parametrize("decompose", [lfa.tc_decompose, lfa.c_decompose], ids=["tc", "c"])
+def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family, l):
+    n, m, k_max = 16, 2, 6
+    sc = lfa.spectral_components(_setup(*_stencil_family(family, n), m, l, 0.1))
+    if family == "diffusion-unmirrored":
+        sc = replace(sc, real_stencils=False)
+    d = decompose(sc)
+    assert d.mirrored == (family in ("diffusion", "advection"))
+    assert d.real == (decompose is lfa.tc_decompose and family.startswith("diffusion"))
+    expected = oracles.pairwise_power_norms(d, k_max)
+    size = d.blocks[0].size
+    # the default chunk, then chunks of one block and of three (the prefix's last chunk shorter)
+    for entries in (lfa.NORM_CHUNK_ENTRIES, size, 4 * size - 1):
+        monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
+        chunked = replace(d)  # a fresh cached norm
+        assert np.array_equal(lfa.block_power_norms(chunked, k_max), expected)
+        assert chunked.norm == expected[1]
+
+
+def test_chunked_norms_of_the_full_block_equal_the_oracle():
+    t = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")[0].iteration_matrix
+    d = lfa.identity_decompose(t, 16, 2, 3)
+    expected = oracles.pairwise_power_norms(d, 4)
+    assert np.array_equal(lfa.block_power_norms(d, 4), expected)
+    assert d.norm == expected[1]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])

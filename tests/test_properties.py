@@ -5,7 +5,8 @@ iteration-matrix oracle: m in {1, 3}, l in {1, 2, 4}), both problems and
 both Q_Delta kinds; mu is log-uniform on [1, 100] and the
 advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
-complex stacks.  The draws are derandomized, so every run of the suite
+complex stacks, phase detection on error histories whose log10 is
+piecewise linear, exact or noisy.  The draws are derandomized, so every run of the suite
 checks the same examples.
 """
 
@@ -13,8 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pfasst_lfa import lfa
-from pfasst_lfa.analysis import ExperimentConfig, build_context, run_and_compare
+from pfasst_lfa.analysis import ExperimentConfig, build_context, detect_phases, run_and_compare
 from pfasst_lfa.cli import strategy4_exact
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.linalg import sort_eigenvalues
@@ -105,8 +107,7 @@ def test_real_tc_norms_equal_the_complex_route(cfg):
     # the complex route: SVD 2-norms of the stored complex pair stacks and their powers
     expected = np.zeros(cfg.iterations + 1)
     expected[0] = 1.0
-    for pair in d.norm_pairs():
-        blocks = d.pair_blocks(pair)
+    for blocks in oracles.pair_stacks(d):
         power = blocks
         for k in range(1, cfg.iterations + 1):
             expected[k] = max(expected[k], np.max(np.linalg.norm(power, 2, axis=(-2, -1))))
@@ -165,3 +166,24 @@ def test_stencil_transfers_equal_the_dense_matrices(n, interp_degree, restr_degr
         for offset, coeff in pair.generator_restr.stencil.items():
             oracle[(i + offset) % nc, 2 * i + 1] += 0.5 * coeff
     np.testing.assert_allclose(pair.restriction, oracle, rtol=0, atol=1e-15)
+
+
+@st.composite
+def error_traces(draw):
+    """Error histories whose log10 is piecewise linear in 1-4 pieces, exact or noisy, some below the floor."""
+    pieces = draw(st.lists(st.tuples(st.integers(1, 10), st.floats(-3.0, 0.5)), min_size=1, max_size=4))
+    steps = np.concatenate([np.full(length, slope) for length, slope in pieces])
+    noise = draw(st.sampled_from((0.0, 1e-13, 1e-6, 1e-2, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return 10.0 ** (np.concatenate([[0.0], np.cumsum(steps)]) + noise * rng.standard_normal(len(steps) + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(error_traces())
+def test_phase_splits_are_the_exhaustive_minima(errors):
+    seg, expected = detect_phases(errors), oracles.exhaustive_phases(errors)
+    # the chosen 2- and 3-segment splits fit as well as the best of every split
+    for got, best in zip(seg.residuals[1:], expected.residuals[1:]):
+        assert abs(got - best) <= 1e-12 * best
+    # and they are the very splits, so the slopes keep their bits
+    assert seg == expected
