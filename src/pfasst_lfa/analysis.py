@@ -12,7 +12,7 @@ norm in which the block decomposition is exact and the bound chain
 The actual run integrates a single Fourier mode sin(2*pi*k*x) with a
 manufactured right-hand side chosen so the discrete solution coincides with
 the analytic PDE solution at every space-time node; the "apply" strategy in
-time-collocation mode then reproduces the actual error to round-off.
+tc mode then reproduces the actual error to round-off.
 """
 
 from __future__ import annotations
@@ -118,10 +118,11 @@ class ExperimentContext:
     """One configuration's model problem and two-level setup, shared by the three routes.
 
     What the strategies derive from them is built on first use and kept:
-    the spectral components, the block decomposition and block spectra of
-    each mode, the analytic trajectory, the initial iterate and the initial
-    error.  The runs, the predictions, the aggregates and the CLI's spectrum
-    writer of one analysis thereby share one build.
+    the spectral components, the block decomposition of each mode (which
+    keeps its own eigenvalues, spectral radius and norm), the analytic
+    trajectory, the initial iterate and the initial error.  The runs, the
+    predictions, the aggregates and the CLI's spectrum writer of one
+    analysis thereby share one build.
     """
 
     cfg: ExperimentConfig
@@ -135,25 +136,17 @@ class ExperimentContext:
         "tc" and "c" are the Fourier block families; "full" is the iteration
         matrix itself, one block in the identity basis.
         """
-        key = ("decomposition", block_mode)
-        if key not in self._blocks:
+        if block_mode not in self._blocks:
             if block_mode == "tc":
-                self._blocks[key] = lfa.tc_decompose(self.components)
+                self._blocks[block_mode] = lfa.tc_decompose(self.components)
             elif block_mode == "c":
-                self._blocks[key] = lfa.c_decompose(self.components)
+                self._blocks[block_mode] = lfa.c_decompose(self.components)
             elif block_mode == "full":
                 t, cfg = self.setup.iteration_matrix, self.cfg
-                self._blocks[key] = lfa.identity_decompose(t, cfg.n, cfg.l, cfg.m)
+                self._blocks[block_mode] = lfa.identity_decompose(t, cfg.n, cfg.l, cfg.m)
             else:
                 raise ConfigurationError(f"no block decomposition for mode {block_mode!r}")
-        return self._blocks[key]
-
-    def spectra(self, block_mode: str) -> lfa.BlockSpectra:
-        """Eigenvalues of every block of one mode, computed once."""
-        key = ("spectra", block_mode)
-        if key not in self._blocks:
-            self._blocks[key] = lfa.block_spectra(self.decomposition(block_mode))
-        return self._blocks[key]
+        return self._blocks[block_mode]
 
     @cached_property
     def components(self) -> lfa.SpectralComponents:
@@ -237,22 +230,8 @@ def excited_blocks(cfg: ExperimentConfig) -> set[int]:
     return out
 
 
-@dataclass
-class Prediction:
-    """K+1 predicted error values for one strategy and block mode."""
-
-    strategy: str
-    block_mode: str
-    values: np.ndarray
-
-
-def predict(
-    ctx: ExperimentContext,
-    strategy: str,
-    block_mode: str,
-    restrict_harmonics: bool = True,
-) -> Prediction:
-    """Predicted 2-norm error for iterations 0..K."""
+def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarray:
+    """Predicted 2-norm error for iterations 0..K, K+1 values; ``apply`` propagates only the ``excited_blocks``."""
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     d = ctx.decomposition(block_mode)
@@ -263,18 +242,17 @@ def predict(
     values[0] = e0_norm
 
     if strategy in ("rho", "norm"):
-        bs = ctx.spectra(block_mode)
-        rate = bs.spectral_radius if strategy == "rho" else bs.norm
+        rate = d.spectral_radius if strategy == "rho" else d.norm
         values[1:] = e0_norm * rate ** np.arange(1, k_max + 1)
     elif strategy == "norm-power":
         values[1:] = lfa.block_power_norms(d, k_max)[1:] * e0_norm
     else:
-        harmonics = excited_blocks(ctx.cfg) if restrict_harmonics else None
+        harmonics = excited_blocks(ctx.cfg)
         ehat = lfa.transform_vector(e0, d.meta)
         for k in range(1, k_max + 1):
             ehat = lfa.apply_blocks(d, ehat, harmonics=harmonics)
             values[k] = float(np.linalg.norm(ehat))
-    return Prediction(strategy=strategy, block_mode=block_mode, values=values)
+    return values
 
 
 @dataclass
@@ -395,16 +373,10 @@ class ErrorTrace:
     actual_2: np.ndarray
     u_run_inf: np.ndarray
     u_run_2: np.ndarray
-    predictions: list[Prediction]
+    predictions: dict  # (strategy, block mode) -> K+1 values, in request order
     phases: PhaseSegmentation
     aggregates: dict  # per block mode: {"rho": float, "norm": float}
-    context: ExperimentContext = field(repr=False)  # shared operators, blocks and spectra
-
-    def prediction(self, strategy: str, block_mode: str) -> Prediction:
-        for p in self.predictions:
-            if p.strategy == strategy and p.block_mode == block_mode:
-                return p
-        raise KeyError((strategy, block_mode))
+    context: ExperimentContext = field(repr=False)  # shared operators and block decompositions
 
     def consistency_gap(self) -> float:
         """Max abs deviation between propagated and subtracted error norms."""
@@ -428,15 +400,11 @@ def run_and_compare(
     u_run_inf = np.array([np.max(np.abs(u - u_ex)) for _, u in trace])
     u_run_2 = np.array([np.linalg.norm(u - u_ex) for _, u in trace])
 
-    predictions = [
-        predict(ctx, strategy, mode)
-        for mode in block_modes
-        for strategy in strategies
-    ]
+    predictions = {(strategy, mode): predict(ctx, strategy, mode) for mode in block_modes for strategy in strategies}
     aggregates = {}
     for mode in block_modes:
-        bs = ctx.spectra(mode)
-        aggregates[mode] = {"rho": bs.spectral_radius, "norm": bs.norm}
+        d = ctx.decomposition(mode)
+        aggregates[mode] = {"rho": d.spectral_radius, "norm": d.norm}
 
     return ErrorTrace(
         cfg=cfg,

@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .collocation import spread_initial
 from .errors import ConfigurationError, PfasstLfaError, RangeError
-from .solvers import pfasst_run_algorithmic, pfasst_step_matrix
+from .solvers import mlsdc_step, pfasst_run_algorithmic
 from .transfer import check_restriction_condition, check_transfer_structure
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def cmd_analyze(args, parser) -> int:
     trace = run_and_compare(cfg, strategies=strategies, block_modes=block_modes)
     timings["run_and_compare"] = time.perf_counter() - t0
     columns = {"actual_inf": trace.actual_inf, "actual_2": trace.actual_2}
-    columns.update({f"pred_{p.strategy}_{p.block_mode}": p.values for p in trace.predictions})
+    columns.update({f"pred_{strategy}_{mode}": values for (strategy, mode), values in trace.predictions.items()})
     for name, values in columns.items():
         if not np.all(np.isfinite(values)):
             k = int(np.argmin(np.isfinite(values)))
@@ -159,27 +159,21 @@ def cmd_analyze(args, parser) -> int:
 
     spectrum_mode = block_modes[0]
     spectrum_path = out / "spectrum.csv"
-    spectra = trace.context.spectra(spectrum_mode)
+    d = trace.context.decomposition(spectrum_mode)
     # one row per eigenvalue: block k, time frequency j (-1 without one), real and imaginary part
-    index = np.array([(idx[0], idx[1] if len(idx) > 1 else -1) for idx in spectra.index])
-    vals = spectra.eigenvalues
-    table = np.column_stack([np.repeat(index, vals.shape[1], axis=0), vals.real.ravel(), vals.imag.ravel()])
+    vals = d.eigenvalues
+    table = np.column_stack([np.repeat(d.index, vals.shape[1], axis=0), vals.real.ravel(), vals.imag.ravel()])
     _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], table, 2)
     timings["write_outputs"] = time.perf_counter() - t0
 
-    checks = {"bound_chain_2norm": True, "strategy4_tc_exact": None}
-    try:
-        s2 = trace.prediction("norm", spectrum_mode).values
-        s3 = trace.prediction("norm-power", spectrum_mode).values
-        checks["bound_chain_2norm"] = bool(
-            np.all(trace.actual_2 <= s3 * (1 + 1e-12)) and np.all(s3 <= s2 * (1 + 1e-12))
-        )
-    except KeyError:
-        checks["bound_chain_2norm"] = None
-    try:
-        checks["strategy4_tc_exact"] = strategy4_exact(trace.actual_2, trace.prediction("apply", "tc").values)
-    except KeyError:
-        pass
+    pred = trace.predictions
+    checks = {"bound_chain_2norm": None, "strategy4_tc_exact": None}
+    if ("norm", spectrum_mode) in pred and ("norm-power", spectrum_mode) in pred:
+        s2, s3 = pred["norm", spectrum_mode], pred["norm-power", spectrum_mode]
+        chain = np.all(trace.actual_2 <= s3 * (1 + 1e-12)) and np.all(s3 <= s2 * (1 + 1e-12))
+        checks["bound_chain_2norm"] = bool(chain)
+    if ("apply", "tc") in pred:
+        checks["strategy4_tc_exact"] = strategy4_exact(trace.actual_2, pred["apply", "tc"])
     if {"tc", "full"} <= set(block_modes):
         t, tc = trace.context.setup.iteration_matrix, trace.context.decomposition("tc")
         checks["tc_similarity_residual"] = lfa.tc_similarity_residual(t, tc)
@@ -254,7 +248,7 @@ def _verify_checks(scale: str, flip_qdelta_sign: bool):
     u = trace[0].copy()
     dev = 0.0
     for k in range(1, iterations + 1):
-        u = pfasst_step_matrix(p_gs, p_j, pair, setup.composite_matrix, rhs.ravel(), u)
+        u = mlsdc_step(p_j, p_gs, pair, setup.composite_matrix, rhs.ravel(), u)
         dev = max(dev, float(np.max(np.abs(u - trace[k]))))
     yield "pfasst matrix vs algorithmic", dev, 1e-10
 

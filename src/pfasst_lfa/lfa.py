@@ -7,8 +7,8 @@ Collocation blocks (2M x 2M, additionally indexed by a time frequency)
 assume periodicity in time, which is an approximation: the phase
 e^{-2 pi i j/L} takes the place of the interval shift E.  The
 constant-in-time blocks at time frequency 0, singular at k = 0, are left
-zero and not built.  The unreduced iteration matrix is the one-block case:
-T itself in the identity basis.
+zero and not built.  The unreduced iteration matrix is the one-block full
+mode: T itself in the identity basis.
 """
 
 from __future__ import annotations
@@ -32,34 +32,35 @@ NORM_CHUNK_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class TransformMeta:
-    """Shapes and mode of the block transform, enough to invert it."""
+    """Shapes and block mode of the block transform."""
 
-    mode: str  # "time-collocation", "collocation" or "identity" (one block, T itself)
+    mode: str  # "tc", "c" or "full" (one block, T itself)
     n: int
     l: int
     m: int
 
     @property
     def block_dim(self) -> int:
-        if self.mode == "identity":
+        if self.mode == "full":
             return self.l * self.m * self.n
-        return 2 * self.l * self.m if self.mode == "time-collocation" else 2 * self.m
+        return 2 * self.l * self.m if self.mode == "tc" else 2 * self.m
 
     @property
     def blocks_per_pair(self) -> int:
         """Blocks sharing one spatial harmonic pair: L time frequencies (c), else 1."""
-        return self.l if self.mode == "collocation" else 1
+        return self.l if self.mode == "c" else 1
 
-    def block_index(self) -> list[tuple]:
-        if self.mode == "identity":
-            return [(-1,)]
-        if self.mode == "time-collocation":
-            return [(k,) for k in range(self.n // 2)]
-        return [(k, j) for k in range(self.n // 2) for j in range(self.l)]
+    def block_index(self) -> np.ndarray:
+        """(number of blocks, 2) ints: block i's harmonic pair k and time frequency j, -1 where it has none."""
+        if self.mode == "full":
+            return np.array([[-1, -1]])
+        k = np.repeat(np.arange(self.n // 2), self.blocks_per_pair)
+        j = np.tile(np.arange(self.l), self.n // 2) if self.mode == "c" else np.full(self.n // 2, -1)
+        return np.column_stack([k, j])
 
     def rows(self, harmonics) -> np.ndarray | slice:
-        """Block rows whose spatial-harmonic index k is in ``harmonics``; every row in identity mode."""
-        if self.mode == "identity":
+        """Block rows whose spatial-harmonic index k is in ``harmonics``; every row in full mode."""
+        if self.mode == "full":
             return slice(None)
         per = self.blocks_per_pair
         ks = sorted(k for k in harmonics if 0 <= k < self.n // 2)
@@ -71,15 +72,17 @@ class BlockDecomposition:
     """A stack of dense blocks jointly similar to the full iteration matrix.
 
     ``blocks`` has shape (number of blocks, d, d); row i belongs to
-    ``index[i]``; mode and index are read from ``meta``.  With ``mirrored``
-    set (real stencils), harmonic h and N - h are complex conjugates, so
-    block k and its mirror block (N/2 - k) mod N/2, with time frequency j
-    paired with (L - j) mod L, are related by B' = Pi conj(B) Pi, Pi
-    swapping the two harmonic halves (B_0 = conj(B_0) without the swap).
-    Mirror partners therefore have the same singular values.  With ``real``
-    set (symmetric stencils, tc mode) every block is a real matrix held as
-    complex, its imaginary part round-off from the transfer phases; 2-norms
-    are taken of the real part, eigenvalues of the stored complex stack.
+    ``index[i]``; mode and index are read from ``meta``.  The eigenvalues,
+    the spectral radius and the 2-norm are computed on first use and kept.
+    With ``mirrored`` set (real stencils), harmonic h and N - h are complex
+    conjugates, so block k and its mirror block (N/2 - k) mod N/2, with
+    time frequency j paired with (L - j) mod L, are related by
+    B' = Pi conj(B) Pi, Pi swapping the two harmonic halves
+    (B_0 = conj(B_0) without the swap).  Mirror partners therefore have the
+    same singular values.  With ``real`` set (symmetric stencils, tc mode)
+    every block is a real matrix held as complex, its imaginary part
+    round-off from the transfer phases; 2-norms are taken of the real part,
+    eigenvalues of the stored complex stack.
     """
 
     blocks: np.ndarray
@@ -88,11 +91,7 @@ class BlockDecomposition:
     real: bool = False
 
     @property
-    def mode(self) -> str:
-        return self.meta.mode
-
-    @property
-    def index(self) -> list[tuple]:
+    def index(self) -> np.ndarray:
         return self.meta.block_index()
 
     def norm_chunks(self):
@@ -114,6 +113,16 @@ class BlockDecomposition:
     def norm(self) -> float:
         """max ||B||_2 over the blocks, from the chunks of ``norm_chunks()``; computed once."""
         return max(_max_norm2(chunk) for chunk in self.norm_chunks())
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """:func:`block_spectra` of the stack; computed once."""
+        return block_spectra(self)
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """max |eigenvalue| over the blocks; computed once."""
+        return float(np.max(np.abs(self.eigenvalues)))
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,7 @@ def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray, real: bool 
 
 def tc_decompose(sc: SpectralComponents) -> BlockDecomposition:
     """N/2 time-collocation blocks of size 2LM; an exact similarity transform; real with symmetric stencils."""
-    return _decompose(sc, "time-collocation", np.eye(sc.l, k=-1)[None], real=sc.symmetric_stencils)
+    return _decompose(sc, "tc", np.eye(sc.l, k=-1)[None], real=sc.symmetric_stencils)
 
 
 def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
@@ -243,12 +252,12 @@ def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
     # each phase factor from a scalar exp: an array exp may round differently,
     # and a block must not depend on how many time frequencies share its batch
     phases = np.array([np.exp(-2j * np.pi * j / sc.l) for j in range(1, sc.l)], dtype=complex)
-    return _decompose(sc, "collocation", phases.reshape(-1, 1, 1))
+    return _decompose(sc, "c", phases.reshape(-1, 1, 1))
 
 
 def identity_decompose(t: np.ndarray, n: int, l: int, m: int) -> BlockDecomposition:
-    """The iteration matrix T of an (L, M, N) layout as one block in the identity basis."""
-    meta = TransformMeta(mode="identity", n=n, l=l, m=m)
+    """The iteration matrix T of an (L, M, N) layout as one block in the identity basis: the full mode."""
+    meta = TransformMeta(mode="full", n=n, l=l, m=m)
     return BlockDecomposition(blocks=t[None], meta=meta)
 
 
@@ -257,35 +266,21 @@ def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
 
     Applies the unitary Fourier transform (the conjugate-transposed
     ``dft_matrix``, i.e. ``np.fft.fft`` with ``norm="ortho"``) on the spatial
-    layer, and on the interval layer for collocation mode, and gathers the
-    harmonic pairs.  The map is unitary: 2-norms are preserved.  In identity
-    mode the vector is the single row.
+    layer, and on the interval layer in c mode, and gathers the harmonic
+    pairs.  The map is unitary: 2-norms are preserved.  In full mode the
+    vector is the single row.
     """
-    if meta.mode == "identity":
+    if meta.mode == "full":
         return np.asarray(v).reshape(1, -1)
     n, l, m = meta.n, meta.l, meta.m
     hat = np.fft.fft(np.asarray(v).reshape(l, m, n), axis=-1, norm="ortho")
     # split the harmonic axis into (half s, pair k): harmonic s*N/2 + k
-    if meta.mode == "collocation":
+    if meta.mode == "c":
         hat = np.fft.fft(hat, axis=0, norm="ortho")
         # row k*L + j holds (hat[j, :, k], hat[j, :, k + N/2])
         return hat.reshape(l, m, 2, n // 2).transpose(3, 0, 2, 1).reshape(n // 2 * l, 2 * m)
     # row k holds (hat[:, :, k], hat[:, :, k + N/2]), each raveled over (l, m)
     return hat.reshape(l * m, 2, n // 2).transpose(2, 1, 0).reshape(n // 2, 2 * l * m)
-
-
-def inverse_transform_vector(vhat: np.ndarray, meta: TransformMeta) -> np.ndarray:
-    """Invert :func:`transform_vector`; returns the flat (L, M, N) vector."""
-    n, l, m = meta.n, meta.l, meta.m
-    vhat = np.asarray(vhat)
-    if meta.mode == "identity":
-        return vhat.ravel()
-    if meta.mode == "collocation":
-        tmp = vhat.reshape(n // 2, l, 2, m).transpose(1, 3, 2, 0).reshape(l, m, n)
-        hat = np.fft.ifft(tmp, axis=0, norm="ortho")
-    else:
-        hat = vhat.reshape(n // 2, 2, l * m).transpose(2, 1, 0).reshape(l, m, n)
-    return np.fft.ifft(hat, axis=-1, norm="ortho").ravel()
 
 
 def apply_blocks(d: BlockDecomposition, vhat: np.ndarray, harmonics: set[int] | None = None) -> np.ndarray:
@@ -310,8 +305,8 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
     in exact arithmetic when M = L = 1, where Q_Delta = Q.
     """
     meta = d.meta
-    if meta.mode != "time-collocation":
-        raise RangeError(f"need time-collocation blocks, got mode {meta.mode!r}")
+    if meta.mode != "tc":
+        raise RangeError(f"need tc blocks, got mode {meta.mode!r}")
     n, l, m, h = meta.n, meta.l, meta.m, meta.n // 2
     # axes (pair k, half s, interval, node, half s', interval, node): harmonics s*N/2 + k and s'*N/2 + k
     blocks = d.blocks.reshape(h, 2, l, m, 2, l, m)
@@ -324,20 +319,6 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
         hat[:, :, pairs, :, :, :, pairs] -= blocks[:, :, i].transpose(0, 2, 1, 4, 5, 3)
         worst = max(worst, float(np.max(np.abs(hat))))
     return worst / max(float(np.max(np.abs(t))), 1.0)
-
-
-@dataclass(frozen=True)
-class BlockSpectra:
-    """Per-block eigenvalues plus the aggregates used by the estimators.
-
-    ``eigenvalues`` is an (number of blocks, d) array; row i holds the
-    eigenvalues of block ``index[i]``, sorted by (real, imag) descending.
-    """
-
-    eigenvalues: np.ndarray
-    index: list[tuple]
-    spectral_radius: float
-    norm: float
 
 
 def _max_norm2(stack: np.ndarray) -> float:
@@ -359,16 +340,15 @@ def _max_norm2(stack: np.ndarray) -> float:
     return float(np.max(scale[..., 0, 0] * np.sqrt(top)))
 
 
-def block_spectra(d: BlockDecomposition) -> BlockSpectra:
-    """Eigenvalues of every block, in one batched call; the 2-norm from the chunks of ``d.norm_chunks()``.
+def block_spectra(d: BlockDecomposition) -> np.ndarray:
+    """The eigenvalues of every block, in one batched call: an (number of blocks, d) array.
 
-    Eigenvalues are never taken from a mirror partner: defective clusters
-    scatter at eps^(1/p), so partners that agree to round-off can still
-    differ visibly in their computed eigenvalues.
+    Row i holds the eigenvalues of block ``d.index[i]``, sorted by (real,
+    imag) descending.  Eigenvalues are never taken from a mirror partner:
+    defective clusters scatter at eps^(1/p), so partners that agree to
+    round-off can still differ visibly in their computed eigenvalues.
     """
-    vals = sort_eigenvalues(np.linalg.eigvals(d.blocks))
-    rho = float(np.max(np.abs(vals)))
-    return BlockSpectra(eigenvalues=vals, index=list(d.index), spectral_radius=rho, norm=d.norm)
+    return sort_eigenvalues(np.linalg.eigvals(d.blocks))
 
 
 def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:

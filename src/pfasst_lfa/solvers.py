@@ -164,7 +164,10 @@ def mlsdc_step(
     c: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
-    """One two-level step: coarse-corrected half step, then a fine sweep."""
+    """One two-level step: coarse-corrected half step, then a fine sweep.
+
+    With the composite ``BlockJacobi`` and ``BlockGaussSeidel`` it is one PFASST iteration in matrix form.
+    """
     u_half = u + _lifted(pair.interpolation, coarse.solve(_lifted(pair.restriction, c - m @ u)))
     return u_half + fine.solve(c - m @ u_half)
 
@@ -177,23 +180,6 @@ def mlsdc_preconditioner_inverse(
     cgc = _lifted(pair.interpolation, coarse.solve(_lifted(pair.restriction, eye)))
     p_inv = fine.solve(eye)
     return cgc + p_inv - p_inv @ m @ cgc
-
-
-def pfasst_step_matrix(
-    coarse_gs: BlockGaussSeidel,
-    fine_jacobi: BlockJacobi,
-    pair: TransferPair,
-    m: np.ndarray,
-    c: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """One PFASST iteration on the composite problem, in matrix form.
-
-    The fine sweep starts from the coarse-corrected half step; this is the
-    form whose error propagation factors into the PFASST iteration matrix.
-    It is the two-level step with the composite preconditioners.
-    """
-    return mlsdc_step(fine_jacobi, coarse_gs, pair, m, c, u)
 
 
 def sdc_iteration_matrix(p: Preconditioner, m: np.ndarray) -> np.ndarray:

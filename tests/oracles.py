@@ -4,7 +4,7 @@
 where ``lfa.block_power_norms`` walks row chunks; ``exhaustive_phases``
 refits every split, where ``analysis.detect_phases`` refits only the splits
 its closed-form residuals shortlist.  Both must give the same floats bit for
-bit.
+bit.  ``transform_matrix`` is ``lfa.transform_vector`` as a dense matrix.
 """
 
 import numpy as np
@@ -19,6 +19,12 @@ def pair_stacks(d: lfa.BlockDecomposition):
     pairs = d.meta.n // 4 + 1 if d.mirrored else len(d.blocks) // per
     for k in range(pairs):
         yield d.blocks[k * per : (k + 1) * per]
+
+
+def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
+    """F: column i is the transform of unit vector i, raveled over (block, entry)."""
+    eye = np.eye(meta.l * meta.m * meta.n)
+    return np.column_stack([lfa.transform_vector(e, meta).ravel() for e in eye])
 
 
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:

@@ -170,8 +170,14 @@ def test_excited_blocks_pairing():
 def test_strategy4_harmonic_restriction_is_lossless():
     cfg = _small_cfg(iterations=6)
     ctx = build_context(cfg)
-    restricted = predict(ctx, "apply", "tc", restrict_harmonics=True).values
-    full = predict(ctx, "apply", "tc", restrict_harmonics=False).values
+    restricted = predict(ctx, "apply", "tc")
+    # every block applied, from the same initial error
+    d = ctx.decomposition("tc")
+    ehat = lfa.transform_vector(ctx.initial_error, d.meta)
+    full = [np.linalg.norm(ehat)]
+    for _ in range(cfg.iterations):
+        ehat = lfa.apply_blocks(d, ehat)
+        full.append(np.linalg.norm(ehat))
     np.testing.assert_allclose(restricted, full, rtol=1e-10)
 
 
@@ -179,8 +185,8 @@ def test_predictions_full_mode_agree_with_tc_mode():
     cfg = _small_cfg(iterations=4)
     ctx = build_context(cfg)
     for strategy in ("rho", "norm", "norm-power", "apply"):
-        tc = predict(ctx, strategy, "tc").values
-        full = predict(ctx, strategy, "full").values
+        tc = predict(ctx, strategy, "tc")
+        full = predict(ctx, strategy, "full")
         # the dense eigensolver scatters defective eigenvalues, so the
         # spectral radius agrees less tightly than the norm quantities
         rtol = 1e-3 if strategy == "rho" else 1e-7
@@ -206,7 +212,7 @@ def test_full_mode_predictions_equal_the_dense_matrix_oracle():
         "apply": np.array([np.linalg.norm(p @ e0.astype(complex)) for p in powers]),
     }
     for strategy, expected in oracle.items():
-        got = predict(ctx, strategy, "full").values
+        got = predict(ctx, strategy, "full")
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14 * e0_norm)
 
 
@@ -220,7 +226,7 @@ def test_predict_rejects_unknown_names():
 
 def test_run_and_compare_strategy4_exactness_small():
     trace = run_and_compare(_small_cfg(iterations=8))
-    ap = trace.prediction("apply", "tc").values
+    ap = trace.predictions["apply", "tc"]
     mask = trace.actual_2 > 1e-13
     rel = np.abs(ap[mask] - trace.actual_2[mask]) / trace.actual_2[mask]
     assert np.max(rel) < 1e-8
@@ -272,10 +278,11 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
         "full eigvals": 1,
         "eigvals": 3,
     }
-    # the shared spectra are the ones the trace reports
-    ctx = trace.context
-    assert trace.aggregates["tc"]["rho"] == ctx.spectra("tc").spectral_radius
-    assert trace.aggregates["full"]["norm"] == ctx.spectra("full").norm
+    # the aggregates the trace reports are each decomposition's own cached values
+    for mode in ("tc", "c", "full"):
+        d = trace.context.decomposition(mode)
+        assert trace.aggregates[mode]["rho"] is d.spectral_radius
+        assert trace.aggregates[mode]["norm"] is d.norm
 
 
 @pytest.mark.parametrize("problem", ["diffusion", "advection"])
@@ -334,9 +341,9 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
     for mode in ("tc", "full"):
         norm = trace.aggregates[mode]["norm"]
         assert norm == trace.context.decomposition(mode).norm
-        e0_norm = trace.prediction("norm", mode).values[0]
-        assert trace.prediction("norm", mode).values[1] == e0_norm * norm
-        assert trace.prediction("norm-power", mode).values[1] == e0_norm * norm
+        e0_norm = trace.predictions["norm", mode][0]
+        assert trace.predictions["norm", mode][1] == e0_norm * norm
+        assert trace.predictions["norm-power", mode][1] == e0_norm * norm
 
 
 @pytest.mark.parametrize("mode", ["tc", "c"])
@@ -353,13 +360,13 @@ def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
 def test_run_and_compare_k0_gives_single_row():
     trace = run_and_compare(_small_cfg(iterations=0), strategies=("rho",))
     assert len(trace.actual_2) == 1
-    assert len(trace.prediction("rho", "tc").values) == 1
+    assert len(trace.predictions["rho", "tc"]) == 1
 
 
 def test_bound_chain_small():
     trace = run_and_compare(_small_cfg(iterations=8))
-    s2 = trace.prediction("norm", "tc").values
-    s3 = trace.prediction("norm-power", "tc").values
+    s2 = trace.predictions["norm", "tc"]
+    s3 = trace.predictions["norm-power", "tc"]
     assert np.all(trace.actual_2 <= s3 * (1 + 1e-12))
     assert np.all(s3 <= s2 * (1 + 1e-12))
 

@@ -94,11 +94,11 @@ def test_csv_tables_are_the_per_value_format(tmp_path):
     cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=32, m=3, wavenumber=2, iterations=5)
     trace = run_and_compare(cfg, block_modes=("c", "tc"))
     columns = {"actual_inf": trace.actual_inf, "actual_2": trace.actual_2}
-    columns.update({f"pred_{p.strategy}_{p.block_mode}": p.values for p in trace.predictions})
+    columns.update({f"pred_{strategy}_{mode}": values for (strategy, mode), values in trace.predictions.items()})
     rows = [[k] + [float(v[k]) for v in columns.values()] for k in range(cfg.iterations + 1)]
     assert (out / "trace.csv").read_bytes() == _per_value_csv(["iteration", *columns], rows)
-    spectra = trace.context.spectra("c")
-    rows = [[k, j, float(v.real), float(v.imag)] for vals, (k, j) in zip(spectra.eigenvalues, spectra.index) for v in vals]
+    d = trace.context.decomposition("c")
+    rows = [[int(k), int(j), float(v.real), float(v.imag)] for vals, (k, j) in zip(d.eigenvalues, d.index) for v in vals]
     assert (out / "spectrum.csv").read_bytes() == _per_value_csv(["block_k", "block_j", "eig_re", "eig_im"], rows)
     # values the analyses rarely produce
     rows = [[-1, 7, -0.0, 1e-310], [3, 0, float("inf"), float("nan")], [12, -3, -1e300, 1 / 3]]
@@ -112,7 +112,7 @@ def test_analyze_builds_one_context(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "build_context", lambda cfg: built.append(cfg) or original(cfg))
     out = _analyze(tmp_path, "--blocks", "c,tc,full")
     assert len(built) == 1
-    # the spectrum comes from the first mode's shared block spectra
+    # the spectrum holds the eigenvalues of the first mode's shared decomposition
     rows = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 16 * 4 * 6
 
@@ -145,12 +145,12 @@ def test_strategy4_check_ignores_round_off_tail(tmp_path, mu):
 def test_strategy4_check_rejects_a_wrong_apply_column():
     cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=64, l=2, wavenumber=1, iterations=20)
     trace = run_and_compare(cfg, strategies=("apply",))
-    actual, apply_2 = trace.actual_2, trace.prediction("apply", "tc").values
+    actual, apply_2 = trace.actual_2, trace.predictions["apply", "tc"]
     assert strategy4_exact(actual, apply_2)
     assert not strategy4_exact(actual, apply_2 * (1 + 1e-7))
     # the prediction for a slightly different problem is wrong from iteration 1 on
     other = build_context(ExperimentConfig(problem="diffusion", mu=10.5, n=64, l=2, wavenumber=1, iterations=20))
-    assert not strategy4_exact(actual, predict(other, "apply", "tc").values)
+    assert not strategy4_exact(actual, predict(other, "apply", "tc"))
     # a non-finite value fails the check, also in a row below the round-off floor
     for column in (actual, apply_2):
         for k in (0, 1, len(column) - 1):

@@ -21,7 +21,7 @@ from pfasst_lfa.cli import strategy4_exact
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.linalg import sort_eigenvalues
 from pfasst_lfa.quadrature import QDELTA_KINDS
-from pfasst_lfa.solvers import pfasst_run_algorithmic, pfasst_step_matrix
+from pfasst_lfa.solvers import mlsdc_step, pfasst_run_algorithmic
 from pfasst_lfa.transfer import build_ci_pair, node_propagation
 
 DT = 0.1
@@ -62,7 +62,7 @@ def test_fft_swept_run_equals_matrix_iterates(cfg):
     trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, cfg.m, cfg.l), cfg.iterations)
     u = trace[0]
     for k in range(1, cfg.iterations + 1):
-        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs.ravel(), u)
+        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs.ravel(), u)
         np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_tc_blocks_equal_the_transformed_iteration_matrix(cfg):
 @given(configs(iterations=10))
 def test_tc_apply_reproduces_the_run(cfg):
     trace = run_and_compare(cfg, strategies=("apply",))
-    assert strategy4_exact(trace.actual_2, trace.prediction("apply", "tc").values)
+    assert strategy4_exact(trace.actual_2, trace.predictions["apply", "tc"])
 
 
 @PROPERTY
@@ -115,24 +115,20 @@ def test_real_tc_norms_equal_the_complex_route(cfg):
     # entry 1 is the cached norm
     np.testing.assert_allclose(lfa.block_power_norms(d, cfg.iterations), expected, rtol=1e-13, atol=0)
     # the eigenvalues still come from the complex stack
-    assert np.array_equal(lfa.block_spectra(d).eigenvalues, sort_eigenvalues(np.linalg.eigvals(d.blocks)))
+    assert np.array_equal(d.eigenvalues, sort_eigenvalues(np.linalg.eigvals(d.blocks)))
 
 
 @PROPERTY
 @given(
-    st.sampled_from(("time-collocation", "collocation")),
+    st.sampled_from(("tc", "c")),
     st.sampled_from((16, 32)),
     st.integers(1, 4),
     st.integers(1, 5),
-    st.integers(0, 2**32 - 1),
 )
-def test_transform_vector_is_unitary_and_inverted(mode, n, l, m, seed):
-    meta = lfa.TransformMeta(mode=mode, n=n, l=l, m=m)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(l * m * n) + 1j * rng.standard_normal(l * m * n)
-    vhat = lfa.transform_vector(v, meta)
-    assert abs(np.linalg.norm(vhat) - np.linalg.norm(v)) <= 1e-13 * np.linalg.norm(v)
-    np.testing.assert_allclose(lfa.inverse_transform_vector(vhat, meta), v, rtol=0, atol=1e-13)
+def test_transform_vector_is_unitary_and_inverted(mode, n, l, m):
+    # F^H F = I: the transform preserves 2-norms and F^H inverts it
+    f = oracles.transform_matrix(lfa.TransformMeta(mode=mode, n=n, l=l, m=m))
+    np.testing.assert_allclose(f.conj().T @ f, np.eye(l * m * n), rtol=0, atol=1e-13)
 
 
 @PROPERTY

@@ -18,7 +18,6 @@ from pfasst_lfa.solvers import (
     mlsdc_step,
     node_sweep,
     pfasst_run_algorithmic,
-    pfasst_step_matrix,
     richardson_step,
     sdc_iteration_matrix,
     sdc_preconditioner,
@@ -223,7 +222,7 @@ def test_lifted_transfer_commutes_with_node_propagation(l):
         np.testing.assert_array_equal(t_down @ n_f, n_c @ t_down)
 
 
-def test_pfasst_step_matrix_matches_iteration_operator():
+def test_composite_mlsdc_step_matches_iteration_operator():
     n, m, l = 16, 3, 4
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     p_gs, p_j = setup.composite_preconditioners
@@ -232,7 +231,7 @@ def test_pfasst_step_matrix_matches_iteration_operator():
     exact = np.linalg.solve(setup.composite_matrix, rhs)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(len(rhs))
-    stepped = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u)
+    stepped = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs, u)
     np.testing.assert_allclose(stepped - exact, t @ (u - exact), atol=1e-10)
 
 
@@ -283,7 +282,7 @@ def test_pfasst_algorithmic_equals_matrix_form():
     trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), 6)
     u = trace[0].copy()
     for k in range(1, 7):
-        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u)
+        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs, u)
         np.testing.assert_allclose(trace[k], u, atol=1e-11)
 
 
@@ -309,7 +308,7 @@ def test_pfasst_algorithmic_equals_step_matrix_iterates(make, kind, l, m):
     trace = pfasst_run_algorithmic(setup, rhs, u, 5)
     np.testing.assert_array_equal(trace[0], u)
     for k in range(1, 6):
-        u = pfasst_step_matrix(p_gs, p_j, setup.pair, setup.composite_matrix, rhs, u)
+        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs, u)
         np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
 
 
