@@ -24,9 +24,9 @@ from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator, circulant_eigenvalues
 from .transfer import HarmonicDiagonals, harmonic_diagonals, node_propagation
 
-# Matrix entries per chunk of the norm and power kernels: the whole
-# mirror-representative prefix of a c stack, one or two blocks of a large tc
-# stack.  A block's 2-norm and powers do not depend on the chunk it is in.
+# Matrix entries per chunk of the norm and power kernels: every
+# representative block of a c stack, one or two blocks of a large tc stack.
+# A block's 2-norm and powers do not depend on the chunk it is in.
 NORM_CHUNK_ENTRIES = 2**16
 
 
@@ -79,16 +79,19 @@ class BlockDecomposition:
     time frequency j paired with (L - j) mod L, are related by
     B' = Pi conj(B) Pi, Pi swapping the two harmonic halves
     (B_0 = conj(B_0) without the swap).  Mirror partners therefore have the
-    same singular values.  With ``real`` set (symmetric stencils, tc mode)
-    every block is a real matrix held as complex, its imaginary part
-    round-off from the transfer phases; 2-norms are taken of the real part,
-    eigenvalues of the stored complex stack.
+    same singular values.  With ``conjugate_symmetric`` set (symmetric
+    stencils, every lambda_k real) the pair symbol obeys
+    T_k(conj z) = conj T_k(z).  So every tc block (z real) is a real matrix
+    held as complex, its imaginary part round-off from the transfer phases,
+    and its 2-norms are taken of the real part; c block (k, (L - j) mod L)
+    is the conjugate of block (k, j), and the 2-norms skip j > L/2.
+    Eigenvalues are always taken of every stored block.
     """
 
     blocks: np.ndarray
     meta: TransformMeta
     mirrored: bool = False
-    real: bool = False
+    conjugate_symmetric: bool = False
 
     @property
     def index(self) -> np.ndarray:
@@ -98,16 +101,21 @@ class BlockDecomposition:
         """The blocks whose singular values cover every block, in the field their 2-norms are taken in.
 
         Those are the harmonic pairs k <= (N/2)//2 if mirrored, else all
-        pairs: a prefix of the stack, yielded as row chunks of at most
-        ``NORM_CHUNK_ENTRIES`` matrix entries (at least one block), real
-        parts if ``real``.
+        pairs, and of each pair the time frequencies j <= L/2 if c mode is
+        conjugate-symmetric, else all of them.  They are yielded as row
+        chunks of at most ``NORM_CHUNK_ENTRIES`` matrix entries (at least
+        one block), real parts in conjugate-symmetric tc mode.
         """
-        per = self.meta.blocks_per_pair
-        prefix = (self.meta.n // 4 + 1) * per if self.mirrored else len(self.blocks)
+        per, shape = self.meta.blocks_per_pair, self.blocks.shape[1:]
+        pairs = self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // per
+        kept = per // 2 + 1 if self.conjugate_symmetric and self.meta.mode == "c" else per
+        # a view unless c mode leaves time frequencies out
+        blocks = self.blocks.reshape(-1, per, *shape)[:pairs, :kept].reshape(-1, *shape)
+        real = self.conjugate_symmetric and self.meta.mode == "tc"
         step = max(1, NORM_CHUNK_ENTRIES // self.blocks[0].size)
-        for start in range(0, prefix, step):
-            chunk = self.blocks[start : min(start + step, prefix)]
-            yield np.ascontiguousarray(chunk.real) if self.real else chunk
+        for start in range(0, len(blocks), step):
+            chunk = blocks[start : start + step]
+            yield np.ascontiguousarray(chunk.real) if real else chunk
 
     @cached_property
     def norm(self) -> float:
@@ -226,7 +234,7 @@ def _paired_blocks(sc, k, b_system, b_smoother, b_coarse) -> np.ndarray:
     return s @ cgc
 
 
-def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray, real: bool = False) -> BlockDecomposition:
+def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray) -> BlockDecomposition:
     """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0."""
     meta = TransformMeta(mode=mode, n=sc.n, l=sc.l, m=sc.m)
     basic = _basic_blocks(sc, shift)
@@ -234,21 +242,24 @@ def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray, real: bool 
     blocks = np.zeros((sc.n // 2 * per, meta.block_dim, meta.block_dim), dtype=complex)
     for k in range(sc.n // 2):
         blocks[(k + 1) * per - built : (k + 1) * per] = _paired_blocks(sc, k, *basic)
-    return BlockDecomposition(blocks=blocks, meta=meta, mirrored=sc.real_stencils, real=real)
+    return BlockDecomposition(blocks, meta, mirrored=sc.real_stencils, conjugate_symmetric=sc.symmetric_stencils)
 
 
 def tc_decompose(sc: SpectralComponents) -> BlockDecomposition:
     """N/2 time-collocation blocks of size 2LM; an exact similarity transform; real with symmetric stencils."""
-    return _decompose(sc, "tc", np.eye(sc.l, k=-1)[None], real=sc.symmetric_stencils)
+    return _decompose(sc, "tc", np.eye(sc.l, k=-1)[None])
 
 
 def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
     """N/2 * L collocation blocks of size 2M, assuming periodicity in time.
 
     Time frequency j = 0 belongs to constant-in-time modes whose coarse
-    basic block is singular at k = 0; those blocks are zero and not built.
+    basic block is singular at k = 0; those blocks are zero and not built,
+    so L = 1, which has no other time frequency, raises ``RangeError``.
     A singular block at j >= 1 raises ``np.linalg.LinAlgError``.
     """
+    if sc.l < 2:
+        raise RangeError(f"c mode needs l >= 2, got l={sc.l}: its only time frequency j = 0 is not built")
     # each phase factor from a scalar exp: an array exp may round differently,
     # and a block must not depend on how many time frequencies share its batch
     phases = np.array([np.exp(-2j * np.pi * j / sc.l) for j in range(1, sc.l)], dtype=complex)
@@ -322,21 +333,19 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
 
 
 def _max_norm2(stack: np.ndarray) -> float:
-    """Largest 2-norm in a stack of matrices.
+    """Largest 2-norm in a stack of real or complex matrices.
 
-    A real stack takes it from the largest eigenvalue of each Gram matrix:
-    ||X||_2 = s*sqrt(lambda_max((X/s)^T (X/s))) with s = max|X|, the scaling
+    Each norm comes from the largest eigenvalue of the Gram matrix:
+    ||X||_2 = s*sqrt(lambda_max((X/s)^H (X/s))) with s = max|X|, the scaling
     keeping the squares clear of over- and underflow.  Its relative error
-    is about d*eps for d columns, and the symmetric eigensolver is about
-    twice as fast as the SVD.  Real stacks are the dense T of ``full`` mode
-    and the real parts of symmetric-stencil tc blocks (``BlockDecomposition.real``).
-    A complex stack keeps the SVD, which is the faster of the two there.
+    is about d*eps for d columns.  The batched Hermitian eigensolver beats
+    the SVD on the 2M x 2M c blocks and on real stacks (the real parts of
+    symmetric-stencil tc blocks, the dense T of ``full`` mode), and is
+    within about 15% of it on complex tc blocks.
     """
-    if np.iscomplexobj(stack):
-        return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
     scale = np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
     x = stack / np.where(scale > 0, scale, 1.0)
-    top = np.linalg.eigvalsh(np.swapaxes(x, -2, -1) @ x)[..., -1]
+    top = np.linalg.eigvalsh(np.swapaxes(x, -2, -1).conj() @ x)[..., -1]
     return float(np.max(scale[..., 0, 0] * np.sqrt(top)))
 
 
@@ -356,7 +365,8 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
 
     k = 1 is the decomposition's cached ``norm``.  One pass per chunk of
     ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
-    once, in real arithmetic if ``d.real``; no power outlives its chunk.
+    once, in real arithmetic in conjugate-symmetric tc mode; no power
+    outlives its chunk.
     """
     if k_max < 0:
         raise RangeError("power must be nonnegative")

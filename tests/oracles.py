@@ -14,11 +14,17 @@ from pfasst_lfa.analysis import PhaseSegmentation, _segment_sse
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
-    """The stored blocks of each harmonic pair whose singular values cover the stack: k <= (N/2)//2 if mirrored."""
+    """The stored blocks of each harmonic pair whose singular values cover the stack.
+
+    Those are the pairs k <= (N/2)//2 if mirrored, and of each pair the time
+    frequencies j <= L/2 if c mode is conjugate-symmetric: the rows
+    ``d.norm_chunks()`` walks, one pair at a time.
+    """
     per = d.meta.blocks_per_pair
     pairs = d.meta.n // 4 + 1 if d.mirrored else len(d.blocks) // per
+    kept = per // 2 + 1 if d.conjugate_symmetric and d.meta.mode == "c" else per
     for k in range(pairs):
-        yield d.blocks[k * per : (k + 1) * per]
+        yield d.blocks[k * per : k * per + kept]
 
 
 def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
@@ -28,11 +34,11 @@ def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
 
 
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
-    """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in real arithmetic if ``d.real``."""
+    """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair; real parts in conjugate-symmetric tc mode."""
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
     for blocks in pair_stacks(d):
-        blocks = np.ascontiguousarray(blocks.real) if d.real else blocks
+        blocks = np.ascontiguousarray(blocks.real) if d.conjugate_symmetric and d.meta.mode == "tc" else blocks
         power = blocks
         for k in range(1, k_max + 1):
             if k > 1:

@@ -303,20 +303,23 @@ def test_stacked_run_equals_the_two_runs_bitwise(problem):
     assert all(np.array_equal(s, a) for s, a in zip(stacked, again))
 
 
-@pytest.mark.parametrize("problem,complex_svds", [("diffusion", False), ("advection", True)])
-def test_symmetric_stencil_tc_norms_take_no_complex_svd(monkeypatch, problem, complex_svds):
-    dtypes = []
+@pytest.mark.parametrize("problem", ["diffusion", "advection"])
+def test_norm_kernels_take_no_svd(monkeypatch, problem):
+    # every 2-norm, real or complex, comes from the Gram matrix's top eigenvalue
+    calls = []
     svd = np.linalg.svd
 
     def recording(a, *args, **kwargs):
-        dtypes.append(np.asarray(a).dtype)
+        calls.append(np.asarray(a).shape)
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     # np.linalg.norm calls the svd of its own module
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", recording)
-    run_and_compare(_small_cfg(problem, iterations=6))
-    assert any(np.issubdtype(t, np.complexfloating) for t in dtypes) == complex_svds
+    trace = run_and_compare(_small_cfg(problem, iterations=6), block_modes=("tc", "c", "full"))
+    assert calls == []
+    for mode in ("tc", "c", "full"):
+        assert trace.predictions["norm-power", mode][-1] > 0
 
 
 def test_run_and_compare_takes_each_block_norm_once(monkeypatch):

@@ -67,12 +67,13 @@ def test_transform_round_trip_is_unitary(l):
     prob = make_advection(16, 4.88e-3)
     _, sc = _assemble(prob, 2, l, 0.1, "lu")
     rng = np.random.default_rng(5)
-    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+    # the transform is defined at l = 1 in both modes, though c blocks are not
+    for meta in (lfa.tc_decompose(sc).meta, lfa.TransformMeta(mode="c", n=16, l=l, m=2)):
         v = rng.standard_normal(l * 2 * 16) + 1j * rng.standard_normal(l * 2 * 16)
-        vhat = lfa.transform_vector(v, d.meta)
-        assert vhat.shape == (len(d.blocks), d.meta.block_dim)
+        vhat = lfa.transform_vector(v, meta)
+        assert vhat.shape == (len(meta.block_index()), meta.block_dim)
         assert np.linalg.norm(vhat) == pytest.approx(np.linalg.norm(v), rel=1e-13)
-        f = oracles.transform_matrix(d.meta)
+        f = oracles.transform_matrix(meta)
         np.testing.assert_allclose(f.conj().T @ f, np.eye(len(v)), atol=1e-13)
 
 
@@ -154,7 +155,7 @@ def test_mirror_needs_real_stencils():
     assert not d.mirrored
     assert sum(map(len, d.norm_chunks())) == 8  # every pair
     assert sum(map(len, lfa.tc_decompose(replace(sc, real_stencils=True)).norm_chunks())) == 5
-    assert not sc.symmetric_stencils and not d.real
+    assert not sc.symmetric_stencils and not d.conjugate_symmetric
 
 
 @pytest.mark.parametrize("n", [16, 32, 128, 512])
@@ -172,31 +173,77 @@ def test_symmetric_stencil_tc_blocks_are_real_and_flagged(l, qdelta_kind):
     _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
     assert sc.symmetric_stencils
     tc = lfa.tc_decompose(sc)
-    assert tc.real
+    assert tc.conjugate_symmetric
     assert np.max(np.abs(tc.blocks.imag)) <= 1e-14 * np.max(np.abs(tc.blocks))
     # the stored stack stays complex; test_batched_kernel_equals_one_pair_at_a_time
     # pins it bit for bit to the per-pair build
     assert tc.blocks.dtype == complex
-    assert not lfa.c_decompose(sc).real  # the phases make c blocks complex
+    assert all(chunk.dtype == float for chunk in tc.norm_chunks())
+    if l > 1:
+        # the phases make c blocks complex: the flag leaves time frequencies out instead
+        c = lfa.c_decompose(sc)
+        assert c.conjugate_symmetric
+        assert all(chunk.dtype == complex for chunk in c.norm_chunks())
 
 
-def test_real_flag_is_false_without_symmetric_stencils():
+def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():
     _, sc = _assemble(make_advection(32, 4.88e-3), 3, 4, 0.1, "lu")
     assert sc.real_stencils and not sc.symmetric_stencils
-    assert not lfa.tc_decompose(sc).real
-    assert not lfa.c_decompose(sc).real
+    assert not lfa.tc_decompose(sc).conjugate_symmetric
+    assert not lfa.c_decompose(sc).conjugate_symmetric
     # a real stencil with c_1 != c_{-1} is not symmetric either
     op_f = CirculantOperator(n=16, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
     op_c = CirculantOperator(n=8, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
     assert not lfa.spectral_components(_setup(op_f, op_c, 2, 2, 0.1)).symmetric_stencils
     t = _assemble(make_diffusion(16, 5e-3), 2, 2, 0.1, "lu")[0].iteration_matrix
-    assert not lfa.identity_decompose(t, 16, 2, 2).real
+    assert not lfa.identity_decompose(t, 16, 2, 2).conjugate_symmetric
 
 
+@pytest.mark.parametrize("l", [2, 3, 4, 8])
+@pytest.mark.parametrize(
+    "make,coefficient,qdelta_kind", [(make_diffusion, 5e-3, "implicit-euler"), (make_advection, 4.88e-3, "lu")]
+)
+def test_conjugate_time_frequencies_give_conjugate_c_blocks_for_symmetric_stencils(make, coefficient, qdelta_kind, l):
+    _, sc = _assemble(make(32, coefficient), 3, l, 0.1, qdelta_kind)
+    d = lfa.c_decompose(sc)
+    symmetric = make is make_diffusion
+    assert d.conjugate_symmetric == symmetric
+    blocks = d.blocks.reshape(sc.n // 2, l, *d.blocks.shape[1:])
+    # B_{k,(L-j) mod L} against conj B_{k,j}, entry by entry
+    gap = np.max(np.abs(blocks[:, -np.arange(l) % l] - blocks.conj())) / np.max(np.abs(blocks))
+    assert gap <= 1e-14 if symmetric else gap > 1e-3
+
+
+@pytest.mark.parametrize(
+    "make,n,l,m,visited",
+    [
+        (make_diffusion, 16, 3, 2, 5 * 2),
+        (make_diffusion, 128, 16, 5, 297),  # the c-sweep's L = 16: 528 blocks without the conjugate partners
+        (make_advection, 128, 16, 5, 528),
+    ],
+)
+def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n, l, m, visited):
+    # (N/4 + 1) mirror-representative pairs, each with L/2 + 1 time frequencies if conjugate-symmetric
+    _, sc = _assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler")
+    d = lfa.c_decompose(sc)
+    rows = []
+    original = lfa._max_norm2
+
+    def counted(stack):
+        rows.append(len(stack))
+        return original(stack)
+
+    monkeypatch.setattr(lfa, "_max_norm2", counted)
+    assert d.norm > 0
+    assert sum(rows) == visited
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("make,qdelta_kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])
-def test_block_power_norms_match_matrix_power(make, qdelta_kind):
+def test_block_power_norms_match_matrix_power(make, qdelta_kind, l):
+    # the mirror and conjugate representatives carry the SVD norms of every block's powers
     prob = make(32, 5e-3)
-    _, sc = _assemble(prob, 3, 3, 0.1, qdelta_kind)
+    _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
     k_max = 12
     for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
         norms = lfa.block_power_norms(d, k_max)
@@ -204,7 +251,7 @@ def test_block_power_norms_match_matrix_power(make, qdelta_kind):
         assert norms[0] == 1.0
         for k in range(1, k_max + 1):
             ref = max(np.linalg.norm(np.linalg.matrix_power(b, k), 2) for b in d.blocks)
-            assert norms[k] == pytest.approx(ref, rel=1e-12)
+            assert norms[k] == pytest.approx(ref, rel=1e-13)
 
 
 def test_tc_eigenvalues_match_full_spectrum_via_clusters():
@@ -465,12 +512,16 @@ def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family,
     sc = lfa.spectral_components(_setup(*_stencil_family(family, n), m, l, 0.1))
     if family == "diffusion-unmirrored":
         sc = replace(sc, real_stencils=False)
+    if decompose is lfa.c_decompose and l == 1:
+        with pytest.raises(RangeError, match="l=1"):
+            decompose(sc)
+        return
     d = decompose(sc)
     assert d.mirrored == (family in ("diffusion", "advection"))
-    assert d.real == (decompose is lfa.tc_decompose and family.startswith("diffusion"))
+    assert d.conjugate_symmetric == family.startswith("diffusion")
     expected = oracles.pairwise_power_norms(d, k_max)
     size = d.blocks[0].size
-    # the default chunk, then chunks of one block and of three (the prefix's last chunk shorter)
+    # the default chunk, then chunks of one block and of three (the last chunk shorter)
     for entries in (lfa.NORM_CHUNK_ENTRIES, size, 4 * size - 1):
         monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
         chunked = replace(d)  # a fresh cached norm
@@ -487,20 +538,26 @@ def test_chunked_norms_of_the_full_block_equal_the_oracle():
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-def test_real_stack_norm_matches_the_svd_norm(scale):
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stack_norm_matches_the_svd_norm(field, scale):
     rng = np.random.default_rng(17)
-    rank_one = rng.standard_normal((3, 9, 1)) * rng.standard_normal((3, 1, 9))
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
     stacks = [
-        rng.standard_normal((4, 9, 9)),
-        rng.standard_normal((2, 7, 4)),
-        rank_one,
-        np.zeros((2, 5, 5)),
-        np.concatenate([np.zeros((1, 6, 6)), rng.standard_normal((1, 6, 6))]),
+        draw(4, 9, 9),
+        draw(2, 7, 4),
+        draw(3, 9, 1) * draw(3, 1, 9),  # rank one
+        np.zeros((2, 5, 5), dtype=complex if field == "complex" else float),
+        np.concatenate([np.zeros((1, 6, 6)), draw(1, 6, 6)]),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for stack in stacks:
             stack = scale * stack
+            assert np.iscomplexobj(stack) == (field == "complex")
             per_matrix = np.linalg.norm(stack, 2, axis=(-2, -1))
             assert abs(lfa._max_norm2(stack) - per_matrix.max()) <= 1e-13 * per_matrix.max()
             for x, expected in zip(stack, per_matrix):

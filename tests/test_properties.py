@@ -103,7 +103,7 @@ def test_tc_apply_reproduces_the_run(cfg):
 @given(configs(iterations=8, problems=("diffusion",)))
 def test_real_tc_norms_equal_the_complex_route(cfg):
     d = build_context(cfg).decomposition("tc")
-    assert d.real
+    assert d.conjugate_symmetric
     # the complex route: SVD 2-norms of the stored complex pair stacks and their powers
     expected = np.zeros(cfg.iterations + 1)
     expected[0] = 1.0
