@@ -33,6 +33,20 @@ from . import lfa
 STRATEGIES = ("rho", "norm", "norm-power", "apply")
 BLOCK_MODES = ("tc", "c", "full")
 
+# Polynomial exactness of the interpolation and restriction stencils.
+INTERP_EXACTNESS = 6
+RESTR_EXACTNESS = 2
+
+# detect_phases: each segment has at least PHASE_MIN_LEN points; an extra
+# segment must shrink the fit residual by more than PHASE_IMPROVEMENT; errors
+# at or below PHASE_REL_FLOOR times the initial error are left out; a residual
+# at or below PHASE_NOISE_SSE is a straight line, and splitting it further
+# would only chase noise.
+PHASE_MIN_LEN = 3
+PHASE_IMPROVEMENT = 0.25
+PHASE_REL_FLOOR = 1e-14
+PHASE_NOISE_SSE = 1e-10
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,8 +62,6 @@ class ExperimentConfig:
     wavenumber: int = 1
     iterations: int = 10
     qdelta_kind: str | None = None
-    interp_exactness: int = 6
-    restr_exactness: int = 2
 
     def __post_init__(self):
         if self.problem not in ("diffusion", "advection"):
@@ -68,12 +80,7 @@ class ExperimentConfig:
             raise RangeError(f"l (time intervals) must be >= 1, got {self.l}")
         if not 1 <= self.m <= MAX_NODES:
             raise RangeError(f"m (quadrature nodes) must lie in 1..{MAX_NODES}, got {self.m}")
-        if self.interp_exactness < 1 or self.restr_exactness < 1:
-            raise RangeError(
-                "interp_exactness and restr_exactness must be >= 1, got "
-                f"{self.interp_exactness} and {self.restr_exactness}"
-            )
-        width = max(map(midpoint_stencil_points, (self.interp_exactness, self.restr_exactness)))
+        width = max(map(midpoint_stencil_points, (INTERP_EXACTNESS, RESTR_EXACTNESS)))
         if self.n % 2 or self.n // 2 < width:
             raise RangeError(
                 f"n must be even with n/2 >= {width}, the transfer stencil width, got {self.n}"
@@ -175,7 +182,7 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
     setup = build_two_level_setup(
         collocation_matrix(fine.operator, rule, cfg.dt),
         collocation_matrix(coarsen(fine).operator, rule, cfg.dt),
-        build_ci_pair(cfg.n, cfg.interp_exactness, cfg.restr_exactness),
+        build_ci_pair(cfg.n, INTERP_EXACTNESS, RESTR_EXACTNESS),
         cfg.l,
         cfg.resolved_qdelta_kind(),
     )
@@ -261,7 +268,6 @@ class PhaseSegmentation:
 
     boundaries: list[int]  # segment start indices, first is 0
     slopes: list[float]
-    residuals: list[float]  # sum of squares for the 1-, 2-, 3-segment fits
 
     @property
     def count(self) -> int:
@@ -319,41 +325,33 @@ def _best_split(y: np.ndarray, splits: list[tuple[int, ...]], seg: np.ndarray, m
     return best
 
 
-def detect_phases(errors: np.ndarray, min_len: int = 3, improvement: float = 0.25, rel_floor: float = 1e-14) -> PhaseSegmentation:
+def detect_phases(errors: np.ndarray) -> PhaseSegmentation:
     """Segment log10(error) into 1-3 linear pieces.
 
     An extra segment is accepted only when it shrinks the fit residual by
-    more than the improvement fraction.  Values below rel_floor times the
-    initial error are excluded: they sit outside the observable range of a
-    double-precision run and carry no slope information.  The best 2- and
-    3-segment splits are found from closed-form segment residuals.
+    more than ``PHASE_IMPROVEMENT``.  Values at or below ``PHASE_REL_FLOOR``
+    times the initial error are excluded: they sit outside the observable
+    range of a double-precision run and carry no slope information.  The
+    best 2- and 3-segment splits are found from closed-form segment
+    residuals.
     """
     errors = np.asarray(errors, dtype=float)
-    mask = errors > rel_floor * errors[0]
-    y = np.log10(errors[mask])
+    y = np.log10(errors[errors > PHASE_REL_FLOOR * errors[0]])
     n = len(y)
-    if n < 2 * min_len:
-        sse, slope = _segment_sse(y)
-        return PhaseSegmentation(boundaries=[0], slopes=[slope], residuals=[sse])
-
     sse1, slope1 = _segment_sse(y)
-    # a residual this small is indistinguishable from a straight line;
-    # splitting it further would only chase noise
-    noise_sse = 1e-10
-    if sse1 <= noise_sse:
-        return PhaseSegmentation(boundaries=[0], slopes=[slope1], residuals=[sse1])
+    if n < 2 * PHASE_MIN_LEN or sse1 <= PHASE_NOISE_SSE:
+        return PhaseSegmentation(boundaries=[0], slopes=[slope1])
 
     seg, margin = _segment_sses(y)
-    starts = range(min_len, n - min_len + 1)
+    starts = range(PHASE_MIN_LEN, n - PHASE_MIN_LEN + 1)
     best2 = _best_split(y, [(b,) for b in starts], seg, margin)
-    best3 = _best_split(y, [(b1, b2) for b1 in starts for b2 in starts if b2 - b1 >= min_len], seg, margin)
+    best3 = _best_split(y, [(b1, b2) for b1 in starts for b2 in starts if b2 - b1 >= PHASE_MIN_LEN], seg, margin)
 
-    residuals = [sse1, best2[0], best3[0] if best3 else best2[0]]
-    if best2[0] >= (1.0 - improvement) * sse1:
-        return PhaseSegmentation(boundaries=[0], slopes=[slope1], residuals=residuals)
-    if best3 is None or best2[0] <= noise_sse or best3[0] >= (1.0 - improvement) * best2[0]:
-        return PhaseSegmentation(boundaries=best2[1], slopes=best2[2], residuals=residuals)
-    return PhaseSegmentation(boundaries=best3[1], slopes=best3[2], residuals=residuals)
+    if best2[0] >= (1.0 - PHASE_IMPROVEMENT) * sse1:
+        return PhaseSegmentation(boundaries=[0], slopes=[slope1])
+    if best3 is None or best2[0] <= PHASE_NOISE_SSE or best3[0] >= (1.0 - PHASE_IMPROVEMENT) * best2[0]:
+        return PhaseSegmentation(boundaries=best2[1], slopes=best2[2])
+    return PhaseSegmentation(boundaries=best3[1], slopes=best3[2])
 
 
 @dataclass
@@ -364,14 +362,13 @@ class ErrorTrace:
     the homogeneous PFASST iteration (linearity makes this identical to the
     error of the inhomogeneous run, but free of the cancellation that caps
     the directly subtracted error at round-off level).  The subtracted
-    errors of the inhomogeneous run are kept as u_run_inf / u_run_2 and
-    cross-checked against the propagated ones.
+    errors of the inhomogeneous run are kept as u_run_2 and cross-checked
+    against the propagated ones.
     """
 
     cfg: ExperimentConfig
     actual_inf: np.ndarray
     actual_2: np.ndarray
-    u_run_inf: np.ndarray
     u_run_2: np.ndarray
     predictions: dict  # (strategy, block mode) -> K+1 values, in request order
     phases: PhaseSegmentation
@@ -390,6 +387,8 @@ def run_and_compare(
 ) -> ErrorTrace:
     """Run algorithmic PFASST and attach all requested predictions."""
     ctx = build_context(cfg)
+    # every decomposition before the run, so that a refused one (c mode at l = 1) costs no run
+    decompositions = {mode: ctx.decomposition(mode) for mode in block_modes}
     u_ex = ctx.trajectory
     e0 = ctx.initial_error
     # the propagated error (zero rhs) and the manufactured run, stacked into one run
@@ -397,20 +396,15 @@ def run_and_compare(
     trace = pfasst_run_algorithmic(ctx.setup, rhs, np.stack([e0, ctx.initial_iterate]), cfg.iterations)
     actual_inf = np.array([np.max(np.abs(e)) for e, _ in trace])
     actual_2 = np.array([np.linalg.norm(e) for e, _ in trace])
-    u_run_inf = np.array([np.max(np.abs(u - u_ex)) for _, u in trace])
     u_run_2 = np.array([np.linalg.norm(u - u_ex) for _, u in trace])
 
     predictions = {(strategy, mode): predict(ctx, strategy, mode) for mode in block_modes for strategy in strategies}
-    aggregates = {}
-    for mode in block_modes:
-        d = ctx.decomposition(mode)
-        aggregates[mode] = {"rho": d.spectral_radius, "norm": d.norm}
+    aggregates = {mode: {"rho": d.spectral_radius, "norm": d.norm} for mode, d in decompositions.items()}
 
     return ErrorTrace(
         cfg=cfg,
         actual_inf=actual_inf,
         actual_2=actual_2,
-        u_run_inf=u_run_inf,
         u_run_2=u_run_2,
         predictions=predictions,
         phases=detect_phases(actual_2),
@@ -418,14 +412,3 @@ def run_and_compare(
         context=ctx,
     )
 
-
-def asymptotic_ratio(errors: np.ndarray, rel_floor: float = 1e-14) -> float:
-    """Geometric-mean contraction ratio over the final third of the trace."""
-    errors = np.asarray(errors, dtype=float)
-    mask = errors > rel_floor * errors[0]
-    e = errors[mask]
-    if len(e) < 3:
-        raise RangeError("too few usable error values for an asymptotic ratio")
-    start = 2 * len(e) // 3
-    ratios = e[start + 1 :] / e[start:-1]
-    return float(np.exp(np.mean(np.log(ratios))))

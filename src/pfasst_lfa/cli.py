@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,8 @@ import numpy as np
 from . import __version__, lfa
 from .analysis import (
     BLOCK_MODES,
+    INTERP_EXACTNESS,
+    RESTR_EXACTNESS,
     STRATEGIES,
     ExperimentConfig,
     build_context,
@@ -182,18 +184,11 @@ def cmd_analyze(args, parser) -> int:
         "tool": "pfasst-lfa",
         "version": __version__,
         "config": {
-            "problem": cfg.problem,
-            "n": cfg.n,
-            "m": cfg.m,
-            "l": cfg.l,
-            "dt": cfg.dt,
+            **asdict(cfg),
             "coefficient": cfg.resolved_coefficient(),
-            "mu": cfg.mu,
-            "wavenumber": cfg.wavenumber,
-            "iterations": cfg.iterations,
             "qdelta_kind": cfg.resolved_qdelta_kind(),
-            "interp_exactness": cfg.interp_exactness,
-            "restr_exactness": cfg.restr_exactness,
+            "interp_exactness": INTERP_EXACTNESS,
+            "restr_exactness": RESTR_EXACTNESS,
             "strategies": list(strategies),
             "blocks": list(block_modes),
         },

@@ -101,16 +101,18 @@ class BlockDecomposition:
         """The blocks whose singular values cover every block, in the field their 2-norms are taken in.
 
         Those are the harmonic pairs k <= (N/2)//2 if mirrored, else all
-        pairs, and of each pair the time frequencies j <= L/2 if c mode is
-        conjugate-symmetric, else all of them.  They are yielded as row
-        chunks of at most ``NORM_CHUNK_ENTRIES`` matrix entries (at least
-        one block), real parts in conjugate-symmetric tc mode.
+        pairs, and of each pair every block in tc mode; in c mode the built
+        time frequencies j >= 1, only up to j <= L/2 if conjugate-symmetric.
+        They are yielded as row chunks of at most ``NORM_CHUNK_ENTRIES``
+        matrix entries (at least one block), real parts in
+        conjugate-symmetric tc mode.
         """
         per, shape = self.meta.blocks_per_pair, self.blocks.shape[1:]
         pairs = self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // per
-        kept = per // 2 + 1 if self.conjugate_symmetric and self.meta.mode == "c" else per
-        # a view unless c mode leaves time frequencies out
-        blocks = self.blocks.reshape(-1, per, *shape)[:pairs, :kept].reshape(-1, *shape)
+        c = self.meta.mode == "c"
+        kept = per // 2 + 1 if c and self.conjugate_symmetric else per
+        # a view in tc and full mode; c mode leaves out the zero j = 0 blocks
+        blocks = self.blocks.reshape(-1, per, *shape)[:pairs, int(c) : kept].reshape(-1, *shape)
         real = self.conjugate_symmetric and self.meta.mode == "tc"
         step = max(1, NORM_CHUNK_ENTRIES // self.blocks[0].size)
         for start in range(0, len(blocks), step):

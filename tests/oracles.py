@@ -5,26 +5,38 @@ where ``lfa.block_power_norms`` walks row chunks; ``exhaustive_phases``
 refits every split, where ``analysis.detect_phases`` refits only the splits
 its closed-form residuals shortlist.  Both must give the same floats bit for
 bit.  ``transform_matrix`` is ``lfa.transform_vector`` as a dense matrix.
+``asymptotic_ratio`` measures the late contraction of a trace, which the
+acceptance suite compares with the predicted spectral radius.
 """
 
 import numpy as np
 
 from pfasst_lfa import lfa
-from pfasst_lfa.analysis import PhaseSegmentation, _segment_sse
+from pfasst_lfa.analysis import (
+    PHASE_IMPROVEMENT,
+    PHASE_MIN_LEN,
+    PHASE_NOISE_SSE,
+    PHASE_REL_FLOOR,
+    PhaseSegmentation,
+    _segment_sse,
+)
+from pfasst_lfa.errors import RangeError
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
     """The stored blocks of each harmonic pair whose singular values cover the stack.
 
-    Those are the pairs k <= (N/2)//2 if mirrored, and of each pair the time
-    frequencies j <= L/2 if c mode is conjugate-symmetric: the rows
-    ``d.norm_chunks()`` walks, one pair at a time.
+    Those are the pairs k <= (N/2)//2 if mirrored, and of each pair every
+    block in tc mode; in c mode the time frequencies j >= 1, only up to
+    j <= L/2 if conjugate-symmetric: the rows ``d.norm_chunks()`` walks, one
+    pair at a time.
     """
     per = d.meta.blocks_per_pair
     pairs = d.meta.n // 4 + 1 if d.mirrored else len(d.blocks) // per
-    kept = per // 2 + 1 if d.conjugate_symmetric and d.meta.mode == "c" else per
+    c = d.meta.mode == "c"
+    kept = per // 2 + 1 if c and d.conjugate_symmetric else per
     for k in range(pairs):
-        yield d.blocks[k * per : k * per + kept]
+        yield d.blocks[k * per + int(c) : k * per + kept]
 
 
 def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
@@ -47,14 +59,15 @@ def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
     return norms
 
 
-def exhaustive_phases(errors, min_len=3, improvement=0.25, rel_floor=1e-14) -> PhaseSegmentation:
+def exhaustive_phases(errors) -> PhaseSegmentation:
     """``detect_phases`` with every 2- and 3-segment split refitted by ``_segment_sse``."""
+    min_len, improvement = PHASE_MIN_LEN, PHASE_IMPROVEMENT
     errors = np.asarray(errors, dtype=float)
-    y = np.log10(errors[errors > rel_floor * errors[0]])
+    y = np.log10(errors[errors > PHASE_REL_FLOOR * errors[0]])
     n = len(y)
     sse1, slope1 = _segment_sse(y)
-    if n < 2 * min_len or sse1 <= 1e-10:
-        return PhaseSegmentation(boundaries=[0], slopes=[slope1], residuals=[sse1])
+    if n < 2 * min_len or sse1 <= PHASE_NOISE_SSE:
+        return PhaseSegmentation(boundaries=[0], slopes=[slope1])
 
     best2 = None
     for b in range(min_len, n - min_len + 1):
@@ -71,9 +84,20 @@ def exhaustive_phases(errors, min_len=3, improvement=0.25, rel_floor=1e-14) -> P
             if best3 is None or s_a + s_b + s_c < best3[0]:
                 best3 = (s_a + s_b + s_c, [0, b1, b2], [sl_a, sl_b, sl_c])
 
-    residuals = [sse1, best2[0], best3[0] if best3 else best2[0]]
     if best2[0] >= (1.0 - improvement) * sse1:
-        return PhaseSegmentation(boundaries=[0], slopes=[slope1], residuals=residuals)
-    if best3 is None or best2[0] <= 1e-10 or best3[0] >= (1.0 - improvement) * best2[0]:
-        return PhaseSegmentation(boundaries=best2[1], slopes=best2[2], residuals=residuals)
-    return PhaseSegmentation(boundaries=best3[1], slopes=best3[2], residuals=residuals)
+        return PhaseSegmentation(boundaries=[0], slopes=[slope1])
+    if best3 is None or best2[0] <= PHASE_NOISE_SSE or best3[0] >= (1.0 - improvement) * best2[0]:
+        return PhaseSegmentation(boundaries=best2[1], slopes=best2[2])
+    return PhaseSegmentation(boundaries=best3[1], slopes=best3[2])
+
+
+def asymptotic_ratio(errors: np.ndarray, rel_floor: float = 1e-14) -> float:
+    """Geometric-mean contraction ratio over the final third of the trace."""
+    errors = np.asarray(errors, dtype=float)
+    mask = errors > rel_floor * errors[0]
+    e = errors[mask]
+    if len(e) < 3:
+        raise RangeError("too few usable error values for an asymptotic ratio")
+    start = 2 * len(e) // 3
+    ratios = e[start + 1 :] / e[start:-1]
+    return float(np.exp(np.mean(np.log(ratios))))

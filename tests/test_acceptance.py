@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import clusters
+from oracles import asymptotic_ratio
 from pfasst_lfa import lfa
 from pfasst_lfa.analysis import (
     ExperimentConfig,
-    asymptotic_ratio,
     build_context,
     run_and_compare,
 )

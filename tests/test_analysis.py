@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import asymptotic_ratio
 from pfasst_lfa import analysis, lfa, solvers
 from pfasst_lfa.analysis import (
     ExperimentConfig,
-    asymptotic_ratio,
     build_context,
     detect_phases,
     exact_trajectory,
@@ -70,7 +70,6 @@ def test_config_validation():
         ("wavenumber", 200, RangeError),
         ("wavenumber", 64, RangeError),  # the Nyquist mode n/2
         ("qdelta_kind", "rk4", ConfigurationError),
-        ("interp_exactness", 0, RangeError),
     ],
 )
 def test_config_rejects_invalid_field_by_name(field, value, error):

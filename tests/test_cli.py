@@ -362,13 +362,18 @@ def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_analyze_c_mode_at_one_interval_exits_3_naming_l(tmp_path, capsys):
-    # c mode builds no block at time frequency j = 0, the only one at l = 1
+def test_analyze_c_mode_at_one_interval_exits_3_naming_l(tmp_path, capsys, monkeypatch):
+    # c mode builds no block at time frequency j = 0, the only one at l = 1; it is refused before the run
+    runs = []
+    original = analysis.pfasst_run_algorithmic
+    monkeypatch.setattr(analysis, "pfasst_run_algorithmic", lambda *args: runs.append(args) or original(*args))
     out = _analyze(tmp_path, "--l", "1", "--blocks", "c", code=EXIT_NUMERICAL)
     assert "l=1" in capsys.readouterr().err
     assert not out.exists()
+    assert runs == []
     # tc mode is exact at l = 1
     _analyze(tmp_path, "--l", "1", "--blocks", "tc")
+    assert len(runs) == 1
 
 
 def test_verify_shares_one_composite_matrix(monkeypatch):

@@ -217,13 +217,13 @@ def test_conjugate_time_frequencies_give_conjugate_c_blocks_for_symmetric_stenci
 @pytest.mark.parametrize(
     "make,n,l,m,visited",
     [
-        (make_diffusion, 16, 3, 2, 5 * 2),
-        (make_diffusion, 128, 16, 5, 297),  # the c-sweep's L = 16: 528 blocks without the conjugate partners
-        (make_advection, 128, 16, 5, 528),
+        (make_diffusion, 16, 3, 2, 5 * 1),
+        (make_diffusion, 128, 16, 5, 264),  # the c-sweep's L = 16: 495 blocks without the conjugate partners
+        (make_advection, 128, 16, 5, 495),
     ],
 )
 def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n, l, m, visited):
-    # (N/4 + 1) mirror-representative pairs, each with L/2 + 1 time frequencies if conjugate-symmetric
+    # (N/4 + 1) mirror-representative pairs, each with the built time frequencies 1..L-1, only 1..L/2 if conjugate-symmetric
     _, sc = _assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler")
     d = lfa.c_decompose(sc)
     rows = []

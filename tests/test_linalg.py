@@ -1,7 +1,9 @@
 """Dense linear-algebra helpers against independent oracles."""
 
 import numpy as np
+import pytest
 
+from pfasst_lfa.errors import DimensionError
 from pfasst_lfa.linalg import dft_matrix, sort_eigenvalues
 
 
@@ -9,6 +11,11 @@ def test_dft_matrix_is_unitary():
     for n in (1, 2, 5, 16):
         psi = dft_matrix(n)
         np.testing.assert_allclose(psi.conj().T @ psi, np.eye(n), atol=1e-13)
+
+
+def test_dft_matrix_rejects_an_empty_grid():
+    with pytest.raises(DimensionError, match="n >= 1, got 0"):
+        dft_matrix(0)
 
 
 def test_dft_matrix_diagonalizes_a_circulant_shift():

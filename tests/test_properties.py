@@ -177,9 +177,5 @@ def error_traces(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(error_traces())
 def test_phase_splits_are_the_exhaustive_minima(errors):
-    seg, expected = detect_phases(errors), oracles.exhaustive_phases(errors)
-    # the chosen 2- and 3-segment splits fit as well as the best of every split
-    for got, best in zip(seg.residuals[1:], expected.residuals[1:]):
-        assert abs(got - best) <= 1e-12 * best
-    # and they are the very splits, so the slopes keep their bits
-    assert seg == expected
+    # the chosen splits are those of refitting every split, so the slopes keep their bits
+    assert detect_phases(errors) == oracles.exhaustive_phases(errors)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfasst_lfa.errors import ConsistencyError, RangeError, SizeError
+from pfasst_lfa.errors import ConsistencyError, DimensionError, RangeError, SizeError
 from pfasst_lfa.linalg import dft_matrix
 from pfasst_lfa.transfer import (
     build_ci_pair,
@@ -136,3 +136,9 @@ def test_restriction_condition_detects_temporal_coarsening():
     ok, violation = check_restriction_condition(pair, 3, temporal_restriction=broken)
     assert not ok
     assert np.max(np.abs(violation)) > 0.1
+
+
+def test_restriction_condition_rejects_a_temporal_restriction_with_the_wrong_column_count():
+    pair = build_ci_pair(16)
+    with pytest.raises(DimensionError, match="wrong number of columns"):
+        check_restriction_condition(pair, 3, temporal_restriction=np.eye(2, 4))
