@@ -80,10 +80,11 @@ class ExperimentConfig:
             raise RangeError(f"l (time intervals) must be >= 1, got {self.l}")
         if not 1 <= self.m <= MAX_NODES:
             raise RangeError(f"m (quadrature nodes) must lie in 1..{MAX_NODES}, got {self.m}")
+        # the coarse level is a model problem on n/2 points, which needs an even grid itself
         width = max(map(midpoint_stencil_points, (INTERP_EXACTNESS, RESTR_EXACTNESS)))
-        if self.n % 2 or self.n // 2 < width:
+        if self.n % 4 or self.n // 2 < width:
             raise RangeError(
-                f"n must be even with n/2 >= {width}, the transfer stencil width, got {self.n}"
+                f"n must be a multiple of 4 with n/2 >= {width}, the transfer stencil width, got n = {self.n}"
             )
         nu = self.resolved_coefficient()
         if not (np.isfinite(nu) and nu > 0):  # mu*dx^2/dt can overflow or underflow
@@ -125,11 +126,10 @@ class ExperimentContext:
     """One configuration's model problem and two-level setup, shared by the three routes.
 
     What the strategies derive from them is built on first use and kept:
-    the spectral components, the block decomposition of each mode (which
-    keeps its own eigenvalues, spectral radius and norm), the analytic
-    trajectory, the initial iterate and the initial error.  The runs, the
-    predictions, the aggregates and the CLI's spectrum writer of one
-    analysis thereby share one build.
+    the block decomposition of each mode (which keeps its own eigenvalues,
+    spectral radius and norm), the analytic trajectory, the initial iterate
+    and the initial error.  The runs, the predictions, the aggregates and
+    the CLI's spectrum writer of one analysis thereby share one build.
     """
 
     cfg: ExperimentConfig
@@ -145,20 +145,15 @@ class ExperimentContext:
         """
         if block_mode not in self._blocks:
             if block_mode == "tc":
-                self._blocks[block_mode] = lfa.tc_decompose(self.components)
+                self._blocks[block_mode] = lfa.tc_decompose(self.setup)
             elif block_mode == "c":
-                self._blocks[block_mode] = lfa.c_decompose(self.components)
+                self._blocks[block_mode] = lfa.c_decompose(self.setup)
             elif block_mode == "full":
                 t, cfg = self.setup.iteration_matrix, self.cfg
                 self._blocks[block_mode] = lfa.identity_decompose(t, cfg.n, cfg.l, cfg.m)
             else:
                 raise ConfigurationError(f"no block decomposition for mode {block_mode!r}")
         return self._blocks[block_mode]
-
-    @cached_property
-    def components(self) -> lfa.SpectralComponents:
-        """The symbols of the setup, from which the tc and c blocks are built."""
-        return lfa.spectral_components(self.setup)
 
     @cached_property
     def trajectory(self) -> np.ndarray:
@@ -254,11 +249,16 @@ def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarra
     elif strategy == "norm-power":
         values[1:] = lfa.block_power_norms(d, k_max)[1:] * e0_norm
     else:
-        harmonics = excited_blocks(ctx.cfg)
-        ehat = lfa.transform_vector(e0, d.meta)
+        # only the excited rows are multiplied (the others carry no energy for single-mode
+        # data), but the norm keeps every row in place: its round-off depends on their positions
+        rows = d.meta.rows(excited_blocks(ctx.cfg))
+        blocks = d.blocks[rows]
+        vhat = lfa.transform_vector(e0, d.meta)
+        ehat, padded = vhat[rows], np.zeros_like(vhat)
         for k in range(1, k_max + 1):
-            ehat = lfa.apply_blocks(d, ehat, harmonics=harmonics)
-            values[k] = float(np.linalg.norm(ehat))
+            ehat = np.matmul(blocks, ehat[:, :, None])[:, :, 0]
+            padded[rows] = ehat
+            values[k] = float(np.linalg.norm(padded))
     return values
 
 

@@ -38,7 +38,7 @@ from .analysis import (
 from .collocation import spread_initial
 from .errors import ConfigurationError, PfasstLfaError, RangeError
 from .solvers import mlsdc_step, pfasst_run_algorithmic
-from .transfer import check_restriction_condition, check_transfer_structure
+from .transfer import check_restriction_condition, check_transfer_structure, harmonic_diagonals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="run one experiment and write its artifacts")
     pa.add_argument("--problem", required=True, choices=["diffusion", "advection"])
-    pa.add_argument("--n", type=int, default=128, help="fine spatial grid size")
+    pa.add_argument("--n", type=int, default=128, help="fine spatial grid size, a multiple of 4")
     pa.add_argument("--m", type=int, default=5, help="quadrature nodes per interval")
     pa.add_argument("--l", type=int, default=4, help="time intervals (processors)")
     pa.add_argument("--dt", type=float, default=0.1, help="interval length")
@@ -248,15 +248,13 @@ def _verify_checks(scale: str, flip_qdelta_sign: bool):
     yield "pfasst matrix vs algorithmic", dev, 1e-10
 
     # 2: the tc blocks against T in the same Fourier coordinates, entry by entry
-    sc = ctx.components
-    if flip_qdelta_sign:
-        sc = replace(sc, qdelta=-sc.qdelta)
-    residual = lfa.tc_similarity_residual(setup.iteration_matrix, lfa.tc_decompose(sc))
+    blocks_setup = replace(setup, qdelta=-setup.qdelta) if flip_qdelta_sign else setup
+    residual = lfa.tc_similarity_residual(setup.iteration_matrix, lfa.tc_decompose(blocks_setup))
     yield "tc blocks vs transformed T", residual, TC_SIMILARITY_TOL
 
     # 3: transfer operators transform to two-diagonal form
     try:
-        diags = ctx.components.diags
+        diags = harmonic_diagonals(pair)
         check_transfer_structure(pair, diags, tol=1e-12)
         pair_vals = sorted([abs(diags.d[0]), abs(diags.d_hat[0])])
         k0_dev = max(abs(pair_vals[0] - 0.0), abs(pair_vals[1] - np.sqrt(2.0)))

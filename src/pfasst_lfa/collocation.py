@@ -68,41 +68,23 @@ def spread_initial(u0, m: int, l: int = 1) -> np.ndarray:
     return np.tile(u0, m * l)
 
 
-@dataclass(frozen=True)
-class CompositeSystem:
-    """Block lower-bidiagonal system over L identical subintervals."""
-
-    l: int
-    problem: CollocationProblem
-    n_matrix: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.l * self.problem.dim
-
-    def three_layer_matrix(self) -> np.ndarray:
-        """The same matrix assembled as I - dt*(I_L kron Q kron A) - E kron N."""
-        p = self.problem
-        ll = self.l
-        e = np.diag(np.ones(ll - 1), -1) if ll > 1 else np.zeros((1, 1))
-        return (
-            np.eye(self.dim)
-            - p.dt * np.kron(np.eye(ll), np.kron(p.rule.q, p.a))
-            - np.kron(e, self.n_matrix)
-        )
-
-
-def composite_system(problem: CollocationProblem, l: int) -> CompositeSystem:
-    """Assemble the composite collocation matrix."""
+def composite_system(problem: CollocationProblem, l: int) -> np.ndarray:
+    """The dense block lower-bidiagonal collocation matrix over L identical subintervals."""
     if l < 1:
         raise RangeError(f"need at least one subinterval, got {l}")
     n_mat = np.kron(node_propagation(problem.rule.m), np.eye(problem.n_space))
-    dim = l * problem.dim
-    mat = np.zeros((dim, dim))
     d = problem.dim
+    mat = np.zeros((l * d, l * d))
     for i in range(l):
         mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = problem.matrix
         if i > 0:
             mat[i * d : (i + 1) * d, (i - 1) * d : i * d] = -n_mat
-    return CompositeSystem(l=l, problem=problem, n_matrix=n_mat, matrix=mat)
+    return mat
+
+
+def three_layer_matrix(problem: CollocationProblem, l: int) -> np.ndarray:
+    """``composite_system`` assembled as I - dt*(I_L kron Q kron A) - E kron N, its oracle."""
+    e = np.diag(np.ones(l - 1), -1) if l > 1 else np.zeros((1, 1))
+    n_mat = np.kron(node_propagation(problem.rule.m), np.eye(problem.n_space))
+    layers = np.kron(np.eye(l), np.kron(problem.rule.q, problem.a))
+    return np.eye(l * problem.dim) - problem.dt * layers - np.kron(e, n_mat)

@@ -14,7 +14,7 @@ class RangeError(PfasstLfaError):
 
 
 class SizeError(PfasstLfaError):
-    """A requested matrix would exceed the configured size cap."""
+    """A transfer stencil is wider than the coarse grid it acts on."""
 
 
 class DegeneracyError(PfasstLfaError):

@@ -22,7 +22,7 @@ from .errors import RangeError
 from .linalg import sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator, circulant_eigenvalues
-from .transfer import HarmonicDiagonals, harmonic_diagonals, node_propagation
+from .transfer import harmonic_diagonals, node_propagation
 
 # Matrix entries per chunk of the norm and power kernels: every
 # representative block of a c stack, one or two blocks of a large tc stack.
@@ -135,23 +135,6 @@ class BlockDecomposition:
         return float(np.max(np.abs(self.eigenvalues)))
 
 
-@dataclass(frozen=True)
-class SpectralComponents:
-    """Spectral data of one two-level configuration, ready for block assembly."""
-
-    n: int
-    l: int
-    m: int
-    dt: float
-    q: np.ndarray
-    qdelta: np.ndarray
-    lam_fine: np.ndarray  # length N, harmonic order
-    lam_coarse: np.ndarray  # length N/2, harmonic order
-    diags: HarmonicDiagonals
-    real_stencils: bool  # lambda_{N-k} = conj(lambda_k): the blocks are mirror pairs
-    symmetric_stencils: bool  # real and c_o = c_{-o}: every lambda_k is real, and so are the tc blocks
-
-
 def _real_stencil(op: CirculantOperator) -> bool:
     return bool(np.isrealobj(op.scale) and all(np.isrealobj(c) for c in op.stencil.values()))
 
@@ -160,99 +143,75 @@ def _symmetric_stencil(op: CirculantOperator) -> bool:
     return _real_stencil(op) and all(op.stencil.get(-o) == c for o, c in op.stencil.items())
 
 
-def spectral_components(setup: TwoLevelSetup) -> SpectralComponents:
-    """The symbols of a two-level setup; its grids were checked by ``build_two_level_setup``."""
-    fine, coarse = setup.fine, setup.coarse
-    return SpectralComponents(
-        n=fine.n_space,
-        l=setup.l,
-        m=setup.m_nodes,
-        dt=fine.dt,
-        q=fine.rule.q,
-        qdelta=setup.qdelta.matrix,
-        lam_fine=circulant_eigenvalues(fine.operator),
-        lam_coarse=circulant_eigenvalues(coarse.operator),
-        diags=harmonic_diagonals(setup.pair),
-        real_stencils=_real_stencil(fine.operator) and _real_stencil(coarse.operator),
-        symmetric_stencils=_symmetric_stencil(fine.operator) and _symmetric_stencil(coarse.operator),
-    )
-
-
-def _basic_blocks(sc: SpectralComponents, shift: np.ndarray):
-    """Factories for the TM x TM basic blocks, stacked over a stack of time shifts.
+def _pair_blocks(setup: TwoLevelSetup, shift: np.ndarray):
+    """The builder of S * CGC for the harmonic pair (k, k + N/2), batched over a stack of time shifts.
 
     ``shift`` is an (nb, T, T) stack: the interval shift E for tc (one entry,
     T = L), or the phase e^{-2 pi i j/L} of each time frequency for c
-    (T = 1).  The coupling shift kron node propagation enters the system and
-    coarse blocks; the fine smoother is block Jacobi, with no interval
-    coupling, and is shared by the whole stack.
+    (T = 1).  The coupling shift kron node propagation enters the TM x TM
+    system and coarse basic blocks; the fine smoother is block Jacobi, with
+    no interval coupling, and is shared by the whole stack.  The symbols,
+    transfer diagonals and Kronecker factors are computed once, and every
+    operation is the one-block operation applied slice by slice, so a block
+    does not depend on the size of the batch it was built in.
     """
+    n, m, dt = setup.fine.n_space, setup.m_nodes, setup.fine.dt
+    lam_fine = circulant_eigenvalues(setup.fine.operator)  # length N, harmonic order
+    lam_coarse = circulant_eigenvalues(setup.coarse.operator)  # length N/2
+    diags = harmonic_diagonals(setup.pair)
     nb, t = shift.shape[0], shift.shape[-1]
-    dim = t * sc.m
+    dim = t * m
     eye = np.eye(dim)
-    coupling = (shift[:, :, None, :, None] * node_propagation(sc.m)[:, None, :]).reshape(nb, dim, dim)
-    it_q = np.kron(np.eye(t), sc.q)
-    it_qd = np.kron(np.eye(t), sc.qdelta)
+    coupling = (shift[:, :, None, :, None] * node_propagation(m)[:, None, :]).reshape(nb, dim, dim)
+    it_q = np.kron(np.eye(t), setup.fine.rule.q)
+    it_qd = np.kron(np.eye(t), setup.qdelta)
 
-    def b_system(lam):
-        return eye - lam * sc.dt * it_q - coupling
+    def blocks(k: int) -> np.ndarray:
+        lam_lo, lam_hi = lam_fine[k], lam_fine[k + n // 2]
+        bm_lo = eye - lam_lo * dt * it_q - coupling
+        bm_hi = eye - lam_hi * dt * it_q - coupling
 
-    def b_smoother(lam):
-        return eye - lam * sc.dt * it_qd
+        s = np.zeros((nb, 2 * dim, 2 * dim), dtype=complex)
+        s[:, :dim, :dim] = eye - np.linalg.solve(eye - lam_lo * dt * it_qd, bm_lo)
+        s[:, dim:, dim:] = eye - np.linalg.solve(eye - lam_hi * dt * it_qd, bm_hi)
 
-    def b_coarse(lam):
-        return eye - lam * sc.dt * it_qd - coupling
+        pt = eye - lam_coarse[k] * dt * it_qd - coupling
+        x_lo = np.linalg.solve(pt, bm_lo)
+        x_hi = np.linalg.solve(pt, bm_hi)
+        d, d_hat = diags.d[k], diags.d_hat[k]
+        f, f_hat = diags.f[k], diags.f_hat[k]
+        cgc = np.zeros_like(s)
+        cgc[:, :dim, :dim] = eye - 0.5 * d * f * x_lo
+        cgc[:, :dim, dim:] = -0.5 * d * f_hat * x_hi
+        cgc[:, dim:, :dim] = -0.5 * d_hat * f * x_lo
+        cgc[:, dim:, dim:] = eye - 0.5 * d_hat * f_hat * x_hi
+        return s @ cgc
 
-    return b_system, b_smoother, b_coarse
-
-
-def _paired_blocks(sc, k, b_system, b_smoother, b_coarse) -> np.ndarray:
-    """S * CGC for the harmonic pair (k, k + N/2), batched over the factories' stack.
-
-    Every operation is the one-block operation applied slice by slice, so a
-    block does not depend on the size of the batch it was built in.
-    """
-    lam_lo = sc.lam_fine[k]
-    lam_hi = sc.lam_fine[k + sc.n // 2]
-    bm_lo = b_system(lam_lo)
-    bm_hi = b_system(lam_hi)
-    nb, dim = bm_lo.shape[0], bm_lo.shape[-1]
-    eye = np.eye(dim)
-
-    s = np.zeros((nb, 2 * dim, 2 * dim), dtype=complex)
-    s[:, :dim, :dim] = eye - np.linalg.solve(b_smoother(lam_lo), bm_lo)
-    s[:, dim:, dim:] = eye - np.linalg.solve(b_smoother(lam_hi), bm_hi)
-
-    pt = b_coarse(sc.lam_coarse[k])
-    x_lo = np.linalg.solve(pt, bm_lo)
-    x_hi = np.linalg.solve(pt, bm_hi)
-    d, d_hat = sc.diags.d[k], sc.diags.d_hat[k]
-    f, f_hat = sc.diags.f[k], sc.diags.f_hat[k]
-    cgc = np.zeros_like(s)
-    cgc[:, :dim, :dim] = eye - 0.5 * d * f * x_lo
-    cgc[:, :dim, dim:] = -0.5 * d * f_hat * x_hi
-    cgc[:, dim:, :dim] = -0.5 * d_hat * f * x_lo
-    cgc[:, dim:, dim:] = eye - 0.5 * d_hat * f_hat * x_hi
-    return s @ cgc
+    return blocks
 
 
-def _decompose(sc: SpectralComponents, mode: str, shift: np.ndarray) -> BlockDecomposition:
+def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray) -> BlockDecomposition:
     """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0."""
-    meta = TransformMeta(mode=mode, n=sc.n, l=sc.l, m=sc.m)
-    basic = _basic_blocks(sc, shift)
+    n = setup.fine.n_space
+    meta = TransformMeta(mode=mode, n=n, l=setup.l, m=setup.m_nodes)
+    pair_blocks = _pair_blocks(setup, shift)
     per, built = meta.blocks_per_pair, len(shift)
-    blocks = np.zeros((sc.n // 2 * per, meta.block_dim, meta.block_dim), dtype=complex)
-    for k in range(sc.n // 2):
-        blocks[(k + 1) * per - built : (k + 1) * per] = _paired_blocks(sc, k, *basic)
-    return BlockDecomposition(blocks, meta, mirrored=sc.real_stencils, conjugate_symmetric=sc.symmetric_stencils)
+    blocks = np.zeros((n // 2 * per, meta.block_dim, meta.block_dim), dtype=complex)
+    for k in range(n // 2):
+        blocks[(k + 1) * per - built : (k + 1) * per] = pair_blocks(k)
+    # real stencils on both levels make mirror pairs; symmetric ones make every lambda_k real
+    ops = (setup.fine.operator, setup.coarse.operator)
+    return BlockDecomposition(
+        blocks, meta, mirrored=all(map(_real_stencil, ops)), conjugate_symmetric=all(map(_symmetric_stencil, ops))
+    )
 
 
-def tc_decompose(sc: SpectralComponents) -> BlockDecomposition:
+def tc_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
     """N/2 time-collocation blocks of size 2LM; an exact similarity transform; real with symmetric stencils."""
-    return _decompose(sc, "tc", np.eye(sc.l, k=-1)[None])
+    return _decompose(setup, "tc", np.eye(setup.l, k=-1)[None])
 
 
-def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
+def c_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
     """N/2 * L collocation blocks of size 2M, assuming periodicity in time.
 
     Time frequency j = 0 belongs to constant-in-time modes whose coarse
@@ -260,12 +219,13 @@ def c_decompose(sc: SpectralComponents) -> BlockDecomposition:
     so L = 1, which has no other time frequency, raises ``RangeError``.
     A singular block at j >= 1 raises ``np.linalg.LinAlgError``.
     """
-    if sc.l < 2:
-        raise RangeError(f"c mode needs l >= 2, got l={sc.l}: its only time frequency j = 0 is not built")
+    l = setup.l
+    if l < 2:
+        raise RangeError(f"c mode needs l >= 2, got l={l}: its only time frequency j = 0 is not built")
     # each phase factor from a scalar exp: an array exp may round differently,
     # and a block must not depend on how many time frequencies share its batch
-    phases = np.array([np.exp(-2j * np.pi * j / sc.l) for j in range(1, sc.l)], dtype=complex)
-    return _decompose(sc, "c", phases.reshape(-1, 1, 1))
+    phases = np.array([np.exp(-2j * np.pi * j / l) for j in range(1, l)], dtype=complex)
+    return _decompose(setup, "c", phases.reshape(-1, 1, 1))
 
 
 def identity_decompose(t: np.ndarray, n: int, l: int, m: int) -> BlockDecomposition:
@@ -294,19 +254,6 @@ def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
         return hat.reshape(l, m, 2, n // 2).transpose(3, 0, 2, 1).reshape(n // 2 * l, 2 * m)
     # row k holds (hat[:, :, k], hat[:, :, k + N/2]), each raveled over (l, m)
     return hat.reshape(l * m, 2, n // 2).transpose(2, 1, 0).reshape(n // 2, 2 * l * m)
-
-
-def apply_blocks(d: BlockDecomposition, vhat: np.ndarray, harmonics: set[int] | None = None) -> np.ndarray:
-    """Apply the block-diagonal iteration matrix to transformed coordinates.
-
-    ``harmonics`` optionally restricts the application to blocks whose
-    spatial-harmonic index is in the set; other rows are zeroed (they carry
-    no energy for single-mode initial data).
-    """
-    rows = slice(None) if harmonics is None else d.meta.rows(harmonics)
-    out = np.zeros_like(vhat)
-    out[rows] = np.matmul(d.blocks[rows], vhat[rows, :, None])[:, :, 0]
-    return out
 
 
 def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:

@@ -115,14 +115,6 @@ class QuadratureRule:
         return cls(m=m, nodes=nodes, q=build_q(nodes))
 
 
-@dataclass(frozen=True)
-class QDelta:
-    """Lower-triangular approximation of Q defining one sweep."""
-
-    kind: str  # "implicit-euler" or "lu"
-    matrix: np.ndarray
-
-
 def _lu_no_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Doolittle LU without pivoting; the LU sweep matrix requires it."""
     n = a.shape[0]
@@ -137,14 +129,11 @@ def _lu_no_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return l, u
 
 
-def build_qdelta(rule: QuadratureRule, kind: str) -> QDelta:
-    """Sweep matrix: rectangle rule ("implicit-euler") or LU of Q^T ("lu")."""
+def build_qdelta(rule: QuadratureRule, kind: str) -> np.ndarray:
+    """Q_Delta, the lower-triangular sweep matrix: rectangle rule ("implicit-euler") or U^T of Q^T = LU ("lu")."""
     if kind == "implicit-euler":
         deltas = np.diff(np.concatenate(([0.0], rule.nodes)))
-        matrix = np.tril(np.tile(deltas, (rule.m, 1)))
-    elif kind == "lu":
-        _, u = _lu_no_pivot(rule.q.T)
-        matrix = u.T
-    else:
-        raise RangeError(f"unknown qdelta kind {kind!r}")
-    return QDelta(kind=kind, matrix=matrix)
+        return np.tril(np.tile(deltas, (rule.m, 1)))
+    if kind == "lu":
+        return _lu_no_pivot(rule.q.T)[1].T
+    raise RangeError(f"unknown qdelta kind {kind!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .collocation import CollocationProblem, composite_system
 from .errors import FactorizationError, RangeError
-from .quadrature import QDelta, build_qdelta
+from .quadrature import build_qdelta
 from .transfer import TransferPair, node_propagation
 
 
@@ -85,18 +85,18 @@ class NodeSweep:
         return float(magnitudes.max() / magnitudes.min())
 
 
-def node_sweep(problem: CollocationProblem, qdelta: QDelta) -> NodeSweep:
+def node_sweep(problem: CollocationProblem, qdelta: np.ndarray) -> NodeSweep:
     """The Fourier symbol of one sweep; a denominator that is exactly 0 is a FactorizationError."""
     dt_sigma = problem.dt * np.fft.fft(problem.operator.first_column())
-    denominators = 1.0 - np.diag(qdelta.matrix)[:, None] * dt_sigma
+    denominators = 1.0 - np.diag(qdelta)[:, None] * dt_sigma
     if np.any(denominators == 0):
         raise FactorizationError("singular node sweep")
-    return NodeSweep(qdelta=qdelta.matrix, dt_sigma=dt_sigma, denominators=denominators)
+    return NodeSweep(qdelta=qdelta, dt_sigma=dt_sigma, denominators=denominators)
 
 
-def sdc_preconditioner(problem: CollocationProblem, qdelta: QDelta) -> Preconditioner:
+def sdc_preconditioner(problem: CollocationProblem, qdelta: np.ndarray) -> Preconditioner:
     """P = I - dt*(Q_Delta kron A)."""
-    return Preconditioner(np.eye(problem.dim) - problem.dt * np.kron(qdelta.matrix, problem.a))
+    return Preconditioner(np.eye(problem.dim) - problem.dt * np.kron(qdelta, problem.a))
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ class TwoLevelSetup:
     coarse: CollocationProblem
     pair: TransferPair
     l: int
-    qdelta: QDelta
+    qdelta: np.ndarray  # Q_Delta, lower triangular
 
     @property
     def m_nodes(self) -> int:
@@ -253,7 +253,7 @@ class TwoLevelSetup:
     @cached_property
     def composite_matrix(self) -> np.ndarray:
         """The dense composite collocation matrix over the L intervals."""
-        return composite_system(self.fine, self.l).matrix
+        return composite_system(self.fine, self.l)
 
     @cached_property
     def composite_preconditioners(self) -> tuple[BlockGaussSeidel, BlockJacobi]:
@@ -281,8 +281,7 @@ def build_two_level_setup(
             f"need an even fine grid n, a coarse grid of n/2 and transfers for n, got "
             f"{n}, {coarse.n_space} and {pair.n_fine}"
         )
-    qdelta = build_qdelta(fine.rule, qdelta_kind)
-    return TwoLevelSetup(fine=fine, coarse=coarse, pair=pair, l=l, qdelta=qdelta)
+    return TwoLevelSetup(fine=fine, coarse=coarse, pair=pair, l=l, qdelta=build_qdelta(fine.rule, qdelta_kind))
 
 
 def pfasst_run_algorithmic(

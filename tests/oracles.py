@@ -7,6 +7,8 @@ its closed-form residuals shortlist.  Both must give the same floats bit for
 bit.  ``transform_matrix`` is ``lfa.transform_vector`` as a dense matrix.
 ``asymptotic_ratio`` measures the late contraction of a trace, which the
 acceptance suite compares with the predicted spectral radius.
+``apply_blocks`` applies every block, where the ``apply`` prediction
+multiplies only the rows of the excited harmonics.
 """
 
 import numpy as np
@@ -37,6 +39,11 @@ def pair_stacks(d: lfa.BlockDecomposition):
     kept = per // 2 + 1 if c and d.conjugate_symmetric else per
     for k in range(pairs):
         yield d.blocks[k * per + int(c) : k * per + kept]
+
+
+def apply_blocks(d: lfa.BlockDecomposition, vhat: np.ndarray) -> np.ndarray:
+    """The block-diagonal iteration matrix applied to transformed coordinates, one row per block."""
+    return np.matmul(d.blocks, vhat[..., None])[..., 0]
 
 
 def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:

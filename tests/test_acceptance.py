@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import clusters
+import oracles
 from oracles import asymptotic_ratio
 from pfasst_lfa import lfa
 from pfasst_lfa.analysis import (
@@ -79,7 +80,7 @@ def test_criterion_01_sdc_equivalence():
     dev = 0.0
     for _ in range(10):
         u_a = richardson_step(p, cp.matrix, c, u_a)
-        u_b = _hand_sdc_sweep(prob.operator.materialize(), rule.q, qd.matrix, dt, c, u_b)
+        u_b = _hand_sdc_sweep(prob.operator.materialize(), rule.q, qd, dt, c, u_b)
         dev = max(dev, float(np.max(np.abs(u_a - u_b))))
     elapsed = time.perf_counter() - start
     assert dev < 1e-12
@@ -137,14 +138,14 @@ def test_criterion_04_rigorous_block_transform():
     prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
     rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
     t = setup.iteration_matrix
-    d = lfa.tc_decompose(lfa.spectral_components(setup))
+    d = lfa.tc_decompose(setup)
     # the defective eigenvalues scatter under the dense eigensolver, so the
     # multisets are compared cluster-wise (equal multiplicities, matched means)
     dist = clusters.matched_cluster_distance(np.linalg.eigvals(t), d.eigenvalues.ravel())
     # and the underlying similarity itself is verified through the action, in block coordinates
     rng = np.random.default_rng(21)
     v = rng.standard_normal(t.shape[0])
-    action = lfa.apply_blocks(d, lfa.transform_vector(v, d.meta))
+    action = oracles.apply_blocks(d, lfa.transform_vector(v, d.meta))
     action_dev = float(np.max(np.abs(action - lfa.transform_vector(t @ v, d.meta))))
     elapsed = time.perf_counter() - start
     assert dist < 1e-8
@@ -171,7 +172,7 @@ def test_criterion_06_norm_identity():
     n, m, l, dt = 64, 3, 4, 0.1
     prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
     rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
-    block_norm = lfa.tc_decompose(lfa.spectral_components(setup)).norm
+    block_norm = lfa.tc_decompose(setup).norm
     full_norm = float(np.linalg.norm(setup.iteration_matrix, 2))
     rel = abs(block_norm - full_norm) / full_norm
     elapsed = time.perf_counter() - start

@@ -346,7 +346,8 @@ def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
         ([*diffusion, "--m", "13"], "m (quadrature nodes)"),
         ([*diffusion, "--wavenumber", "0"], "wavenumber"),
         ([*diffusion, "--wavenumber", "64"], "Nyquist mode"),
-        ([*diffusion, "--n", "31"], "n must be even"),
+        ([*diffusion, "--n", "31"], "n must be a multiple of 4"),
+        ([*diffusion, "--n", "18"], "n must be a multiple of 4 with n/2 >= 8, the transfer stencil width, got n = 18"),
         ([*diffusion, "--dt", "inf"], "dt must be finite and positive, got inf"),
         ([*diffusion, "--dt", "nan"], "dt must be finite and positive, got nan"),
         (["--problem", "diffusion", "--mu", "-1"], "mu must be finite and positive, got -1.0"),

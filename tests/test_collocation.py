@@ -7,6 +7,7 @@ from pfasst_lfa.collocation import (
     collocation_matrix,
     composite_system,
     spread_initial,
+    three_layer_matrix,
 )
 from pfasst_lfa.errors import RangeError
 from pfasst_lfa.quadrature import QuadratureRule
@@ -71,8 +72,7 @@ def test_composite_system_equals_three_layer_assembly():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
     p = collocation_matrix(prob.operator, rule, 0.1)
-    comp = composite_system(p, 4)
-    np.testing.assert_allclose(comp.matrix, comp.three_layer_matrix(), atol=1e-14)
+    np.testing.assert_allclose(composite_system(p, 4), three_layer_matrix(p, 4), atol=1e-14)
 
 
 def test_composite_solution_continues_single_interval_solution():
@@ -85,7 +85,7 @@ def test_composite_solution_continues_single_interval_solution():
     u0 = np.sin(2 * np.pi * np.arange(8) / 8)
     rhs = np.zeros((l, p.dim))
     rhs[0] = spread_initial(u0, 3)
-    u = np.linalg.solve(composite_system(p, l).matrix, rhs.ravel())
+    u = np.linalg.solve(composite_system(p, l), rhs.ravel())
     seq = u0
     for i in range(l):
         ui = np.linalg.solve(p.matrix, spread_initial(seq, 3))

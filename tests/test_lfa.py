@@ -25,9 +25,8 @@ def _setup(op_f, op_c, m, l, dt, qdelta_kind="implicit-euler"):
 
 
 def _assemble(prob, m, l, dt, qdelta_kind):
-    """(the setup, its spectral components); the setup builds T on first use of ``iteration_matrix``."""
-    setup = _setup(prob.operator, coarsen(prob).operator, m, l, dt, qdelta_kind)
-    return setup, lfa.spectral_components(setup)
+    """The setup of a model problem and its coarsening; it builds T on first use of ``iteration_matrix``."""
+    return _setup(prob.operator, coarsen(prob).operator, m, l, dt, qdelta_kind)
 
 
 def _eigenvalues(d):
@@ -40,19 +39,19 @@ def _eigenvalues(d):
 )
 def test_tc_action_equals_full_matrix(make, qdelta_kind):
     prob = make(16, 5e-3)
-    setup, sc = _assemble(prob, 3, 4, 0.1, qdelta_kind)
+    setup = _assemble(prob, 3, 4, 0.1, qdelta_kind)
     t = setup.iteration_matrix
-    d = lfa.tc_decompose(sc)
+    d = lfa.tc_decompose(setup)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(t.shape[0])
-    back = lfa.apply_blocks(d, lfa.transform_vector(v, d.meta))
+    back = oracles.apply_blocks(d, lfa.transform_vector(v, d.meta))
     np.testing.assert_allclose(back, lfa.transform_vector(t @ v, d.meta), atol=1e-12)
 
 
 def test_transform_is_unitary_and_invertible():
     prob = make_diffusion(16, 5e-3)
-    _, sc = _assemble(prob, 3, 2, 0.1, "implicit-euler")
-    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+    setup = _assemble(prob, 3, 2, 0.1, "implicit-euler")
+    for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(2 * 3 * 16) + 1j * rng.standard_normal(2 * 3 * 16)
         vhat = lfa.transform_vector(v, d.meta)
@@ -65,10 +64,10 @@ def test_transform_is_unitary_and_invertible():
 @pytest.mark.parametrize("l", [1, 3])
 def test_transform_round_trip_is_unitary(l):
     prob = make_advection(16, 4.88e-3)
-    _, sc = _assemble(prob, 2, l, 0.1, "lu")
+    setup = _assemble(prob, 2, l, 0.1, "lu")
     rng = np.random.default_rng(5)
     # the transform is defined at l = 1 in both modes, though c blocks are not
-    for meta in (lfa.tc_decompose(sc).meta, lfa.TransformMeta(mode="c", n=16, l=l, m=2)):
+    for meta in (lfa.tc_decompose(setup).meta, lfa.TransformMeta(mode="c", n=16, l=l, m=2)):
         v = rng.standard_normal(l * 2 * 16) + 1j * rng.standard_normal(l * 2 * 16)
         vhat = lfa.transform_vector(v, meta)
         assert vhat.shape == (len(meta.block_index()), meta.block_dim)
@@ -77,17 +76,14 @@ def test_transform_round_trip_is_unitary(l):
         np.testing.assert_allclose(f.conj().T @ f, np.eye(len(v)), atol=1e-13)
 
 
-def test_apply_blocks_restricted_to_harmonics():
+def test_rows_select_exactly_the_blocks_of_the_given_harmonics():
     prob = make_diffusion(16, 5e-3)
-    _, sc = _assemble(prob, 3, 3, 0.1, "implicit-euler")
-    rng = np.random.default_rng(2)
-    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
-        vhat = rng.standard_normal((len(d.blocks), d.meta.block_dim)) + 0j
-        full = lfa.apply_blocks(d, vhat)
-        part = lfa.apply_blocks(d, vhat, harmonics={2, 5})
-        for i, idx in enumerate(d.index):
-            np.testing.assert_array_equal(part[i], full[i] if idx[0] in (2, 5) else 0.0)
-            np.testing.assert_allclose(full[i], d.blocks[i] @ vhat[i], rtol=1e-14, atol=1e-14)
+    setup = _assemble(prob, 3, 3, 0.1, "implicit-euler")
+    for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
+        rows = d.meta.rows({2, 5})
+        np.testing.assert_array_equal(rows, [i for i, idx in enumerate(d.index) if idx[0] in (2, 5)])
+        # harmonics outside 0..N/2-1 select nothing
+        np.testing.assert_array_equal(d.meta.rows({2, 5, -1, 8}), rows)
 
 
 @pytest.mark.parametrize(
@@ -96,14 +92,14 @@ def test_apply_blocks_restricted_to_harmonics():
 )
 def test_batched_kernel_equals_one_pair_at_a_time(make, qdelta_kind, l):
     prob = make(32, 5e-3)
-    _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
-    tc = lfa.tc_decompose(sc)
+    setup = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    tc = lfa.tc_decompose(setup)
     assert isinstance(tc.blocks, np.ndarray) and tc.blocks.shape == (16, 6 * l, 6 * l)
     shift = np.eye(l, k=-1)[None]
     for k in range(16):
-        one = lfa._paired_blocks(sc, k, *lfa._basic_blocks(sc, shift))
+        one = lfa._pair_blocks(setup, shift)(k)
         assert np.array_equal(tc.blocks[k], one[0])
-    c = lfa.c_decompose(sc)
+    c = lfa.c_decompose(setup)
     assert c.blocks.shape == (16 * l, 6, 6)
     for row, (k, j) in enumerate(c.index):
         if j == 0:  # the constant-in-time modes are not built
@@ -111,7 +107,7 @@ def test_batched_kernel_equals_one_pair_at_a_time(make, qdelta_kind, l):
             continue
         # the phase factor as a scalar, exactly as a single block would use it
         phase = np.array([np.exp(-2j * np.pi * j / l)]).reshape(1, 1, 1)
-        one = lfa._paired_blocks(sc, k, *lfa._basic_blocks(sc, phase))[0]
+        one = lfa._pair_blocks(setup, phase)(k)[0]
         assert np.array_equal(c.blocks[row], one)
 
 
@@ -127,9 +123,9 @@ def _mirror_row(meta, k, j):
 )
 def test_mirror_blocks_have_equal_power_norms(make, coefficient, qdelta_kind):
     prob = make(32, coefficient)
-    _, sc = _assemble(prob, 3, 4, 0.1, qdelta_kind)
+    setup = _assemble(prob, 3, 4, 0.1, qdelta_kind)
     k_max = 20
-    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+    for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         assert d.mirrored
         dim = d.meta.block_dim // 2
         # exchanges the two harmonic halves; harmonics 0 and N/2 are self-conjugate
@@ -150,12 +146,11 @@ def test_mirror_needs_real_stencils():
     n = 16
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
     op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
-    sc = lfa.spectral_components(_setup(op_f, op_c, 2, 2, 0.1))
-    d = lfa.tc_decompose(sc)
+    d = lfa.tc_decompose(_setup(op_f, op_c, 2, 2, 0.1))
     assert not d.mirrored
     assert sum(map(len, d.norm_chunks())) == 8  # every pair
-    assert sum(map(len, lfa.tc_decompose(replace(sc, real_stencils=True)).norm_chunks())) == 5
-    assert not sc.symmetric_stencils and not d.conjugate_symmetric
+    assert sum(map(len, replace(d, mirrored=True).norm_chunks())) == 5
+    assert not lfa._symmetric_stencil(op_f) and not d.conjugate_symmetric
 
 
 @pytest.mark.parametrize("n", [16, 32, 128, 512])
@@ -170,9 +165,9 @@ def test_transfer_diagonals_are_real_up_to_round_off(n):
 @pytest.mark.parametrize("l,qdelta_kind", [(1, "implicit-euler"), (4, "lu"), (7, "implicit-euler")])
 def test_symmetric_stencil_tc_blocks_are_real_and_flagged(l, qdelta_kind):
     prob = make_diffusion(32, 5e-3)
-    _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
-    assert sc.symmetric_stencils
-    tc = lfa.tc_decompose(sc)
+    setup = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    assert lfa._symmetric_stencil(setup.fine.operator) and lfa._symmetric_stencil(setup.coarse.operator)
+    tc = lfa.tc_decompose(setup)
     assert tc.conjugate_symmetric
     assert np.max(np.abs(tc.blocks.imag)) <= 1e-14 * np.max(np.abs(tc.blocks))
     # the stored stack stays complex; test_batched_kernel_equals_one_pair_at_a_time
@@ -181,21 +176,21 @@ def test_symmetric_stencil_tc_blocks_are_real_and_flagged(l, qdelta_kind):
     assert all(chunk.dtype == float for chunk in tc.norm_chunks())
     if l > 1:
         # the phases make c blocks complex: the flag leaves time frequencies out instead
-        c = lfa.c_decompose(sc)
+        c = lfa.c_decompose(setup)
         assert c.conjugate_symmetric
         assert all(chunk.dtype == complex for chunk in c.norm_chunks())
 
 
 def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():
-    _, sc = _assemble(make_advection(32, 4.88e-3), 3, 4, 0.1, "lu")
-    assert sc.real_stencils and not sc.symmetric_stencils
-    assert not lfa.tc_decompose(sc).conjugate_symmetric
-    assert not lfa.c_decompose(sc).conjugate_symmetric
+    setup = _assemble(make_advection(32, 4.88e-3), 3, 4, 0.1, "lu")
+    tc = lfa.tc_decompose(setup)
+    assert tc.mirrored and not tc.conjugate_symmetric
+    assert not lfa.c_decompose(setup).conjugate_symmetric
     # a real stencil with c_1 != c_{-1} is not symmetric either
     op_f = CirculantOperator(n=16, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
     op_c = CirculantOperator(n=8, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
-    assert not lfa.spectral_components(_setup(op_f, op_c, 2, 2, 0.1)).symmetric_stencils
-    t = _assemble(make_diffusion(16, 5e-3), 2, 2, 0.1, "lu")[0].iteration_matrix
+    assert not lfa.tc_decompose(_setup(op_f, op_c, 2, 2, 0.1)).conjugate_symmetric
+    t = _assemble(make_diffusion(16, 5e-3), 2, 2, 0.1, "lu").iteration_matrix
     assert not lfa.identity_decompose(t, 16, 2, 2).conjugate_symmetric
 
 
@@ -204,11 +199,10 @@ def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():
     "make,coefficient,qdelta_kind", [(make_diffusion, 5e-3, "implicit-euler"), (make_advection, 4.88e-3, "lu")]
 )
 def test_conjugate_time_frequencies_give_conjugate_c_blocks_for_symmetric_stencils(make, coefficient, qdelta_kind, l):
-    _, sc = _assemble(make(32, coefficient), 3, l, 0.1, qdelta_kind)
-    d = lfa.c_decompose(sc)
+    d = lfa.c_decompose(_assemble(make(32, coefficient), 3, l, 0.1, qdelta_kind))
     symmetric = make is make_diffusion
     assert d.conjugate_symmetric == symmetric
-    blocks = d.blocks.reshape(sc.n // 2, l, *d.blocks.shape[1:])
+    blocks = d.blocks.reshape(16, l, *d.blocks.shape[1:])
     # B_{k,(L-j) mod L} against conj B_{k,j}, entry by entry
     gap = np.max(np.abs(blocks[:, -np.arange(l) % l] - blocks.conj())) / np.max(np.abs(blocks))
     assert gap <= 1e-14 if symmetric else gap > 1e-3
@@ -224,8 +218,7 @@ def test_conjugate_time_frequencies_give_conjugate_c_blocks_for_symmetric_stenci
 )
 def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n, l, m, visited):
     # (N/4 + 1) mirror-representative pairs, each with the built time frequencies 1..L-1, only 1..L/2 if conjugate-symmetric
-    _, sc = _assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler")
-    d = lfa.c_decompose(sc)
+    d = lfa.c_decompose(_assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler"))
     rows = []
     original = lfa._max_norm2
 
@@ -243,9 +236,9 @@ def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n,
 def test_block_power_norms_match_matrix_power(make, qdelta_kind, l):
     # the mirror and conjugate representatives carry the SVD norms of every block's powers
     prob = make(32, 5e-3)
-    _, sc = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    setup = _assemble(prob, 3, l, 0.1, qdelta_kind)
     k_max = 12
-    for d in (lfa.tc_decompose(sc), lfa.c_decompose(sc)):
+    for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         norms = lfa.block_power_norms(d, k_max)
         assert norms.shape == (k_max + 1,)
         assert norms[0] == 1.0
@@ -256,8 +249,8 @@ def test_block_power_norms_match_matrix_power(make, qdelta_kind, l):
 
 def test_tc_eigenvalues_match_full_spectrum_via_clusters():
     prob = make_diffusion(16, 5e-3)
-    setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
-    d = lfa.tc_decompose(sc)
+    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    d = lfa.tc_decompose(setup)
     dist = clusters.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d))
     assert dist < 1e-8
 
@@ -268,8 +261,8 @@ def test_tc_eigenvalues_match_full_spectrum_via_clusters():
 )
 def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qdelta_kind):
     n, m, l, delta = 16, 3, 4, 1e-9
-    setup, sc = _assemble(make(n, coefficient), m, l, 0.1, qdelta_kind)
-    t, d = setup.iteration_matrix, lfa.tc_decompose(sc)
+    setup = _assemble(make(n, coefficient), m, l, 0.1, qdelta_kind)
+    t, d = setup.iteration_matrix, lfa.tc_decompose(setup)
     scale = max(np.max(np.abs(t)), 1.0)
     assert lfa.tc_similarity_residual(t, d) <= 1e-14
     # one tc block entry: the deviation is the change itself
@@ -281,7 +274,7 @@ def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qde
     changed[20, 100] += delta
     assert lfa.tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
     with pytest.raises(RangeError):
-        lfa.tc_similarity_residual(t, lfa.c_decompose(sc))
+        lfa.tc_similarity_residual(t, lfa.c_decompose(setup))
 
 
 def _interval_blocks(d, l, m):
@@ -300,9 +293,9 @@ def test_tc_blocks_are_block_lower_triangular_over_intervals(make, coefficient, 
     # each diagonal 2M x 2M block is the L = 1 tc block, so the spectrum is
     # the L = 1 spectrum with multiplicity L.
     l, m = 4, 3
-    _, sc = _assemble(make(16, coefficient), m, l, 0.1, qdelta_kind)
-    d = lfa.tc_decompose(sc)
-    one = lfa.tc_decompose(replace(sc, l=1))
+    setup = _assemble(make(16, coefficient), m, l, 0.1, qdelta_kind)
+    d = lfa.tc_decompose(setup)
+    one = lfa.tc_decompose(replace(setup, l=1))
     blocks = _interval_blocks(d, l, m)
     for i in range(l):
         assert np.all(blocks[:, i, :, i + 1 :] == 0.0)
@@ -327,28 +320,27 @@ def test_tc_blocks_are_leading_sections_of_one_block_toeplitz_operator(make, coe
     # the 2L block is the L block: the tc block of every L is a section of one
     # causal block Toeplitz operator per harmonic pair.
     m = 3
-    _, sc = _assemble(make(32, coefficient), m, l, 0.1, qdelta_kind)
-    blocks = _interval_blocks(lfa.tc_decompose(sc), l, m)
+    setup = _assemble(make(32, coefficient), m, l, 0.1, qdelta_kind)
+    blocks = _interval_blocks(lfa.tc_decompose(setup), l, m)
     for i in range(l):
         for j in range(i + 1):
             np.testing.assert_allclose(blocks[:, i, :, j], blocks[:, i - j, :, 0], rtol=0, atol=1e-14)
-    double = _interval_blocks(lfa.tc_decompose(replace(sc, l=2 * l)), 2 * l, m)
+    double = _interval_blocks(lfa.tc_decompose(replace(setup, l=2 * l)), 2 * l, m)
     np.testing.assert_allclose(double[:, :l, :, :l], blocks, rtol=0, atol=1e-14)
 
 
 def test_tc_norm_identity():
     prob = make_diffusion(16, 5e-3)
-    setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
     t = setup.iteration_matrix
-    d = lfa.tc_decompose(sc)
+    d = lfa.tc_decompose(setup)
     assert d.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-10)
     assert d.spectral_radius <= np.linalg.norm(t, 2) + 1e-12
 
 
 def test_block_power_norm_reduces_to_norm_and_identity():
     prob = make_diffusion(16, 5e-3)
-    _, sc = _assemble(prob, 3, 2, 0.1, "implicit-euler")
-    d = lfa.tc_decompose(sc)
+    d = lfa.tc_decompose(_assemble(prob, 3, 2, 0.1, "implicit-euler"))
     assert lfa.block_power_norms(d, 0)[0] == pytest.approx(1.0)
     assert lfa.block_power_norms(d, 1)[1] == pytest.approx(d.norm, rel=1e-12)
     with pytest.raises(RangeError):
@@ -358,7 +350,7 @@ def test_block_power_norm_reduces_to_norm_and_identity():
 def test_identity_decompose_is_the_matrix_as_one_block():
     prob = make_advection(16, 4.88e-3)
     n, m, l = 16, 3, 2
-    t = _assemble(prob, m, l, 0.1, "lu")[0].iteration_matrix
+    t = _assemble(prob, m, l, 0.1, "lu").iteration_matrix
     d = lfa.identity_decompose(t, n, l, m)
     assert d.blocks.shape == (1, l * m * n, l * m * n)
     np.testing.assert_array_equal(d.blocks[0], t)
@@ -370,14 +362,14 @@ def test_identity_decompose_is_the_matrix_as_one_block():
     vhat = lfa.transform_vector(v, d.meta)
     np.testing.assert_array_equal(vhat, v[None])
     # every harmonic selection keeps the single block
-    back = lfa.apply_blocks(d, vhat, harmonics={1})
+    back = oracles.apply_blocks(d, vhat)[d.meta.rows({1})]
     np.testing.assert_allclose(back[0], t @ v, rtol=0, atol=1e-14)
 
 
 def test_identity_block_spectra_and_power_norms_match_the_matrix():
     prob = make_diffusion(16, 5e-3)
     n, m, l = 16, 3, 2
-    t = _assemble(prob, m, l, 0.1, "implicit-euler")[0].iteration_matrix
+    t = _assemble(prob, m, l, 0.1, "implicit-euler").iteration_matrix
     d = lfa.identity_decompose(t, n, l, m)
     np.testing.assert_array_equal(d.index, [[-1, -1]])
     eig = np.linalg.eigvals(t)
@@ -390,12 +382,13 @@ def test_identity_block_spectra_and_power_norms_match_the_matrix():
         assert norms[k] == pytest.approx(np.linalg.norm(np.linalg.matrix_power(t, k), 2), rel=1e-12)
 
 
-def _all_c_blocks(sc):
+def _all_c_blocks(setup):
     """All L collocation blocks of every harmonic pair, j = 0 included, as a decomposition."""
-    phases = np.exp(-2j * np.pi * np.arange(sc.l) / sc.l).reshape(-1, 1, 1)
-    basic = lfa._basic_blocks(sc, phases)
-    blocks = np.concatenate([lfa._paired_blocks(sc, k, *basic) for k in range(sc.n // 2)])
-    meta = lfa.TransformMeta(mode="c", n=sc.n, l=sc.l, m=sc.m)
+    n, l = setup.fine.n_space, setup.l
+    phases = np.exp(-2j * np.pi * np.arange(l) / l).reshape(-1, 1, 1)
+    pair_blocks = lfa._pair_blocks(setup, phases)
+    blocks = np.concatenate([pair_blocks(k) for k in range(n // 2)])
+    meta = lfa.TransformMeta(mode="c", n=n, l=l, m=setup.m_nodes)
     return lfa.BlockDecomposition(blocks=blocks, meta=meta)
 
 
@@ -427,7 +420,7 @@ def test_c_blocks_match_periodic_composite_oracle():
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=scale)
     op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=scale)
     setup = _setup(op_f, op_c, m, l, dt)
-    d = _all_c_blocks(lfa.spectral_components(setup))
+    d = _all_c_blocks(setup)
     t = _periodic_full_matrix(setup)
     dist = clusters.matched_cluster_distance(np.linalg.eigvals(t), _eigenvalues(d))
     assert dist < 1e-8
@@ -438,18 +431,17 @@ def test_c_blocks_action_matches_periodic_oracle():
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=0.3)
     op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -3.0, 1: 1.0}, scale=0.3)
     setup = _setup(op_f, op_c, m, l, dt)
-    d = _all_c_blocks(lfa.spectral_components(setup))
+    d = _all_c_blocks(setup)
     t = _periodic_full_matrix(setup)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(t.shape[0])
-    back = lfa.apply_blocks(d, lfa.transform_vector(v, d.meta))
+    back = oracles.apply_blocks(d, lfa.transform_vector(v, d.meta))
     np.testing.assert_allclose(back, lfa.transform_vector(t @ v, d.meta), atol=1e-11)
 
 
 def test_c_decompose_zeroes_constant_time_frequency():
     prob = make_diffusion(16, 5e-3)
-    _, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
-    d = lfa.c_decompose(sc)
+    d = lfa.c_decompose(_assemble(prob, 3, 4, 0.1, "implicit-euler"))
     for block, idx in zip(d.blocks, d.index):
         if idx[1] == 0:
             np.testing.assert_array_equal(block, 0.0)
@@ -463,24 +455,24 @@ def test_c_decompose_raises_on_a_singular_block():
     n, dt = 16, 1.0
     rule = QuadratureRule.radau_right(1)
     qd = build_qdelta(rule, "implicit-euler")
-    assert qd.matrix[0, 0] == 1.0
+    assert qd[0, 0] == 1.0
     lam = 1.0 - np.exp(-2j * np.pi * 1 / 2)
     op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0})
     op_c = CirculantOperator(n=n // 2, stencil={0: lam})
-    sc = lfa.spectral_components(_setup(op_f, op_c, 1, 2, dt))
-    np.testing.assert_array_equal(sc.qdelta, qd.matrix)
+    setup = _setup(op_f, op_c, 1, 2, dt)
+    np.testing.assert_array_equal(setup.qdelta, qd)
     with pytest.raises(np.linalg.LinAlgError):
-        lfa.c_decompose(sc)
+        lfa.c_decompose(setup)
 
 
 def test_block_indexing_and_dimensions():
     prob = make_diffusion(16, 5e-3)
-    _, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
-    tc = lfa.tc_decompose(sc)
+    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    tc = lfa.tc_decompose(setup)
     assert len(tc.blocks) == 8
     assert all(b.shape == (24, 24) for b in tc.blocks)
     np.testing.assert_array_equal(tc.index, [(k, -1) for k in range(8)])
-    c = lfa.c_decompose(sc)
+    c = lfa.c_decompose(setup)
     assert len(c.blocks) == 8 * 4
     assert all(b.shape == (6, 6) for b in c.blocks)
     np.testing.assert_array_equal(c.index, [(k, j) for k in range(8) for j in range(4)])
@@ -488,9 +480,8 @@ def test_block_indexing_and_dimensions():
 
 def test_matched_cluster_distance_detects_mutation():
     prob = make_diffusion(16, 5e-3)
-    setup, sc = _assemble(prob, 3, 4, 0.1, "implicit-euler")
-    sc_bad = replace(sc, qdelta=-sc.qdelta)
-    d_bad = lfa.tc_decompose(sc_bad)
+    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    d_bad = lfa.tc_decompose(replace(setup, qdelta=-setup.qdelta))
     dist = clusters.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d_bad))
     assert dist > 1e-8
 
@@ -509,14 +500,14 @@ def _stencil_family(family: str, n: int):
 @pytest.mark.parametrize("decompose", [lfa.tc_decompose, lfa.c_decompose], ids=["tc", "c"])
 def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family, l):
     n, m, k_max = 16, 2, 6
-    sc = lfa.spectral_components(_setup(*_stencil_family(family, n), m, l, 0.1))
-    if family == "diffusion-unmirrored":
-        sc = replace(sc, real_stencils=False)
+    setup = _setup(*_stencil_family(family, n), m, l, 0.1)
     if decompose is lfa.c_decompose and l == 1:
         with pytest.raises(RangeError, match="l=1"):
-            decompose(sc)
+            decompose(setup)
         return
-    d = decompose(sc)
+    d = decompose(setup)
+    if family == "diffusion-unmirrored":
+        d = replace(d, mirrored=False)
     assert d.mirrored == (family in ("diffusion", "advection"))
     assert d.conjugate_symmetric == family.startswith("diffusion")
     expected = oracles.pairwise_power_norms(d, k_max)
@@ -530,7 +521,7 @@ def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family,
 
 
 def test_chunked_norms_of_the_full_block_equal_the_oracle():
-    t = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")[0].iteration_matrix
+    t = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu").iteration_matrix
     d = lfa.identity_decompose(t, 16, 2, 3)
     expected = oracles.pairwise_power_norms(d, 4)
     assert np.array_equal(lfa.block_power_norms(d, 4), expected)
@@ -586,8 +577,8 @@ def test_matched_cluster_distance_equals_per_tolerance_recomputation():
         fresh = [(int(np.sum(labels == c)), complex(a[labels == c].mean())) for c in np.unique(labels)]
         assert clusters._clusters(a, tree, tol) == fresh
     # and on a real pair of spectra
-    setup, sc = _assemble(make_diffusion(16, 5e-3), 3, 4, 0.1, "implicit-euler")
-    full, blocks = np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(lfa.tc_decompose(sc))
+    setup = _assemble(make_diffusion(16, 5e-3), 3, 4, 0.1, "implicit-euler")
+    full, blocks = np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(lfa.tc_decompose(setup))
     assert clusters.matched_cluster_distance(full, blocks, tols) == min(
         clusters.matched_cluster_distance(full, blocks, (tol,)) for tol in tols
     )

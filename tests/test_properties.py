@@ -6,9 +6,16 @@ both Q_Delta kinds; mu is log-uniform on [1, 100] and the
 advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
 complex stacks, phase detection on error histories whose log10 is
-piecewise linear, exact or noisy.  The draws are derandomized, so every run of the suite
+piecewise linear, exact or noisy.  ``analyze`` runs on wide draws (n up
+to 34, dt and mu or c over many decades) exactly what ``ExperimentConfig``
+accepts.  The draws are derandomized, so every run of the suite
 checks the same examples.
 """
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,8 +24,9 @@ from hypothesis import strategies as st
 import oracles
 from pfasst_lfa import lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context, detect_phases, run_and_compare
-from pfasst_lfa.cli import strategy4_exact
+from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, strategy4_exact
 from pfasst_lfa.collocation import spread_initial
+from pfasst_lfa.errors import ConfigurationError, RangeError
 from pfasst_lfa.linalg import sort_eigenvalues
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import mlsdc_step, pfasst_run_algorithmic
@@ -179,3 +187,50 @@ def error_traces(draw):
 def test_phase_splits_are_the_exhaustive_minima(errors):
     # the chosen splits are those of refitting every split, so the slopes keep their bits
     assert detect_phases(errors) == oracles.exhaustive_phases(errors)
+
+
+@st.composite
+def analyze_fields(draw):
+    """ExperimentConfig fields over a wide range, n = 2 (mod 4) and the Nyquist wavenumber included."""
+    problem = draw(st.sampled_from(("diffusion", "advection")))
+    n = draw(st.sampled_from((16, 18, 20, 24, 26, 32, 34)))
+    physics = 10.0 ** draw(st.floats(-8.0, 8.0))
+    return {
+        "problem": problem,
+        "n": n,
+        "m": draw(st.integers(1, 3)),
+        "l": draw(st.integers(1, 3)),
+        "dt": 10.0 ** draw(st.floats(-12.0, 6.0)),
+        ("mu" if problem == "diffusion" else "coefficient"): physics,
+        "wavenumber": draw(st.integers(1, n - 1)),
+        "iterations": draw(st.sampled_from((0, 3))),
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(analyze_fields())
+def test_analyze_runs_exactly_what_the_config_accepts(fields):
+    # a refused config exits 2 or 3 with the config's own message and writes nothing; an accepted one runs
+    try:
+        ExperimentConfig(**fields)
+        expected, message = EXIT_OK, None
+    except ConfigurationError:
+        expected, message = EXIT_USAGE, None
+    except RangeError as exc:
+        expected, message = EXIT_NUMERICAL, f"error: {exc}"
+    flags = [f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}" for name, value in fields.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(["analyze", *flags, "--blocks", "tc", "--strategies", "rho,apply", "--out", str(out)])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code == expected, err.getvalue()
+        if expected == EXIT_OK:
+            assert sorted(p.name for p in out.iterdir()) == ["report.json", "spectrum.csv", "timings.json", "trace.csv"]
+        else:
+            assert not out.exists()
+        if message is not None:
+            assert err.getvalue().strip() == message

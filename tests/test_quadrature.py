@@ -79,15 +79,15 @@ def test_qdelta_implicit_euler_rectangle_structure():
     expected = np.zeros((3, 3))
     for i in range(3):
         expected[i, : i + 1] = deltas[: i + 1]
-    np.testing.assert_allclose(qd.matrix, expected, atol=1e-15)
+    np.testing.assert_allclose(qd, expected, atol=1e-15)
     # row sums reproduce the node positions: the rectangle rule integrates 1
-    np.testing.assert_allclose(qd.matrix.sum(axis=1), rule.nodes, atol=1e-15)
+    np.testing.assert_allclose(qd.sum(axis=1), rule.nodes, atol=1e-15)
 
 
 def test_qdelta_lu_reproduces_q_transpose_factorization():
     rule = QuadratureRule.radau_right(5)
     qd = build_qdelta(rule, "lu")
-    u = qd.matrix.T
+    u = qd.T
     # U is upper triangular and Q^T = L U with unit lower-triangular L
     assert np.allclose(u, np.triu(u))
     l = rule.q.T @ np.linalg.inv(u)
@@ -99,8 +99,7 @@ def test_qdelta_lower_triangular():
     rule = QuadratureRule.radau_right(4)
     for kind in ("implicit-euler", "lu"):
         qd = build_qdelta(rule, kind)
-        assert np.allclose(qd.matrix, np.tril(qd.matrix))
-        assert qd.kind == kind
+        assert np.allclose(qd, np.tril(qd))
 
 
 def test_qdelta_unknown_kind():
