@@ -115,8 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args, parser) -> int:
-    strategies = tuple(s for s in args.strategies.split(",") if s)
-    block_modes = tuple(m for m in args.blocks.split(",") if m)
+    # a repeated entry runs once, so the report lists each once, in first-seen order
+    strategies = tuple(dict.fromkeys(s for s in args.strategies.split(",") if s))
+    block_modes = tuple(dict.fromkeys(m for m in args.blocks.split(",") if m))
     for s in strategies:
         if s not in STRATEGIES:
             parser.error(f"unknown strategy {s!r} (choose from {', '.join(STRATEGIES)})")

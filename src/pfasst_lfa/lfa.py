@@ -8,7 +8,9 @@ assume periodicity in time, which is an approximation: the phase
 e^{-2 pi i j/L} takes the place of the interval shift E.  The
 constant-in-time blocks at time frequency 0, singular at k = 0, are left
 zero and not built.  The unreduced iteration matrix is the one-block full
-mode: T itself in the identity basis.
+mode: T itself in the identity basis.  With symmetric stencils every tc
+block is a real matrix, and the tc stack is held as float64, so its
+eigenvalues, norms and powers run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -81,11 +83,12 @@ class BlockDecomposition:
     (B_0 = conj(B_0) without the swap).  Mirror partners therefore have the
     same singular values.  With ``conjugate_symmetric`` set (symmetric
     stencils, every lambda_k real) the pair symbol obeys
-    T_k(conj z) = conj T_k(z).  So every tc block (z real) is a real matrix
-    held as complex, its imaginary part round-off from the transfer phases,
-    and its 2-norms are taken of the real part; c block (k, (L - j) mod L)
-    is the conjugate of block (k, j), and the 2-norms skip j > L/2.
-    Eigenvalues are always taken of every stored block.
+    T_k(conj z) = conj T_k(z).  So every tc block (z real) is a real matrix,
+    and the tc stack is float64: the real part of the complex per-pair
+    build, whose imaginary part is round-off from the transfer phases.  c
+    block (k, (L - j) mod L) is the conjugate of block (k, j), and the
+    2-norms skip j > L/2.  Eigenvalues are always taken of every stored
+    block.
     """
 
     blocks: np.ndarray
@@ -104,8 +107,7 @@ class BlockDecomposition:
         pairs, and of each pair every block in tc mode; in c mode the built
         time frequencies j >= 1, only up to j <= L/2 if conjugate-symmetric.
         They are yielded as row chunks of at most ``NORM_CHUNK_ENTRIES``
-        matrix entries (at least one block), real parts in
-        conjugate-symmetric tc mode.
+        matrix entries (at least one block), in the dtype of the stack.
         """
         per, shape = self.meta.blocks_per_pair, self.blocks.shape[1:]
         pairs = self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // per
@@ -113,11 +115,9 @@ class BlockDecomposition:
         kept = per // 2 + 1 if c and self.conjugate_symmetric else per
         # a view in tc and full mode; c mode leaves out the zero j = 0 blocks
         blocks = self.blocks.reshape(-1, per, *shape)[:pairs, int(c) : kept].reshape(-1, *shape)
-        real = self.conjugate_symmetric and self.meta.mode == "tc"
         step = max(1, NORM_CHUNK_ENTRIES // self.blocks[0].size)
         for start in range(0, len(blocks), step):
-            chunk = blocks[start : start + step]
-            yield np.ascontiguousarray(chunk.real) if real else chunk
+            yield blocks[start : start + step]
 
     @cached_property
     def norm(self) -> float:
@@ -194,20 +194,22 @@ def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray) -> BlockDecom
     """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0."""
     n = setup.fine.n_space
     meta = TransformMeta(mode=mode, n=n, l=setup.l, m=setup.m_nodes)
-    pair_blocks = _pair_blocks(setup, shift)
-    per, built = meta.blocks_per_pair, len(shift)
-    blocks = np.zeros((n // 2 * per, meta.block_dim, meta.block_dim), dtype=complex)
-    for k in range(n // 2):
-        blocks[(k + 1) * per - built : (k + 1) * per] = pair_blocks(k)
     # real stencils on both levels make mirror pairs; symmetric ones make every lambda_k real
     ops = (setup.fine.operator, setup.coarse.operator)
-    return BlockDecomposition(
-        blocks, meta, mirrored=all(map(_real_stencil, ops)), conjugate_symmetric=all(map(_symmetric_stencil, ops))
-    )
+    symmetric = all(map(_symmetric_stencil, ops))
+    pair_blocks = _pair_blocks(setup, shift)
+    per, built = meta.blocks_per_pair, len(shift)
+    # a real tc stack keeps each pair's real part as it is built: no complex stack is ever held
+    real = symmetric and mode == "tc"
+    blocks = np.zeros((n // 2 * per, meta.block_dim, meta.block_dim), dtype=float if real else complex)
+    for k in range(n // 2):
+        pair = pair_blocks(k)
+        blocks[(k + 1) * per - built : (k + 1) * per] = pair.real if real else pair
+    return BlockDecomposition(blocks, meta, mirrored=all(map(_real_stencil, ops)), conjugate_symmetric=symmetric)
 
 
 def tc_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
-    """N/2 time-collocation blocks of size 2LM; an exact similarity transform; real with symmetric stencils."""
+    """N/2 time-collocation blocks of size 2LM; an exact similarity transform; float64 with symmetric stencils."""
     return _decompose(setup, "tc", np.eye(setup.l, k=-1)[None])
 
 
@@ -288,9 +290,9 @@ def _max_norm2(stack: np.ndarray) -> float:
     ||X||_2 = s*sqrt(lambda_max((X/s)^H (X/s))) with s = max|X|, the scaling
     keeping the squares clear of over- and underflow.  Its relative error
     is about d*eps for d columns.  The batched Hermitian eigensolver beats
-    the SVD on the 2M x 2M c blocks and on real stacks (the real parts of
-    symmetric-stencil tc blocks, the dense T of ``full`` mode), and is
-    within about 15% of it on complex tc blocks.
+    the SVD on the 2M x 2M c blocks and on real stacks (symmetric-stencil
+    tc blocks, the dense T of ``full`` mode), and is within about 15% of it
+    on complex tc blocks.
     """
     scale = np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
     x = stack / np.where(scale > 0, scale, 1.0)
@@ -302,7 +304,9 @@ def block_spectra(d: BlockDecomposition) -> np.ndarray:
     """The eigenvalues of every block, in one batched call: an (number of blocks, d) array.
 
     Row i holds the eigenvalues of block ``d.index[i]``, sorted by (real,
-    imag) descending.  Eigenvalues are never taken from a mirror partner:
+    imag) descending.  A real stack (symmetric-stencil tc blocks) goes to the
+    real solver, whose complex eigenvalues come in exact conjugate pairs.
+    Eigenvalues are never taken from a mirror partner:
     defective clusters scatter at eps^(1/p), so partners that agree to
     round-off can still differ visibly in their computed eigenvalues.
     """
@@ -314,8 +318,8 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
 
     k = 1 is the decomposition's cached ``norm``.  One pass per chunk of
     ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
-    once, in real arithmetic in conjugate-symmetric tc mode; no power
-    outlives its chunk.
+    once, in the field of the stack (real for symmetric-stencil tc
+    blocks); no power outlives its chunk.
     """
     if k_max < 0:
         raise RangeError("power must be nonnegative")

@@ -53,11 +53,10 @@ def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
 
 
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
-    """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair; real parts in conjugate-symmetric tc mode."""
+    """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack."""
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
     for blocks in pair_stacks(d):
-        blocks = np.ascontiguousarray(blocks.real) if d.conjugate_symmetric and d.meta.mode == "tc" else blocks
         power = blocks
         for k in range(1, k_max + 1):
             if k > 1:

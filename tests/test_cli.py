@@ -72,6 +72,15 @@ def test_trace_csv_columns_and_format(tmp_path):
     assert b"\r" not in (out / "trace.csv").read_bytes()
 
 
+def test_analyze_lists_repeated_strategies_and_blocks_once(tmp_path):
+    out = _analyze(tmp_path, "--strategies", "rho,apply,rho", "--blocks", "tc,c,tc")
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["strategies"] == ["rho", "apply"]
+    assert config["blocks"] == ["tc", "c"]
+    header = (out / "trace.csv").read_text().split("\n")[0].split(",")
+    assert header[3:] == ["pred_rho_tc", "pred_apply_tc", "pred_rho_c", "pred_apply_c"]
+
+
 def test_spectrum_csv_covers_all_blocks(tmp_path):
     out = _analyze(tmp_path)
     rows = (out / "spectrum.csv").read_text().strip().split("\n")

@@ -1,5 +1,6 @@
 """Block Fourier decomposition against the materialized iteration matrix."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import oracles
 from pfasst_lfa import lfa
 from pfasst_lfa.collocation import collocation_matrix
 from pfasst_lfa.errors import RangeError
+from pfasst_lfa.linalg import sort_eigenvalues
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import build_two_level_setup
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
@@ -96,9 +98,12 @@ def test_batched_kernel_equals_one_pair_at_a_time(make, qdelta_kind, l):
     tc = lfa.tc_decompose(setup)
     assert isinstance(tc.blocks, np.ndarray) and tc.blocks.shape == (16, 6 * l, 6 * l)
     shift = np.eye(l, k=-1)[None]
+    # symmetric stencils: the stack holds the real part of the complex per-pair build
+    real = make is make_diffusion
+    assert tc.blocks.dtype == (np.float64 if real else np.complex128)
     for k in range(16):
         one = lfa._pair_blocks(setup, shift)(k)
-        assert np.array_equal(tc.blocks[k], one[0])
+        assert np.array_equal(tc.blocks[k], one[0].real if real else one[0])
     c = lfa.c_decompose(setup)
     assert c.blocks.shape == (16 * l, 6, 6)
     for row, (k, j) in enumerate(c.index):
@@ -169,16 +174,43 @@ def test_symmetric_stencil_tc_blocks_are_real_and_flagged(l, qdelta_kind):
     assert lfa._symmetric_stencil(setup.fine.operator) and lfa._symmetric_stencil(setup.coarse.operator)
     tc = lfa.tc_decompose(setup)
     assert tc.conjugate_symmetric
-    assert np.max(np.abs(tc.blocks.imag)) <= 1e-14 * np.max(np.abs(tc.blocks))
-    # the stored stack stays complex; test_batched_kernel_equals_one_pair_at_a_time
+    # the per-pair build is complex, its imaginary part round-off from the transfer phases
+    built = np.concatenate([lfa._pair_blocks(setup, np.eye(l, k=-1)[None])(k) for k in range(16)])
+    assert np.max(np.abs(built.imag)) <= 1e-14 * np.max(np.abs(built))
+    # the stored stack is its real part; test_batched_kernel_equals_one_pair_at_a_time
     # pins it bit for bit to the per-pair build
-    assert tc.blocks.dtype == complex
-    assert all(chunk.dtype == float for chunk in tc.norm_chunks())
+    assert tc.blocks.dtype == np.float64
+    assert all(chunk.dtype == np.float64 for chunk in tc.norm_chunks())
     if l > 1:
         # the phases make c blocks complex: the flag leaves time frequencies out instead
         c = lfa.c_decompose(setup)
         assert c.conjugate_symmetric
         assert all(chunk.dtype == complex for chunk in c.norm_chunks())
+
+
+@pytest.mark.parametrize("l,qdelta_kind", [(1, "implicit-euler"), (4, "lu"), (7, "implicit-euler")])
+def test_symmetric_stencil_tc_spectra_are_closed_under_conjugation(l, qdelta_kind):
+    # the real eigensolver returns complex eigenvalues in exact conjugate pairs
+    vals = lfa.tc_decompose(_assemble(make_diffusion(32, 5e-3), 3, l, 0.1, qdelta_kind)).eigenvalues
+    assert np.any(vals.imag != 0)
+    for row in vals:
+        assert np.array_equal(sort_eigenvalues(row.conj()), row)
+
+
+@pytest.mark.parametrize("make,coefficient", [(make_diffusion, 5e-3), (make_advection, 4.88e-3)])
+def test_tc_decompose_holds_one_stack(make, coefficient):
+    # 64 blocks of 24 x 24: the per-pair temporaries are a few blocks, so the
+    # peak stays near the stored stack; a complex stack converted to its real
+    # part afterwards would peak at three times the real stack
+    setup = _assemble(make(128, coefficient), 3, 4, 0.1, "lu")
+    tracemalloc.start()
+    try:
+        d = lfa.tc_decompose(setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.blocks.dtype == (np.float64 if make is make_diffusion else np.complex128)
+    assert peak <= 1.5 * d.blocks.nbytes
 
 
 def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():

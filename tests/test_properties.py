@@ -110,19 +110,23 @@ def test_tc_apply_reproduces_the_run(cfg):
 @PROPERTY
 @given(configs(iterations=8, problems=("diffusion",)))
 def test_real_tc_norms_equal_the_complex_route(cfg):
-    d = build_context(cfg).decomposition("tc")
-    assert d.conjugate_symmetric
-    # the complex route: SVD 2-norms of the stored complex pair stacks and their powers
+    ctx = build_context(cfg)
+    d = ctx.decomposition("tc")
+    assert d.conjugate_symmetric and d.blocks.dtype == np.float64
+    # the complex route: SVD 2-norms of the complex per-pair builds of the
+    # mirror-representative pairs k <= N/4, and of their powers
+    pair_blocks = lfa._pair_blocks(ctx.setup, np.eye(cfg.l, k=-1)[None])
     expected = np.zeros(cfg.iterations + 1)
     expected[0] = 1.0
-    for blocks in oracles.pair_stacks(d):
+    for blocks in map(pair_blocks, range(cfg.n // 4 + 1)):
+        assert np.iscomplexobj(blocks)
         power = blocks
         for k in range(1, cfg.iterations + 1):
             expected[k] = max(expected[k], np.max(np.linalg.norm(power, 2, axis=(-2, -1))))
             power = power @ blocks
     # entry 1 is the cached norm
     np.testing.assert_allclose(lfa.block_power_norms(d, cfg.iterations), expected, rtol=1e-13, atol=0)
-    # the eigenvalues still come from the complex stack
+    # the eigenvalues come from the real stack
     assert np.array_equal(d.eigenvalues, sort_eigenvalues(np.linalg.eigvals(d.blocks)))
 
 
