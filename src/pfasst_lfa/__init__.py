@@ -11,22 +11,16 @@ __version__ = "1.0.0"
 from .errors import (
     ConfigurationError,
     ConsistencyError,
-    DegeneracyError,
-    DimensionError,
     FactorizationError,
     PfasstLfaError,
     RangeError,
-    SizeError,
 )
 
 __all__ = [
     "__version__",
     "ConfigurationError",
     "ConsistencyError",
-    "DegeneracyError",
-    "DimensionError",
     "FactorizationError",
     "PfasstLfaError",
     "RangeError",
-    "SizeError",
 ]

@@ -126,6 +126,9 @@ def cmd_analyze(args, parser) -> int:
             parser.error(f"unknown block mode {m!r} (choose from {', '.join(BLOCK_MODES)})")
     if not strategies or not block_modes:
         parser.error("need at least one strategy and one block mode")
+    out = Path(args.out)
+    if any((path.exists() or path.is_symlink()) and not path.is_dir() for path in (out, *out.parents)):
+        parser.error(f"--out {args.out}: it or one of its parents exists and is not a directory")
 
     timings = {}
     t0 = time.perf_counter()
@@ -152,7 +155,6 @@ def cmd_analyze(args, parser) -> int:
             k = int(np.argmin(np.isfinite(values)))
             raise RangeError(f"{name} is not finite from iteration {k}: the run overflows double precision")
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()

@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RangeError
 from .quadrature import QuadratureRule
 from .space_operators import CirculantOperator
 from .transfer import node_propagation
@@ -57,8 +56,6 @@ class CollocationProblem:
 
 
 def collocation_matrix(operator: CirculantOperator, rule: QuadratureRule, dt: float) -> CollocationProblem:
-    if dt <= 0:
-        raise RangeError(f"subinterval length must be positive, got {dt}")
     return CollocationProblem(operator=operator, rule=rule, dt=dt)
 
 
@@ -70,8 +67,6 @@ def spread_initial(u0, m: int, l: int = 1) -> np.ndarray:
 
 def composite_system(problem: CollocationProblem, l: int) -> np.ndarray:
     """The dense block lower-bidiagonal collocation matrix over L identical subintervals."""
-    if l < 1:
-        raise RangeError(f"need at least one subinterval, got {l}")
     n_mat = np.kron(node_propagation(problem.rule.m), np.eye(problem.n_space))
     d = problem.dim
     mat = np.zeros((l * d, l * d))

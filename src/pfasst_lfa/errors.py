@@ -1,24 +1,15 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Input is rejected once, at ``ExperimentConfig``; the layers below assume its ranges.
+"""
 
 
 class PfasstLfaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(PfasstLfaError):
-    """Operands have incompatible or invalid dimensions."""
-
-
 class RangeError(PfasstLfaError):
-    """A scalar argument lies outside its supported range."""
-
-
-class SizeError(PfasstLfaError):
-    """A transfer stencil is wider than the coarse grid it acts on."""
-
-
-class DegeneracyError(PfasstLfaError):
-    """Input data is degenerate (e.g. duplicate quadrature nodes)."""
+    """A configured value lies outside its supported range, or a run overflows double precision."""
 
 
 class FactorizationError(PfasstLfaError):

@@ -267,8 +267,6 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
     in exact arithmetic when M = L = 1, where Q_Delta = Q.
     """
     meta = d.meta
-    if meta.mode != "tc":
-        raise RangeError(f"need tc blocks, got mode {meta.mode!r}")
     n, l, m, h = meta.n, meta.l, meta.m, meta.n // 2
     # axes (pair k, half s, interval, node, half s', interval, node): harmonics s*N/2 + k and s'*N/2 + k
     blocks = d.blocks.reshape(h, 2, l, m, 2, l, m)
@@ -321,8 +319,6 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     once, in the field of the stack (real for symmetric-stencil tc
     blocks); no power outlives its chunk.
     """
-    if k_max < 0:
-        raise RangeError("power must be nonnegative")
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
     if k_max:

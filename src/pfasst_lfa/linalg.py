@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-
 
 def sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Order eigenvalues by (real, imag) descending along the last axis of a stack."""
@@ -24,7 +22,5 @@ def dft_matrix(n: int) -> np.ndarray:
 
     Column k is psi_k with entries exp(i*2*pi*k*j/n)/sqrt(n), j = 0..n-1.
     """
-    if n < 1:
-        raise DimensionError(f"dft_matrix needs n >= 1, got {n}")
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)

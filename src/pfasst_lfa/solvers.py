@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .collocation import CollocationProblem, composite_system
-from .errors import FactorizationError, RangeError
+from .errors import FactorizationError
 from .quadrature import build_qdelta
 from .transfer import TransferPair, node_propagation
 
@@ -275,12 +275,6 @@ def build_two_level_setup(
     qdelta_kind: str,
 ) -> TwoLevelSetup:
     """The setup of a fine problem, its coarsening to n/2 points and their transfers."""
-    n = fine.n_space
-    if n % 2 or coarse.n_space != n // 2 or pair.n_fine != n:
-        raise RangeError(
-            f"need an even fine grid n, a coarse grid of n/2 and transfers for n, got "
-            f"{n}, {coarse.n_space} and {pair.n_fine}"
-        )
     return TwoLevelSetup(fine=fine, coarse=coarse, pair=pair, l=l, qdelta=build_qdelta(fine.rule, qdelta_kind))
 
 

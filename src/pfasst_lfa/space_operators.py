@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RangeError
-
 
 @dataclass(frozen=True)
 class CirculantOperator:
@@ -74,17 +72,11 @@ class ModelProblem:
         return np.arange(self.n) / self.n
 
     def cfl(self, dt: float) -> float:
-        if self.kind != "advection":
-            raise RangeError("CFL number is reported for advection only")
         return self.coefficient * dt / self.dx
 
 
 def make_diffusion(n: int, nu: float) -> ModelProblem:
     """Second-order central diffusion, negative semi-definite convention."""
-    if n < 4 or n % 2:
-        raise RangeError(f"diffusion grid needs even n >= 4, got {n}")
-    if nu <= 0:
-        raise RangeError(f"diffusion coefficient must be positive, got {nu}")
     dx = 1.0 / n
     op = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=nu / dx**2)
     return ModelProblem(kind="diffusion", n=n, coefficient=nu, operator=op)
@@ -92,10 +84,6 @@ def make_diffusion(n: int, nu: float) -> ModelProblem:
 
 def make_advection(n: int, c: float) -> ModelProblem:
     """Third-order upwind-biased advection transporting rightwards at speed c."""
-    if n < 6 or n % 2:
-        raise RangeError(f"advection grid needs even n >= 6, got {n}")
-    if c <= 0:
-        raise RangeError(f"advection speed must be positive, got {c}")
     dx = 1.0 / n
     op = CirculantOperator(
         n=n,
@@ -107,14 +95,10 @@ def make_advection(n: int, c: float) -> ModelProblem:
 
 def exact_solution(p: ModelProblem, k: int, t: float) -> np.ndarray:
     """PDE solution for initial data sin(2 pi k x), sampled on the grid."""
-    if k < 1 or k > p.n - 1:
-        raise RangeError(f"wavenumber must lie in 1..{p.n - 1}, got {k}")
     x = p.grid()
     if p.kind == "diffusion":
         return np.exp(-p.coefficient * (2 * np.pi * k) ** 2 * t) * np.sin(2 * np.pi * k * x)
-    if p.kind == "advection":
-        return np.sin(2 * np.pi * k * (x - p.coefficient * t))
-    raise RangeError(f"unknown problem kind {p.kind!r}")
+    return np.sin(2 * np.pi * k * (x - p.coefficient * t))
 
 
 def coarsen(p: ModelProblem) -> ModelProblem:

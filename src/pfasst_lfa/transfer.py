@@ -16,15 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, RangeError, SizeError
+from .errors import ConsistencyError
 from .linalg import dft_matrix
 from .space_operators import CirculantOperator
 
 
 def midpoint_stencil_points(degree: int) -> int:
     """Width of the symmetric midpoint-interpolation stencil for a degree."""
-    if degree < 1:
-        raise RangeError(f"exactness degree must be >= 1, got {degree}")
     if degree <= 2:
         return 2
     return 2 * ((degree + 3) // 2)
@@ -37,8 +35,6 @@ def midpoint_generator(n_coarse: int, degree: int) -> CirculantOperator:
     so constants are reproduced exactly.
     """
     p = midpoint_stencil_points(degree)
-    if p > n_coarse:
-        raise SizeError(f"stencil width {p} exceeds coarse grid size {n_coarse}")
     offsets = np.arange(-(p // 2 - 1), p // 2 + 1)
     weights = np.array(
         [
@@ -93,8 +89,6 @@ class TransferPair:
 
 def build_ci_pair(n_fine: int, interp_exactness: int = 6, restr_exactness: int = 2) -> TransferPair:
     """CI pair with the requested polynomial exactness on each leg."""
-    if n_fine % 2:
-        raise RangeError(f"fine grid size must be even, got {n_fine}")
     nc = n_fine // 2
     return TransferPair(
         n_fine=n_fine,
@@ -181,8 +175,6 @@ def check_restriction_condition(
     condition; the violation is returned as data.
     """
     r_t = np.eye(m_nodes) if temporal_restriction is None else np.asarray(temporal_restriction)
-    if r_t.shape[1] != m_nodes:
-        raise DimensionError("temporal restriction has the wrong number of columns")
     r_st = np.kron(r_t, pair.restriction)
     n_fine = np.kron(node_propagation(m_nodes), np.eye(pair.n_fine))
     n_coarse = np.kron(node_propagation(r_t.shape[0]), np.eye(pair.n_coarse))

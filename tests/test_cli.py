@@ -181,6 +181,25 @@ def test_analyze_refuses_non_finite_results(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_refuses_an_out_that_is_or_lies_under_a_file(tmp_path, capsys, monkeypatch):
+    # a file, a path under a file and a dangling link: a usage error before the run, exit 2, nothing written
+    runs = []
+    monkeypatch.setattr(cli, "run_and_compare", lambda *args, **kwargs: runs.append(args))
+    blocker, dangling = tmp_path / "file", tmp_path / "dangling"
+    blocker.write_text("keep")
+    dangling.symlink_to(tmp_path / "missing")
+    for out in (blocker, blocker / "sub", dangling):
+        argv = ["analyze", "--problem", "diffusion", "--mu", "10", "--n", "16", "--m", "2", "--l", "2",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+    assert runs == []
+    assert blocker.read_text() == "keep"
+    assert sorted(tmp_path.iterdir()) == [dangling, blocker]
+
+
 def test_analyze_reruns_are_byte_identical(tmp_path):
     out1 = _analyze(tmp_path / "a")
     out2 = _analyze(tmp_path / "b")
@@ -365,6 +384,13 @@ def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
         ([*advection, "nan"], "coefficient must be finite and positive, got nan"),
         ([*advection, "inf"], "coefficient must be finite and positive, got inf"),
         ([*advection, "-0.5"], "coefficient must be finite and positive, got -0.5"),
+        # the ranges that the layers below the config assume, rejected here and nowhere else
+        ([*diffusion, "--m", "0"], "m (quadrature nodes) must lie in 1..12, got 0"),
+        ([*diffusion, "--l", "0"], "l (time intervals) must be >= 1, got 0"),
+        ([*diffusion, "--iterations", "-1"], "iteration count must be >= 0, got -1"),
+        ([*diffusion, "--n", "8"], "n must be a multiple of 4 with n/2 >= 8, the transfer stencil width, got n = 8"),
+        ([*diffusion, "--n", "4"], "n must be a multiple of 4 with n/2 >= 8, the transfer stencil width, got n = 4"),
+        ([*diffusion, "--wavenumber", "128"], "wavenumber must lie in 1..n-1 = 127, got 128"),
     ]:
         out = tmp_path / "out"
         assert main(["analyze", *flags, "--out", str(out)]) == EXIT_NUMERICAL

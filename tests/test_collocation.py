@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.collocation import (
     collocation_matrix,
     composite_system,
@@ -25,6 +26,13 @@ def test_collocation_matrix_shape_and_structure():
     np.testing.assert_allclose(p.matrix, np.eye(6) - 0.1 * np.kron(rule.q, a))
 
 
+def test_collocation_rejects_nonpositive_dt():
+    # collocation_matrix assumes dt > 0; ExperimentConfig is where a dt <= 0 is refused
+    for dt in (0.0, -0.1):
+        with pytest.raises(RangeError, match=f"dt must be finite and positive, got {dt}"):
+            ExperimentConfig(problem="diffusion", mu=10.0, dt=dt)
+
+
 def test_collocation_apply_equals_dense_matrix_on_stacks():
     rule = QuadratureRule.radau_right(3)
     op = make_diffusion(8, 0.05).operator
@@ -32,12 +40,6 @@ def test_collocation_apply_equals_dense_matrix_on_stacks():
     u = np.random.default_rng(1).standard_normal((2, 4, 3, 8))
     expected = (p.matrix @ u.reshape(8, 24).T).T.reshape(u.shape)
     np.testing.assert_allclose(p.apply(u), expected, atol=1e-13)
-
-
-def test_collocation_rejects_nonpositive_dt():
-    rule = QuadratureRule.radau_right(2)
-    with pytest.raises(RangeError):
-        collocation_matrix(CirculantOperator(2, {0: 1.0}), rule, 0.0)
 
 
 def test_scalar_collocation_solution_matches_exponential():
@@ -94,8 +96,8 @@ def test_composite_solution_continues_single_interval_solution():
 
 
 def test_composite_needs_at_least_one_interval():
-    prob = make_diffusion(8, 1e-2)
-    rule = QuadratureRule.radau_right(2)
-    p = collocation_matrix(prob.operator, rule, 0.1)
-    with pytest.raises(RangeError):
-        composite_system(p, 0)
+    # composite_system assumes l >= 1; ExperimentConfig refuses l = 0, and l = 1 is one interval's matrix
+    with pytest.raises(RangeError, match="must be >= 1, got 0"):
+        ExperimentConfig(problem="diffusion", mu=10.0, l=0)
+    p = collocation_matrix(make_diffusion(8, 1e-2).operator, QuadratureRule.radau_right(2), 0.1)
+    assert composite_system(p, 1).shape == (p.dim, p.dim)

@@ -305,8 +305,6 @@ def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qde
     changed = t.copy()
     changed[20, 100] += delta
     assert lfa.tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
-    with pytest.raises(RangeError):
-        lfa.tc_similarity_residual(t, lfa.c_decompose(setup))
 
 
 def _interval_blocks(d, l, m):
@@ -375,8 +373,6 @@ def test_block_power_norm_reduces_to_norm_and_identity():
     d = lfa.tc_decompose(_assemble(prob, 3, 2, 0.1, "implicit-euler"))
     assert lfa.block_power_norms(d, 0)[0] == pytest.approx(1.0)
     assert lfa.block_power_norms(d, 1)[1] == pytest.approx(d.norm, rel=1e-12)
-    with pytest.raises(RangeError):
-        lfa.block_power_norms(d, -1)
 
 
 def test_identity_decompose_is_the_matrix_as_one_block():

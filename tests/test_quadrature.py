@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from pfasst_lfa.errors import DegeneracyError, RangeError
+from pfasst_lfa.analysis import ExperimentConfig
+from pfasst_lfa.errors import ConfigurationError, RangeError
 from pfasst_lfa.quadrature import (
     JACOBI_ROOTS,
     MAX_NODES,
@@ -51,12 +52,6 @@ def test_jacobi_root_table_matches_scipy():
         np.testing.assert_array_max_ulp(np.array(roots), roots_jacobi(m - 1, 1.0, 0.0)[0], maxulp=2)
 
 
-@pytest.mark.parametrize("m", [0, -1, 13])
-def test_radau_nodes_rejects_out_of_range(m):
-    with pytest.raises(RangeError):
-        radau_nodes(m)
-
-
 def test_build_q_rows_integrate_to_each_node():
     # q[i, :] applied to samples of a polynomial integrates it from 0 to tau_i
     nodes = radau_nodes(4)
@@ -65,11 +60,6 @@ def test_build_q_rows_integrate_to_each_node():
         samples = nodes**deg
         expected = nodes ** (deg + 1) / (deg + 1)
         np.testing.assert_allclose(q @ samples, expected, atol=1e-13)
-
-
-def test_lagrange_antiderivatives_reject_duplicates():
-    with pytest.raises(DegeneracyError):
-        lagrange_antiderivatives(np.array([0.2, 0.2, 1.0]))
 
 
 def test_qdelta_implicit_euler_rectangle_structure():
@@ -102,12 +92,6 @@ def test_qdelta_lower_triangular():
         assert np.allclose(qd, np.tril(qd))
 
 
-def test_qdelta_unknown_kind():
-    rule = QuadratureRule.radau_right(2)
-    with pytest.raises(RangeError):
-        build_qdelta(rule, "trapezoid")
-
-
 def test_collocation_convergence_order_oracle():
     # solving u' = lam*u over one unit interval with the dense Q matrix is a
     # collocation method of order 2m-1 at the right endpoint
@@ -119,3 +103,24 @@ def test_collocation_convergence_order_oracle():
         errors.append(abs(u[-1] - np.exp(lam)))
     assert errors[0] < 2e-3
     assert errors[1] < errors[0] * 1e-1
+
+
+@pytest.mark.parametrize("m", [0, -1, 13])
+def test_radau_nodes_rejects_out_of_range(m):
+    # radau_nodes assumes 1 <= m <= MAX_NODES; ExperimentConfig is where another m is refused
+    with pytest.raises(RangeError, match=f"must lie in 1..{MAX_NODES}, got {m}"):
+        ExperimentConfig(problem="diffusion", mu=10.0, m=m)
+
+
+def test_lagrange_antiderivatives_reject_duplicates():
+    # lagrange_antiderivatives assumes distinct nodes: every node count the config admits gives strictly increasing ones
+    for m in range(1, MAX_NODES + 1):
+        nodes = radau_nodes(m)
+        assert np.all(np.diff(nodes) > 0)
+        assert all(np.all(np.isfinite(poly)) for poly in lagrange_antiderivatives(nodes))
+
+
+def test_qdelta_unknown_kind():
+    # build_qdelta assumes one of QDELTA_KINDS; ExperimentConfig refuses any other kind
+    with pytest.raises(ConfigurationError, match="unknown qdelta_kind 'trapezoid'"):
+        ExperimentConfig(problem="diffusion", mu=10.0, qdelta_kind="trapezoid")

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from pfasst_lfa import solvers
+from pfasst_lfa.analysis import ExperimentConfig, build_context
 from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
 from pfasst_lfa.errors import FactorizationError, RangeError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
@@ -258,19 +259,6 @@ def test_setup_matrix_route_is_built_once_from_the_composite_system():
     assert setup.iteration_matrix is setup.iteration_matrix
 
 
-def test_two_level_setup_rejects_mismatched_grids():
-    rule = QuadratureRule.radau_right(2)
-
-    def level(n):
-        return collocation_matrix(CirculantOperator(n, {-1: 1.0, 0: -2.0, 1: 1.0}, 0.3), rule, 0.1)
-
-    build_two_level_setup(level(10), level(5), build_ci_pair(10, 2, 2), 2, "lu")
-    # a coarse grid not n/2, transfers for another grid, an odd fine grid
-    for n_fine, n_coarse, n_pair in [(10, 8, 10), (10, 5, 16), (11, 5, 10)]:
-        with pytest.raises(RangeError):
-            build_two_level_setup(level(n_fine), level(n_coarse), build_ci_pair(n_pair, 2, 2), 2, "lu")
-
-
 def test_pfasst_algorithmic_equals_matrix_form():
     n, m, l = 16, 3, 4
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
@@ -329,3 +317,13 @@ def test_pfasst_converges_to_composite_solution():
     exact = np.linalg.solve(setup.composite_matrix, rhs)
     trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), 30)
     assert np.max(np.abs(trace[-1] - exact)) < 1e-12
+
+
+def test_two_level_setup_rejects_mismatched_grids():
+    # build_two_level_setup assumes a fine grid of 4j points, a coarse grid of n/2 and transfers for n;
+    # ExperimentConfig refuses any other n, and build_context builds all three from its one n
+    for n in (10, 11, 30):
+        with pytest.raises(RangeError, match=f"got n = {n}"):
+            ExperimentConfig(problem="diffusion", mu=10.0, n=n)
+    setup = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=2, l=2)).setup
+    assert (setup.fine.n_space, setup.coarse.n_space, setup.pair.n_fine, setup.pair.n_coarse) == (16, 8, 16, 8)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pfasst_lfa.errors import RangeError
+from pfasst_lfa.analysis import ExperimentConfig
+from pfasst_lfa.errors import ConfigurationError, RangeError
 from pfasst_lfa.space_operators import (
     CirculantOperator,
     circulant_eigenvalues,
@@ -86,19 +87,6 @@ def test_advection_row_sums_vanish():
     np.testing.assert_allclose(p.operator.materialize().sum(axis=1), 0.0, atol=1e-15)
 
 
-def test_make_problem_rejects_bad_sizes_and_coefficients():
-    with pytest.raises(RangeError):
-        make_diffusion(5, 1.0)
-    with pytest.raises(RangeError):
-        make_diffusion(2, 1.0)
-    with pytest.raises(RangeError):
-        make_diffusion(8, -1.0)
-    with pytest.raises(RangeError):
-        make_advection(4, 1.0)
-    with pytest.raises(RangeError):
-        make_advection(8, 0.0)
-
-
 def test_exact_solution_diffusion_satisfies_heat_kernel_decay():
     p = make_diffusion(32, 1e-2)
     k, t = 3, 0.7
@@ -130,8 +118,9 @@ def test_exact_solution_semidiscrete_consistency():
 def test_cfl_number_and_kind_guard():
     p = make_advection(128, 4.88e-3)
     assert p.cfl(0.1) == 0.062464
-    with pytest.raises(RangeError):
-        make_diffusion(8, 1.0).cfl(0.1)
+    # cfl assumes advection; ExperimentConfig refuses the diffusion mesh ratio mu for it
+    with pytest.raises(ConfigurationError, match="mu applies to diffusion only"):
+        ExperimentConfig(problem="advection", mu=10.0)
 
 
 def test_coarsen_halves_the_grid():
@@ -142,9 +131,21 @@ def test_coarsen_halves_the_grid():
     assert c.coefficient == p.coefficient
 
 
+def test_make_problem_rejects_bad_sizes_and_coefficients():
+    # make_diffusion and make_advection assume the n and coefficient ranges that ExperimentConfig enforces
+    for problem, n, coefficient in [
+        ("diffusion", 5, 1.0),
+        ("diffusion", 2, 1.0),
+        ("diffusion", 16, -1.0),
+        ("advection", 4, 1.0),
+        ("advection", 16, 0.0),
+    ]:
+        with pytest.raises(RangeError):
+            ExperimentConfig(problem=problem, n=n, coefficient=coefficient)
+
+
 def test_exact_solution_wavenumber_range():
-    p = make_diffusion(8, 1.0)
-    with pytest.raises(RangeError):
-        exact_solution(p, 0, 0.0)
-    with pytest.raises(RangeError):
-        exact_solution(p, 8, 0.0)
+    # exact_solution assumes 1 <= k < n; ExperimentConfig is where another wavenumber is refused
+    for k in (0, 16):
+        with pytest.raises(RangeError, match=f"wavenumber must lie in 1..n-1 = 15, got {k}"):
+            ExperimentConfig(problem="diffusion", mu=10.0, n=16, wavenumber=k)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfasst_lfa.errors import ConsistencyError, DimensionError, RangeError, SizeError
+from pfasst_lfa.analysis import INTERP_EXACTNESS, RESTR_EXACTNESS, ExperimentConfig
+from pfasst_lfa.errors import ConsistencyError, RangeError
 from pfasst_lfa.linalg import dft_matrix
 from pfasst_lfa.transfer import (
     build_ci_pair,
@@ -21,13 +22,6 @@ from pfasst_lfa.transfer import (
 @pytest.mark.parametrize("degree,points", [(1, 2), (2, 2), (3, 6), (4, 6), (5, 8), (6, 8)])
 def test_midpoint_stencil_width(degree, points):
     assert midpoint_stencil_points(degree) == points
-
-
-def test_midpoint_stencil_rejects_bad_degree_and_size():
-    with pytest.raises(RangeError):
-        midpoint_stencil_points(0)
-    with pytest.raises(SizeError):
-        midpoint_generator(4, 6)  # 8-point stencil on a 4-point grid
 
 
 @pytest.mark.parametrize("degree", [2, 6])
@@ -73,11 +67,6 @@ def test_restriction_is_half_transposed_interpolation_of_its_generator():
     np.testing.assert_array_equal(pair.restriction, 0.5 * expected.T)
     # full weighting: restriction preserves constants
     np.testing.assert_allclose(pair.restriction @ np.ones(16), np.ones(8), atol=1e-13)
-
-
-def test_build_ci_pair_needs_even_grid():
-    with pytest.raises(RangeError):
-        build_ci_pair(15)
 
 
 def test_harmonic_diagonals_match_materialized_transform():
@@ -138,7 +127,26 @@ def test_restriction_condition_detects_temporal_coarsening():
     assert np.max(np.abs(violation)) > 0.1
 
 
+def test_midpoint_stencil_rejects_bad_degree_and_size():
+    # the analysis uses exactness degrees >= 1, and ExperimentConfig refuses every n whose coarse grid
+    # n/2 is narrower than their stencil
+    assert min(INTERP_EXACTNESS, RESTR_EXACTNESS) >= 1
+    width = max(map(midpoint_stencil_points, (INTERP_EXACTNESS, RESTR_EXACTNESS)))
+    for n in (4, 8):
+        with pytest.raises(RangeError, match=f"n/2 >= {width}, the transfer stencil width, got n = {n}"):
+            ExperimentConfig(problem="advection", coefficient=1.0, n=n)
+    ExperimentConfig(problem="advection", coefficient=1.0, n=2 * width)  # the narrowest grid it admits
+    assert len(midpoint_generator(width, INTERP_EXACTNESS).stencil) == width
+
+
+def test_build_ci_pair_needs_even_grid():
+    # build_ci_pair assumes an even fine grid; ExperimentConfig refuses an odd one
+    with pytest.raises(RangeError, match="got n = 15"):
+        ExperimentConfig(problem="advection", coefficient=1.0, n=15)
+
+
 def test_restriction_condition_rejects_a_temporal_restriction_with_the_wrong_column_count():
+    # a temporal restriction needs m_nodes columns; numpy's matmul refuses any other count
     pair = build_ci_pair(16)
-    with pytest.raises(DimensionError, match="wrong number of columns"):
+    with pytest.raises(ValueError, match="mismatch in its core dimension"):
         check_restriction_condition(pair, 3, temporal_restriction=np.eye(2, 4))
