@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .collocation import collocation_matrix, spread_initial
-from .errors import ConfigurationError, RangeError
+from .errors import ConfigurationError
 from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
 from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_run_algorithmic
@@ -50,7 +50,7 @@ PHASE_NOISE_SSE = 1e-10
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One two-level PFASST experiment on a single Fourier mode."""
+    """A two-level PFASST experiment on one Fourier mode, and the strategies and block modes to predict it by."""
 
     problem: str
     n: int = 128
@@ -62,6 +62,8 @@ class ExperimentConfig:
     wavenumber: int = 1
     iterations: int = 10
     qdelta_kind: str | None = None
+    strategies: tuple[str, ...] = STRATEGIES
+    blocks: tuple[str, ...] = ("tc",)
 
     def __post_init__(self):
         if self.problem not in ("diffusion", "advection"):
@@ -73,26 +75,26 @@ class ExperimentConfig:
         for name in ("dt", "mu", "coefficient"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):
-                raise RangeError(f"{name} must be finite and positive, got {value}")
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.iterations < 0:
-            raise RangeError(f"iteration count must be >= 0, got {self.iterations}")
+            raise ConfigurationError(f"iteration count must be >= 0, got {self.iterations}")
         if self.l < 1:
-            raise RangeError(f"l (time intervals) must be >= 1, got {self.l}")
+            raise ConfigurationError(f"l (time intervals) must be >= 1, got {self.l}")
         if not 1 <= self.m <= MAX_NODES:
-            raise RangeError(f"m (quadrature nodes) must lie in 1..{MAX_NODES}, got {self.m}")
+            raise ConfigurationError(f"m (quadrature nodes) must lie in 1..{MAX_NODES}, got {self.m}")
         # the coarse level is a model problem on n/2 points, which needs an even grid itself
         width = max(map(midpoint_stencil_points, (INTERP_EXACTNESS, RESTR_EXACTNESS)))
         if self.n % 4 or self.n // 2 < width:
-            raise RangeError(
+            raise ConfigurationError(
                 f"n must be a multiple of 4 with n/2 >= {width}, the transfer stencil width, got n = {self.n}"
             )
         nu = self.resolved_coefficient()
         if not (np.isfinite(nu) and nu > 0):  # mu*dx^2/dt can overflow or underflow
-            raise RangeError(f"mu = {self.mu} gives the coefficient {nu} at n = {self.n}, dt = {self.dt}")
+            raise ConfigurationError(f"mu = {self.mu} gives the coefficient {nu} at n = {self.n}, dt = {self.dt}")
         if not 1 <= self.wavenumber < self.n:
-            raise RangeError(f"wavenumber must lie in 1..n-1 = {self.n - 1}, got {self.wavenumber}")
+            raise ConfigurationError(f"wavenumber must lie in 1..n-1 = {self.n - 1}, got {self.wavenumber}")
         if 2 * self.wavenumber == self.n:
-            raise RangeError(
+            raise ConfigurationError(
                 f"wavenumber must not be the Nyquist mode n/2 = {self.wavenumber}: "
                 "sin(2 pi k x) samples to round-off there"
             )
@@ -100,6 +102,14 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown qdelta_kind {self.qdelta_kind!r} (choose from {', '.join(QDELTA_KINDS)})"
             )
+        for name, known in (("strategies", STRATEGIES), ("blocks", BLOCK_MODES)):
+            # a repeated name is computed once, so the report lists each once, in first-seen order
+            names = tuple(dict.fromkeys(getattr(self, name)))
+            object.__setattr__(self, name, names)
+            if not names or not set(names) <= set(known):
+                raise ConfigurationError(f"{name} must be one or more of {', '.join(known)}, got {list(names)}")
+        if "c" in self.blocks and self.l < 2:
+            raise ConfigurationError(f"blocks: c mode needs l >= 2 (it builds no j = 0 block), got l={self.l}")
 
     @property
     def dx(self) -> float:
@@ -148,11 +158,9 @@ class ExperimentContext:
                 self._blocks[block_mode] = lfa.tc_decompose(self.setup)
             elif block_mode == "c":
                 self._blocks[block_mode] = lfa.c_decompose(self.setup)
-            elif block_mode == "full":
+            else:
                 t, cfg = self.setup.iteration_matrix, self.cfg
                 self._blocks[block_mode] = lfa.identity_decompose(t, cfg.n, cfg.l, cfg.m)
-            else:
-                raise ConfigurationError(f"no block decomposition for mode {block_mode!r}")
         return self._blocks[block_mode]
 
     @cached_property
@@ -234,8 +242,6 @@ def excited_blocks(cfg: ExperimentConfig) -> set[int]:
 
 def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarray:
     """Predicted 2-norm error for iterations 0..K, K+1 values; ``apply`` propagates only the ``excited_blocks``."""
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
     d = ctx.decomposition(block_mode)
     k_max = ctx.cfg.iterations
     e0 = ctx.initial_error
@@ -380,15 +386,10 @@ class ErrorTrace:
         return float(np.max(np.abs(self.actual_2 - self.u_run_2)))
 
 
-def run_and_compare(
-    cfg: ExperimentConfig,
-    strategies: tuple[str, ...] = STRATEGIES,
-    block_modes: tuple[str, ...] = ("tc",),
-) -> ErrorTrace:
-    """Run algorithmic PFASST and attach all requested predictions."""
+def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
+    """Run algorithmic PFASST and attach the predictions of every strategy and block mode of ``cfg``."""
     ctx = build_context(cfg)
-    # every decomposition before the run, so that a refused one (c mode at l = 1) costs no run
-    decompositions = {mode: ctx.decomposition(mode) for mode in block_modes}
+    decompositions = {mode: ctx.decomposition(mode) for mode in cfg.blocks}
     u_ex = ctx.trajectory
     e0 = ctx.initial_error
     # the propagated error (zero rhs) and the manufactured run, stacked into one run
@@ -398,7 +399,7 @@ def run_and_compare(
     actual_2 = np.array([np.linalg.norm(e) for e, _ in trace])
     u_run_2 = np.array([np.linalg.norm(u - u_ex) for _, u in trace])
 
-    predictions = {(strategy, mode): predict(ctx, strategy, mode) for mode in block_modes for strategy in strategies}
+    predictions = {(strategy, mode): predict(ctx, strategy, mode) for mode in cfg.blocks for strategy in cfg.strategies}
     aggregates = {mode: {"rho": d.spectral_radius, "norm": d.norm} for mode, d in decompositions.items()}
 
     return ErrorTrace(

@@ -6,12 +6,13 @@ Two subcommands:
             and the wall times to timings.json
   verify    run the cross-module equivalence suite and print a check table
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 verification
-failure (verify, or an analyze --blocks tc,full whose tc blocks differ from
-the iteration matrix; it writes its artifacts first).  CSV files use a decimal
-point, scientific notation with 17 significant digits, LF line endings and a
-leading header row; identical configurations produce byte-identical CSV files
-and report.json (timings.json holds the only run-dependent values).
+Exit codes: 0 success, 2 usage error (every refused input, before any work),
+3 numerical failure, 4 verification failure (verify, or an analyze --blocks
+tc,full whose tc blocks differ from the iteration matrix; it writes its
+artifacts first).  CSV files use a decimal point, scientific notation with
+17 significant digits, LF line endings and a leading header row; identical
+configurations produce byte-identical CSV files and report.json
+(timings.json holds the only run-dependent values).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import __version__, lfa
 from .analysis import (
-    BLOCK_MODES,
     INTERP_EXACTNESS,
     RESTR_EXACTNESS,
     STRATEGIES,
@@ -115,38 +115,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args, parser) -> int:
-    # a repeated entry runs once, so the report lists each once, in first-seen order
-    strategies = tuple(dict.fromkeys(s for s in args.strategies.split(",") if s))
-    block_modes = tuple(dict.fromkeys(m for m in args.blocks.split(",") if m))
-    for s in strategies:
-        if s not in STRATEGIES:
-            parser.error(f"unknown strategy {s!r} (choose from {', '.join(STRATEGIES)})")
-    for m in block_modes:
-        if m not in BLOCK_MODES:
-            parser.error(f"unknown block mode {m!r} (choose from {', '.join(BLOCK_MODES)})")
-    if not strategies or not block_modes:
-        parser.error("need at least one strategy and one block mode")
     out = Path(args.out)
     if any((path.exists() or path.is_symlink()) and not path.is_dir() for path in (out, *out.parents)):
         parser.error(f"--out {args.out}: it or one of its parents exists and is not a directory")
 
     timings = {}
     t0 = time.perf_counter()
-    try:
-        cfg = ExperimentConfig(
-            problem=args.problem,
-            n=args.n,
-            m=args.m,
-            l=args.l,
-            dt=args.dt,
-            coefficient=args.coefficient,
-            mu=args.mu,
-            wavenumber=args.wavenumber,
-            iterations=args.iterations,
-        )
-    except ConfigurationError as exc:
-        parser.error(str(exc))
-    trace = run_and_compare(cfg, strategies=strategies, block_modes=block_modes)
+    cfg = ExperimentConfig(
+        problem=args.problem,
+        n=args.n,
+        m=args.m,
+        l=args.l,
+        dt=args.dt,
+        coefficient=args.coefficient,
+        mu=args.mu,
+        wavenumber=args.wavenumber,
+        iterations=args.iterations,
+        strategies=tuple(s for s in args.strategies.split(",") if s),
+        blocks=tuple(m for m in args.blocks.split(",") if m),
+    )
+    trace = run_and_compare(cfg)
     timings["run_and_compare"] = time.perf_counter() - t0
     columns = {"actual_inf": trace.actual_inf, "actual_2": trace.actual_2}
     columns.update({f"pred_{strategy}_{mode}": values for (strategy, mode), values in trace.predictions.items()})
@@ -162,7 +150,7 @@ def cmd_analyze(args, parser) -> int:
     table = np.column_stack([np.arange(cfg.iterations + 1), *columns.values()])
     _write_csv(trace_path, ["iteration", *columns], table, 1)
 
-    spectrum_mode = block_modes[0]
+    spectrum_mode = cfg.blocks[0]
     spectrum_path = out / "spectrum.csv"
     d = trace.context.decomposition(spectrum_mode)
     # one row per eigenvalue: block k, time frequency j (-1 without one), real and imaginary part
@@ -179,22 +167,23 @@ def cmd_analyze(args, parser) -> int:
         checks["bound_chain_2norm"] = bool(chain)
     if ("apply", "tc") in pred:
         checks["strategy4_tc_exact"] = strategy4_exact(trace.actual_2, pred["apply", "tc"])
-    if {"tc", "full"} <= set(block_modes):
+    if {"tc", "full"} <= set(cfg.blocks):
         t, tc = trace.context.setup.iteration_matrix, trace.context.decomposition("tc")
         checks["tc_similarity_residual"] = lfa.tc_similarity_residual(t, tc)
 
+    config = {
+        **asdict(cfg),
+        "coefficient": cfg.resolved_coefficient(),
+        "qdelta_kind": cfg.resolved_qdelta_kind(),
+        "interp_exactness": INTERP_EXACTNESS,
+        "restr_exactness": RESTR_EXACTNESS,
+    }
+    # the request last: one key order across versions keeps reports byte-comparable
+    config |= {name: config.pop(name) for name in ("strategies", "blocks")}
     report = {
         "tool": "pfasst-lfa",
         "version": __version__,
-        "config": {
-            **asdict(cfg),
-            "coefficient": cfg.resolved_coefficient(),
-            "qdelta_kind": cfg.resolved_qdelta_kind(),
-            "interp_exactness": INTERP_EXACTNESS,
-            "restr_exactness": RESTR_EXACTNESS,
-            "strategies": list(strategies),
-            "blocks": list(block_modes),
-        },
+        "config": config,
         "aggregates": trace.aggregates,
         "phases": {
             "count": trace.phases.count,
@@ -297,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args, parser)
         return cmd_verify(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     except PfasstLfaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

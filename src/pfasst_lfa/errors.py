@@ -9,7 +9,7 @@ class PfasstLfaError(Exception):
 
 
 class RangeError(PfasstLfaError):
-    """A configured value lies outside its supported range, or a run overflows double precision."""
+    """A result is not finite: the run overflows double precision (the CLI's exit 3)."""
 
 
 class FactorizationError(PfasstLfaError):
@@ -21,4 +21,4 @@ class ConsistencyError(PfasstLfaError):
 
 
 class ConfigurationError(PfasstLfaError):
-    """Components were combined in an unsupported way."""
+    """``ExperimentConfig`` refuses a field, named in the message (the CLI's usage error, exit 2)."""

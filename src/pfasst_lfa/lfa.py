@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RangeError
 from .linalg import sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator, circulant_eigenvalues
@@ -76,8 +75,8 @@ class BlockDecomposition:
     ``blocks`` has shape (number of blocks, d, d); row i belongs to
     ``index[i]``; mode and index are read from ``meta``.  The eigenvalues,
     the spectral radius and the 2-norm are computed on first use and kept.
-    With ``mirrored`` set (real stencils), harmonic h and N - h are complex
-    conjugates, so block k and its mirror block (N/2 - k) mod N/2, with
+    The stencils are real, so harmonic h and N - h are complex
+    conjugates, and block k and its mirror block (N/2 - k) mod N/2, with
     time frequency j paired with (L - j) mod L, are related by
     B' = Pi conj(B) Pi, Pi swapping the two harmonic halves
     (B_0 = conj(B_0) without the swap).  Mirror partners therefore have the
@@ -93,7 +92,6 @@ class BlockDecomposition:
 
     blocks: np.ndarray
     meta: TransformMeta
-    mirrored: bool = False
     conjugate_symmetric: bool = False
 
     @property
@@ -103,14 +101,14 @@ class BlockDecomposition:
     def norm_chunks(self):
         """The blocks whose singular values cover every block, in the field their 2-norms are taken in.
 
-        Those are the harmonic pairs k <= (N/2)//2 if mirrored, else all
-        pairs, and of each pair every block in tc mode; in c mode the built
+        Those are the harmonic pairs k <= (N/2)//2 (the one block in full
+        mode), and of each pair every block in tc mode; in c mode the built
         time frequencies j >= 1, only up to j <= L/2 if conjugate-symmetric.
         They are yielded as row chunks of at most ``NORM_CHUNK_ENTRIES``
         matrix entries (at least one block), in the dtype of the stack.
         """
         per, shape = self.meta.blocks_per_pair, self.blocks.shape[1:]
-        pairs = self.meta.n // 4 + 1 if self.mirrored else len(self.blocks) // per
+        pairs = self.meta.n // 4 + 1
         c = self.meta.mode == "c"
         kept = per // 2 + 1 if c and self.conjugate_symmetric else per
         # a view in tc and full mode; c mode leaves out the zero j = 0 blocks
@@ -135,12 +133,9 @@ class BlockDecomposition:
         return float(np.max(np.abs(self.eigenvalues)))
 
 
-def _real_stencil(op: CirculantOperator) -> bool:
-    return bool(np.isrealobj(op.scale) and all(np.isrealobj(c) for c in op.stencil.values()))
-
-
 def _symmetric_stencil(op: CirculantOperator) -> bool:
-    return _real_stencil(op) and all(op.stencil.get(-o) == c for o, c in op.stencil.items())
+    real = np.isrealobj(op.scale) and all(np.isrealobj(c) for c in op.stencil.values())
+    return real and all(op.stencil.get(-o) == c for o, c in op.stencil.items())
 
 
 def _pair_blocks(setup: TwoLevelSetup, shift: np.ndarray):
@@ -194,9 +189,8 @@ def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray) -> BlockDecom
     """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0."""
     n = setup.fine.n_space
     meta = TransformMeta(mode=mode, n=n, l=setup.l, m=setup.m_nodes)
-    # real stencils on both levels make mirror pairs; symmetric ones make every lambda_k real
-    ops = (setup.fine.operator, setup.coarse.operator)
-    symmetric = all(map(_symmetric_stencil, ops))
+    # symmetric stencils on both levels make every lambda_k real
+    symmetric = all(map(_symmetric_stencil, (setup.fine.operator, setup.coarse.operator)))
     pair_blocks = _pair_blocks(setup, shift)
     per, built = meta.blocks_per_pair, len(shift)
     # a real tc stack keeps each pair's real part as it is built: no complex stack is ever held
@@ -205,7 +199,7 @@ def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray) -> BlockDecom
     for k in range(n // 2):
         pair = pair_blocks(k)
         blocks[(k + 1) * per - built : (k + 1) * per] = pair.real if real else pair
-    return BlockDecomposition(blocks, meta, mirrored=all(map(_real_stencil, ops)), conjugate_symmetric=symmetric)
+    return BlockDecomposition(blocks, meta, conjugate_symmetric=symmetric)
 
 
 def tc_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
@@ -218,12 +212,10 @@ def c_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
 
     Time frequency j = 0 belongs to constant-in-time modes whose coarse
     basic block is singular at k = 0; those blocks are zero and not built,
-    so L = 1, which has no other time frequency, raises ``RangeError``.
-    A singular block at j >= 1 raises ``np.linalg.LinAlgError``.
+    so L = 1, which has no other time frequency, has no c mode (the config
+    refuses it).  A singular block at j >= 1 raises ``np.linalg.LinAlgError``.
     """
     l = setup.l
-    if l < 2:
-        raise RangeError(f"c mode needs l >= 2, got l={l}: its only time frequency j = 0 is not built")
     # each phase factor from a scalar exp: an array exp may round differently,
     # and a block must not depend on how many time frequencies share its batch
     phases = np.array([np.exp(-2j * np.pi * j / l) for j in range(1, l)], dtype=complex)

@@ -28,13 +28,13 @@ from pfasst_lfa.errors import RangeError
 def pair_stacks(d: lfa.BlockDecomposition):
     """The stored blocks of each harmonic pair whose singular values cover the stack.
 
-    Those are the pairs k <= (N/2)//2 if mirrored, and of each pair every
-    block in tc mode; in c mode the time frequencies j >= 1, only up to
+    Those are the pairs k <= (N/2)//2 (the one block in full mode), and of
+    each pair every block in tc mode; in c mode the time frequencies j >= 1, only up to
     j <= L/2 if conjugate-symmetric: the rows ``d.norm_chunks()`` walks, one
     pair at a time.
     """
     per = d.meta.blocks_per_pair
-    pairs = d.meta.n // 4 + 1 if d.mirrored else len(d.blocks) // per
+    pairs = min(d.meta.n // 4 + 1, len(d.blocks) // per)
     c = d.meta.mode == "c"
     kept = per // 2 + 1 if c and d.conjugate_symmetric else per
     for k in range(pairs):

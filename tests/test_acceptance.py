@@ -228,8 +228,8 @@ def test_criterion_08_bound_chain(criterion_7_traces):
 
 
 def test_criterion_09_qualitative_reproduction():
-    cfg_d = ExperimentConfig(problem="diffusion", mu=10.0, wavenumber=8, iterations=40)
-    tr_d = run_and_compare(cfg_d, strategies=("rho",))
+    cfg_d = ExperimentConfig(problem="diffusion", mu=10.0, wavenumber=8, iterations=40, strategies=("rho",))
+    tr_d = run_and_compare(cfg_d)
     assert tr_d.phases.count >= 2
     first_end = tr_d.phases.boundaries[1]
     drop = tr_d.actual_2[first_end] / tr_d.actual_2[0]
@@ -238,8 +238,8 @@ def test_criterion_09_qualitative_reproduction():
     rho = tr_d.aggregates["tc"]["rho"]
     rel = abs(ratio - rho) / rho
     assert rel < 0.2
-    cfg_a = ExperimentConfig(problem="advection", coefficient=4.88e-3, wavenumber=8, iterations=40)
-    tr_a = run_and_compare(cfg_a, strategies=("rho",))
+    cfg_a = ExperimentConfig(problem="advection", coefficient=4.88e-3, wavenumber=8, iterations=40, strategies=("rho",))
+    tr_a = run_and_compare(cfg_a)
     assert tr_a.phases.count == 3
     _report(
         9,

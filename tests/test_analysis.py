@@ -42,45 +42,49 @@ def test_config_validation():
         ExperimentConfig(problem="diffusion", coefficient=1.0, mu=10.0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problem="diffusion")
-    with pytest.raises(RangeError):
+    with pytest.raises(ConfigurationError):
         ExperimentConfig(problem="diffusion", mu=1.0, iterations=-1)
 
 
 @pytest.mark.parametrize(
-    "field,value,error",
+    "field,value",
     [
-        ("dt", -0.1, RangeError),
-        ("dt", 0.0, RangeError),
-        ("dt", float("inf"), RangeError),
-        ("dt", float("nan"), RangeError),
-        ("mu", -1.0, RangeError),
-        ("mu", 0.0, RangeError),
-        ("mu", float("nan"), RangeError),
-        ("mu", float("inf"), RangeError),
-        ("mu", 1e-320, RangeError),  # positive, but mu*dx^2/dt underflows to 0
-        ("coefficient", float("nan"), RangeError),
-        ("coefficient", float("inf"), RangeError),
-        ("coefficient", -0.5, RangeError),
-        ("l", 0, RangeError),
-        ("m", 0, RangeError),
-        ("m", 13, RangeError),
-        ("n", 33, RangeError),
-        ("n", 8, RangeError),
-        ("n", 4, RangeError),
-        ("n", 18, RangeError),  # the coarse grid n/2 = 9 is odd
-        ("wavenumber", 0, RangeError),
-        ("wavenumber", 200, RangeError),
-        ("wavenumber", 64, RangeError),  # the Nyquist mode n/2
-        ("qdelta_kind", "rk4", ConfigurationError),
+        ("dt", -0.1),
+        ("dt", 0.0),
+        ("dt", float("inf")),
+        ("dt", float("nan")),
+        ("mu", -1.0),
+        ("mu", 0.0),
+        ("mu", float("nan")),
+        ("mu", float("inf")),
+        ("mu", 1e-320),  # positive, but mu*dx^2/dt underflows to 0
+        ("coefficient", float("nan")),
+        ("coefficient", float("inf")),
+        ("coefficient", -0.5),
+        ("l", 0),
+        ("m", 0),
+        ("m", 13),
+        ("n", 33),
+        ("n", 8),
+        ("n", 4),
+        ("n", 18),  # the coarse grid n/2 = 9 is odd
+        ("wavenumber", 0),
+        ("wavenumber", 200),
+        ("wavenumber", 64),  # the Nyquist mode n/2
+        ("qdelta_kind", "rk4"),
+        ("strategies", ()),
+        ("strategies", ("rho", "psychic")),
+        ("blocks", ("tc", "fft")),
+        ("blocks", ()),
     ],
 )
-def test_config_rejects_invalid_field_by_name(field, value, error):
+def test_config_rejects_invalid_field_by_name(field, value):
     if field == "coefficient":
         kwargs = {"problem": "advection", "coefficient": 1e-2}
     else:
         kwargs = {"problem": "diffusion", "mu": 10.0}
     kwargs.update({"n": 128, field: value})
-    with pytest.raises(error, match=field):
+    with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig(**kwargs)
 
 
@@ -217,12 +221,15 @@ def test_full_mode_predictions_equal_the_dense_matrix_oracle():
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14 * e0_norm)
 
 
-def test_predict_rejects_unknown_names():
-    ctx = build_context(_small_cfg())
-    with pytest.raises(ConfigurationError):
-        predict(ctx, "magic", "tc")
-    with pytest.raises(ConfigurationError):
-        predict(ctx, "rho", "banded")
+def test_config_checks_the_strategy_and_block_names():
+    # an unknown name is refused at the config (test_config_rejects_invalid_field_by_name), so predict and
+    # decomposition never see one; c mode builds no block at j = 0, the only time frequency at l = 1
+    with pytest.raises(ConfigurationError, match=r"blocks: c mode needs l >= 2.*got l=1"):
+        _small_cfg(l=1, blocks=("tc", "c"))
+    assert _small_cfg(l=1).blocks == ("tc",)
+    # a repeated name is kept once, where it was first given
+    cfg = _small_cfg(strategies=("rho", "apply", "rho"), blocks=("c", "tc", "c"))
+    assert (cfg.strategies, cfg.blocks) == (("rho", "apply"), ("c", "tc"))
 
 
 def test_run_and_compare_strategy4_exactness_small():
@@ -243,7 +250,7 @@ def test_run_and_compare_measurement_consistency():
 
 def test_run_and_compare_builds_each_operator_once(monkeypatch):
     calls = Counter()
-    cfg = _small_cfg(iterations=6)
+    cfg = _small_cfg(iterations=6, blocks=("tc", "c", "full"))
     full_dim = cfg.l * cfg.m * cfg.n
 
     def counting(owner, name, key=None, when=lambda *a: True):
@@ -265,7 +272,7 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
     counting(analysis, "exact_solution")
     counting(np.linalg, "eigvals", "full eigvals", lambda a: a.shape[-1] == full_dim)
     counting(np.linalg, "eigvals")  # one batched call per block mode
-    trace = run_and_compare(cfg, block_modes=("tc", "c", "full"))
+    trace = run_and_compare(cfg)
     assert calls == {
         "tc_decompose": 1,
         "c_decompose": 1,
@@ -317,7 +324,7 @@ def test_norm_kernels_take_no_svd(monkeypatch, problem):
     monkeypatch.setattr(np.linalg, "svd", recording)
     # np.linalg.norm calls the svd of its own module
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", recording)
-    trace = run_and_compare(_small_cfg(problem, iterations=6), block_modes=("tc", "c", "full"))
+    trace = run_and_compare(_small_cfg(problem, iterations=6, blocks=("tc", "c", "full")))
     assert calls == []
     for mode in ("tc", "c", "full"):
         assert trace.predictions["norm-power", mode][-1] > 0
@@ -328,7 +335,7 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
     # aggregates and norm-power at k = 1: K batched norms per row chunk of the
     # N/4 + 1 mirror-representative pairs; at the default size one chunk
     # holds them all, at two blocks per chunk it takes three
-    cfg = _small_cfg(iterations=6)
+    cfg = _small_cfg(iterations=6, blocks=("tc", "full"))
     tc_dim, full_dim = 2 * cfg.l * cfg.m, cfg.l * cfg.m * cfg.n
     original = lfa._max_norm2
     for entries, tc_chunks in ((lfa.NORM_CHUNK_ENTRIES, 1), (2 * tc_dim**2, 3)):
@@ -340,7 +347,7 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
 
         monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
         monkeypatch.setattr(lfa, "_max_norm2", counted)
-        trace = run_and_compare(cfg, block_modes=("tc", "full"))
+        trace = run_and_compare(cfg)
         assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: cfg.iterations}
     for mode in ("tc", "full"):
         norm = trace.aggregates[mode]["norm"]
@@ -352,7 +359,7 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["tc", "c"])
 def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
-    ctx = run_and_compare(_small_cfg(), block_modes=(mode,)).context
+    ctx = run_and_compare(_small_cfg(blocks=(mode,))).context
     assert "matrix" not in vars(ctx.setup.fine) and "matrix" not in vars(ctx.setup.coarse)
     assert "a" not in vars(ctx.setup.fine) and "a" not in vars(ctx.setup.coarse)  # no N x N spatial matrix
     for dense in ("p_fine", "p_coarse", "composite_matrix", "composite_preconditioners", "iteration_matrix"):
@@ -361,8 +368,15 @@ def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
     assert "fine_sweep" in vars(ctx.setup)
 
 
+def test_run_and_compare_predicts_what_the_config_requests():
+    assert list(inspect.signature(run_and_compare).parameters) == ["cfg"]
+    trace = run_and_compare(_small_cfg(strategies=("apply", "rho"), blocks=("c", "tc")))
+    assert list(trace.predictions) == [("apply", "c"), ("rho", "c"), ("apply", "tc"), ("rho", "tc")]
+    assert list(trace.aggregates) == ["c", "tc"]
+
+
 def test_run_and_compare_k0_gives_single_row():
-    trace = run_and_compare(_small_cfg(iterations=0), strategies=("rho",))
+    trace = run_and_compare(_small_cfg(iterations=0, strategies=("rho",)))
     assert len(trace.actual_2) == 1
     assert len(trace.predictions["rho", "tc"]) == 1
 

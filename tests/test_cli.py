@@ -81,6 +81,15 @@ def test_analyze_lists_repeated_strategies_and_blocks_once(tmp_path):
     assert header[3:] == ["pred_rho_tc", "pred_apply_tc", "pred_rho_c", "pred_apply_c"]
 
 
+def test_report_config_echo_keeps_its_key_order(tmp_path):
+    # the config fields, the resolved values and the fixed stencil degrees, then the request
+    out = _analyze(tmp_path, "--strategies", "apply", "--blocks", "c,tc")
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert list(config) == ["problem", "n", "m", "l", "dt", "coefficient", "mu", "wavenumber", "iterations",
+                            "qdelta_kind", "interp_exactness", "restr_exactness", "strategies", "blocks"]
+    assert (config["strategies"], config["blocks"]) == (["apply"], ["c", "tc"])
+
+
 def test_spectrum_csv_covers_all_blocks(tmp_path):
     out = _analyze(tmp_path)
     rows = (out / "spectrum.csv").read_text().strip().split("\n")
@@ -100,8 +109,8 @@ def _per_value_csv(header, rows) -> bytes:
 
 def test_csv_tables_are_the_per_value_format(tmp_path):
     out = _analyze(tmp_path, "--blocks", "c,tc")
-    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=32, m=3, wavenumber=2, iterations=5)
-    trace = run_and_compare(cfg, block_modes=("c", "tc"))
+    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=32, m=3, wavenumber=2, iterations=5, blocks=("c", "tc"))
+    trace = run_and_compare(cfg)
     columns = {"actual_inf": trace.actual_inf, "actual_2": trace.actual_2}
     columns.update({f"pred_{strategy}_{mode}": values for (strategy, mode), values in trace.predictions.items()})
     rows = [[k] + [float(v[k]) for v in columns.values()] for k in range(cfg.iterations + 1)]
@@ -152,8 +161,8 @@ def test_strategy4_check_ignores_round_off_tail(tmp_path, mu):
 
 
 def test_strategy4_check_rejects_a_wrong_apply_column():
-    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=64, l=2, wavenumber=1, iterations=20)
-    trace = run_and_compare(cfg, strategies=("apply",))
+    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=64, l=2, wavenumber=1, iterations=20, strategies=("apply",))
+    trace = run_and_compare(cfg)
     actual, apply_2 = trace.actual_2, trace.predictions["apply", "tc"]
     assert strategy4_exact(actual, apply_2)
     assert not strategy4_exact(actual, apply_2 * (1 + 1e-7))
@@ -366,7 +375,14 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == EXIT_USAGE
 
 
-def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
+def _refused(argv) -> int:
+    """The exit code of a ``main`` call that argparse ends with a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_config_range_errors_exit_2_with_their_message(tmp_path, capsys):
     # ExperimentConfig is the one place that checks the fields; nothing is written
     diffusion = ["--problem", "diffusion", "--mu", "10"]
     advection = ["--problem", "advection", "--coefficient"]
@@ -393,17 +409,43 @@ def test_config_range_errors_exit_3_with_their_message(tmp_path, capsys):
         ([*diffusion, "--wavenumber", "128"], "wavenumber must lie in 1..n-1 = 127, got 128"),
     ]:
         out = tmp_path / "out"
-        assert main(["analyze", *flags, "--out", str(out)]) == EXIT_NUMERICAL
+        assert _refused(["analyze", *flags, "--out", str(out)]) == EXIT_USAGE
         assert fragment in capsys.readouterr().err
         assert not out.exists()
 
 
-def test_analyze_c_mode_at_one_interval_exits_3_naming_l(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "flags,fragments",
+    [
+        (["--m", "0"], ("m (quadrature nodes)", "got 0")),
+        (["--blocks", "c", "--l", "1"], ("blocks: c mode needs l >= 2", "got l=1")),
+        (["--strategies", "rho,psychic"], ("strategies must be one or more of", "'psychic'")),
+        (["--blocks", "tc,fft"], ("blocks must be one or more of", "'fft'")),
+        (["--strategies", ""], ("strategies must be one or more of", "got []")),
+    ],
+    ids=["m-0", "c-at-l-1", "strategy-psychic", "block-fft", "no-strategy"],
+)
+def test_refused_input_exits_2_before_any_work(tmp_path, capsys, monkeypatch, flags, fragments):
+    # every refusal comes from ExperimentConfig, before a context, a block or a sweep exists
+    built = []
+    monkeypatch.setattr(analysis, "build_context", lambda cfg: built.append(cfg))
+    base = ["analyze", "--problem", "diffusion", "--mu", "10", "--n", "16", "--m", "2", "--l", "2"]
+    assert _refused([*base, *flags, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(fragment in err for fragment in fragments), err
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_c_mode_at_one_interval_exits_2_naming_l(tmp_path, capsys, monkeypatch):
     # c mode builds no block at time frequency j = 0, the only one at l = 1; it is refused before the run
     runs = []
     original = analysis.pfasst_run_algorithmic
     monkeypatch.setattr(analysis, "pfasst_run_algorithmic", lambda *args: runs.append(args) or original(*args))
-    out = _analyze(tmp_path, "--l", "1", "--blocks", "c", code=EXIT_NUMERICAL)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _analyze(tmp_path, "--l", "1", "--blocks", "c")
+    assert exc.value.code == EXIT_USAGE
     assert "l=1" in capsys.readouterr().err
     assert not out.exists()
     assert runs == []
@@ -443,23 +485,3 @@ def test_verify_computes_no_dense_eigenvalues(monkeypatch, capsys):
 def test_verify_detects_qdelta_mutation():
     assert main(["verify", "--scale", "small", "--flip-qdelta-sign"]) == EXIT_VERIFICATION
 
-
-def test_numerical_failure_exit_3(tmp_path):
-    # grid too small for the default degree-6 interpolation stencil
-    out = tmp_path / "out"
-    code = main(
-        [
-            "analyze",
-            "--problem",
-            "diffusion",
-            "--mu",
-            "10",
-            "--n",
-            "8",
-            "--m",
-            "2",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 3

@@ -10,7 +10,7 @@ from pfasst_lfa.collocation import (
     spread_initial,
     three_layer_matrix,
 )
-from pfasst_lfa.errors import RangeError
+from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.quadrature import QuadratureRule
 from pfasst_lfa.space_operators import CirculantOperator, make_diffusion
 
@@ -29,7 +29,7 @@ def test_collocation_matrix_shape_and_structure():
 def test_collocation_rejects_nonpositive_dt():
     # collocation_matrix assumes dt > 0; ExperimentConfig is where a dt <= 0 is refused
     for dt in (0.0, -0.1):
-        with pytest.raises(RangeError, match=f"dt must be finite and positive, got {dt}"):
+        with pytest.raises(ConfigurationError, match=f"dt must be finite and positive, got {dt}"):
             ExperimentConfig(problem="diffusion", mu=10.0, dt=dt)
 
 
@@ -97,7 +97,7 @@ def test_composite_solution_continues_single_interval_solution():
 
 def test_composite_needs_at_least_one_interval():
     # composite_system assumes l >= 1; ExperimentConfig refuses l = 0, and l = 1 is one interval's matrix
-    with pytest.raises(RangeError, match="must be >= 1, got 0"):
+    with pytest.raises(ConfigurationError, match="must be >= 1, got 0"):
         ExperimentConfig(problem="diffusion", mu=10.0, l=0)
     p = collocation_matrix(make_diffusion(8, 1e-2).operator, QuadratureRule.radau_right(2), 0.1)
     assert composite_system(p, 1).shape == (p.dim, p.dim)

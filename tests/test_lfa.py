@@ -10,8 +10,9 @@ import pytest
 import clusters
 import oracles
 from pfasst_lfa import lfa
+from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.collocation import collocation_matrix
-from pfasst_lfa.errors import RangeError
+from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import sort_eigenvalues
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import build_two_level_setup
@@ -131,7 +132,6 @@ def test_mirror_blocks_have_equal_power_norms(make, coefficient, qdelta_kind):
     setup = _assemble(prob, 3, 4, 0.1, qdelta_kind)
     k_max = 20
     for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
-        assert d.mirrored
         dim = d.meta.block_dim // 2
         # exchanges the two harmonic halves; harmonics 0 and N/2 are self-conjugate
         swap = np.roll(np.eye(2 * dim), dim, axis=0)
@@ -145,17 +145,6 @@ def test_mirror_blocks_have_equal_power_norms(make, coefficient, qdelta_kind):
                 a, b = np.linalg.norm(p, 2), np.linalg.norm(q, 2)
                 assert abs(a - b) <= 1e-13 * max(a, b)
                 p, q = p @ block, q @ partner
-
-
-def test_mirror_needs_real_stencils():
-    n = 16
-    op_f = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
-    op_c = CirculantOperator(n=n // 2, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=0.3 + 0.1j)
-    d = lfa.tc_decompose(_setup(op_f, op_c, 2, 2, 0.1))
-    assert not d.mirrored
-    assert sum(map(len, d.norm_chunks())) == 8  # every pair
-    assert sum(map(len, replace(d, mirrored=True).norm_chunks())) == 5
-    assert not lfa._symmetric_stencil(op_f) and not d.conjugate_symmetric
 
 
 @pytest.mark.parametrize("n", [16, 32, 128, 512])
@@ -216,7 +205,7 @@ def test_tc_decompose_holds_one_stack(make, coefficient):
 def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():
     setup = _assemble(make_advection(32, 4.88e-3), 3, 4, 0.1, "lu")
     tc = lfa.tc_decompose(setup)
-    assert tc.mirrored and not tc.conjugate_symmetric
+    assert not tc.conjugate_symmetric
     assert not lfa.c_decompose(setup).conjugate_symmetric
     # a real stencil with c_1 != c_{-1} is not symmetric either
     op_f = CirculantOperator(n=16, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
@@ -384,7 +373,7 @@ def test_identity_decompose_is_the_matrix_as_one_block():
     np.testing.assert_array_equal(d.blocks[0], t)
     np.testing.assert_array_equal(d.index, [[-1, -1]])
     assert d.meta.block_dim == l * m * n
-    assert not d.mirrored and [len(chunk) for chunk in d.norm_chunks()] == [1]
+    assert [len(chunk) for chunk in d.norm_chunks()] == [1]
     rng = np.random.default_rng(5)
     v = rng.standard_normal(t.shape[0])
     vhat = lfa.transform_vector(v, d.meta)
@@ -515,7 +504,7 @@ def test_matched_cluster_distance_detects_mutation():
 
 
 def _stencil_family(family: str, n: int):
-    """(fine, coarse) operators: symmetric real, real advection, or complex-scaled (not mirrored)."""
+    """(fine, coarse) operators: symmetric real, real advection, or complex-scaled (complex, not symmetric)."""
     if family == "complex-scale":
         stencil = {-1: 1.0, 0: -2.0, 1: 1.0}
         return tuple(CirculantOperator(n=k, stencil=stencil, scale=0.3 + 0.1j) for k in (n, n // 2))
@@ -524,19 +513,17 @@ def _stencil_family(family: str, n: int):
 
 
 @pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
-@pytest.mark.parametrize("family", ["diffusion", "advection", "complex-scale", "diffusion-unmirrored"])
+@pytest.mark.parametrize("family", ["diffusion", "advection", "complex-scale"])
 @pytest.mark.parametrize("decompose", [lfa.tc_decompose, lfa.c_decompose], ids=["tc", "c"])
 def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family, l):
     n, m, k_max = 16, 2, 6
     setup = _setup(*_stencil_family(family, n), m, l, 0.1)
     if decompose is lfa.c_decompose and l == 1:
-        with pytest.raises(RangeError, match="l=1"):
-            decompose(setup)
+        # c mode has no block at l = 1, and the config refuses it before any decomposition
+        with pytest.raises(ConfigurationError, match="l=1"):
+            ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l, blocks=("c",))
         return
     d = decompose(setup)
-    if family == "diffusion-unmirrored":
-        d = replace(d, mirrored=False)
-    assert d.mirrored == (family in ("diffusion", "advection"))
     assert d.conjugate_symmetric == family.startswith("diffusion")
     expected = oracles.pairwise_power_norms(d, k_max)
     size = d.blocks[0].size

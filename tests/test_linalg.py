@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfasst_lfa.analysis import ExperimentConfig
-from pfasst_lfa.errors import RangeError
+from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import dft_matrix, sort_eigenvalues
 
 
@@ -16,7 +16,7 @@ def test_dft_matrix_is_unitary():
 
 def test_dft_matrix_rejects_an_empty_grid():
     # dft_matrix assumes n >= 1; ExperimentConfig refuses every grid below 16 points, n = 0 included
-    with pytest.raises(RangeError, match="got n = 0"):
+    with pytest.raises(ConfigurationError, match="got n = 0"):
         ExperimentConfig(problem="diffusion", mu=10.0, n=0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from pfasst_lfa.analysis import ExperimentConfig
-from pfasst_lfa.errors import ConfigurationError, RangeError
+from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.quadrature import (
     JACOBI_ROOTS,
     MAX_NODES,
@@ -108,7 +108,7 @@ def test_collocation_convergence_order_oracle():
 @pytest.mark.parametrize("m", [0, -1, 13])
 def test_radau_nodes_rejects_out_of_range(m):
     # radau_nodes assumes 1 <= m <= MAX_NODES; ExperimentConfig is where another m is refused
-    with pytest.raises(RangeError, match=f"must lie in 1..{MAX_NODES}, got {m}"):
+    with pytest.raises(ConfigurationError, match=f"must lie in 1..{MAX_NODES}, got {m}"):
         ExperimentConfig(problem="diffusion", mu=10.0, m=m)
 
 

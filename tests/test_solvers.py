@@ -7,7 +7,7 @@ import scipy.linalg
 from pfasst_lfa import solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context
 from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
-from pfasst_lfa.errors import FactorizationError, RangeError
+from pfasst_lfa.errors import ConfigurationError, FactorizationError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
     BlockGaussSeidel,
@@ -323,7 +323,7 @@ def test_two_level_setup_rejects_mismatched_grids():
     # build_two_level_setup assumes a fine grid of 4j points, a coarse grid of n/2 and transfers for n;
     # ExperimentConfig refuses any other n, and build_context builds all three from its one n
     for n in (10, 11, 30):
-        with pytest.raises(RangeError, match=f"got n = {n}"):
+        with pytest.raises(ConfigurationError, match=f"got n = {n}"):
             ExperimentConfig(problem="diffusion", mu=10.0, n=n)
     setup = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=2, l=2)).setup
     assert (setup.fine.n_space, setup.coarse.n_space, setup.pair.n_fine, setup.pair.n_coarse) == (16, 8, 16, 8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfasst_lfa.analysis import ExperimentConfig
-from pfasst_lfa.errors import ConfigurationError, RangeError
+from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.space_operators import (
     CirculantOperator,
     circulant_eigenvalues,
@@ -140,12 +140,12 @@ def test_make_problem_rejects_bad_sizes_and_coefficients():
         ("advection", 4, 1.0),
         ("advection", 16, 0.0),
     ]:
-        with pytest.raises(RangeError):
+        with pytest.raises(ConfigurationError):
             ExperimentConfig(problem=problem, n=n, coefficient=coefficient)
 
 
 def test_exact_solution_wavenumber_range():
     # exact_solution assumes 1 <= k < n; ExperimentConfig is where another wavenumber is refused
     for k in (0, 16):
-        with pytest.raises(RangeError, match=f"wavenumber must lie in 1..n-1 = 15, got {k}"):
+        with pytest.raises(ConfigurationError, match=f"wavenumber must lie in 1..n-1 = 15, got {k}"):
             ExperimentConfig(problem="diffusion", mu=10.0, n=16, wavenumber=k)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfasst_lfa.analysis import INTERP_EXACTNESS, RESTR_EXACTNESS, ExperimentConfig
-from pfasst_lfa.errors import ConsistencyError, RangeError
+from pfasst_lfa.errors import ConfigurationError, ConsistencyError
 from pfasst_lfa.linalg import dft_matrix
 from pfasst_lfa.transfer import (
     build_ci_pair,
@@ -133,7 +133,7 @@ def test_midpoint_stencil_rejects_bad_degree_and_size():
     assert min(INTERP_EXACTNESS, RESTR_EXACTNESS) >= 1
     width = max(map(midpoint_stencil_points, (INTERP_EXACTNESS, RESTR_EXACTNESS)))
     for n in (4, 8):
-        with pytest.raises(RangeError, match=f"n/2 >= {width}, the transfer stencil width, got n = {n}"):
+        with pytest.raises(ConfigurationError, match=f"n/2 >= {width}, the transfer stencil width, got n = {n}"):
             ExperimentConfig(problem="advection", coefficient=1.0, n=n)
     ExperimentConfig(problem="advection", coefficient=1.0, n=2 * width)  # the narrowest grid it admits
     assert len(midpoint_generator(width, INTERP_EXACTNESS).stencil) == width
@@ -141,7 +141,7 @@ def test_midpoint_stencil_rejects_bad_degree_and_size():
 
 def test_build_ci_pair_needs_even_grid():
     # build_ci_pair assumes an even fine grid; ExperimentConfig refuses an odd one
-    with pytest.raises(RangeError, match="got n = 15"):
+    with pytest.raises(ConfigurationError, match="got n = 15"):
         ExperimentConfig(problem="advection", coefficient=1.0, n=15)
 
 
