@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 usage error (every refused input, before any work),
 tc,full whose tc blocks differ from the iteration matrix; it writes its
 artifacts first).  CSV files use a decimal point, scientific notation with
 17 significant digits, LF line endings and a leading header row; identical
-configurations produce byte-identical CSV files and report.json
-(timings.json holds the only run-dependent values).
+configurations at the same BLAS thread count produce byte-identical CSV
+files and report.json, whatever the number of cores (timings.json holds the
+only run-dependent values).  Another BLAS thread count can change the last
+digits: LAPACK's results depend on how its work is split.
 """
 
 from __future__ import annotations

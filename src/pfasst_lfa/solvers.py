@@ -207,11 +207,15 @@ def pfasst_iteration_matrix(
     """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
 
     The block Jacobi Phat is solved interval by interval and the lifted
-    transfers act block by block; only M, the two factors and T are formed.
+    transfers act block by block; only M and the two factors are formed, and
+    T overwrites the C-ordered second factor one interval's columns at a time.
     """
     cgc_factor = _identity_minus(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m))))
     smoother_factor = _identity_minus(fine_jacobi.solve(m))
-    return smoother_factor @ cgc_factor
+    width = len(m) // fine_jacobi.l
+    for j in range(0, len(m), width):
+        cgc_factor[:, j : j + width] = smoother_factor @ cgc_factor[:, j : j + width]
+    return cgc_factor
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Error vectors, prediction strategies and phase detection."""
 
 import inspect
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -76,6 +78,11 @@ def test_config_validation():
         ("strategies", ("rho", "psychic")),
         ("blocks", ("tc", "fft")),
         ("blocks", ()),
+        ("iterations", -1),
+        ("n", 32.0),  # an integer value of the wrong type fails deep in the build
+        ("m", 3.0),
+        ("l", 4.0),
+        ("wavenumber", 1.5),
     ],
 )
 def test_config_rejects_invalid_field_by_name(field, value):
@@ -91,6 +98,14 @@ def test_config_rejects_invalid_field_by_name(field, value):
 def test_config_accepts_the_edges_of_each_range():
     ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=12, l=1, wavenumber=15, qdelta_kind="lu")
     ExperimentConfig(problem="advection", coefficient=1e-3, n=16, m=1, wavenumber=1)
+
+
+def test_config_keeps_a_numpy_integer_as_an_int():
+    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=np.int64(32), m=np.int32(3), iterations=np.uint8(4))
+    assert (cfg.n, cfg.m, cfg.iterations) == (32, 3, 4)
+    assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.iterations))
+    with pytest.raises(ConfigurationError, match="iterations must be an integer, got True"):
+        ExperimentConfig(problem="diffusion", mu=10.0, iterations=True)
 
 
 def test_mu_resolves_to_parabolic_mesh_ratio():
@@ -265,6 +280,10 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
 
     for name in ("tc_decompose", "c_decompose", "block_spectra"):
         counting(lfa, name)
+    # each spectrum is solved on the worker thread, and only there: a read before the join
+    # would solve it a second time where cached_property has no lock (Python >= 3.12)
+    main_thread = threading.main_thread()
+    counting(lfa, "block_spectra", "main-thread block_spectra", lambda d: threading.current_thread() is main_thread)
     for name in ("build_qdelta", "composite_system", "pfasst_iteration_matrix"):
         counting(solvers, name)
     counting(analysis, "exact_trajectory")
@@ -291,6 +310,24 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
         d = trace.context.decomposition(mode)
         assert trace.aggregates[mode]["rho"] is d.spectral_radius
         assert trace.aggregates[mode]["norm"] is d.norm
+
+
+def test_run_and_compare_equals_the_serial_computation_bitwise():
+    # the worker's solves, interleaved with the main thread at a 1 us switch interval, give the serial values
+    cfg = _small_cfg("advection", iterations=6, blocks=("tc", "c", "full"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trace = run_and_compare(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    ctx = build_context(cfg)  # no worker: every value computed in this thread, in request order
+    for mode in cfg.blocks:
+        d = ctx.decomposition(mode)
+        assert np.array_equal(trace.context.decomposition(mode).eigenvalues, d.eigenvalues)
+        assert trace.aggregates[mode] == {"rho": d.spectral_radius, "norm": d.norm}
+        for strategy in cfg.strategies:
+            assert np.array_equal(trace.predictions[strategy, mode], predict(ctx, strategy, mode))
 
 
 @pytest.mark.parametrize("problem", ["diffusion", "advection"])

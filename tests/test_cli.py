@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +59,11 @@ def test_analyze_writes_all_artifacts(tmp_path):
 
 
 def test_trace_csv_columns_and_format(tmp_path):
-    out = _analyze(tmp_path, "--strategies", "apply,rho", "--blocks", "tc")
+    # rho is predicted after the eigenvalue worker's join, the others before it; the columns keep the request order
+    out = _analyze(tmp_path, "--strategies", "apply,rho,norm", "--blocks", "tc")
     lines = (out / "trace.csv").read_bytes().split(b"\n")
     header = lines[0].decode()
-    assert header == "iteration,actual_inf,actual_2,pred_apply_tc,pred_rho_tc"
+    assert header == "iteration,actual_inf,actual_2,pred_apply_tc,pred_rho_tc,pred_norm_tc"
     assert len(lines) == 5 + 2 + 1  # K+1 rows, header, trailing newline
     # 17 significant digits in scientific notation
     first = lines[1].decode().split(",")
@@ -187,6 +189,23 @@ def test_analyze_refuses_non_finite_results(tmp_path, capsys):
             "--iterations", "3", "--out", str(out)]
     assert main(argv) == EXIT_NUMERICAL
     assert "actual_inf is not finite from iteration 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_worker_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
+    # the block eigenvalues are solved on a worker thread; its LinAlgError reaches main at the join
+    threads = []
+
+    def failing(a):
+        threads.append(threading.current_thread())
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    out = _analyze(tmp_path, code=EXIT_NUMERICAL)
+    err = capsys.readouterr().err
+    assert "numerical failure: Eigenvalues did not converge" in err
+    assert "Traceback" not in err
+    assert threads and threading.main_thread() not in threads
     assert not out.exists()
 
 
@@ -403,7 +422,7 @@ def test_config_range_errors_exit_2_with_their_message(tmp_path, capsys):
         # the ranges that the layers below the config assume, rejected here and nowhere else
         ([*diffusion, "--m", "0"], "m (quadrature nodes) must lie in 1..12, got 0"),
         ([*diffusion, "--l", "0"], "l (time intervals) must be >= 1, got 0"),
-        ([*diffusion, "--iterations", "-1"], "iteration count must be >= 0, got -1"),
+        ([*diffusion, "--iterations", "-1"], "iterations must be >= 0, got -1"),
         ([*diffusion, "--n", "8"], "n must be a multiple of 4 with n/2 >= 8, the transfer stencil width, got n = 8"),
         ([*diffusion, "--n", "4"], "n must be a multiple of 4 with n/2 >= 8, the transfer stencil width, got n = 4"),
         ([*diffusion, "--wavenumber", "128"], "wavenumber must lie in 1..n-1 = 127, got 128"),
