@@ -17,6 +17,7 @@ tc mode then reproduces the actual error to round-off.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -391,13 +392,27 @@ class ErrorTrace:
         return float(np.max(np.abs(self.actual_2 - self.u_run_2)))
 
 
+def _spare_core() -> bool:
+    """Whether the BLAS leaves a usable core idle; if not, a worker only slows its threads.
+
+    The BLAS thread count is read from the first of the OpenBLAS, MKL and
+    OpenMP variables that is set; unset (or 0), they use every core.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) < cores
+    return False
+
+
 def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     """Run algorithmic PFASST and attach the predictions of every strategy and block mode of ``cfg``.
 
-    Each mode's block eigenvalues are solved on a worker thread, one batched
-    ``np.linalg.eigvals`` call that releases the GIL, while this thread runs
-    PFASST and takes the 2-norms.  It is the same call on the same array, so
-    every result is that of a serial run.
+    Given a :func:`_spare_core`, each mode's ``np.linalg.eigvals`` runs on a
+    worker thread (LAPACK releases the GIL) while this thread runs PFASST and
+    takes the 2-norms.  The worker makes only that call, so every function of
+    this package runs on this thread and every result is that of a serial run.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import time: the CLI's cold start skips it
 
@@ -405,21 +420,26 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     decompositions = {mode: ctx.decomposition(mode) for mode in cfg.blocks}
     requested = [(strategy, mode) for mode in cfg.blocks for strategy in cfg.strategies]
     with ThreadPoolExecutor(1) as worker:
-        # eigenvalues and spectral_radius stay untouched until the join: a cached_property
-        # without a lock (Python >= 3.12) would solve the spectrum a second time
-        spectra = [worker.submit(getattr, d, "eigenvalues") for d in decompositions.values()]
-        u_ex = ctx.trajectory
-        e0 = ctx.initial_error
-        # the propagated error (zero rhs) and the manufactured run, stacked into one run
-        rhs = np.stack([np.zeros_like(e0), manufactured_rhs(ctx).ravel()])
-        trace = pfasst_run_algorithmic(ctx.setup, rhs, np.stack([e0, ctx.initial_iterate]), cfg.iterations)
-        actual_inf = np.array([np.max(np.abs(e)) for e, _ in trace])
-        actual_2 = np.array([np.linalg.norm(e) for e, _ in trace])
-        u_run_2 = np.array([np.linalg.norm(u - u_ex) for _, u in trace])
-        predictions = {key: predict(ctx, *key) for key in requested if key[0] != "rho"}
-        norms = {mode: d.norm for mode, d in decompositions.items()}
-        for spectrum in spectra:
-            spectrum.result()  # re-raises the worker's LinAlgError here
+        solving = {}  # without a spare core, block_spectra solves each spectrum below
+        if _spare_core():
+            solving = {mode: worker.submit(np.linalg.eigvals, d.blocks) for mode, d in decompositions.items()}
+        try:
+            u_ex = ctx.trajectory
+            e0 = ctx.initial_error
+            # the propagated error (zero rhs) and the manufactured run, stacked into one run
+            rhs = np.stack([np.zeros_like(e0), manufactured_rhs(ctx).ravel()])
+            trace = pfasst_run_algorithmic(ctx.setup, rhs, np.stack([e0, ctx.initial_iterate]), cfg.iterations)
+            actual_inf = np.array([np.max(np.abs(e)) for e, _ in trace])
+            actual_2 = np.array([np.linalg.norm(e) for e, _ in trace])
+            u_run_2 = np.array([np.linalg.norm(u - u_ex) for _, u in trace])
+            # rho reads the spectra; it waits for the join below
+            predictions = {key: predict(ctx, *key) for key in requested if key[0] != "rho"}
+            norms = {mode: d.norm for mode, d in decompositions.items()}
+            for mode, d in decompositions.items():
+                d.eigenvalues = lfa.block_spectra(d, solving.get(mode))  # fills the cached property
+        except BaseException:  # the first error raised here, the worker's LinAlgError too, is the one reported
+            worker.shutdown(cancel_futures=True)  # the queued solves do not run first
+            raise
 
     predictions = {key: predictions[key] if key in predictions else predict(ctx, *key) for key in requested}
     aggregates = {mode: {"rho": d.spectral_radius, "norm": norms[mode]} for mode, d in decompositions.items()}

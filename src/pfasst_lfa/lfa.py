@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .linalg import sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator, circulant_eigenvalues
 from .transfer import harmonic_diagonals, node_propagation
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 # Matrix entries per chunk of the norm and power kernels: every
 # representative block of a c stack, one or two blocks of a large tc stack.
@@ -290,7 +294,7 @@ def _max_norm2(stack: np.ndarray) -> float:
     return float(np.max(scale[..., 0, 0] * np.sqrt(top)))
 
 
-def block_spectra(d: BlockDecomposition) -> np.ndarray:
+def block_spectra(d: BlockDecomposition, solving: Future | None = None) -> np.ndarray:
     """The eigenvalues of every block, in one batched call: an (number of blocks, d) array.
 
     Row i holds the eigenvalues of block ``d.index[i]``, sorted by (real,
@@ -299,8 +303,10 @@ def block_spectra(d: BlockDecomposition) -> np.ndarray:
     Eigenvalues are never taken from a mirror partner:
     defective clusters scatter at eps^(1/p), so partners that agree to
     round-off can still differ visibly in their computed eigenvalues.
+    ``solving``, if given, is ``np.linalg.eigvals(d.blocks)`` submitted to
+    a worker thread: its result is waited for and sorted here.
     """
-    return sort_eigenvalues(np.linalg.eigvals(d.blocks))
+    return sort_eigenvalues(solving.result() if solving is not None else np.linalg.eigvals(d.blocks))
 
 
 def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 import inspect
 import sys
 import threading
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +265,9 @@ def test_run_and_compare_measurement_consistency():
     assert trace.actual_2[0] == pytest.approx(np.linalg.norm(ctx.initial_error))
 
 
-def test_run_and_compare_builds_each_operator_once(monkeypatch):
+@pytest.mark.parametrize("spare_core", [True, False])
+def test_run_and_compare_builds_each_operator_once(monkeypatch, spare_core):
+    monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
     calls = Counter()
     cfg = _small_cfg(iterations=6, blocks=("tc", "c", "full"))
     full_dim = cfg.l * cfg.m * cfg.n
@@ -280,10 +284,9 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
 
     for name in ("tc_decompose", "c_decompose", "block_spectra"):
         counting(lfa, name)
-    # each spectrum is solved on the worker thread, and only there: a read before the join
-    # would solve it a second time where cached_property has no lock (Python >= 3.12)
+    # given a spare core, each mode's eigvals runs on the worker thread; block_spectra always runs on this one
     main_thread = threading.main_thread()
-    counting(lfa, "block_spectra", "main-thread block_spectra", lambda d: threading.current_thread() is main_thread)
+    counting(lfa, "block_spectra", "main-thread block_spectra", lambda *a: threading.current_thread() is main_thread)
     for name in ("build_qdelta", "composite_system", "pfasst_iteration_matrix"):
         counting(solvers, name)
     counting(analysis, "exact_trajectory")
@@ -291,11 +294,13 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
     counting(analysis, "exact_solution")
     counting(np.linalg, "eigvals", "full eigvals", lambda a: a.shape[-1] == full_dim)
     counting(np.linalg, "eigvals")  # one batched call per block mode
+    counting(np.linalg, "eigvals", "worker eigvals", lambda a: threading.current_thread() is not main_thread)
     trace = run_and_compare(cfg)
     assert calls == {
         "tc_decompose": 1,
         "c_decompose": 1,
         "block_spectra": 3,
+        "main-thread block_spectra": 3,
         "build_qdelta": 1,
         "composite_system": 1,
         "pfasst_iteration_matrix": 1,
@@ -304,7 +309,7 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
         "exact_solution": cfg.l * cfg.m + 1,  # the trajectory's node times and u0, each once
         "full eigvals": 1,
         "eigvals": 3,
-    }
+    } | ({"worker eigvals": 3} if spare_core else {})
     # the aggregates the trace reports are each decomposition's own cached values
     for mode in ("tc", "c", "full"):
         d = trace.context.decomposition(mode)
@@ -312,8 +317,9 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch):
         assert trace.aggregates[mode]["norm"] is d.norm
 
 
-def test_run_and_compare_equals_the_serial_computation_bitwise():
+def test_run_and_compare_equals_the_serial_computation_bitwise(monkeypatch):
     # the worker's solves, interleaved with the main thread at a 1 us switch interval, give the serial values
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
     cfg = _small_cfg("advection", iterations=6, blocks=("tc", "c", "full"))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -328,6 +334,65 @@ def test_run_and_compare_equals_the_serial_computation_bitwise():
         assert trace.aggregates[mode] == {"rho": d.spectral_radius, "norm": d.norm}
         for strategy in cfg.strategies:
             assert np.array_equal(trace.predictions[strategy, mode], predict(ctx, strategy, mode))
+
+
+def test_the_worker_thread_runs_no_package_code(monkeypatch):
+    # the worker makes only the numpy eigvals call, so a per-thread profile of this package sees one thread
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
+    package = str(Path(analysis.__file__).parent)
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            seen.append(frame.f_code.co_name)
+
+    threading.setprofile(profile)  # every thread started from here on
+    try:
+        run_and_compare(_small_cfg(iterations=2, blocks=("tc", "c", "full")))
+    finally:
+        threading.setprofile(None)
+    assert seen == []
+
+
+@pytest.mark.parametrize(
+    "cores, env, spare",
+    [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),  # one usable core (taskset -c 0)
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, False),
+        (2, {}, False),  # unset: the BLAS uses every core
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4"}, False),  # 0 is unset
+        (4, {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}, True),  # MKL's own variable first
+        (4, {"OMP_NUM_THREADS": "2,1"}, True),  # an OpenMP list: its first level
+    ],
+)
+def test_spare_core_compares_blas_threads_with_usable_cores(monkeypatch, cores, env, spare):
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert analysis._spare_core() is spare
+
+
+def test_an_error_on_the_main_thread_cancels_the_queued_solves(monkeypatch):
+    solves = []
+    eigvals = np.linalg.eigvals
+
+    def slow_eigvals(a):
+        solves.append(a.shape)
+        time.sleep(0.5)  # the main thread raises while the first solve runs
+        return eigvals(a)
+
+    def failing_run(*args):
+        raise RuntimeError("the run failed")
+
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
+    monkeypatch.setattr(np.linalg, "eigvals", slow_eigvals)
+    monkeypatch.setattr(analysis, "pfasst_run_algorithmic", failing_run)
+    with pytest.raises(RuntimeError, match="the run failed"):
+        run_and_compare(_small_cfg(iterations=2, blocks=("tc", "c", "full")))
+    assert len(solves) == 1  # the solve in flight; the other two modes' are cancelled
 
 
 @pytest.mark.parametrize("problem", ["diffusion", "advection"])

@@ -200,6 +200,7 @@ def test_analyze_worker_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
         threads.append(threading.current_thread())
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     out = _analyze(tmp_path, code=EXIT_NUMERICAL)
     err = capsys.readouterr().err
