@@ -10,7 +10,6 @@ __version__ = "1.0.0"
 
 from .errors import (
     ConfigurationError,
-    ConsistencyError,
     FactorizationError,
     PfasstLfaError,
     RangeError,
@@ -19,7 +18,6 @@ from .errors import (
 __all__ = [
     "__version__",
     "ConfigurationError",
-    "ConsistencyError",
     "FactorizationError",
     "PfasstLfaError",
     "RangeError",

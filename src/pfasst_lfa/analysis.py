@@ -28,15 +28,11 @@ from .errors import ConfigurationError
 from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
 from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_run_algorithmic
-from .transfer import build_ci_pair, midpoint_stencil_points
+from .transfer import INTERP_EXACTNESS, RESTR_EXACTNESS, build_ci_pair, midpoint_stencil_points
 from . import lfa
 
 STRATEGIES = ("rho", "norm", "norm-power", "apply")
 BLOCK_MODES = ("tc", "c", "full")
-
-# Polynomial exactness of the interpolation and restriction stencils.
-INTERP_EXACTNESS = 6
-RESTR_EXACTNESS = 2
 
 # detect_phases: each segment has at least PHASE_MIN_LEN points; an extra
 # segment must shrink the fit residual by more than PHASE_IMPROVEMENT; errors

@@ -16,9 +16,5 @@ class FactorizationError(PfasstLfaError):
     """A matrix factorization failed (singular or near-singular input)."""
 
 
-class ConsistencyError(PfasstLfaError):
-    """A structural self-check failed beyond its tolerance."""
-
-
 class ConfigurationError(PfasstLfaError):
     """``ExperimentConfig`` refuses a field, named in the message (the CLI's usage error, exit 2)."""

@@ -8,7 +8,7 @@ it).  The tests pin the two routes against each other.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,35 +19,51 @@ from .quadrature import build_qdelta
 from .transfer import TransferPair, node_propagation
 
 
-def _lu_factor(matrix: np.ndarray) -> tuple:
-    """scipy LU factors; a zero pivot or a failed factorization is a FactorizationError."""
-    import scipy.linalg  # only the matrix route factors: the tc and c analyses never import scipy
-
-    try:
-        with warnings.catch_warnings():
-            # the zero-pivot check below turns the warning into an error
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(matrix)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise FactorizationError(f"cannot factor preconditioner: {exc}") from exc
-    if np.any(np.diag(lu[0]) == 0):
-        raise FactorizationError("singular preconditioner")
-    return lu
-
-
-@dataclass
+@dataclass(frozen=True)
 class Preconditioner:
-    """A matrix P whose (cached-LU) inverse defines one Richardson step."""
+    """P (``l = 1``), or kron(I_L, P) with -N = -kron(coupling, I) below it, solved through the cached LU of P.
+
+    ``coupling=None`` is block Jacobi, independent intervals; an M x M
+    coupling is block Gauss-Seidel, x_i = P^{-1}(r_i + N x_{i-1}), acting on
+    the node axis of each interval.  Neither N nor the (L*d)^2 matrix is formed.
+    """
 
     matrix: np.ndarray
-    _lu: tuple = field(default=None, repr=False)
+    l: int = 1
+    coupling: np.ndarray | None = None
+
+    @cached_property
+    def lu(self) -> tuple:
+        """scipy LU factors of P; a zero pivot or a failed factorization is a FactorizationError."""
+        import scipy.linalg  # only the matrix route factors: the tc and c analyses never import scipy
+
+        try:
+            with warnings.catch_warnings():
+                # the zero-pivot check below turns the warning into an error
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu = scipy.linalg.lu_factor(self.matrix)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise FactorizationError(f"cannot factor preconditioner: {exc}") from exc
+        if np.any(np.diag(lu[0]) == 0):
+            raise FactorizationError("singular preconditioner")
+        return lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """P^{-1} rhs for a vector or column stack of L*d rows, one row block per interval."""
         import scipy.linalg
 
-        if self._lu is None:
-            self._lu = _lu_factor(self.matrix)
-        return scipy.linalg.lu_solve(self._lu, rhs)
+        rhs = np.asarray(rhs)
+        d = rhs.shape[0] // self.l
+        # the LU solve returns Fortran-ordered blocks; a Fortran-ordered
+        # result takes them without a transposing copy
+        out = np.empty(rhs.shape, dtype=np.result_type(rhs, float), order="F")
+        for i in range(self.l):
+            r = rhs[i * d : (i + 1) * d]
+            if i and self.coupling is not None:
+                previous = out[(i - 1) * d : i * d]
+                r = r + (self.coupling @ previous.reshape(len(self.coupling), -1)).reshape(previous.shape)
+            out[i * d : (i + 1) * d] = scipy.linalg.lu_solve(self.lu, r)
+        return out
 
 
 @dataclass(frozen=True)
@@ -99,48 +115,6 @@ def sdc_preconditioner(problem: CollocationProblem, qdelta: np.ndarray) -> Preco
     return Preconditioner(np.eye(problem.dim) - problem.dt * np.kron(qdelta, problem.a))
 
 
-@dataclass(frozen=True)
-class BlockJacobi:
-    """kron(I_L, P): independent intervals, solved through the LU of the one-interval P.
-
-    The (L*d) x (L*d) block-diagonal matrix is never formed.
-    """
-
-    block: Preconditioner
-    l: int
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """P^{-1} rhs for a vector or column stack of L*d rows, one row block per interval."""
-        rhs = np.asarray(rhs)
-        d = rhs.shape[0] // self.l
-        # the LU solve returns Fortran-ordered blocks; a Fortran-ordered
-        # result takes them without a transposing copy
-        out = np.empty(rhs.shape, dtype=np.result_type(rhs, float), order="F")
-        for i in range(self.l):
-            r = rhs[i * d : (i + 1) * d]
-            out[i * d : (i + 1) * d] = self.block.solve(self._coupled(r, out[(i - 1) * d : i * d]) if i else r)
-        return out
-
-    def _coupled(self, r: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        """The right-hand side of interval i > 0 given x_{i-1}: r_i itself, the intervals being independent."""
-        return r
-
-
-@dataclass(frozen=True)
-class BlockGaussSeidel(BlockJacobi):
-    """P blocks on the diagonal, -N = -kron(coupling, I) below: forward substitution over the intervals.
-
-    x_i = P^{-1}(r_i + N x_{i-1}); the M x M ``coupling`` acts on the node
-    axis of each interval, so neither N nor the (L*d) x (L*d) matrix is formed.
-    """
-
-    coupling: np.ndarray
-
-    def _coupled(self, r: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        """r_i + N x_{i-1}."""
-        return r + (self.coupling @ previous.reshape(len(self.coupling), -1)).reshape(previous.shape)
-
-
 def richardson_step(p: Preconditioner, m: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """u + P^{-1}(c - M u)."""
     return u + p.solve(c - m @ u)
@@ -157,8 +131,8 @@ def _lifted(transfer: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def mlsdc_step(
-    fine: Preconditioner | BlockJacobi,
-    coarse: Preconditioner | BlockGaussSeidel,
+    fine: Preconditioner,
+    coarse: Preconditioner,
     pair: TransferPair,
     m: np.ndarray,
     c: np.ndarray,
@@ -166,7 +140,7 @@ def mlsdc_step(
 ) -> np.ndarray:
     """One two-level step: coarse-corrected half step, then a fine sweep.
 
-    With the composite ``BlockJacobi`` and ``BlockGaussSeidel`` it is one PFASST iteration in matrix form.
+    With the composite block Jacobi and block Gauss-Seidel preconditioners it is one PFASST iteration in matrix form.
     """
     u_half = u + _lifted(pair.interpolation, coarse.solve(_lifted(pair.restriction, c - m @ u)))
     return u_half + fine.solve(c - m @ u_half)
@@ -202,7 +176,7 @@ def _identity_minus(x: np.ndarray) -> np.ndarray:
 
 
 def pfasst_iteration_matrix(
-    coarse_gs: BlockGaussSeidel, fine_jacobi: BlockJacobi, pair: TransferPair, m: np.ndarray
+    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray
 ) -> np.ndarray:
     """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
 
@@ -260,10 +234,10 @@ class TwoLevelSetup:
         return composite_system(self.fine, self.l)
 
     @cached_property
-    def composite_preconditioners(self) -> tuple[BlockGaussSeidel, BlockJacobi]:
+    def composite_preconditioners(self) -> tuple[Preconditioner, Preconditioner]:
         """(coarse block Gauss-Seidel, fine block Jacobi) on the full domain."""
-        coarse_gs = BlockGaussSeidel(self.p_coarse, self.l, node_propagation(self.m_nodes))
-        return coarse_gs, BlockJacobi(self.p_fine, self.l)
+        coarse_gs = Preconditioner(self.p_coarse.matrix, self.l, node_propagation(self.m_nodes))
+        return coarse_gs, Preconditioner(self.p_fine.matrix, self.l)
 
     @cached_property
     def iteration_matrix(self) -> np.ndarray:

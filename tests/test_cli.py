@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -504,4 +505,22 @@ def test_verify_computes_no_dense_eigenvalues(monkeypatch, capsys):
 
 def test_verify_detects_qdelta_mutation():
     assert main(["verify", "--scale", "small", "--flip-qdelta-sign"]) == EXIT_VERIFICATION
+
+
+def test_verify_prints_the_transfer_structure_residual_of_tampered_diagonals(monkeypatch, capsys):
+    # check 3 prints the deviation it measures, a finite number, and fails on it
+    original = cli.harmonic_diagonals
+
+    def tampered(pair):
+        diags = original(pair)
+        d = diags.d.copy()
+        d[3] += 1e-6
+        return replace(diags, d=d)
+
+    monkeypatch.setattr(cli, "harmonic_diagonals", tampered)
+    assert main(["verify", "--scale", "small"]) == EXIT_VERIFICATION
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("transfer transform structure"))
+    assert row.split()[-1] == "FAIL"
+    residual = float(row.split()[-3])
+    assert np.isfinite(residual) and residual >= 1e-7
 

@@ -8,7 +8,8 @@ checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
 complex stacks, phase detection on error histories whose log10 is
 piecewise linear, exact or noisy.  ``analyze`` runs on wide draws (n up
 to 34, dt and mu or c over many decades) exactly what ``ExperimentConfig``
-accepts.  The draws are derandomized, so every run of the suite
+accepts, and ends every argv of valid and invalid flag values with an exit
+code, never a traceback.  The draws are derandomized, so every run of the suite
 checks the same examples.
 """
 
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 
 import oracles
 from pfasst_lfa import lfa
-from pfasst_lfa.analysis import ExperimentConfig, build_context, detect_phases, run_and_compare
-from pfasst_lfa.cli import EXIT_OK, EXIT_USAGE, main, strategy4_exact
+from pfasst_lfa.analysis import STRATEGIES, ExperimentConfig, build_context, detect_phases, run_and_compare
+from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import sort_eigenvalues
@@ -245,3 +246,43 @@ def test_analyze_runs_exactly_what_the_config_accepts(fields):
         else:
             assert not out.exists()
             assert err.getvalue().strip().splitlines()[-1] == message
+
+
+# analyze flag values: the first ones in each row are in range for some config, the rest are not
+ARGV_VALUES = {
+    "n": ((16, 32), (-4, 0, 6)),
+    "m": ((1, 3), (0, 13)),
+    "l": ((1, 2), (0,)),
+    "wavenumber": ((1, 8), (0, 16)),
+    "iterations": ((0, 3), (-1,)),
+    "physics": ((1e-3, 10), (-1, 0)),
+    "blocks": (("tc", "c", "full"), ("fft",)),
+    "strategies": (STRATEGIES, ("psychic",)),
+}
+
+
+@st.composite
+def analyze_argvs(draw):
+    """analyze flags: in range but for up to two fields, which draw from all their values, unknown names included."""
+    wild = draw(st.sets(st.sampled_from(tuple(ARGV_VALUES)), max_size=2))
+    pick = {name: valid + invalid if name in wild else valid for name, (valid, invalid) in ARGV_VALUES.items()}
+    problem = draw(st.sampled_from(("diffusion", "advection")))
+    mu_allowed = problem == "diffusion" or "physics" in wild  # mu with advection is refused
+    physics = draw(st.sampled_from(("mu", "coefficient") if mu_allowed else ("coefficient",)))
+    flags = {name: draw(st.sampled_from(pick[name])) for name in ("n", "m", "l", "wavenumber", "iterations")}
+    flags |= {"problem": problem, physics: draw(st.sampled_from(pick["physics"]))}
+    for name in ("blocks", "strategies"):
+        flags[name] = ",".join(draw(st.lists(st.sampled_from(pick[name]), min_size=1, max_size=3, unique=True)))
+    return [f"--{name}={value}" for name, value in flags.items()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(analyze_argvs())
+def test_analyze_ends_every_argv_with_an_exit_code(argv):
+    # a refused flag exits 2 (argparse's SystemExit); any other exception would escape as a traceback
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["analyze", *argv, "--out", str(Path(tmp) / "out")])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_VERIFICATION)

@@ -10,8 +10,6 @@ from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_
 from pfasst_lfa.errors import ConfigurationError, FactorizationError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
-    BlockGaussSeidel,
-    BlockJacobi,
     Preconditioner,
     build_two_level_setup,
     mlsdc_iteration_matrix,
@@ -55,12 +53,22 @@ def _first_interval_rhs(u0, m, l):
     return rhs.ravel()
 
 
-def test_preconditioner_solve_matches_dense_solve():
-    rng = np.random.default_rng(5)
-    mat = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-    p = Preconditioner(mat)
-    rhs = rng.standard_normal(8)
-    np.testing.assert_allclose(p.solve(rhs), np.linalg.solve(mat, rhs), atol=1e-12)
+@pytest.mark.parametrize("coupled", [False, True], ids=["jacobi", "gauss-seidel"])
+@pytest.mark.parametrize("l", [1, 3])
+def test_preconditioner_solve_matches_dense_solve(l, coupled):
+    prob, rule, cp = _small_problem(n=8)
+    p = sdc_preconditioner(cp, build_qdelta(rule, "implicit-euler"))
+    coupling = node_propagation(rule.m) if coupled else None
+    # oracles: the kron block Jacobi and the dense block lower-bidiagonal Gauss-Seidel
+    dense = np.kron(np.eye(l), p.matrix)
+    if coupled:
+        dense -= np.kron(np.eye(l, k=-1), np.kron(coupling, np.eye(8)))
+    # both are solved interval by interval through the one-interval LU
+    composite = Preconditioner(p.matrix, l, coupling)
+    rng = np.random.default_rng(6)
+    d = l * cp.dim
+    for rhs in (rng.standard_normal(d), rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))):
+        np.testing.assert_allclose(composite.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-13)
 
 
 def test_preconditioner_rejects_singular_matrix():
@@ -130,26 +138,6 @@ def test_sdc_iteration_matrix_consistent_with_step():
     stepped = richardson_step(p, cp.matrix, c, u)
     # error propagation: e_new = T e_old
     np.testing.assert_allclose(stepped - exact, t @ (u - exact), atol=1e-11)
-
-
-def test_composite_preconditioners_structure():
-    prob, rule, cp = _small_problem(n=8)
-    qd = build_qdelta(rule, "implicit-euler")
-    p = sdc_preconditioner(cp, qd)
-    n_mat = np.kron(node_propagation(rule.m), np.eye(8))
-    d = cp.dim
-    # oracles: the dense block lower-bidiagonal Gauss-Seidel and the kron block Jacobi
-    dense_gs = np.kron(np.eye(3), p.matrix)
-    for i in range(1, 3):
-        dense_gs[i * d : (i + 1) * d, (i - 1) * d : i * d] = -n_mat
-    dense_jacobi = np.kron(np.eye(3), p.matrix)
-    # both are solved interval by interval through the one-interval LU
-    gs = BlockGaussSeidel(p, 3, node_propagation(rule.m))
-    ja = BlockJacobi(p, 3)
-    rng = np.random.default_rng(6)
-    for rhs in (rng.standard_normal(3 * d), rng.standard_normal((3 * d, 5)) + 1j * rng.standard_normal((3 * d, 5))):
-        np.testing.assert_allclose(gs.solve(rhs), np.linalg.solve(dense_gs, rhs), atol=1e-13)
-        np.testing.assert_allclose(ja.solve(rhs), np.linalg.solve(dense_jacobi, rhs), atol=1e-13)
 
 
 def test_mlsdc_step_equals_explicit_preconditioner_formula():
