@@ -23,11 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .collocation import collocation_matrix, spread_initial
+from .collocation import CollocationProblem, spread_initial
 from .errors import ConfigurationError
-from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule
+from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
-from .solvers import TwoLevelSetup, build_two_level_setup, pfasst_run_algorithmic
+from .solvers import TwoLevelSetup, pfasst_run_algorithmic
 from .transfer import INTERP_EXACTNESS, RESTR_EXACTNESS, build_ci_pair, midpoint_stencil_points
 from . import lfa
 
@@ -128,10 +128,6 @@ class ExperimentConfig:
             return self.qdelta_kind
         return "implicit-euler" if self.problem == "diffusion" else "lu"
 
-    def make_problem(self) -> ModelProblem:
-        maker = make_diffusion if self.problem == "diffusion" else make_advection
-        return maker(self.n, self.resolved_coefficient())
-
 
 @dataclass(frozen=True)
 class ExperimentContext:
@@ -161,8 +157,8 @@ class ExperimentContext:
             elif block_mode == "c":
                 self._blocks[block_mode] = lfa.c_decompose(self.setup)
             else:
-                t, cfg = self.setup.iteration_matrix, self.cfg
-                self._blocks[block_mode] = lfa.identity_decompose(t, cfg.n, cfg.l, cfg.m)
+                meta = lfa.TransformMeta("full", self.cfg.n, self.cfg.l, self.cfg.m)
+                self._blocks[block_mode] = lfa.BlockDecomposition(self.setup.iteration_matrix[None], meta)
         return self._blocks[block_mode]
 
     @cached_property
@@ -182,14 +178,15 @@ class ExperimentContext:
 
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
-    fine = cfg.make_problem()
+    """The model problem, its coarsening to n/2 points, their transfers and the one Q_Delta of both levels."""
+    fine = (make_diffusion if cfg.problem == "diffusion" else make_advection)(cfg.n, cfg.resolved_coefficient())
     rule = QuadratureRule.radau_right(cfg.m)
-    setup = build_two_level_setup(
-        collocation_matrix(fine.operator, rule, cfg.dt),
-        collocation_matrix(coarsen(fine).operator, rule, cfg.dt),
-        build_ci_pair(cfg.n, INTERP_EXACTNESS, RESTR_EXACTNESS),
-        cfg.l,
-        cfg.resolved_qdelta_kind(),
+    setup = TwoLevelSetup(
+        fine=CollocationProblem(fine.operator, rule, cfg.dt),
+        coarse=CollocationProblem(coarsen(fine).operator, rule, cfg.dt),
+        pair=build_ci_pair(cfg.n),
+        l=cfg.l,
+        qdelta=build_qdelta(rule, cfg.resolved_qdelta_kind()),
     )
     return ExperimentContext(cfg=cfg, fine=fine, setup=setup)
 
@@ -374,7 +371,6 @@ class ErrorTrace:
     against the propagated ones.
     """
 
-    cfg: ExperimentConfig
     actual_inf: np.ndarray
     actual_2: np.ndarray
     u_run_2: np.ndarray
@@ -441,7 +437,6 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     aggregates = {mode: {"rho": d.spectral_radius, "norm": norms[mode]} for mode, d in decompositions.items()}
 
     return ErrorTrace(
-        cfg=cfg,
         actual_inf=actual_inf,
         actual_2=actual_2,
         u_run_2=u_run_2,

@@ -55,10 +55,6 @@ class CollocationProblem:
         return self.rule.m * self.n_space
 
 
-def collocation_matrix(operator: CirculantOperator, rule: QuadratureRule, dt: float) -> CollocationProblem:
-    return CollocationProblem(operator=operator, rule=rule, dt=dt)
-
-
 def spread_initial(u0, m: int, l: int = 1) -> np.ndarray:
     """Copy the initial value onto every node of every interval."""
     u0 = np.asarray(u0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import sort_eigenvalues
 from .solvers import TwoLevelSetup
-from .space_operators import CirculantOperator, circulant_eigenvalues
+from .space_operators import CirculantOperator
 from .transfer import harmonic_diagonals, node_propagation
 
 if TYPE_CHECKING:
@@ -155,8 +155,8 @@ def _pair_blocks(setup: TwoLevelSetup, shift: np.ndarray):
     does not depend on the size of the batch it was built in.
     """
     n, m, dt = setup.fine.n_space, setup.m_nodes, setup.fine.dt
-    lam_fine = circulant_eigenvalues(setup.fine.operator)  # length N, harmonic order
-    lam_coarse = circulant_eigenvalues(setup.coarse.operator)  # length N/2
+    lam_fine = setup.fine.operator.symbol(np.arange(n))  # harmonic order
+    lam_coarse = setup.coarse.operator.symbol(np.arange(n // 2))
     diags = harmonic_diagonals(setup.pair)
     nb, t = shift.shape[0], shift.shape[-1]
     dim = t * m
@@ -224,12 +224,6 @@ def c_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
     # and a block must not depend on how many time frequencies share its batch
     phases = np.array([np.exp(-2j * np.pi * j / l) for j in range(1, l)], dtype=complex)
     return _decompose(setup, "c", phases.reshape(-1, 1, 1))
-
-
-def identity_decompose(t: np.ndarray, n: int, l: int, m: int) -> BlockDecomposition:
-    """The iteration matrix T of an (L, M, N) layout as one block in the identity basis: the full mode."""
-    meta = TransformMeta(mode="full", n=n, l=l, m=m)
-    return BlockDecomposition(blocks=t[None], meta=meta)
 
 
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .collocation import CollocationProblem, composite_system
 from .errors import FactorizationError
-from .quadrature import build_qdelta
 from .transfer import TransferPair, node_propagation
 
 
@@ -53,12 +52,12 @@ class Preconditioner:
         import scipy.linalg
 
         rhs = np.asarray(rhs)
-        d = rhs.shape[0] // self.l
+        blocks = rhs.reshape(self.l, -1, *rhs.shape[1:])  # a ValueError unless the rows split into l blocks
+        d = blocks.shape[1]
         # the LU solve returns Fortran-ordered blocks; a Fortran-ordered
         # result takes them without a transposing copy
         out = np.empty(rhs.shape, dtype=np.result_type(rhs, float), order="F")
-        for i in range(self.l):
-            r = rhs[i * d : (i + 1) * d]
+        for i, r in enumerate(blocks):
             if i and self.coupling is not None:
                 previous = out[(i - 1) * d : i * d]
                 r = r + (self.coupling @ previous.reshape(len(self.coupling), -1)).reshape(previous.shape)
@@ -243,17 +242,6 @@ class TwoLevelSetup:
     def iteration_matrix(self) -> np.ndarray:
         """The dense PFASST iteration matrix T of the composite system."""
         return pfasst_iteration_matrix(*self.composite_preconditioners, self.pair, self.composite_matrix)
-
-
-def build_two_level_setup(
-    fine: CollocationProblem,
-    coarse: CollocationProblem,
-    pair: TransferPair,
-    l: int,
-    qdelta_kind: str,
-) -> TwoLevelSetup:
-    """The setup of a fine problem, its coarsening to n/2 points and their transfers."""
-    return TwoLevelSetup(fine=fine, coarse=coarse, pair=pair, l=l, qdelta=build_qdelta(fine.rule, qdelta_kind))
 
 
 def pfasst_run_algorithmic(

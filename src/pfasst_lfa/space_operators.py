@@ -50,11 +50,6 @@ class CirculantOperator:
         return self.scale * lam
 
 
-def circulant_eigenvalues(op: CirculantOperator) -> np.ndarray:
-    """Analytic eigenvalues in harmonic index order (unsorted)."""
-    return op.symbol(np.arange(op.n))
-
-
 @dataclass(frozen=True)
 class ModelProblem:
     """A semi-discretized PDE: U_t = A U with a circulant A."""

@@ -18,10 +18,10 @@ from pfasst_lfa.analysis import (
     build_context,
     run_and_compare,
 )
-from pfasst_lfa.collocation import collocation_matrix, spread_initial
+from pfasst_lfa.collocation import CollocationProblem, spread_initial
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
-    build_two_level_setup,
+    TwoLevelSetup,
     mlsdc_preconditioner_inverse,
     mlsdc_step,
     pfasst_run_algorithmic,
@@ -45,9 +45,9 @@ def _two_level(prob, m, l, dt, qdelta_kind):
     cprob = coarsen(prob)
     rule = QuadratureRule.radau_right(m)
     pair = build_ci_pair(prob.n)
-    fine = collocation_matrix(prob.operator, rule, dt)
-    coarse = collocation_matrix(cprob.operator, rule, dt)
-    setup = build_two_level_setup(fine, coarse, pair, l, qdelta_kind)
+    fine = CollocationProblem(prob.operator, rule, dt)
+    coarse = CollocationProblem(cprob.operator, rule, dt)
+    setup = TwoLevelSetup(fine, coarse, pair, l, qdelta=build_qdelta(rule, qdelta_kind))
     return rule, pair, fine, coarse, setup
 
 
@@ -70,7 +70,7 @@ def test_criterion_01_sdc_equivalence():
     n, m, dt = 16, 3, 0.1
     prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
     rule = QuadratureRule.radau_right(m)
-    cp = collocation_matrix(prob.operator, rule, dt)
+    cp = CollocationProblem(prob.operator, rule, dt)
     qd = build_qdelta(rule, "implicit-euler")
     p = sdc_preconditioner(cp, qd)
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
@@ -268,6 +268,6 @@ def test_criterion_10_restriction_condition():
 
 def test_criterion_11_cfl_reproduction():
     cfg = ExperimentConfig(problem="advection", coefficient=4.88e-3)
-    cfl = cfg.make_problem().cfl(cfg.dt)
+    cfl = build_context(cfg).fine.cfl(cfg.dt)
     assert cfl == 0.062464
     _report(11, "advection defaults reproduce the CFL number", f"cfl = {cfl}")

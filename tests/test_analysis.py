@@ -261,7 +261,7 @@ def test_run_and_compare_measurement_consistency():
     trace = run_and_compare(_small_cfg(iterations=6))
     # propagated and subtracted error measurements describe the same run
     assert trace.consistency_gap() < 1e-11
-    ctx = build_context(trace.cfg)
+    ctx = build_context(trace.context.cfg)
     assert trace.actual_2[0] == pytest.approx(np.linalg.norm(ctx.initial_error))
 
 
@@ -287,7 +287,8 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, spare_core):
     # given a spare core, each mode's eigvals runs on the worker thread; block_spectra always runs on this one
     main_thread = threading.main_thread()
     counting(lfa, "block_spectra", "main-thread block_spectra", lambda *a: threading.current_thread() is main_thread)
-    for name in ("build_qdelta", "composite_system", "pfasst_iteration_matrix"):
+    counting(analysis, "build_qdelta")
+    for name in ("composite_system", "pfasst_iteration_matrix"):
         counting(solvers, name)
     counting(analysis, "exact_trajectory")
     counting(analysis, "pfasst_run_algorithmic")  # the error run and the manufactured run, stacked

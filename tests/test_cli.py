@@ -14,7 +14,15 @@ import pytest
 import clusters
 from pfasst_lfa import analysis, cli, lfa, solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
-from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
+from pfasst_lfa.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFICATION,
+    bound_chain_holds,
+    main,
+    strategy4_exact,
+)
 from pfasst_lfa.linalg import sort_eigenvalues
 
 
@@ -180,6 +188,35 @@ def test_strategy4_check_rejects_a_wrong_apply_column():
                 spoiled[k] = bad
                 args = (spoiled, apply_2) if column is actual else (actual, spoiled)
                 assert not strategy4_exact(*args)
+
+
+def test_bound_chain_check_ignores_round_off_below_the_floor(tmp_path):
+    # M = L = 1: Q_Delta = Q, so T = 0 in exact arithmetic and its computed norm is exactly 0,
+    # while the measured error after one iteration is round-off (2.5e-18 of 0.40)
+    out = tmp_path / "out"
+    argv = ["analyze", "--problem", "diffusion", "--mu", "1", "--n", "16", "--m", "1", "--l", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["checks"]["bound_chain_2norm"] is True
+    trace = run_and_compare(ExperimentConfig(problem="diffusion", mu=1.0, n=16, m=1, l=1))
+    s3 = trace.predictions["norm-power", "tc"]
+    assert np.all(s3[1:] == 0) and 0 < trace.actual_2[1] <= cli.STRATEGY4_FLOOR * trace.actual_2[0]
+
+
+def test_bound_chain_check_rejects_a_low_prediction():
+    cfg = ExperimentConfig(
+        problem="advection", coefficient=0.02, n=32, m=3, l=4, iterations=12, strategies=("norm", "norm-power")
+    )
+    trace = run_and_compare(cfg)
+    columns = (trace.actual_2, trace.predictions["norm-power", "tc"], trace.predictions["norm", "tc"])
+    assert bound_chain_holds(*columns)
+    for i in (1, 2):  # ||T^k|| e0 or ||T||^k e0 scaled by 0.9 is below the next link from k = 0 on
+        assert not bound_chain_holds(*(0.9 * c if j == i else c for j, c in enumerate(columns)))
+    # a NaN fails the check, also in a row below the round-off floor
+    for i in range(3):
+        for k in (0, 1, len(columns[0]) - 1):
+            spoiled = [c.copy() for c in columns]
+            spoiled[i][k] = np.nan
+            assert not bound_chain_holds(*spoiled)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

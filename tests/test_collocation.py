@@ -5,7 +5,7 @@ import pytest
 
 from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.collocation import (
-    collocation_matrix,
+    CollocationProblem,
     composite_system,
     spread_initial,
     three_layer_matrix,
@@ -19,7 +19,7 @@ def test_collocation_matrix_shape_and_structure():
     rule = QuadratureRule.radau_right(3)
     op = CirculantOperator(2, {0: -1.0, 1: -0.5})
     a = op.materialize()
-    p = collocation_matrix(op, rule, 0.1)
+    p = CollocationProblem(op, rule, 0.1)
     assert p.matrix.shape == (6, 6)
     assert p.dim == 6
     assert p.n_space == 2
@@ -27,7 +27,7 @@ def test_collocation_matrix_shape_and_structure():
 
 
 def test_collocation_rejects_nonpositive_dt():
-    # collocation_matrix assumes dt > 0; ExperimentConfig is where a dt <= 0 is refused
+    # CollocationProblem assumes dt > 0; ExperimentConfig is where a dt <= 0 is refused
     for dt in (0.0, -0.1):
         with pytest.raises(ConfigurationError, match=f"dt must be finite and positive, got {dt}"):
             ExperimentConfig(problem="diffusion", mu=10.0, dt=dt)
@@ -36,7 +36,7 @@ def test_collocation_rejects_nonpositive_dt():
 def test_collocation_apply_equals_dense_matrix_on_stacks():
     rule = QuadratureRule.radau_right(3)
     op = make_diffusion(8, 0.05).operator
-    p = collocation_matrix(op, rule, 0.1)
+    p = CollocationProblem(op, rule, 0.1)
     u = np.random.default_rng(1).standard_normal((2, 4, 3, 8))
     expected = (p.matrix @ u.reshape(8, 24).T).T.reshape(u.shape)
     np.testing.assert_allclose(p.apply(u), expected, atol=1e-13)
@@ -47,7 +47,7 @@ def test_scalar_collocation_solution_matches_exponential():
     lam, dt = -1.3, 0.05
     for m, tol in ((3, 1e-9), (5, 1e-13)):
         rule = QuadratureRule.radau_right(m)
-        p = collocation_matrix(CirculantOperator(1, {0: lam}), rule, dt)
+        p = CollocationProblem(CirculantOperator(1, {0: lam}), rule, dt)
         u = np.linalg.solve(p.matrix, spread_initial(np.array([1.0]), m))
         assert abs(u[-1] - np.exp(lam * dt)) < tol
 
@@ -57,7 +57,7 @@ def test_scalar_collocation_convergence_order():
     rule = QuadratureRule.radau_right(m)
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        p = collocation_matrix(CirculantOperator(1, {0: lam}), rule, dt)
+        p = CollocationProblem(CirculantOperator(1, {0: lam}), rule, dt)
         u = np.linalg.solve(p.matrix, spread_initial(np.array([1.0]), m))
         errs.append(abs(u[-1] - np.exp(lam * dt)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -73,7 +73,7 @@ def test_spread_initial_tiles_nodes_and_intervals():
 def test_composite_system_equals_three_layer_assembly():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
-    p = collocation_matrix(prob.operator, rule, 0.1)
+    p = CollocationProblem(prob.operator, rule, 0.1)
     np.testing.assert_allclose(composite_system(p, 4), three_layer_matrix(p, 4), atol=1e-14)
 
 
@@ -83,7 +83,7 @@ def test_composite_solution_continues_single_interval_solution():
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
     dt, l = 0.1, 3
-    p = collocation_matrix(prob.operator, rule, dt)
+    p = CollocationProblem(prob.operator, rule, dt)
     u0 = np.sin(2 * np.pi * np.arange(8) / 8)
     rhs = np.zeros((l, p.dim))
     rhs[0] = spread_initial(u0, 3)
@@ -99,5 +99,5 @@ def test_composite_needs_at_least_one_interval():
     # composite_system assumes l >= 1; ExperimentConfig refuses l = 0, and l = 1 is one interval's matrix
     with pytest.raises(ConfigurationError, match="must be >= 1, got 0"):
         ExperimentConfig(problem="diffusion", mu=10.0, l=0)
-    p = collocation_matrix(make_diffusion(8, 1e-2).operator, QuadratureRule.radau_right(2), 0.1)
+    p = CollocationProblem(make_diffusion(8, 1e-2).operator, QuadratureRule.radau_right(2), 0.1)
     assert composite_system(p, 1).shape == (p.dim, p.dim)

@@ -10,21 +10,20 @@ import pytest
 import clusters
 import oracles
 from pfasst_lfa import lfa
-from pfasst_lfa.analysis import ExperimentConfig
-from pfasst_lfa.collocation import collocation_matrix
+from pfasst_lfa.analysis import ExperimentConfig, build_context
+from pfasst_lfa.collocation import CollocationProblem
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import sort_eigenvalues
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
-from pfasst_lfa.solvers import build_two_level_setup
+from pfasst_lfa.solvers import TwoLevelSetup
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
 from pfasst_lfa.transfer import build_ci_pair, harmonic_diagonals
 
 
 def _setup(op_f, op_c, m, l, dt, qdelta_kind="implicit-euler"):
     rule = QuadratureRule.radau_right(m)
-    fine = collocation_matrix(op_f, rule, dt)
-    coarse = collocation_matrix(op_c, rule, dt)
-    return build_two_level_setup(fine, coarse, build_ci_pair(op_f.n), l, qdelta_kind)
+    fine, coarse = CollocationProblem(op_f, rule, dt), CollocationProblem(op_c, rule, dt)
+    return TwoLevelSetup(fine, coarse, build_ci_pair(op_f.n), l, qdelta=build_qdelta(rule, qdelta_kind))
 
 
 def _assemble(prob, m, l, dt, qdelta_kind):
@@ -211,8 +210,8 @@ def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():
     op_f = CirculantOperator(n=16, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
     op_c = CirculantOperator(n=8, stencil={-1: 1.0, 0: -2.0, 1: 0.5})
     assert not lfa.tc_decompose(_setup(op_f, op_c, 2, 2, 0.1)).conjugate_symmetric
-    t = _assemble(make_diffusion(16, 5e-3), 2, 2, 0.1, "lu").iteration_matrix
-    assert not lfa.identity_decompose(t, 16, 2, 2).conjugate_symmetric
+    cfg = ExperimentConfig(problem="diffusion", coefficient=5e-3, n=16, m=2, l=2, qdelta_kind="lu", blocks=("full",))
+    assert not build_context(cfg).decomposition("full").conjugate_symmetric
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 8])
@@ -364,11 +363,12 @@ def test_block_power_norm_reduces_to_norm_and_identity():
     assert lfa.block_power_norms(d, 1)[1] == pytest.approx(d.norm, rel=1e-12)
 
 
-def test_identity_decompose_is_the_matrix_as_one_block():
-    prob = make_advection(16, 4.88e-3)
+def test_full_mode_is_the_matrix_as_one_block():
     n, m, l = 16, 3, 2
-    t = _assemble(prob, m, l, 0.1, "lu").iteration_matrix
-    d = lfa.identity_decompose(t, n, l, m)
+    ctx = build_context(ExperimentConfig(problem="advection", coefficient=4.88e-3, n=n, m=m, l=l, qdelta_kind="lu"))
+    t = ctx.setup.iteration_matrix
+    d = ctx.decomposition("full")
+    assert d.meta == lfa.TransformMeta("full", n, l, m)
     assert d.blocks.shape == (1, l * m * n, l * m * n)
     np.testing.assert_array_equal(d.blocks[0], t)
     np.testing.assert_array_equal(d.index, [[-1, -1]])
@@ -387,7 +387,7 @@ def test_identity_block_spectra_and_power_norms_match_the_matrix():
     prob = make_diffusion(16, 5e-3)
     n, m, l = 16, 3, 2
     t = _assemble(prob, m, l, 0.1, "implicit-euler").iteration_matrix
-    d = lfa.identity_decompose(t, n, l, m)
+    d = lfa.BlockDecomposition(t[None], lfa.TransformMeta("full", n, l, m))
     np.testing.assert_array_equal(d.index, [[-1, -1]])
     eig = np.linalg.eigvals(t)
     assert d.spectral_radius == pytest.approx(np.max(np.abs(eig)), rel=1e-12)
@@ -537,7 +537,7 @@ def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family,
 
 def test_chunked_norms_of_the_full_block_equal_the_oracle():
     t = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu").iteration_matrix
-    d = lfa.identity_decompose(t, 16, 2, 3)
+    d = lfa.BlockDecomposition(t[None], lfa.TransformMeta("full", 16, 2, 3))
     expected = oracles.pairwise_power_norms(d, 4)
     assert np.array_equal(lfa.block_power_norms(d, 4), expected)
     assert d.norm == expected[1]

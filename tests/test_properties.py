@@ -6,11 +6,12 @@ both Q_Delta kinds; mu is log-uniform on [1, 100] and the
 advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
 complex stacks, phase detection on error histories whose log10 is
-piecewise linear, exact or noisy.  ``analyze`` runs on wide draws (n up
-to 34, dt and mu or c over many decades) exactly what ``ExperimentConfig``
-accepts, and ends every argv of valid and invalid flag values with an exit
-code, never a traceback.  The draws are derandomized, so every run of the suite
-checks the same examples.
+piecewise linear, exact or noisy.  The tc bound chain
+||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0|| holds on every draw.
+``analyze`` runs on wide draws (n up to 34, dt and mu or c over many
+decades) exactly what ``ExperimentConfig`` accepts, and ends every argv of
+valid and invalid flag values with an exit code, never a traceback.  The
+draws are derandomized, so every run of the suite checks the same examples.
 """
 
 import contextlib
@@ -26,7 +27,15 @@ from hypothesis import strategies as st
 import oracles
 from pfasst_lfa import lfa
 from pfasst_lfa.analysis import STRATEGIES, ExperimentConfig, build_context, detect_phases, run_and_compare
-from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, strategy4_exact
+from pfasst_lfa.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFICATION,
+    bound_chain_holds,
+    main,
+    strategy4_exact,
+)
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import sort_eigenvalues
@@ -107,6 +116,14 @@ def test_tc_blocks_equal_the_transformed_iteration_matrix(cfg):
 def test_tc_apply_reproduces_the_run(cfg):
     trace = run_and_compare(replace(cfg, strategies=("apply",)))
     assert strategy4_exact(trace.actual_2, trace.predictions["apply", "tc"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(configs(iterations=8))
+def test_tc_bound_chain_holds(cfg):
+    # ||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0||; at M = L = 1 the error is round-off and T computes to 0
+    trace = run_and_compare(replace(cfg, strategies=("norm", "norm-power")))
+    assert bound_chain_holds(trace.actual_2, trace.predictions["norm-power", "tc"], trace.predictions["norm", "tc"])
 
 
 @PROPERTY

@@ -6,12 +6,12 @@ import scipy.linalg
 
 from pfasst_lfa import solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context
-from pfasst_lfa.collocation import collocation_matrix, composite_system, spread_initial
+from pfasst_lfa.collocation import CollocationProblem, composite_system, spread_initial
 from pfasst_lfa.errors import ConfigurationError, FactorizationError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
     Preconditioner,
-    build_two_level_setup,
+    TwoLevelSetup,
     mlsdc_iteration_matrix,
     mlsdc_preconditioner_inverse,
     mlsdc_step,
@@ -23,7 +23,6 @@ from pfasst_lfa.solvers import (
 )
 from pfasst_lfa.space_operators import (
     CirculantOperator,
-    circulant_eigenvalues,
     coarsen,
     make_advection,
     make_diffusion,
@@ -35,15 +34,14 @@ def _small_problem(n=16, m=3, dt=0.1, nu=None):
     nu = 10.0 * (1.0 / n) ** 2 / dt if nu is None else nu
     prob = make_diffusion(n, nu)
     rule = QuadratureRule.radau_right(m)
-    return prob, rule, collocation_matrix(prob.operator, rule, dt)
+    return prob, rule, CollocationProblem(prob.operator, rule, dt)
 
 
 def _setup(prob, m, l, kind="implicit-euler", dt=0.1):
     """The two-level setup of ``prob`` and its coarsening, on one Radau rule."""
     rule = QuadratureRule.radau_right(m)
-    fine = collocation_matrix(prob.operator, rule, dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
-    return build_two_level_setup(fine, coarse, build_ci_pair(prob.n), l, kind)
+    fine, coarse = CollocationProblem(prob.operator, rule, dt), CollocationProblem(coarsen(prob).operator, rule, dt)
+    return TwoLevelSetup(fine, coarse, build_ci_pair(prob.n), l, qdelta=build_qdelta(rule, kind))
 
 
 def _first_interval_rhs(u0, m, l):
@@ -77,12 +75,23 @@ def test_preconditioner_rejects_singular_matrix():
         p.solve(np.ones(3))
 
 
+@pytest.mark.parametrize("coupling", [None, np.eye(3)], ids=["jacobi", "gauss-seidel"])
+def test_preconditioner_refuses_rows_that_do_not_split_into_l_blocks(coupling):
+    # 7 rows over l = 2 intervals would leave the last row unsolved: it is an error, not uninitialized memory
+    p = Preconditioner(2 * np.eye(3), 2, coupling)
+    for rhs in (np.ones(7), np.ones((7, 2)), np.ones((2, 7)).T):
+        with pytest.raises(ValueError):
+            p.solve(rhs)
+    second = 0.5 if coupling is None else 0.75  # (1 + 0.5) / 2 with the first interval's value added
+    np.testing.assert_array_equal(p.solve(np.ones(6)), [0.5] * 3 + [second] * 3)
+
+
 @pytest.mark.parametrize("complex_stack", [False, True])
 @pytest.mark.parametrize("make,coefficient", [(make_diffusion, 0.05), (make_advection, 0.5)])
 @pytest.mark.parametrize("kind", ["implicit-euler", "lu"])
 def test_node_sweep_equals_dense_preconditioner(kind, make, coefficient, complex_stack):
     rule = QuadratureRule.radau_right(3)
-    cp = collocation_matrix(make(8, coefficient).operator, rule, 0.1)
+    cp = CollocationProblem(make(8, coefficient).operator, rule, 0.1)
     qd = build_qdelta(rule, kind)
     rng = np.random.default_rng(3)
     r = rng.standard_normal((2, 4, 3, 8))
@@ -101,14 +110,14 @@ def test_node_sweep_condition_is_the_pivot_spread_of_each_stencil(make, coeffici
     prob = make(16, coefficient)
     setup = _setup(prob, 3, 2, kind)
     for level, sweep in ((prob, setup.fine_sweep), (coarsen(prob), setup.coarse_sweep)):
-        pivots = np.abs(1.0 - 0.1 * np.outer(np.diag(setup.qdelta), circulant_eigenvalues(level.operator)))
+        pivots = np.abs(1.0 - 0.1 * np.outer(np.diag(setup.qdelta), level.operator.symbol(np.arange(level.n))))
         assert sweep.condition == pytest.approx(pivots.max() / pivots.min(), rel=1e-13)
 
 
 def test_node_sweep_rejects_singular_node_factor():
     # dt * qd_11 * A = I: the middle node's factor is exactly zero
     rule = QuadratureRule.radau_right(3)
-    cp = collocation_matrix(CirculantOperator(2, {0: 1.0}), rule, 1.0)
+    cp = CollocationProblem(CirculantOperator(2, {0: 1.0}), rule, 1.0)
     with pytest.raises(FactorizationError):
         node_sweep(cp, np.diag([0.5, 1.0, 0.5]))
 
@@ -143,7 +152,7 @@ def test_sdc_iteration_matrix_consistent_with_step():
 def test_mlsdc_step_equals_explicit_preconditioner_formula():
     n, m, dt = 32, 3, 0.1
     prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
+    coarse = CollocationProblem(coarsen(prob).operator, rule, dt)
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
@@ -160,7 +169,7 @@ def test_mlsdc_step_equals_explicit_preconditioner_formula():
 def test_mlsdc_iteration_matrix_consistent_with_step():
     n, m, dt = 32, 3, 0.1
     prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, dt)
+    coarse = CollocationProblem(coarsen(prob).operator, rule, dt)
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
@@ -178,7 +187,7 @@ def test_mlsdc_step_rejects_broken_restriction_condition():
     # a pair whose restriction no longer projects the last node correctly
     n, m = 16, 3
     prob, rule, fine = _small_problem(n=n, m=m)
-    coarse = collocation_matrix(coarsen(prob).operator, rule, 0.1)
+    coarse = CollocationProblem(coarsen(prob).operator, rule, 0.1)
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
@@ -308,7 +317,7 @@ def test_pfasst_converges_to_composite_solution():
 
 
 def test_two_level_setup_rejects_mismatched_grids():
-    # build_two_level_setup assumes a fine grid of 4j points, a coarse grid of n/2 and transfers for n;
+    # TwoLevelSetup assumes a fine grid of 4j points, a coarse grid of n/2 and transfers for n;
     # ExperimentConfig refuses any other n, and build_context builds all three from its one n
     for n in (10, 11, 30):
         with pytest.raises(ConfigurationError, match=f"got n = {n}"):

@@ -7,7 +7,6 @@ from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.space_operators import (
     CirculantOperator,
-    circulant_eigenvalues,
     coarsen,
     exact_solution,
     make_advection,
@@ -21,7 +20,7 @@ def test_circulant_symbol_matches_fft_oracle():
     # first row of a circulant determines the spectrum via the FFT, in the
     # same harmonic order as the analytic symbol
     oracle = np.fft.fft(a[0]).conj()
-    got = circulant_eigenvalues(op)
+    got = op.symbol(np.arange(op.n))
     np.testing.assert_allclose(got, oracle, atol=1e-12)
 
 
@@ -43,7 +42,7 @@ def test_circulant_stencil_action_and_first_column_match_the_matrix(op):
 def test_circulant_eigenvectors_are_fourier_modes():
     op = CirculantOperator(n=8, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=3.0)
     a = op.materialize()
-    lam = circulant_eigenvalues(op)
+    lam = op.symbol(np.arange(op.n))
     j = np.arange(8)
     for k in range(8):
         v = np.exp(2j * np.pi * k * j / 8)
@@ -56,7 +55,7 @@ def test_diffusion_matrix_entries_and_spectrum():
     a = p.operator.materialize()
     dx = 1.0 / n
     np.testing.assert_allclose(a[3, 2:5], nu / dx**2 * np.array([1.0, -2.0, 1.0]))
-    lam = circulant_eigenvalues(p.operator)
+    lam = p.operator.symbol(np.arange(n))
     np.testing.assert_allclose(lam.imag, 0.0, atol=1e-10)
     assert np.all(lam.real <= 1e-12)  # negative semi-definite
     # analytic symbol: -(4 nu / dx^2) sin^2(pi k / n)
@@ -72,7 +71,7 @@ def test_advection_matrix_entries_and_spectrum():
     dx = 1.0 / n
     row = a[5, 3:7]  # offsets -2..+1
     np.testing.assert_allclose(row, -c / (6 * dx) * np.array([1.0, -6.0, 3.0, 2.0]))
-    lam = circulant_eigenvalues(p.operator)
+    lam = p.operator.symbol(np.arange(n))
     # third-order upwind: nonpositive real part, real at k = 0 and k = n/2
     assert np.all(lam.real <= 1e-12)
     assert abs(lam[0]) < 1e-12
@@ -131,7 +130,7 @@ def test_coarsen_halves_the_grid():
     assert c.coefficient == p.coefficient
 
 
-def test_make_problem_rejects_bad_sizes_and_coefficients():
+def test_model_problem_rejects_bad_sizes_and_coefficients():
     # make_diffusion and make_advection assume the n and coefficient ranges that ExperimentConfig enforces
     for problem, n, coefficient in [
         ("diffusion", 5, 1.0),
