@@ -15,7 +15,7 @@ eigenvalues, norms and powers run in real arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -33,6 +33,11 @@ if TYPE_CHECKING:
 # representative block of a c stack, one or two blocks of a large tc stack.
 # A block's 2-norm and powers do not depend on the chunk it is in.
 NORM_CHUNK_ENTRIES = 2**16
+# The margin delta of the norm-power certificate (``_below``).  The Gram's rounding
+# and Cholesky's backward error are about d*eps relative (3.6e-14 at d = 160), so a
+# certified block's computed norm would be below m(1 - delta)(1 + O(d eps)) < m, the
+# running max: the max is the exhaustive one bit for bit.
+NORM_CERTIFICATE_DELTA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,18 +103,22 @@ class BlockDecomposition:
     meta: TransformMeta
     conjugate_symmetric: bool = False
 
+    # the Gram matrices of the norm kernel, by outcome: "solved" (eigvalsh) or "certified" (Cholesky)
+    grams: dict = field(default_factory=lambda: {"solved": 0, "certified": 0}, init=False, repr=False, compare=False)
+
     @property
     def index(self) -> np.ndarray:
         return self.meta.block_index()
 
-    def norm_chunks(self):
+    def norm_chunks(self, order: np.ndarray | None = None):
         """The blocks whose singular values cover every block, in the field their 2-norms are taken in.
 
         Those are the harmonic pairs k <= (N/2)//2 (the one block in full
         mode), and of each pair every block in tc mode; in c mode the built
         time frequencies j >= 1, only up to j <= L/2 if conjugate-symmetric.
         They are yielded as row chunks of at most ``NORM_CHUNK_ENTRIES``
-        matrix entries (at least one block), in the dtype of the stack.
+        matrix entries (at least one block), in the dtype of the stack;
+        given ``order``, a permutation of the chunks, in that order.
         """
         per, shape = self.meta.blocks_per_pair, self.blocks.shape[1:]
         pairs = self.meta.n // 4 + 1
@@ -118,13 +127,21 @@ class BlockDecomposition:
         # a view in tc and full mode; c mode leaves out the zero j = 0 blocks
         blocks = self.blocks.reshape(-1, per, *shape)[:pairs, int(c) : kept].reshape(-1, *shape)
         step = max(1, NORM_CHUNK_ENTRIES // self.blocks[0].size)
-        for start in range(0, len(blocks), step):
+        starts = range(0, len(blocks), step)
+        for start in starts if order is None else (starts[j] for j in order):
             yield blocks[start : start + step]
 
     @cached_property
+    def block_norms(self) -> np.ndarray:
+        """||B||_2 of each block of ``norm_chunks()``, in its order; computed once."""
+        norms = [_norms2(*_scaled_gram(chunk)) for chunk in self.norm_chunks()]
+        self.grams["solved"] += len(norms)
+        return np.concatenate(norms)
+
+    @cached_property
     def norm(self) -> float:
-        """max ||B||_2 over the blocks, from the chunks of ``norm_chunks()``; computed once."""
-        return max(_max_norm2(chunk) for chunk in self.norm_chunks())
+        """max ||B||_2 over the blocks, the max of ``block_norms``; computed once."""
+        return float(np.max(self.block_norms))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -271,21 +288,51 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
     return worst / max(float(np.max(np.abs(t))), 1.0)
 
 
-def _max_norm2(stack: np.ndarray) -> float:
-    """Largest 2-norm in a stack of real or complex matrices.
+def _scaled_gram(stack: np.ndarray):
+    """(s, G) of a stack of matrices X: s = max|X| and G = (X/s)^H (X/s) per matrix (G = 0 where X = 0)."""
+    scale = np.max(np.abs(stack), axis=(-2, -1))
+    x = stack / np.where(scale > 0, scale, 1.0)[..., None, None]
+    return scale, np.swapaxes(x, -2, -1).conj() @ x
 
-    Each norm comes from the largest eigenvalue of the Gram matrix:
-    ||X||_2 = s*sqrt(lambda_max((X/s)^H (X/s))) with s = max|X|, the scaling
-    keeping the squares clear of over- and underflow.  Its relative error
-    is about d*eps for d columns.  The batched Hermitian eigensolver beats
-    the SVD on the 2M x 2M c blocks and on real stacks (symmetric-stencil
-    tc blocks, the dense T of ``full`` mode), and is within about 15% of it
-    on complex tc blocks.
+
+def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, from its ``_scaled_gram``.
+
+    The scaling keeps the squares clear of over- and underflow; the relative
+    error is about d*eps for d columns.  The batched Hermitian eigensolver
+    beats the SVD on the 2M x 2M c blocks and on real stacks, and is about
+    5% slower than it on the complex tc blocks at 2LM = 80.
     """
-    scale = np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
-    x = stack / np.where(scale > 0, scale, 1.0)
-    top = np.linalg.eigvalsh(np.swapaxes(x, -2, -1).conj() @ x)[..., -1]
-    return float(np.max(scale[..., 0, 0] * np.sqrt(top)))
+    return scale * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+
+
+def _max_norm2(stack: np.ndarray) -> float:
+    """Largest 2-norm in a stack of real or complex matrices, by ``_norms2``."""
+    return float(np.max(_norms2(*_scaled_gram(stack))))
+
+
+def _below(scale: np.ndarray, gram: np.ndarray, bound: float) -> bool:
+    """Whether Cholesky proves ||X||_2 < bound for every X of a ``_scaled_gram``: (bound/s)^2 I - G factors.
+
+    That matrix is formed in G's buffer, which is restored bit for bit if it
+    does not factor.  A non-finite G is never tried: OpenBLAS's Cholesky
+    runs through a NaN pivot.
+    """
+    if not np.all(np.isfinite(gram)):
+        return False
+    with np.errstate(over="ignore"):  # s far below the bound: an infinite diagonal, which factors
+        shift = np.square(bound / np.where(scale > 0, scale, 1.0))
+    i = np.arange(gram.shape[-1])
+    diagonal = gram[..., i, i]
+    np.negative(gram, out=gram)
+    gram[..., i, i] += shift[..., None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        np.negative(gram, out=gram)
+        gram[..., i, i] = diagonal
+        return False
+    return True
 
 
 def block_spectra(d: BlockDecomposition, solving: Future | None = None) -> np.ndarray:
@@ -303,21 +350,48 @@ def block_spectra(d: BlockDecomposition, solving: Future | None = None) -> np.nd
     return sort_eigenvalues(solving.result() if solving is not None else np.linalg.eigvals(d.blocks))
 
 
+def _visit_order(d: BlockDecomposition) -> np.ndarray | None:
+    """None if ``d.norm_chunks()`` is one chunk; else the chunks by descending max ||B||, in tc mode by rho(C_0) first.
+
+    C_0, a tc block's leading 2M x 2M interval block, has the block's
+    spectrum, and the largest ||B^k|| moves to the largest rho as k grows:
+    the chunk holding it comes first.  Chunks stay views of the stack.
+    """
+    step = max(1, NORM_CHUNK_ENTRIES // d.blocks[0].size)
+    if len(d.block_norms) <= step:
+        return None
+    order = np.argsort(-np.maximum.reduceat(d.block_norms, np.arange(0, len(d.block_norms), step)), kind="stable")
+    if d.meta.mode == "tc":
+        lead = np.concatenate([np.arange(d.meta.m), d.meta.l * d.meta.m + np.arange(d.meta.m)])
+        c0 = d.blocks[: len(d.block_norms), lead[:, None], lead]
+        first = np.argmax(np.max(np.abs(np.linalg.eigvals(c0)), axis=-1)) // step
+        order = np.concatenate([[first], order[order != first]])
+    return order
+
+
 def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, i.e. ||T^k||_2 block-wise.
 
     k = 1 is the decomposition's cached ``norm``.  One pass per chunk of
     ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
     once, in the field of the stack (real for symmetric-stencil tc
-    blocks); no power outlives its chunk.
+    blocks); no power outlives its chunk.  The chunks come in
+    ``_visit_order``; a later chunk's Gram is solved only where ``_below``
+    cannot prove its blocks below the running max times 1 - delta.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
     if k_max:
         norms[1] = d.norm
-    for blocks in d.norm_chunks():
+    for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
         power = blocks
         for k in range(2, k_max + 1):
             power = power @ blocks
-            norms[k] = max(norms[k], _max_norm2(power))
+            scale, gram = _scaled_gram(power)
+            if i and _below(scale, gram, norms[k] * (1 - NORM_CERTIFICATE_DELTA)):
+                d.grams["certified"] += 1
+            else:
+                d.grams["solved"] += 1
+                norms[k] = max(norms[k], float(np.max(_norms2(scale, gram))))
+            del gram  # not held through the next product
     return norms

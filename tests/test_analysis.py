@@ -435,13 +435,14 @@ def test_norm_kernels_take_no_svd(monkeypatch, problem):
 
 def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
     # ||B|| is taken once per block mode and read by the norm strategy, the
-    # aggregates and norm-power at k = 1: K batched norms per row chunk of the
+    # aggregates and norm-power at k = 1: K Gram matrices per row chunk of the
     # N/4 + 1 mirror-representative pairs; at the default size one chunk
-    # holds them all, at two blocks per chunk it takes three
+    # holds them all, at two blocks per chunk it takes three, and the
+    # Cholesky certificate spares the eigensolver 5 of the 18 tc Grams
     cfg = _small_cfg(iterations=6, blocks=("tc", "full"))
     tc_dim, full_dim = 2 * cfg.l * cfg.m, cfg.l * cfg.m * cfg.n
-    original = lfa._max_norm2
-    for entries, tc_chunks in ((lfa.NORM_CHUNK_ENTRIES, 1), (2 * tc_dim**2, 3)):
+    original = lfa._scaled_gram
+    for entries, tc_chunks, tc_solved in ((lfa.NORM_CHUNK_ENTRIES, 1, 6), (2 * tc_dim**2, 3, 13)):
         calls = Counter()
 
         def counted(stack):
@@ -449,9 +450,12 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
             return original(stack)
 
         monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
-        monkeypatch.setattr(lfa, "_max_norm2", counted)
+        monkeypatch.setattr(lfa, "_scaled_gram", counted)
         trace = run_and_compare(cfg)
         assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: cfg.iterations}
+        grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
+        assert grams["tc"] == {"solved": tc_solved, "certified": tc_chunks * cfg.iterations - tc_solved}
+        assert grams["full"] == {"solved": cfg.iterations, "certified": 0}
     for mode in ("tc", "full"):
         norm = trace.aggregates[mode]["norm"]
         assert norm == trace.context.decomposition(mode).norm

@@ -67,6 +67,15 @@ def test_analyze_writes_all_artifacts(tmp_path):
     assert report["checks"]["strategy4_tc_exact"] is True
 
 
+def test_analyze_writes_the_norm_kernel_counts_to_timings_only(tmp_path):
+    # at L = 16 the 9 representative tc blocks (96 x 96) take two norm chunks, so
+    # the second chunk's Gram at k = 2..5 is certified; the 10 x 10 c blocks fit one
+    out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
+    grams = json.loads((out / "timings.json").read_text())["norm_grams"]
+    assert grams == {"tc": {"solved": 6, "certified": 4}, "c": {"solved": 5, "certified": 0}}
+    assert "grams" not in (out / "report.json").read_text()
+
+
 def test_trace_csv_columns_and_format(tmp_path):
     # rho is predicted after the eigenvalue worker's join, the others before it; the columns keep the request order
     out = _analyze(tmp_path, "--strategies", "apply,rho,norm", "--blocks", "tc")

@@ -240,15 +240,17 @@ def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n,
     # (N/4 + 1) mirror-representative pairs, each with the built time frequencies 1..L-1, only 1..L/2 if conjugate-symmetric
     d = lfa.c_decompose(_assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler"))
     rows = []
-    original = lfa._max_norm2
+    original = lfa._scaled_gram
 
     def counted(stack):
         rows.append(len(stack))
         return original(stack)
 
-    monkeypatch.setattr(lfa, "_max_norm2", counted)
+    monkeypatch.setattr(lfa, "_scaled_gram", counted)
     assert d.norm > 0
     assert sum(rows) == visited
+    assert len(d.block_norms) == visited
+    assert d.grams == {"solved": len(rows), "certified": 0}
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 8])
@@ -597,3 +599,57 @@ def test_matched_cluster_distance_equals_per_tolerance_recomputation():
     assert clusters.matched_cluster_distance(full, blocks, tols) == min(
         clusters.matched_cluster_distance(full, blocks, (tol,)) for tol in tols
     )
+
+
+@pytest.mark.parametrize("factor,certified", [(1.0, 0), (1 + 1e-12, 0), (0.5, 5)])
+@pytest.mark.parametrize("make,qdelta_kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])
+def test_certified_norms_of_two_chunk_stacks_equal_the_oracle(monkeypatch, make, qdelta_kind, factor, certified):
+    # one tc block and a multiple of it, one block per chunk: an exact tie and a
+    # 1e-12 gap lie inside the certificate's margin, so both chunks are solved at
+    # every k; half the block is certified at every k >= 2
+    l, m, k_max = 2, 3, 6
+    block = lfa.tc_decompose(_assemble(make(16, 5e-3), m, l, 0.1, qdelta_kind)).blocks[1]
+    d = lfa.BlockDecomposition(np.stack([block, factor * block]), lfa.TransformMeta("tc", 4, l, m))
+    monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", block.size)
+    expected = oracles.pairwise_power_norms(d, k_max)
+    assert np.array_equal(lfa.block_power_norms(d, k_max), expected)
+    assert d.grams == {"solved": 2 * k_max - certified, "certified": certified}
+
+
+@pytest.mark.parametrize("field", ["inf", "nan"])
+def test_a_non_finite_power_in_a_certifiable_chunk_still_raises(monkeypatch, field):
+    # c rows 1 and 3 are the representatives: a block of norm 1e200 whose powers
+    # stay finite, then a block of norm ~1e160 whose square is inf * I, or has
+    # inf - inf = NaN entries.  LAPACK's Cholesky factors a NaN Gram without
+    # complaint; the kernel must solve it instead, and eigvalsh raises
+    first = 0.5 * np.eye(4)
+    first[0, 1] = 1e200
+    second = 1e160 * (np.eye(4) if field == "inf" else np.kron(np.eye(2), [[1.0, 1.0], [1.0, -1.0]]))
+    blocks = np.zeros((4, 4, 4), dtype=complex)
+    blocks[1], blocks[3] = first, second
+    d = lfa.BlockDecomposition(blocks, lfa.TransformMeta("c", 4, 2, 2))
+    monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", blocks[0].size)
+    assert d.norm == d.block_norms[0] > d.block_norms[1]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        lfa.block_power_norms(d, 2)
+
+
+def test_certified_norms_follow_the_moving_arg_max():
+    # the block of the largest ||B^k|| is pair 32 at k = 1, pair 9 at k = 2 and pair 0
+    # from k = 3 on; visiting pair 0, the largest rho(C_0), first certifies most chunks
+    # (two blocks each)
+    cfg = ExperimentConfig(
+        problem="diffusion", mu=1.8407792370088312, n=128, m=5, l=16, wavenumber=63, iterations=20
+    )
+    d = build_context(cfg).decomposition("tc")
+    reps = d.blocks[: cfg.n // 4 + 1]
+    powers = [reps, reps @ reps, reps @ reps @ reps]
+    assert [np.argmax(lfa._norms2(*lfa._scaled_gram(p))) for p in powers] == [32, 9, 0]
+    assert lfa._visit_order(d)[:2].tolist() == [0, 16]  # the chunks of pairs 0, 1 and of pair 32
+    norms = lfa.block_power_norms(d, cfg.iterations)
+    assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
+    chunks = len(list(d.norm_chunks()))
+    assert chunks == 17
+    powers = chunks * (cfg.iterations - 1)  # the (chunk, k) Grams for k >= 2
+    assert d.grams["solved"] + d.grams["certified"] == chunks + powers
+    assert d.grams["solved"] - chunks < powers / 3

@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +148,20 @@ def test_real_tc_norms_equal_the_complex_route(cfg):
     np.testing.assert_allclose(lfa.block_power_norms(d, cfg.iterations), expected, rtol=1e-13, atol=0)
     # the eigenvalues come from the real stack
     assert np.array_equal(d.eigenvalues, sort_eigenvalues(np.linalg.eigvals(d.blocks)))
+
+
+@PROPERTY
+@given(configs(iterations=8, ls=(2, 3, 4)))
+def test_certified_power_norms_equal_the_pairwise_oracle(cfg):
+    # one block per chunk: every chunk after the first is certified or solved at each k
+    ctx = build_context(cfg)
+    for mode in ("tc", "c"):
+        d = ctx.decomposition(mode)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lfa, "NORM_CHUNK_ENTRIES", d.blocks[0].size)
+            norms = lfa.block_power_norms(d, cfg.iterations)
+        assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
+        assert sum(d.grams.values()) == len(d.block_norms) * cfg.iterations
 
 
 @PROPERTY
