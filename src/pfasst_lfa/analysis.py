@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -145,20 +145,23 @@ class ExperimentContext:
     setup: TwoLevelSetup
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def decomposition(self, block_mode: str) -> lfa.BlockDecomposition:
+    def decomposition(self, block_mode: str, on_chunk=None) -> lfa.BlockDecomposition:
         """The block decomposition of one mode, built once.
 
         "tc" and "c" are the Fourier block families; "full" is the iteration
-        matrix itself, one block in the identity basis.
+        matrix itself, one block in the identity basis.  A call that builds
+        it hands each of its ``lfa.spectrum_chunks`` to ``on_chunk``, if given.
         """
         if block_mode not in self._blocks:
             if block_mode == "tc":
-                self._blocks[block_mode] = lfa.tc_decompose(self.setup)
+                self._blocks[block_mode] = lfa.tc_decompose(self.setup, on_chunk)
             elif block_mode == "c":
-                self._blocks[block_mode] = lfa.c_decompose(self.setup)
+                self._blocks[block_mode] = lfa.c_decompose(self.setup, on_chunk)
             else:
                 meta = lfa.TransformMeta("full", self.cfg.n, self.cfg.l, self.cfg.m)
                 self._blocks[block_mode] = lfa.BlockDecomposition(self.setup.iteration_matrix[None], meta)
+                if on_chunk:
+                    on_chunk(self._blocks[block_mode].blocks)  # one block: one chunk
         return self._blocks[block_mode]
 
     @cached_property
@@ -377,6 +380,7 @@ class ErrorTrace:
     predictions: dict  # (strategy, block mode) -> K+1 values, in request order
     phases: PhaseSegmentation
     aggregates: dict  # per block mode: {"rho": float, "norm": float}
+    eigvals_chunks: dict  # per block mode: {"chunks": eigenvalue chunks, "main_thread": those solved on it}
     context: ExperimentContext = field(repr=False)  # shared operators and block decompositions
 
     def consistency_gap(self) -> float:
@@ -401,21 +405,30 @@ def _spare_core() -> bool:
 def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     """Run algorithmic PFASST and attach the predictions of every strategy and block mode of ``cfg``.
 
-    Given a :func:`_spare_core`, each mode's ``np.linalg.eigvals`` runs on a
-    worker thread (LAPACK releases the GIL) while this thread runs PFASST and
-    takes the 2-norms.  The worker makes only that call, so every function of
-    this package runs on this thread and every result is that of a serial run.
+    The block eigenvalues are solved in the row chunks of
+    ``lfa.spectrum_chunks``.  Given a :func:`_spare_core`, each chunk goes to
+    a worker thread's ``np.linalg.eigvals`` (LAPACK releases the GIL) as
+    soon as its blocks are built, while this thread builds the rest, runs
+    PFASST and takes the 2-norms.  Then this thread walks the chunks from
+    the last to the first, solves each one the worker has not started
+    itself, and waits for the others.  Without a spare core the same walk
+    solves every chunk here.  The worker makes only the eigvals call, so
+    every function of this package runs on this thread and every result is
+    that of a serial run.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import time: the CLI's cold start skips it
 
     ctx = build_context(cfg)
-    decompositions = {mode: ctx.decomposition(mode) for mode in cfg.blocks}
     requested = [(strategy, mode) for mode in cfg.blocks for strategy in cfg.strategies]
+    spare = _spare_core()
+    chunks = []  # (mode, rows, the worker's future or None), in the order they were built
     with ThreadPoolExecutor(1) as worker:
-        solving = {}  # without a spare core, block_spectra solves each spectrum below
-        if _spare_core():
-            solving = {mode: worker.submit(np.linalg.eigvals, d.blocks) for mode, d in decompositions.items()}
+
+        def hand(mode, rows):
+            chunks.append((mode, rows, worker.submit(np.linalg.eigvals, rows) if spare else None))
+
         try:
+            decompositions = {mode: ctx.decomposition(mode, partial(hand, mode)) for mode in cfg.blocks}
             u_ex = ctx.trajectory
             e0 = ctx.initial_error
             # the propagated error (zero rhs) and the manufactured run, stacked into one run
@@ -427,8 +440,17 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
             # rho reads the spectra; it waits for the join below
             predictions = {key: predict(ctx, *key) for key in requested if key[0] != "rho"}
             norms = {mode: d.norm for mode, d in decompositions.items()}
+            mine = {}  # chunk number -> its eigenvalues, solved on this thread
+            for i in reversed(range(len(chunks))):  # from the last chunk: each one the worker has not started
+                _, rows, future = chunks[i]
+                if future is None or future.cancel():
+                    mine[i] = np.linalg.eigvals(rows)
+            eigvals_chunks = {}
             for mode, d in decompositions.items():
-                d.eigenvalues = lfa.block_spectra(d, solving.get(mode))  # fills the cached property
+                own = [i for i, chunk in enumerate(chunks) if chunk[0] == mode]
+                eigvals_chunks[mode] = {"chunks": len(own), "main_thread": len(mine.keys() & own)}
+                solved = [mine[i] if i in mine else chunks[i][2].result() for i in own]
+                d.eigenvalues = lfa.block_spectra(d, solved)  # fills the cached property
         except BaseException:  # the first error raised here, the worker's LinAlgError too, is the one reported
             worker.shutdown(cancel_futures=True)  # the queued solves do not run first
             raise
@@ -443,6 +465,6 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
         predictions=predictions,
         phases=detect_phases(actual_2),
         aggregates=aggregates,
+        eigvals_chunks=eigvals_chunks,
         context=ctx,
     )
-

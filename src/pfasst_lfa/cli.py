@@ -3,7 +3,8 @@
 Two subcommands:
 
   analyze   run one experiment, write trace.csv / spectrum.csv / report.json,
-            and the wall times and norm-kernel counts to timings.json
+            and the wall times and the norm and eigenvalue kernels' counts to
+            timings.json
   verify    run the cross-module equivalence suite and print a check table
 
 Exit codes: 0 success, 2 usage error (every refused input, before any work),
@@ -214,9 +215,10 @@ def cmd_analyze(args, parser) -> int:
     if cfg.problem == "advection":
         report["cfl"] = trace.context.fine.cfl(cfg.dt)
     _write_json(out / "report.json", report)
-    # the norm kernel's work, not its results: the report's bytes do not depend on it
+    # the kernels' work, not their results: the report's bytes do not depend on it
     grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
-    _write_json(out / "timings.json", {"wall_time_seconds": timings, "norm_grams": grams})
+    work = {"wall_time_seconds": timings, "norm_grams": grams, "eigvals_chunks": trace.eigvals_chunks}
+    _write_json(out / "timings.json", work)
     residual = checks.get("tc_similarity_residual", 0.0)
     if not residual <= TC_SIMILARITY_TOL:
         print(f"error: tc similarity residual {residual:.3e} > {TC_SIMILARITY_TOL:.0e}", file=sys.stderr)

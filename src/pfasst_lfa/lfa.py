@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .linalg import sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator
 from .transfer import harmonic_diagonals, node_propagation
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future
 
 # Matrix entries per chunk of the norm and power kernels: every
 # representative block of a c stack, one or two blocks of a large tc stack.
@@ -38,6 +34,11 @@ NORM_CHUNK_ENTRIES = 2**16
 # certified block's computed norm would be below m(1 - delta)(1 + O(d eps)) < m, the
 # running max: the max is the exhaustive one bit for bit.
 NORM_CERTIFICATE_DELTA = 1e-8
+# Rows (blocks times d) per chunk of the eigenvalue solve.  numpy's batched eigvals
+# holds the GIL on a stack of EIGVALS_GIL_ROWS rows or fewer (numpy 2.4), so two
+# threads solving smaller chunks would take turns instead of running side by side.
+EIGVALS_CHUNK_ROWS = 1024
+EIGVALS_GIL_ROWS = 500
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,11 @@ def _pair_blocks(setup: TwoLevelSetup, shift: np.ndarray):
     return blocks
 
 
-def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray) -> BlockDecomposition:
-    """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0."""
+def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray, on_chunk=None) -> BlockDecomposition:
+    """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0.
+
+    ``on_chunk``, if given, gets each ``spectrum_chunks`` view once its pairs are built.
+    """
     n = setup.fine.n_space
     meta = TransformMeta(mode=mode, n=n, l=setup.l, m=setup.m_nodes)
     # symmetric stencils on both levels make every lambda_k real
@@ -217,18 +221,21 @@ def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray) -> BlockDecom
     # a real tc stack keeps each pair's real part as it is built: no complex stack is ever held
     real = symmetric and mode == "tc"
     blocks = np.zeros((n // 2 * per, meta.block_dim, meta.block_dim), dtype=float if real else complex)
+    chunks = spectrum_chunks(len(blocks), meta.block_dim)
     for k in range(n // 2):
         pair = pair_blocks(k)
         blocks[(k + 1) * per - built : (k + 1) * per] = pair.real if real else pair
+        while on_chunk and chunks and chunks[0].stop <= (k + 1) * per:
+            on_chunk(blocks[chunks.pop(0)])
     return BlockDecomposition(blocks, meta, conjugate_symmetric=symmetric)
 
 
-def tc_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
+def tc_decompose(setup: TwoLevelSetup, on_chunk=None) -> BlockDecomposition:
     """N/2 time-collocation blocks of size 2LM; an exact similarity transform; float64 with symmetric stencils."""
-    return _decompose(setup, "tc", np.eye(setup.l, k=-1)[None])
+    return _decompose(setup, "tc", np.eye(setup.l, k=-1)[None], on_chunk)
 
 
-def c_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
+def c_decompose(setup: TwoLevelSetup, on_chunk=None) -> BlockDecomposition:
     """N/2 * L collocation blocks of size 2M, assuming periodicity in time.
 
     Time frequency j = 0 belongs to constant-in-time modes whose coarse
@@ -240,7 +247,7 @@ def c_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
     # each phase factor from a scalar exp: an array exp may round differently,
     # and a block must not depend on how many time frequencies share its batch
     phases = np.array([np.exp(-2j * np.pi * j / l) for j in range(1, l)], dtype=complex)
-    return _decompose(setup, "c", phases.reshape(-1, 1, 1))
+    return _decompose(setup, "c", phases.reshape(-1, 1, 1), on_chunk)
 
 
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
@@ -296,14 +303,17 @@ def _scaled_gram(stack: np.ndarray):
 
 
 def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, from its ``_scaled_gram``.
+    """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, from its ``_scaled_gram``; NaN where G is not finite.
 
     The scaling keeps the squares clear of over- and underflow; the relative
     error is about d*eps for d columns.  The batched Hermitian eigensolver
     beats the SVD on the 2M x 2M c blocks and on real stacks, and is about
     5% slower than it on the complex tc blocks at 2LM = 80.
     """
-    return scale * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    finite = np.all(np.isfinite(gram), axis=(-2, -1))
+    if not finite.all():  # eigvalsh raises on some non-finite Grams and returns a finite value on others
+        gram = np.where(finite[..., None, None], gram, 0.0)
+    return np.where(finite, scale, np.nan) * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
 
 
 def _max_norm2(stack: np.ndarray) -> float:
@@ -335,19 +345,35 @@ def _below(scale: np.ndarray, gram: np.ndarray, bound: float) -> bool:
     return True
 
 
-def block_spectra(d: BlockDecomposition, solving: Future | None = None) -> np.ndarray:
-    """The eigenvalues of every block, in one batched call: an (number of blocks, d) array.
+def spectrum_chunks(count: int, dim: int) -> list[slice]:
+    """The row slices of a stack of ``count`` d x d blocks that the eigenvalue solve takes one batched call each.
+
+    A chunk holds ceil(EIGVALS_CHUNK_ROWS/d) blocks; a last chunk of
+    ``EIGVALS_GIL_ROWS`` rows or fewer joins the one before it.
+    """
+    step = -(-EIGVALS_CHUNK_ROWS // dim)
+    stops = [*range(step, count, step), count]
+    if len(stops) > 1 and (stops[-1] - stops[-2]) * dim <= EIGVALS_GIL_ROWS:
+        del stops[-2]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+def block_spectra(d: BlockDecomposition, solved: list[np.ndarray] | None = None) -> np.ndarray:
+    """The eigenvalues of every block: an (number of blocks, d) array.
 
     Row i holds the eigenvalues of block ``d.index[i]``, sorted by (real,
-    imag) descending.  A real stack (symmetric-stencil tc blocks) goes to the
-    real solver, whose complex eigenvalues come in exact conjugate pairs.
-    Eigenvalues are never taken from a mirror partner:
-    defective clusters scatter at eps^(1/p), so partners that agree to
-    round-off can still differ visibly in their computed eigenvalues.
-    ``solving``, if given, is ``np.linalg.eigvals(d.blocks)`` submitted to
-    a worker thread: its result is waited for and sorted here.
+    imag) descending.  Each of the ``spectrum_chunks`` is one batched
+    ``np.linalg.eigvals`` call, solved here or given in row order as
+    ``solved``; eigvals solves each matrix on its own, so the joined rows are
+    bitwise one call's on the whole stack.  A real stack (symmetric-stencil tc blocks) goes to the real solver,
+    whose complex eigenvalues come in exact conjugate pairs.  Eigenvalues
+    are never taken from a mirror partner: defective clusters scatter at
+    eps^(1/p), so partners that agree to round-off can still differ visibly
+    in their computed eigenvalues.
     """
-    return sort_eigenvalues(solving.result() if solving is not None else np.linalg.eigvals(d.blocks))
+    if solved is None:
+        solved = [np.linalg.eigvals(d.blocks[rows]) for rows in spectrum_chunks(*d.blocks.shape[:2])]
+    return sort_eigenvalues(np.concatenate(solved))
 
 
 def _visit_order(d: BlockDecomposition) -> np.ndarray | None:
@@ -392,6 +418,6 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
                 d.grams["certified"] += 1
             else:
                 d.grams["solved"] += 1
-                norms[k] = max(norms[k], float(np.max(_norms2(scale, gram))))
+                norms[k] = np.maximum(norms[k], np.max(_norms2(scale, gram)))  # a NaN norm stays NaN
             del gram  # not held through the next product
     return norms

@@ -25,6 +25,7 @@ from pfasst_lfa.analysis import (
     run_and_compare,
 )
 from pfasst_lfa.errors import ConfigurationError, RangeError
+from pfasst_lfa.linalg import sort_eigenvalues
 
 
 def _small_cfg(problem="diffusion", **kw):
@@ -266,7 +267,8 @@ def test_run_and_compare_measurement_consistency():
 
 
 @pytest.mark.parametrize("spare_core", [True, False])
-def test_run_and_compare_builds_each_operator_once(monkeypatch, spare_core):
+def test_run_and_compare_builds_each_operator_once(monkeypatch, worker_takes_every_chunk, spare_core):
+    # each stack is one eigenvalue chunk (at most 192 rows); the main thread takes none back
     monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
     calls = Counter()
     cfg = _small_cfg(iterations=6, blocks=("tc", "c", "full"))
@@ -296,6 +298,8 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, spare_core):
     counting(np.linalg, "eigvals", "full eigvals", lambda a: a.shape[-1] == full_dim)
     counting(np.linalg, "eigvals")  # one batched call per block mode
     counting(np.linalg, "eigvals", "worker eigvals", lambda a: threading.current_thread() is not main_thread)
+    solved = []  # every chunk is solved exactly once, on one thread or the other (records, counts nothing)
+    counting(np.linalg, "eigvals", "chunk", lambda a: solved.append((a.__array_interface__["data"][0], a.shape)))
     trace = run_and_compare(cfg)
     assert calls == {
         "tc_decompose": 1,
@@ -311,6 +315,8 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, spare_core):
         "full eigvals": 1,
         "eigvals": 3,
     } | ({"worker eigvals": 3} if spare_core else {})
+    assert len(set(solved)) == len(solved) == 3
+    assert trace.eigvals_chunks == {mode: {"chunks": 1, "main_thread": 0 if spare_core else 1} for mode in cfg.blocks}
     # the aggregates the trace reports are each decomposition's own cached values
     for mode in ("tc", "c", "full"):
         d = trace.context.decomposition(mode)
@@ -353,6 +359,101 @@ def test_the_worker_thread_runs_no_package_code(monkeypatch):
     finally:
         threading.setprofile(None)
     assert seen == []
+
+
+# multi-chunk stacks: 32 tc blocks of 96 (3 chunks), 256 tc blocks of 40 (10), 512 c blocks of 6 (3)
+MULTI_CHUNK = [
+    (dict(n=64, l=16, blocks=("tc",)), {"tc": 3}),
+    (dict(n=512, m=5, l=4, blocks=("tc",)), {"tc": 10}),
+    (dict(n=64, l=16, blocks=("c",)), {"c": 3}),
+]
+
+
+def _multi_chunk_cfg(**kw):
+    return _small_cfg("advection", iterations=2, strategies=("rho", "norm", "apply"), **kw)
+
+
+def _chunk_starts(d):
+    return sorted(d.blocks[rows].__array_interface__["data"][0] for rows in lfa.spectrum_chunks(*d.blocks.shape[:2]))
+
+
+@pytest.mark.parametrize("kw, chunks", MULTI_CHUNK, ids=["tc-n64-l16", "tc-n512-l4", "c-n64-l16"])
+def test_streamed_chunks_equal_one_batched_call(monkeypatch, kw, chunks):
+    # the chunks go to the worker while the stack is still being built, and the main thread takes back
+    # the ones the worker has not started; at a 1 us switch interval the spectra are one eigvals call's
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
+    cfg = _multi_chunk_cfg(**kw)
+    eigvals, starts = np.linalg.eigvals, []
+
+    def recording(a):
+        starts.append(a.__array_interface__["data"][0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trace = run_and_compare(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    # each chunk solved exactly once, on one thread or the other
+    decompositions = [trace.context.decomposition(mode) for mode in cfg.blocks]
+    assert sorted(starts) == sorted(start for d in decompositions for start in _chunk_starts(d))
+    assert {mode: counts["chunks"] for mode, counts in trace.eigvals_chunks.items()} == chunks
+    assert all(0 <= counts["main_thread"] <= counts["chunks"] for counts in trace.eigvals_chunks.values())
+    ctx = build_context(cfg)
+    for mode in cfg.blocks:
+        d = ctx.decomposition(mode)
+        assert np.array_equal(trace.context.decomposition(mode).eigenvalues, sort_eigenvalues(eigvals(d.blocks)))
+        assert trace.aggregates[mode] == {"rho": d.spectral_radius, "norm": d.norm}
+        for strategy in cfg.strategies:
+            assert np.array_equal(trace.predictions[strategy, mode], predict(ctx, strategy, mode))
+
+
+def test_a_slow_first_chunk_leaves_the_later_ones_to_the_main_thread(monkeypatch):
+    # the worker's first chunk waits until the main thread has solved the two others itself
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
+    cfg = _multi_chunk_cfg(n=64, l=16, blocks=("tc",))
+    eigvals, main_thread = np.linalg.eigvals, threading.main_thread()
+    threads, later_ones_solved = [], threading.Event()
+
+    def slow_first(a):
+        threads.append(threading.current_thread())
+        if threads[-1] is not main_thread:
+            later_ones_solved.wait(30)
+        elif threads.count(main_thread) == 2:
+            later_ones_solved.set()
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", slow_first)
+    trace = run_and_compare(cfg)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    assert later_ones_solved.is_set()
+    assert [t is main_thread for t in threads] == [False, True, True]
+    assert trace.eigvals_chunks == {"tc": {"chunks": 3, "main_thread": 2}}
+    d = build_context(cfg).decomposition("tc")
+    assert np.array_equal(trace.context.decomposition("tc").eigenvalues, sort_eigenvalues(eigvals(d.blocks)))
+    assert trace.aggregates["tc"]["rho"] == d.spectral_radius
+
+
+def test_the_worker_thread_runs_no_package_code_on_multi_chunk_stacks(monkeypatch):
+    # the streamed chunks, the take-back and the join all run on the main thread
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
+    package = str(Path(analysis.__file__).parent)
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            seen.append(frame.f_code.co_name)
+
+    threading.setprofile(profile)  # every thread started from here on
+    try:
+        trace = run_and_compare(_multi_chunk_cfg(n=64, l=16, blocks=("tc", "c")))
+    finally:
+        threading.setprofile(None)
+    assert seen == []
+    assert {mode: counts["chunks"] for mode, counts in trace.eigvals_chunks.items()} == {"tc": 3, "c": 3}
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,19 @@ def test_analyze_writes_the_norm_kernel_counts_to_timings_only(tmp_path):
     assert "grams" not in (out / "report.json").read_text()
 
 
+@pytest.mark.parametrize("spare_core", [True, False])
+def test_analyze_writes_the_eigvals_chunk_counts_to_timings_only(tmp_path, monkeypatch, worker_takes_every_chunk,
+                                                                 spare_core):
+    # at L = 16 the 16 tc blocks (96 x 96) make one eigenvalue chunk, the 256 c blocks (6 x 6) two; the
+    # main thread solves them all without a spare core, and none while the worker takes every one
+    monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
+    out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
+    chunks = json.loads((out / "timings.json").read_text())["eigvals_chunks"]
+    taken = int(not spare_core)
+    assert chunks == {"tc": {"chunks": 1, "main_thread": taken}, "c": {"chunks": 2, "main_thread": 2 * taken}}
+    assert "chunks" not in (out / "report.json").read_text()
+
+
 def test_trace_csv_columns_and_format(tmp_path):
     # rho is predicted after the eigenvalue worker's join, the others before it; the columns keep the request order
     out = _analyze(tmp_path, "--strategies", "apply,rho,norm", "--blocks", "tc")
@@ -239,8 +252,9 @@ def test_analyze_refuses_non_finite_results(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_analyze_worker_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
-    # the block eigenvalues are solved on a worker thread; its LinAlgError reaches main at the join
+def test_analyze_worker_linalg_error_exits_3(tmp_path, capsys, monkeypatch, worker_takes_every_chunk):
+    # the block eigenvalues are solved on a worker thread, which takes the one chunk here (the main thread
+    # takes none back); its LinAlgError reaches main at the join
     threads = []
 
     def failing(a):

@@ -617,11 +617,12 @@ def test_certified_norms_of_two_chunk_stacks_equal_the_oracle(monkeypatch, make,
 
 
 @pytest.mark.parametrize("field", ["inf", "nan"])
-def test_a_non_finite_power_in_a_certifiable_chunk_still_raises(monkeypatch, field):
+def test_a_non_finite_power_in_a_certifiable_chunk_gives_nan(monkeypatch, field):
     # c rows 1 and 3 are the representatives: a block of norm 1e200 whose powers
     # stay finite, then a block of norm ~1e160 whose square is inf * I, or has
     # inf - inf = NaN entries.  LAPACK's Cholesky factors a NaN Gram without
-    # complaint; the kernel must solve it instead, and eigvalsh raises
+    # complaint, so the kernel must solve it instead, and the NaN must survive the
+    # running max over the chunks
     first = 0.5 * np.eye(4)
     first[0, 1] = 1e200
     second = 1e160 * (np.eye(4) if field == "inf" else np.kron(np.eye(2), [[1.0, 1.0], [1.0, -1.0]]))
@@ -630,8 +631,83 @@ def test_a_non_finite_power_in_a_certifiable_chunk_still_raises(monkeypatch, fie
     d = lfa.BlockDecomposition(blocks, lfa.TransformMeta("c", 4, 2, 2))
     monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", blocks[0].size)
     assert d.norm == d.block_norms[0] > d.block_norms[1]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-        lfa.block_power_norms(d, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = lfa.block_power_norms(d, 3)
+    assert norms[:2].tolist() == [1.0, d.norm]
+    assert np.isnan(norms[2:]).all()
+    assert d.grams == {"solved": 6, "certified": 0}  # a Gram per chunk and k; a non-finite one is never certified
+
+
+def test_a_power_that_overflows_gives_a_nan_norm_power():
+    # B = diag(1e200, 1): ||B|| is finite, B^2 overflows, and its Gram is NaN
+    d = lfa.BlockDecomposition(np.diag([1e200, 1.0])[None], lfa.TransformMeta("full", 1, 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = lfa.block_power_norms(d, 4)
+    assert norms[:2].tolist() == [1.0, 1e200]
+    assert np.isnan(norms[2:]).all()
+
+
+def test_a_non_finite_gram_gives_a_nan_norm():
+    # eigvalsh raises on some non-finite Grams and returns a finite value on others, as on the
+    # identity with one NaN; the stack's finite Grams keep their norms
+    gram = np.stack([np.eye(3)] * 3)
+    gram[1, 0, 0], gram[2, 0, 1] = np.nan, np.inf
+    assert np.linalg.eigvalsh(gram[1])[-1] == 1.0
+    norms = lfa._norms2(np.full(3, 2.0), gram)
+    assert norms[0] == 2.0 and np.isnan(norms[1:]).all()
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_a_nan_block_gives_a_nan_norm(k_max):
+    # one NaN entry: its Gram is NaN in a whole row and column, and the norm of every power is NaN
+    blocks = np.stack([np.eye(2), 2 * np.eye(2)])
+    blocks[1, 0, 1] = np.nan
+    d = lfa.BlockDecomposition(blocks, lfa.TransformMeta("tc", 4, 1, 1))
+    assert d.block_norms[0] == 1.0 and np.isnan(d.block_norms[1]) and np.isnan(d.norm)
+    norms = lfa.block_power_norms(d, k_max)
+    assert norms[0] == 1.0 and np.isnan(norms[1:]).all()
+
+
+@pytest.mark.parametrize("dim", [6, 10, 24, 40, 96, 160, 640])
+def test_spectrum_chunks_keep_more_rows_than_eigvals_holds_the_gil_for(dim):
+    # ceil(1024/d) blocks a chunk, each more than 500 rows unless the whole stack has 500 or fewer
+    step = -(-lfa.EIGVALS_CHUNK_ROWS // dim)
+    for count in range(1, 12 * step):
+        chunks = lfa.spectrum_chunks(count, dim)
+        assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+        assert chunks[0].start == 0 and chunks[-1].stop == count
+        assert all(c.stop - c.start == step for c in chunks[:-1])
+        rows = min(c.stop - c.start for c in chunks) * dim
+        assert rows > lfa.EIGVALS_GIL_ROWS or (len(chunks) == 1 and count * dim <= lfa.EIGVALS_GIL_ROWS)
+    assert (lfa.EIGVALS_CHUNK_ROWS, lfa.EIGVALS_GIL_ROWS) == (1024, 500)
+
+
+@pytest.mark.parametrize(
+    "make,coefficient,mode,m,l,chunks",
+    [
+        (make_diffusion, 0.05, "tc", 3, 16, 3),  # real: 32 blocks of 96, 11 + 11 + 10
+        (make_advection, 0.02, "tc", 3, 16, 3),
+        (make_advection, 0.02, "tc", 5, 8, 2),  # 32 blocks of 80: 13 + 19, the last 6 folded in
+        (make_advection, 0.02, "c", 3, 16, 3),  # 512 blocks of 6
+    ],
+)
+def test_chunked_spectra_equal_one_batched_call(make, coefficient, mode, m, l, chunks):
+    d = getattr(lfa, f"{mode}_decompose")(_assemble(make(64, coefficient), m, l, 0.1, "lu"))
+    assert len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == chunks
+    assert np.array_equal(lfa.block_spectra(d), sort_eigenvalues(np.linalg.eigvals(d.blocks)))
+
+
+@pytest.mark.parametrize("mode", ["tc", "c"])
+def test_decompose_hands_over_each_chunk_once_it_is_built(mode):
+    # the views come in row order, and each already holds its final blocks
+    setup = _assemble(make_advection(64, 0.02), 3, 16, 0.1, "lu")
+    handed = []
+    d = getattr(lfa, f"{mode}_decompose")(setup, lambda rows: handed.append((rows, rows.copy())))
+    chunks = lfa.spectrum_chunks(*d.blocks.shape[:2])
+    assert len(handed) == len(chunks) == 3
+    for (rows, copy), chunk in zip(handed, chunks):
+        assert rows.base is d.blocks and rows.shape == d.blocks[chunk].shape
+        assert np.shares_memory(rows, d.blocks[chunk]) and np.array_equal(copy, d.blocks[chunk])
 
 
 def test_certified_norms_follow_the_moving_arg_max():
