@@ -380,7 +380,6 @@ class ErrorTrace:
     predictions: dict  # (strategy, block mode) -> K+1 values, in request order
     phases: PhaseSegmentation
     aggregates: dict  # per block mode: {"rho": float, "norm": float}
-    eigvals_chunks: dict  # per block mode: {"chunks": eigenvalue chunks, "main_thread": those solved on it}
     context: ExperimentContext = field(repr=False)  # shared operators and block decompositions
 
     def consistency_gap(self) -> float:
@@ -409,23 +408,22 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     ``lfa.spectrum_chunks``.  Given a :func:`_spare_core`, each chunk goes to
     a worker thread's ``np.linalg.eigvals`` (LAPACK releases the GIL) as
     soon as its blocks are built, while this thread builds the rest, runs
-    PFASST and takes the 2-norms.  Then this thread walks the chunks from
-    the last to the first, solves each one the worker has not started
-    itself, and waits for the others.  Without a spare core the same walk
-    solves every chunk here.  The worker makes only the eigvals call, so
-    every function of this package runs on this thread and every result is
-    that of a serial run.
+    PFASST and takes the 2-norms.  Then ``lfa.block_spectra`` walks each
+    mode's chunks, the last mode first, solving here each one the worker
+    has not started; without a spare core it solves every chunk here.  The
+    worker makes only the eigvals call, so every function of this package
+    runs on this thread and every result is that of a serial run.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import time: the CLI's cold start skips it
 
     ctx = build_context(cfg)
     requested = [(strategy, mode) for mode in cfg.blocks for strategy in cfg.strategies]
     spare = _spare_core()
-    chunks = []  # (mode, rows, the worker's future or None), in the order they were built
+    handed = {mode: [] for mode in cfg.blocks}  # each mode's chunks: (rows, the worker's future or None)
     with ThreadPoolExecutor(1) as worker:
 
         def hand(mode, rows):
-            chunks.append((mode, rows, worker.submit(np.linalg.eigvals, rows) if spare else None))
+            handed[mode].append((rows, worker.submit(np.linalg.eigvals, rows) if spare else None))
 
         try:
             decompositions = {mode: ctx.decomposition(mode, partial(hand, mode)) for mode in cfg.blocks}
@@ -440,17 +438,8 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
             # rho reads the spectra; it waits for the join below
             predictions = {key: predict(ctx, *key) for key in requested if key[0] != "rho"}
             norms = {mode: d.norm for mode, d in decompositions.items()}
-            mine = {}  # chunk number -> its eigenvalues, solved on this thread
-            for i in reversed(range(len(chunks))):  # from the last chunk: each one the worker has not started
-                _, rows, future = chunks[i]
-                if future is None or future.cancel():
-                    mine[i] = np.linalg.eigvals(rows)
-            eigvals_chunks = {}
-            for mode, d in decompositions.items():
-                own = [i for i, chunk in enumerate(chunks) if chunk[0] == mode]
-                eigvals_chunks[mode] = {"chunks": len(own), "main_thread": len(mine.keys() & own)}
-                solved = [mine[i] if i in mine else chunks[i][2].result() for i in own]
-                d.eigenvalues = lfa.block_spectra(d, solved)  # fills the cached property
+            for mode, d in reversed(decompositions.items()):  # the worker takes the chunks in build order
+                d.eigenvalues = lfa.block_spectra(d, handed[mode])  # fills the cached property
         except BaseException:  # the first error raised here, the worker's LinAlgError too, is the one reported
             worker.shutdown(cancel_futures=True)  # the queued solves do not run first
             raise
@@ -465,6 +454,5 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
         predictions=predictions,
         phases=detect_phases(actual_2),
         aggregates=aggregates,
-        eigvals_chunks=eigvals_chunks,
         context=ctx,
     )

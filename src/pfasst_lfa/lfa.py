@@ -106,6 +106,8 @@ class BlockDecomposition:
 
     # the Gram matrices of the norm kernel, by outcome: "solved" (eigvalsh) or "certified" (Cholesky)
     grams: dict = field(default_factory=lambda: {"solved": 0, "certified": 0}, init=False, repr=False, compare=False)
+    # the eigenvalue chunks of the last ``block_spectra`` call, and how many of them the calling thread solved
+    eigvals_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def index(self) -> np.ndarray:
@@ -296,10 +298,11 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
 
 
 def _scaled_gram(stack: np.ndarray):
-    """(s, G) of a stack of matrices X: s = max|X| and G = (X/s)^H (X/s) per matrix (G = 0 where X = 0)."""
-    scale = np.max(np.abs(stack), axis=(-2, -1))
-    x = stack / np.where(scale > 0, scale, 1.0)[..., None, None]
-    return scale, np.swapaxes(x, -2, -1).conj() @ x
+    """(s, G) of a stack of matrices X: s = 2^e, e the ``np.frexp`` exponent of max|X|, and G = (X/s)^H (X/s) each."""
+    _, e = np.frexp(np.max(np.abs(stack), axis=(-2, -1)))
+    # ldexp on the float view, no division: a complex division by a subnormal max|X| (B^k, B nilpotent) overflows
+    x = np.ldexp(stack.view(float), -e[..., None, None]).view(stack.dtype)
+    return np.ldexp(1.0, e), np.swapaxes(x, -2, -1).conj() @ x
 
 
 def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -316,11 +319,6 @@ def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.where(finite, scale, np.nan) * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
 
 
-def _max_norm2(stack: np.ndarray) -> float:
-    """Largest 2-norm in a stack of real or complex matrices, by ``_norms2``."""
-    return float(np.max(_norms2(*_scaled_gram(stack))))
-
-
 def _below(scale: np.ndarray, gram: np.ndarray, bound: float) -> bool:
     """Whether Cholesky proves ||X||_2 < bound for every X of a ``_scaled_gram``: (bound/s)^2 I - G factors.
 
@@ -331,7 +329,7 @@ def _below(scale: np.ndarray, gram: np.ndarray, bound: float) -> bool:
     if not np.all(np.isfinite(gram)):
         return False
     with np.errstate(over="ignore"):  # s far below the bound: an infinite diagonal, which factors
-        shift = np.square(bound / np.where(scale > 0, scale, 1.0))
+        shift = np.square(bound / scale)
     i = np.arange(gram.shape[-1])
     diagonal = gram[..., i, i]
     np.negative(gram, out=gram)
@@ -358,22 +356,29 @@ def spectrum_chunks(count: int, dim: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def block_spectra(d: BlockDecomposition, solved: list[np.ndarray] | None = None) -> np.ndarray:
+def block_spectra(d: BlockDecomposition, handed: list | None = None) -> np.ndarray:
     """The eigenvalues of every block: an (number of blocks, d) array.
 
     Row i holds the eigenvalues of block ``d.index[i]``, sorted by (real,
-    imag) descending.  Each of the ``spectrum_chunks`` is one batched
-    ``np.linalg.eigvals`` call, solved here or given in row order as
-    ``solved``; eigvals solves each matrix on its own, so the joined rows are
-    bitwise one call's on the whole stack.  A real stack (symmetric-stencil tc blocks) goes to the real solver,
-    whose complex eigenvalues come in exact conjugate pairs.  Eigenvalues
-    are never taken from a mirror partner: defective clusters scatter at
-    eps^(1/p), so partners that agree to round-off can still differ visibly
-    in their computed eigenvalues.
+    imag) descending.  ``handed`` lists the ``spectrum_chunks`` in row order
+    as (rows, a worker's future of their ``np.linalg.eigvals`` or None), by
+    default all with None.  From the last chunk to the first, each one the
+    worker has not started is solved here in one batched call; then the rest
+    are joined (counts in ``d.eigvals_chunks``).  eigvals solves each matrix
+    on its own, so the rows are bitwise one call's on the whole stack.  A
+    real stack (symmetric-stencil tc blocks) goes to the real solver, whose
+    complex eigenvalues come in exact conjugate pairs.  Eigenvalues are never
+    taken from a mirror partner: defective clusters scatter at eps^(1/p), so
+    partners that agree to round-off can still differ visibly in theirs.
     """
-    if solved is None:
-        solved = [np.linalg.eigvals(d.blocks[rows]) for rows in spectrum_chunks(*d.blocks.shape[:2])]
-    return sort_eigenvalues(np.concatenate(solved))
+    if handed is None:
+        handed = [(d.blocks[rows], None) for rows in spectrum_chunks(*d.blocks.shape[:2])]
+    mine = {}  # chunk number -> its eigenvalues, solved on this thread
+    for i, (rows, future) in reversed(list(enumerate(handed))):
+        if future is None or future.cancel():  # not started by the worker
+            mine[i] = np.linalg.eigvals(rows)
+    d.eigvals_chunks = {"chunks": len(handed), "main_thread": len(mine)}
+    return sort_eigenvalues(np.concatenate([mine[i] if i in mine else f.result() for i, (_, f) in enumerate(handed)]))
 
 
 def _visit_order(d: BlockDecomposition) -> np.ndarray | None:

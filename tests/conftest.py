@@ -10,7 +10,7 @@ import pytest
 def worker_takes_every_chunk(monkeypatch):
     """Hold the main thread at each eigenvalue chunk until the worker has started it: none is taken back.
 
-    ``run_and_compare`` takes back a chunk by cancelling its future, so each
+    ``lfa.block_spectra`` takes back a chunk by cancelling its future, so each
     ``Future.cancel`` first waits (up to 30 s) for the worker to pick the
     chunk up, and then finds it running or done.
     """

@@ -8,7 +8,8 @@ bit.  ``transform_matrix`` is ``lfa.transform_vector`` as a dense matrix.
 ``asymptotic_ratio`` measures the late contraction of a trace, which the
 acceptance suite compares with the predicted spectral radius.
 ``apply_blocks`` applies every block, where the ``apply`` prediction
-multiplies only the rows of the excited harmonics.
+multiplies only the rows of the excited harmonics.  ``max_norm2`` is the
+norm kernel's largest 2-norm over a stack, without chunks.
 """
 
 import numpy as np
@@ -52,6 +53,11 @@ def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
     return np.column_stack([lfa.transform_vector(e, meta).ravel() for e in eye])
 
 
+def max_norm2(stack: np.ndarray) -> float:
+    """Largest 2-norm in a stack of real or complex matrices, by ``lfa._norms2``."""
+    return float(np.max(lfa._norms2(*lfa._scaled_gram(stack))))
+
+
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack."""
     norms = np.zeros(k_max + 1)
@@ -61,7 +67,7 @@ def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
         for k in range(1, k_max + 1):
             if k > 1:
                 power = power @ blocks
-            norms[k] = max(norms[k], lfa._max_norm2(power))
+            norms[k] = max(norms[k], max_norm2(power))
     return norms
 
 

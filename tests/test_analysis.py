@@ -316,7 +316,8 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, worker_takes_eve
         "eigvals": 3,
     } | ({"worker eigvals": 3} if spare_core else {})
     assert len(set(solved)) == len(solved) == 3
-    assert trace.eigvals_chunks == {mode: {"chunks": 1, "main_thread": 0 if spare_core else 1} for mode in cfg.blocks}
+    chunks = {mode: trace.context.decomposition(mode).eigvals_chunks for mode in cfg.blocks}
+    assert chunks == {mode: {"chunks": 1, "main_thread": 0 if spare_core else 1} for mode in cfg.blocks}
     # the aggregates the trace reports are each decomposition's own cached values
     for mode in ("tc", "c", "full"):
         d = trace.context.decomposition(mode)
@@ -400,8 +401,9 @@ def test_streamed_chunks_equal_one_batched_call(monkeypatch, kw, chunks):
     # each chunk solved exactly once, on one thread or the other
     decompositions = [trace.context.decomposition(mode) for mode in cfg.blocks]
     assert sorted(starts) == sorted(start for d in decompositions for start in _chunk_starts(d))
-    assert {mode: counts["chunks"] for mode, counts in trace.eigvals_chunks.items()} == chunks
-    assert all(0 <= counts["main_thread"] <= counts["chunks"] for counts in trace.eigvals_chunks.values())
+    counted = {mode: d.eigvals_chunks for mode, d in zip(cfg.blocks, decompositions)}
+    assert {mode: counts["chunks"] for mode, counts in counted.items()} == chunks
+    assert all(0 <= counts["main_thread"] <= counts["chunks"] for counts in counted.values())
     ctx = build_context(cfg)
     for mode in cfg.blocks:
         d = ctx.decomposition(mode)
@@ -431,7 +433,7 @@ def test_a_slow_first_chunk_leaves_the_later_ones_to_the_main_thread(monkeypatch
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     assert later_ones_solved.is_set()
     assert [t is main_thread for t in threads] == [False, True, True]
-    assert trace.eigvals_chunks == {"tc": {"chunks": 3, "main_thread": 2}}
+    assert trace.context.decomposition("tc").eigvals_chunks == {"chunks": 3, "main_thread": 2}
     d = build_context(cfg).decomposition("tc")
     assert np.array_equal(trace.context.decomposition("tc").eigenvalues, sort_eigenvalues(eigvals(d.blocks)))
     assert trace.aggregates["tc"]["rho"] == d.spectral_radius
@@ -453,7 +455,8 @@ def test_the_worker_thread_runs_no_package_code_on_multi_chunk_stacks(monkeypatc
     finally:
         threading.setprofile(None)
     assert seen == []
-    assert {mode: counts["chunks"] for mode, counts in trace.eigvals_chunks.items()} == {"tc": 3, "c": 3}
+    counted = {mode: trace.context.decomposition(mode).eigvals_chunks for mode in ("tc", "c")}
+    assert {mode: counts["chunks"] for mode, counts in counted.items()} == {"tc": 3, "c": 3}
 
 
 @pytest.mark.parametrize(

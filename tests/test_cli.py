@@ -212,6 +212,17 @@ def test_strategy4_check_rejects_a_wrong_apply_column():
                 assert not strategy4_exact(*args)
 
 
+def test_strategy4_check_compares_every_error_above_its_floor():
+    # errors between 1e-6 and 1e-3 of ||e^0|| are compared: a prediction 1e-6 off there fails the check;
+    # below the floor the same deviation is round-off of ||e^0|| and passes
+    actual = 0.4 * np.array([1.0, 1e-1, 1e-2, 1e-4, 5e-6, 1e-7, 1e-9])
+    assert strategy4_exact(actual, actual.copy())
+    for k, compared in ((3, True), (4, True), (5, False), (6, False)):
+        spoiled = actual.copy()
+        spoiled[k] *= 1 + 1e-6
+        assert strategy4_exact(actual, spoiled) is not compared
+
+
 def test_bound_chain_check_ignores_round_off_below_the_floor(tmp_path):
     # M = L = 1: Q_Delta = Q, so T = 0 in exact arithmetic and its computed norm is exactly 0,
     # while the measured error after one iteration is round-off (2.5e-18 of 0.40)
@@ -222,6 +233,33 @@ def test_bound_chain_check_ignores_round_off_below_the_floor(tmp_path):
     trace = run_and_compare(ExperimentConfig(problem="diffusion", mu=1.0, n=16, m=1, l=1))
     s3 = trace.predictions["norm-power", "tc"]
     assert np.all(s3[1:] == 0) and 0 < trace.actual_2[1] <= cli.STRATEGY4_FLOOR * trace.actual_2[0]
+
+
+@pytest.mark.parametrize("blocks", ["c,tc", "tc,c"])
+def test_bound_chain_check_reads_tc_whenever_tc_is_requested(tmp_path, blocks):
+    # here c mode's bound chain fails (its blocks assume periodicity in time) and tc's holds,
+    # whichever mode comes first
+    out = tmp_path / "out"
+    argv = ["analyze", "--problem", "diffusion", "--mu", "10", "--n", "32", "--m", "1", "--l", "4",
+            "--wavenumber", "15", "--blocks", blocks, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["checks"]["bound_chain_2norm"] is True
+    cfg = ExperimentConfig(problem="diffusion", mu=10.0, n=32, m=1, l=4, wavenumber=15, blocks=("c",))
+    trace = run_and_compare(cfg)
+    assert not bound_chain_holds(trace.actual_2, trace.predictions["norm-power", "c"], trace.predictions["norm", "c"])
+
+
+def test_analyze_of_a_nilpotent_m1_block_exits_0(tmp_path):
+    # at M = 1 the tc blocks are nilpotent to round-off (rho = 2.2e-16), so the powers B^k are subnormal
+    # from k = 10 on; a complex division by their max entry overflows into a NaN norm-power (exit 3)
+    out = tmp_path / "out"
+    argv = ["analyze", "--problem", "advection", "--coefficient", "0.000625", "--n", "16", "--m", "1", "--l", "2",
+            "--iterations", "12", "--blocks", "tc", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["checks"] == {
+        "bound_chain_2norm": True,
+        "strategy4_tc_exact": True,
+    }
 
 
 def test_bound_chain_check_rejects_a_low_prediction():
@@ -563,8 +601,15 @@ def test_verify_computes_no_dense_eigenvalues(monkeypatch, capsys):
     assert float(row.split()[-3]) <= 1e-14
 
 
-def test_verify_detects_qdelta_mutation():
-    assert main(["verify", "--scale", "small", "--flip-qdelta-sign"]) == EXIT_VERIFICATION
+@pytest.mark.parametrize("scale", ["small", "large"])
+def test_verify_detects_qdelta_mutation(monkeypatch, capsys, scale):
+    # the tc blocks built from a negated Q_Delta: check 2 alone fails, and verify exits 4
+    original = lfa.tc_decompose
+    monkeypatch.setattr(lfa, "tc_decompose", lambda setup, *a: original(replace(setup, qdelta=-setup.qdelta), *a))
+    assert main(["verify", "--scale", scale]) == EXIT_VERIFICATION
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[-1] for row in rows] == ["PASS", "FAIL", "PASS", "PASS"]
+    assert rows[1].startswith("tc blocks vs transformed T")
 
 
 def test_verify_prints_the_transfer_structure_residual_of_tampered_diagonals(monkeypatch, capsys):

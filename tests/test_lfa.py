@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -567,9 +568,18 @@ def test_stack_norm_matches_the_svd_norm(field, scale):
             stack = scale * stack
             assert np.iscomplexobj(stack) == (field == "complex")
             per_matrix = np.linalg.norm(stack, 2, axis=(-2, -1))
-            assert abs(lfa._max_norm2(stack) - per_matrix.max()) <= 1e-13 * per_matrix.max()
+            assert abs(oracles.max_norm2(stack) - per_matrix.max()) <= 1e-13 * per_matrix.max()
             for x, expected in zip(stack, per_matrix):
-                assert abs(lfa._max_norm2(x[None]) - expected) <= 1e-13 * expected
+                assert abs(oracles.max_norm2(x[None]) - expected) <= 1e-13 * expected
+
+
+def test_a_subnormal_complex_stack_has_a_finite_norm():
+    # the powers of a block nilpotent to round-off sink into subnormals; a complex division by such a
+    # max entry overflows, while the power-of-two scaling keeps the Gram finite and the norm exact
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    tiny = np.ldexp(x.view(float), -1060).view(complex)
+    assert oracles.max_norm2(tiny) == np.ldexp(oracles.max_norm2(x), -1060) > 0
 
 
 def test_matched_cluster_distance_equals_per_tolerance_recomputation():
@@ -695,6 +705,20 @@ def test_chunked_spectra_equal_one_batched_call(make, coefficient, mode, m, l, c
     d = getattr(lfa, f"{mode}_decompose")(_assemble(make(64, coefficient), m, l, 0.1, "lu"))
     assert len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == chunks
     assert np.array_equal(lfa.block_spectra(d), sort_eigenvalues(np.linalg.eigvals(d.blocks)))
+    assert d.eigvals_chunks == {"chunks": chunks, "main_thread": chunks}  # no futures: every chunk solved here
+
+
+def test_block_spectra_solves_the_chunks_the_worker_has_not_started_and_joins_the_rest():
+    # three chunks: one the worker has solved, one still queued (cancelled and solved here), one never handed over
+    d = lfa.tc_decompose(_assemble(make_diffusion(64, 0.05), 3, 16, 0.1, "lu"))
+    rows = [d.blocks[chunk] for chunk in lfa.spectrum_chunks(*d.blocks.shape[:2])]
+    done, queued = Future(), Future()
+    done.set_result(np.linalg.eigvals(rows[0]))
+    queued.result = lambda timeout=None: pytest.fail("the queued chunk was waited for, not taken back")
+    assert np.array_equal(lfa.block_spectra(d, [(rows[0], done), (rows[1], queued), (rows[2], None)]),
+                          sort_eigenvalues(np.linalg.eigvals(d.blocks)))
+    assert queued.cancelled()
+    assert d.eigvals_chunks == {"chunks": 3, "main_thread": 2}
 
 
 @pytest.mark.parametrize("mode", ["tc", "c"])

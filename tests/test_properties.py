@@ -7,7 +7,9 @@ advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
 complex stacks, phase detection on error histories whose log10 is
 piecewise linear, exact or noisy.  The tc bound chain
-||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0|| holds on every draw.
+||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0|| holds on every draw, and on
+M = 1 advection at K = 20, whose block powers underflow, every prediction
+is finite and every tc check holds.
 ``analyze`` runs on wide draws (n up to 34, dt and mu or c over many
 decades) exactly what ``ExperimentConfig`` accepts, and ends every argv of
 valid and invalid flag values with an exit code, never a traceback.  The
@@ -124,6 +126,16 @@ def test_tc_apply_reproduces_the_run(cfg):
 def test_tc_bound_chain_holds(cfg):
     # ||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0||; at M = L = 1 the error is round-off and T computes to 0
     trace = run_and_compare(replace(cfg, strategies=("norm", "norm-power")))
+    assert bound_chain_holds(trace.actual_2, trace.predictions["norm-power", "tc"], trace.predictions["norm", "tc"])
+
+
+@PROPERTY
+@given(configs(iterations=20, ms=(1,), problems=("advection",)))
+def test_m1_advection_predictions_stay_finite_and_every_tc_check_holds(cfg):
+    # at M = 1 the tc blocks are nilpotent to round-off, so B^k sinks into subnormals at k = 10-20
+    trace = run_and_compare(cfg)
+    assert all(np.all(np.isfinite(values)) for values in trace.predictions.values())
+    assert strategy4_exact(trace.actual_2, trace.predictions["apply", "tc"])
     assert bound_chain_holds(trace.actual_2, trace.predictions["norm-power", "tc"], trace.predictions["norm", "tc"])
 
 
