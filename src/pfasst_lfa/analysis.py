@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .collocation import CollocationProblem, spread_initial
 from .errors import ConfigurationError
+from .linalg import norm2
 from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
 from .solvers import TwoLevelSetup, pfasst_run_algorithmic
@@ -145,23 +146,15 @@ class ExperimentContext:
     setup: TwoLevelSetup
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def decomposition(self, block_mode: str, on_chunk=None) -> lfa.BlockDecomposition:
-        """The block decomposition of one mode, built once.
+    def decomposition(self, block_mode: str, worker=None) -> lfa.BlockDecomposition:
+        """The block decomposition of one mode, built once by ``lfa.<mode>_decompose``.
 
         "tc" and "c" are the Fourier block families; "full" is the iteration
         matrix itself, one block in the identity basis.  A call that builds
-        it hands each of its ``lfa.spectrum_chunks`` to ``on_chunk``, if given.
+        it hands its eigenvalue chunks to ``worker``, an executor, if given.
         """
-        if block_mode not in self._blocks:
-            if block_mode == "tc":
-                self._blocks[block_mode] = lfa.tc_decompose(self.setup, on_chunk)
-            elif block_mode == "c":
-                self._blocks[block_mode] = lfa.c_decompose(self.setup, on_chunk)
-            else:
-                meta = lfa.TransformMeta("full", self.cfg.n, self.cfg.l, self.cfg.m)
-                self._blocks[block_mode] = lfa.BlockDecomposition(self.setup.iteration_matrix[None], meta)
-                if on_chunk:
-                    on_chunk(self._blocks[block_mode].blocks)  # one block: one chunk
+        if block_mode not in self._blocks:  # the builder is looked up on the module at call time
+            self._blocks[block_mode] = getattr(lfa, f"{block_mode}_decompose")(self.setup, worker)
         return self._blocks[block_mode]
 
     @cached_property
@@ -247,7 +240,7 @@ def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarra
     d = ctx.decomposition(block_mode)
     k_max = ctx.cfg.iterations
     e0 = ctx.initial_error
-    e0_norm = float(np.linalg.norm(e0))
+    e0_norm = norm2(e0)
     values = np.empty(k_max + 1)
     values[0] = e0_norm
 
@@ -266,7 +259,7 @@ def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarra
         for k in range(1, k_max + 1):
             ehat = np.matmul(blocks, ehat[:, :, None])[:, :, 0]
             padded[rows] = ehat
-            values[k] = float(np.linalg.norm(padded))
+            values[k] = norm2(padded)
     return values
 
 
@@ -404,44 +397,34 @@ def _spare_core() -> bool:
 def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     """Run algorithmic PFASST and attach the predictions of every strategy and block mode of ``cfg``.
 
-    The block eigenvalues are solved in the row chunks of
-    ``lfa.spectrum_chunks``.  Given a :func:`_spare_core`, each chunk goes to
-    a worker thread's ``np.linalg.eigvals`` (LAPACK releases the GIL) as
-    soon as its blocks are built, while this thread builds the rest, runs
-    PFASST and takes the 2-norms.  Then ``lfa.block_spectra`` walks each
-    mode's chunks, the last mode first, solving here each one the worker
-    has not started; without a spare core it solves every chunk here.  The
-    worker makes only the eigvals call, so every function of this package
-    runs on this thread and every result is that of a serial run.
+    Given a :func:`_spare_core`, the decompositions hand their eigenvalue
+    chunks to a worker thread as they are built; ``rho`` is predicted last,
+    after the join.  The worker makes only the eigvals call, so every result
+    is that of a serial run.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import time: the CLI's cold start skips it
 
     ctx = build_context(cfg)
     requested = [(strategy, mode) for mode in cfg.blocks for strategy in cfg.strategies]
-    spare = _spare_core()
-    handed = {mode: [] for mode in cfg.blocks}  # each mode's chunks: (rows, the worker's future or None)
-    with ThreadPoolExecutor(1) as worker:
-
-        def hand(mode, rows):
-            handed[mode].append((rows, worker.submit(np.linalg.eigvals, rows) if spare else None))
-
+    with ThreadPoolExecutor(1) as pool:
+        worker = pool if _spare_core() else None
         try:
-            decompositions = {mode: ctx.decomposition(mode, partial(hand, mode)) for mode in cfg.blocks}
+            decompositions = {mode: ctx.decomposition(mode, worker) for mode in cfg.blocks}
             u_ex = ctx.trajectory
             e0 = ctx.initial_error
             # the propagated error (zero rhs) and the manufactured run, stacked into one run
             rhs = np.stack([np.zeros_like(e0), manufactured_rhs(ctx).ravel()])
             trace = pfasst_run_algorithmic(ctx.setup, rhs, np.stack([e0, ctx.initial_iterate]), cfg.iterations)
             actual_inf = np.array([np.max(np.abs(e)) for e, _ in trace])
-            actual_2 = np.array([np.linalg.norm(e) for e, _ in trace])
-            u_run_2 = np.array([np.linalg.norm(u - u_ex) for _, u in trace])
+            actual_2 = np.array([norm2(e) for e, _ in trace])
+            u_run_2 = np.array([norm2(u - u_ex) for _, u in trace])
             # rho reads the spectra; it waits for the join below
             predictions = {key: predict(ctx, *key) for key in requested if key[0] != "rho"}
             norms = {mode: d.norm for mode, d in decompositions.items()}
-            for mode, d in reversed(decompositions.items()):  # the worker takes the chunks in build order
-                d.eigenvalues = lfa.block_spectra(d, handed[mode])  # fills the cached property
+            for d in reversed(decompositions.values()):  # the worker takes the chunks in build order
+                d.eigenvalues  # the join
         except BaseException:  # the first error raised here, the worker's LinAlgError too, is the one reported
-            worker.shutdown(cancel_futures=True)  # the queued solves do not run first
+            pool.shutdown(cancel_futures=True)  # the queued solves do not run first
             raise
 
     predictions = {key: predictions[key] if key in predictions else predict(ctx, *key) for key in requested}

@@ -8,14 +8,15 @@ Two subcommands:
   verify    run the cross-module equivalence suite and print a check table
 
 Exit codes: 0 success, 2 usage error (every refused input, before any work),
-3 numerical failure, 4 verification failure (verify, or an analyze --blocks
-tc,full whose tc blocks differ from the iteration matrix; it writes its
-artifacts first).  CSV files use a decimal point, scientific notation with
-17 significant digits, LF line endings and a leading header row; identical
-configurations at the same BLAS thread count produce byte-identical CSV
-files and report.json, whatever the number of cores (timings.json holds the
-only run-dependent values).  Another BLAS thread count can change the last
-digits: LAPACK's results depend on how its work is split.
+3 numerical failure, 4 verification failure (verify, or an analyze with a
+false tc-mode check or, under --blocks tc,full, tc blocks that differ from
+the iteration matrix; it writes its artifacts first).  CSV files use a
+decimal point, scientific notation with 17 significant digits, LF line
+endings and a leading header row; identical configurations at the same
+BLAS thread count produce byte-identical CSV files and report.json,
+whatever the number of cores (timings.json holds the only run-dependent
+values).  Another BLAS thread count can change the last digits: LAPACK's
+results depend on how its work is split.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def cmd_analyze(args, parser) -> int:
     for name, values in columns.items():
         if not np.all(np.isfinite(values)):
             k = int(np.argmin(np.isfinite(values)))
-            raise RangeError(f"{name} is not finite from iteration {k}: the run overflows double precision")
+            kind = "run" if name.startswith("actual") else "prediction"
+            raise RangeError(f"{name} is not finite from iteration {k}: the {kind} overflows double precision")
 
     out.mkdir(parents=True, exist_ok=True)
 
@@ -215,11 +217,14 @@ def cmd_analyze(args, parser) -> int:
     chunks = {mode: trace.context.decomposition(mode).eigvals_chunks for mode in cfg.blocks}
     work = {"wall_time_seconds": timings, "norm_grams": grams, "eigvals_chunks": chunks}
     _write_json(out / "timings.json", work)
+    # a false tc-mode check fails the analysis; a bound chain taken in c or full mode is only reported
+    failed = [f"{name} is false" for name, value in checks.items() if value is False and chain == "tc"]
     residual = checks.get("tc_similarity_residual", 0.0)
     if not residual <= TC_SIMILARITY_TOL:
-        print(f"error: tc similarity residual {residual:.3e} > {TC_SIMILARITY_TOL:.0e}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        failed.append(f"tc similarity residual {residual:.3e} > {TC_SIMILARITY_TOL:.0e}")
+    for failure in failed:
+        print(f"error: {failure}", file=sys.stderr)
+    return EXIT_VERIFICATION if failed else EXIT_OK
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -260,15 +265,8 @@ def _verify_checks(scale: str):
     k0_dev = max(abs(pair_vals[0] - 0.0), abs(pair_vals[1] - np.sqrt(2.0)))
     yield "transfer transform structure", max(transfer_structure_residual(pair, diags), k0_dev), 1e-12
 
-    # 4: restriction condition holds exactly, violations are detected
-    ok, violation = check_restriction_condition(pair, m)
-    res = float(np.max(np.abs(violation))) if not ok else 0.0
-    broken = np.eye(m)
-    broken[0, 0] = 0.5
-    ok_broken, _ = check_restriction_condition(pair, m, temporal_restriction=broken)
-    if ok_broken:
-        res = float("inf")
-    yield "restriction condition", res, 0.0
+    # 4: the restriction condition holds exactly (a broken temporal restriction is a tier-1 test)
+    yield "restriction condition", float(np.max(np.abs(check_restriction_condition(pair, m)[1]))), 0.0
 
 
 def cmd_verify(args) -> int:

@@ -108,6 +108,8 @@ class BlockDecomposition:
     grams: dict = field(default_factory=lambda: {"solved": 0, "certified": 0}, init=False, repr=False, compare=False)
     # the eigenvalue chunks of the last ``block_spectra`` call, and how many of them the calling thread solved
     eigvals_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the ``spectrum_chunks`` handed to a worker as they were built: (rows, the future of their eigvals)
+    handed: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def index(self) -> np.ndarray:
@@ -209,11 +211,8 @@ def _pair_blocks(setup: TwoLevelSetup, shift: np.ndarray):
     return blocks
 
 
-def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray, on_chunk=None) -> BlockDecomposition:
-    """Blocks of every harmonic pair; the last len(shift) blocks of each pair are built, the rest stay 0.
-
-    ``on_chunk``, if given, gets each ``spectrum_chunks`` view once its pairs are built.
-    """
+def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray, worker=None) -> BlockDecomposition:
+    """Every pair's blocks, its last len(shift) built, the rest 0; each eigvals chunk goes to ``worker`` once built."""
     n = setup.fine.n_space
     meta = TransformMeta(mode=mode, n=n, l=setup.l, m=setup.m_nodes)
     # symmetric stencils on both levels make every lambda_k real
@@ -223,21 +222,23 @@ def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray, on_chunk=None
     # a real tc stack keeps each pair's real part as it is built: no complex stack is ever held
     real = symmetric and mode == "tc"
     blocks = np.zeros((n // 2 * per, meta.block_dim, meta.block_dim), dtype=float if real else complex)
-    chunks = spectrum_chunks(len(blocks), meta.block_dim)
+    d = BlockDecomposition(blocks, meta, conjugate_symmetric=symmetric)
+    chunks = spectrum_chunks(len(blocks), meta.block_dim) if worker else []
     for k in range(n // 2):
         pair = pair_blocks(k)
         blocks[(k + 1) * per - built : (k + 1) * per] = pair.real if real else pair
-        while on_chunk and chunks and chunks[0].stop <= (k + 1) * per:
-            on_chunk(blocks[chunks.pop(0)])
-    return BlockDecomposition(blocks, meta, conjugate_symmetric=symmetric)
+        while chunks and chunks[0].stop <= (k + 1) * per:
+            rows = blocks[chunks.pop(0)]
+            d.handed.append((rows, worker.submit(np.linalg.eigvals, rows)))
+    return d
 
 
-def tc_decompose(setup: TwoLevelSetup, on_chunk=None) -> BlockDecomposition:
+def tc_decompose(setup: TwoLevelSetup, worker=None) -> BlockDecomposition:
     """N/2 time-collocation blocks of size 2LM; an exact similarity transform; float64 with symmetric stencils."""
-    return _decompose(setup, "tc", np.eye(setup.l, k=-1)[None], on_chunk)
+    return _decompose(setup, "tc", np.eye(setup.l, k=-1)[None], worker)
 
 
-def c_decompose(setup: TwoLevelSetup, on_chunk=None) -> BlockDecomposition:
+def c_decompose(setup: TwoLevelSetup, worker=None) -> BlockDecomposition:
     """N/2 * L collocation blocks of size 2M, assuming periodicity in time.
 
     Time frequency j = 0 belongs to constant-in-time modes whose coarse
@@ -249,7 +250,16 @@ def c_decompose(setup: TwoLevelSetup, on_chunk=None) -> BlockDecomposition:
     # each phase factor from a scalar exp: an array exp may round differently,
     # and a block must not depend on how many time frequencies share its batch
     phases = np.array([np.exp(-2j * np.pi * j / l) for j in range(1, l)], dtype=complex)
-    return _decompose(setup, "c", phases.reshape(-1, 1, 1), on_chunk)
+    return _decompose(setup, "c", phases.reshape(-1, 1, 1), worker)
+
+
+def full_decompose(setup: TwoLevelSetup, worker=None) -> BlockDecomposition:
+    """The iteration matrix T itself, one block in the identity basis; one eigenvalue chunk."""
+    meta = TransformMeta("full", setup.fine.n_space, setup.l, setup.m_nodes)
+    d = BlockDecomposition(setup.iteration_matrix[None], meta)
+    if worker:
+        d.handed.append((d.blocks, worker.submit(np.linalg.eigvals, d.blocks)))
+    return d
 
 
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
@@ -356,23 +366,21 @@ def spectrum_chunks(count: int, dim: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def block_spectra(d: BlockDecomposition, handed: list | None = None) -> np.ndarray:
+def block_spectra(d: BlockDecomposition) -> np.ndarray:
     """The eigenvalues of every block: an (number of blocks, d) array.
 
     Row i holds the eigenvalues of block ``d.index[i]``, sorted by (real,
-    imag) descending.  ``handed`` lists the ``spectrum_chunks`` in row order
-    as (rows, a worker's future of their ``np.linalg.eigvals`` or None), by
-    default all with None.  From the last chunk to the first, each one the
-    worker has not started is solved here in one batched call; then the rest
-    are joined (counts in ``d.eigvals_chunks``).  eigvals solves each matrix
-    on its own, so the rows are bitwise one call's on the whole stack.  A
-    real stack (symmetric-stencil tc blocks) goes to the real solver, whose
+    imag) descending.  From the last of the chunks, ``d.handed`` (else the
+    ``spectrum_chunks``, with no future), to the first, each one the worker
+    has not started is solved here in one batched call; then the rest are
+    joined (counts in ``d.eigvals_chunks``).  eigvals solves each matrix on
+    its own, so the rows are bitwise one call's on the whole stack.  A real
+    stack (symmetric-stencil tc blocks) goes to the real solver, whose
     complex eigenvalues come in exact conjugate pairs.  Eigenvalues are never
     taken from a mirror partner: defective clusters scatter at eps^(1/p), so
     partners that agree to round-off can still differ visibly in theirs.
     """
-    if handed is None:
-        handed = [(d.blocks[rows], None) for rows in spectrum_chunks(*d.blocks.shape[:2])]
+    handed = d.handed or [(d.blocks[rows], None) for rows in spectrum_chunks(*d.blocks.shape[:2])]
     mine = {}  # chunk number -> its eigenvalues, solved on this thread
     for i, (rows, future) in reversed(list(enumerate(handed))):
         if future is None or future.cancel():  # not started by the worker

@@ -1,8 +1,8 @@
-"""Eigenvalue ordering and the unitary Fourier matrix shared by the other modules.
+"""Eigenvalue ordering, the scaled vector norm and the unitary Fourier matrix shared by the other modules.
 
 Matrices are plain ``numpy.ndarray`` objects (2-d, complex or real).  The
-helpers here fix the eigenvalue ordering and the Fourier convention the
-rest of the package relies on.
+helpers here fix the eigenvalue ordering, the vector 2-norm and the Fourier
+convention the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -15,6 +15,13 @@ def sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals, dtype=complex)
     order = np.lexsort((-vals.imag, -vals.real), axis=-1)
     return np.take_along_axis(vals, order, axis=-1)
+
+
+def norm2(x: np.ndarray) -> float:
+    """||x||_2 (Frobenius for a matrix) as 2^e ||x/2^e||, e the ``np.frexp`` exponent of max|x|: no square underflow."""
+    x = np.ravel(x, order="K")  # contiguous, with the entries in the order np.linalg.norm sums them
+    _, e = np.frexp(np.max(np.abs(x)))  # a power of two is exact; np.ldexp on the float view divides nothing
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x.view(float), -e).view(x.dtype)), e))
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,20 @@ def test_the_worker_thread_runs_no_package_code_on_multi_chunk_stacks(monkeypatc
     assert seen == []
     counted = {mode: trace.context.decomposition(mode).eigvals_chunks for mode in ("tc", "c")}
     assert {mode: counts["chunks"] for mode, counts in counted.items()} == {"tc": 3, "c": 3}
+
+
+def test_an_early_spectrum_read_is_the_join(monkeypatch):
+    # reading the spectral radius right after the build solves each chunk once, on one thread or the other
+    eigvals, threads = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: threads.append(threading.current_thread()) or eigvals(a))
+    ctx = build_context(_multi_chunk_cfg(n=64, l=16, blocks=("tc",)))
+    with ThreadPoolExecutor(1) as worker:
+        d = ctx.decomposition("tc", worker)
+        rho = d.spectral_radius
+    assert len(threads) == len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == d.eigvals_chunks["chunks"] == 3
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    serial = build_context(ctx.cfg).decomposition("tc")
+    assert rho == serial.spectral_radius and np.array_equal(d.eigenvalues, serial.eigenvalues)
 
 
 @pytest.mark.parametrize(

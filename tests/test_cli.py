@@ -262,6 +262,38 @@ def test_analyze_of_a_nilpotent_m1_block_exits_0(tmp_path):
     }
 
 
+def test_the_2_norms_of_an_error_below_1e_154_are_not_zero():
+    # the M = 1 repro's error is 3.5e-164 (max-norm) at k = 11 and 3.9e-180 at k = 12; unscaled squares
+    # underflow to a 2-norm of 0 there, below the max-norm, which no 2-norm of the same vector can be
+    cfg = ExperimentConfig(problem="advection", coefficient=0.000625, n=16, m=1, l=2, iterations=12)
+    trace = run_and_compare(cfg)
+    assert 0.0 < trace.actual_inf[12] < 1e-179
+    assert np.all(trace.actual_2 >= trace.actual_inf) and np.all(trace.u_run_2 > 0.0)
+    assert np.all(trace.predictions["apply", "tc"] > 0.0)
+
+
+@pytest.mark.parametrize("check", ["strategy4_tc_exact", "bound_chain_2norm"])
+def test_analyze_exits_4_after_writing_artifacts_on_a_false_tc_check(tmp_path, monkeypatch, capsys, check):
+    function = "strategy4_exact" if check == "strategy4_tc_exact" else "bound_chain_holds"
+    monkeypatch.setattr(cli, function, lambda *columns: False)
+    out = _analyze(tmp_path, code=EXIT_VERIFICATION)
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert checks[check] is False and all(value is True for name, value in checks.items() if name != check)
+    assert {"trace.csv", "spectrum.csv", "timings.json"} <= {p.name for p in out.iterdir()}
+    assert capsys.readouterr().err == f"error: {check} is false\n"
+
+
+def test_a_false_c_mode_bound_chain_is_only_reported(tmp_path, monkeypatch):
+    # c's blocks assume periodicity in time; its bound chain fails here, and tc is not requested
+    argv = ["analyze", "--problem", "diffusion", "--mu", "10", "--n", "32", "--m", "1", "--l", "4",
+            "--wavenumber", "15", "--blocks", "c", "--out", str(tmp_path / "c")]
+    assert main(argv) == EXIT_OK
+    assert json.loads((tmp_path / "c" / "report.json").read_text())["checks"]["bound_chain_2norm"] is False
+    monkeypatch.setattr(cli, "bound_chain_holds", lambda *columns: False)
+    for blocks in ("c", "full"):
+        _analyze(tmp_path / blocks, "--blocks", blocks)
+
+
 def test_bound_chain_check_rejects_a_low_prediction():
     cfg = ExperimentConfig(
         problem="advection", coefficient=0.02, n=32, m=3, l=4, iterations=12, strategies=("norm", "norm-power")
@@ -286,7 +318,22 @@ def test_analyze_refuses_non_finite_results(tmp_path, capsys):
     argv = ["analyze", "--problem", "diffusion", "--mu", "1e300", "--n", "16", "--m", "3", "--l", "2",
             "--iterations", "3", "--out", str(out)]
     assert main(argv) == EXIT_NUMERICAL
-    assert "actual_inf is not finite from iteration 1" in capsys.readouterr().err
+    assert "actual_inf is not finite from iteration 1: the run overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_names_a_non_finite_prediction(tmp_path, capsys, monkeypatch):
+    original = analysis.predict
+
+    def overflowing(ctx, strategy, mode):
+        values = original(ctx, strategy, mode)
+        if strategy == "norm":
+            values[2:] = np.inf
+        return values
+
+    monkeypatch.setattr(analysis, "predict", overflowing)
+    out = _analyze(tmp_path, code=EXIT_NUMERICAL)
+    assert "pred_norm_tc is not finite from iteration 2: the prediction overflows" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -715,23 +715,50 @@ def test_block_spectra_solves_the_chunks_the_worker_has_not_started_and_joins_th
     done, queued = Future(), Future()
     done.set_result(np.linalg.eigvals(rows[0]))
     queued.result = lambda timeout=None: pytest.fail("the queued chunk was waited for, not taken back")
-    assert np.array_equal(lfa.block_spectra(d, [(rows[0], done), (rows[1], queued), (rows[2], None)]),
-                          sort_eigenvalues(np.linalg.eigvals(d.blocks)))
+    d.handed = [(rows[0], done), (rows[1], queued), (rows[2], None)]
+    assert np.array_equal(lfa.block_spectra(d), sort_eigenvalues(np.linalg.eigvals(d.blocks)))
     assert queued.cancelled()
     assert d.eigvals_chunks == {"chunks": 3, "main_thread": 2}
+
+
+class _RecordingWorker:
+    """An executor stub: each submitted call is recorded with a copy of its argument, and returns a fresh future."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, rows):
+        self.submitted.append((fn, rows, rows.copy(), Future()))
+        return self.submitted[-1][-1]
 
 
 @pytest.mark.parametrize("mode", ["tc", "c"])
 def test_decompose_hands_over_each_chunk_once_it_is_built(mode):
     # the views come in row order, and each already holds its final blocks
     setup = _assemble(make_advection(64, 0.02), 3, 16, 0.1, "lu")
-    handed = []
-    d = getattr(lfa, f"{mode}_decompose")(setup, lambda rows: handed.append((rows, rows.copy())))
+    worker = _RecordingWorker()
+    d = getattr(lfa, f"{mode}_decompose")(setup, worker)
     chunks = lfa.spectrum_chunks(*d.blocks.shape[:2])
-    assert len(handed) == len(chunks) == 3
-    for (rows, copy), chunk in zip(handed, chunks):
+    assert len(worker.submitted) == len(chunks) == 3
+    assert [(rows, future) for _, rows, _, future in worker.submitted] == d.handed
+    for (fn, rows, copy, _), chunk in zip(worker.submitted, chunks):
+        assert fn is np.linalg.eigvals
         assert rows.base is d.blocks and rows.shape == d.blocks[chunk].shape
         assert np.shares_memory(rows, d.blocks[chunk]) and np.array_equal(copy, d.blocks[chunk])
+
+
+def test_full_decompose_holds_the_iteration_matrix_as_its_one_block():
+    setup = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")
+    d = lfa.full_decompose(setup)
+    assert d.meta == lfa.TransformMeta("full", 16, 2, 3) and d.handed == []
+    t = setup.iteration_matrix
+    assert d.blocks.shape == (1, *t.shape) and np.shares_memory(d.blocks, t) and np.array_equal(d.blocks[0], t)
+    # given a worker, the one block is the one eigenvalue chunk
+    worker = _RecordingWorker()
+    d = lfa.full_decompose(setup, worker)
+    assert len(worker.submitted) == len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == 1
+    fn, rows, _, future = worker.submitted[0]
+    assert fn is np.linalg.eigvals and rows is d.blocks and d.handed == [(rows, future)]
 
 
 def test_certified_norms_follow_the_moving_arg_max():

@@ -5,7 +5,7 @@ import pytest
 
 from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import dft_matrix, sort_eigenvalues
+from pfasst_lfa.linalg import dft_matrix, norm2, sort_eigenvalues
 
 
 def test_dft_matrix_is_unitary():
@@ -45,3 +45,21 @@ def test_sort_eigenvalues_sorts_each_row_of_a_stack():
     got = sort_eigenvalues(stack)
     for row, vals in zip(got, stack):
         np.testing.assert_array_equal(row, sort_eigenvalues(vals))
+
+
+def test_norm2_is_np_linalg_norm_bit_for_bit_in_range():
+    # scaling by a power of two is exact: away from under- and overflow the bits are np.linalg.norm's
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal(97), rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))):
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            assert norm2(scale * x) == np.linalg.norm(scale * x)
+    assert norm2(np.zeros(4)) == 0.0
+
+
+def test_norm2_of_entries_whose_squares_underflow():
+    # 3e-170 and 4e-170 square to 0: np.linalg.norm reads 0, the scaled norm 5e-170
+    x = np.array([3e-170, 4e-170])
+    assert np.linalg.norm(x) == 0.0
+    assert norm2(x) == pytest.approx(5e-170, rel=1e-15)
+    assert norm2(x * (1 + 1j)) == pytest.approx(5e-170 * np.sqrt(2), rel=1e-15)
+    assert norm2(np.array([5e-324, 0.0])) == 5e-324  # a subnormal max

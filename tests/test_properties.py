@@ -7,9 +7,9 @@ advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
 complex stacks, phase detection on error histories whose log10 is
 piecewise linear, exact or noisy.  The tc bound chain
-||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0|| holds on every draw, and on
-M = 1 advection at K = 20, whose block powers underflow, every prediction
-is finite and every tc check holds.
+||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0|| holds on every draw, and at
+K = 20, where the block powers of M = 1 advection underflow, ``analyze``
+exits 0 with every tc check true.
 ``analyze`` runs on wide draws (n up to 34, dt and mu or c over many
 decades) exactly what ``ExperimentConfig`` accepts, and ends every argv of
 valid and invalid flag values with an exit code, never a traceback.  The
@@ -18,9 +18,12 @@ draws are derandomized, so every run of the suite checks the same examples.
 
 import contextlib
 import io
+import json
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pfasst_lfa import lfa
+from pfasst_lfa import cli, lfa
 from pfasst_lfa.analysis import STRATEGIES, ExperimentConfig, build_context, detect_phases, run_and_compare
 from pfasst_lfa.cli import (
     EXIT_NUMERICAL,
@@ -129,14 +132,24 @@ def test_tc_bound_chain_holds(cfg):
     assert bound_chain_holds(trace.actual_2, trace.predictions["norm-power", "tc"], trace.predictions["norm", "tc"])
 
 
-@PROPERTY
-@given(configs(iterations=20, ms=(1,), problems=("advection",)))
-def test_m1_advection_predictions_stay_finite_and_every_tc_check_holds(cfg):
+def _run_and_compare_of_kind(qdelta_kind, cfg):
+    """``run_and_compare`` with the given Q_Delta kind: the CLI has no flag for it."""
+    assert cfg.qdelta_kind is None
+    return run_and_compare(replace(cfg, qdelta_kind=qdelta_kind))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(configs(iterations=20))
+def test_analyze_exits_0_with_every_tc_check_true(cfg):
     # at M = 1 the tc blocks are nilpotent to round-off, so B^k sinks into subnormals at k = 10-20
-    trace = run_and_compare(cfg)
-    assert all(np.all(np.isfinite(values)) for values in trace.predictions.values())
-    assert strategy4_exact(trace.actual_2, trace.predictions["apply", "tc"])
-    assert bound_chain_holds(trace.actual_2, trace.predictions["norm-power", "tc"], trace.predictions["norm", "tc"])
+    argv = [f"--problem={cfg.problem}", f"--n={cfg.n}", f"--m={cfg.m}", f"--l={cfg.l}", f"--dt={cfg.dt!r}",
+            f"--wavenumber={cfg.wavenumber}", f"--iterations={cfg.iterations}"]
+    argv.append(f"--mu={cfg.mu!r}" if cfg.problem == "diffusion" else f"--coefficient={cfg.coefficient!r}")
+    analyze = partial(_run_and_compare_of_kind, cfg.qdelta_kind)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "run_and_compare", analyze):
+        assert main(["analyze", *argv, "--out", tmp]) == EXIT_OK
+        checks = json.loads((Path(tmp) / "report.json").read_text())["checks"]
+    assert checks == {"bound_chain_2norm": True, "strategy4_tc_exact": True}
 
 
 @PROPERTY
