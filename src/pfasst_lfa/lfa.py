@@ -104,8 +104,10 @@ class BlockDecomposition:
     meta: TransformMeta
     conjugate_symmetric: bool = False
 
-    # the Gram matrices of the norm kernel, by outcome: "solved" (eigvalsh) or "certified" (Cholesky)
-    grams: dict = field(default_factory=lambda: {"solved": 0, "certified": 0}, init=False, repr=False, compare=False)
+    # the norm kernel's (chunk, k) passes: an eigvalsh ran ("solved"), else Cholesky ("certified"), else "bounded"
+    grams: dict = field(
+        default_factory=lambda: {"solved": 0, "certified": 0, "bounded": 0}, init=False, repr=False, compare=False
+    )
     # the eigenvalue chunks of the last ``block_spectra`` call, and how many of them the calling thread solved
     eigvals_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the ``spectrum_chunks`` handed to a worker as they were built: (rows, the future of their eigvals)
@@ -139,7 +141,7 @@ class BlockDecomposition:
     @cached_property
     def block_norms(self) -> np.ndarray:
         """||B||_2 of each block of ``norm_chunks()``, in its order; computed once."""
-        norms = [_norms2(*_scaled_gram(chunk)) for chunk in self.norm_chunks()]
+        norms = [_norms2(scale, _gram(x)) for scale, x in map(_scaled, self.norm_chunks())]
         self.grams["solved"] += len(norms)
         return np.concatenate(norms)
 
@@ -307,16 +309,20 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
     return worst / max(float(np.max(np.abs(t))), 1.0)
 
 
-def _scaled_gram(stack: np.ndarray):
-    """(s, G) of a stack of matrices X: s = 2^e, e the ``np.frexp`` exponent of max|X|, and G = (X/s)^H (X/s) each."""
+def _scaled(stack: np.ndarray):
+    """(s, X/s) of a stack of matrices X: s = 2^e, e the ``np.frexp`` exponent of max|X|, each."""
     _, e = np.frexp(np.max(np.abs(stack), axis=(-2, -1)))
     # ldexp on the float view, no division: a complex division by a subnormal max|X| (B^k, B nilpotent) overflows
-    x = np.ldexp(stack.view(float), -e[..., None, None]).view(stack.dtype)
-    return np.ldexp(1.0, e), np.swapaxes(x, -2, -1).conj() @ x
+    return np.ldexp(1.0, e), np.ldexp(stack.view(float), -e[..., None, None]).view(stack.dtype)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """G = X^H X of each matrix of a stack."""
+    return np.swapaxes(x, -2, -1).conj() @ x
 
 
 def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, from its ``_scaled_gram``; NaN where G is not finite.
+    """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, G the ``_gram`` of its ``_scaled``; NaN where G is not finite.
 
     The scaling keeps the squares clear of over- and underflow; the relative
     error is about d*eps for d columns.  The batched Hermitian eigensolver
@@ -330,7 +336,7 @@ def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def _below(scale: np.ndarray, gram: np.ndarray, bound: float) -> bool:
-    """Whether Cholesky proves ||X||_2 < bound for every X of a ``_scaled_gram``: (bound/s)^2 I - G factors.
+    """Whether Cholesky proves ||X||_2 < bound for each X of a stack, from its s and G: (bound/s)^2 I - G factors.
 
     That matrix is formed in G's buffer, which is restored bit for bit if it
     does not factor.  A non-finite G is never tried: OpenBLAS's Cholesky
@@ -415,8 +421,9 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
     once, in the field of the stack (real for symmetric-stencil tc
     blocks); no power outlives its chunk.  The chunks come in
-    ``_visit_order``; a later chunk's Gram is solved only where ``_below``
-    cannot prove its blocks below the running max times 1 - delta.
+    ``_visit_order``.  A block with ||B^k||_F below the running max times 1 - delta
+    is settled without a Gram (a first chunk's largest-||B^k||_F block is solved
+    alone, for a max); the rest are solved only where ``_below`` fails on them.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
@@ -426,11 +433,29 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
         power = blocks
         for k in range(2, k_max + 1):
             power = power @ blocks
-            scale, gram = _scaled_gram(power)
-            if i and _below(scale, gram, norms[k] * (1 - NORM_CERTIFICATE_DELTA)):
-                d.grams["certified"] += 1
-            else:
-                d.grams["solved"] += 1
-                norms[k] = np.maximum(norms[k], np.max(_norms2(scale, gram)))  # a NaN norm stays NaN
-            del gram  # not held through the next product
+            scale, x = _scaled(power)
+            outcome, left = "bounded", np.arange(len(x))
+            if has_max := i or len(x) > 1:  # a one-block first chunk (full mode) has no running max, nor a lone block
+                frob = np.einsum("...ij,...ij->...", x.view(float), x.view(float))  # ||X/s||_F^2 <= d^2: no overflow
+                # s sqrt(frob) = ||X||_F overflows only near max float, and a subnormal s overflows the bound to inf
+                with np.errstate(over="ignore"):
+                    if not i:  # no running max yet: the block of the largest ||B^k||_F is solved alone first
+                        lone = np.argmax(np.sqrt(frob) * scale)
+                        norms[k] = _norms2(scale[lone, None], _gram(x[lone, None]))[0]
+                        outcome, left = "solved", np.delete(left, lone)
+                    # as in ``_below``, a settled norm would be below bound (1 + O(d^2 eps)) < m_k; inf or NaN never is
+                    bound = norms[k] * (1 - NORM_CERTIFICATE_DELTA)
+                    left = left[~(frob[left] < np.square(bound / scale[left]))]
+            if len(left) < len(x):
+                scale, x = scale[left], x[left]  # one indexed copy; the chunk's scaled stack is freed
+            if len(left):
+                gram = _gram(x)
+                del x  # not held through eigvalsh
+                if has_max and _below(scale, gram, bound):
+                    outcome = "certified" if outcome == "bounded" else outcome
+                else:
+                    outcome = "solved"
+                    norms[k] = np.maximum(norms[k], np.max(_norms2(scale, gram)))  # a NaN norm stays NaN
+                del gram  # not held through the next product
+            d.grams[outcome] += 1
     return norms

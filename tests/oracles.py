@@ -8,8 +8,9 @@ bit.  ``transform_matrix`` is ``lfa.transform_vector`` as a dense matrix.
 ``asymptotic_ratio`` measures the late contraction of a trace, which the
 acceptance suite compares with the predicted spectral radius.
 ``apply_blocks`` applies every block, where the ``apply`` prediction
-multiplies only the rows of the excited harmonics.  ``max_norm2`` is the
-norm kernel's largest 2-norm over a stack, without chunks.
+multiplies only the rows of the excited harmonics.  ``norms2`` and
+``max_norm2`` are the norm kernel's 2-norms over a stack, without chunks
+or bounds.
 """
 
 import numpy as np
@@ -53,9 +54,15 @@ def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
     return np.column_stack([lfa.transform_vector(e, meta).ravel() for e in eye])
 
 
+def norms2(stack: np.ndarray) -> np.ndarray:
+    """The 2-norm of each matrix of a real or complex stack, by ``lfa._norms2``."""
+    scale, x = lfa._scaled(stack)
+    return lfa._norms2(scale, lfa._gram(x))
+
+
 def max_norm2(stack: np.ndarray) -> float:
     """Largest 2-norm in a stack of real or complex matrices, by ``lfa._norms2``."""
-    return float(np.max(lfa._norms2(*lfa._scaled_gram(stack))))
+    return float(np.max(norms2(stack)))
 
 
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:

@@ -554,33 +554,41 @@ def test_norm_kernels_take_no_svd(monkeypatch, problem):
 
 def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
     # ||B|| is taken once per block mode and read by the norm strategy, the
-    # aggregates and norm-power at k = 1: K Gram matrices per row chunk of the
+    # aggregates and norm-power at k = 1: K scalings per row chunk of the
     # N/4 + 1 mirror-representative pairs; at the default size one chunk
-    # holds them all, at two blocks per chunk it takes three, and the
-    # Cholesky certificate spares the eigensolver 5 of the 18 tc Grams
-    cfg = _small_cfg(iterations=6, blocks=("tc", "full"))
-    tc_dim, full_dim = 2 * cfg.l * cfg.m, cfg.l * cfg.m * cfg.n
-    original = lfa._scaled_gram
-    for entries, tc_chunks, tc_solved in ((lfa.NORM_CHUNK_ENTRIES, 1, 6), (2 * tc_dim**2, 3, 13)):
-        calls = Counter()
+    # holds them all, at two blocks per chunk it takes three.  Of the 18 tc
+    # (chunk, k) passes there, the Frobenius bound settles none of diffusion's
+    # and 8 of advection's without a Gram, and the Cholesky certificate spares
+    # the eigensolver 5 and 2 more
+    two_block_chunks = {
+        "diffusion": {"solved": 13, "certified": 5, "bounded": 0},
+        "advection": {"solved": 8, "certified": 2, "bounded": 8},
+    }
+    original, default_entries = lfa._scaled, lfa.NORM_CHUNK_ENTRIES
+    for problem, grams_of_three in two_block_chunks.items():
+        cfg = _small_cfg(problem, iterations=6, blocks=("tc", "full"))
+        tc_dim, full_dim = 2 * cfg.l * cfg.m, cfg.l * cfg.m * cfg.n
+        one_chunk = {"solved": cfg.iterations, "certified": 0, "bounded": 0}
+        for entries, tc_chunks, tc_grams in ((default_entries, 1, one_chunk), (2 * tc_dim**2, 3, grams_of_three)):
+            calls = Counter()
 
-        def counted(stack):
-            calls[stack.shape[-1]] += 1
-            return original(stack)
+            def counted(stack):
+                calls[stack.shape[-1]] += 1
+                return original(stack)
 
-        monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
-        monkeypatch.setattr(lfa, "_scaled_gram", counted)
-        trace = run_and_compare(cfg)
-        assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: cfg.iterations}
-        grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
-        assert grams["tc"] == {"solved": tc_solved, "certified": tc_chunks * cfg.iterations - tc_solved}
-        assert grams["full"] == {"solved": cfg.iterations, "certified": 0}
-    for mode in ("tc", "full"):
-        norm = trace.aggregates[mode]["norm"]
-        assert norm == trace.context.decomposition(mode).norm
-        e0_norm = trace.predictions["norm", mode][0]
-        assert trace.predictions["norm", mode][1] == e0_norm * norm
-        assert trace.predictions["norm-power", mode][1] == e0_norm * norm
+            monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(lfa, "_scaled", counted)
+            trace = run_and_compare(cfg)
+            assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: cfg.iterations}
+            grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
+            assert grams["tc"] == tc_grams and sum(tc_grams.values()) == tc_chunks * cfg.iterations
+            assert grams["full"] == one_chunk
+        for mode in ("tc", "full"):
+            norm = trace.aggregates[mode]["norm"]
+            assert norm == trace.context.decomposition(mode).norm
+            e0_norm = trace.predictions["norm", mode][0]
+            assert trace.predictions["norm", mode][1] == e0_norm * norm
+            assert trace.predictions["norm-power", mode][1] == e0_norm * norm
 
 
 @pytest.mark.parametrize("mode", ["tc", "c"])

@@ -69,10 +69,15 @@ def test_analyze_writes_all_artifacts(tmp_path):
 
 def test_analyze_writes_the_norm_kernel_counts_to_timings_only(tmp_path):
     # at L = 16 the 9 representative tc blocks (96 x 96) take two norm chunks, so
-    # the second chunk's Gram at k = 2..5 is certified; the 10 x 10 c blocks fit one
+    # the second chunk's Gram at k = 2..5 is certified (the Frobenius bound settles
+    # none of these diffusion blocks); the 6 x 6 c blocks fit one chunk, whose
+    # lone largest block is solved at every k
     out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
     grams = json.loads((out / "timings.json").read_text())["norm_grams"]
-    assert grams == {"tc": {"solved": 6, "certified": 4}, "c": {"solved": 5, "certified": 0}}
+    assert grams == {
+        "tc": {"solved": 6, "certified": 4, "bounded": 0},
+        "c": {"solved": 5, "certified": 0, "bounded": 0},
+    }
     assert "grams" not in (out / "report.json").read_text()
 
 

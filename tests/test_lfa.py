@@ -241,17 +241,17 @@ def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n,
     # (N/4 + 1) mirror-representative pairs, each with the built time frequencies 1..L-1, only 1..L/2 if conjugate-symmetric
     d = lfa.c_decompose(_assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler"))
     rows = []
-    original = lfa._scaled_gram
+    original = lfa._scaled
 
     def counted(stack):
         rows.append(len(stack))
         return original(stack)
 
-    monkeypatch.setattr(lfa, "_scaled_gram", counted)
+    monkeypatch.setattr(lfa, "_scaled", counted)
     assert d.norm > 0
     assert sum(rows) == visited
     assert len(d.block_norms) == visited
-    assert d.grams == {"solved": len(rows), "certified": 0}
+    assert d.grams == {"solved": len(rows), "certified": 0, "bounded": 0}
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 8])
@@ -611,19 +611,23 @@ def test_matched_cluster_distance_equals_per_tolerance_recomputation():
     )
 
 
-@pytest.mark.parametrize("factor,certified", [(1.0, 0), (1 + 1e-12, 0), (0.5, 5)])
+@pytest.mark.parametrize("factor,certified,bounded", [(1.0, 0, 0), (1 + 1e-12, 0, 0), (1 - 1e-6, 5, 0), (0.5, 0, 5)])
 @pytest.mark.parametrize("make,qdelta_kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])
-def test_certified_norms_of_two_chunk_stacks_equal_the_oracle(monkeypatch, make, qdelta_kind, factor, certified):
+def test_certified_norms_of_two_chunk_stacks_equal_the_oracle(
+    monkeypatch, make, qdelta_kind, factor, certified, bounded
+):
     # one tc block and a multiple of it, one block per chunk: an exact tie and a
     # 1e-12 gap lie inside the certificate's margin, so both chunks are solved at
-    # every k; half the block is certified at every k >= 2
+    # every k.  ||B^k||_F / ||B^k||_2 is 1.0003 to 1.1 here (k = 2..6): a 1e-6 gap
+    # is too small for the Frobenius bound and is certified at every k >= 2, and
+    # half the block is settled by its Frobenius norm at every k >= 2
     l, m, k_max = 2, 3, 6
     block = lfa.tc_decompose(_assemble(make(16, 5e-3), m, l, 0.1, qdelta_kind)).blocks[1]
     d = lfa.BlockDecomposition(np.stack([block, factor * block]), lfa.TransformMeta("tc", 4, l, m))
     monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", block.size)
     expected = oracles.pairwise_power_norms(d, k_max)
     assert np.array_equal(lfa.block_power_norms(d, k_max), expected)
-    assert d.grams == {"solved": 2 * k_max - certified, "certified": certified}
+    assert d.grams == {"solved": 2 * k_max - certified - bounded, "certified": certified, "bounded": bounded}
 
 
 @pytest.mark.parametrize("field", ["inf", "nan"])
@@ -645,7 +649,82 @@ def test_a_non_finite_power_in_a_certifiable_chunk_gives_nan(monkeypatch, field)
         norms = lfa.block_power_norms(d, 3)
     assert norms[:2].tolist() == [1.0, d.norm]
     assert np.isnan(norms[2:]).all()
-    assert d.grams == {"solved": 6, "certified": 0}  # a Gram per chunk and k; a non-finite one is never certified
+    # a Gram per chunk and k: a non-finite block is never bounded (its Frobenius norm is inf or NaN) nor certified
+    assert d.grams == {"solved": 6, "certified": 0, "bounded": 0}
+    # in one chunk, the non-finite block has the largest Frobenius norm and is solved alone first: the same NaNs
+    one_chunk = replace(d)
+    monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", lfa.NORM_CHUNK_ENTRIES * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(lfa.block_power_norms(one_chunk, 3), norms, equal_nan=True)
+    assert one_chunk.grams == {"solved": 3, "certified": 0, "bounded": 0}
+
+
+def _bounded_by_chunk_size(monkeypatch, blocks, meta, k_max):
+    """(one block per chunk, the default chunks): the grams of block_power_norms, each equal to the oracle bit for bit."""
+    grams = []
+    for entries in (blocks[0].size, lfa.NORM_CHUNK_ENTRIES):
+        monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
+        d = lfa.BlockDecomposition(blocks, meta)
+        assert np.array_equal(lfa.block_power_norms(d, k_max), oracles.pairwise_power_norms(d, k_max))
+        grams.append(d.grams)
+    return grams
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rank_one_blocks_where_the_frobenius_bound_is_tight_equal_the_oracle(monkeypatch, field):
+    # R = u v^T with |v^T u| = 1: every power R^k = (v^T u)^(k-1) R has ||R^k||_F = ||R^k||_2 = ||R||_2, so
+    # the bound is tight.  The c rows 1, 2, 4, 5 hold R, (1 - 0.3 delta) R, R and R/2: the tie and the
+    # arg-max are never settled, the 0.3 delta gap only once (1 - 0.3 delta)^k < 1 - delta, from k = 4 on
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((2, 4, 1)) + (1j * rng.standard_normal((2, 4, 1)) if field == "complex" else 0)
+    r = u @ v.T / abs(v.T @ u).item()
+    assert np.linalg.norm(r) == pytest.approx(np.linalg.norm(r, 2), rel=1e-15)
+    blocks = np.zeros((6, 4, 4), dtype=complex)
+    blocks[[1, 2, 4, 5]] = np.array([1.0, 1 - 0.3 * lfa.NORM_CERTIFICATE_DELTA, 1.0, 0.5])[:, None, None] * r
+    one_block, one_chunk = _bounded_by_chunk_size(monkeypatch, blocks, lfa.TransformMeta("c", 4, 3, 2), 6)
+    # one block per chunk: R and the tie solved at every k, the gap at k = 2, 3, R/2 bounded at k = 2..6
+    assert one_block == {"solved": 4 + 5 + 5 + 2, "certified": 0, "bounded": 3 + 5}
+    assert one_chunk == {"solved": 6, "certified": 0, "bounded": 0}  # the lone block solved at every k
+
+
+@pytest.mark.parametrize("normal", [False, True])
+def test_subnormal_powers_are_bounded_in_the_scaled_domain(monkeypatch, normal):
+    # three c blocks of entries about 2^-520, whose squares (k = 2) are subnormal, and so is their scale s;
+    # with a normal fourth block (I/2), the bound (m_k (1 - delta) / s)^2 overflows to inf: every
+    # subnormal power is settled, without an overflow warning.  k = 3, 4 underflow to 0
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    blocks = np.zeros((6, 4, 4), dtype=complex)
+    blocks[[1, 2, 4]] = np.ldexp(x.view(float), -520).view(complex) * np.array([1.0, 0.5, 0.9])[:, None, None]
+    blocks[5] = 0.5 * np.eye(4) if normal else np.ldexp(x[0].view(float), -521).view(complex)
+    scale, _ = lfa._scaled(blocks[[1, 2, 4]] @ blocks[[1, 2, 4]])
+    assert np.all(scale < np.finfo(float).tiny)
+    one_block, one_chunk = _bounded_by_chunk_size(monkeypatch, blocks, lfa.TransformMeta("c", 4, 3, 2), 4)
+    expected = {"solved": 7, "certified": 0, "bounded": 9} if normal else {"solved": 13, "certified": 0, "bounded": 3}
+    assert one_block == expected
+    assert one_chunk == {"solved": 4, "certified": 0, "bounded": 0}
+
+
+def test_a_one_chunk_c_stack_solves_its_largest_frobenius_block_alone_first(monkeypatch):
+    # the 27 representative 6 x 6 c blocks of advection n = 32, L = 4 fit one chunk: at each k >= 2 the
+    # block of the largest Frobenius norm takes a one-block Gram first, and the Frobenius bound settles
+    # most of the other 26 before their Gram
+    d = lfa.c_decompose(_assemble(make_advection(32, 0.02), 3, 4, 0.1, "lu"))
+    k_max = 8
+    assert len(list(d.norm_chunks())) == 1 and d.norm > 0
+    expected = oracles.pairwise_power_norms(d, k_max)
+    sizes = []
+    original = lfa._gram
+
+    def recorded(x):
+        sizes.append(len(x))
+        return original(x)
+
+    monkeypatch.setattr(lfa, "_gram", recorded)
+    assert np.array_equal(lfa.block_power_norms(d, k_max), expected)
+    assert d.grams == {"solved": k_max, "certified": 0, "bounded": 0}
+    # k = 2..8: the lone block; the Frobenius bound leaves 6 of the other 26 at k = 2 and none after
+    assert sizes == [1, 6, 1, 1, 1, 1, 1, 1]
 
 
 def test_a_power_that_overflows_gives_a_nan_norm_power():
@@ -763,20 +842,22 @@ def test_full_decompose_holds_the_iteration_matrix_as_its_one_block():
 
 def test_certified_norms_follow_the_moving_arg_max():
     # the block of the largest ||B^k|| is pair 32 at k = 1, pair 9 at k = 2 and pair 0
-    # from k = 3 on; visiting pair 0, the largest rho(C_0), first certifies most chunks
-    # (two blocks each)
+    # from k = 3 on; visiting pair 0, the largest rho(C_0), first bounds or certifies
+    # most chunks (two blocks each)
     cfg = ExperimentConfig(
         problem="diffusion", mu=1.8407792370088312, n=128, m=5, l=16, wavenumber=63, iterations=20
     )
     d = build_context(cfg).decomposition("tc")
     reps = d.blocks[: cfg.n // 4 + 1]
     powers = [reps, reps @ reps, reps @ reps @ reps]
-    assert [np.argmax(lfa._norms2(*lfa._scaled_gram(p))) for p in powers] == [32, 9, 0]
+    assert [np.argmax(oracles.norms2(p)) for p in powers] == [32, 9, 0]
     assert lfa._visit_order(d)[:2].tolist() == [0, 16]  # the chunks of pairs 0, 1 and of pair 32
     norms = lfa.block_power_norms(d, cfg.iterations)
     assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
     chunks = len(list(d.norm_chunks()))
     assert chunks == 17
-    powers = chunks * (cfg.iterations - 1)  # the (chunk, k) Grams for k >= 2
-    assert d.grams["solved"] + d.grams["certified"] == chunks + powers
+    powers = chunks * (cfg.iterations - 1)  # the (chunk, k) passes for k >= 2
+    assert sum(d.grams.values()) == chunks + powers
     assert d.grams["solved"] - chunks < powers / 3
+    # the Frobenius bound settles 100 of the 323 without a Gram, the certificate 195 more
+    assert d.grams == {"solved": chunks + 28, "certified": 195, "bounded": 100}

@@ -27,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -176,17 +176,51 @@ def test_real_tc_norms_equal_the_complex_route(cfg):
 
 
 @PROPERTY
-@given(configs(iterations=8, ls=(2, 3, 4)))
+@given(configs(iterations=20, ls=(2, 3, 4)))
+@example(ExperimentConfig(problem="advection", coefficient=0.000625, n=16, m=1, l=2, iterations=20))
 def test_certified_power_norms_equal_the_pairwise_oracle(cfg):
-    # one block per chunk: every chunk after the first is certified or solved at each k
+    # one block per chunk, where every chunk after the first is bounded, certified or solved at
+    # each k, and the default chunks, where one chunk solves its largest block alone first; at
+    # K = 20 the powers of M = 1 advection (the explicit example) sink into subnormals
     ctx = build_context(cfg)
     for mode in ("tc", "c"):
         d = ctx.decomposition(mode)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lfa, "NORM_CHUNK_ENTRIES", d.blocks[0].size)
-            norms = lfa.block_power_norms(d, cfg.iterations)
-        assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
-        assert sum(d.grams.values()) == len(d.block_norms) * cfg.iterations
+        for entries in (d.blocks[0].size, lfa.NORM_CHUNK_ENTRIES):
+            chunked = replace(d)  # a fresh cached norm and fresh counts
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
+                norms = lfa.block_power_norms(chunked, cfg.iterations)
+                chunks = len(list(chunked.norm_chunks()))
+            assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
+            assert sum(chunked.grams.values()) == chunks * cfg.iterations
+        assert chunks == 1 or mode == "tc"  # every c stack here fits one default chunk
+
+
+@PROPERTY
+@given(configs(iterations=6))
+def test_mirror_partners_have_equal_power_norms(cfg):
+    # block k and its mirror (N/2 - k) mod N/2, time frequency j with (L - j) mod L in c mode, are
+    # B' = Pi conj(B) Pi, and so are their powers; with symmetric stencils c block (k, L - j) is
+    # conj(B(k, j)).  The norm kernel walks one block of each orbit, so every power's 2-norm must agree
+    # across it
+    ctx = build_context(cfg)
+    for mode in ("tc", "c") if cfg.l > 1 else ("tc",):  # no c mode at L = 1
+        d = ctx.decomposition(mode)
+        k, j = d.index.T
+        h, l = cfg.n // 2, cfg.l
+        per = d.meta.blocks_per_pair
+        mirror = ((h - k) % h) * per + (((l - j) % l) if mode == "c" else 0)
+        partners = [mirror]
+        if mode == "c" and d.conjugate_symmetric:
+            partners.append(k * per + (l - j) % l)
+        power = d.blocks
+        for k in range(1, cfg.iterations + 1):
+            # round-off in B^k is relative to ||B||^k, at least 1: T is round-off itself at M = L = 1, and
+            # M = 1 blocks are nilpotent to round-off
+            norms, floor = oracles.norms2(power), 1e-13 * max(d.norm, 1.0) ** k
+            for partner in partners:
+                np.testing.assert_allclose(norms[partner], norms, rtol=1e-13, atol=floor)
+            power = power @ d.blocks
 
 
 @PROPERTY
