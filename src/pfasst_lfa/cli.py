@@ -164,8 +164,8 @@ def cmd_analyze(args, parser) -> int:
     spectrum_path = out / "spectrum.csv"
     d = trace.context.decomposition(spectrum_mode)
     # one row per eigenvalue: block k, time frequency j (-1 without one), real and imaginary part
-    vals = d.eigenvalues
-    table = np.column_stack([np.repeat(d.index, vals.shape[1], axis=0), vals.real.ravel(), vals.imag.ravel()])
+    vals, index = d.eigenvalues, d.meta.block_index()
+    table = np.column_stack([np.repeat(index, vals.shape[1], axis=0), vals.real.ravel(), vals.imag.ravel()])
     _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], table, 2)
     timings["write_outputs"] = time.perf_counter() - t0
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import sort_eigenvalues
+from .linalg import scaled, sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator
 from .transfer import harmonic_diagonals, node_propagation
@@ -34,11 +34,10 @@ NORM_CHUNK_ENTRIES = 2**16
 # certified block's computed norm would be below m(1 - delta)(1 + O(d eps)) < m, the
 # running max: the max is the exhaustive one bit for bit.
 NORM_CERTIFICATE_DELTA = 1e-8
-# Rows (blocks times d) per chunk of the eigenvalue solve.  numpy's batched eigvals
-# holds the GIL on a stack of EIGVALS_GIL_ROWS rows or fewer (numpy 2.4), so two
-# threads solving smaller chunks would take turns instead of running side by side.
+# Rows (blocks times d) per chunk of the eigenvalue solve, at least.  numpy's batched
+# eigvals holds the GIL on a stack of 500 rows or fewer (numpy 2.4), so two threads
+# solving smaller chunks would take turns instead of running side by side.
 EIGVALS_CHUNK_ROWS = 1024
-EIGVALS_GIL_ROWS = 500
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ class BlockDecomposition:
     """A stack of dense blocks jointly similar to the full iteration matrix.
 
     ``blocks`` has shape (number of blocks, d, d); row i belongs to
-    ``index[i]``; mode and index are read from ``meta``.  The eigenvalues,
-    the spectral radius and the 2-norm are computed on first use and kept.
+    ``meta.block_index()[i]``.  The eigenvalues, the spectral radius and the
+    2-norm are computed on first use and kept.
     The stencils are real, so harmonic h and N - h are complex
     conjugates, and block k and its mirror block (N/2 - k) mod N/2, with
     time frequency j paired with (L - j) mod L, are related by
@@ -104,18 +103,18 @@ class BlockDecomposition:
     meta: TransformMeta
     conjugate_symmetric: bool = False
 
-    # the norm kernel's (chunk, k) passes: an eigvalsh ran ("solved"), else Cholesky ("certified"), else "bounded"
+    # the norm kernel's (block, k) outcomes: its eigvalsh ran ("solved"), else Cholesky ("certified"), else "bounded"
     grams: dict = field(
         default_factory=lambda: {"solved": 0, "certified": 0, "bounded": 0}, init=False, repr=False, compare=False
     )
-    # the eigenvalue chunks of the last ``block_spectra`` call, and how many of them the calling thread solved
-    eigvals_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the ``spectrum_chunks`` handed to a worker as they were built: (rows, the future of their eigvals)
+    # the eigenvalue chunks in row order: (rows, the future of their eigvals on a worker, else None)
     handed: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
-    def index(self) -> np.ndarray:
-        return self.meta.block_index()
+    def eigvals_chunks(self) -> dict:
+        """The eigenvalue chunks, and how many the calling thread solves: those with no future or a cancelled one."""
+        main = sum(future is None or future.cancelled() for _, future in self.handed)
+        return {"chunks": len(self.handed), "main_thread": main}
 
     def norm_chunks(self, order: np.ndarray | None = None):
         """The blocks whose singular values cover every block, in the field their 2-norms are taken in.
@@ -141,9 +140,9 @@ class BlockDecomposition:
     @cached_property
     def block_norms(self) -> np.ndarray:
         """||B||_2 of each block of ``norm_chunks()``, in its order; computed once."""
-        norms = [_norms2(scale, _gram(x)) for scale, x in map(_scaled, self.norm_chunks())]
+        norms = np.concatenate([_norms2(scale, _gram(x)) for scale, x in map(scaled, self.norm_chunks())])
         self.grams["solved"] += len(norms)
-        return np.concatenate(norms)
+        return norms
 
     @cached_property
     def norm(self) -> float:
@@ -214,7 +213,7 @@ def _pair_blocks(setup: TwoLevelSetup, shift: np.ndarray):
 
 
 def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray, worker=None) -> BlockDecomposition:
-    """Every pair's blocks, its last len(shift) built, the rest 0; each eigvals chunk goes to ``worker`` once built."""
+    """Every pair's blocks, its last len(shift) built, the rest 0; each eigvals chunk is ``handed`` once built."""
     n = setup.fine.n_space
     meta = TransformMeta(mode=mode, n=n, l=setup.l, m=setup.m_nodes)
     # symmetric stencils on both levels make every lambda_k real
@@ -225,13 +224,13 @@ def _decompose(setup: TwoLevelSetup, mode: str, shift: np.ndarray, worker=None) 
     real = symmetric and mode == "tc"
     blocks = np.zeros((n // 2 * per, meta.block_dim, meta.block_dim), dtype=float if real else complex)
     d = BlockDecomposition(blocks, meta, conjugate_symmetric=symmetric)
-    chunks = spectrum_chunks(len(blocks), meta.block_dim) if worker else []
+    chunks = spectrum_chunks(len(blocks), meta.block_dim)
     for k in range(n // 2):
         pair = pair_blocks(k)
         blocks[(k + 1) * per - built : (k + 1) * per] = pair.real if real else pair
         while chunks and chunks[0].stop <= (k + 1) * per:
             rows = blocks[chunks.pop(0)]
-            d.handed.append((rows, worker.submit(np.linalg.eigvals, rows)))
+            d.handed.append((rows, worker.submit(np.linalg.eigvals, rows) if worker else None))
     return d
 
 
@@ -259,8 +258,7 @@ def full_decompose(setup: TwoLevelSetup, worker=None) -> BlockDecomposition:
     """The iteration matrix T itself, one block in the identity basis; one eigenvalue chunk."""
     meta = TransformMeta("full", setup.fine.n_space, setup.l, setup.m_nodes)
     d = BlockDecomposition(setup.iteration_matrix[None], meta)
-    if worker:
-        d.handed.append((d.blocks, worker.submit(np.linalg.eigvals, d.blocks)))
+    d.handed.append((d.blocks, worker.submit(np.linalg.eigvals, d.blocks) if worker else None))
     return d
 
 
@@ -309,20 +307,13 @@ def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
     return worst / max(float(np.max(np.abs(t))), 1.0)
 
 
-def _scaled(stack: np.ndarray):
-    """(s, X/s) of a stack of matrices X: s = 2^e, e the ``np.frexp`` exponent of max|X|, each."""
-    _, e = np.frexp(np.max(np.abs(stack), axis=(-2, -1)))
-    # ldexp on the float view, no division: a complex division by a subnormal max|X| (B^k, B nilpotent) overflows
-    return np.ldexp(1.0, e), np.ldexp(stack.view(float), -e[..., None, None]).view(stack.dtype)
-
-
 def _gram(x: np.ndarray) -> np.ndarray:
     """G = X^H X of each matrix of a stack."""
     return np.swapaxes(x, -2, -1).conj() @ x
 
 
 def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, G the ``_gram`` of its ``_scaled``; NaN where G is not finite.
+    """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, G the ``_gram`` of its ``scaled``; NaN where G is not finite.
 
     The scaling keeps the squares clear of over- and underflow; the relative
     error is about d*eps for d columns.  The batched Hermitian eigensolver
@@ -339,10 +330,10 @@ def _below(scale: np.ndarray, gram: np.ndarray, bound: float) -> bool:
     """Whether Cholesky proves ||X||_2 < bound for each X of a stack, from its s and G: (bound/s)^2 I - G factors.
 
     That matrix is formed in G's buffer, which is restored bit for bit if it
-    does not factor.  A non-finite G is never tried: OpenBLAS's Cholesky
-    runs through a NaN pivot.
+    does not factor.  A non-finite G or a NaN bound is never tried: OpenBLAS's
+    Cholesky runs through a NaN pivot.
     """
-    if not np.all(np.isfinite(gram)):
+    if np.isnan(bound) or not np.all(np.isfinite(gram)):
         return False
     with np.errstate(over="ignore"):  # s far below the bound: an infinite diagonal, which factors
         shift = np.square(bound / scale)
@@ -362,37 +353,35 @@ def _below(scale: np.ndarray, gram: np.ndarray, bound: float) -> bool:
 def spectrum_chunks(count: int, dim: int) -> list[slice]:
     """The row slices of a stack of ``count`` d x d blocks that the eigenvalue solve takes one batched call each.
 
-    A chunk holds ceil(EIGVALS_CHUNK_ROWS/d) blocks; a last chunk of
-    ``EIGVALS_GIL_ROWS`` rows or fewer joins the one before it.
+    The R = count*d rows are cut into n = max(1, min(count, R // EIGVALS_CHUNK_ROWS))
+    chunks whose block counts differ by at most one.  With R >= EIGVALS_CHUNK_ROWS,
+    a chunk holds at least one block and floor(count/n) > EIGVALS_CHUNK_ROWS/d - 1
+    blocks: at least d rows and more than EIGVALS_CHUNK_ROWS - d, so more than 500.
     """
-    step = -(-EIGVALS_CHUNK_ROWS // dim)
-    stops = [*range(step, count, step), count]
-    if len(stops) > 1 and (stops[-1] - stops[-2]) * dim <= EIGVALS_GIL_ROWS:
-        del stops[-2]
-    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+    n = max(1, min(count, count * dim // EIGVALS_CHUNK_ROWS))
+    return [slice(i * count // n, (i + 1) * count // n) for i in range(n)]
 
 
 def block_spectra(d: BlockDecomposition) -> np.ndarray:
     """The eigenvalues of every block: an (number of blocks, d) array.
 
-    Row i holds the eigenvalues of block ``d.index[i]``, sorted by (real,
-    imag) descending.  From the last of the chunks, ``d.handed`` (else the
-    ``spectrum_chunks``, with no future), to the first, each one the worker
-    has not started is solved here in one batched call; then the rest are
-    joined (counts in ``d.eigvals_chunks``).  eigvals solves each matrix on
-    its own, so the rows are bitwise one call's on the whole stack.  A real
-    stack (symmetric-stencil tc blocks) goes to the real solver, whose
-    complex eigenvalues come in exact conjugate pairs.  Eigenvalues are never
-    taken from a mirror partner: defective clusters scatter at eps^(1/p), so
-    partners that agree to round-off can still differ visibly in theirs.
+    Row i holds the eigenvalues of block ``d.meta.block_index()[i]``, sorted
+    by (real, imag) descending.  From the last of the chunks ``d.handed`` (one,
+    the stack, if built by hand) to the first, each one with no future or one
+    the worker has not started is solved here in one batched call; then the
+    rest are joined.  eigvals solves each matrix on its own, so the rows are
+    bitwise one call's on the whole stack.  A real stack (symmetric-stencil tc
+    blocks) goes to the real solver, whose complex eigenvalues come in exact
+    conjugate pairs.  Eigenvalues are never taken from a mirror partner:
+    defective clusters scatter at eps^(1/p), so partners that agree to
+    round-off can still differ visibly in theirs.
     """
-    handed = d.handed or [(d.blocks[rows], None) for rows in spectrum_chunks(*d.blocks.shape[:2])]
+    d.handed = d.handed or [(d.blocks, None)]
     mine = {}  # chunk number -> its eigenvalues, solved on this thread
-    for i, (rows, future) in reversed(list(enumerate(handed))):
+    for i, (rows, future) in reversed(list(enumerate(d.handed))):
         if future is None or future.cancel():  # not started by the worker
             mine[i] = np.linalg.eigvals(rows)
-    d.eigvals_chunks = {"chunks": len(handed), "main_thread": len(mine)}
-    return sort_eigenvalues(np.concatenate([mine[i] if i in mine else f.result() for i, (_, f) in enumerate(handed)]))
+    return sort_eigenvalues(np.concatenate([mine[i] if i in mine else f.result() for i, (_, f) in enumerate(d.handed)]))
 
 
 def _visit_order(d: BlockDecomposition) -> np.ndarray | None:
@@ -433,29 +422,30 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
         power = blocks
         for k in range(2, k_max + 1):
             power = power @ blocks
-            scale, x = _scaled(power)
-            outcome, left = "bounded", np.arange(len(x))
+            scale, x = scaled(power)
+            left = np.arange(len(x))
             if has_max := i or len(x) > 1:  # a one-block first chunk (full mode) has no running max, nor a lone block
-                frob = np.einsum("...ij,...ij->...", x.view(float), x.view(float))  # ||X/s||_F^2 <= d^2: no overflow
+                frob = np.einsum("...ij,...ij->...", x.view(float), x.view(float))  # ||X/s||_F^2 < 4d^2: no overflow
                 # s sqrt(frob) = ||X||_F overflows only near max float, and a subnormal s overflows the bound to inf
                 with np.errstate(over="ignore"):
                     if not i:  # no running max yet: the block of the largest ||B^k||_F is solved alone first
                         lone = np.argmax(np.sqrt(frob) * scale)
                         norms[k] = _norms2(scale[lone, None], _gram(x[lone, None]))[0]
-                        outcome, left = "solved", np.delete(left, lone)
+                        d.grams["solved"] += 1
+                        left = np.delete(left, lone)
                     # as in ``_below``, a settled norm would be below bound (1 + O(d^2 eps)) < m_k; inf or NaN never is
                     bound = norms[k] * (1 - NORM_CERTIFICATE_DELTA)
-                    left = left[~(frob[left] < np.square(bound / scale[left]))]
+                    settled = frob[left] < np.square(bound / scale[left])
+                d.grams["bounded"] += int(np.count_nonzero(settled))
+                left = left[~settled]
             if len(left) < len(x):
                 scale, x = scale[left], x[left]  # one indexed copy; the chunk's scaled stack is freed
             if len(left):
                 gram = _gram(x)
                 del x  # not held through eigvalsh
-                if has_max and _below(scale, gram, bound):
-                    outcome = "certified" if outcome == "bounded" else outcome
-                else:
-                    outcome = "solved"
+                certified = has_max and _below(scale, gram, bound)
+                if not certified:
                     norms[k] = np.maximum(norms[k], np.max(_norms2(scale, gram)))  # a NaN norm stays NaN
+                d.grams["certified" if certified else "solved"] += len(left)
                 del gram  # not held through the next product
-            d.grams[outcome] += 1
     return norms

@@ -1,8 +1,8 @@
-"""Eigenvalue ordering, the scaled vector norm and the unitary Fourier matrix shared by the other modules.
+"""Eigenvalue ordering, the power-of-two scaling and the unitary Fourier matrix shared by the other modules.
 
 Matrices are plain ``numpy.ndarray`` objects (2-d, complex or real).  The
-helpers here fix the eigenvalue ordering, the vector 2-norm and the Fourier
-convention the rest of the package relies on.
+helpers here fix the eigenvalue ordering, the scaling of every 2-norm and the
+Fourier convention the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -17,11 +17,17 @@ def sort_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, order, axis=-1)
 
 
+def scaled(stack: np.ndarray):
+    """(s, X/s) of each matrix X of a stack: s = 2^e, e the ``np.frexp`` exponent of max|X|, so |X/s| < 1."""
+    e = np.minimum(np.frexp(np.max(np.abs(stack), axis=(-2, -1)))[1], 1023)  # s finite: |X/s| < 2 from 2^1023 on
+    # ldexp on the float view, no division: a complex division by a subnormal max|X| (B^k, B nilpotent) overflows
+    return np.ldexp(1.0, e), np.ldexp(stack.view(float), -e[..., None, None]).view(stack.dtype)
+
+
 def norm2(x: np.ndarray) -> float:
-    """||x||_2 (Frobenius for a matrix) as 2^e ||x/2^e||, e the ``np.frexp`` exponent of max|x|: no square underflow."""
-    x = np.ravel(x, order="K")  # contiguous, with the entries in the order np.linalg.norm sums them
-    _, e = np.frexp(np.max(np.abs(x)))  # a power of two is exact; np.ldexp on the float view divides nothing
-    return float(np.ldexp(np.linalg.norm(np.ldexp(x.view(float), -e).view(x.dtype)), e))
+    """||x||_2 (Frobenius for a matrix) as s ||x/s||, (s, x/s) the ``scaled`` x: no square under- or overflows."""
+    s, y = scaled(np.ravel(x, order="K")[None])  # contiguous, with the entries in the order np.linalg.norm sums them
+    return float(s * np.linalg.norm(y))
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from pfasst_lfa.analysis import (
     _segment_sse,
 )
 from pfasst_lfa.errors import RangeError
+from pfasst_lfa.linalg import scaled
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
@@ -56,7 +57,7 @@ def transform_matrix(meta: lfa.TransformMeta) -> np.ndarray:
 
 def norms2(stack: np.ndarray) -> np.ndarray:
     """The 2-norm of each matrix of a real or complex stack, by ``lfa._norms2``."""
-    scale, x = lfa._scaled(stack)
+    scale, x = scaled(stack)
     return lfa._norms2(scale, lfa._gram(x))
 
 

@@ -555,21 +555,21 @@ def test_norm_kernels_take_no_svd(monkeypatch, problem):
 def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
     # ||B|| is taken once per block mode and read by the norm strategy, the
     # aggregates and norm-power at k = 1: K scalings per row chunk of the
-    # N/4 + 1 mirror-representative pairs; at the default size one chunk
-    # holds them all, at two blocks per chunk it takes three.  Of the 18 tc
-    # (chunk, k) passes there, the Frobenius bound settles none of diffusion's
-    # and 8 of advection's without a Gram, and the Cholesky certificate spares
-    # the eigensolver 5 and 2 more
-    two_block_chunks = {
-        "diffusion": {"solved": 13, "certified": 5, "bounded": 0},
-        "advection": {"solved": 8, "certified": 2, "bounded": 8},
+    # N/4 + 1 = 5 mirror-representative pairs; at the default size one chunk
+    # holds them all, at two blocks per chunk it takes three.  Of the 25 tc
+    # (block, k >= 2) norms, the Frobenius bound settles none of diffusion's
+    # and 16 of advection's without a Gram, and the Cholesky certificate spares
+    # the eigensolver 12 (one chunk) or 10 (three) of diffusion's and 4 of advection's
+    tc_grams_by_chunks = {
+        "diffusion": ({"solved": 18, "certified": 12, "bounded": 0}, {"solved": 20, "certified": 10, "bounded": 0}),
+        "advection": ({"solved": 10, "certified": 4, "bounded": 16}, {"solved": 10, "certified": 4, "bounded": 16}),
     }
-    original, default_entries = lfa._scaled, lfa.NORM_CHUNK_ENTRIES
-    for problem, grams_of_three in two_block_chunks.items():
+    original, default_entries = lfa.scaled, lfa.NORM_CHUNK_ENTRIES
+    for problem, (grams_of_one, grams_of_three) in tc_grams_by_chunks.items():
         cfg = _small_cfg(problem, iterations=6, blocks=("tc", "full"))
         tc_dim, full_dim = 2 * cfg.l * cfg.m, cfg.l * cfg.m * cfg.n
-        one_chunk = {"solved": cfg.iterations, "certified": 0, "bounded": 0}
-        for entries, tc_chunks, tc_grams in ((default_entries, 1, one_chunk), (2 * tc_dim**2, 3, grams_of_three)):
+        full_grams = {"solved": cfg.iterations, "certified": 0, "bounded": 0}
+        for entries, tc_chunks, tc_grams in ((default_entries, 1, grams_of_one), (2 * tc_dim**2, 3, grams_of_three)):
             calls = Counter()
 
             def counted(stack):
@@ -577,12 +577,12 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
                 return original(stack)
 
             monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
-            monkeypatch.setattr(lfa, "_scaled", counted)
+            monkeypatch.setattr(lfa, "scaled", counted)
             trace = run_and_compare(cfg)
             assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: cfg.iterations}
             grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
-            assert grams["tc"] == tc_grams and sum(tc_grams.values()) == tc_chunks * cfg.iterations
-            assert grams["full"] == one_chunk
+            assert grams["tc"] == tc_grams and sum(tc_grams.values()) == 5 * cfg.iterations  # one per (block, k)
+            assert grams["full"] == full_grams
         for mode in ("tc", "full"):
             norm = trace.aggregates[mode]["norm"]
             assert norm == trace.context.decomposition(mode).norm

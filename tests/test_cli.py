@@ -68,15 +68,17 @@ def test_analyze_writes_all_artifacts(tmp_path):
 
 
 def test_analyze_writes_the_norm_kernel_counts_to_timings_only(tmp_path):
-    # at L = 16 the 9 representative tc blocks (96 x 96) take two norm chunks, so
-    # the second chunk's Gram at k = 2..5 is certified (the Frobenius bound settles
-    # none of these diffusion blocks); the 6 x 6 c blocks fit one chunk, whose
-    # lone largest block is solved at every k
+    # one count per (block, k).  At L = 16 the 9 representative tc blocks (96 x 96)
+    # take two norm chunks: the second chunk's two blocks are certified at k = 2..5,
+    # and the first chunk's six besides its lone block at three of those four k (the
+    # Frobenius bound settles none of these diffusion blocks).  The 72 c blocks (6 x 6)
+    # fit one chunk, whose lone largest block is solved at every k; of the other 284
+    # (block, k >= 2) norms the Frobenius bound settles 241 and the certificate 43
     out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
     grams = json.loads((out / "timings.json").read_text())["norm_grams"]
     assert grams == {
-        "tc": {"solved": 6, "certified": 4, "bounded": 0},
-        "c": {"solved": 5, "certified": 0, "bounded": 0},
+        "tc": {"solved": 9 + 4 + 6, "certified": 4 * 2 + 3 * 6, "bounded": 0},
+        "c": {"solved": 72 + 4, "certified": 43, "bounded": 241},
     }
     assert "grams" not in (out / "report.json").read_text()
 
@@ -84,13 +86,13 @@ def test_analyze_writes_the_norm_kernel_counts_to_timings_only(tmp_path):
 @pytest.mark.parametrize("spare_core", [True, False])
 def test_analyze_writes_the_eigvals_chunk_counts_to_timings_only(tmp_path, monkeypatch, worker_takes_every_chunk,
                                                                  spare_core):
-    # at L = 16 the 16 tc blocks (96 x 96) make one eigenvalue chunk, the 256 c blocks (6 x 6) two; the
-    # main thread solves them all without a spare core, and none while the worker takes every one
+    # at L = 16 the 16 tc blocks (96 x 96) make one eigenvalue chunk, and so do the 256 c blocks (6 x 6, 1536
+    # rows); the main thread solves them all without a spare core, and none while the worker takes every one
     monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
     out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
     chunks = json.loads((out / "timings.json").read_text())["eigvals_chunks"]
     taken = int(not spare_core)
-    assert chunks == {"tc": {"chunks": 1, "main_thread": taken}, "c": {"chunks": 2, "main_thread": 2 * taken}}
+    assert chunks == {"tc": {"chunks": 1, "main_thread": taken}, "c": {"chunks": 1, "main_thread": taken}}
     assert "chunks" not in (out / "report.json").read_text()
 
 
@@ -154,7 +156,8 @@ def test_csv_tables_are_the_per_value_format(tmp_path):
     rows = [[k] + [float(v[k]) for v in columns.values()] for k in range(cfg.iterations + 1)]
     assert (out / "trace.csv").read_bytes() == _per_value_csv(["iteration", *columns], rows)
     d = trace.context.decomposition("c")
-    rows = [[int(k), int(j), float(v.real), float(v.imag)] for vals, (k, j) in zip(d.eigenvalues, d.index) for v in vals]
+    index = d.meta.block_index()
+    rows = [[int(k), int(j), float(v.real), float(v.imag)] for vals, (k, j) in zip(d.eigenvalues, index) for v in vals]
     assert (out / "spectrum.csv").read_bytes() == _per_value_csv(["block_k", "block_j", "eig_re", "eig_im"], rows)
     # values the analyses rarely produce
     rows = [[-1, 7, -0.0, 1e-310], [3, 0, float("inf"), float("nan")], [12, -3, -1e300, 1 / 3]]
@@ -439,6 +442,20 @@ def test_analyze_cold_start_imports_scipy_only_for_the_matrix_route(tmp_path, bl
         assert "scipy.linalg" in loaded
     else:
         assert loaded == []
+
+
+def test_importing_the_cli_loads_no_scipy_and_no_executor():
+    # the import a cold start pays before any analysis: numpy and the package, no scipy and no thread
+    # pool, which run_and_compare imports only when it runs
+    code = (
+        "import sys\n"
+        "import pfasst_lfa.cli\n"
+        "print(*sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent.futures'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.split() == []
 
 
 def test_analyze_zero_iterations_single_row(tmp_path):

@@ -14,7 +14,7 @@ from pfasst_lfa import lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context
 from pfasst_lfa.collocation import CollocationProblem
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import sort_eigenvalues
+from pfasst_lfa.linalg import scaled, sort_eigenvalues
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import TwoLevelSetup
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
@@ -84,7 +84,7 @@ def test_rows_select_exactly_the_blocks_of_the_given_harmonics():
     setup = _assemble(prob, 3, 3, 0.1, "implicit-euler")
     for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         rows = d.meta.rows({2, 5})
-        np.testing.assert_array_equal(rows, [i for i, idx in enumerate(d.index) if idx[0] in (2, 5)])
+        np.testing.assert_array_equal(rows, [i for i, idx in enumerate(d.meta.block_index()) if idx[0] in (2, 5)])
         # harmonics outside 0..N/2-1 select nothing
         np.testing.assert_array_equal(d.meta.rows({2, 5, -1, 8}), rows)
 
@@ -107,7 +107,7 @@ def test_batched_kernel_equals_one_pair_at_a_time(make, qdelta_kind, l):
         assert np.array_equal(tc.blocks[k], one[0].real if real else one[0])
     c = lfa.c_decompose(setup)
     assert c.blocks.shape == (16 * l, 6, 6)
-    for row, (k, j) in enumerate(c.index):
+    for row, (k, j) in enumerate(c.meta.block_index()):
         if j == 0:  # the constant-in-time modes are not built
             assert np.array_equal(c.blocks[row], np.zeros((6, 6)))
             continue
@@ -135,7 +135,7 @@ def test_mirror_blocks_have_equal_power_norms(make, coefficient, qdelta_kind):
         dim = d.meta.block_dim // 2
         # exchanges the two harmonic halves; harmonics 0 and N/2 are self-conjugate
         swap = np.roll(np.eye(2 * dim), dim, axis=0)
-        for row, idx in enumerate(d.index):
+        for row, idx in enumerate(d.meta.block_index()):
             partner = d.blocks[_mirror_row(d.meta, idx[0], idx[-1])]
             block = d.blocks[row]
             mirrored = block.conj() if idx[0] == 0 else swap @ block.conj() @ swap
@@ -241,17 +241,17 @@ def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n,
     # (N/4 + 1) mirror-representative pairs, each with the built time frequencies 1..L-1, only 1..L/2 if conjugate-symmetric
     d = lfa.c_decompose(_assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler"))
     rows = []
-    original = lfa._scaled
+    original = lfa.scaled
 
     def counted(stack):
         rows.append(len(stack))
         return original(stack)
 
-    monkeypatch.setattr(lfa, "_scaled", counted)
+    monkeypatch.setattr(lfa, "scaled", counted)
     assert d.norm > 0
     assert sum(rows) == visited
     assert len(d.block_norms) == visited
-    assert d.grams == {"solved": len(rows), "certified": 0, "bounded": 0}
+    assert d.grams == {"solved": visited, "certified": 0, "bounded": 0}  # one per block norm
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 8])
@@ -374,7 +374,7 @@ def test_full_mode_is_the_matrix_as_one_block():
     assert d.meta == lfa.TransformMeta("full", n, l, m)
     assert d.blocks.shape == (1, l * m * n, l * m * n)
     np.testing.assert_array_equal(d.blocks[0], t)
-    np.testing.assert_array_equal(d.index, [[-1, -1]])
+    np.testing.assert_array_equal(d.meta.block_index(), [[-1, -1]])
     assert d.meta.block_dim == l * m * n
     assert [len(chunk) for chunk in d.norm_chunks()] == [1]
     rng = np.random.default_rng(5)
@@ -391,7 +391,7 @@ def test_identity_block_spectra_and_power_norms_match_the_matrix():
     n, m, l = 16, 3, 2
     t = _assemble(prob, m, l, 0.1, "implicit-euler").iteration_matrix
     d = lfa.BlockDecomposition(t[None], lfa.TransformMeta("full", n, l, m))
-    np.testing.assert_array_equal(d.index, [[-1, -1]])
+    np.testing.assert_array_equal(d.meta.block_index(), [[-1, -1]])
     eig = np.linalg.eigvals(t)
     assert d.spectral_radius == pytest.approx(np.max(np.abs(eig)), rel=1e-12)
     assert d.eigenvalues.shape == (1, l * m * n)
@@ -462,7 +462,7 @@ def test_c_blocks_action_matches_periodic_oracle():
 def test_c_decompose_zeroes_constant_time_frequency():
     prob = make_diffusion(16, 5e-3)
     d = lfa.c_decompose(_assemble(prob, 3, 4, 0.1, "implicit-euler"))
-    for block, idx in zip(d.blocks, d.index):
+    for block, idx in zip(d.blocks, d.meta.block_index()):
         if idx[1] == 0:
             np.testing.assert_array_equal(block, 0.0)
         else:
@@ -491,11 +491,11 @@ def test_block_indexing_and_dimensions():
     tc = lfa.tc_decompose(setup)
     assert len(tc.blocks) == 8
     assert all(b.shape == (24, 24) for b in tc.blocks)
-    np.testing.assert_array_equal(tc.index, [(k, -1) for k in range(8)])
+    np.testing.assert_array_equal(tc.meta.block_index(), [(k, -1) for k in range(8)])
     c = lfa.c_decompose(setup)
     assert len(c.blocks) == 8 * 4
     assert all(b.shape == (6, 6) for b in c.blocks)
-    np.testing.assert_array_equal(c.index, [(k, j) for k in range(8) for j in range(4)])
+    np.testing.assert_array_equal(c.meta.block_index(), [(k, j) for k in range(8) for j in range(4)])
 
 
 def test_matched_cluster_distance_detects_mutation():
@@ -649,14 +649,15 @@ def test_a_non_finite_power_in_a_certifiable_chunk_gives_nan(monkeypatch, field)
         norms = lfa.block_power_norms(d, 3)
     assert norms[:2].tolist() == [1.0, d.norm]
     assert np.isnan(norms[2:]).all()
-    # a Gram per chunk and k: a non-finite block is never bounded (its Frobenius norm is inf or NaN) nor certified
+    # a Gram per block and k: a non-finite block is never bounded (its Frobenius norm is inf or NaN) nor certified
     assert d.grams == {"solved": 6, "certified": 0, "bounded": 0}
-    # in one chunk, the non-finite block has the largest Frobenius norm and is solved alone first: the same NaNs
+    # in one chunk, the non-finite block has the largest Frobenius norm and is solved alone first: the same NaNs;
+    # the other block is solved too, as a NaN running max certifies nothing
     one_chunk = replace(d)
     monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", lfa.NORM_CHUNK_ENTRIES * 2)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(lfa.block_power_norms(one_chunk, 3), norms, equal_nan=True)
-    assert one_chunk.grams == {"solved": 3, "certified": 0, "bounded": 0}
+    assert one_chunk.grams == {"solved": 6, "certified": 0, "bounded": 0}
 
 
 def _bounded_by_chunk_size(monkeypatch, blocks, meta, k_max):
@@ -682,9 +683,9 @@ def test_rank_one_blocks_where_the_frobenius_bound_is_tight_equal_the_oracle(mon
     blocks = np.zeros((6, 4, 4), dtype=complex)
     blocks[[1, 2, 4, 5]] = np.array([1.0, 1 - 0.3 * lfa.NORM_CERTIFICATE_DELTA, 1.0, 0.5])[:, None, None] * r
     one_block, one_chunk = _bounded_by_chunk_size(monkeypatch, blocks, lfa.TransformMeta("c", 4, 3, 2), 6)
-    # one block per chunk: R and the tie solved at every k, the gap at k = 2, 3, R/2 bounded at k = 2..6
+    # R and the tie solved at every k, the gap at k = 2, 3, R/2 bounded at k = 2..6
     assert one_block == {"solved": 4 + 5 + 5 + 2, "certified": 0, "bounded": 3 + 5}
-    assert one_chunk == {"solved": 6, "certified": 0, "bounded": 0}  # the lone block solved at every k
+    assert one_chunk == one_block  # R the lone block at every k, the others bounded or solved after it
 
 
 @pytest.mark.parametrize("normal", [False, True])
@@ -697,12 +698,11 @@ def test_subnormal_powers_are_bounded_in_the_scaled_domain(monkeypatch, normal):
     blocks = np.zeros((6, 4, 4), dtype=complex)
     blocks[[1, 2, 4]] = np.ldexp(x.view(float), -520).view(complex) * np.array([1.0, 0.5, 0.9])[:, None, None]
     blocks[5] = 0.5 * np.eye(4) if normal else np.ldexp(x[0].view(float), -521).view(complex)
-    scale, _ = lfa._scaled(blocks[[1, 2, 4]] @ blocks[[1, 2, 4]])
+    scale, _ = scaled(blocks[[1, 2, 4]] @ blocks[[1, 2, 4]])
     assert np.all(scale < np.finfo(float).tiny)
     one_block, one_chunk = _bounded_by_chunk_size(monkeypatch, blocks, lfa.TransformMeta("c", 4, 3, 2), 4)
     expected = {"solved": 7, "certified": 0, "bounded": 9} if normal else {"solved": 13, "certified": 0, "bounded": 3}
-    assert one_block == expected
-    assert one_chunk == {"solved": 4, "certified": 0, "bounded": 0}
+    assert one_block == one_chunk == expected
 
 
 def test_a_one_chunk_c_stack_solves_its_largest_frobenius_block_alone_first(monkeypatch):
@@ -722,9 +722,9 @@ def test_a_one_chunk_c_stack_solves_its_largest_frobenius_block_alone_first(monk
 
     monkeypatch.setattr(lfa, "_gram", recorded)
     assert np.array_equal(lfa.block_power_norms(d, k_max), expected)
-    assert d.grams == {"solved": k_max, "certified": 0, "bounded": 0}
-    # k = 2..8: the lone block; the Frobenius bound leaves 6 of the other 26 at k = 2 and none after
+    # k = 2..8: the lone block; the Frobenius bound leaves 6 of the other 26 at k = 2, certified, and none after
     assert sizes == [1, 6, 1, 1, 1, 1, 1, 1]
+    assert d.grams == {"solved": 27 + 7, "certified": 6, "bounded": 20 + 6 * 26}
 
 
 def test_a_power_that_overflows_gives_a_nan_norm_power():
@@ -757,27 +757,30 @@ def test_a_nan_block_gives_a_nan_norm(k_max):
     assert norms[0] == 1.0 and np.isnan(norms[1:]).all()
 
 
-@pytest.mark.parametrize("dim", [6, 10, 24, 40, 96, 160, 640])
+@pytest.mark.parametrize("dim", [6, 10, 24, 40, 80, 96, 160, 640, 1536])
 def test_spectrum_chunks_keep_more_rows_than_eigvals_holds_the_gil_for(dim):
-    # ceil(1024/d) blocks a chunk, each more than 500 rows unless the whole stack has 500 or fewer
-    step = -(-lfa.EIGVALS_CHUNK_ROWS // dim)
-    for count in range(1, 12 * step):
+    # the stack in order, in chunks within one block of each other, each more than the 500 rows numpy 2.4's
+    # batched eigvals holds the GIL for once the stack has 1024 rows; one block a chunk from d = 1024 on
+    assert lfa.EIGVALS_CHUNK_ROWS == 1024
+    for count in range(1, 601):
         chunks = lfa.spectrum_chunks(count, dim)
         assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
         assert chunks[0].start == 0 and chunks[-1].stop == count
-        assert all(c.stop - c.start == step for c in chunks[:-1])
-        rows = min(c.stop - c.start for c in chunks) * dim
-        assert rows > lfa.EIGVALS_GIL_ROWS or (len(chunks) == 1 and count * dim <= lfa.EIGVALS_GIL_ROWS)
-    assert (lfa.EIGVALS_CHUNK_ROWS, lfa.EIGVALS_GIL_ROWS) == (1024, 500)
+        sizes = [c.stop - c.start for c in chunks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        if count * dim >= 1024:
+            assert all(size * dim > 500 for size in sizes)
+        if dim >= 1024:
+            assert sizes == [1] * count
 
 
 @pytest.mark.parametrize(
     "make,coefficient,mode,m,l,chunks",
     [
-        (make_diffusion, 0.05, "tc", 3, 16, 3),  # real: 32 blocks of 96, 11 + 11 + 10
+        (make_diffusion, 0.05, "tc", 3, 16, 3),  # real: 32 blocks of 96, 10 + 11 + 11
         (make_advection, 0.02, "tc", 3, 16, 3),
-        (make_advection, 0.02, "tc", 5, 8, 2),  # 32 blocks of 80: 13 + 19, the last 6 folded in
-        (make_advection, 0.02, "c", 3, 16, 3),  # 512 blocks of 6
+        (make_advection, 0.02, "tc", 5, 8, 2),  # 32 blocks of 80: 16 + 16
+        (make_advection, 0.02, "c", 3, 16, 3),  # 512 blocks of 6: 170 + 171 + 171
     ],
 )
 def test_chunked_spectra_equal_one_batched_call(make, coefficient, mode, m, l, chunks):
@@ -785,6 +788,10 @@ def test_chunked_spectra_equal_one_batched_call(make, coefficient, mode, m, l, c
     assert len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == chunks
     assert np.array_equal(lfa.block_spectra(d), sort_eigenvalues(np.linalg.eigvals(d.blocks)))
     assert d.eigvals_chunks == {"chunks": chunks, "main_thread": chunks}  # no futures: every chunk solved here
+    # a decomposition built by hand has no chunks: its stack is solved in one call
+    by_hand = lfa.BlockDecomposition(d.blocks, d.meta)
+    assert np.array_equal(lfa.block_spectra(by_hand), d.eigenvalues)
+    assert by_hand.eigvals_chunks == {"chunks": 1, "main_thread": 1}
 
 
 def test_block_spectra_solves_the_chunks_the_worker_has_not_started_and_joins_the_rest():
@@ -829,7 +836,7 @@ def test_decompose_hands_over_each_chunk_once_it_is_built(mode):
 def test_full_decompose_holds_the_iteration_matrix_as_its_one_block():
     setup = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")
     d = lfa.full_decompose(setup)
-    assert d.meta == lfa.TransformMeta("full", 16, 2, 3) and d.handed == []
+    assert d.meta == lfa.TransformMeta("full", 16, 2, 3) and d.handed == [(d.blocks, None)]
     t = setup.iteration_matrix
     assert d.blocks.shape == (1, *t.shape) and np.shares_memory(d.blocks, t) and np.array_equal(d.blocks[0], t)
     # given a worker, the one block is the one eigenvalue chunk
@@ -854,10 +861,10 @@ def test_certified_norms_follow_the_moving_arg_max():
     assert lfa._visit_order(d)[:2].tolist() == [0, 16]  # the chunks of pairs 0, 1 and of pair 32
     norms = lfa.block_power_norms(d, cfg.iterations)
     assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
-    chunks = len(list(d.norm_chunks()))
-    assert chunks == 17
-    powers = chunks * (cfg.iterations - 1)  # the (chunk, k) passes for k >= 2
-    assert sum(d.grams.values()) == chunks + powers
-    assert d.grams["solved"] - chunks < powers / 3
-    # the Frobenius bound settles 100 of the 323 without a Gram, the certificate 195 more
-    assert d.grams == {"solved": chunks + 28, "certified": 195, "bounded": 100}
+    assert len(list(d.norm_chunks())) == 17
+    blocks = len(d.block_norms)
+    powers = blocks * (cfg.iterations - 1)  # the (block, k) norms for k >= 2
+    assert blocks == 33 and sum(d.grams.values()) == blocks + powers
+    assert d.grams["solved"] - blocks < powers / 3
+    # the Frobenius bound settles 191 of the 627 without a Gram, the certificate 398 more
+    assert d.grams == {"solved": blocks + 38, "certified": 398, "bounded": 191}

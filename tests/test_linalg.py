@@ -5,7 +5,8 @@ import pytest
 
 from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import dft_matrix, norm2, sort_eigenvalues
+from pfasst_lfa import lfa
+from pfasst_lfa.linalg import dft_matrix, norm2, scaled, sort_eigenvalues
 
 
 def test_dft_matrix_is_unitary():
@@ -63,3 +64,12 @@ def test_norm2_of_entries_whose_squares_underflow():
     assert norm2(x) == pytest.approx(5e-170, rel=1e-15)
     assert norm2(x * (1 + 1j)) == pytest.approx(5e-170 * np.sqrt(2), rel=1e-15)
     assert norm2(np.array([5e-324, 0.0])) == 5e-324  # a subnormal max
+
+
+def test_norms_of_entries_from_2_to_the_1023_stay_finite():
+    # there the frexp exponent is 1024 and 2^1024 overflows: capped at 1023, s is finite and |X/s| < 2
+    assert norm2(np.array([1e308, 0.0])) == 1e308
+    assert norm2(np.array([0.0, -1.5e308j])) == 1.5e308
+    scale, x = scaled(np.diag([1.7e308, 1.0])[None])
+    assert scale.tolist() == [2.0**1023] and 1 < np.max(np.abs(x)) < 2
+    assert lfa._norms2(scale, lfa._gram(x)).tolist() == [1.7e308]

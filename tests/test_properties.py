@@ -192,7 +192,7 @@ def test_certified_power_norms_equal_the_pairwise_oracle(cfg):
                 norms = lfa.block_power_norms(chunked, cfg.iterations)
                 chunks = len(list(chunked.norm_chunks()))
             assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
-            assert sum(chunked.grams.values()) == chunks * cfg.iterations
+            assert sum(chunked.grams.values()) == len(chunked.block_norms) * cfg.iterations  # one per (block, k)
         assert chunks == 1 or mode == "tc"  # every c stack here fits one default chunk
 
 
@@ -206,7 +206,7 @@ def test_mirror_partners_have_equal_power_norms(cfg):
     ctx = build_context(cfg)
     for mode in ("tc", "c") if cfg.l > 1 else ("tc",):  # no c mode at L = 1
         d = ctx.decomposition(mode)
-        k, j = d.index.T
+        k, j = d.meta.block_index().T
         h, l = cfg.n // 2, cfg.l
         per = d.meta.blocks_per_pair
         mirror = ((h - k) % h) * per + (((l - j) % l) if mode == "c" else 0)
