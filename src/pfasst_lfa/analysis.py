@@ -1,4 +1,4 @@
-"""Error prediction strategies and comparison against actual PFASST runs.
+"""Error prediction strategies, their comparison against actual PFASST runs, and the checks that they agree.
 
 Four estimation strategies are supported, all reported in the 2-norm (the
 norm in which the block decomposition is exact and the bound chain
@@ -28,8 +28,11 @@ from .errors import ConfigurationError
 from .linalg import norm2
 from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
-from .solvers import TwoLevelSetup, pfasst_run_algorithmic
-from .transfer import INTERP_EXACTNESS, RESTR_EXACTNESS, build_ci_pair, midpoint_stencil_points
+from .solvers import TwoLevelSetup, mlsdc_step, pfasst_run_algorithmic
+from .transfer import (
+    INTERP_EXACTNESS, RESTR_EXACTNESS, build_ci_pair, check_restriction_condition, harmonic_diagonals,
+    midpoint_stencil_points, transfer_structure_residual,
+)
 from . import lfa
 
 STRATEGIES = ("rho", "norm", "norm-power", "apply")
@@ -44,6 +47,20 @@ PHASE_MIN_LEN = 3
 PHASE_IMPROVEMENT = 0.25
 PHASE_REL_FLOOR = 1e-14
 PHASE_NOISE_SSE = 1e-10
+# Strategy 4 in tc mode must match the measured error to STRATEGY4_RTOL
+# relative, on the iterations whose error exceeds STRATEGY4_FLOOR times the
+# initial error.  The two differ by round-off of the initial error, at most
+# 7e-15 ||e0|| over n = 32..128, L = 2..8, k in {1, 2, n/16}, mu = 0.5..100
+# and CFL = 0.01..1; below the floor a relative comparison would test that
+# round-off, not the prediction.  Kept iterations can deviate by at most 7e-9
+# relative; the worst measured on that grid is 9e-12.
+STRATEGY4_FLOOR = 1e-6
+STRATEGY4_RTOL = 1e-8
+# Verify check 2 and the analyze --blocks tc,full gate: tc_similarity_residual
+# is round-off, 7.9e-16 (small) and 9.9e-16 (large), at most 1.4e-14 on small
+# configs up to mu = 100 and 9.9e-15 on the n = 32 dense-verify benchmark
+# configs of seeds 0-20; a negated Q_Delta reads 3.1e7 (small) and 3.2e16 (large).
+TC_SIMILARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,7 +94,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))  # a numpy integer is kept as an int
         for name in ("dt", "mu", "coefficient"):
             value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
+            if value is None and name != "dt":  # the one of mu and coefficient not given
+                continue
+            if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+            if not (np.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.iterations < 0:
             raise ConfigurationError(f"iterations must be >= 0, got {self.iterations}")
@@ -106,6 +127,8 @@ class ExperimentConfig:
                 f"unknown qdelta_kind {self.qdelta_kind!r} (choose from {', '.join(QDELTA_KINDS)})"
             )
         for name, known in (("strategies", STRATEGIES), ("blocks", BLOCK_MODES)):
+            if isinstance(getattr(self, name), str):  # a string would be read letter by letter
+                raise ConfigurationError(f"{name} must be a tuple of names, got the string {getattr(self, name)!r}")
             # a repeated name is computed once, so the report lists each once, in first-seen order
             names = tuple(dict.fromkeys(getattr(self, name)))
             object.__setattr__(self, name, names)
@@ -355,6 +378,48 @@ def detect_phases(errors: np.ndarray) -> PhaseSegmentation:
     return PhaseSegmentation(boundaries=best3[1], slopes=best3[2])
 
 
+def strategy4_exact(actual_2: np.ndarray, apply_2: np.ndarray) -> bool:
+    """Whether the apply prediction matches the measured error above the round-off floor; NaN or inf fails."""
+    if not (np.all(np.isfinite(actual_2)) and np.all(np.isfinite(apply_2))):
+        return False
+    mask = actual_2 > STRATEGY4_FLOOR * actual_2[0]
+    rel = np.abs(apply_2[mask] - actual_2[mask]) / actual_2[mask]
+    return bool(np.all(rel < STRATEGY4_RTOL))
+
+
+def bound_chain_holds(actual_2: np.ndarray, norm_power: np.ndarray, norm: np.ndarray) -> bool:
+    """||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0|| to 1e-12 relative, the first link above the round-off floor.
+
+    Below ``STRATEGY4_FLOOR`` ||e^0|| the measured error is round-off and can
+    exceed a prediction that is exactly 0 (T = 0 at M = L = 1); NaN fails.
+    """
+    first = (actual_2 <= norm_power * (1 + 1e-12)) | (actual_2 <= STRATEGY4_FLOOR * actual_2[0])
+    return bool(np.all(first) and np.all(norm_power <= norm * (1 + 1e-12)))
+
+
+def tc_similarity_residual(t: np.ndarray, d: lfa.BlockDecomposition) -> float:
+    """max |F T F^H - diag(tc blocks)| / max(max |T|, 1): the tc similarity checked entry by entry.
+
+    F is the unitary FFT on the grid axis of the (L, M, N) layout (the
+    basis of :func:`lfa.transform_vector`), applied one row interval of T at
+    a time.  The scale is at least 1 because T can be round-off itself: T = 0
+    in exact arithmetic when M = L = 1, where Q_Delta = Q.
+    """
+    meta = d.meta
+    n, l, m, h = meta.n, meta.l, meta.m, meta.n // 2
+    # axes (pair k, half s, interval, node, half s', interval, node): harmonics s*N/2 + k and s'*N/2 + k
+    blocks = d.blocks.reshape(h, 2, l, m, 2, l, m)
+    pairs = np.arange(h)
+    worst = 0.0
+    for i, rows in enumerate(t.reshape(l, m, n, l, m, n)):
+        hat = np.fft.ifft(np.fft.fft(rows, axis=1, norm="ortho"), axis=4, norm="ortho")
+        hat = hat.reshape(m, 2, h, l, m, 2, h)
+        # every entry off the pair blocks must be 0; the pair entries are indexed (k, node, s, interval, node', s')
+        hat[:, :, pairs, :, :, :, pairs] -= blocks[:, :, i].transpose(0, 2, 1, 4, 5, 3)
+        worst = max(worst, float(np.max(np.abs(hat))))
+    return worst / max(float(np.max(np.abs(t))), 1.0)
+
+
 @dataclass
 class ErrorTrace:
     """Actual and predicted error history of one experiment.
@@ -378,6 +443,33 @@ class ErrorTrace:
     def consistency_gap(self) -> float:
         """Max abs deviation between propagated and subtracted error norms."""
         return float(np.max(np.abs(self.actual_2 - self.u_run_2)))
+
+    def checks(self) -> tuple[dict, list[str]]:
+        """The report's checks of this analysis, and the failures among them as messages.
+
+        ``bound_chain_2norm`` (with norm and norm-power) is taken in tc mode
+        whenever tc is analyzed, else in the first block mode;
+        ``strategy4_tc_exact`` needs apply in tc mode.  Either is None without
+        its columns.  ``tc_similarity_residual`` is added when tc and full are
+        analyzed.  With tc analyzed a false check fails, and so does a
+        residual above ``TC_SIMILARITY_TOL``.
+        """
+        cfg, pred, actual = self.context.cfg, self.predictions, self.actual_2
+        checks = {"bound_chain_2norm": None, "strategy4_tc_exact": None}
+        chain = "tc" if "tc" in cfg.blocks else cfg.blocks[0]  # c's chain can fail where tc's holds
+        if {"norm", "norm-power"} <= set(cfg.strategies):
+            checks["bound_chain_2norm"] = bound_chain_holds(actual, pred["norm-power", chain], pred["norm", chain])
+        if ("apply", "tc") in pred:
+            checks["strategy4_tc_exact"] = strategy4_exact(actual, pred["apply", "tc"])
+        if {"tc", "full"} <= set(cfg.blocks):
+            t, tc = self.context.setup.iteration_matrix, self.context.decomposition("tc")
+            checks["tc_similarity_residual"] = tc_similarity_residual(t, tc)
+        # a false tc-mode check fails the analysis; a bound chain taken in c or full mode is only reported
+        failed = [f"{name} is false" for name, value in checks.items() if value is False and chain == "tc"]
+        residual = checks.get("tc_similarity_residual", 0.0)
+        if not residual <= TC_SIMILARITY_TOL:
+            failed.append(f"tc similarity residual {residual:.3e} > {TC_SIMILARITY_TOL:.0e}")
+        return checks, failed
 
 
 def _spare_core() -> bool:
@@ -439,3 +531,39 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
         aggregates=aggregates,
         context=ctx,
     )
+
+
+def verify_checks(scale: str):
+    """Yield (name, residual, tolerance) for each check of ``pfasst-lfa verify``, at ``scale`` small or large."""
+    n = 32 if scale == "small" else 128
+    m = 3 if scale == "small" else 5
+    l = 4
+    ctx = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l, dt=0.1))
+    setup, pair = ctx.setup, ctx.setup.pair
+
+    # 1: algorithmic run against the matrix formulation, u0 spread over the first interval
+    u0 = np.sin(2 * np.pi * np.arange(n) / n)
+    rhs = np.zeros((l, m, n))
+    rhs[0] = u0
+    p_gs, p_j = setup.composite_preconditioners
+    iterations = 5
+    trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), iterations)
+    u = trace[0].copy()
+    dev = 0.0
+    for k in range(1, iterations + 1):
+        u = mlsdc_step(p_j, p_gs, pair, setup.composite_matrix, rhs.ravel(), u)
+        dev = max(dev, float(np.max(np.abs(u - trace[k]))))
+    yield "pfasst matrix vs algorithmic", dev, 1e-10
+
+    # 2: the tc blocks against T in the same Fourier coordinates, entry by entry
+    residual = tc_similarity_residual(setup.iteration_matrix, lfa.tc_decompose(setup))
+    yield "tc blocks vs transformed T", residual, TC_SIMILARITY_TOL
+
+    # 3: transfer operators transform to two-diagonal form, with the k = 0 pair {0, sqrt(2)}
+    diags = harmonic_diagonals(pair)
+    pair_vals = sorted([abs(diags.d[0]), abs(diags.d_hat[0])])
+    k0_dev = max(abs(pair_vals[0] - 0.0), abs(pair_vals[1] - np.sqrt(2.0)))
+    yield "transfer transform structure", max(transfer_structure_residual(pair, diags), k0_dev), 1e-12
+
+    # 4: the restriction condition holds exactly (a broken temporal restriction is a tier-1 test)
+    yield "restriction condition", float(np.max(np.abs(check_restriction_condition(pair, m)[1]))), 0.0

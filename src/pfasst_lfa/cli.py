@@ -30,39 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, lfa
-from .analysis import (
-    INTERP_EXACTNESS,
-    RESTR_EXACTNESS,
-    STRATEGIES,
-    ExperimentConfig,
-    build_context,
-    run_and_compare,
-)
-from .collocation import spread_initial
+from . import __version__
+from .analysis import INTERP_EXACTNESS, RESTR_EXACTNESS, STRATEGIES, ExperimentConfig, run_and_compare, verify_checks
 from .errors import ConfigurationError, PfasstLfaError, RangeError
-from .solvers import mlsdc_step, pfasst_run_algorithmic
-from .transfer import check_restriction_condition, harmonic_diagonals, transfer_structure_residual
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
-
-# Strategy 4 in tc mode must match the measured error to STRATEGY4_RTOL
-# relative, on the iterations whose error exceeds STRATEGY4_FLOOR times the
-# initial error.  The two differ by round-off of the initial error, at most
-# 7e-15 ||e0|| over n = 32..128, L = 2..8, k in {1, 2, n/16}, mu = 0.5..100
-# and CFL = 0.01..1; below the floor a relative comparison would test that
-# round-off, not the prediction.  Kept iterations can deviate by at most 7e-9
-# relative; the worst measured on that grid is 9e-12.
-STRATEGY4_FLOOR = 1e-6
-STRATEGY4_RTOL = 1e-8
-# Verify check 2 and the analyze --blocks tc,full gate: lfa.tc_similarity_residual
-# is round-off, 7.9e-16 (small) and 9.9e-16 (large), at most 1.4e-14 on small
-# configs up to mu = 100 and 9.9e-15 on the n = 32 dense-verify benchmark
-# configs of seeds 0-20; a negated Q_Delta reads 3.1e7 (small) and 3.2e16 (large).
-TC_SIMILARITY_TOL = 1e-12
 
 
 def _write_csv(path: Path, header: list[str], table: np.ndarray, int_columns: int) -> None:
@@ -71,25 +46,6 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray, int_columns: in
     row = ",".join(["%d"] * int_columns + ["%.16e"] * (cols - int_columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + row * rows % tuple(table.ravel().tolist()))
-
-
-def strategy4_exact(actual_2: np.ndarray, apply_2: np.ndarray) -> bool:
-    """Whether the apply prediction matches the measured error above the round-off floor; NaN or inf fails."""
-    if not (np.all(np.isfinite(actual_2)) and np.all(np.isfinite(apply_2))):
-        return False
-    mask = actual_2 > STRATEGY4_FLOOR * actual_2[0]
-    rel = np.abs(apply_2[mask] - actual_2[mask]) / actual_2[mask]
-    return bool(np.all(rel < STRATEGY4_RTOL))
-
-
-def bound_chain_holds(actual_2: np.ndarray, norm_power: np.ndarray, norm: np.ndarray) -> bool:
-    """||e^k|| <= ||T^k|| ||e^0|| <= ||T||^k ||e^0|| to 1e-12 relative, the first link above the round-off floor.
-
-    Below ``STRATEGY4_FLOOR`` ||e^0|| the measured error is round-off and can
-    exceed a prediction that is exactly 0 (T = 0 at M = L = 1); NaN fails.
-    """
-    first = (actual_2 <= norm_power * (1 + 1e-12)) | (actual_2 <= STRATEGY4_FLOOR * actual_2[0])
-    return bool(np.all(first) and np.all(norm_power <= norm * (1 + 1e-12)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,16 +125,7 @@ def cmd_analyze(args, parser) -> int:
     _write_csv(spectrum_path, ["block_k", "block_j", "eig_re", "eig_im"], table, 2)
     timings["write_outputs"] = time.perf_counter() - t0
 
-    pred = trace.predictions
-    checks = {"bound_chain_2norm": None, "strategy4_tc_exact": None}
-    chain = "tc" if "tc" in cfg.blocks else spectrum_mode  # c's chain can fail where tc's holds
-    if {"norm", "norm-power"} <= set(cfg.strategies):
-        checks["bound_chain_2norm"] = bound_chain_holds(trace.actual_2, pred["norm-power", chain], pred["norm", chain])
-    if ("apply", "tc") in pred:
-        checks["strategy4_tc_exact"] = strategy4_exact(trace.actual_2, pred["apply", "tc"])
-    if {"tc", "full"} <= set(cfg.blocks):
-        t, tc = trace.context.setup.iteration_matrix, trace.context.decomposition("tc")
-        checks["tc_similarity_residual"] = lfa.tc_similarity_residual(t, tc)
+    checks, failed = trace.checks()
 
     config = {
         **asdict(cfg),
@@ -217,11 +164,6 @@ def cmd_analyze(args, parser) -> int:
     chunks = {mode: trace.context.decomposition(mode).eigvals_chunks for mode in cfg.blocks}
     work = {"wall_time_seconds": timings, "norm_grams": grams, "eigvals_chunks": chunks}
     _write_json(out / "timings.json", work)
-    # a false tc-mode check fails the analysis; a bound chain taken in c or full mode is only reported
-    failed = [f"{name} is false" for name, value in checks.items() if value is False and chain == "tc"]
-    residual = checks.get("tc_similarity_residual", 0.0)
-    if not residual <= TC_SIMILARITY_TOL:
-        failed.append(f"tc similarity residual {residual:.3e} > {TC_SIMILARITY_TOL:.0e}")
     for failure in failed:
         print(f"error: {failure}", file=sys.stderr)
     return EXIT_VERIFICATION if failed else EXIT_OK
@@ -233,46 +175,10 @@ def _write_json(path: Path, data: dict) -> None:
         fh.write("\n")
 
 
-def _verify_checks(scale: str):
-    """Yield (name, residual, tolerance) for each verification check."""
-    n = 32 if scale == "small" else 128
-    m = 3 if scale == "small" else 5
-    l = 4
-    ctx = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l, dt=0.1))
-    setup, pair = ctx.setup, ctx.setup.pair
-
-    # 1: algorithmic run against the matrix formulation, u0 spread over the first interval
-    u0 = np.sin(2 * np.pi * np.arange(n) / n)
-    rhs = np.zeros((l, m, n))
-    rhs[0] = u0
-    p_gs, p_j = setup.composite_preconditioners
-    iterations = 5
-    trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), iterations)
-    u = trace[0].copy()
-    dev = 0.0
-    for k in range(1, iterations + 1):
-        u = mlsdc_step(p_j, p_gs, pair, setup.composite_matrix, rhs.ravel(), u)
-        dev = max(dev, float(np.max(np.abs(u - trace[k]))))
-    yield "pfasst matrix vs algorithmic", dev, 1e-10
-
-    # 2: the tc blocks against T in the same Fourier coordinates, entry by entry
-    residual = lfa.tc_similarity_residual(setup.iteration_matrix, lfa.tc_decompose(setup))
-    yield "tc blocks vs transformed T", residual, TC_SIMILARITY_TOL
-
-    # 3: transfer operators transform to two-diagonal form, with the k = 0 pair {0, sqrt(2)}
-    diags = harmonic_diagonals(pair)
-    pair_vals = sorted([abs(diags.d[0]), abs(diags.d_hat[0])])
-    k0_dev = max(abs(pair_vals[0] - 0.0), abs(pair_vals[1] - np.sqrt(2.0)))
-    yield "transfer transform structure", max(transfer_structure_residual(pair, diags), k0_dev), 1e-12
-
-    # 4: the restriction condition holds exactly (a broken temporal restriction is a tier-1 test)
-    yield "restriction condition", float(np.max(np.abs(check_restriction_condition(pair, m)[1]))), 0.0
-
-
 def cmd_verify(args) -> int:
     failures = 0
     print(f"{'check':<40} {'residual':>12} {'tolerance':>12}  result")
-    for name, residual, tol in _verify_checks(args.scale):
+    for name, residual, tol in verify_checks(args.scale):
         ok = residual <= tol
         failures += 0 if ok else 1
         print(f"{name:<40} {residual:>12.3e} {tol:>12.3e}  {'PASS' if ok else 'FAIL'}")

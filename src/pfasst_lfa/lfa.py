@@ -284,29 +284,6 @@ def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
     return hat.reshape(l * m, 2, n // 2).transpose(2, 1, 0).reshape(n // 2, 2 * l * m)
 
 
-def tc_similarity_residual(t: np.ndarray, d: BlockDecomposition) -> float:
-    """max |F T F^H - diag(tc blocks)| / max(max |T|, 1): the tc similarity checked entry by entry.
-
-    F is the unitary FFT on the grid axis of the (L, M, N) layout (the
-    basis of :func:`transform_vector`), applied one row interval of T at a
-    time.  The scale is at least 1 because T can be round-off itself: T = 0
-    in exact arithmetic when M = L = 1, where Q_Delta = Q.
-    """
-    meta = d.meta
-    n, l, m, h = meta.n, meta.l, meta.m, meta.n // 2
-    # axes (pair k, half s, interval, node, half s', interval, node): harmonics s*N/2 + k and s'*N/2 + k
-    blocks = d.blocks.reshape(h, 2, l, m, 2, l, m)
-    pairs = np.arange(h)
-    worst = 0.0
-    for i, rows in enumerate(t.reshape(l, m, n, l, m, n)):
-        hat = np.fft.ifft(np.fft.fft(rows, axis=1, norm="ortho"), axis=4, norm="ortho")
-        hat = hat.reshape(m, 2, h, l, m, 2, h)
-        # every entry off the pair blocks must be 0; the pair entries are indexed (k, node, s, interval, node', s')
-        hat[:, :, pairs, :, :, :, pairs] -= blocks[:, :, i].transpose(0, 2, 1, 4, 5, 3)
-        worst = max(worst, float(np.max(np.abs(hat))))
-    return worst / max(float(np.max(np.abs(t))), 1.0)
-
-
 def _gram(x: np.ndarray) -> np.ndarray:
     """G = X^H X of each matrix of a stack."""
     return np.swapaxes(x, -2, -1).conj() @ x

@@ -2,7 +2,7 @@
 
 The tests compare the spectrum of the dense iteration matrix with the block
 spectra through these helpers; the program itself checks the similarity
-entry by entry (``lfa.tc_similarity_residual``).
+entry by entry (``analysis.tc_similarity_residual``).
 """
 
 import numpy as np

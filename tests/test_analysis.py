@@ -1,6 +1,7 @@
 """Error vectors, prediction strategies and phase detection."""
 
 import inspect
+import re
 import sys
 import threading
 import time
@@ -110,6 +111,33 @@ def test_config_keeps_a_numpy_integer_as_an_int():
     assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.iterations))
     with pytest.raises(ConfigurationError, match="iterations must be an integer, got True"):
         ExperimentConfig(problem="diffusion", mu=10.0, iterations=True)
+    # a real float field of any type is kept as given
+    cfg = ExperimentConfig(problem="diffusion", mu=np.float32(10.0), dt=1)
+    assert type(cfg.mu) is np.float32 and type(cfg.dt) is int
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dt", "0.1"),  # each of these failed in numpy or resolved_coefficient with a TypeError
+        ("dt", 1j),
+        ("dt", None),
+        ("dt", True),  # ran as dt = 1.0
+        ("mu", "10"),
+        ("mu", 10j),
+        ("mu", False),
+        ("coefficient", "0.01"),
+        ("coefficient", 0.01 + 0j),
+        ("coefficient", True),
+    ],
+)
+def test_config_refuses_a_float_field_that_is_not_a_real_number(field, value):
+    if field == "coefficient":
+        kwargs = {"problem": "advection", "coefficient": value}
+    else:
+        kwargs = {"problem": "diffusion", "mu": 10.0, field: value}
+    with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be a real number, got {value!r}")):
+        ExperimentConfig(**kwargs)
 
 
 def test_mu_resolves_to_parabolic_mesh_ratio():
@@ -249,6 +277,15 @@ def test_config_checks_the_strategy_and_block_names():
     # a repeated name is kept once, where it was first given
     cfg = _small_cfg(strategies=("rho", "apply", "rho"), blocks=("c", "tc", "c"))
     assert (cfg.strategies, cfg.blocks) == (("rho", "apply"), ("c", "tc"))
+
+
+@pytest.mark.parametrize(
+    "field,value", [("strategies", "rho"), ("strategies", "apply"), ("blocks", "tc"), ("blocks", "c")]
+)
+def test_config_refuses_a_bare_string_of_names(field, value):
+    # a string was read letter by letter: "c" as ("c",), "tc" as ("t", "c")
+    with pytest.raises(ConfigurationError, match=f"{field} must be a tuple of names, got the string '{value}'"):
+        _small_cfg(**{field: value})
 
 
 def test_run_and_compare_strategy4_exactness_small():

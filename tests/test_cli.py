@@ -13,16 +13,16 @@ import pytest
 
 import clusters
 from pfasst_lfa import analysis, cli, lfa, solvers
-from pfasst_lfa.analysis import ExperimentConfig, build_context, predict, run_and_compare
-from pfasst_lfa.cli import (
-    EXIT_NUMERICAL,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFICATION,
+from pfasst_lfa.analysis import (
+    STRATEGY4_FLOOR,
+    ExperimentConfig,
     bound_chain_holds,
-    main,
+    build_context,
+    predict,
+    run_and_compare,
     strategy4_exact,
 )
+from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from pfasst_lfa.linalg import sort_eigenvalues
 
 
@@ -240,7 +240,7 @@ def test_bound_chain_check_ignores_round_off_below_the_floor(tmp_path):
     assert json.loads((out / "report.json").read_text())["checks"]["bound_chain_2norm"] is True
     trace = run_and_compare(ExperimentConfig(problem="diffusion", mu=1.0, n=16, m=1, l=1))
     s3 = trace.predictions["norm-power", "tc"]
-    assert np.all(s3[1:] == 0) and 0 < trace.actual_2[1] <= cli.STRATEGY4_FLOOR * trace.actual_2[0]
+    assert np.all(s3[1:] == 0) and 0 < trace.actual_2[1] <= STRATEGY4_FLOOR * trace.actual_2[0]
 
 
 @pytest.mark.parametrize("blocks", ["c,tc", "tc,c"])
@@ -283,7 +283,7 @@ def test_the_2_norms_of_an_error_below_1e_154_are_not_zero():
 @pytest.mark.parametrize("check", ["strategy4_tc_exact", "bound_chain_2norm"])
 def test_analyze_exits_4_after_writing_artifacts_on_a_false_tc_check(tmp_path, monkeypatch, capsys, check):
     function = "strategy4_exact" if check == "strategy4_tc_exact" else "bound_chain_holds"
-    monkeypatch.setattr(cli, function, lambda *columns: False)
+    monkeypatch.setattr(analysis, function, lambda *columns: False)
     out = _analyze(tmp_path, code=EXIT_VERIFICATION)
     checks = json.loads((out / "report.json").read_text())["checks"]
     assert checks[check] is False and all(value is True for name, value in checks.items() if name != check)
@@ -297,7 +297,7 @@ def test_a_false_c_mode_bound_chain_is_only_reported(tmp_path, monkeypatch):
             "--wavenumber", "15", "--blocks", "c", "--out", str(tmp_path / "c")]
     assert main(argv) == EXIT_OK
     assert json.loads((tmp_path / "c" / "report.json").read_text())["checks"]["bound_chain_2norm"] is False
-    monkeypatch.setattr(cli, "bound_chain_holds", lambda *columns: False)
+    monkeypatch.setattr(analysis, "bound_chain_holds", lambda *columns: False)
     for blocks in ("c", "full"):
         _analyze(tmp_path / blocks, "--blocks", blocks)
 
@@ -404,8 +404,37 @@ def test_analyze_records_the_tc_similarity_residual_with_tc_and_full(tmp_path):
         assert "tc_similarity_residual" not in json.loads((out / "report.json").read_text())["checks"]
 
 
+C_CHAIN = {"mu": 10.0, "n": 32, "m": 1, "l": 4, "wavenumber": 15}  # c mode's bound chain fails here, tc's holds
+
+
+@pytest.mark.parametrize(
+    "fields,spoiled,chain,failures",
+    [
+        ({"mu": 10.0, "n": 32, "m": 3, "l": 4, "blocks": ("c", "tc", "full")}, False, True, []),
+        ({**C_CHAIN, "blocks": ("c",)}, False, False, []),
+        ({**C_CHAIN, "blocks": ("c", "tc")}, False, True, []),
+        ({"mu": 10.0, "n": 32, "m": 3, "l": 4}, True, True, ["strategy4_tc_exact is false"]),
+    ],
+)
+def test_trace_checks_are_the_reports_checks_and_the_analyze_errors(tmp_path, monkeypatch, capsys, fields, spoiled,
+                                                                    chain, failures):
+    # a library caller reads the CLI's verdict off the trace: the report's checks, and one error line per failure
+    if spoiled:
+        monkeypatch.setattr(analysis, "strategy4_exact", lambda *columns: False)
+    out = tmp_path / "out"
+    argv = ["analyze", "--problem", "diffusion", "--out", str(out)]
+    for name, value in fields.items():
+        argv += [f"--{name}", ",".join(value) if isinstance(value, tuple) else str(value)]
+    code = main(argv)
+    errors = [line.removeprefix("error: ") for line in capsys.readouterr().err.splitlines()]
+    checks, failed = run_and_compare(ExperimentConfig(problem="diffusion", **fields)).checks()
+    assert checks == json.loads((out / "report.json").read_text())["checks"]
+    assert failed == errors == failures and code == (EXIT_VERIFICATION if failures else EXIT_OK)
+    assert checks["bound_chain_2norm"] is chain
+
+
 def test_analyze_exits_4_after_writing_artifacts_when_tc_differs_from_t(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(lfa, "tc_similarity_residual", lambda t, tc: 1.0)
+    monkeypatch.setattr(analysis, "tc_similarity_residual", lambda t, tc: 1.0)
     out = _analyze(tmp_path, "--blocks", "tc,full", code=EXIT_VERIFICATION)
     assert json.loads((out / "report.json").read_text())["checks"]["tc_similarity_residual"] == 1.0
     assert {"trace.csv", "spectrum.csv", "timings.json"} <= {p.name for p in out.iterdir()}
@@ -683,7 +712,7 @@ def test_verify_detects_qdelta_mutation(monkeypatch, capsys, scale):
 
 def test_verify_prints_the_transfer_structure_residual_of_tampered_diagonals(monkeypatch, capsys):
     # check 3 prints the deviation it measures, a finite number, and fails on it
-    original = cli.harmonic_diagonals
+    original = analysis.harmonic_diagonals
 
     def tampered(pair):
         diags = original(pair)
@@ -691,7 +720,7 @@ def test_verify_prints_the_transfer_structure_residual_of_tampered_diagonals(mon
         d[3] += 1e-6
         return replace(diags, d=d)
 
-    monkeypatch.setattr(cli, "harmonic_diagonals", tampered)
+    monkeypatch.setattr(analysis, "harmonic_diagonals", tampered)
     assert main(["verify", "--scale", "small"]) == EXIT_VERIFICATION
     row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("transfer transform structure"))
     assert row.split()[-1] == "FAIL"

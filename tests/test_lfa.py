@@ -11,7 +11,7 @@ import pytest
 import clusters
 import oracles
 from pfasst_lfa import lfa
-from pfasst_lfa.analysis import ExperimentConfig, build_context
+from pfasst_lfa.analysis import ExperimentConfig, build_context, tc_similarity_residual
 from pfasst_lfa.collocation import CollocationProblem
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import scaled, sort_eigenvalues
@@ -287,15 +287,15 @@ def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qde
     setup = _assemble(make(n, coefficient), m, l, 0.1, qdelta_kind)
     t, d = setup.iteration_matrix, lfa.tc_decompose(setup)
     scale = max(np.max(np.abs(t)), 1.0)
-    assert lfa.tc_similarity_residual(t, d) <= 1e-14
+    assert tc_similarity_residual(t, d) <= 1e-14
     # one tc block entry: the deviation is the change itself
     blocks = d.blocks.copy()
     blocks[3, 5, 17] += delta
-    assert lfa.tc_similarity_residual(t, replace(d, blocks=blocks)) == pytest.approx(delta / scale, rel=1e-4)
+    assert tc_similarity_residual(t, replace(d, blocks=blocks)) == pytest.approx(delta / scale, rel=1e-4)
     # one entry of T: the unitary transforms spread it over N^2 entries of modulus delta/N
     changed = t.copy()
     changed[20, 100] += delta
-    assert lfa.tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
+    assert tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
 
 
 def _interval_blocks(d, l, m):

@@ -32,16 +32,17 @@ from hypothesis import strategies as st
 
 import oracles
 from pfasst_lfa import cli, lfa
-from pfasst_lfa.analysis import STRATEGIES, ExperimentConfig, build_context, detect_phases, run_and_compare
-from pfasst_lfa.cli import (
-    EXIT_NUMERICAL,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFICATION,
+from pfasst_lfa.analysis import (
+    STRATEGIES,
+    ExperimentConfig,
     bound_chain_holds,
-    main,
+    build_context,
+    detect_phases,
+    run_and_compare,
     strategy4_exact,
+    tc_similarity_residual,
 )
+from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import sort_eigenvalues
@@ -114,7 +115,7 @@ def test_tc_blocks_equal_the_transformed_iteration_matrix(cfg):
     # round-off grows with mu: the worst on a grid of these configs is 1.4e-14
     # (diffusion, mu = 100, M = 5)
     ctx = build_context(cfg)
-    assert lfa.tc_similarity_residual(ctx.setup.iteration_matrix, ctx.decomposition("tc")) <= 1e-13
+    assert tc_similarity_residual(ctx.setup.iteration_matrix, ctx.decomposition("tc")) <= 1e-13
 
 
 @PROPERTY
