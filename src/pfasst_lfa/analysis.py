@@ -127,10 +127,14 @@ class ExperimentConfig:
                 f"unknown qdelta_kind {self.qdelta_kind!r} (choose from {', '.join(QDELTA_KINDS)})"
             )
         for name, known in (("strategies", STRATEGIES), ("blocks", BLOCK_MODES)):
-            if isinstance(getattr(self, name), str):  # a string would be read letter by letter
-                raise ConfigurationError(f"{name} must be a tuple of names, got the string {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, str):  # a string would be read letter by letter
+                raise ConfigurationError(f"{name} must be a tuple of names, got the string {value!r}")
             # a repeated name is computed once, so the report lists each once, in first-seen order
-            names = tuple(dict.fromkeys(getattr(self, name)))
+            try:
+                names = tuple(dict.fromkeys(value))
+            except TypeError:  # not iterable, or an unhashable entry
+                raise ConfigurationError(f"{name} must be a tuple of names, got {value!r}") from None
             object.__setattr__(self, name, names)
             if not names or not set(names) <= set(known):
                 raise ConfigurationError(f"{name} must be one or more of {', '.join(known)}, got {list(names)}")

@@ -20,15 +20,16 @@ from .transfer import TransferPair, node_propagation
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """P (``l = 1``), or kron(I_L, P) with -N = -kron(coupling, I) below it, solved through the cached LU of P.
+    """P, or kron(I_L, P) with -N = -kron(coupling, I) below it, solved through the cached LU of P.
 
-    ``coupling=None`` is block Jacobi, independent intervals; an M x M
-    coupling is block Gauss-Seidel, x_i = P^{-1}(r_i + N x_{i-1}), acting on
-    the node axis of each interval.  Neither N nor the (L*d)^2 matrix is formed.
+    The interval count L is the right-hand side's row count over the rows
+    of P.  ``coupling=None`` is block Jacobi, independent intervals; an
+    M x M coupling is block Gauss-Seidel, x_i = P^{-1}(r_i + N x_{i-1}),
+    acting on the node axis of each interval.  Neither N nor the (L*d)^2
+    matrix is formed.
     """
 
     matrix: np.ndarray
-    l: int = 1
     coupling: np.ndarray | None = None
 
     @cached_property
@@ -52,8 +53,8 @@ class Preconditioner:
         import scipy.linalg
 
         rhs = np.asarray(rhs)
-        blocks = rhs.reshape(self.l, -1, *rhs.shape[1:])  # a ValueError unless the rows split into l blocks
-        d = blocks.shape[1]
+        d = len(self.matrix)
+        blocks = rhs.reshape(-1, d, *rhs.shape[1:])  # a ValueError unless the rows split into blocks of d
         # the LU solve returns Fortran-ordered blocks; a Fortran-ordered
         # result takes them without a transposing copy
         out = np.empty(rhs.shape, dtype=np.result_type(rhs, float), order="F")
@@ -167,28 +168,34 @@ def mlsdc_iteration_matrix(
     return np.eye(m.shape[0]) - mlsdc_preconditioner_inverse(fine, coarse, pair, m) @ m
 
 
-def _identity_minus(x: np.ndarray) -> np.ndarray:
-    """I - x, overwriting the square x."""
-    np.negative(x, out=x)
-    x.flat[:: x.shape[0] + 1] += 1.0
-    return x
-
-
 def pfasst_iteration_matrix(
     coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray
 ) -> np.ndarray:
-    """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
+    """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), over its causal block triangle.
 
-    The block Jacobi Phat is solved interval by interval and the lifted
-    transfers act block by block; only M and the two factors are formed, and
-    T overwrites the C-ordered second factor one interval's columns at a time.
+    M is block lower bidiagonal with identical blocks and both
+    preconditioners are causal, so both factors and T are block lower
+    triangular: the smoother's block rows are one solved pair, and column
+    block j of the coarse factor and of T is computed from interval j on.
+    Each product keeps its whole inner dimension, so T has the bits of the
+    dense formula over all columns.  T overwrites the coarse factor.
     """
-    cgc_factor = _identity_minus(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m))))
-    smoother_factor = _identity_minus(fine_jacobi.solve(m))
-    width = len(m) // fine_jacobi.l
-    for j in range(0, len(m), width):
-        cgc_factor[:, j : j + width] = smoother_factor @ cgc_factor[:, j : j + width]
-    return cgc_factor
+    size, d = len(m), len(fine_jacobi.matrix)
+    lo = d if size > d else 0  # block row 1, or block row 0 when L = 1
+    band = np.negative(fine_jacobi.solve(m[lo : lo + d, : lo + d]))  # [-P^{-1}(-N), -P^{-1} C]
+    band[np.arange(d), lo + np.arange(d)] += 1.0
+    smoother = np.zeros_like(m)
+    smoother[:d, :d] = band[:, lo:]
+    for i in range(d, size, d):
+        smoother[i : i + d, i - d : i + d] = band
+    cgc = np.zeros_like(m)
+    for j in range(0, size, d):
+        restricted = _lifted(pair.restriction, m[j:, j : j + d])
+        np.negative(_lifted(pair.interpolation, coarse_gs.solve(restricted)), out=cgc[j:, j : j + d])
+    cgc.flat[:: size + 1] += 1.0
+    for j in range(0, size, d):
+        cgc[j:, j : j + d] = smoother[j:] @ cgc[:, j : j + d]
+    return cgc
 
 
 @dataclass
@@ -234,9 +241,8 @@ class TwoLevelSetup:
 
     @cached_property
     def composite_preconditioners(self) -> tuple[Preconditioner, Preconditioner]:
-        """(coarse block Gauss-Seidel, fine block Jacobi) on the full domain."""
-        coarse_gs = Preconditioner(self.p_coarse.matrix, self.l, node_propagation(self.m_nodes))
-        return coarse_gs, Preconditioner(self.p_fine.matrix, self.l)
+        """(coarse block Gauss-Seidel, fine block Jacobi) on the full domain; the block Jacobi is ``p_fine``."""
+        return Preconditioner(self.p_coarse.matrix, node_propagation(self.m_nodes)), self.p_fine
 
     @cached_property
     def iteration_matrix(self) -> np.ndarray:

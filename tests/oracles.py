@@ -10,12 +10,14 @@ acceptance suite compares with the predicted spectral radius.
 ``apply_blocks`` applies every block, where the ``apply`` prediction
 multiplies only the rows of the excited harmonics.  ``norms2`` and
 ``max_norm2`` are the norm kernel's 2-norms over a stack, without chunks
-or bounds.
+or bounds.  ``dense_iteration_matrix`` is the PFASST iteration matrix as
+its defining product over all columns, where
+``solvers.pfasst_iteration_matrix`` forms only its causal block triangle.
 """
 
 import numpy as np
 
-from pfasst_lfa import lfa
+from pfasst_lfa import lfa, solvers
 from pfasst_lfa.analysis import (
     PHASE_IMPROVEMENT,
     PHASE_MIN_LEN,
@@ -64,6 +66,13 @@ def norms2(stack: np.ndarray) -> np.ndarray:
 def max_norm2(stack: np.ndarray) -> float:
     """Largest 2-norm in a stack of real or complex matrices, by ``lfa._norms2``."""
     return float(np.max(norms2(stack)))
+
+
+def dense_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np.ndarray:
+    """(I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), each factor solved over all L*M*N columns."""
+    eye = np.eye(len(m))
+    cgc = eye - solvers._lifted(pair.interpolation, coarse_gs.solve(solvers._lifted(pair.restriction, m)))
+    return (eye - fine_jacobi.solve(m)) @ cgc
 
 
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:

@@ -288,6 +288,17 @@ def test_config_refuses_a_bare_string_of_names(field, value):
         _small_cfg(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value,shown",
+    [("strategies", None, "None"), ("blocks", 5, "5"), ("strategies", ("rho", ["apply"]), r"\('rho', \['apply'\]\)")],
+    ids=["none", "not-iterable", "unhashable-entry"],
+)
+def test_config_refuses_names_that_are_not_a_tuple_of_strings(field, value, shown):
+    # each raised a bare TypeError: None and 5 from iterating them, ["apply"] from hashing it
+    with pytest.raises(ConfigurationError, match=f"^{field} must be a tuple of names, got {shown}$"):
+        _small_cfg(**{field: value})
+
+
 def test_run_and_compare_strategy4_exactness_small():
     trace = run_and_compare(_small_cfg(iterations=8))
     ap = trace.predictions["apply", "tc"]

@@ -1,7 +1,8 @@
 """Property tests: the algorithmic run, the matrix form and the blocks agree on small random configs.
 
 Configurations are drawn from n in {16, 32}, m in 1..5, l in 1..4 (the
-iteration-matrix oracle: m in {1, 3}, l in {1, 2, 4}), both problems and
+iteration-matrix oracles: l in {1, 2, 3, 4, 8}, and m in {1, 3} against the
+Kronecker products), both problems and
 both Q_Delta kinds; mu is log-uniform on [1, 100] and the
 advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
@@ -93,7 +94,7 @@ def test_fft_swept_run_equals_matrix_iterates(cfg):
 
 
 @PROPERTY
-@given(configs(ls=(1, 2, 4), ms=(1, 3)))
+@given(configs(ls=(1, 2, 3, 4, 8), ms=(1, 3)))
 def test_iteration_matrix_equals_the_kron_oracle(cfg):
     # the factors the matrix route applies block by block, formed as Kronecker products
     setup = build_context(cfg).setup
@@ -107,6 +108,27 @@ def test_iteration_matrix_equals_the_kron_oracle(cfg):
     eye = np.eye(len(mat))
     oracle = (eye - np.linalg.solve(p_jacobi, mat)) @ (eye - t_up @ np.linalg.solve(p_gs, t_down @ mat))
     assert np.max(np.abs(setup.iteration_matrix - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@PROPERTY
+@given(configs(ls=(1, 2, 3, 4, 8)))
+def test_iteration_matrix_is_block_lower_triangular(cfg):
+    # interval i's iterate depends on intervals j <= i only: every block above the diagonal is exactly 0
+    t = build_context(cfg).setup.iteration_matrix
+    w = cfg.m * cfg.n
+    for i in range(cfg.l - 1):
+        assert not np.any(t[i * w : (i + 1) * w, (i + 1) * w :])
+
+
+@PROPERTY
+@given(configs(ls=(1, 2, 3, 4, 8)))
+def test_iteration_matrix_equals_the_dense_formula(cfg):
+    # the causal build against both factors solved over all columns and multiplied whole; the two
+    # agree bit for bit with OpenBLAS, but the test does not pin how a BLAS tiles its products
+    setup = build_context(cfg).setup
+    t = setup.iteration_matrix
+    oracle = oracles.dense_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    assert np.max(np.abs(t - oracle)) <= 1e-15 * np.max(np.abs(t))
 
 
 @PROPERTY

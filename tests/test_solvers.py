@@ -61,8 +61,8 @@ def test_preconditioner_solve_matches_dense_solve(l, coupled):
     dense = np.kron(np.eye(l), p.matrix)
     if coupled:
         dense -= np.kron(np.eye(l, k=-1), np.kron(coupling, np.eye(8)))
-    # both are solved interval by interval through the one-interval LU
-    composite = Preconditioner(p.matrix, l, coupling)
+    # both are solved interval by interval through the one-interval LU, l intervals read off the rows
+    composite = Preconditioner(p.matrix, coupling)
     rng = np.random.default_rng(6)
     d = l * cp.dim
     for rhs in (rng.standard_normal(d), rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))):
@@ -77,8 +77,8 @@ def test_preconditioner_rejects_singular_matrix():
 
 @pytest.mark.parametrize("coupling", [None, np.eye(3)], ids=["jacobi", "gauss-seidel"])
 def test_preconditioner_refuses_rows_that_do_not_split_into_l_blocks(coupling):
-    # 7 rows over l = 2 intervals would leave the last row unsolved: it is an error, not uninitialized memory
-    p = Preconditioner(2 * np.eye(3), 2, coupling)
+    # 7 rows over intervals of 3 would leave the last row unsolved: it is an error, not uninitialized memory
+    p = Preconditioner(2 * np.eye(3), coupling)
     for rhs in (np.ones(7), np.ones((7, 2)), np.ones((2, 7)).T):
         with pytest.raises(ValueError):
             p.solve(rhs)
