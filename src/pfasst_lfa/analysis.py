@@ -28,7 +28,7 @@ from .errors import ConfigurationError
 from .linalg import norm2
 from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
 from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
-from .solvers import TwoLevelSetup, mlsdc_step, pfasst_run_algorithmic
+from .solvers import TwoLevelSetup, mlsdc_step, pfasst_iteration_matrix, pfasst_run_algorithmic
 from .transfer import (
     INTERP_EXACTNESS, RESTR_EXACTNESS, build_ci_pair, check_restriction_condition, harmonic_diagonals,
     midpoint_stencil_points, transfer_structure_residual,
@@ -262,8 +262,10 @@ def excited_blocks(cfg: ExperimentConfig) -> set[int]:
     return out
 
 
-def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarray:
-    """Predicted 2-norm error for iterations 0..K, K+1 values; ``apply`` propagates only the ``excited_blocks``."""
+def predict(ctx: ExperimentContext, strategy: str, block_mode: str, worker=None) -> np.ndarray:
+    """Predicted 2-norm error for iterations 0..K, K+1 values; ``apply`` propagates only the ``excited_blocks``.
+
+    ``worker`` goes to :func:`lfa.block_power_norms`, which hands it Gram solves where a chunk has no running max."""
     d = ctx.decomposition(block_mode)
     k_max = ctx.cfg.iterations
     e0 = ctx.initial_error
@@ -275,7 +277,7 @@ def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarra
         rate = d.spectral_radius if strategy == "rho" else d.norm
         values[1:] = e0_norm * rate ** np.arange(1, k_max + 1)
     elif strategy == "norm-power":
-        values[1:] = lfa.block_power_norms(d, k_max)[1:] * e0_norm
+        values[1:] = lfa.block_power_norms(d, k_max, worker)[1:] * e0_norm
     else:
         # only the excited rows are multiplied (the others carry no energy for single-mode
         # data), but the norm keeps every row in place: its round-off depends on their positions
@@ -490,20 +492,27 @@ def _spare_core() -> bool:
     return False
 
 
+def _worker_pool():
+    """A one-thread executor to enter, and the worker to hand work to: that executor given a :func:`_spare_core`."""
+    from concurrent.futures import ThreadPoolExecutor  # not at import time: the CLI's cold start skips it
+
+    pool = ThreadPoolExecutor(1)
+    return pool, pool if _spare_core() else None
+
+
 def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     """Run algorithmic PFASST and attach the predictions of every strategy and block mode of ``cfg``.
 
     Given a :func:`_spare_core`, the decompositions hand their eigenvalue
-    chunks to a worker thread as they are built; ``rho`` is predicted last,
-    after the join.  The worker makes only the eigvals call, so every result
-    is that of a serial run.
+    chunks to a worker thread as they are built, and norm-power hands it the
+    Gram solves of a chunk with no running max; ``rho`` is predicted last,
+    after the join.  The worker runs only numpy's eigvals and eigvalsh, each
+    on a whole matrix or stack, so every result is that of a serial run.
     """
-    from concurrent.futures import ThreadPoolExecutor  # not at import time: the CLI's cold start skips it
-
     ctx = build_context(cfg)
     requested = [(strategy, mode) for mode in cfg.blocks for strategy in cfg.strategies]
-    with ThreadPoolExecutor(1) as pool:
-        worker = pool if _spare_core() else None
+    pool, worker = _worker_pool()
+    with pool:
         try:
             decompositions = {mode: ctx.decomposition(mode, worker) for mode in cfg.blocks}
             u_ex = ctx.trajectory
@@ -515,7 +524,7 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
             actual_2 = np.array([norm2(e) for e, _ in trace])
             u_run_2 = np.array([norm2(u - u_ex) for _, u in trace])
             # rho reads the spectra; it waits for the join below
-            predictions = {key: predict(ctx, *key) for key in requested if key[0] != "rho"}
+            predictions = {key: predict(ctx, *key, worker) for key in requested if key[0] != "rho"}
             norms = {mode: d.norm for mode, d in decompositions.items()}
             for d in reversed(decompositions.values()):  # the worker takes the chunks in build order
                 d.eigenvalues  # the join
@@ -559,8 +568,11 @@ def verify_checks(scale: str):
         dev = max(dev, float(np.max(np.abs(u - trace[k]))))
     yield "pfasst matrix vs algorithmic", dev, 1e-10
 
-    # 2: the tc blocks against T in the same Fourier coordinates, entry by entry
-    residual = tc_similarity_residual(setup.iteration_matrix, lfa.tc_decompose(setup))
+    # 2: the tc blocks against T in the same Fourier coordinates, entry by entry; T's products shared with a worker
+    pool, worker = _worker_pool()
+    with pool:
+        t = pfasst_iteration_matrix(p_gs, p_j, pair, setup.composite_matrix, worker)
+    residual = tc_similarity_residual(t, lfa.tc_decompose(setup))
     yield "tc blocks vs transformed T", residual, TC_SIMILARITY_TOL
 
     # 3: transfer operators transform to two-diagonal form, with the k = 0 pair {0, sqrt(2)}

@@ -160,8 +160,10 @@ def cmd_analyze(args, parser) -> int:
         report["cfl"] = trace.context.fine.cfl(cfg.dt)
     _write_json(out / "report.json", report)
     # the kernels' work, not their results: the report's bytes do not depend on it
-    grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
-    chunks = {mode: trace.context.decomposition(mode).eigvals_chunks for mode in cfg.blocks}
+    decompositions = {mode: trace.context.decomposition(mode) for mode in cfg.blocks}
+    grams = {mode: d.grams for mode, d in decompositions.items()}
+    # next to the chunks the main thread solved, the norm-power Gram solves the worker ran
+    chunks = {mode: d.eigvals_chunks | {"worker_grams": d.worker_grams} for mode, d in decompositions.items()}
     work = {"wall_time_seconds": timings, "norm_grams": grams, "eigvals_chunks": chunks}
     _write_json(out / "timings.json", work)
     for failure in failed:

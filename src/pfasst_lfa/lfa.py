@@ -107,6 +107,8 @@ class BlockDecomposition:
     grams: dict = field(
         default_factory=lambda: {"solved": 0, "certified": 0, "bounded": 0}, init=False, repr=False, compare=False
     )
+    # how many of those "solved" Grams the worker solved (``block_power_norms``)
+    worker_grams: int = field(default=0, init=False, repr=False, compare=False)
     # the eigenvalue chunks in row order: (rows, the future of their eigvals on a worker, else None)
     handed: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -380,7 +382,7 @@ def _visit_order(d: BlockDecomposition) -> np.ndarray | None:
     return order
 
 
-def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
+def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, i.e. ||T^k||_2 block-wise.
 
     k = 1 is the decomposition's cached ``norm``.  One pass per chunk of
@@ -390,39 +392,65 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     ``_visit_order``.  A block with ||B^k||_F below the running max times 1 - delta
     is settled without a Gram (a first chunk's largest-||B^k||_F block is solved
     alone, for a max); the rest are solved only where ``_below`` fails on them.
+    A one-block first chunk (full mode's, a tc stack's from 2LM = 256 on) has no
+    running max: each Gram's eigvalsh goes to ``worker``, an executor, if given,
+    and before the next Gram this thread takes back the last one if the worker
+    has not started it, so at most one waits.  The norms are a serial run's.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
     if k_max:
         norms[1] = d.norm
     for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
-        power = blocks
+        power, handed = blocks, []  # no running max: per k, [k, ||B^k||] or [k, s, the future of eigvalsh(G), G]
         for k in range(2, k_max + 1):
             power = power @ blocks
             scale, x = scaled(power)
+            if not (i or len(x) > 1):  # a one-block first chunk (full mode): no running max, nothing to settle
+                if handed:
+                    _take_back(handed[-1])  # so at most one Gram waits for the worker
+                gram = _gram(x)
+                del x  # not held through the next product
+                if worker and np.all(np.isfinite(gram)):  # a non-finite Gram is solved here, by ``_norms2``
+                    handed.append([k, scale, worker.submit(np.linalg.eigvalsh, gram), gram])
+                else:
+                    handed.append([k, _norms2(scale, gram)])
+                d.grams["solved"] += 1
+                continue
             left = np.arange(len(x))
-            if has_max := i or len(x) > 1:  # a one-block first chunk (full mode) has no running max, nor a lone block
-                frob = np.einsum("...ij,...ij->...", x.view(float), x.view(float))  # ||X/s||_F^2 < 4d^2: no overflow
-                # s sqrt(frob) = ||X||_F overflows only near max float, and a subnormal s overflows the bound to inf
-                with np.errstate(over="ignore"):
-                    if not i:  # no running max yet: the block of the largest ||B^k||_F is solved alone first
-                        lone = np.argmax(np.sqrt(frob) * scale)
-                        norms[k] = _norms2(scale[lone, None], _gram(x[lone, None]))[0]
-                        d.grams["solved"] += 1
-                        left = np.delete(left, lone)
-                    # as in ``_below``, a settled norm would be below bound (1 + O(d^2 eps)) < m_k; inf or NaN never is
-                    bound = norms[k] * (1 - NORM_CERTIFICATE_DELTA)
-                    settled = frob[left] < np.square(bound / scale[left])
-                d.grams["bounded"] += int(np.count_nonzero(settled))
-                left = left[~settled]
+            frob = np.einsum("...ij,...ij->...", x.view(float), x.view(float))  # ||X/s||_F^2 < 4d^2: no overflow
+            # s sqrt(frob) = ||X||_F overflows only near max float, and a subnormal s overflows the bound to inf
+            with np.errstate(over="ignore"):
+                if not i:  # no running max yet: the block of the largest ||B^k||_F is solved alone first
+                    lone = np.argmax(np.sqrt(frob) * scale)
+                    norms[k] = _norms2(scale[lone, None], _gram(x[lone, None]))[0]
+                    d.grams["solved"] += 1
+                    left = np.delete(left, lone)
+                # as in ``_below``, a settled norm would be below bound (1 + O(d^2 eps)) < m_k; inf or NaN never is
+                bound = norms[k] * (1 - NORM_CERTIFICATE_DELTA)
+                settled = frob[left] < np.square(bound / scale[left])
+            d.grams["bounded"] += int(np.count_nonzero(settled))
+            left = left[~settled]
             if len(left) < len(x):
                 scale, x = scale[left], x[left]  # one indexed copy; the chunk's scaled stack is freed
             if len(left):
                 gram = _gram(x)
                 del x  # not held through eigvalsh
-                certified = has_max and _below(scale, gram, bound)
+                certified = _below(scale, gram, bound)
                 if not certified:
                     norms[k] = np.maximum(norms[k], np.max(_norms2(scale, gram)))  # a NaN norm stays NaN
                 d.grams["certified" if certified else "solved"] += len(left)
                 del gram  # not held through the next product
+        if handed:
+            _take_back(handed[-1])
+        for k, norm, *solving in handed:  # s sqrt(lambda_max), as ``_norms2`` of a finite Gram; NaN stays NaN
+            norms[k] = np.maximum(norms[k], np.max(norm * np.sqrt(solving[0].result()[..., -1]) if solving else norm))
+        d.worker_grams += sum(len(entry) == 3 for entry in handed)
     return norms
+
+
+def _take_back(entry: list) -> None:
+    """[k, s, future, G] to [k, ||B^k||] if the worker has not started G (``Future.cancel``), else to [k, s, future]."""
+    if len(entry) == 4:
+        k, scale, future, gram = entry
+        entry[1:] = [_norms2(scale, gram)] if future.cancel() else [scale, future]

@@ -26,7 +26,10 @@ class Preconditioner:
     of P.  ``coupling=None`` is block Jacobi, independent intervals; an
     M x M coupling is block Gauss-Seidel, x_i = P^{-1}(r_i + N x_{i-1}),
     acting on the node axis of each interval.  Neither N nor the (L*d)^2
-    matrix is formed.
+    matrix is formed.  Solve on one thread only: two threads calling
+    ``scipy.linalg.lu_solve`` on one ``lu`` return wrong solutions (scipy
+    1.17.1; separate copies of the factors do not), likely because its
+    getrs wrapper shifts the pivot array in place.
     """
 
     matrix: np.ndarray
@@ -169,7 +172,7 @@ def mlsdc_iteration_matrix(
 
 
 def pfasst_iteration_matrix(
-    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray
+    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray, worker=None
 ) -> np.ndarray:
     """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), over its causal block triangle.
 
@@ -177,24 +180,39 @@ def pfasst_iteration_matrix(
     preconditioners are causal, so both factors and T are block lower
     triangular: the smoother's block rows are one solved pair, and column
     block j of the coarse factor and of T is computed from interval j on.
-    Each product keeps its whole inner dimension, so T has the bits of the
-    dense formula over all columns.  T overwrites the coarse factor.
+    Block (i, j) of T is S's block row i, in a zeroed (M*N, L*M*N) buffer,
+    times a copy of the coarse factor's column block j: each product keeps its
+    whole inner dimension, so T has the bits of the dense formula over all columns.
+    T overwrites the coarse factor.  Given ``worker``, an executor, every other
+    product runs there as a bare ``np.matmul``, with S's block row in a buffer
+    of its own; every solve stays on this thread.
     """
     size, d = len(m), len(fine_jacobi.matrix)
     lo = d if size > d else 0  # block row 1, or block row 0 when L = 1
     band = np.negative(fine_jacobi.solve(m[lo : lo + d, : lo + d]))  # [-P^{-1}(-N), -P^{-1} C]
     band[np.arange(d), lo + np.arange(d)] += 1.0
-    smoother = np.zeros_like(m)
-    smoother[:d, :d] = band[:, lo:]
-    for i in range(d, size, d):
-        smoother[i : i + d, i - d : i + d] = band
     cgc = np.zeros_like(m)
     for j in range(0, size, d):
         restricted = _lifted(pair.restriction, m[j:, j : j + d])
         np.negative(_lifted(pair.interpolation, coarse_gs.solve(restricted)), out=cgc[j:, j : j + d])
     cgc.flat[:: size + 1] += 1.0
+    rows, handed, turn = np.empty((2 if worker else 1, d, size)), None, 0  # S's block rows: the worker's first
     for j in range(0, size, d):
-        cgc[j:, j : j + d] = smoother[j:] @ cgc[:, j : j + d]
+        column = cgc[:, j : j + d].copy()  # the coarse factor's column block j, which T overwrites from row j on
+        for i in range(j, size, d):
+            theirs = worker is not None and turn % 2 == 0
+            if theirs and handed:
+                handed.result()  # the worker's buffer is free once its last product is done
+            row = rows[turn % len(rows)]
+            row.fill(0.0)
+            row[:, max(i - lo, 0) : i + d] = band[:, max(lo - i, 0) :]  # S's block row i
+            if theirs:
+                handed = worker.submit(np.matmul, row, column, out=cgc[i : i + d, j : j + d])
+            else:
+                np.matmul(row, column, out=cgc[i : i + d, j : j + d])
+            turn += 1
+    if handed:
+        handed.result()
     return cgc
 
 

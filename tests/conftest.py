@@ -8,11 +8,11 @@ import pytest
 
 @pytest.fixture
 def worker_takes_every_chunk(monkeypatch):
-    """Hold the main thread at each eigenvalue chunk until the worker has started it: none is taken back.
+    """Hold the main thread at each eigenvalue chunk or Gram until the worker has started it: none is taken back.
 
-    ``lfa.block_spectra`` takes back a chunk by cancelling its future, so each
-    ``Future.cancel`` first waits (up to 30 s) for the worker to pick the
-    chunk up, and then finds it running or done.
+    ``lfa.block_spectra`` takes back a chunk, and ``lfa.block_power_norms`` a
+    Gram, by cancelling its future, so each ``Future.cancel`` first waits (up
+    to 30 s) for the worker to pick it up, and then finds it running or done.
     """
     cancel = Future.cancel
 

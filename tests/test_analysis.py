@@ -393,8 +393,41 @@ def test_run_and_compare_equals_the_serial_computation_bitwise(monkeypatch):
             assert np.array_equal(trace.predictions[strategy, mode], predict(ctx, strategy, mode))
 
 
-def test_the_worker_thread_runs_no_package_code(monkeypatch):
-    # the worker makes only the numpy eigvals call, so a per-thread profile of this package sees one thread
+@pytest.mark.parametrize("spare_core", [True, False])
+def test_the_dense_route_equals_the_serial_computation_bitwise(monkeypatch, spare_core):
+    # full-mode norm-power at K = 20 and verify's T, with or without the worker, at a 1 us switch interval
+    cfg = _small_cfg("advection", iterations=20, blocks=("tc", "full"))
+    monkeypatch.setattr(analysis, "_spare_core", lambda: False)
+    serial = list(analysis.verify_checks("small"))
+    monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trace = run_and_compare(cfg)
+        checks = list(analysis.verify_checks("small"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert checks == serial
+    ctx = build_context(cfg)  # no worker: every value computed in this thread, in request order
+    for mode in cfg.blocks:
+        for strategy in cfg.strategies:
+            expected = predict(ctx, strategy, mode)
+            assert np.array_equal(trace.predictions[strategy, mode].view(np.uint64), expected.view(np.uint64))
+        assert trace.context.decomposition(mode).grams == ctx.decomposition(mode).grams
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_and_compare(_small_cfg(iterations=2, blocks=("tc", "c", "full"))),
+        lambda: run_and_compare(_small_cfg(iterations=20, blocks=("tc", "full"))),  # norm-power's 19 full-mode Grams
+        lambda: list(analysis.verify_checks("small")),  # T's block products
+    ],
+    ids=["tc-c-full", "tc-full-k20", "verify"],
+)
+def test_the_worker_thread_runs_no_package_code(monkeypatch, run):
+    # the worker makes only numpy's eigvals, eigvalsh and matmul calls, so a per-thread profile of this package
+    # sees one thread
     monkeypatch.setattr(analysis, "_spare_core", lambda: True)
     package = str(Path(analysis.__file__).parent)
     seen = []
@@ -405,10 +438,28 @@ def test_the_worker_thread_runs_no_package_code(monkeypatch):
 
     threading.setprofile(profile)  # every thread started from here on
     try:
-        run_and_compare(_small_cfg(iterations=2, blocks=("tc", "c", "full")))
+        run()
     finally:
         threading.setprofile(None)
     assert seen == []
+
+
+def test_lu_solves_stay_on_the_main_thread(monkeypatch):
+    # two threads calling scipy's lu_solve on one LU factorization can return wrong solutions: given a spare
+    # core, the worker still runs no Preconditioner.solve, in an analysis or in verify
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
+    solve, threads = solvers.Preconditioner.solve, []
+
+    def recording(self, rhs):
+        threads.append(threading.current_thread())
+        return solve(self, rhs)
+
+    monkeypatch.setattr(solvers.Preconditioner, "solve", recording)
+    trace = run_and_compare(_small_cfg(iterations=20, blocks=("tc", "full")))
+    assert trace.context.decomposition("full").grams["solved"] == 1 + 19
+    analyzed = len(threads)
+    assert all(residual <= tol for _, residual, tol in analysis.verify_checks("small"))
+    assert 0 < analyzed < len(threads) and set(threads) == {threading.main_thread()}
 
 
 # multi-chunk stacks: 32 tc blocks of 96 (3 chunks), 256 tc blocks of 40 (10), 512 c blocks of 6 (3)

@@ -92,8 +92,26 @@ def test_analyze_writes_the_eigvals_chunk_counts_to_timings_only(tmp_path, monke
     out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
     chunks = json.loads((out / "timings.json").read_text())["eigvals_chunks"]
     taken = int(not spare_core)
-    assert chunks == {"tc": {"chunks": 1, "main_thread": taken}, "c": {"chunks": 1, "main_thread": taken}}
+    # no chunk of these stacks is one block: every norm-power Gram is solved here
+    expected = {"chunks": 1, "main_thread": taken, "worker_grams": 0}
+    assert chunks == {"tc": expected, "c": expected}
     assert "chunks" not in (out / "report.json").read_text()
+
+
+@pytest.mark.parametrize("spare_core", [True, False])
+def test_analyze_writes_the_worker_gram_count_to_timings_only(tmp_path, monkeypatch, worker_takes_every_chunk,
+                                                              spare_core):
+    # full mode's one block has no running max: norm-power solves a Gram at each k = 2..K, and the worker takes
+    # every one here (the main thread takes none back); without a spare core the main thread solves them all
+    monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
+    out = _analyze(tmp_path, "--iterations", "20", "--blocks", "tc,full")
+    timings = json.loads((out / "timings.json").read_text())
+    assert {mode: chunks["worker_grams"] for mode, chunks in timings["eigvals_chunks"].items()} == {
+        "tc": 0,
+        "full": 20 - 1 if spare_core else 0,
+    }
+    assert timings["norm_grams"]["full"] == {"solved": 1 + 19, "certified": 0, "bounded": 0}
+    assert "worker_grams" not in (out / "report.json").read_text()
 
 
 def test_trace_csv_columns_and_format(tmp_path):
@@ -333,8 +351,8 @@ def test_analyze_refuses_non_finite_results(tmp_path, capsys):
 def test_analyze_names_a_non_finite_prediction(tmp_path, capsys, monkeypatch):
     original = analysis.predict
 
-    def overflowing(ctx, strategy, mode):
-        values = original(ctx, strategy, mode)
+    def overflowing(ctx, strategy, mode, *worker):
+        values = original(ctx, strategy, mode, *worker)
         if strategy == "norm":
             values[2:] = np.inf
         return values
@@ -680,7 +698,9 @@ def test_verify_shares_one_composite_matrix(monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, name, counted)
+        for owner in (solvers, analysis):  # verify calls pfasst_iteration_matrix itself, to hand it a worker
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted)
     assert main(["verify", "--scale", "small"]) == EXIT_OK
     assert calls == {"composite_system": 1, "pfasst_iteration_matrix": 1}
 

@@ -1,8 +1,10 @@
 """Block Fourier decomposition against the materialized iteration matrix."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -845,6 +847,39 @@ def test_full_decompose_holds_the_iteration_matrix_as_its_one_block():
     assert len(worker.submitted) == len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == 1
     fn, rows, _, future = worker.submitted[0]
     assert fn is np.linalg.eigvals and rows is d.blocks and d.handed == [(rows, future)]
+
+
+@pytest.mark.parametrize("schedule", ["worker-takes-every-solve", "main-takes-every-solve-back", "free"])
+def test_full_mode_power_norms_on_a_worker_equal_the_serial_ones(request, monkeypatch, schedule):
+    # full mode's one block has no running max: each Gram's eigvalsh goes to the worker, and before the next Gram
+    # the main thread takes back the last one if the worker has not started it; at K = 20, 19 Grams in all
+    setup = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")
+    serial = lfa.full_decompose(setup)
+    expected = lfa.block_power_norms(serial, 20)
+    assert serial.grams == {"solved": 1 + 19, "certified": 0, "bounded": 0} and serial.worker_grams == 0
+    d = lfa.full_decompose(setup)
+    d.norm  # k = 1, solved here
+    eigvalsh, threads = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: threads.append(threading.current_thread()) or eigvalsh(a))
+    if schedule == "worker-takes-every-solve":
+        request.getfixturevalue("worker_takes_every_chunk")
+    interval, release = sys.getswitchinterval(), threading.Event()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(1) as worker:
+            if schedule == "main-takes-every-solve-back":
+                worker.submit(release.wait, 30)  # the worker starts no Gram before the last one is taken back
+            try:
+                norms = lfa.block_power_norms(d, 20, worker)
+            finally:
+                release.set()
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(norms.view(np.uint64), expected.view(np.uint64))
+    assert d.grams == serial.grams  # the worker changes who solves, not what
+    on_worker = sum(thread is not threading.main_thread() for thread in threads)
+    assert len(threads) == 19 and d.worker_grams == on_worker
+    assert on_worker == {"worker-takes-every-solve": 19, "main-takes-every-solve-back": 0}.get(schedule, on_worker)
 
 
 def test_certified_norms_follow_the_moving_arg_max():

@@ -1,5 +1,9 @@
 """Sweeps, preconditioners and the PFASST step in both formulations."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -247,6 +251,30 @@ def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
     assert setup.iteration_matrix.shape == (l * m * n, l * m * n)
     assert sorted(sizes) == [(m * n // 2, m * n // 2), (m * n, m * n)]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("problem", ["diffusion", "advection"])
+def test_iteration_matrix_with_a_worker_has_the_serial_bits(monkeypatch, problem, l):
+    # the L(L+1)/2 block products of T alternate between the worker (first) and the main thread, at a 1 us
+    # switch interval; each keeps its whole inner dimension, so T is the serial one, zero signs included
+    coefficient = {"mu": 10.0} if problem == "diffusion" else {"coefficient": 0.02}
+    setup = build_context(ExperimentConfig(problem=problem, n=16, m=3, l=l, **coefficient)).setup
+    args = (*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    serial = setup.iteration_matrix
+    matmul, threads = np.matmul, []
+    monkeypatch.setattr(np, "matmul", lambda *a, **kw: threads.append(threading.current_thread()) or matmul(*a, **kw))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(1) as worker:
+            t = solvers.pfasst_iteration_matrix(*args, worker)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(t.view(np.uint64), serial.view(np.uint64))
+    products = l * (l + 1) // 2
+    assert len(threads) == products
+    assert sum(thread is not threading.main_thread() for thread in threads) == (products + 1) // 2
 
 
 def test_setup_matrix_route_is_built_once_from_the_composite_system():
