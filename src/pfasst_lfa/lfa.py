@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import scaled, sort_eigenvalues
+from .linalg import block_toeplitz, scaled, sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator
 from .transfer import harmonic_diagonals, node_propagation
@@ -388,7 +388,9 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
     k = 1 is the decomposition's cached ``norm``.  One pass per chunk of
     ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
     once, in the field of the stack (real for symmetric-stencil tc
-    blocks); no power outlives its chunk.  The chunks come in
+    blocks); no power outlives its chunk.  Full mode forms T^k's first block
+    column instead, by ``_convolved`` with T's, and assembles the dense T^k
+    only for its Gram.  The chunks come in
     ``_visit_order``.  A block with ||B^k||_F below the running max times 1 - delta
     is settled without a Gram (a first chunk's largest-||B^k||_F block is solved
     alone, for a max); the rest are solved only where ``_below`` fails on them.
@@ -401,11 +403,15 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
     norms[0] = 1.0
     if k_max:
         norms[1] = d.norm
+    full, width = d.meta.mode == "full", d.meta.m * d.meta.n
     for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
-        power, handed = blocks, []  # no running max: per k, [k, ||B^k||] or [k, s, the future of eigvalsh(G), G]
+        power = blocks[:, :, :width] if full else blocks  # full mode: T's first block column, which fixes T
+        handed = []  # no running max: per k, [k, ||B^k||] or [k, s, the future of eigvalsh(G), G]
         for k in range(2, k_max + 1):
-            power = power @ blocks
+            power = _convolved(power, blocks[:, :, :width], width) if full else power @ blocks
             scale, x = scaled(power)
+            if full:  # the dense T^k, assembled only for its Gram
+                x = block_toeplitz(x[0], width)[None]
             if not (i or len(x) > 1):  # a one-block first chunk (full mode): no running max, nothing to settle
                 if handed:
                     _take_back(handed[-1])  # so at most one Gram waits for the worker
@@ -447,6 +453,15 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
             norms[k] = np.maximum(norms[k], np.max(norm * np.sqrt(solving[0].result()[..., -1]) if solving else norm))
         d.worker_grams += sum(len(entry) == 3 for entry in handed)
     return norms
+
+
+def _convolved(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """A B's first block column, a (1, L*width, width) stack, from A's and B's (A, B block lower Toeplitz):
+    block i sums A's block i - j times B's block j over j <= i, L(L+1)/2 products of width^2 blocks."""
+    a, b, out = a.reshape(-1, width, width), b.reshape(-1, width, width), np.zeros_like(a)
+    for i, j in zip(*np.tril_indices(len(a))):
+        out[0, i * width : (i + 1) * width] += a[i - j] @ b[j]
+    return out
 
 
 def _take_back(entry: list) -> None:

@@ -1,4 +1,4 @@
-"""Eigenvalue ordering, the power-of-two scaling and the unitary Fourier matrix shared by the other modules.
+"""Eigenvalue ordering, the power-of-two scaling, block Toeplitz assembly and the unitary Fourier matrix.
 
 Matrices are plain ``numpy.ndarray`` objects (2-d, complex or real).  The
 helpers here fix the eigenvalue ordering, the scaling of every 2-norm and the
@@ -28,6 +28,14 @@ def norm2(x: np.ndarray) -> float:
     """||x||_2 (Frobenius for a matrix) as s ||x/s||, (s, x/s) the ``scaled`` x: no square under- or overflows."""
     s, y = scaled(np.ravel(x, order="K")[None])  # contiguous, with the entries in the order np.linalg.norm sums them
     return float(s * np.linalg.norm(y))
+
+
+def block_toeplitz(column: np.ndarray, width: int) -> np.ndarray:
+    """The block lower triangular Toeplitz matrix whose first block column, ``width`` wide, is ``column``."""
+    out = np.zeros((len(column), len(column)), dtype=column.dtype)
+    for j in range(0, len(column), width):
+        out[j:, j : j + width] = column[: len(column) - j]
+    return out
 
 
 def dft_matrix(n: int) -> np.ndarray:

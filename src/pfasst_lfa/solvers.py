@@ -15,6 +15,7 @@ import numpy as np
 
 from .collocation import CollocationProblem, composite_system
 from .errors import FactorizationError
+from .linalg import block_toeplitz
 from .transfer import TransferPair, node_propagation
 
 
@@ -171,49 +172,30 @@ def mlsdc_iteration_matrix(
     return np.eye(m.shape[0]) - mlsdc_preconditioner_inverse(fine, coarse, pair, m) @ m
 
 
-def pfasst_iteration_matrix(
-    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray, worker=None
+def pfasst_iteration_column(
+    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray
 ) -> np.ndarray:
-    """T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), over its causal block triangle.
+    """The first block column, (L*M*N) x (M*N), of T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
 
-    M is block lower bidiagonal with identical blocks and both
-    preconditioners are causal, so both factors and T are block lower
-    triangular: the smoother's block rows are one solved pair, and column
-    block j of the coarse factor and of T is computed from interval j on.
-    Block (i, j) of T is S's block row i, in a zeroed (M*N, L*M*N) buffer,
-    times a copy of the coarse factor's column block j: each product keeps its
-    whole inner dimension, so T has the bits of the dense formula over all columns.
-    T overwrites the coarse factor.  Given ``worker``, an executor, every other
-    product runs there as a bare ``np.matmul``, with S's block row in a buffer
-    of its own; every solve stays on this thread.
+    Every interval has the same operators and both preconditioners are causal,
+    so T is block lower triangular Toeplitz and this column fixes it.  The
+    smoother's block rows are one solved pair; the coarse factor's column
+    block 0 is one Gauss-Seidel solve.  Block i is S's block row i, in a zeroed
+    (M*N, L*M*N) buffer, times that column block: each product keeps its whole
+    inner dimension, so the column has the bits of the dense formula's.
     """
     size, d = len(m), len(fine_jacobi.matrix)
     lo = d if size > d else 0  # block row 1, or block row 0 when L = 1
     band = np.negative(fine_jacobi.solve(m[lo : lo + d, : lo + d]))  # [-P^{-1}(-N), -P^{-1} C]
     band[np.arange(d), lo + np.arange(d)] += 1.0
-    cgc = np.zeros_like(m)
-    for j in range(0, size, d):
-        restricted = _lifted(pair.restriction, m[j:, j : j + d])
-        np.negative(_lifted(pair.interpolation, coarse_gs.solve(restricted)), out=cgc[j:, j : j + d])
-    cgc.flat[:: size + 1] += 1.0
-    rows, handed, turn = np.empty((2 if worker else 1, d, size)), None, 0  # S's block rows: the worker's first
-    for j in range(0, size, d):
-        column = cgc[:, j : j + d].copy()  # the coarse factor's column block j, which T overwrites from row j on
-        for i in range(j, size, d):
-            theirs = worker is not None and turn % 2 == 0
-            if theirs and handed:
-                handed.result()  # the worker's buffer is free once its last product is done
-            row = rows[turn % len(rows)]
-            row.fill(0.0)
-            row[:, max(i - lo, 0) : i + d] = band[:, max(lo - i, 0) :]  # S's block row i
-            if theirs:
-                handed = worker.submit(np.matmul, row, column, out=cgc[i : i + d, j : j + d])
-            else:
-                np.matmul(row, column, out=cgc[i : i + d, j : j + d])
-            turn += 1
-    if handed:
-        handed.result()
-    return cgc
+    cgc = np.negative(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m[:, :d]))))
+    cgc[np.arange(d), np.arange(d)] += 1.0
+    column, row = np.empty_like(cgc), np.zeros((d, size))
+    for i in range(0, size, d):
+        row.fill(0.0)
+        row[:, max(i - lo, 0) : i + d] = band[:, max(lo - i, 0) :]  # S's block row i
+        np.matmul(row, cgc, out=column[i : i + d])
+    return column
 
 
 @dataclass
@@ -221,9 +203,9 @@ class TwoLevelSetup:
     """One configuration's two-level operators; the coarsening is spatial, so the levels share one Q_Delta.
 
     The node sweeps and the stencil transfers serve the algorithmic run; the
-    dense preconditioners, composite matrix and iteration matrix serve the
-    matrix route.  Each is built on first use, so the run allocates no N x N
-    or (M*N) x (M*N) matrix.
+    dense preconditioners, composite matrix, T's first block column and T
+    serve the matrix route.  Each is built on first use, so the run
+    allocates no N x N or (M*N) x (M*N) matrix.
     """
 
     fine: CollocationProblem
@@ -263,9 +245,14 @@ class TwoLevelSetup:
         return Preconditioner(self.p_coarse.matrix, node_propagation(self.m_nodes)), self.p_fine
 
     @cached_property
+    def iteration_column(self) -> np.ndarray:
+        """The first block column of the PFASST iteration matrix T of the composite system, which fixes T."""
+        return pfasst_iteration_column(*self.composite_preconditioners, self.pair, self.composite_matrix)
+
+    @cached_property
     def iteration_matrix(self) -> np.ndarray:
-        """The dense PFASST iteration matrix T of the composite system."""
-        return pfasst_iteration_matrix(*self.composite_preconditioners, self.pair, self.composite_matrix)
+        """The dense T, block lower triangular Toeplitz: block (i, j) is block i - j of ``iteration_column``."""
+        return block_toeplitz(self.iteration_column, self.m_nodes * self.fine.n_space)
 
 
 def pfasst_run_algorithmic(

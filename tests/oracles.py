@@ -11,8 +11,12 @@ acceptance suite compares with the predicted spectral radius.
 multiplies only the rows of the excited harmonics.  ``norms2`` and
 ``max_norm2`` are the norm kernel's 2-norms over a stack, without chunks
 or bounds.  ``dense_iteration_matrix`` is the PFASST iteration matrix as
-its defining product over all columns, where
-``solvers.pfasst_iteration_matrix`` forms only its causal block triangle.
+its defining product over all columns, blind to its block Toeplitz
+structure, where ``solvers.pfasst_iteration_column`` forms only its first
+block column and ``TwoLevelSetup.iteration_matrix`` copies that column down
+the block diagonals.  ``triangle_iteration_matrix`` is the serial build over
+T's causal block triangle that the column builder replaced: it solves and
+multiplies every column block from its own interval on.
 """
 
 import numpy as np
@@ -27,7 +31,7 @@ from pfasst_lfa.analysis import (
     _segment_sse,
 )
 from pfasst_lfa.errors import RangeError
-from pfasst_lfa.linalg import scaled
+from pfasst_lfa.linalg import block_toeplitz, scaled
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
@@ -75,14 +79,47 @@ def dense_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np.nd
     return (eye - fine_jacobi.solve(m)) @ cgc
 
 
+def triangle_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np.ndarray:
+    """T over its causal block triangle: column block j of both factors solved and multiplied from interval j on.
+
+    Block (i, j) is S's block row i, in a zeroed (M*N, L*M*N) buffer, times the
+    coarse factor's column block j, so column block 0 is formed as
+    ``solvers.pfasst_iteration_column`` forms it, and every other column block
+    from fewer intervals than block (i - j, 0) of that column.
+    """
+    size, d = len(m), len(fine_jacobi.matrix)
+    lo = d if size > d else 0
+    band = np.negative(fine_jacobi.solve(m[lo : lo + d, : lo + d]))
+    band[np.arange(d), lo + np.arange(d)] += 1.0
+    cgc = np.zeros_like(m)
+    for j in range(0, size, d):
+        restricted = solvers._lifted(pair.restriction, m[j:, j : j + d])
+        cgc[j:, j : j + d] = -solvers._lifted(pair.interpolation, coarse_gs.solve(restricted))
+    cgc.flat[:: size + 1] += 1.0
+    t, row = np.zeros_like(m), np.zeros((d, size))
+    for j in range(0, size, d):
+        for i in range(j, size, d):
+            row.fill(0.0)
+            row[:, max(i - lo, 0) : i + d] = band[:, max(lo - i, 0) :]
+            np.matmul(row, cgc[:, j : j + d].copy(), out=t[i : i + d, j : j + d])
+    return t
+
+
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
-    """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack."""
+    """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack.
+
+    In full mode T^k is assembled from its first block column, formed by
+    ``lfa._convolved`` as ``lfa.block_power_norms`` forms it.
+    """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
+    width = d.meta.m * d.meta.n
     for blocks in pair_stacks(d):
         power = blocks
         for k in range(1, k_max + 1):
-            if k > 1:
+            if k > 1 and d.meta.mode == "full":
+                power = block_toeplitz(lfa._convolved(power[:, :, :width], blocks[:, :, :width], width)[0], width)[None]
+            elif k > 1:
                 power = power @ blocks
             norms[k] = max(norms[k], max_norm2(power))
     return norms

@@ -339,7 +339,7 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, worker_takes_eve
     main_thread = threading.main_thread()
     counting(lfa, "block_spectra", "main-thread block_spectra", lambda *a: threading.current_thread() is main_thread)
     counting(analysis, "build_qdelta")
-    for name in ("composite_system", "pfasst_iteration_matrix"):
+    for name in ("composite_system", "pfasst_iteration_column"):
         counting(solvers, name)
     counting(analysis, "exact_trajectory")
     counting(analysis, "pfasst_run_algorithmic")  # the error run and the manufactured run, stacked
@@ -357,7 +357,7 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, worker_takes_eve
         "main-thread block_spectra": 3,
         "build_qdelta": 1,
         "composite_system": 1,
-        "pfasst_iteration_matrix": 1,
+        "pfasst_iteration_column": 1,
         "exact_trajectory": 1,
         "pfasst_run_algorithmic": 1,
         "exact_solution": cfg.l * cfg.m + 1,  # the trajectory's node times and u0, each once
@@ -395,7 +395,7 @@ def test_run_and_compare_equals_the_serial_computation_bitwise(monkeypatch):
 
 @pytest.mark.parametrize("spare_core", [True, False])
 def test_the_dense_route_equals_the_serial_computation_bitwise(monkeypatch, spare_core):
-    # full-mode norm-power at K = 20 and verify's T, with or without the worker, at a 1 us switch interval
+    # full-mode norm-power at K = 20 with or without the worker, at a 1 us switch interval; verify takes none
     cfg = _small_cfg("advection", iterations=20, blocks=("tc", "full"))
     monkeypatch.setattr(analysis, "_spare_core", lambda: False)
     serial = list(analysis.verify_checks("small"))
@@ -421,12 +421,12 @@ def test_the_dense_route_equals_the_serial_computation_bitwise(monkeypatch, spar
     [
         lambda: run_and_compare(_small_cfg(iterations=2, blocks=("tc", "c", "full"))),
         lambda: run_and_compare(_small_cfg(iterations=20, blocks=("tc", "full"))),  # norm-power's 19 full-mode Grams
-        lambda: list(analysis.verify_checks("small")),  # T's block products
+        lambda: list(analysis.verify_checks("small")),  # starts no worker: T's first block column is serial
     ],
     ids=["tc-c-full", "tc-full-k20", "verify"],
 )
 def test_the_worker_thread_runs_no_package_code(monkeypatch, run):
-    # the worker makes only numpy's eigvals, eigvalsh and matmul calls, so a per-thread profile of this package
+    # the worker makes only numpy's eigvals and eigvalsh calls, so a per-thread profile of this package
     # sees one thread
     monkeypatch.setattr(analysis, "_spare_core", lambda: True)
     package = str(Path(analysis.__file__).parent)
@@ -678,7 +678,8 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
             monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", entries)
             monkeypatch.setattr(lfa, "scaled", counted)
             trace = run_and_compare(cfg)
-            assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: cfg.iterations}
+            # full mode scales T at k = 1 and T^k's first block column (M*N columns) from k = 2 on
+            assert calls == {tc_dim: tc_chunks * cfg.iterations, full_dim: 1, cfg.m * cfg.n: cfg.iterations - 1}
             grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
             assert grams["tc"] == tc_grams and sum(tc_grams.values()) == 5 * cfg.iterations  # one per (block, k)
             assert grams["full"] == full_grams

@@ -690,7 +690,7 @@ def test_analyze_c_mode_at_one_interval_exits_2_naming_l(tmp_path, capsys, monke
 
 
 def test_verify_shares_one_composite_matrix(monkeypatch):
-    calls = {"composite_system": 0, "pfasst_iteration_matrix": 0}
+    calls = {"composite_system": 0, "pfasst_iteration_column": 0}
     for name in calls:
         original = getattr(solvers, name)
 
@@ -698,11 +698,19 @@ def test_verify_shares_one_composite_matrix(monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for owner in (solvers, analysis):  # verify calls pfasst_iteration_matrix itself, to hand it a worker
-            if hasattr(owner, name):
-                monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(solvers, name, counted)
     assert main(["verify", "--scale", "small"]) == EXIT_OK
-    assert calls == {"composite_system": 1, "pfasst_iteration_matrix": 1}
+    assert calls == {"composite_system": 1, "pfasst_iteration_column": 1}
+
+
+@pytest.mark.parametrize("scale", ["small", "large"])
+def test_verify_forms_no_dense_iteration_matrix(monkeypatch, scale):
+    # check 2 reads T's first block column; the dense T is the full block mode's alone
+    def refused(setup):
+        raise AssertionError("verify evaluated setup.iteration_matrix")
+
+    monkeypatch.setattr(solvers.TwoLevelSetup, "iteration_matrix", property(refused))
+    assert main(["verify", "--scale", scale]) == EXIT_OK
 
 
 def test_verify_small_passes():
@@ -715,7 +723,8 @@ def test_verify_computes_no_dense_eigenvalues(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or original(a))
     assert main(["verify", "--scale", "small"]) == EXIT_OK
     assert calls == []
-    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("tc blocks vs transformed T"))
+    out = capsys.readouterr().out.splitlines()
+    row = next(line for line in out if line.startswith("tc blocks vs transformed T column"))
     assert float(row.split()[-3]) <= 1e-14
 
 
@@ -727,7 +736,7 @@ def test_verify_detects_qdelta_mutation(monkeypatch, capsys, scale):
     assert main(["verify", "--scale", scale]) == EXIT_VERIFICATION
     rows = capsys.readouterr().out.splitlines()[1:-1]
     assert [row.split()[-1] for row in rows] == ["PASS", "FAIL", "PASS", "PASS"]
-    assert rows[1].startswith("tc blocks vs transformed T")
+    assert rows[1].startswith("tc blocks vs transformed T column")
 
 
 def test_verify_prints_the_transfer_structure_residual_of_tampered_diagonals(monkeypatch, capsys):

@@ -287,17 +287,21 @@ def test_tc_eigenvalues_match_full_spectrum_via_clusters():
 def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qdelta_kind):
     n, m, l, delta = 16, 3, 4, 1e-9
     setup = _assemble(make(n, coefficient), m, l, 0.1, qdelta_kind)
-    t, d = setup.iteration_matrix, lfa.tc_decompose(setup)
-    scale = max(np.max(np.abs(t)), 1.0)
-    assert tc_similarity_residual(t, d) <= 1e-14
-    # one tc block entry: the deviation is the change itself
-    blocks = d.blocks.copy()
-    blocks[3, 5, 17] += delta
-    assert tc_similarity_residual(t, replace(d, blocks=blocks)) == pytest.approx(delta / scale, rel=1e-4)
-    # one entry of T: the unitary transforms spread it over N^2 entries of modulus delta/N
-    changed = t.copy()
-    changed[20, 100] += delta
-    assert tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
+    column, d = setup.iteration_column, lfa.tc_decompose(setup)
+    scale = max(np.max(np.abs(column)), 1.0)
+    assert tc_similarity_residual(column, d) <= 1e-14
+    # one entry of the tc blocks' first block column, in its interval block (0, 0) and (1, 0): the
+    # deviation is the change itself (a tc block's rows and columns are (half, interval, node), 2LM = 24)
+    for entry in ((3, 2, 14), (3, 17, 2)):
+        blocks = d.blocks.copy()
+        blocks[entry] += delta
+        assert tc_similarity_residual(column, replace(d, blocks=blocks)) == pytest.approx(delta / scale, rel=1e-4)
+    # one entry of T's column block (0, 0) and (2, 0): the unitary transforms spread it over N^2 entries of
+    # modulus delta/N
+    for entry in ((20, 40), (100, 40)):
+        changed = column.copy()
+        changed[entry] += delta
+        assert tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
 
 
 def _interval_blocks(d, l, m):

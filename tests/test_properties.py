@@ -2,7 +2,7 @@
 
 Configurations are drawn from n in {16, 32}, m in 1..5, l in 1..4 (the
 iteration-matrix oracles: l in {1, 2, 3, 4, 8}, and m in {1, 3} against the
-Kronecker products), both problems and
+Kronecker products and the dense matrix powers), both problems and
 both Q_Delta kinds; mu is log-uniform on [1, 100] and the
 advection CFL number c*dt/dx on [0.01, 1].  The stencil transfers are
 checked on n in {16, 32, 64}, every exactness degree 1..6 and real or
@@ -39,6 +39,7 @@ from pfasst_lfa.analysis import (
     bound_chain_holds,
     build_context,
     detect_phases,
+    predict,
     run_and_compare,
     strategy4_exact,
     tc_similarity_residual,
@@ -123,12 +124,50 @@ def test_iteration_matrix_is_block_lower_triangular(cfg):
 @PROPERTY
 @given(configs(ls=(1, 2, 3, 4, 8)))
 def test_iteration_matrix_equals_the_dense_formula(cfg):
-    # the causal build against both factors solved over all columns and multiplied whole; the two
+    # T's first block column against both factors solved over all columns and multiplied whole; the two
     # agree bit for bit with OpenBLAS, but the test does not pin how a BLAS tiles its products
     setup = build_context(cfg).setup
-    t = setup.iteration_matrix
+    column = setup.iteration_column
     oracle = oracles.dense_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
-    assert np.max(np.abs(t - oracle)) <= 1e-15 * np.max(np.abs(t))
+    assert column.shape == (cfg.l * cfg.m * cfg.n, cfg.m * cfg.n)
+    assert np.max(np.abs(column - oracle[:, : cfg.m * cfg.n])) <= 1e-15 * np.max(np.abs(oracle))
+
+
+@PROPERTY
+@given(configs(ls=(1, 2, 3, 4, 8)))
+def test_the_dense_formula_is_block_lower_triangular_toeplitz(cfg):
+    # every interval has the same operators, so block (i, j) of T is block (i - j, 0), and 0 above the
+    # diagonal; the dense formula's round-off separates them by at most 6.7e-16 absolute over 320 draws
+    # of this strategy (max |T| <= 0.71), so 2e-15 is the bound
+    setup = build_context(cfg).setup
+    t = oracles.dense_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    w = cfg.m * cfg.n
+    blocks = t.reshape(cfg.l, w, cfg.l, w)
+    for i in range(cfg.l):
+        assert not np.any(blocks[i, :, i + 1 :])
+        for j in range(i + 1):
+            assert np.max(np.abs(blocks[i, :, j] - blocks[i - j, :, 0])) <= 2e-15
+
+
+@PROPERTY
+@given(configs(ls=(1, 2, 3, 4, 8), ms=(1, 3)))
+@example(ExperimentConfig(problem="advection", coefficient=0.02, n=16, m=1, l=8, iterations=6))
+@example(ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=1, l=1, iterations=6))
+def test_full_mode_norm_power_equals_the_dense_powers_and_tc(cfg):
+    # full mode forms T^k's first block column by block convolution.  Its 2-norms, above 1e-12 ||e0||, against
+    # the SVD norms of the oracle T's dense powers: at most 3.0e-15 relative on these draws and 1.5e-13 over 970
+    # random draws of this strategy, at ||T^5|| = 1.2e-11 (diffusion, M = 1, L = 8, mu = 91.5), where the Gram
+    # norm of the dense product T^k reads the same; against tc mode's, at most 5.3e-13 (mu > 90)
+    ctx = build_context(cfg)
+    setup = ctx.setup
+    t = oracles.dense_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    full = predict(ctx, "norm-power", "full")
+    e0_norm = full[0]
+    dense = e0_norm * np.array([np.linalg.norm(np.linalg.matrix_power(t, k), 2) for k in range(cfg.iterations + 1)])
+    kept = dense > 1e-12 * e0_norm
+    assert np.all(np.abs(full - dense)[kept] <= 5e-13 * dense[kept])
+    tc = predict(ctx, "norm-power", "tc")
+    assert np.all(np.abs(full - tc)[kept] <= 2e-12 * dense[kept])
 
 
 @PROPERTY
@@ -137,7 +176,7 @@ def test_tc_blocks_equal_the_transformed_iteration_matrix(cfg):
     # round-off grows with mu: the worst on a grid of these configs is 1.4e-14
     # (diffusion, mu = 100, M = 5)
     ctx = build_context(cfg)
-    assert tc_similarity_residual(ctx.setup.iteration_matrix, ctx.decomposition("tc")) <= 1e-13
+    assert tc_similarity_residual(ctx.setup.iteration_column, ctx.decomposition("tc")) <= 1e-13
 
 
 @PROPERTY

@@ -1,13 +1,10 @@
 """Sweeps, preconditioners and the PFASST step in both formulations."""
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from pfasst_lfa import solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context
 from pfasst_lfa.collocation import CollocationProblem, composite_system, spread_initial
@@ -255,33 +252,29 @@ def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("problem", ["diffusion", "advection"])
-def test_iteration_matrix_with_a_worker_has_the_serial_bits(monkeypatch, problem, l):
-    # the L(L+1)/2 block products of T alternate between the worker (first) and the main thread, at a 1 us
-    # switch interval; each keeps its whole inner dimension, so T is the serial one, zero signs included
+def test_iteration_matrix_has_the_bits_of_the_causal_triangle_build(problem, l):
+    # the serial build over the causal block triangle forms T's first block column by the same products, so
+    # the column has its bits, zero signs included; its other column blocks are solved from interval j on,
+    # and equal the Toeplitz copies bit for bit with OpenBLAS, but the test does not pin how a BLAS tiles them
     coefficient = {"mu": 10.0} if problem == "diffusion" else {"coefficient": 0.02}
     setup = build_context(ExperimentConfig(problem=problem, n=16, m=3, l=l, **coefficient)).setup
-    args = (*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
-    serial = setup.iteration_matrix
-    matmul, threads = np.matmul, []
-    monkeypatch.setattr(np, "matmul", lambda *a, **kw: threads.append(threading.current_thread()) or matmul(*a, **kw))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(1) as worker:
-            t = solvers.pfasst_iteration_matrix(*args, worker)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(t.view(np.uint64), serial.view(np.uint64))
-    products = l * (l + 1) // 2
-    assert len(threads) == products
-    assert sum(thread is not threading.main_thread() for thread in threads) == (products + 1) // 2
+    triangle = oracles.triangle_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    column, w = setup.iteration_column, 3 * 16
+    assert np.array_equal(column.view(np.uint64), triangle[:, :w].view(np.uint64))
+    t = setup.iteration_matrix
+    for i in range(l - 1):
+        assert not np.any(t[i * w : (i + 1) * w, (i + 1) * w :].view(np.uint64))  # +0.0 above the diagonal
+    assert np.max(np.abs(t - triangle)) <= 1e-15 * np.max(np.abs(triangle))
 
 
 def test_setup_matrix_route_is_built_once_from_the_composite_system():
     setup = _setup(_small_problem(n=16, m=3)[0], 3, 4)
     np.testing.assert_array_equal(setup.composite_matrix, composite_system(setup.fine, 4))
     assert setup.composite_preconditioners is setup.composite_preconditioners
+    assert setup.iteration_column is setup.iteration_column
     assert setup.iteration_matrix is setup.iteration_matrix
+    # T's first block column is the column it is assembled from
+    assert np.array_equal(setup.iteration_matrix[:, : 3 * 16], setup.iteration_column)
 
 
 def test_pfasst_algorithmic_equals_matrix_form():
