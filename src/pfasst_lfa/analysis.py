@@ -57,7 +57,7 @@ PHASE_NOISE_SSE = 1e-10
 STRATEGY4_FLOOR = 1e-6
 STRATEGY4_RTOL = 1e-8
 # Verify check 2 and the analyze --blocks tc,full gate: tc_similarity_residual
-# is round-off, 7.9e-16 (small) and 9.9e-16 (large), at most 1.4e-14 on small
+# is round-off, 7.9e-16 (small) and 1.0e-15 (large), at most 1.4e-14 on small
 # configs up to mu = 100 and 9.9e-15 on the n = 32 dense-verify benchmark
 # configs of seeds 0-20; a negated Q_Delta reads 3.1e7 (small) and 3.2e16 (large).
 TC_SIMILARITY_TOL = 1e-12
@@ -178,10 +178,11 @@ class ExperimentContext:
 
         "tc" and "c" are the Fourier block families; "full" is the iteration
         matrix itself, one block in the identity basis.  A call that builds
-        it hands its eigenvalue chunks to ``worker``, an executor, if given.
+        tc or c hands its eigenvalue chunks to ``worker``, an executor, if given.
         """
         if block_mode not in self._blocks:  # the builder is looked up on the module at call time
-            self._blocks[block_mode] = getattr(lfa, f"{block_mode}_decompose")(self.setup, worker)
+            build = getattr(lfa, f"{block_mode}_decompose")
+            self._blocks[block_mode] = build(self.setup) if block_mode == "full" else build(self.setup, worker)
         return self._blocks[block_mode]
 
     @cached_property
@@ -493,9 +494,9 @@ def _spare_core() -> bool:
 def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     """Run algorithmic PFASST and attach the predictions of every strategy and block mode of ``cfg``.
 
-    Given a :func:`_spare_core`, the decompositions hand their eigenvalue
-    chunks to a worker thread as they are built, and norm-power hands it the
-    Gram solves of a chunk with no running max; ``rho`` is predicted last,
+    Given a :func:`_spare_core`, the tc and c decompositions hand their
+    eigenvalue chunks to a worker thread as they are built, and norm-power
+    hands it the Gram solves of a chunk with no running max; ``rho`` is predicted last,
     after the join.  The worker runs only numpy's eigvals and eigvalsh, each
     on a whole matrix or stack, so every result is that of a serial run.
     """

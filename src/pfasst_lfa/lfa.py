@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import block_toeplitz, scaled, sort_eigenvalues
+from .linalg import scaled, sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator
 from .transfer import harmonic_diagonals, node_propagation
@@ -96,7 +96,7 @@ class BlockDecomposition:
     build, whose imaginary part is round-off from the transfer phases.  c
     block (k, (L - j) mod L) is the conjugate of block (k, j), and the
     2-norms skip j > L/2.  Eigenvalues are always taken of every stored
-    block.
+    block, in full mode of its diagonal block T_00 (``block_spectra``).
     """
 
     blocks: np.ndarray
@@ -109,7 +109,7 @@ class BlockDecomposition:
     )
     # how many of those "solved" Grams the worker solved (``block_power_norms``)
     worker_grams: int = field(default=0, init=False, repr=False, compare=False)
-    # the eigenvalue chunks in row order: (rows, the future of their eigvals on a worker, else None)
+    # the eigenvalue chunks in row order: (rows, the future of their eigvals on a worker, else None); full: T_00
     handed: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
@@ -121,12 +121,13 @@ class BlockDecomposition:
     def norm_chunks(self, order: np.ndarray | None = None):
         """The blocks whose singular values cover every block, in the field their 2-norms are taken in.
 
-        Those are the harmonic pairs k <= (N/2)//2 (the one block in full
-        mode), and of each pair every block in tc mode; in c mode the built
-        time frequencies j >= 1, only up to j <= L/2 if conjugate-symmetric.
-        They are yielded as row chunks of at most ``NORM_CHUNK_ENTRIES``
-        matrix entries (at least one block), in the dtype of the stack;
-        given ``order``, a permutation of the chunks, in that order.
+        Those are the harmonic pairs k <= (N/2)//2 (in full mode T's first
+        block column, which fixes T), and of each pair every block in tc mode;
+        in c mode the built time frequencies j >= 1, only up to j <= L/2 if
+        conjugate-symmetric.  They are yielded as row chunks of at most
+        ``NORM_CHUNK_ENTRIES`` matrix entries (at least one block), in the
+        dtype of the stack; given ``order``, a permutation of the chunks, in
+        that order.
         """
         per, shape = self.meta.blocks_per_pair, self.blocks.shape[1:]
         pairs = self.meta.n // 4 + 1
@@ -134,6 +135,8 @@ class BlockDecomposition:
         kept = per // 2 + 1 if c and self.conjugate_symmetric else per
         # a view in tc and full mode; c mode leaves out the zero j = 0 blocks
         blocks = self.blocks.reshape(-1, per, *shape)[:pairs, int(c) : kept].reshape(-1, *shape)
+        if self.meta.mode == "full":
+            blocks = blocks[:, :, : self.meta.m * self.meta.n]
         step = max(1, NORM_CHUNK_ENTRIES // self.blocks[0].size)
         starts = range(0, len(blocks), step)
         for start in starts if order is None else (starts[j] for j in order):
@@ -141,10 +144,14 @@ class BlockDecomposition:
 
     @cached_property
     def block_norms(self) -> np.ndarray:
-        """||B||_2 of each block of ``norm_chunks()``, in its order; computed once."""
-        norms = np.concatenate([_norms2(scale, _gram(x)) for scale, x in map(scaled, self.norm_chunks())])
+        """||B||_2 of each block of ``norm_chunks()`` (of T in full mode), in its order; computed once."""
+        norms = np.concatenate([_norms2(scale, self._chunk_gram(x)) for scale, x in map(scaled, self.norm_chunks())])
         self.grams["solved"] += len(norms)
         return norms
+
+    def _chunk_gram(self, x: np.ndarray) -> np.ndarray:
+        """``_gram`` of a chunk or its power, in full mode of the T^k whose first block column it is."""
+        return _toeplitz_gram(x[0], self.meta.m * self.meta.n)[None] if self.meta.mode == "full" else _gram(x)
 
     @cached_property
     def norm(self) -> float:
@@ -256,12 +263,10 @@ def c_decompose(setup: TwoLevelSetup, worker=None) -> BlockDecomposition:
     return _decompose(setup, "c", phases.reshape(-1, 1, 1), worker)
 
 
-def full_decompose(setup: TwoLevelSetup, worker=None) -> BlockDecomposition:
-    """The iteration matrix T itself, one block in the identity basis; one eigenvalue chunk."""
+def full_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
+    """The iteration matrix T itself, one block in the identity basis; its spectrum is T_00's (``block_spectra``)."""
     meta = TransformMeta("full", setup.fine.n_space, setup.l, setup.m_nodes)
-    d = BlockDecomposition(setup.iteration_matrix[None], meta)
-    d.handed.append((d.blocks, worker.submit(np.linalg.eigvals, d.blocks) if worker else None))
-    return d
+    return BlockDecomposition(setup.iteration_matrix[None], meta)
 
 
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
@@ -289,6 +294,20 @@ def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
 def _gram(x: np.ndarray) -> np.ndarray:
     """G = X^H X of each matrix of a stack."""
     return np.swapaxes(x, -2, -1).conj() @ x
+
+
+def _toeplitz_gram(column: np.ndarray, width: int) -> np.ndarray:
+    """The lower block triangle of G = X^H X, X block lower triangular Toeplitz with first block column ``column``.
+
+    G_ij = G_(i+1)(j+1) + A_(L-1-i)^H A_(L-1-j) for i >= j, A_p the column's block p: L(L+1)/2 products of
+    width^2 blocks, where X^H X is one (L*width)^3 product.  G is 0 above the block diagonal; eigvalsh reads below.
+    """
+    a = column.reshape(-1, width, width)
+    l, gram = len(a), np.zeros((len(column), len(column)), dtype=column.dtype)
+    blocks, a_h = gram.reshape(l, width, l, width), np.swapaxes(a, -2, -1).conj()
+    for i, j in reversed(list(zip(*np.tril_indices(l)))):  # G's block row i + 1 first
+        blocks[i, :, j] = a_h[l - 1 - i] @ a[l - 1 - j] + (blocks[i + 1, :, j + 1] if i + 1 < l else 0.0)
+    return gram
 
 
 def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -345,22 +364,25 @@ def block_spectra(d: BlockDecomposition) -> np.ndarray:
     """The eigenvalues of every block: an (number of blocks, d) array.
 
     Row i holds the eigenvalues of block ``d.meta.block_index()[i]``, sorted
-    by (real, imag) descending.  From the last of the chunks ``d.handed`` (one,
-    the stack, if built by hand) to the first, each one with no future or one
-    the worker has not started is solved here in one batched call; then the
-    rest are joined.  eigvals solves each matrix on its own, so the rows are
+    by (real, imag) descending.  From the last of the chunks ``d.handed`` (one
+    if built by hand: the stack, or in full mode T's diagonal block T_00, whose
+    spectrum T's is, L-fold) to the first, each one with no future or one the
+    worker has not started is solved here in one batched call; then the rest
+    are joined.  eigvals solves each matrix on its own, so the rows are
     bitwise one call's on the whole stack.  A real stack (symmetric-stencil tc
     blocks) goes to the real solver, whose complex eigenvalues come in exact
     conjugate pairs.  Eigenvalues are never taken from a mirror partner:
     defective clusters scatter at eps^(1/p), so partners that agree to
     round-off can still differ visibly in theirs.
     """
-    d.handed = d.handed or [(d.blocks, None)]
+    full, width = d.meta.mode == "full", d.meta.m * d.meta.n
+    d.handed = d.handed or [(d.blocks[:, :width, :width] if full else d.blocks, None)]
     mine = {}  # chunk number -> its eigenvalues, solved on this thread
     for i, (rows, future) in reversed(list(enumerate(d.handed))):
         if future is None or future.cancel():  # not started by the worker
             mine[i] = np.linalg.eigvals(rows)
-    return sort_eigenvalues(np.concatenate([mine[i] if i in mine else f.result() for i, (_, f) in enumerate(d.handed)]))
+    spectra = np.concatenate([mine[i] if i in mine else f.result() for i, (_, f) in enumerate(d.handed)])
+    return sort_eigenvalues(np.tile(spectra, d.meta.l) if full else spectra)
 
 
 def _visit_order(d: BlockDecomposition) -> np.ndarray | None:
@@ -389,8 +411,8 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
     ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
     once, in the field of the stack (real for symmetric-stencil tc
     blocks); no power outlives its chunk.  Full mode forms T^k's first block
-    column instead, by ``_convolved`` with T's, and assembles the dense T^k
-    only for its Gram.  The chunks come in
+    column instead, by ``_convolved`` with T's, and its Gram from that column
+    (``_toeplitz_gram``): no dense T^k is formed.  The chunks come in
     ``_visit_order``.  A block with ||B^k||_F below the running max times 1 - delta
     is settled without a Gram (a first chunk's largest-||B^k||_F block is solved
     alone, for a max); the rest are solved only where ``_below`` fails on them.
@@ -405,17 +427,15 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
         norms[1] = d.norm
     full, width = d.meta.mode == "full", d.meta.m * d.meta.n
     for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
-        power = blocks[:, :, :width] if full else blocks  # full mode: T's first block column, which fixes T
+        power = blocks  # full mode: T's first block column
         handed = []  # no running max: per k, [k, ||B^k||] or [k, s, the future of eigvalsh(G), G]
         for k in range(2, k_max + 1):
-            power = _convolved(power, blocks[:, :, :width], width) if full else power @ blocks
+            power = _convolved(power, blocks, width) if full else power @ blocks
             scale, x = scaled(power)
-            if full:  # the dense T^k, assembled only for its Gram
-                x = block_toeplitz(x[0], width)[None]
             if not (i or len(x) > 1):  # a one-block first chunk (full mode): no running max, nothing to settle
                 if handed:
                     _take_back(handed[-1])  # so at most one Gram waits for the worker
-                gram = _gram(x)
+                gram = d._chunk_gram(x)
                 del x  # not held through the next product
                 if worker and np.all(np.isfinite(gram)):  # a non-finite Gram is solved here, by ``_norms2``
                     handed.append([k, scale, worker.submit(np.linalg.eigvalsh, gram), gram])

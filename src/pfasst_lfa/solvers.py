@@ -178,11 +178,11 @@ def pfasst_iteration_column(
     """The first block column, (L*M*N) x (M*N), of T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
 
     Every interval has the same operators and both preconditioners are causal,
-    so T is block lower triangular Toeplitz and this column fixes it.  The
-    smoother's block rows are one solved pair; the coarse factor's column
-    block 0 is one Gauss-Seidel solve.  Block i is S's block row i, in a zeroed
-    (M*N, L*M*N) buffer, times that column block: each product keeps its whole
-    inner dimension, so the column has the bits of the dense formula's.
+    so T is block lower triangular Toeplitz and this column fixes it.  Block i
+    is S's band, its blocks i - 1 and i (one solved pair), times the matching
+    row blocks of the coarse factor's column block 0 (one Gauss-Seidel solve).
+    Leaving S's zero blocks out of the inner sums moves the column from the
+    dense formula's by up to 7e-17 (L*M*N = 640) and 1.1e-15 (2560) of max |T|.
     """
     size, d = len(m), len(fine_jacobi.matrix)
     lo = d if size > d else 0  # block row 1, or block row 0 when L = 1
@@ -190,11 +190,9 @@ def pfasst_iteration_column(
     band[np.arange(d), lo + np.arange(d)] += 1.0
     cgc = np.negative(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m[:, :d]))))
     cgc[np.arange(d), np.arange(d)] += 1.0
-    column, row = np.empty_like(cgc), np.zeros((d, size))
+    column = np.empty_like(cgc)
     for i in range(0, size, d):
-        row.fill(0.0)
-        row[:, max(i - lo, 0) : i + d] = band[:, max(lo - i, 0) :]  # S's block row i
-        np.matmul(row, cgc, out=column[i : i + d])
+        np.matmul(band[:, max(lo - i, 0) :], cgc[max(i - lo, 0) : i + d], out=column[i : i + d])
     return column
 
 

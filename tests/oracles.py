@@ -31,7 +31,7 @@ from pfasst_lfa.analysis import (
     _segment_sse,
 )
 from pfasst_lfa.errors import RangeError
-from pfasst_lfa.linalg import block_toeplitz, scaled
+from pfasst_lfa.linalg import scaled
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
@@ -108,20 +108,23 @@ def triangle_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack.
 
-    In full mode T^k is assembled from its first block column, formed by
-    ``lfa._convolved`` as ``lfa.block_power_norms`` forms it.
+    In full mode T^k's first block column is formed by ``lfa._convolved`` and
+    its Gram by ``lfa._toeplitz_gram``, as ``lfa.block_power_norms`` forms them.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
-    width = d.meta.m * d.meta.n
+    full, width = d.meta.mode == "full", d.meta.m * d.meta.n
     for blocks in pair_stacks(d):
+        blocks = blocks[:, :, :width] if full else blocks  # full mode: T's first block column
         power = blocks
         for k in range(1, k_max + 1):
-            if k > 1 and d.meta.mode == "full":
-                power = block_toeplitz(lfa._convolved(power[:, :, :width], blocks[:, :, :width], width)[0], width)[None]
-            elif k > 1:
-                power = power @ blocks
-            norms[k] = max(norms[k], max_norm2(power))
+            if k > 1:
+                power = lfa._convolved(power, blocks, width) if full else power @ blocks
+            if full:
+                scale, x = scaled(power)
+                norms[k] = max(norms[k], lfa._norms2(scale, lfa._toeplitz_gram(x[0], width)[None])[0])
+            else:
+                norms[k] = max(norms[k], max_norm2(power))
     return norms
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism and exit codes."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -711,6 +712,19 @@ def test_verify_forms_no_dense_iteration_matrix(monkeypatch, scale):
 
     monkeypatch.setattr(solvers.TwoLevelSetup, "iteration_matrix", property(refused))
     assert main(["verify", "--scale", scale]) == EXIT_OK
+
+
+@pytest.mark.parametrize("scale", ["small", "large"])
+def test_verify_starts_no_worker(monkeypatch, scale):
+    # every check of verify runs on the main thread, with a spare core too: it constructs no executor.  An
+    # analysis, which reads the same patched name at call time, constructs one
+    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
+    constructed, executor = [], concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda *a: constructed.append(a) or executor(*a))
+    assert main(["verify", "--scale", scale]) == EXIT_OK
+    assert constructed == []
+    run_and_compare(ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=3, l=2, iterations=2))
+    assert constructed == [(1,)]
 
 
 def test_verify_small_passes():

@@ -16,7 +16,7 @@ from pfasst_lfa import lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context, tc_similarity_residual
 from pfasst_lfa.collocation import CollocationProblem
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import scaled, sort_eigenvalues
+from pfasst_lfa.linalg import block_toeplitz, scaled, sort_eigenvalues
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import TwoLevelSetup
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
@@ -398,8 +398,9 @@ def test_identity_block_spectra_and_power_norms_match_the_matrix():
     t = _assemble(prob, m, l, 0.1, "implicit-euler").iteration_matrix
     d = lfa.BlockDecomposition(t[None], lfa.TransformMeta("full", n, l, m))
     np.testing.assert_array_equal(d.meta.block_index(), [[-1, -1]])
-    eig = np.linalg.eigvals(t)
-    assert d.spectral_radius == pytest.approx(np.max(np.abs(eig)), rel=1e-12)
+    eig, w = np.linalg.eigvals(t), m * n
+    # T is block lower triangular Toeplitz: its spectrum is its diagonal block's, L-fold
+    assert d.spectral_radius == pytest.approx(np.max(np.abs(np.linalg.eigvals(t[:w, :w]))), rel=1e-12)
     assert d.eigenvalues.shape == (1, l * m * n)
     assert clusters.matched_cluster_distance(_eigenvalues(d), eig) < 1e-8
     assert d.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-12)
@@ -839,18 +840,29 @@ def test_decompose_hands_over_each_chunk_once_it_is_built(mode):
         assert np.shares_memory(rows, d.blocks[chunk]) and np.array_equal(copy, d.blocks[chunk])
 
 
+@pytest.mark.parametrize("l", [1, 3])
+def test_toeplitz_gram_of_a_complex_column(l):
+    # the lower block triangle of X^H X, the conjugate transpose taken, from the first block column alone
+    rng = np.random.default_rng(l)
+    column = rng.standard_normal((l * 5, 5)) + 1j * rng.standard_normal((l * 5, 5))
+    x, gram = block_toeplitz(column, 5), lfa._toeplitz_gram(column, 5)
+    np.testing.assert_allclose(np.tril(gram), np.tril(x.conj().T @ x), rtol=0, atol=1e-13)
+    blocks = gram.reshape(l, 5, l, 5)
+    assert all(not np.any(blocks[i, :, i + 1 :]) for i in range(l))
+
+
 def test_full_decompose_holds_the_iteration_matrix_as_its_one_block():
     setup = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")
     d = lfa.full_decompose(setup)
-    assert d.meta == lfa.TransformMeta("full", 16, 2, 3) and d.handed == [(d.blocks, None)]
+    assert d.meta == lfa.TransformMeta("full", 16, 2, 3) and d.handed == []
     t = setup.iteration_matrix
     assert d.blocks.shape == (1, *t.shape) and np.shares_memory(d.blocks, t) and np.array_equal(d.blocks[0], t)
-    # given a worker, the one block is the one eigenvalue chunk
-    worker = _RecordingWorker()
-    d = lfa.full_decompose(setup, worker)
-    assert len(worker.submitted) == len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == 1
-    fn, rows, _, future = worker.submitted[0]
-    assert fn is np.linalg.eigvals and rows is d.blocks and d.handed == [(rows, future)]
+    # the one eigenvalue chunk is T's diagonal block T_00, a view solved on this thread, its spectrum L-fold
+    d.eigenvalues
+    [(rows, future)] = d.handed
+    assert future is None and rows.base is t and np.array_equal(rows, t[None, :48, :48])
+    assert d.eigvals_chunks == {"chunks": 1, "main_thread": 1}
+    assert np.array_equal(d.eigenvalues, sort_eigenvalues(np.tile(np.linalg.eigvals(t[None, :48, :48]), 2)))
 
 
 @pytest.mark.parametrize("schedule", ["worker-takes-every-solve", "main-takes-every-solve-back", "free"])

@@ -253,9 +253,11 @@ def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("problem", ["diffusion", "advection"])
 def test_iteration_matrix_has_the_bits_of_the_causal_triangle_build(problem, l):
-    # the serial build over the causal block triangle forms T's first block column by the same products, so
-    # the column has its bits, zero signs included; its other column blocks are solved from interval j on,
-    # and equal the Toeplitz copies bit for bit with OpenBLAS, but the test does not pin how a BLAS tiles them
+    # the serial build over the causal block triangle forms T's first block column over each product's whole
+    # inner dimension, S's zero blocks included; the column's band products leave those out and, at these
+    # shapes, still have its bits, zero signs included (at L*M*N = 2560 they differ by 1.1e-15 of max |T|).
+    # Its other column blocks are solved from interval j on, and equal the Toeplitz copies bit for bit with
+    # OpenBLAS, but the test does not pin how a BLAS tiles them
     coefficient = {"mu": 10.0} if problem == "diffusion" else {"coefficient": 0.02}
     setup = build_context(ExperimentConfig(problem=problem, n=16, m=3, l=l, **coefficient)).setup
     triangle = oracles.triangle_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
