@@ -176,9 +176,9 @@ class ExperimentContext:
     def decomposition(self, block_mode: str, worker=None) -> lfa.BlockDecomposition:
         """The block decomposition of one mode, built once by ``lfa.<mode>_decompose``.
 
-        "tc" and "c" are the Fourier block families; "full" is the iteration
-        matrix itself, one block in the identity basis.  A call that builds
-        tc or c hands its eigenvalue chunks to ``worker``, an executor, if given.
+        "tc" and "c" are the Fourier block families; "full" is T in the
+        identity basis, one block held as its first block column.  A call that
+        builds tc or c hands its eigenvalue chunks to ``worker``, if given.
         """
         if block_mode not in self._blocks:  # the builder is looked up on the module at call time
             build = getattr(lfa, f"{block_mode}_decompose")
@@ -281,13 +281,14 @@ def predict(ctx: ExperimentContext, strategy: str, block_mode: str, worker=None)
         values[1:] = lfa.block_power_norms(d, k_max, worker)[1:] * e0_norm
     else:
         # only the excited rows are multiplied (the others carry no energy for single-mode
-        # data), but the norm keeps every row in place: its round-off depends on their positions
-        rows = d.meta.rows(excited_blocks(ctx.cfg))
+        # data), but the norm keeps every row in place: its round-off depends on their positions;
+        # full mode's one block, T's first block column, multiplies by block convolution
+        rows, full = d.meta.rows(excited_blocks(ctx.cfg)), d.meta.mode == "full"
         blocks = d.blocks[rows]
         vhat = lfa.transform_vector(e0, d.meta)
         ehat, padded = vhat[rows], np.zeros_like(vhat)
         for k in range(1, k_max + 1):
-            ehat = np.matmul(blocks, ehat[:, :, None])[:, :, 0]
+            ehat = lfa._convolved(blocks, ehat) if full else np.matmul(blocks, ehat[:, :, None])[:, :, 0]
             padded[rows] = ehat
             values[k] = norm2(padded)
     return values

@@ -61,20 +61,8 @@ def spread_initial(u0, m: int, l: int = 1) -> np.ndarray:
     return np.tile(u0, m * l)
 
 
-def composite_system(problem: CollocationProblem, l: int) -> np.ndarray:
-    """The dense block lower-bidiagonal collocation matrix over L identical subintervals."""
-    n_mat = np.kron(node_propagation(problem.rule.m), np.eye(problem.n_space))
-    d = problem.dim
-    mat = np.zeros((l * d, l * d))
-    for i in range(l):
-        mat[i * d : (i + 1) * d, i * d : (i + 1) * d] = problem.matrix
-        if i > 0:
-            mat[i * d : (i + 1) * d, (i - 1) * d : i * d] = -n_mat
-    return mat
-
-
 def three_layer_matrix(problem: CollocationProblem, l: int) -> np.ndarray:
-    """``composite_system`` assembled as I - dt*(I_L kron Q kron A) - E kron N, its oracle."""
+    """The composite M as I - dt*(I_L kron Q kron A) - E kron N, the oracle of ``TwoLevelSetup.composite_matrix``."""
     e = np.diag(np.ones(l - 1), -1) if l > 1 else np.zeros((1, 1))
     n_mat = np.kron(node_propagation(problem.rule.m), np.eye(problem.n_space))
     layers = np.kron(np.eye(l), np.kron(problem.rule.q, problem.a))

@@ -7,10 +7,10 @@ Collocation blocks (2M x 2M, additionally indexed by a time frequency)
 assume periodicity in time, which is an approximation: the phase
 e^{-2 pi i j/L} takes the place of the interval shift E.  The
 constant-in-time blocks at time frequency 0, singular at k = 0, are left
-zero and not built.  The unreduced iteration matrix is the one-block full
-mode: T itself in the identity basis.  With symmetric stencils every tc
-block is a real matrix, and the tc stack is held as float64, so its
-eigenvalues, norms and powers run in real arithmetic.
+zero and not built.  The full mode is T in the identity basis, one block held
+as T's first block column, which fixes the block Toeplitz T.  With symmetric
+stencils every tc block is a real matrix, and the tc stack is held as
+float64, so its eigenvalues, norms and powers run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ EIGVALS_CHUNK_ROWS = 1024
 class TransformMeta:
     """Shapes and block mode of the block transform."""
 
-    mode: str  # "tc", "c" or "full" (one block, T itself)
+    mode: str  # "tc", "c" or "full" (one block, T's first block column)
     n: int
     l: int
     m: int
@@ -81,9 +81,9 @@ class TransformMeta:
 class BlockDecomposition:
     """A stack of dense blocks jointly similar to the full iteration matrix.
 
-    ``blocks`` has shape (number of blocks, d, d); row i belongs to
-    ``meta.block_index()[i]``.  The eigenvalues, the spectral radius and the
-    2-norm are computed on first use and kept.
+    ``blocks`` has shape (number of blocks, d, d), in full mode (1, d, M*N):
+    T's first block column.  Row i belongs to ``meta.block_index()[i]``.  The
+    eigenvalues, spectral radius and 2-norm are computed once, on first use.
     The stencils are real, so harmonic h and N - h are complex
     conjugates, and block k and its mirror block (N/2 - k) mod N/2, with
     time frequency j paired with (L - j) mod L, are related by
@@ -135,8 +135,6 @@ class BlockDecomposition:
         kept = per // 2 + 1 if c and self.conjugate_symmetric else per
         # a view in tc and full mode; c mode leaves out the zero j = 0 blocks
         blocks = self.blocks.reshape(-1, per, *shape)[:pairs, int(c) : kept].reshape(-1, *shape)
-        if self.meta.mode == "full":
-            blocks = blocks[:, :, : self.meta.m * self.meta.n]
         step = max(1, NORM_CHUNK_ENTRIES // self.blocks[0].size)
         starts = range(0, len(blocks), step)
         for start in starts if order is None else (starts[j] for j in order):
@@ -151,7 +149,7 @@ class BlockDecomposition:
 
     def _chunk_gram(self, x: np.ndarray) -> np.ndarray:
         """``_gram`` of a chunk or its power, in full mode of the T^k whose first block column it is."""
-        return _toeplitz_gram(x[0], self.meta.m * self.meta.n)[None] if self.meta.mode == "full" else _gram(x)
+        return _toeplitz_gram(x[0], x.shape[-1])[None] if self.meta.mode == "full" else _gram(x)
 
     @cached_property
     def norm(self) -> float:
@@ -264,9 +262,9 @@ def c_decompose(setup: TwoLevelSetup, worker=None) -> BlockDecomposition:
 
 
 def full_decompose(setup: TwoLevelSetup) -> BlockDecomposition:
-    """The iteration matrix T itself, one block in the identity basis; its spectrum is T_00's (``block_spectra``)."""
+    """T in the identity basis, one block held as its first block column; its spectrum is T_00's (``block_spectra``)."""
     meta = TransformMeta("full", setup.fine.n_space, setup.l, setup.m_nodes)
-    return BlockDecomposition(setup.iteration_matrix[None], meta)
+    return BlockDecomposition(setup.iteration_column[None], meta)
 
 
 def transform_vector(v: np.ndarray, meta: TransformMeta) -> np.ndarray:
@@ -376,7 +374,7 @@ def block_spectra(d: BlockDecomposition) -> np.ndarray:
     round-off can still differ visibly in theirs.
     """
     full, width = d.meta.mode == "full", d.meta.m * d.meta.n
-    d.handed = d.handed or [(d.blocks[:, :width, :width] if full else d.blocks, None)]
+    d.handed = d.handed or [(d.blocks[:, :width] if full else d.blocks, None)]
     mine = {}  # chunk number -> its eigenvalues, solved on this thread
     for i, (rows, future) in reversed(list(enumerate(d.handed))):
         if future is None or future.cancel():  # not started by the worker
@@ -425,12 +423,12 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
     norms[0] = 1.0
     if k_max:
         norms[1] = d.norm
-    full, width = d.meta.mode == "full", d.meta.m * d.meta.n
+    full = d.meta.mode == "full"
     for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
         power = blocks  # full mode: T's first block column
         handed = []  # no running max: per k, [k, ||B^k||] or [k, s, the future of eigvalsh(G), G]
         for k in range(2, k_max + 1):
-            power = _convolved(power, blocks, width) if full else power @ blocks
+            power = _convolved(power, blocks) if full else power @ blocks
             scale, x = scaled(power)
             if not (i or len(x) > 1):  # a one-block first chunk (full mode): no running max, nothing to settle
                 if handed:
@@ -475,13 +473,18 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
     return norms
 
 
-def _convolved(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
-    """A B's first block column, a (1, L*width, width) stack, from A's and B's (A, B block lower Toeplitz):
-    block i sums A's block i - j times B's block j over j <= i, L(L+1)/2 products of width^2 blocks."""
-    a, b, out = a.reshape(-1, width, width), b.reshape(-1, width, width), np.zeros_like(a)
+def _convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A b, shaped like b, for A block lower Toeplitz with first block column ``a`` (L*w x w) and b of L*w rows.
+
+    Block i sums A's block i - j times b's block j over j <= i, L(L+1)/2 products.  b is any block column:
+    B's first, for B block lower Toeplitz, gives A B's first (norm-power's powers), a vector A b (``apply``).
+    """
+    a = a.reshape(-1, a.shape[-1], a.shape[-1])
+    blocks = b.reshape(*a.shape[:2], -1)
+    out = np.zeros(blocks.shape, np.result_type(a, b))
     for i, j in zip(*np.tril_indices(len(a))):
-        out[0, i * width : (i + 1) * width] += a[i - j] @ b[j]
-    return out
+        out[i] += a[i - j] @ blocks[j]
+    return out.reshape(b.shape)
 
 
 def _take_back(entry: list) -> None:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .collocation import CollocationProblem, composite_system
+from .collocation import CollocationProblem
 from .errors import FactorizationError
 from .linalg import block_toeplitz
 from .transfer import TransferPair, node_propagation
@@ -173,22 +173,24 @@ def mlsdc_iteration_matrix(
 
 
 def pfasst_iteration_column(
-    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m: np.ndarray
+    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m_column: np.ndarray
 ) -> np.ndarray:
-    """The first block column, (L*M*N) x (M*N), of T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M).
+    """The first block column, (L*M*N) x (M*N), of T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), from M's.
 
     Every interval has the same operators and both preconditioners are causal,
-    so T is block lower triangular Toeplitz and this column fixes it.  Block i
-    is S's band, its blocks i - 1 and i (one solved pair), times the matching
-    row blocks of the coarse factor's column block 0 (one Gauss-Seidel solve).
+    so M and T are block lower triangular Toeplitz, fixed by their first block
+    columns.  Block i of T's is S's band, its blocks i - 1 and i (one solve of
+    M's band [M_10, M_11], M's blocks 1 and 0), times the matching row blocks of
+    the coarse factor's column block 0 (one Gauss-Seidel solve of M's column).
     Leaving S's zero blocks out of the inner sums moves the column from the
     dense formula's by up to 7e-17 (L*M*N = 640) and 1.1e-15 (2560) of max |T|.
     """
-    size, d = len(m), len(fine_jacobi.matrix)
+    size, d = m_column.shape
     lo = d if size > d else 0  # block row 1, or block row 0 when L = 1
-    band = np.negative(fine_jacobi.solve(m[lo : lo + d, : lo + d]))  # [-P^{-1}(-N), -P^{-1} C]
+    row = [m_column[d : 2 * d], m_column[:d]] if lo else [m_column[:d]]  # [M_10, M_11], or M_00
+    band = np.negative(fine_jacobi.solve(np.hstack(row)))  # [-P^{-1}(-N), -P^{-1} C]
     band[np.arange(d), lo + np.arange(d)] += 1.0
-    cgc = np.negative(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m[:, :d]))))
+    cgc = np.negative(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m_column))))
     cgc[np.arange(d), np.arange(d)] += 1.0
     column = np.empty_like(cgc)
     for i in range(0, size, d):
@@ -201,9 +203,10 @@ class TwoLevelSetup:
     """One configuration's two-level operators; the coarsening is spatial, so the levels share one Q_Delta.
 
     The node sweeps and the stencil transfers serve the algorithmic run; the
-    dense preconditioners, composite matrix, T's first block column and T
-    serve the matrix route.  Each is built on first use, so the run
-    allocates no N x N or (M*N) x (M*N) matrix.
+    dense preconditioners and the first block columns of M and T, which fix
+    both, serve the matrix route (the dense M, ``composite_matrix``, serves
+    only ``verify``).  Each is built on first use, so the run allocates no
+    N x N or (M*N) x (M*N) matrix.
     """
 
     fine: CollocationProblem
@@ -232,10 +235,20 @@ class TwoLevelSetup:
     def p_coarse(self) -> Preconditioner:
         return sdc_preconditioner(self.coarse, self.qdelta)
 
+    @property
+    def composite_column(self) -> np.ndarray:
+        """M's first block column, which fixes M: C, then -N, then zeros; not kept, as its two readers are."""
+        d = self.fine.dim
+        column = np.zeros((self.l * d, d))
+        column[:d] = self.fine.matrix
+        if self.l > 1:
+            column[d : 2 * d] = -np.kron(node_propagation(self.m_nodes), np.eye(self.fine.n_space))
+        return column
+
     @cached_property
     def composite_matrix(self) -> np.ndarray:
-        """The dense composite collocation matrix over the L intervals."""
-        return composite_system(self.fine, self.l)
+        """The dense composite collocation matrix M over the L intervals, assembled from ``composite_column``."""
+        return block_toeplitz(self.composite_column, self.fine.dim)
 
     @cached_property
     def composite_preconditioners(self) -> tuple[Preconditioner, Preconditioner]:
@@ -245,12 +258,7 @@ class TwoLevelSetup:
     @cached_property
     def iteration_column(self) -> np.ndarray:
         """The first block column of the PFASST iteration matrix T of the composite system, which fixes T."""
-        return pfasst_iteration_column(*self.composite_preconditioners, self.pair, self.composite_matrix)
-
-    @cached_property
-    def iteration_matrix(self) -> np.ndarray:
-        """The dense T, block lower triangular Toeplitz: block (i, j) is block i - j of ``iteration_column``."""
-        return block_toeplitz(self.iteration_column, self.m_nodes * self.fine.n_space)
+        return pfasst_iteration_column(*self.composite_preconditioners, self.pair, self.composite_column)
 
 
 def pfasst_run_algorithmic(

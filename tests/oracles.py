@@ -13,10 +13,11 @@ multiplies only the rows of the excited harmonics.  ``norms2`` and
 or bounds.  ``dense_iteration_matrix`` is the PFASST iteration matrix as
 its defining product over all columns, blind to its block Toeplitz
 structure, where ``solvers.pfasst_iteration_column`` forms only its first
-block column and ``TwoLevelSetup.iteration_matrix`` copies that column down
-the block diagonals.  ``triangle_iteration_matrix`` is the serial build over
-T's causal block triangle that the column builder replaced: it solves and
-multiplies every column block from its own interval on.
+block column and ``iteration_matrix`` copies that column down the block
+diagonals; the package itself assembles no dense T.
+``triangle_iteration_matrix`` is the serial build over T's causal block
+triangle that the column builder replaced: it solves and multiplies every
+column block from its own interval on.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from pfasst_lfa.analysis import (
     _segment_sse,
 )
 from pfasst_lfa.errors import RangeError
-from pfasst_lfa.linalg import scaled
+from pfasst_lfa.linalg import block_toeplitz, scaled
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
@@ -79,6 +80,11 @@ def dense_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np.nd
     return (eye - fine_jacobi.solve(m)) @ cgc
 
 
+def iteration_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
+    """The dense T, block lower triangular Toeplitz: block (i, j) is block i - j of ``setup.iteration_column``."""
+    return block_toeplitz(setup.iteration_column, setup.fine.dim)
+
+
 def triangle_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np.ndarray:
     """T over its causal block triangle: column block j of both factors solved and multiplied from interval j on.
 
@@ -115,11 +121,10 @@ def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
     norms[0] = 1.0
     full, width = d.meta.mode == "full", d.meta.m * d.meta.n
     for blocks in pair_stacks(d):
-        blocks = blocks[:, :, :width] if full else blocks  # full mode: T's first block column
-        power = blocks
+        power = blocks  # full mode: T's first block column
         for k in range(1, k_max + 1):
             if k > 1:
-                power = lfa._convolved(power, blocks, width) if full else power @ blocks
+                power = lfa._convolved(power, blocks) if full else power @ blocks
             if full:
                 scale, x = scaled(power)
                 norms[k] = max(norms[k], lfa._norms2(scale, lfa._toeplitz_gram(x[0], width)[None])[0])

@@ -137,7 +137,7 @@ def test_criterion_04_rigorous_block_transform():
     n, m, l, dt = 64, 3, 4, 0.1
     prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
     rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
-    t = setup.iteration_matrix
+    t = oracles.iteration_matrix(setup)
     d = lfa.tc_decompose(setup)
     # the defective eigenvalues scatter under the dense eigensolver, so the
     # multisets are compared cluster-wise (equal multiplicities, matched means)
@@ -174,7 +174,7 @@ def test_criterion_06_norm_identity():
     prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
     rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
     block_norm = lfa.tc_decompose(setup).norm
-    full_norm = float(np.linalg.norm(setup.iteration_matrix, 2))
+    full_norm = float(np.linalg.norm(oracles.iteration_matrix(setup), 2))
     rel = abs(block_norm - full_norm) / full_norm
     elapsed = time.perf_counter() - start
     assert rel < 1e-8

@@ -246,15 +246,15 @@ def test_predictions_full_mode_agree_with_tc_mode():
 
 
 def test_full_mode_predictions_equal_the_dense_matrix_oracle():
-    # the one-block identity decomposition against T used directly; T is block lower triangular Toeplitz, so
-    # its spectral radius is its diagonal block's
+    # the one-block identity decomposition, T's first block column, against the assembled T used directly; T is
+    # block lower triangular Toeplitz, so its spectral radius is its diagonal block's
     cfg = _small_cfg(iterations=6)
     ctx = build_context(cfg)
-    t = ctx.decomposition("full").blocks[0]
-    assert t.shape == (cfg.l * cfg.m * cfg.n,) * 2 and np.isrealobj(t)
+    t, w = oracles.iteration_matrix(ctx.setup), cfg.m * cfg.n
+    column = ctx.decomposition("full").blocks[0]
+    assert column.shape == (cfg.l * w, w) and np.isrealobj(column) and np.array_equal(column, t[:, :w])
     e0 = ctx.initial_error
     k = np.arange(cfg.iterations + 1)
-    w = cfg.m * cfg.n
     rho = np.max(np.abs(np.linalg.eigvals(t[:w, :w])))
     nrm = np.linalg.norm(t, 2)
     e0_norm = np.linalg.norm(e0)
@@ -342,8 +342,8 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, worker_takes_eve
     main_thread = threading.main_thread()
     counting(lfa, "block_spectra", "main-thread block_spectra", lambda *a: threading.current_thread() is main_thread)
     counting(analysis, "build_qdelta")
-    for name in ("composite_system", "pfasst_iteration_column"):
-        counting(solvers, name)
+    # M and T themselves are never assembled (test_run_and_compare_assembles_no_dense_composite_or_iteration_matrix)
+    counting(solvers, "pfasst_iteration_column")
     counting(analysis, "exact_trajectory")
     counting(analysis, "pfasst_run_algorithmic")  # the error run and the manufactured run, stacked
     counting(analysis, "exact_solution")
@@ -364,7 +364,6 @@ def test_run_and_compare_builds_each_operator_once(monkeypatch, worker_takes_eve
         "block_spectra": 3,
         "main-thread block_spectra": 3,
         "build_qdelta": 1,
-        "composite_system": 1,
         "pfasst_iteration_column": 1,
         "exact_trajectory": 1,
         "pfasst_run_algorithmic": 1,
@@ -700,10 +699,23 @@ def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
     ctx = run_and_compare(_small_cfg(blocks=(mode,))).context
     assert "matrix" not in vars(ctx.setup.fine) and "matrix" not in vars(ctx.setup.coarse)
     assert "a" not in vars(ctx.setup.fine) and "a" not in vars(ctx.setup.coarse)  # no N x N spatial matrix
-    for dense in ("p_fine", "p_coarse", "composite_matrix", "composite_preconditioners", "iteration_matrix"):
-        assert dense not in vars(ctx.setup)
+    matrix_route = {"p_fine", "p_coarse", "composite_matrix", "composite_preconditioners", "iteration_column"}
+    assert not matrix_route & set(vars(ctx.setup))
     assert "interpolation" not in vars(ctx.setup.pair) and "restriction" not in vars(ctx.setup.pair)
     assert "fine_sweep" in vars(ctx.setup)
+
+
+def test_run_and_compare_assembles_no_dense_composite_or_iteration_matrix(monkeypatch):
+    # M and T are held as their first block columns: the block Toeplitz assembly, the one build of either as an
+    # (L*M*N)^2 matrix, raises if an analysis of every block mode and strategy reaches it
+    def refused(column, width):
+        raise AssertionError(f"an analysis assembled a {len(column)} x {len(column)} block Toeplitz matrix")
+
+    monkeypatch.setattr(solvers, "block_toeplitz", refused)
+    trace = run_and_compare(_small_cfg(blocks=("tc", "c", "full")))
+    setup = trace.context.setup
+    assert "composite_matrix" not in vars(setup) and "iteration_column" in vars(setup)
+    assert trace.context.decomposition("full").blocks.shape == (1, setup.l * setup.fine.dim, setup.fine.dim)
 
 
 def test_run_and_compare_predicts_what_the_config_requests():

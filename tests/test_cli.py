@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import clusters
+import oracles
 from pfasst_lfa import analysis, cli, lfa, solvers
 from pfasst_lfa.analysis import (
     STRATEGY4_FLOOR,
@@ -204,7 +205,7 @@ def test_full_spectrum_csv_is_the_sorted_matrix_spectrum(tmp_path):
     vals = np.array([complex(float(r[2]), float(r[3])) for r in rows])
     np.testing.assert_array_equal(vals, sort_eigenvalues(vals))
     ctx = build_context(ExperimentConfig(problem="diffusion", mu=10.0, n=n, m=m, l=l))
-    t = ctx.setup.iteration_matrix
+    t = oracles.iteration_matrix(ctx.setup)
     assert clusters.matched_cluster_distance(vals, np.linalg.eigvals(t)) < 1e-8
 
 
@@ -690,28 +691,21 @@ def test_analyze_c_mode_at_one_interval_exits_2_naming_l(tmp_path, capsys, monke
     assert len(runs) == 1
 
 
-def test_verify_shares_one_composite_matrix(monkeypatch):
-    calls = {"composite_system": 0, "pfasst_iteration_column": 0}
-    for name in calls:
-        original = getattr(solvers, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, name, counted)
-    assert main(["verify", "--scale", "small"]) == EXIT_OK
-    assert calls == {"composite_system": 1, "pfasst_iteration_column": 1}
-
-
 @pytest.mark.parametrize("scale", ["small", "large"])
-def test_verify_forms_no_dense_iteration_matrix(monkeypatch, scale):
-    # check 2 reads T's first block column; the dense T is the full block mode's alone
-    def refused(setup):
-        raise AssertionError("verify evaluated setup.iteration_matrix")
-
-    monkeypatch.setattr(solvers.TwoLevelSetup, "iteration_matrix", property(refused))
+def test_verify_assembles_m_once_and_no_dense_iteration_matrix(monkeypatch, scale):
+    # check 1 steps the matrix form with the dense M, assembled once from M's first block column; check 2 reads
+    # T's first block column, built once, and T itself is never assembled
+    contexts, assembled, columns = [], [], []
+    build_context, block_toeplitz = analysis.build_context, solvers.block_toeplitz
+    column = solvers.pfasst_iteration_column
+    monkeypatch.setattr(analysis, "build_context", lambda cfg: contexts.append(build_context(cfg)) or contexts[-1])
+    monkeypatch.setattr(solvers, "block_toeplitz", lambda *args: assembled.append(args[0]) or block_toeplitz(*args))
+    monkeypatch.setattr(solvers, "pfasst_iteration_column", lambda *args: columns.append(args) or column(*args))
     assert main(["verify", "--scale", scale]) == EXIT_OK
+    [ctx] = contexts
+    assert len(assembled) == 1 and np.array_equal(assembled[0], ctx.setup.composite_column)
+    assert len(columns) == 1 and np.array_equal(columns[0][-1], ctx.setup.composite_column)
+    assert "composite_matrix" in vars(ctx.setup) and "iteration_column" in vars(ctx.setup)
 
 
 @pytest.mark.parametrize("scale", ["small", "large"])

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from pfasst_lfa.analysis import ExperimentConfig
-from pfasst_lfa.collocation import (
-    CollocationProblem,
-    composite_system,
-    spread_initial,
-    three_layer_matrix,
-)
+from pfasst_lfa.collocation import CollocationProblem, spread_initial, three_layer_matrix
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.quadrature import QuadratureRule
+from pfasst_lfa.solvers import TwoLevelSetup
 from pfasst_lfa.space_operators import CirculantOperator, make_diffusion
+
+
+def _composite_matrix(problem: CollocationProblem, l: int) -> np.ndarray:
+    """The dense M over L intervals of ``problem``, assembled from its first block column; it reads no other level."""
+    return TwoLevelSetup(fine=problem, coarse=None, pair=None, l=l, qdelta=None).composite_matrix
 
 
 def test_collocation_matrix_shape_and_structure():
@@ -70,11 +71,12 @@ def test_spread_initial_tiles_nodes_and_intervals():
     np.testing.assert_array_equal(spread_initial(u0, 2, 2), np.tile(u0, 4))
 
 
-def test_composite_system_equals_three_layer_assembly():
+@pytest.mark.parametrize("l", [1, 2, 4])
+def test_composite_matrix_equals_three_layer_assembly(l):
     prob = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
     p = CollocationProblem(prob.operator, rule, 0.1)
-    np.testing.assert_allclose(composite_system(p, 4), three_layer_matrix(p, 4), atol=1e-14)
+    np.testing.assert_allclose(_composite_matrix(p, l), three_layer_matrix(p, l), atol=1e-14)
 
 
 def test_composite_solution_continues_single_interval_solution():
@@ -87,7 +89,7 @@ def test_composite_solution_continues_single_interval_solution():
     u0 = np.sin(2 * np.pi * np.arange(8) / 8)
     rhs = np.zeros((l, p.dim))
     rhs[0] = spread_initial(u0, 3)
-    u = np.linalg.solve(composite_system(p, l), rhs.ravel())
+    u = np.linalg.solve(_composite_matrix(p, l), rhs.ravel())
     seq = u0
     for i in range(l):
         ui = np.linalg.solve(p.matrix, spread_initial(seq, 3))
@@ -96,8 +98,8 @@ def test_composite_solution_continues_single_interval_solution():
 
 
 def test_composite_needs_at_least_one_interval():
-    # composite_system assumes l >= 1; ExperimentConfig refuses l = 0, and l = 1 is one interval's matrix
+    # the composite matrix assumes l >= 1; ExperimentConfig refuses l = 0, and l = 1 is one interval's matrix
     with pytest.raises(ConfigurationError, match="must be >= 1, got 0"):
         ExperimentConfig(problem="diffusion", mu=10.0, l=0)
     p = CollocationProblem(make_diffusion(8, 1e-2).operator, QuadratureRule.radau_right(2), 0.1)
-    assert composite_system(p, 1).shape == (p.dim, p.dim)
+    np.testing.assert_array_equal(_composite_matrix(p, 1), p.matrix)

@@ -30,7 +30,7 @@ def _setup(op_f, op_c, m, l, dt, qdelta_kind="implicit-euler"):
 
 
 def _assemble(prob, m, l, dt, qdelta_kind):
-    """The setup of a model problem and its coarsening; it builds T on first use of ``iteration_matrix``."""
+    """The setup of a model problem and its coarsening; it builds T's first block column on first use."""
     return _setup(prob.operator, coarsen(prob).operator, m, l, dt, qdelta_kind)
 
 
@@ -45,7 +45,7 @@ def _eigenvalues(d):
 def test_tc_action_equals_full_matrix(make, qdelta_kind):
     prob = make(16, 5e-3)
     setup = _assemble(prob, 3, 4, 0.1, qdelta_kind)
-    t = setup.iteration_matrix
+    t = oracles.iteration_matrix(setup)
     d = lfa.tc_decompose(setup)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(t.shape[0])
@@ -276,7 +276,7 @@ def test_tc_eigenvalues_match_full_spectrum_via_clusters():
     prob = make_diffusion(16, 5e-3)
     setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
     d = lfa.tc_decompose(setup)
-    dist = clusters.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d))
+    dist = clusters.matched_cluster_distance(np.linalg.eigvals(oracles.iteration_matrix(setup)), _eigenvalues(d))
     assert dist < 1e-8
 
 
@@ -359,7 +359,7 @@ def test_tc_blocks_are_leading_sections_of_one_block_toeplitz_operator(make, coe
 def test_tc_norm_identity():
     prob = make_diffusion(16, 5e-3)
     setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
-    t = setup.iteration_matrix
+    t = oracles.iteration_matrix(setup)
     d = lfa.tc_decompose(setup)
     assert d.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-10)
     assert d.spectral_radius <= np.linalg.norm(t, 2) + 1e-12
@@ -372,31 +372,35 @@ def test_block_power_norm_reduces_to_norm_and_identity():
     assert lfa.block_power_norms(d, 1)[1] == pytest.approx(d.norm, rel=1e-12)
 
 
-def test_full_mode_is_the_matrix_as_one_block():
+def test_full_mode_is_the_first_block_column_as_one_block():
     n, m, l = 16, 3, 2
     ctx = build_context(ExperimentConfig(problem="advection", coefficient=4.88e-3, n=n, m=m, l=l, qdelta_kind="lu"))
-    t = ctx.setup.iteration_matrix
+    t = oracles.iteration_matrix(ctx.setup)
     d = ctx.decomposition("full")
     assert d.meta == lfa.TransformMeta("full", n, l, m)
-    assert d.blocks.shape == (1, l * m * n, l * m * n)
-    np.testing.assert_array_equal(d.blocks[0], t)
+    assert d.blocks.shape == (1, l * m * n, m * n)
+    np.testing.assert_array_equal(d.blocks[0], t[:, : m * n])
     np.testing.assert_array_equal(d.meta.block_index(), [[-1, -1]])
     assert d.meta.block_dim == l * m * n
-    assert [len(chunk) for chunk in d.norm_chunks()] == [1]
+    # the column is the one norm chunk, a view of the stack
+    [chunk] = d.norm_chunks()
+    assert chunk.shape == d.blocks.shape and np.shares_memory(chunk, d.blocks)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(t.shape[0])
     vhat = lfa.transform_vector(v, d.meta)
     np.testing.assert_array_equal(vhat, v[None])
-    # every harmonic selection keeps the single block
-    back = oracles.apply_blocks(d, vhat)[d.meta.rows({1})]
+    # every harmonic selection keeps the single block, which multiplies by block convolution
+    back = lfa._convolved(d.blocks[d.meta.rows({1})], vhat)
+    assert back.shape == vhat.shape
     np.testing.assert_allclose(back[0], t @ v, rtol=0, atol=1e-14)
 
 
 def test_identity_block_spectra_and_power_norms_match_the_matrix():
     prob = make_diffusion(16, 5e-3)
     n, m, l = 16, 3, 2
-    t = _assemble(prob, m, l, 0.1, "implicit-euler").iteration_matrix
-    d = lfa.BlockDecomposition(t[None], lfa.TransformMeta("full", n, l, m))
+    setup = _assemble(prob, m, l, 0.1, "implicit-euler")
+    t = oracles.iteration_matrix(setup)
+    d = lfa.BlockDecomposition(setup.iteration_column[None], lfa.TransformMeta("full", n, l, m))
     np.testing.assert_array_equal(d.meta.block_index(), [[-1, -1]])
     eig, w = np.linalg.eigvals(t), m * n
     # T is block lower triangular Toeplitz: its spectrum is its diagonal block's, L-fold
@@ -509,7 +513,7 @@ def test_matched_cluster_distance_detects_mutation():
     prob = make_diffusion(16, 5e-3)
     setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
     d_bad = lfa.tc_decompose(replace(setup, qdelta=-setup.qdelta))
-    dist = clusters.matched_cluster_distance(np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(d_bad))
+    dist = clusters.matched_cluster_distance(np.linalg.eigvals(oracles.iteration_matrix(setup)), _eigenvalues(d_bad))
     assert dist > 1e-8
 
 
@@ -546,8 +550,8 @@ def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family,
 
 
 def test_chunked_norms_of_the_full_block_equal_the_oracle():
-    t = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu").iteration_matrix
-    d = lfa.BlockDecomposition(t[None], lfa.TransformMeta("full", 16, 2, 3))
+    column = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu").iteration_column
+    d = lfa.BlockDecomposition(column[None], lfa.TransformMeta("full", 16, 2, 3))
     expected = oracles.pairwise_power_norms(d, 4)
     assert np.array_equal(lfa.block_power_norms(d, 4), expected)
     assert d.norm == expected[1]
@@ -612,7 +616,7 @@ def test_matched_cluster_distance_equals_per_tolerance_recomputation():
         assert clusters._clusters(a, tree, tol) == fresh
     # and on a real pair of spectra
     setup = _assemble(make_diffusion(16, 5e-3), 3, 4, 0.1, "implicit-euler")
-    full, blocks = np.linalg.eigvals(setup.iteration_matrix), _eigenvalues(lfa.tc_decompose(setup))
+    full, blocks = np.linalg.eigvals(oracles.iteration_matrix(setup)), _eigenvalues(lfa.tc_decompose(setup))
     assert clusters.matched_cluster_distance(full, blocks, tols) == min(
         clusters.matched_cluster_distance(full, blocks, (tol,)) for tol in tols
     )
@@ -851,18 +855,19 @@ def test_toeplitz_gram_of_a_complex_column(l):
     assert all(not np.any(blocks[i, :, i + 1 :]) for i in range(l))
 
 
-def test_full_decompose_holds_the_iteration_matrix_as_its_one_block():
+def test_full_decompose_holds_the_iteration_column_as_its_one_block():
     setup = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")
     d = lfa.full_decompose(setup)
     assert d.meta == lfa.TransformMeta("full", 16, 2, 3) and d.handed == []
-    t = setup.iteration_matrix
-    assert d.blocks.shape == (1, *t.shape) and np.shares_memory(d.blocks, t) and np.array_equal(d.blocks[0], t)
+    column = setup.iteration_column
+    assert d.blocks.shape == (1, *column.shape) and np.shares_memory(d.blocks, column)
+    assert np.array_equal(d.blocks[0], column)
     # the one eigenvalue chunk is T's diagonal block T_00, a view solved on this thread, its spectrum L-fold
     d.eigenvalues
     [(rows, future)] = d.handed
-    assert future is None and rows.base is t and np.array_equal(rows, t[None, :48, :48])
+    assert future is None and rows.base is column and np.array_equal(rows, column[None, :48])
     assert d.eigvals_chunks == {"chunks": 1, "main_thread": 1}
-    assert np.array_equal(d.eigenvalues, sort_eigenvalues(np.tile(np.linalg.eigvals(t[None, :48, :48]), 2)))
+    assert np.array_equal(d.eigenvalues, sort_eigenvalues(np.tile(np.linalg.eigvals(column[None, :48]), 2)))
 
 
 @pytest.mark.parametrize("schedule", ["worker-takes-every-solve", "main-takes-every-solve-back", "free"])

@@ -7,7 +7,7 @@ import scipy.linalg
 import oracles
 from pfasst_lfa import solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context
-from pfasst_lfa.collocation import CollocationProblem, composite_system, spread_initial
+from pfasst_lfa.collocation import CollocationProblem, spread_initial
 from pfasst_lfa.errors import ConfigurationError, FactorizationError
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import (
@@ -225,7 +225,7 @@ def test_composite_mlsdc_step_matches_iteration_operator():
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     p_gs, p_j = setup.composite_preconditioners
     rhs = _first_interval_rhs(np.sin(2 * np.pi * np.arange(n) / n), m, l)
-    t = setup.iteration_matrix
+    t = oracles.iteration_matrix(setup)
     exact = np.linalg.solve(setup.composite_matrix, rhs)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(len(rhs))
@@ -246,7 +246,7 @@ def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    assert setup.iteration_matrix.shape == (l * m * n, l * m * n)
+    assert setup.iteration_column.shape == (l * m * n, m * n)
     assert sorted(sizes) == [(m * n // 2, m * n // 2), (m * n, m * n)]
 
 
@@ -263,20 +263,23 @@ def test_iteration_matrix_has_the_bits_of_the_causal_triangle_build(problem, l):
     triangle = oracles.triangle_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
     column, w = setup.iteration_column, 3 * 16
     assert np.array_equal(column.view(np.uint64), triangle[:, :w].view(np.uint64))
-    t = setup.iteration_matrix
+    t = oracles.iteration_matrix(setup)
     for i in range(l - 1):
         assert not np.any(t[i * w : (i + 1) * w, (i + 1) * w :].view(np.uint64))  # +0.0 above the diagonal
     assert np.max(np.abs(t - triangle)) <= 1e-15 * np.max(np.abs(triangle))
 
 
-def test_setup_matrix_route_is_built_once_from_the_composite_system():
-    setup = _setup(_small_problem(n=16, m=3)[0], 3, 4)
-    np.testing.assert_array_equal(setup.composite_matrix, composite_system(setup.fine, 4))
-    assert setup.composite_preconditioners is setup.composite_preconditioners
-    assert setup.iteration_column is setup.iteration_column
-    assert setup.iteration_matrix is setup.iteration_matrix
-    # T's first block column is the column it is assembled from
-    assert np.array_equal(setup.iteration_matrix[:, : 3 * 16], setup.iteration_column)
+@pytest.mark.parametrize("l", [1, 2, 4])
+def test_setup_matrix_route_is_built_once_from_the_composite_column(l):
+    setup, w = _setup(_small_problem(n=16, m=3)[0], 3, l), 3 * 16
+    # M's first block column is C, then -N, then zeros, and the dense M (against its three-layer oracle in
+    # test_collocation.py) is assembled from it
+    column = setup.composite_column
+    assert column.shape == (l * w, w) and np.array_equal(column[:w], setup.fine.matrix) and not np.any(column[2 * w :])
+    assert l == 1 or np.array_equal(column[w : 2 * w], -np.kron(node_propagation(3), np.eye(16)))
+    assert np.array_equal(setup.composite_matrix[:, :w], column)
+    for cached in ("composite_matrix", "composite_preconditioners", "iteration_column"):
+        assert getattr(setup, cached) is getattr(setup, cached)
 
 
 def test_pfasst_algorithmic_equals_matrix_form():
@@ -321,7 +324,7 @@ def test_pfasst_algorithmic_equals_step_matrix_iterates(make, kind, l, m):
 def test_pfasst_initial_state_override_propagates_errors():
     n, m, l = 16, 3, 4
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
-    t = setup.iteration_matrix
+    t = oracles.iteration_matrix(setup)
     rng = np.random.default_rng(8)
     e0 = rng.standard_normal(t.shape[0])
     trace = pfasst_run_algorithmic(setup, np.zeros_like(e0), e0, 3)
