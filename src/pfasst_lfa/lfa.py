@@ -414,7 +414,7 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
     ``_visit_order``.  A block with ||B^k||_F below the running max times 1 - delta
     is settled without a Gram (a first chunk's largest-||B^k||_F block is solved
     alone, for a max); the rest are solved only where ``_below`` fails on them.
-    A one-block first chunk (full mode's, a tc stack's from 2LM = 256 on) has no
+    A one-block first chunk (full mode's, a tc stack's from 2LM = 182 on) has no
     running max: each Gram's eigvalsh goes to ``worker``, an executor, if given,
     and before the next Gram this thread takes back the last one if the worker
     has not started it, so at most one waits.  The norms are a serial run's.

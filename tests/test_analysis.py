@@ -428,16 +428,22 @@ def test_the_dense_route_equals_the_serial_computation_bitwise(monkeypatch, spar
     ],
     ids=["tc-c-full", "tc-full-k20"],
 )
-def test_the_worker_thread_runs_no_package_code(monkeypatch, run):
+def test_the_worker_thread_runs_no_package_code(monkeypatch, worker_takes_every_chunk, run):
     # the worker makes only numpy's eigvals and eigvalsh calls, so a per-thread profile of this package
-    # sees one thread
+    # sees one thread; it takes every eigenvalue chunk and every full-mode Gram here
     monkeypatch.setattr(analysis, "_spare_core", lambda: True)
     package = str(Path(analysis.__file__).parent)
-    seen = []
+    # numpy.linalg's public functions, by the code of their implementations
+    linalg = {f.__wrapped__.__code__: name for name, f in vars(np.linalg).items() if hasattr(f, "__wrapped__")}
+    seen, worker_linalg = [], []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(package):
+        if event != "call":
+            return
+        if frame.f_code.co_filename.startswith(package):
             seen.append(frame.f_code.co_name)
+        elif frame.f_code in linalg and threading.current_thread() is not threading.main_thread():
+            worker_linalg.append(linalg[frame.f_code])
 
     threading.setprofile(profile)  # every thread started from here on
     try:
@@ -445,6 +451,7 @@ def test_the_worker_thread_runs_no_package_code(monkeypatch, run):
     finally:
         threading.setprofile(None)
     assert seen == []
+    assert set(worker_linalg) == {"eigvals", "eigvalsh"}
 
 
 def test_lu_solves_stay_on_the_main_thread(monkeypatch):
