@@ -61,6 +61,10 @@ STRATEGY4_RTOL = 1e-8
 # configs up to mu = 100 and 9.9e-15 on the n = 32 dense-verify benchmark
 # configs of seeds 0-20; a negated Q_Delta reads 3.1e7 (small) and 3.2e16 (large).
 TC_SIMILARITY_TOL = 1e-12
+# The analyze --blocks tc,full gate: ||T^k|| by tc and by T's column, relative above CROSS_ROUTE_NORM_FLOOR ||T^0||
+# (round-off below: M = 1).  At K = 20: at most 7.3e-14 on dense-verify seeds 0-20, 7.0e-12 on random small configs.
+CROSS_ROUTE_NORM_TOL = 1e-9
+CROSS_ROUTE_NORM_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -263,10 +267,8 @@ def excited_blocks(cfg: ExperimentConfig) -> set[int]:
     return out
 
 
-def predict(ctx: ExperimentContext, strategy: str, block_mode: str, worker=None) -> np.ndarray:
-    """Predicted 2-norm error for iterations 0..K, K+1 values; ``apply`` propagates only the ``excited_blocks``.
-
-    ``worker`` goes to :func:`lfa.block_power_norms`, which hands it Gram solves where a chunk has no running max."""
+def predict(ctx: ExperimentContext, strategy: str, block_mode: str) -> np.ndarray:
+    """Predicted 2-norm error for iterations 0..K, K+1 values; ``apply`` propagates only the ``excited_blocks``."""
     d = ctx.decomposition(block_mode)
     k_max = ctx.cfg.iterations
     e0 = ctx.initial_error
@@ -278,7 +280,7 @@ def predict(ctx: ExperimentContext, strategy: str, block_mode: str, worker=None)
         rate = d.spectral_radius if strategy == "rho" else d.norm
         values[1:] = e0_norm * rate ** np.arange(1, k_max + 1)
     elif strategy == "norm-power":
-        values[1:] = lfa.block_power_norms(d, k_max, worker)[1:] * e0_norm
+        values[1:] = lfa.block_power_norms(d, k_max)[1:] * e0_norm
     else:
         # only the excited rows are multiplied (the others carry no energy for single-mode
         # data), but the norm keeps every row in place: its round-off depends on their positions;
@@ -453,12 +455,10 @@ class ErrorTrace:
     def checks(self) -> tuple[dict, list[str]]:
         """The report's checks of this analysis, and the failures among them as messages.
 
-        ``bound_chain_2norm`` (with norm and norm-power) is taken in tc mode
-        whenever tc is analyzed, else in the first block mode;
-        ``strategy4_tc_exact`` needs apply in tc mode.  Either is None without
-        its columns.  ``tc_similarity_residual`` is added when tc and full are
-        analyzed.  With tc analyzed a false check fails, and so does a
-        residual above ``TC_SIMILARITY_TOL``.
+        ``bound_chain_2norm`` (with norm and norm-power) is taken in tc mode whenever tc is analyzed, else in the
+        first block mode; ``strategy4_tc_exact`` needs apply in tc mode.  Either is None without its columns.
+        ``tc_similarity_residual`` and ``cross_route_norm`` are added when tc and full are analyzed.  With tc
+        analyzed a false check fails, and so does a residual above ``TC_SIMILARITY_TOL`` or ``CROSS_ROUTE_NORM_TOL``.
         """
         cfg, pred, actual = self.context.cfg, self.predictions, self.actual_2
         checks = {"bound_chain_2norm": None, "strategy4_tc_exact": None}
@@ -468,13 +468,17 @@ class ErrorTrace:
         if ("apply", "tc") in pred:
             checks["strategy4_tc_exact"] = strategy4_exact(actual, pred["apply", "tc"])
         if {"tc", "full"} <= set(cfg.blocks):
-            column, tc = self.context.setup.iteration_column, self.context.decomposition("tc")
-            checks["tc_similarity_residual"] = tc_similarity_residual(column, tc)
+            column, blocks = self.context.setup.iteration_column, self.context.decomposition("tc")
+            checks["tc_similarity_residual"] = tc_similarity_residual(column, blocks)
+            tc, full = (pred.get(("norm-power", m), np.r_[1.0, self.aggregates[m]["norm"]]) for m in ("tc", "full"))
+            top = np.maximum(tc[1:], full[1:])  # entry k >= 1: ||T^k|| ||e^0||, or ||T|| alone without norm-power
+            kept = ~(top <= CROSS_ROUTE_NORM_FLOOR * tc[0])  # a NaN is kept
+            checks["cross_route_norm"] = float(np.max(np.abs(full[1:] - tc[1:])[kept] / top[kept], initial=0.0))
         # a false tc-mode check fails the analysis; a bound chain taken in c or full mode is only reported
         failed = [f"{name} is false" for name, value in checks.items() if value is False and chain == "tc"]
-        residual = checks.get("tc_similarity_residual", 0.0)
-        if not residual <= TC_SIMILARITY_TOL:
-            failed.append(f"tc similarity residual {residual:.3e} > {TC_SIMILARITY_TOL:.0e}")
+        for name, tol in (("tc_similarity_residual", TC_SIMILARITY_TOL), ("cross_route_norm", CROSS_ROUTE_NORM_TOL)):
+            if not checks.get(name, 0.0) <= tol:
+                failed.append(f"{name.replace('_', ' ')} {checks[name]:.3e} > {tol:.0e}")
         return checks, failed
 
 
@@ -495,11 +499,9 @@ def _spare_core() -> bool:
 def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
     """Run algorithmic PFASST and attach the predictions of every strategy and block mode of ``cfg``.
 
-    Given a :func:`_spare_core`, the tc and c decompositions hand their
-    eigenvalue chunks to a worker thread as they are built, and norm-power
-    hands it the Gram solves of a chunk with no running max; ``rho`` is predicted last,
-    after the join.  The worker runs only numpy's eigvals and eigvalsh, each
-    on a whole matrix or stack, so every result is that of a serial run.
+    Given a :func:`_spare_core`, the tc and c decompositions hand their eigenvalue chunks to a worker thread as
+    they are built; ``rho`` is predicted last, after the join.  The worker runs only numpy's eigvals, each on a
+    whole stack, so every result is that of a serial run.
     """
     ctx = build_context(cfg)
     requested = [(strategy, mode) for mode in cfg.blocks for strategy in cfg.strategies]
@@ -518,7 +520,7 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
             actual_2 = np.array([norm2(e) for e, _ in trace])
             u_run_2 = np.array([norm2(u - u_ex) for _, u in trace])
             # rho reads the spectra; it waits for the join below
-            predictions = {key: predict(ctx, *key, worker) for key in requested if key[0] != "rho"}
+            predictions = {key: predict(ctx, *key) for key in requested if key[0] != "rho"}
             norms = {mode: d.norm for mode, d in decompositions.items()}
             for d in reversed(decompositions.values()):  # the worker takes the chunks in build order
                 d.eigenvalues  # the join

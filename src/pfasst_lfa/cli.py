@@ -9,8 +9,8 @@ Two subcommands:
 
 Exit codes: 0 success, 2 usage error (every refused input, before any work),
 3 numerical failure, 4 verification failure (verify, or an analyze with a
-false tc-mode check or, under --blocks tc,full, tc blocks that differ from
-the iteration matrix; it writes its artifacts first).  CSV files use a
+false tc-mode check or, under --blocks tc,full, tc blocks or norms that differ
+from the iteration matrix's; it writes its artifacts first).  CSV files use a
 decimal point, scientific notation with 17 significant digits, LF line
 endings and a leading header row; identical configurations at the same
 BLAS thread count produce byte-identical CSV files and report.json,
@@ -162,8 +162,7 @@ def cmd_analyze(args, parser) -> int:
     # the kernels' work, not their results: the report's bytes do not depend on it
     decompositions = {mode: trace.context.decomposition(mode) for mode in cfg.blocks}
     grams = {mode: d.grams for mode, d in decompositions.items()}
-    # next to the chunks the main thread solved, the norm-power Gram solves the worker ran
-    chunks = {mode: d.eigvals_chunks | {"worker_grams": d.worker_grams} for mode, d in decompositions.items()}
+    chunks = {mode: d.eigvals_chunks for mode, d in decompositions.items()}
     work = {"wall_time_seconds": timings, "norm_grams": grams, "eigvals_chunks": chunks}
     _write_json(out / "timings.json", work)
     for failure in failed:

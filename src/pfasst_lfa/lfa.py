@@ -103,12 +103,10 @@ class BlockDecomposition:
     meta: TransformMeta
     conjugate_symmetric: bool = False
 
-    # the norm kernel's (block, k) outcomes: its eigvalsh ran ("solved"), else Cholesky ("certified"), else "bounded"
+    # per (block, k) of the norm kernel: "solved" (eigvalsh or Lanczos), else "certified" (Cholesky), else "bounded"
     grams: dict = field(
         default_factory=lambda: {"solved": 0, "certified": 0, "bounded": 0}, init=False, repr=False, compare=False
     )
-    # how many of those "solved" Grams the worker solved (``block_power_norms``)
-    worker_grams: int = field(default=0, init=False, repr=False, compare=False)
     # the eigenvalue chunks in row order: (rows, the future of their eigvals on a worker, else None); full: T_00
     handed: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -142,14 +140,13 @@ class BlockDecomposition:
 
     @cached_property
     def block_norms(self) -> np.ndarray:
-        """||B||_2 of each block of ``norm_chunks()`` (of T in full mode), in its order; computed once."""
-        norms = np.concatenate([_norms2(scale, self._chunk_gram(x)) for scale, x in map(scaled, self.norm_chunks())])
+        """||B||_2 of each block of ``norm_chunks()``, in its order (T's by ``toeplitz_norm2``); computed once."""
+        if self.meta.mode == "full":
+            norms = np.array([toeplitz_norm2(self.blocks[0])])
+        else:
+            norms = np.concatenate([_norms2(scale, _gram(x)) for scale, x in map(scaled, self.norm_chunks())])
         self.grams["solved"] += len(norms)
         return norms
-
-    def _chunk_gram(self, x: np.ndarray) -> np.ndarray:
-        """``_gram`` of a chunk or its power, in full mode of the T^k whose first block column it is."""
-        return _toeplitz_gram(x[0], x.shape[-1])[None] if self.meta.mode == "full" else _gram(x)
 
     @cached_property
     def norm(self) -> float:
@@ -294,20 +291,6 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -2, -1).conj() @ x
 
 
-def _toeplitz_gram(column: np.ndarray, width: int) -> np.ndarray:
-    """The lower block triangle of G = X^H X, X block lower triangular Toeplitz with first block column ``column``.
-
-    G_ij = G_(i+1)(j+1) + A_(L-1-i)^H A_(L-1-j) for i >= j, A_p the column's block p: L(L+1)/2 products of
-    width^2 blocks, where X^H X is one (L*width)^3 product.  G is 0 above the block diagonal; eigvalsh reads below.
-    """
-    a = column.reshape(-1, width, width)
-    l, gram = len(a), np.zeros((len(column), len(column)), dtype=column.dtype)
-    blocks, a_h = gram.reshape(l, width, l, width), np.swapaxes(a, -2, -1).conj()
-    for i, j in reversed(list(zip(*np.tril_indices(l)))):  # G's block row i + 1 first
-        blocks[i, :, j] = a_h[l - 1 - i] @ a[l - 1 - j] + (blocks[i + 1, :, j + 1] if i + 1 < l else 0.0)
-    return gram
-
-
 def _norms2(scale: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """||X||_2 = s*sqrt(lambda_max(G)) of each matrix, G the ``_gram`` of its ``scaled``; NaN where G is not finite.
 
@@ -402,22 +385,15 @@ def _visit_order(d: BlockDecomposition) -> np.ndarray | None:
     return order
 
 
-def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndarray:
+def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, i.e. ||T^k||_2 block-wise.
 
-    k = 1 is the decomposition's cached ``norm``.  One pass per chunk of
-    ``d.norm_chunks()`` forms B^k = B^(k-1) B for all the chunk's blocks at
-    once, in the field of the stack (real for symmetric-stencil tc
-    blocks); no power outlives its chunk.  Full mode forms T^k's first block
-    column instead, by ``_convolved`` with T's, and its Gram from that column
-    (``_toeplitz_gram``): no dense T^k is formed.  The chunks come in
-    ``_visit_order``.  A block with ||B^k||_F below the running max times 1 - delta
-    is settled without a Gram (a first chunk's largest-||B^k||_F block is solved
-    alone, for a max); the rest are solved only where ``_below`` fails on them.
-    A one-block first chunk (full mode's, a tc stack's from 2LM = 182 on) has no
-    running max: each Gram's eigvalsh goes to ``worker``, an executor, if given,
-    and before the next Gram this thread takes back the last one if the worker
-    has not started it, so at most one waits.  The norms are a serial run's.
+    k = 1 is the decomposition's cached ``norm``.  One pass per chunk of ``d.norm_chunks()``, in ``_visit_order``,
+    forms B^k = B^(k-1) B for all the chunk's blocks at once, in the field of the stack (real for symmetric-stencil
+    tc blocks); no power outlives its chunk.  Full mode forms T^k's first block column instead, by ``_convolved``
+    with T's, and its 2-norm by ``toeplitz_norm2``.  A block with ||B^k||_F below the running max times 1 - delta
+    is settled without a Gram (a first chunk's largest-||B^k||_F block is solved alone, for a max); the rest are
+    solved only where ``_below`` fails on them.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
@@ -426,21 +402,13 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
     full = d.meta.mode == "full"
     for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
         power = blocks  # full mode: T's first block column
-        handed = []  # no running max: per k, [k, ||B^k||] or [k, s, the future of eigvalsh(G), G]
         for k in range(2, k_max + 1):
             power = _convolved(power, blocks) if full else power @ blocks
-            scale, x = scaled(power)
-            if not (i or len(x) > 1):  # a one-block first chunk (full mode): no running max, nothing to settle
-                if handed:
-                    _take_back(handed[-1])  # so at most one Gram waits for the worker
-                gram = d._chunk_gram(x)
-                del x  # not held through the next product
-                if worker and np.all(np.isfinite(gram)):  # a non-finite Gram is solved here, by ``_norms2``
-                    handed.append([k, scale, worker.submit(np.linalg.eigvalsh, gram), gram])
-                else:
-                    handed.append([k, _norms2(scale, gram)])
+            if full:  # one block: no running max, nothing to settle
+                norms[k] = toeplitz_norm2(power[0])
                 d.grams["solved"] += 1
                 continue
+            scale, x = scaled(power)
             left = np.arange(len(x))
             frob = np.einsum("...ij,...ij->...", x.view(float), x.view(float))  # ||X/s||_F^2 < 4d^2: no overflow
             # s sqrt(frob) = ||X||_F overflows only near max float, and a subnormal s overflows the bound to inf
@@ -465,30 +433,46 @@ def block_power_norms(d: BlockDecomposition, k_max: int, worker=None) -> np.ndar
                     norms[k] = np.maximum(norms[k], np.max(_norms2(scale, gram)))  # a NaN norm stays NaN
                 d.grams["certified" if certified else "solved"] += len(left)
                 del gram  # not held through the next product
-        if handed:
-            _take_back(handed[-1])
-        for k, norm, *solving in handed:  # s sqrt(lambda_max), as ``_norms2`` of a finite Gram; NaN stays NaN
-            norms[k] = np.maximum(norms[k], np.max(norm * np.sqrt(solving[0].result()[..., -1]) if solving else norm))
-        d.worker_grams += sum(len(entry) == 3 for entry in handed)
     return norms
+
+
+def toeplitz_norm2(column: np.ndarray) -> float:
+    """||X||_2, X block lower triangular Toeplitz with first block column ``column``; NaN if it is not finite.
+
+    Lanczos on X^H X of the ``scaled`` column, fully reorthogonalized, from a fixed-seed Gaussian (a constant vector
+    stays in the k = 0 harmonic's invariant subspace).  X q is ``_convolved``; X^H r is too, of the blocks' conjugate
+    transposes with r's blocks reversed, then reversed back.  It stops once the top Ritz value theta has residual
+    beta_j |s_j| <= 1e-15 theta, or once the basis spans the space.  No (L*w)^2 array is formed.
+    """
+    (scale,), (x,) = scaled(column[None])
+    if not np.all(np.isfinite(x)):
+        return np.nan
+    from scipy.linalg import eigh_tridiagonal  # only the matrix route: the tc and c analyses never import scipy
+    w, start = x.shape[-1], np.random.default_rng(0).standard_normal(len(x))
+    x_h = np.swapaxes(x.reshape(-1, w, w), -2, -1).conj()
+    basis, alpha, beta = (start / np.linalg.norm(start))[None].astype(x.dtype), [], []
+    while True:
+        r = _convolved(x_h, _convolved(x, basis[-1]).reshape(-1, w)[::-1])[::-1].ravel()  # X^H X q_j
+        alpha.append(np.vdot(basis[-1], r).real)
+        for _ in range(2):  # Gram-Schmidt twice against the whole basis keeps it orthonormal
+            r -= (basis.conj() @ r) @ basis
+        (theta,), s = eigh_tridiagonal(alpha, beta, select="i", select_range=(len(alpha) - 1,) * 2)
+        beta.append(np.linalg.norm(r))
+        if beta[-1] * abs(s[-1, 0]) <= 1e-15 * theta or len(basis) == len(x):
+            return float(scale * np.sqrt(theta))
+        basis = np.vstack([basis, r / beta[-1]])
 
 
 def _convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A b, shaped like b, for A block lower Toeplitz with first block column ``a`` (L*w x w) and b of L*w rows.
 
-    Block i sums A's block i - j times b's block j over j <= i, L(L+1)/2 products.  b is any block column:
-    B's first, for B block lower Toeplitz, gives A B's first (norm-power's powers), a vector A b (``apply``).
+    Block i sums A's block i - j times b's block j over j = 0..i, in that order, one stacked product per block of
+    A.  b is any block column: B's first gives A B's (the powers), a vector A b (``apply``, ``toeplitz_norm2``).
     """
     a = a.reshape(-1, a.shape[-1], a.shape[-1])
     blocks = b.reshape(*a.shape[:2], -1)
     out = np.zeros(blocks.shape, np.result_type(a, b))
-    for i, j in zip(*np.tril_indices(len(a))):
-        out[i] += a[i - j] @ blocks[j]
+    for p in reversed(range(len(a))):
+        out[p:] += a[p] @ blocks[: len(a) - p]
     return out.reshape(b.shape)
 
-
-def _take_back(entry: list) -> None:
-    """[k, s, future, G] to [k, ||B^k||] if the worker has not started G (``Future.cancel``), else to [k, s, future]."""
-    if len(entry) == 4:
-        k, scale, future, gram = entry
-        entry[1:] = [_norms2(scale, gram)] if future.cancel() else [scale, future]

@@ -10,7 +10,9 @@ acceptance suite compares with the predicted spectral radius.
 ``apply_blocks`` applies every block, where the ``apply`` prediction
 multiplies only the rows of the excited harmonics.  ``norms2`` and
 ``max_norm2`` are the norm kernel's 2-norms over a stack, without chunks
-or bounds.  ``dense_iteration_matrix`` is the PFASST iteration matrix as
+or bounds.  ``convolved`` is ``lfa._convolved`` one block product at a
+time, where the kernel takes one stacked product per block of its left
+operand.  ``dense_iteration_matrix`` is the PFASST iteration matrix as
 its defining product over all columns, blind to its block Toeplitz
 structure, where ``solvers.pfasst_iteration_column`` forms only its first
 block column and ``iteration_matrix`` copies that column down the block
@@ -111,25 +113,32 @@ def triangle_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np
     return t
 
 
+def convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lfa._convolved`` one block product at a time: block i adds a's block i - j times b's block j, j = 0..i."""
+    a = a.reshape(-1, a.shape[-1], a.shape[-1])
+    blocks = b.reshape(*a.shape[:2], -1)
+    out = np.zeros(blocks.shape, np.result_type(a, b))
+    for i in range(len(a)):
+        for j in range(i + 1):
+            out[i] += a[i - j] @ blocks[j]
+    return out.reshape(b.shape)
+
+
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack.
 
     In full mode T^k's first block column is formed by ``lfa._convolved`` and
-    its Gram by ``lfa._toeplitz_gram``, as ``lfa.block_power_norms`` forms them.
+    its 2-norm taken by ``lfa.toeplitz_norm2``, as ``lfa.block_power_norms`` does.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
-    full, width = d.meta.mode == "full", d.meta.m * d.meta.n
+    full = d.meta.mode == "full"
     for blocks in pair_stacks(d):
         power = blocks  # full mode: T's first block column
         for k in range(1, k_max + 1):
             if k > 1:
                 power = lfa._convolved(power, blocks) if full else power @ blocks
-            if full:
-                scale, x = scaled(power)
-                norms[k] = max(norms[k], lfa._norms2(scale, lfa._toeplitz_gram(x[0], width)[None])[0])
-            else:
-                norms[k] = max(norms[k], max_norm2(power))
+            norms[k] = max(norms[k], lfa.toeplitz_norm2(power[0]) if full else max_norm2(power))
     return norms
 
 

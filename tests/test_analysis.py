@@ -403,7 +403,8 @@ def test_run_and_compare_equals_the_serial_computation_bitwise(monkeypatch):
 
 @pytest.mark.parametrize("spare_core", [True, False])
 def test_the_dense_route_equals_the_serial_computation_bitwise(monkeypatch, spare_core):
-    # full-mode norm-power at K = 20 with or without the worker, at a 1 us switch interval
+    # tc,full at K = 20 with or without the eigenvalue worker, at a 1 us switch interval: full mode's 2-norms
+    # never reach the worker, and the tc chunks it solves give one call's bits
     cfg = _small_cfg("advection", iterations=20, blocks=("tc", "full"))
     monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
     interval = sys.getswitchinterval()
@@ -424,13 +425,13 @@ def test_the_dense_route_equals_the_serial_computation_bitwise(monkeypatch, spar
     "run",
     [
         lambda: run_and_compare(_small_cfg(iterations=2, blocks=("tc", "c", "full"))),
-        lambda: run_and_compare(_small_cfg(iterations=20, blocks=("tc", "full"))),  # norm-power's 19 full-mode Grams
+        lambda: run_and_compare(_small_cfg(iterations=20, blocks=("tc", "full"))),  # norm-power's 19 full-mode norms
     ],
     ids=["tc-c-full", "tc-full-k20"],
 )
 def test_the_worker_thread_runs_no_package_code(monkeypatch, worker_takes_every_chunk, run):
-    # the worker makes only numpy's eigvals and eigvalsh calls, so a per-thread profile of this package
-    # sees one thread; it takes every eigenvalue chunk and every full-mode Gram here
+    # the worker makes only numpy's eigvals calls, so a per-thread profile of this package sees one thread;
+    # it takes every eigenvalue chunk here, and full mode's 2-norms stay on the main thread
     monkeypatch.setattr(analysis, "_spare_core", lambda: True)
     package = str(Path(analysis.__file__).parent)
     # numpy.linalg's public functions, by the code of their implementations
@@ -451,7 +452,7 @@ def test_the_worker_thread_runs_no_package_code(monkeypatch, worker_takes_every_
     finally:
         threading.setprofile(None)
     assert seen == []
-    assert set(worker_linalg) == {"eigvals", "eigvalsh"}
+    assert set(worker_linalg) == {"eigvals"}
 
 
 def test_lu_solves_stay_on_the_main_thread(monkeypatch):
@@ -644,7 +645,7 @@ def test_stacked_run_equals_the_two_runs_bitwise(problem):
 
 @pytest.mark.parametrize("problem", ["diffusion", "advection"])
 def test_norm_kernels_take_no_svd(monkeypatch, problem):
-    # every 2-norm, real or complex, comes from the Gram matrix's top eigenvalue
+    # every tc and c 2-norm, real or complex, comes from the Gram matrix's top eigenvalue, every full one from Lanczos
     calls = []
     svd = np.linalg.svd
 
@@ -714,12 +715,22 @@ def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
 
 def test_run_and_compare_assembles_no_dense_composite_or_iteration_matrix(monkeypatch):
     # M and T are held as their first block columns: the block Toeplitz assembly, the one build of either as an
-    # (L*M*N)^2 matrix, raises if an analysis of every block mode and strategy reaches it
+    # (L*M*N)^2 matrix, raises if an analysis of every block mode and strategy reaches it, and so does a Gram or
+    # a Hermitian eigensolve wider than a tc block (2LM = 24; T is 192 wide): full mode's 2-norms form no Gram
     def refused(column, width):
         raise AssertionError(f"an analysis assembled a {len(column)} x {len(column)} block Toeplitz matrix")
 
+    def narrow(name, kernel):
+        def checked(x):
+            assert x.shape[-1] <= 24, f"an analysis called {name} on a {x.shape[-1]}-wide matrix"
+            return kernel(x)
+
+        return checked
+
     monkeypatch.setattr(solvers, "block_toeplitz", refused)
-    trace = run_and_compare(_small_cfg(blocks=("tc", "c", "full")))
+    monkeypatch.setattr(lfa, "_gram", narrow("_gram", lfa._gram))
+    monkeypatch.setattr(np.linalg, "eigvalsh", narrow("eigvalsh", np.linalg.eigvalsh))
+    trace = run_and_compare(_small_cfg(iterations=20, blocks=("tc", "c", "full")))
     setup = trace.context.setup
     assert "composite_matrix" not in vars(setup) and "iteration_column" in vars(setup)
     assert trace.context.decomposition("full").blocks.shape == (1, setup.l * setup.fine.dim, setup.fine.dim)

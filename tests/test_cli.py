@@ -93,27 +93,9 @@ def test_analyze_writes_the_eigvals_chunk_counts_to_timings_only(tmp_path, monke
     monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
     out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
     chunks = json.loads((out / "timings.json").read_text())["eigvals_chunks"]
-    taken = int(not spare_core)
-    # no chunk of these stacks is one block: every norm-power Gram is solved here
-    expected = {"chunks": 1, "main_thread": taken, "worker_grams": 0}
+    expected = {"chunks": 1, "main_thread": int(not spare_core)}
     assert chunks == {"tc": expected, "c": expected}
     assert "chunks" not in (out / "report.json").read_text()
-
-
-@pytest.mark.parametrize("spare_core", [True, False])
-def test_analyze_writes_the_worker_gram_count_to_timings_only(tmp_path, monkeypatch, worker_takes_every_chunk,
-                                                              spare_core):
-    # full mode's one block has no running max: norm-power solves a Gram at each k = 2..K, and the worker takes
-    # every one here (the main thread takes none back); without a spare core the main thread solves them all
-    monkeypatch.setattr(analysis, "_spare_core", lambda: spare_core)
-    out = _analyze(tmp_path, "--iterations", "20", "--blocks", "tc,full")
-    timings = json.loads((out / "timings.json").read_text())
-    assert {mode: chunks["worker_grams"] for mode, chunks in timings["eigvals_chunks"].items()} == {
-        "tc": 0,
-        "full": 20 - 1 if spare_core else 0,
-    }
-    assert timings["norm_grams"]["full"] == {"solved": 1 + 19, "certified": 0, "bounded": 0}
-    assert "worker_grams" not in (out / "report.json").read_text()
 
 
 def test_trace_csv_columns_and_format(tmp_path):
@@ -353,8 +335,8 @@ def test_analyze_refuses_non_finite_results(tmp_path, capsys):
 def test_analyze_names_a_non_finite_prediction(tmp_path, capsys, monkeypatch):
     original = analysis.predict
 
-    def overflowing(ctx, strategy, mode, *worker):
-        values = original(ctx, strategy, mode, *worker)
+    def overflowing(ctx, strategy, mode):
+        values = original(ctx, strategy, mode)
         if strategy == "norm":
             values[2:] = np.inf
         return values
@@ -362,6 +344,24 @@ def test_analyze_names_a_non_finite_prediction(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(analysis, "predict", overflowing)
     out = _analyze(tmp_path, code=EXIT_NUMERICAL)
     assert "pred_norm_tc is not finite from iteration 2: the prediction overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_analyze_exits_3_on_a_non_finite_iteration_column(tmp_path, capsys, monkeypatch, value):
+    # a non-finite entry of T's first block column, outside T_00: full mode's 2-norms are NaN, not a finite guess
+    original = lfa.full_decompose
+
+    def spoiled(setup):
+        d = original(setup)
+        column = d.blocks[0].copy()
+        column[-1, 0] = value
+        return lfa.BlockDecomposition(column[None], d.meta)
+
+    monkeypatch.setattr(lfa, "full_decompose", spoiled)
+    out = _analyze(tmp_path, "--strategies", "norm-power", "--blocks", "full", code=EXIT_NUMERICAL)
+    assert "pred_norm-power_full is not finite from iteration 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -459,6 +459,26 @@ def test_analyze_exits_4_after_writing_artifacts_when_tc_differs_from_t(tmp_path
     assert json.loads((out / "report.json").read_text())["checks"]["tc_similarity_residual"] == 1.0
     assert {"trace.csv", "spectrum.csv", "timings.json"} <= {p.name for p in out.iterdir()}
     assert "tc similarity residual 1.000e+00 > 1e-12" in capsys.readouterr().err
+
+
+def test_analyze_records_the_cross_route_norm_with_tc_and_full(tmp_path):
+    # ||T^k||, k = 1..K, by the tc blocks and by T's first block column agree to round-off; ||T|| without norm-power
+    for strategies, bound in (("norm-power", 1e-13), ("rho,norm", 1e-14)):
+        out = _analyze(tmp_path / strategies, "--iterations", "20", "--strategies", strategies, "--blocks", "tc,full")
+        assert 0.0 <= json.loads((out / "report.json").read_text())["checks"]["cross_route_norm"] <= bound
+    out = _analyze(tmp_path / "c", "--blocks", "c,full")
+    assert "cross_route_norm" not in json.loads((out / "report.json").read_text())["checks"]
+
+
+def test_analyze_exits_4_when_the_full_norms_differ_from_tc(tmp_path, monkeypatch, capsys):
+    # a full-mode 2-norm 1e-6 off: past the cross-route tolerance, after the artifacts are written
+    norm2 = lfa.toeplitz_norm2
+    monkeypatch.setattr(lfa, "toeplitz_norm2", lambda column: norm2(column) * (1 + 1e-6))
+    out = _analyze(tmp_path, "--blocks", "tc,full", code=EXIT_VERIFICATION)
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert checks["cross_route_norm"] == pytest.approx(1e-6, rel=1e-6) and checks["tc_similarity_residual"] < 1e-14
+    assert {"trace.csv", "spectrum.csv", "timings.json"} <= {p.name for p in out.iterdir()}
+    assert f"cross route norm 1.000e-06 > {analysis.CROSS_ROUTE_NORM_TOL:.0e}" in capsys.readouterr().err
 
 
 def test_analyze_reports_the_node_sweep_condition_in_closed_form(tmp_path):

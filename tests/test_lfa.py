@@ -1,10 +1,8 @@
 """Block Fourier decomposition against the materialized iteration matrix."""
 
-import sys
-import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -739,7 +737,7 @@ def test_a_one_chunk_c_stack_solves_its_largest_frobenius_block_alone_first(monk
 
 
 def test_a_power_that_overflows_gives_a_nan_norm_power():
-    # B = diag(1e200, 1): ||B|| is finite, B^2 overflows, and its Gram is NaN
+    # B = diag(1e200, 1): ||B|| is finite, B^2 overflows, and its 2-norm is NaN
     d = lfa.BlockDecomposition(np.diag([1e200, 1.0])[None], lfa.TransformMeta("full", 1, 1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = lfa.block_power_norms(d, 4)
@@ -844,15 +842,63 @@ def test_decompose_hands_over_each_chunk_once_it_is_built(mode):
         assert np.shares_memory(rows, d.blocks[chunk]) and np.array_equal(copy, d.blocks[chunk])
 
 
-@pytest.mark.parametrize("l", [1, 3])
-def test_toeplitz_gram_of_a_complex_column(l):
-    # the lower block triangle of X^H X, the conjugate transpose taken, from the first block column alone
-    rng = np.random.default_rng(l)
-    column = rng.standard_normal((l * 5, 5)) + 1j * rng.standard_normal((l * 5, 5))
-    x, gram = block_toeplitz(column, 5), lfa._toeplitz_gram(column, 5)
-    np.testing.assert_allclose(np.tril(gram), np.tril(x.conj().T @ x), rtol=0, atol=1e-13)
-    blocks = gram.reshape(l, 5, l, 5)
-    assert all(not np.any(blocks[i, :, i + 1 :]) for i in range(l))
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("make,qdelta_kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])
+def test_toeplitz_norm_equals_the_svd_norm_of_the_assembled_matrix(make, qdelta_kind, l):
+    # Lanczos on X^H X from X's first block column against the SVD of the assembled X: T's column and T^3's
+    # (real), and a complex column, T's plus i times a Gaussian one, whose X^H needs the conjugate
+    column = _assemble(make(16, 5e-3), 3, l, 0.1, qdelta_kind).iteration_column
+    w = column.shape[1]
+    noise = np.random.default_rng(l).standard_normal(column.shape)
+    for x in (column, lfa._convolved(lfa._convolved(column, column), column), column + 0.5j * noise):
+        expected = np.linalg.svd(block_toeplitz(x, w), compute_uv=False)[0]
+        np.testing.assert_allclose(lfa.toeplitz_norm2(x), expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("l", [1, 2, 4, 8])
+def test_block_convolution_equals_the_pairwise_sums_bit_for_bit(l):
+    # one stacked product per block of the left operand adds into each block in the order of the pairwise loop:
+    # T's column times itself, a real and a complex vector, and a complex column times T's
+    column = _assemble(make_advection(16, 4.88e-3), 3, l, 0.1, "lu").iteration_column
+    x = np.random.default_rng(l).standard_normal((2, len(column)))
+    complex_column = column + 1j * np.random.default_rng(l).standard_normal(column.shape)
+    for a, b in ((column, column), (column, x[0]), (column, x[0] + 1j * x[1]), (complex_column, column)):
+        assert np.array_equal(lfa._convolved(a, b).view(np.uint64), oracles.convolved(a, b).view(np.uint64))
+
+
+def test_toeplitz_norm_of_a_circulant_column_reaches_past_the_constant_subspace():
+    # blocks circulant in space, with integer entries: X^H X maps a vector constant on each block to one exactly, so
+    # a Krylov space started there stays in the k = 0 harmonic's subspace (||X|| = 1 there, against 4.53)
+    stencil = np.array([-2.0, 1.0] + [0.0] * 5 + [1.0])  # the periodic second difference
+    column = np.concatenate([np.stack([np.roll(stencil, i) for i in range(8)]), np.eye(8)])
+    expected = np.linalg.svd(block_toeplitz(column, 8), compute_uv=False)[0]
+    assert expected > 4.5
+    np.testing.assert_allclose(lfa.toeplitz_norm2(column), expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("l", [1, 2, 4])
+def test_toeplitz_norm_of_round_off_powers(l):
+    # at M = 1 the blocks are nilpotent to round-off: T^k's norms fall to 1e-30 and below, and the scaled
+    # column keeps them relative to the SVD of the scaled matrix
+    column = _assemble(make_advection(16, 6.25e-4), 1, l, 0.1, "lu").iteration_column
+    power = column
+    for k in range(1, 7):
+        scale, x = scaled(power[None])
+        expected = scale[0] * np.linalg.svd(block_toeplitz(x[0], 16), compute_uv=False)[0]
+        np.testing.assert_allclose(lfa.toeplitz_norm2(power), expected, rtol=1e-13, atol=0)
+        power = lfa._convolved(power, column)
+    assert lfa.toeplitz_norm2(power) < 1e-30
+    assert lfa.toeplitz_norm2(np.zeros((l * 16, 16))) == 0.0
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_column_has_a_nan_toeplitz_norm(value):
+    column = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu").iteration_column.copy()
+    column[-1, 0] = value
+    assert np.isnan(lfa.toeplitz_norm2(column))
+    d = lfa.BlockDecomposition(column[None], lfa.TransformMeta("full", 16, 2, 3))
+    with np.errstate(invalid="ignore"):  # inf - inf in the powers
+        assert np.isnan(d.norm) and np.isnan(lfa.block_power_norms(d, 3)[1:]).all()
 
 
 def test_full_decompose_holds_the_iteration_column_as_its_one_block():
@@ -868,39 +914,6 @@ def test_full_decompose_holds_the_iteration_column_as_its_one_block():
     assert future is None and rows.base is column and np.array_equal(rows, column[None, :48])
     assert d.eigvals_chunks == {"chunks": 1, "main_thread": 1}
     assert np.array_equal(d.eigenvalues, sort_eigenvalues(np.tile(np.linalg.eigvals(column[None, :48]), 2)))
-
-
-@pytest.mark.parametrize("schedule", ["worker-takes-every-solve", "main-takes-every-solve-back", "free"])
-def test_full_mode_power_norms_on_a_worker_equal_the_serial_ones(request, monkeypatch, schedule):
-    # full mode's one block has no running max: each Gram's eigvalsh goes to the worker, and before the next Gram
-    # the main thread takes back the last one if the worker has not started it; at K = 20, 19 Grams in all
-    setup = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")
-    serial = lfa.full_decompose(setup)
-    expected = lfa.block_power_norms(serial, 20)
-    assert serial.grams == {"solved": 1 + 19, "certified": 0, "bounded": 0} and serial.worker_grams == 0
-    d = lfa.full_decompose(setup)
-    d.norm  # k = 1, solved here
-    eigvalsh, threads = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: threads.append(threading.current_thread()) or eigvalsh(a))
-    if schedule == "worker-takes-every-solve":
-        request.getfixturevalue("worker_takes_every_chunk")
-    interval, release = sys.getswitchinterval(), threading.Event()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(1) as worker:
-            if schedule == "main-takes-every-solve-back":
-                worker.submit(release.wait, 30)  # the worker starts no Gram before the last one is taken back
-            try:
-                norms = lfa.block_power_norms(d, 20, worker)
-            finally:
-                release.set()
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(norms.view(np.uint64), expected.view(np.uint64))
-    assert d.grams == serial.grams  # the worker changes who solves, not what
-    on_worker = sum(thread is not threading.main_thread() for thread in threads)
-    assert len(threads) == 19 and d.worker_grams == on_worker
-    assert on_worker == {"worker-takes-every-solve": 19, "main-takes-every-solve-back": 0}.get(schedule, on_worker)
 
 
 def test_certified_norms_follow_the_moving_arg_max():

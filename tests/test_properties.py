@@ -47,7 +47,7 @@ from pfasst_lfa.analysis import (
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import block_toeplitz, scaled, sort_eigenvalues
+from pfasst_lfa.linalg import sort_eigenvalues
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import mlsdc_step, pfasst_run_algorithmic
 from pfasst_lfa.transfer import build_ci_pair, node_propagation
@@ -186,20 +186,6 @@ def test_the_full_spectrum_is_the_diagonal_blocks_and_its_radius_the_tc_rate(cfg
     lead = np.concatenate([np.arange(cfg.m), cfg.l * cfg.m + np.arange(cfg.m)])
     rho_c0 = np.max(np.abs(np.linalg.eigvals(tc.blocks[:, lead[:, None], lead])))
     assert abs(full.spectral_radius - rho_c0) <= 1e-13 * rho_c0 + 1e-14
-
-
-@PROPERTY
-@given(configs(ls=(1, 2, 3, 4, 8)))
-def test_the_toeplitz_gram_equals_the_gram_of_the_assembled_matrix(cfg):
-    # the Gram of the scaled T (|X| < 1) from its first block column, by the block recurrence, against X^H X of
-    # the assembled X: its lower triangle within 2e-14 absolute (at most 4.7e-15 over 300 random draws of this
-    # strategy), and exactly 0 above the block diagonal
-    w = cfg.m * cfg.n
-    _, x = scaled(build_context(cfg).setup.iteration_column)
-    gram, dense = lfa._toeplitz_gram(x, w), block_toeplitz(x, w)
-    assert np.max(np.abs(np.tril(gram) - np.tril(dense.T @ dense))) <= 2e-14
-    blocks = gram.reshape(cfg.l, w, cfg.l, w)
-    assert all(not np.any(blocks[i, :, i + 1 :]) for i in range(cfg.l))
 
 
 @PROPERTY
