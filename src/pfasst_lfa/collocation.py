@@ -62,7 +62,7 @@ def spread_initial(u0, m: int, l: int = 1) -> np.ndarray:
 
 
 def three_layer_matrix(problem: CollocationProblem, l: int) -> np.ndarray:
-    """The composite M as I - dt*(I_L kron Q kron A) - E kron N, the oracle of ``TwoLevelSetup.composite_matrix``."""
+    """The composite M as I - dt*(I_L kron Q kron A) - E kron N, the oracle of ``TwoLevelSetup.composite_column``."""
     e = np.diag(np.ones(l - 1), -1) if l > 1 else np.zeros((1, 1))
     n_mat = np.kron(node_propagation(problem.rule.m), np.eye(problem.n_space))
     layers = np.kron(np.eye(l), np.kron(problem.rule.q, problem.a))

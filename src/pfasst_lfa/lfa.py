@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import scaled, sort_eigenvalues
+from .linalg import convolved, scaled, sort_eigenvalues
 from .solvers import TwoLevelSetup
 from .space_operators import CirculantOperator
 from .transfer import harmonic_diagonals, node_propagation
@@ -390,7 +390,7 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
 
     k = 1 is the decomposition's cached ``norm``.  One pass per chunk of ``d.norm_chunks()``, in ``_visit_order``,
     forms B^k = B^(k-1) B for all the chunk's blocks at once, in the field of the stack (real for symmetric-stencil
-    tc blocks); no power outlives its chunk.  Full mode forms T^k's first block column instead, by ``_convolved``
+    tc blocks); no power outlives its chunk.  Full mode forms T^k's first block column instead, by ``convolved``
     with T's, and its 2-norm by ``toeplitz_norm2``.  A block with ||B^k||_F below the running max times 1 - delta
     is settled without a Gram (a first chunk's largest-||B^k||_F block is solved alone, for a max); the rest are
     solved only where ``_below`` fails on them.
@@ -403,7 +403,7 @@ def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
         power = blocks  # full mode: T's first block column
         for k in range(2, k_max + 1):
-            power = _convolved(power, blocks) if full else power @ blocks
+            power = convolved(power, blocks) if full else power @ blocks
             if full:  # one block: no running max, nothing to settle
                 norms[k] = toeplitz_norm2(power[0])
                 d.grams["solved"] += 1
@@ -440,9 +440,10 @@ def toeplitz_norm2(column: np.ndarray) -> float:
     """||X||_2, X block lower triangular Toeplitz with first block column ``column``; NaN if it is not finite.
 
     Lanczos on X^H X of the ``scaled`` column, fully reorthogonalized, from a fixed-seed Gaussian (a constant vector
-    stays in the k = 0 harmonic's invariant subspace).  X q is ``_convolved``; X^H r is too, of the blocks' conjugate
-    transposes with r's blocks reversed, then reversed back.  It stops once the top Ritz value theta has residual
-    beta_j |s_j| <= 1e-15 theta, or once the basis spans the space.  No (L*w)^2 array is formed.
+    stays in the k = 0 harmonic's invariant subspace).  X q is ``convolved``; X^H r is too, of the blocks'
+    conjugate transposes with r's blocks reversed, then reversed back.  It stops once the top Ritz value theta has
+    residual beta_j |s_j| <= 1e-15 theta, or once the basis spans the space.  The basis is the leading rows of one
+    buffer, doubled when it fills, so a step copies no earlier vector.  No (L*w)^2 array is formed.
     """
     (scale,), (x,) = scaled(column[None])
     if not np.all(np.isfinite(x)):
@@ -450,29 +451,19 @@ def toeplitz_norm2(column: np.ndarray) -> float:
     from scipy.linalg import eigh_tridiagonal  # only the matrix route: the tc and c analyses never import scipy
     w, start = x.shape[-1], np.random.default_rng(0).standard_normal(len(x))
     x_h = np.swapaxes(x.reshape(-1, w, w), -2, -1).conj()
-    basis, alpha, beta = (start / np.linalg.norm(start))[None].astype(x.dtype), [], []
+    rows = np.empty((min(32, len(x)), len(x)), x.dtype)  # the basis is its first j rows; doubled when full
+    rows[0], j, alpha, beta = start / np.linalg.norm(start), 1, [], []
     while True:
-        r = _convolved(x_h, _convolved(x, basis[-1]).reshape(-1, w)[::-1])[::-1].ravel()  # X^H X q_j
+        basis = rows[:j]
+        r = convolved(x_h, convolved(x, basis[-1]).reshape(-1, w)[::-1])[::-1].ravel()  # X^H X q_j
         alpha.append(np.vdot(basis[-1], r).real)
         for _ in range(2):  # Gram-Schmidt twice against the whole basis keeps it orthonormal
             r -= (basis.conj() @ r) @ basis
         (theta,), s = eigh_tridiagonal(alpha, beta, select="i", select_range=(len(alpha) - 1,) * 2)
         beta.append(np.linalg.norm(r))
-        if beta[-1] * abs(s[-1, 0]) <= 1e-15 * theta or len(basis) == len(x):
+        if beta[-1] * abs(s[-1, 0]) <= 1e-15 * theta or j == len(x):
             return float(scale * np.sqrt(theta))
-        basis = np.vstack([basis, r / beta[-1]])
-
-
-def _convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A b, shaped like b, for A block lower Toeplitz with first block column ``a`` (L*w x w) and b of L*w rows.
-
-    Block i sums A's block i - j times b's block j over j = 0..i, in that order, one stacked product per block of
-    A.  b is any block column: B's first gives A B's (the powers), a vector A b (``apply``, ``toeplitz_norm2``).
-    """
-    a = a.reshape(-1, a.shape[-1], a.shape[-1])
-    blocks = b.reshape(*a.shape[:2], -1)
-    out = np.zeros(blocks.shape, np.result_type(a, b))
-    for p in reversed(range(len(a))):
-        out[p:] += a[p] @ blocks[: len(a) - p]
-    return out.reshape(b.shape)
-
+        if j == len(rows):
+            rows = np.concatenate([rows, np.empty((min(j, len(x) - j), len(x)), x.dtype)])
+        rows[j] = r / beta[-1]
+        j += 1

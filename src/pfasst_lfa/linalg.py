@@ -1,4 +1,4 @@
-"""Eigenvalue ordering, the power-of-two scaling, block Toeplitz assembly and the unitary Fourier matrix.
+"""Eigenvalue ordering, the power-of-two scaling, the block Toeplitz product and the unitary Fourier matrix.
 
 Matrices are plain ``numpy.ndarray`` objects (2-d, complex or real).  The
 helpers here fix the eigenvalue ordering, the scaling of every 2-norm and the
@@ -30,12 +30,19 @@ def norm2(x: np.ndarray) -> float:
     return float(s * np.linalg.norm(y))
 
 
-def block_toeplitz(column: np.ndarray, width: int) -> np.ndarray:
-    """The block lower triangular Toeplitz matrix whose first block column, ``width`` wide, is ``column``."""
-    out = np.zeros((len(column), len(column)), dtype=column.dtype)
-    for j in range(0, len(column), width):
-        out[j:, j : j + width] = column[: len(column) - j]
-    return out
+def convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A b, shaped like b, for A block lower Toeplitz with first block column ``a`` (L*w x w) and b of L*w rows.
+
+    Block i sums A's block i - j times b's block j over j = 0..i, in that order, one stacked product per block of
+    A.  b is any block column: B's first gives A B's (the powers of T), a vector A b (M u, T e, Lanczos).  A
+    w x w ``a`` is one interval: A b is ``a @ b``.
+    """
+    a = a.reshape(-1, a.shape[-1], a.shape[-1])
+    blocks = b.reshape(*a.shape[:2], -1)
+    out = np.zeros(blocks.shape, np.result_type(a, b))
+    for p in reversed(range(len(a))):
+        out[p:] += a[p] @ blocks[: len(a) - p]
+    return out.reshape(b.shape)
 
 
 def dft_matrix(n: int) -> np.ndarray:

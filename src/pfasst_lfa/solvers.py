@@ -15,7 +15,7 @@ import numpy as np
 
 from .collocation import CollocationProblem
 from .errors import FactorizationError
-from .linalg import block_toeplitz
+from .linalg import convolved
 from .transfer import TransferPair, node_propagation
 
 
@@ -138,16 +138,17 @@ def mlsdc_step(
     fine: Preconditioner,
     coarse: Preconditioner,
     pair: TransferPair,
-    m: np.ndarray,
+    m_column: np.ndarray,
     c: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
-    """One two-level step: coarse-corrected half step, then a fine sweep.
+    """One two-level step: coarse-corrected half step, then a fine sweep; M u by ``convolved`` with M's column.
 
+    ``m_column`` is M's first block column, which fixes the block lower Toeplitz M; for one interval it is M.
     With the composite block Jacobi and block Gauss-Seidel preconditioners it is one PFASST iteration in matrix form.
     """
-    u_half = u + _lifted(pair.interpolation, coarse.solve(_lifted(pair.restriction, c - m @ u)))
-    return u_half + fine.solve(c - m @ u_half)
+    u_half = u + _lifted(pair.interpolation, coarse.solve(_lifted(pair.restriction, c - convolved(m_column, u))))
+    return u_half + fine.solve(c - convolved(m_column, u_half))
 
 
 def mlsdc_preconditioner_inverse(
@@ -204,9 +205,8 @@ class TwoLevelSetup:
 
     The node sweeps and the stencil transfers serve the algorithmic run; the
     dense preconditioners and the first block columns of M and T, which fix
-    both, serve the matrix route (the dense M, ``composite_matrix``, serves
-    only ``verify``).  Each is built on first use, so the run allocates no
-    N x N or (M*N) x (M*N) matrix.
+    both, serve the matrix route; no (L*M*N)^2 matrix is assembled.  Each is
+    built on first use, so the run allocates no N x N or (M*N) x (M*N) matrix.
     """
 
     fine: CollocationProblem
@@ -237,18 +237,13 @@ class TwoLevelSetup:
 
     @property
     def composite_column(self) -> np.ndarray:
-        """M's first block column, which fixes M: C, then -N, then zeros; not kept, as its two readers are."""
+        """M's first block column, which fixes M: C, then -N, then zeros; not kept, as its readers' results are."""
         d = self.fine.dim
         column = np.zeros((self.l * d, d))
         column[:d] = self.fine.matrix
         if self.l > 1:
             column[d : 2 * d] = -np.kron(node_propagation(self.m_nodes), np.eye(self.fine.n_space))
         return column
-
-    @cached_property
-    def composite_matrix(self) -> np.ndarray:
-        """The dense composite collocation matrix M over the L intervals, assembled from ``composite_column``."""
-        return block_toeplitz(self.composite_column, self.fine.dim)
 
     @cached_property
     def composite_preconditioners(self) -> tuple[Preconditioner, Preconditioner]:

@@ -10,9 +10,14 @@ acceptance suite compares with the predicted spectral radius.
 ``apply_blocks`` applies every block, where the ``apply`` prediction
 multiplies only the rows of the excited harmonics.  ``norms2`` and
 ``max_norm2`` are the norm kernel's 2-norms over a stack, without chunks
-or bounds.  ``convolved`` is ``lfa._convolved`` one block product at a
+or bounds.  ``convolved`` is ``linalg.convolved`` one block product at a
 time, where the kernel takes one stacked product per block of its left
-operand.  ``dense_iteration_matrix`` is the PFASST iteration matrix as
+operand.  ``block_toeplitz`` assembles a block lower Toeplitz matrix from
+its first block column, and ``composite_matrix`` so the dense M, which the
+package applies by ``linalg.convolved`` from M's column alone.
+``tc_similarity_pass`` is ``analysis.tc_similarity_residual`` as one
+fft/ifft pair over T's whole column, where the check takes one pair per
+interval.  ``dense_iteration_matrix`` is the PFASST iteration matrix as
 its defining product over all columns, blind to its block Toeplitz
 structure, where ``solvers.pfasst_iteration_column`` forms only its first
 block column and ``iteration_matrix`` copies that column down the block
@@ -24,7 +29,7 @@ column block from its own interval on.
 
 import numpy as np
 
-from pfasst_lfa import lfa, solvers
+from pfasst_lfa import lfa, linalg, solvers
 from pfasst_lfa.analysis import (
     PHASE_IMPROVEMENT,
     PHASE_MIN_LEN,
@@ -34,7 +39,7 @@ from pfasst_lfa.analysis import (
     _segment_sse,
 )
 from pfasst_lfa.errors import RangeError
-from pfasst_lfa.linalg import block_toeplitz, scaled
+from pfasst_lfa.linalg import scaled
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
@@ -75,11 +80,36 @@ def max_norm2(stack: np.ndarray) -> float:
     return float(np.max(norms2(stack)))
 
 
-def dense_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np.ndarray:
-    """(I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), each factor solved over all L*M*N columns."""
+def dense_iteration_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
+    """(I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), each factor solved over all L*M*N columns of the dense M."""
+    (coarse_gs, fine_jacobi), pair, m = setup.composite_preconditioners, setup.pair, composite_matrix(setup)
     eye = np.eye(len(m))
     cgc = eye - solvers._lifted(pair.interpolation, coarse_gs.solve(solvers._lifted(pair.restriction, m)))
     return (eye - fine_jacobi.solve(m)) @ cgc
+
+
+def block_toeplitz(column: np.ndarray, width: int) -> np.ndarray:
+    """The block lower triangular Toeplitz matrix whose first block column, ``width`` wide, is ``column``."""
+    out = np.zeros((len(column), len(column)), dtype=column.dtype)
+    for j in range(0, len(column), width):
+        out[j:, j : j + width] = column[: len(column) - j]
+    return out
+
+
+def composite_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
+    """The dense composite collocation matrix M over the L intervals, assembled from ``setup.composite_column``."""
+    return block_toeplitz(setup.composite_column, setup.fine.dim)
+
+
+def tc_similarity_pass(column: np.ndarray, d: lfa.BlockDecomposition) -> float:
+    """``analysis.tc_similarity_residual`` with one fft/ifft pair over the whole of T's first block column."""
+    n, l, m, h = d.meta.n, d.meta.l, d.meta.m, d.meta.n // 2
+    hat = np.fft.ifft(np.fft.fft(column.reshape(l, m, n, m, n), axis=2, norm="ortho"), axis=4, norm="ortho")
+    hat = hat.reshape(l, m, 2, h, m, 2, h)
+    blocks = d.blocks.reshape(h, 2, l, m, 2, l, m)[:, :, :, :, :, 0]
+    pairs = np.arange(h)
+    hat[:, :, :, pairs, :, :, pairs] -= blocks.transpose(0, 2, 3, 1, 5, 4)
+    return float(np.max(np.abs(hat))) / max(float(np.max(np.abs(column))), 1.0)
 
 
 def iteration_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
@@ -87,7 +117,7 @@ def iteration_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
     return block_toeplitz(setup.iteration_column, setup.fine.dim)
 
 
-def triangle_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np.ndarray:
+def triangle_iteration_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
     """T over its causal block triangle: column block j of both factors solved and multiplied from interval j on.
 
     Block (i, j) is S's block row i, in a zeroed (M*N, L*M*N) buffer, times the
@@ -95,6 +125,7 @@ def triangle_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np
     ``solvers.pfasst_iteration_column`` forms it, and every other column block
     from fewer intervals than block (i - j, 0) of that column.
     """
+    (coarse_gs, fine_jacobi), pair, m = setup.composite_preconditioners, setup.pair, composite_matrix(setup)
     size, d = len(m), len(fine_jacobi.matrix)
     lo = d if size > d else 0
     band = np.negative(fine_jacobi.solve(m[lo : lo + d, : lo + d]))
@@ -114,7 +145,7 @@ def triangle_iteration_matrix(coarse_gs, fine_jacobi, pair, m: np.ndarray) -> np
 
 
 def convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``lfa._convolved`` one block product at a time: block i adds a's block i - j times b's block j, j = 0..i."""
+    """``linalg.convolved`` one block product at a time: block i adds a's block i - j times b's block j, j = 0..i."""
     a = a.reshape(-1, a.shape[-1], a.shape[-1])
     blocks = b.reshape(*a.shape[:2], -1)
     out = np.zeros(blocks.shape, np.result_type(a, b))
@@ -127,7 +158,7 @@ def convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack.
 
-    In full mode T^k's first block column is formed by ``lfa._convolved`` and
+    In full mode T^k's first block column is formed by ``linalg.convolved`` and
     its 2-norm taken by ``lfa.toeplitz_norm2``, as ``lfa.block_power_norms`` does.
     """
     norms = np.zeros(k_max + 1)
@@ -137,7 +168,7 @@ def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
         power = blocks  # full mode: T's first block column
         for k in range(1, k_max + 1):
             if k > 1:
-                power = lfa._convolved(power, blocks) if full else power @ blocks
+                power = linalg.convolved(power, blocks) if full else power @ blocks
             norms[k] = max(norms[k], lfa.toeplitz_norm2(power[0]) if full else max_norm2(power))
     return norms
 

@@ -124,7 +124,7 @@ def test_criterion_03_pfasst_equivalence():
         trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), iterations)
         u = trace[0].copy()
         for k in range(1, iterations + 1):
-            u = mlsdc_step(p_j, p_gs, pair, setup.composite_matrix, rhs.ravel(), u)
+            u = mlsdc_step(p_j, p_gs, pair, setup.composite_column, rhs.ravel(), u)
             worst = max(worst, float(np.max(np.abs(u - trace[k]))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from oracles import asymptotic_ratio
-from pfasst_lfa import analysis, lfa, solvers
+from pfasst_lfa import analysis, lfa, linalg, solvers
 from pfasst_lfa.analysis import (
     ExperimentConfig,
     build_context,
@@ -208,7 +208,7 @@ def test_manufactured_rhs_makes_analytic_samples_the_discrete_solution():
     cfg = _small_cfg()
     ctx = build_context(cfg)
     rhs = np.concatenate(manufactured_rhs(ctx))
-    solution = np.linalg.solve(ctx.setup.composite_matrix, rhs)
+    solution = np.linalg.solve(oracles.composite_matrix(ctx.setup), rhs)
     np.testing.assert_allclose(solution, exact_trajectory(ctx), atol=1e-11)
 
 
@@ -707,19 +707,17 @@ def test_run_and_compare_builds_no_dense_collocation_matrix(mode):
     ctx = run_and_compare(_small_cfg(blocks=(mode,))).context
     assert "matrix" not in vars(ctx.setup.fine) and "matrix" not in vars(ctx.setup.coarse)
     assert "a" not in vars(ctx.setup.fine) and "a" not in vars(ctx.setup.coarse)  # no N x N spatial matrix
-    matrix_route = {"p_fine", "p_coarse", "composite_matrix", "composite_preconditioners", "iteration_column"}
+    matrix_route = {"p_fine", "p_coarse", "composite_preconditioners", "iteration_column"}
     assert not matrix_route & set(vars(ctx.setup))
     assert "interpolation" not in vars(ctx.setup.pair) and "restriction" not in vars(ctx.setup.pair)
     assert "fine_sweep" in vars(ctx.setup)
 
 
 def test_run_and_compare_assembles_no_dense_composite_or_iteration_matrix(monkeypatch):
-    # M and T are held as their first block columns: the block Toeplitz assembly, the one build of either as an
-    # (L*M*N)^2 matrix, raises if an analysis of every block mode and strategy reaches it, and so does a Gram or
-    # a Hermitian eigensolve wider than a tc block (2LM = 24; T is 192 wide): full mode's 2-norms form no Gram
-    def refused(column, width):
-        raise AssertionError(f"an analysis assembled a {len(column)} x {len(column)} block Toeplitz matrix")
-
+    # M and T are held as their first block columns, and the package has no block Toeplitz assembly to build
+    # either as an (L*M*N)^2 matrix (the oracles' is in tests/oracles.py).  A Gram or a Hermitian eigensolve
+    # wider than a tc block (2LM = 24; T is 192 wide) raises if an analysis of every block mode and strategy
+    # reaches it: full mode's 2-norms form no Gram
     def narrow(name, kernel):
         def checked(x):
             assert x.shape[-1] <= 24, f"an analysis called {name} on a {x.shape[-1]}-wide matrix"
@@ -727,12 +725,13 @@ def test_run_and_compare_assembles_no_dense_composite_or_iteration_matrix(monkey
 
         return checked
 
-    monkeypatch.setattr(solvers, "block_toeplitz", refused)
+    assert not any(hasattr(module, "block_toeplitz") for module in (solvers, linalg))
+    assert not hasattr(solvers.TwoLevelSetup, "composite_matrix")
     monkeypatch.setattr(lfa, "_gram", narrow("_gram", lfa._gram))
     monkeypatch.setattr(np.linalg, "eigvalsh", narrow("eigvalsh", np.linalg.eigvalsh))
     trace = run_and_compare(_small_cfg(iterations=20, blocks=("tc", "c", "full")))
     setup = trace.context.setup
-    assert "composite_matrix" not in vars(setup) and "iteration_column" in vars(setup)
+    assert "iteration_column" in vars(setup)
     assert trace.context.decomposition("full").blocks.shape == (1, setup.l * setup.fine.dim, setup.fine.dim)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 
 import clusters
 import oracles
-from pfasst_lfa import analysis, cli, lfa, solvers
+from pfasst_lfa import analysis, cli, lfa
 from pfasst_lfa.analysis import (
     STRATEGY4_FLOOR,
     ExperimentConfig,
@@ -711,21 +712,35 @@ def test_analyze_c_mode_at_one_interval_exits_2_naming_l(tmp_path, capsys, monke
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("scale", ["small", "large"])
-def test_verify_assembles_m_once_and_no_dense_iteration_matrix(monkeypatch, scale):
-    # check 1 steps the matrix form with the dense M, assembled once from M's first block column; check 2 reads
-    # T's first block column, built once, and T itself is never assembled
-    contexts, assembled, columns = [], [], []
-    build_context, block_toeplitz = analysis.build_context, solvers.block_toeplitz
-    column = solvers.pfasst_iteration_column
+# Each check's tracemalloc peak in ``verify --scale large`` (L*M*N = 2560), in MB: 34.5, 65.6, 35.2 and 43.0 here
+# (4 MB more in a fresh process, which imports scipy inside check 1), bounded with a margin of 14-17 MB.  M and T
+# are held as their first block columns (13 MB each) and check 2 transforms one interval of T's column at a time.
+# A dense M or T (52 MB), or one fft/ifft pair over T's whole column (check 2 then peaks at 85.2), breaks a bound:
+# assembling M for check 1 and transforming the whole column for check 2 read 72.0, 135.2, 85.2 and 93.0
+VERIFY_LARGE_PEAK_MB = (50, 80, 50, 60)
+
+
+def test_verify_large_assembles_no_dense_composite_matrix(monkeypatch):
+    contexts, build_context = [], analysis.build_context
     monkeypatch.setattr(analysis, "build_context", lambda cfg: contexts.append(build_context(cfg)) or contexts[-1])
-    monkeypatch.setattr(solvers, "block_toeplitz", lambda *args: assembled.append(args[0]) or block_toeplitz(*args))
-    monkeypatch.setattr(solvers, "pfasst_iteration_column", lambda *args: columns.append(args) or column(*args))
-    assert main(["verify", "--scale", scale]) == EXIT_OK
+    checks, results = analysis.verify_checks("large"), []
+    tracemalloc.start()
+    try:
+        while True:
+            tracemalloc.reset_peak()
+            check = next(checks, None)
+            if check is None:
+                break
+            results.append((*check, tracemalloc.get_traced_memory()[1] / 2**20))
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(VERIFY_LARGE_PEAK_MB)
+    for i, ((name, _, _, peak), bound) in enumerate(zip(results, VERIFY_LARGE_PEAK_MB), 1):
+        print(f"verify --scale large, check {i} ({name}): tracemalloc peak {peak:.1f} MB, bound {bound} MB")
+    assert all(residual <= tol for _, residual, tol, _ in results)
+    assert all(peak <= bound for (*_, peak), bound in zip(results, VERIFY_LARGE_PEAK_MB))
     [ctx] = contexts
-    assert len(assembled) == 1 and np.array_equal(assembled[0], ctx.setup.composite_column)
-    assert len(columns) == 1 and np.array_equal(columns[0][-1], ctx.setup.composite_column)
-    assert "composite_matrix" in vars(ctx.setup) and "iteration_column" in vars(ctx.setup)
+    assert not hasattr(ctx.setup, "composite_matrix") and "iteration_column" in vars(ctx.setup)
 
 
 @pytest.mark.parametrize("scale", ["small", "large"])

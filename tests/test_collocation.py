@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.collocation import CollocationProblem, spread_initial, three_layer_matrix
 from pfasst_lfa.errors import ConfigurationError
@@ -13,7 +14,7 @@ from pfasst_lfa.space_operators import CirculantOperator, make_diffusion
 
 def _composite_matrix(problem: CollocationProblem, l: int) -> np.ndarray:
     """The dense M over L intervals of ``problem``, assembled from its first block column; it reads no other level."""
-    return TwoLevelSetup(fine=problem, coarse=None, pair=None, l=l, qdelta=None).composite_matrix
+    return oracles.composite_matrix(TwoLevelSetup(fine=problem, coarse=None, pair=None, l=l, qdelta=None))
 
 
 def test_collocation_matrix_shape_and_structure():

@@ -14,7 +14,7 @@ from pfasst_lfa import lfa
 from pfasst_lfa.analysis import ExperimentConfig, build_context, tc_similarity_residual
 from pfasst_lfa.collocation import CollocationProblem
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import block_toeplitz, scaled, sort_eigenvalues
+from pfasst_lfa.linalg import convolved, scaled, sort_eigenvalues
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import TwoLevelSetup
 from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
@@ -302,6 +302,24 @@ def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qde
         assert tc_similarity_residual(changed, d) == pytest.approx(delta / n / scale, rel=1e-3)
 
 
+@pytest.mark.parametrize("l", [1, 2, 4])
+@pytest.mark.parametrize(
+    "make,coefficient,qdelta_kind",
+    [(make_diffusion, 5e-3, "implicit-euler"), (make_advection, 4.88e-3, "lu")],
+)
+def test_tc_similarity_residual_per_interval_has_the_bits_of_one_pass(make, coefficient, qdelta_kind, l):
+    # one fft/ifft pair per interval of T's column against one pair over the whole column: the same transforms
+    # of every line, so the same residual bit for bit, with real (diffusion) and complex (advection) tc blocks,
+    # and with one tc block entry changed, where the residual is no longer round-off
+    setup = _assemble(make(16, coefficient), 3, l, 0.1, qdelta_kind)
+    column, d = setup.iteration_column, lfa.tc_decompose(setup)
+    blocks = d.blocks.copy()
+    blocks[3, 1, 2] += 1e-9
+    for x in (d, replace(d, blocks=blocks)):
+        residual = tc_similarity_residual(column, x)
+        assert np.float64(residual).view(np.uint64) == np.float64(oracles.tc_similarity_pass(column, x)).view(np.uint64)
+
+
 def _interval_blocks(d, l, m):
     """The tc blocks in (interval, half, node) order, as an (nb, L, 2M, L, 2M) array."""
     order = np.arange(2 * l * m).reshape(2, l, m).transpose(1, 0, 2).ravel()
@@ -388,7 +406,7 @@ def test_full_mode_is_the_first_block_column_as_one_block():
     vhat = lfa.transform_vector(v, d.meta)
     np.testing.assert_array_equal(vhat, v[None])
     # every harmonic selection keeps the single block, which multiplies by block convolution
-    back = lfa._convolved(d.blocks[d.meta.rows({1})], vhat)
+    back = convolved(d.blocks[d.meta.rows({1})], vhat)
     assert back.shape == vhat.shape
     np.testing.assert_allclose(back[0], t @ v, rtol=0, atol=1e-14)
 
@@ -850,8 +868,8 @@ def test_toeplitz_norm_equals_the_svd_norm_of_the_assembled_matrix(make, qdelta_
     column = _assemble(make(16, 5e-3), 3, l, 0.1, qdelta_kind).iteration_column
     w = column.shape[1]
     noise = np.random.default_rng(l).standard_normal(column.shape)
-    for x in (column, lfa._convolved(lfa._convolved(column, column), column), column + 0.5j * noise):
-        expected = np.linalg.svd(block_toeplitz(x, w), compute_uv=False)[0]
+    for x in (column, convolved(convolved(column, column), column), column + 0.5j * noise):
+        expected = np.linalg.svd(oracles.block_toeplitz(x, w), compute_uv=False)[0]
         np.testing.assert_allclose(lfa.toeplitz_norm2(x), expected, rtol=1e-13, atol=0)
 
 
@@ -863,7 +881,7 @@ def test_block_convolution_equals_the_pairwise_sums_bit_for_bit(l):
     x = np.random.default_rng(l).standard_normal((2, len(column)))
     complex_column = column + 1j * np.random.default_rng(l).standard_normal(column.shape)
     for a, b in ((column, column), (column, x[0]), (column, x[0] + 1j * x[1]), (complex_column, column)):
-        assert np.array_equal(lfa._convolved(a, b).view(np.uint64), oracles.convolved(a, b).view(np.uint64))
+        assert np.array_equal(convolved(a, b).view(np.uint64), oracles.convolved(a, b).view(np.uint64))
 
 
 def test_toeplitz_norm_of_a_circulant_column_reaches_past_the_constant_subspace():
@@ -871,7 +889,7 @@ def test_toeplitz_norm_of_a_circulant_column_reaches_past_the_constant_subspace(
     # a Krylov space started there stays in the k = 0 harmonic's subspace (||X|| = 1 there, against 4.53)
     stencil = np.array([-2.0, 1.0] + [0.0] * 5 + [1.0])  # the periodic second difference
     column = np.concatenate([np.stack([np.roll(stencil, i) for i in range(8)]), np.eye(8)])
-    expected = np.linalg.svd(block_toeplitz(column, 8), compute_uv=False)[0]
+    expected = np.linalg.svd(oracles.block_toeplitz(column, 8), compute_uv=False)[0]
     assert expected > 4.5
     np.testing.assert_allclose(lfa.toeplitz_norm2(column), expected, rtol=1e-13, atol=0)
 
@@ -884,9 +902,9 @@ def test_toeplitz_norm_of_round_off_powers(l):
     power = column
     for k in range(1, 7):
         scale, x = scaled(power[None])
-        expected = scale[0] * np.linalg.svd(block_toeplitz(x[0], 16), compute_uv=False)[0]
+        expected = scale[0] * np.linalg.svd(oracles.block_toeplitz(x[0], 16), compute_uv=False)[0]
         np.testing.assert_allclose(lfa.toeplitz_norm2(power), expected, rtol=1e-13, atol=0)
-        power = lfa._convolved(power, column)
+        power = convolved(power, column)
     assert lfa.toeplitz_norm2(power) < 1e-30
     assert lfa.toeplitz_norm2(np.zeros((l * 16, 16))) == 0.0
 

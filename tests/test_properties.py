@@ -47,7 +47,7 @@ from pfasst_lfa.analysis import (
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import sort_eigenvalues
+from pfasst_lfa.linalg import convolved, sort_eigenvalues
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import mlsdc_step, pfasst_run_algorithmic
 from pfasst_lfa.transfer import build_ci_pair, node_propagation
@@ -90,7 +90,7 @@ def test_fft_swept_run_equals_matrix_iterates(cfg):
     trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, cfg.m, cfg.l), cfg.iterations)
     u = trace[0]
     for k in range(1, cfg.iterations + 1):
-        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs.ravel(), u)
+        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_column, rhs.ravel(), u)
         np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_iteration_matrix_equals_the_kron_oracle(cfg):
     # the factors the matrix route applies block by block, formed as Kronecker products
     setup = build_context(cfg).setup
     l, m = cfg.l, cfg.m
-    mat = setup.composite_matrix
+    mat = oracles.composite_matrix(setup)
     n_coarse = np.kron(node_propagation(m), np.eye(cfg.n // 2))
     p_gs = np.kron(np.eye(l), setup.p_coarse.matrix) - np.kron(np.eye(l, k=-1), n_coarse)
     p_jacobi = np.kron(np.eye(l), setup.p_fine.matrix)
@@ -128,7 +128,7 @@ def test_iteration_matrix_equals_the_dense_formula(cfg):
     # products leave S's zero blocks out of their inner sums, so the two agree to round-off, not bit for bit
     setup = build_context(cfg).setup
     column = setup.iteration_column
-    oracle = oracles.dense_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    oracle = oracles.dense_iteration_matrix(setup)
     assert column.shape == (cfg.l * cfg.m * cfg.n, cfg.m * cfg.n)
     assert np.max(np.abs(column - oracle[:, : cfg.m * cfg.n])) <= 1e-15 * np.max(np.abs(oracle))
 
@@ -140,7 +140,7 @@ def test_the_dense_formula_is_block_lower_triangular_toeplitz(cfg):
     # diagonal; the dense formula's round-off separates them by at most 6.7e-16 absolute over 320 draws
     # of this strategy (max |T| <= 0.71), so 2e-15 is the bound
     setup = build_context(cfg).setup
-    t = oracles.dense_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    t = oracles.dense_iteration_matrix(setup)
     w = cfg.m * cfg.n
     blocks = t.reshape(cfg.l, w, cfg.l, w)
     for i in range(cfg.l):
@@ -160,7 +160,7 @@ def test_full_mode_norm_power_equals_the_dense_powers_and_tc(cfg):
     # norm of the dense product T^k reads the same; against tc mode's, at most 5.3e-13 (mu > 90)
     ctx = build_context(cfg)
     setup = ctx.setup
-    t = oracles.dense_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    t = oracles.dense_iteration_matrix(setup)
     full = predict(ctx, "norm-power", "full")
     e0_norm = full[0]
     dense = e0_norm * np.array([np.linalg.norm(np.linalg.matrix_power(t, k), 2) for k in range(cfg.iterations + 1)])
@@ -201,7 +201,7 @@ def test_block_convolution_equals_the_assembled_product(cfg):
     for b in (column, x, x[None]):
         scale = np.max(np.abs(t)) * np.max(np.abs(b)) * len(column)
         product = (t @ b.reshape(len(t), -1)).reshape(b.shape)
-        assert np.max(np.abs(lfa._convolved(column[None], b) - product)) <= 1e-15 * scale
+        assert np.max(np.abs(convolved(column[None], b) - product)) <= 1e-15 * scale
     e, expected = ctx.initial_error, []
     for _ in range(cfg.iterations + 1):
         expected.append(np.linalg.norm(e))

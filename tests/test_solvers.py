@@ -226,11 +226,28 @@ def test_composite_mlsdc_step_matches_iteration_operator():
     p_gs, p_j = setup.composite_preconditioners
     rhs = _first_interval_rhs(np.sin(2 * np.pi * np.arange(n) / n), m, l)
     t = oracles.iteration_matrix(setup)
-    exact = np.linalg.solve(setup.composite_matrix, rhs)
+    exact = np.linalg.solve(oracles.composite_matrix(setup), rhs)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(len(rhs))
-    stepped = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs, u)
+    stepped = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_column, rhs, u)
     np.testing.assert_allclose(stepped - exact, t @ (u - exact), atol=1e-10)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("make,kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])
+def test_mlsdc_step_from_m_column_equals_the_step_with_the_dense_m(make, kind, l):
+    # M u by block convolution with M's first block column against the dense oracle M (a one-block column, whose
+    # product is M @ u), on a real and a complex iterate; the inner sums differ in order, so to round-off
+    setup = _setup(make(16, 5e-3), 3, l, kind)
+    p_gs, p_j = setup.composite_preconditioners
+    column, dense = setup.composite_column, oracles.composite_matrix(setup)
+    rng = np.random.default_rng(l)
+    rhs, real, imag = rng.standard_normal((3, len(column)))
+    for u in (real, real + 1j * imag):
+        stepped = mlsdc_step(p_j, p_gs, setup.pair, column, rhs, u)
+        expected = mlsdc_step(p_j, p_gs, setup.pair, dense, rhs, u)
+        assert stepped.shape == u.shape and stepped.dtype == expected.dtype
+        np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
@@ -260,7 +277,7 @@ def test_iteration_matrix_has_the_bits_of_the_causal_triangle_build(problem, l):
     # OpenBLAS, but the test does not pin how a BLAS tiles them
     coefficient = {"mu": 10.0} if problem == "diffusion" else {"coefficient": 0.02}
     setup = build_context(ExperimentConfig(problem=problem, n=16, m=3, l=l, **coefficient)).setup
-    triangle = oracles.triangle_iteration_matrix(*setup.composite_preconditioners, setup.pair, setup.composite_matrix)
+    triangle = oracles.triangle_iteration_matrix(setup)
     column, w = setup.iteration_column, 3 * 16
     assert np.array_equal(column.view(np.uint64), triangle[:, :w].view(np.uint64))
     t = oracles.iteration_matrix(setup)
@@ -277,8 +294,8 @@ def test_setup_matrix_route_is_built_once_from_the_composite_column(l):
     column = setup.composite_column
     assert column.shape == (l * w, w) and np.array_equal(column[:w], setup.fine.matrix) and not np.any(column[2 * w :])
     assert l == 1 or np.array_equal(column[w : 2 * w], -np.kron(node_propagation(3), np.eye(16)))
-    assert np.array_equal(setup.composite_matrix[:, :w], column)
-    for cached in ("composite_matrix", "composite_preconditioners", "iteration_column"):
+    assert np.array_equal(oracles.composite_matrix(setup)[:, :w], column)
+    for cached in ("composite_preconditioners", "iteration_column"):
         assert getattr(setup, cached) is getattr(setup, cached)
 
 
@@ -291,7 +308,7 @@ def test_pfasst_algorithmic_equals_matrix_form():
     trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), 6)
     u = trace[0].copy()
     for k in range(1, 7):
-        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs, u)
+        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_column, rhs, u)
         np.testing.assert_allclose(trace[k], u, atol=1e-11)
 
 
@@ -310,14 +327,14 @@ def test_pfasst_algorithmic_equals_step_matrix_iterates(make, kind, l, m):
     n = 16
     setup = _setup(make(n, 5e-3), m, l, kind)
     p_gs, p_j = setup.composite_preconditioners
-    dim = setup.composite_matrix.shape[0]
+    dim = len(setup.composite_column)
     rng = np.random.default_rng(l + 10 * m)
     rhs = rng.standard_normal(dim)
     u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     trace = pfasst_run_algorithmic(setup, rhs, u, 5)
     np.testing.assert_array_equal(trace[0], u)
     for k in range(1, 6):
-        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_matrix, rhs, u)
+        u = mlsdc_step(p_j, p_gs, setup.pair, setup.composite_column, rhs, u)
         np.testing.assert_allclose(trace[k], u, rtol=0, atol=1e-12)
 
 
@@ -337,7 +354,7 @@ def test_pfasst_converges_to_composite_solution():
     setup = _setup(_small_problem(n=n, m=m)[0], m, l)
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
     rhs = _first_interval_rhs(u0, m, l)
-    exact = np.linalg.solve(setup.composite_matrix, rhs)
+    exact = np.linalg.solve(oracles.composite_matrix(setup), rhs)
     trace = pfasst_run_algorithmic(setup, rhs, spread_initial(u0, m, l), 30)
     assert np.max(np.abs(trace[-1] - exact)) < 1e-12
 
