@@ -18,6 +18,7 @@ tc mode then reproduces the actual error to round-off.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -448,6 +449,7 @@ class ErrorTrace:
     predictions: dict  # (strategy, block mode) -> K+1 values, in request order
     phases: PhaseSegmentation
     aggregates: dict  # per block mode: {"rho": float, "norm": float}
+    run_seconds: float  # wall time of the stacked algorithmic run, for timings.json
     context: ExperimentContext = field(repr=False)  # shared operators and block decompositions
 
     def consistency_gap(self) -> float:
@@ -517,7 +519,9 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
             e0 = ctx.initial_error
             # the propagated error (zero rhs) and the manufactured run, stacked into one run
             rhs = np.stack([np.zeros_like(e0), manufactured_rhs(ctx).ravel()])
+            t0 = time.perf_counter()
             trace = pfasst_run_algorithmic(ctx.setup, rhs, np.stack([e0, ctx.initial_iterate]), cfg.iterations)
+            run_seconds = time.perf_counter() - t0
             actual_inf = np.array([np.max(np.abs(e)) for e, _ in trace])
             actual_2 = np.array([norm2(e) for e, _ in trace])
             u_run_2 = np.array([norm2(u - u_ex) for _, u in trace])
@@ -540,6 +544,7 @@ def run_and_compare(cfg: ExperimentConfig) -> ErrorTrace:
         predictions=predictions,
         phases=detect_phases(actual_2),
         aggregates=aggregates,
+        run_seconds=run_seconds,
         context=ctx,
     )
 

@@ -101,6 +101,7 @@ def cmd_analyze(args, parser) -> int:
     )
     trace = run_and_compare(cfg)
     timings["run_and_compare"] = time.perf_counter() - t0
+    timings["pfasst_run_algorithmic"] = trace.run_seconds
     columns = {"actual_inf": trace.actual_inf, "actual_2": trace.actual_2}
     columns.update({f"pred_{strategy}_{mode}": values for (strategy, mode), values in trace.predictions.items()})
     for name, values in columns.items():

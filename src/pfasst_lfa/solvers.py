@@ -72,31 +72,27 @@ class Preconditioner:
 
 @dataclass(frozen=True)
 class NodeSweep:
-    """P^{-1} for the sweep P = I - dt*(Q_Delta kron A), applied node by node in Fourier space.
+    """P^{-1} for the sweep P = I - dt*(Q_Delta kron A), one M x M product per harmonic in Fourier space.
 
     A is circulant, so the Fourier transform on the grid axis diagonalizes
-    it with the symbol sigma = fft(first column of A).  Q_Delta is lower
-    triangular, so P^{-1} r is forward substitution over the nodes, one
-    scalar division per harmonic:
-    x_m = (r_m + dt*sigma*sum_{j<m} qd_mj x_j) / (1 - dt*qd_mm*sigma).
-    This is the solve of the dense ``sdc_preconditioner`` without any
+    it with the symbol sigma = fft(first column of A), and P becomes the
+    lower triangular I - dt*sigma_k*Q_Delta on harmonic k.  ``inverse``
+    holds their inverses, from forward substitution over the nodes,
+    x_m = (r_m + dt*sigma*sum_{j<m} qd_mj x_j) / (1 - dt*qd_mm*sigma), on
+    the identity: the solve of the dense ``sdc_preconditioner`` without any
     N x N or (M*N) x (M*N) matrix.
     """
 
-    qdelta: np.ndarray
-    dt_sigma: np.ndarray  # dt * fft(first column of A), length N
+    inverse: np.ndarray  # (N, M, M): (I - dt*sigma_k*Q_Delta)^{-1} of harmonic k
     denominators: np.ndarray  # (M, N): 1 - dt*qd_mm*sigma
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """P^{-1} r for every (M, N) slice of an (..., M, N) stack; real input gives real output."""
         r = np.asarray(r)
-        xhat = np.fft.fft(r.astype(np.result_type(r, float), copy=False), axis=-1)
-        for i, denominator in enumerate(self.denominators):
-            if i:
-                xhat[..., i, :] += self.dt_sigma * (self.qdelta[i, :i] @ xhat[..., :i, :])
-            xhat[..., i, :] /= denominator
-        x = np.fft.ifft(xhat, axis=-1)
-        return x if np.iscomplexobj(r) else x.real
+        to_hat, from_hat = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(r) else (np.fft.rfft, np.fft.irfft)
+        rhat = to_hat(r, axis=-1).swapaxes(-1, -2)[..., None]  # (..., H, M, 1)
+        xhat = np.matmul(self.inverse[: rhat.shape[-3]], rhat)[..., 0].swapaxes(-1, -2)
+        return from_hat(xhat, r.shape[-1], axis=-1)
 
     @property
     def condition(self) -> float:
@@ -106,12 +102,15 @@ class NodeSweep:
 
 
 def node_sweep(problem: CollocationProblem, qdelta: np.ndarray) -> NodeSweep:
-    """The Fourier symbol of one sweep; a denominator that is exactly 0 is a FactorizationError."""
+    """The per-harmonic inverses of one sweep; a denominator that is exactly 0 is a FactorizationError."""
     dt_sigma = problem.dt * np.fft.fft(problem.operator.first_column())
     denominators = 1.0 - np.diag(qdelta)[:, None] * dt_sigma
     if np.any(denominators == 0):
         raise FactorizationError("singular node sweep")
-    return NodeSweep(qdelta=qdelta, dt_sigma=dt_sigma, denominators=denominators)
+    x = np.eye(len(qdelta), dtype=complex)[:, :, None].repeat(len(dt_sigma), axis=2)  # identity column, node, harmonic
+    for i, denominator in enumerate(denominators):
+        x[:, i] = (x[:, i] + dt_sigma * (qdelta[i, :i] @ x[:, :i])) / denominator
+    return NodeSweep(inverse=np.ascontiguousarray(x.transpose(2, 1, 0)), denominators=denominators)
 
 
 def sdc_preconditioner(problem: CollocationProblem, qdelta: np.ndarray) -> Preconditioner:
@@ -265,8 +264,10 @@ def pfasst_run_algorithmic(
     iteration: every interval restricts its iterate and forms the FAS
     correction; in Gauss-Seidel order each interval then receives the
     coarse value at its predecessor's last node and sweeps on the coarse
-    level; the corrections are interpolated, and all intervals perform their
-    fine sweep at once on values already available (Jacobi order).
+    level, in Fourier space (one transform of all intervals in, one P^{-1}
+    product per interval, one transform out); the corrections are
+    interpolated, and all intervals perform their fine sweep at once on
+    values already available (Jacobi order).
     ``start`` holds the initial iterate, L*M*N values after any leading
     axes, and ``rhs`` the L per-interval right-hand sides, as many values in
     any layout (a zero ``rhs`` propagates an error vector through the
@@ -275,28 +276,32 @@ def pfasst_run_algorithmic(
     those of running it by itself.  Returns all iterates, shaped like
     ``start``, starting with ``start``.
     """
-    fine, coarse = setup.fine, setup.coarse
-    pair = setup.pair
+    fine, coarse, pair, sweep = setup.fine, setup.coarse, setup.pair, setup.coarse_sweep
     start = np.asarray(start)
     stack = start.shape[:-1]
     shape = (*stack, setup.l, setup.m_nodes, fine.n_space)
     rhs = np.asarray(rhs).reshape(shape)
     u = start.reshape(shape).astype(np.result_type(start, rhs, float))
+    to_hat, from_hat = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(u) else (np.fft.rfft, np.fft.irfft)
     rhs_coarse = pair.restrict(rhs)
     trace = [u.reshape(*stack, -1)]
     for _ in range(iterations):
         # coarse level: the FAS right-hand side R c + tau of every interval at
-        # once, then the sweeps in sequence
+        # once, with the predecessor's restricted last node on every node
         restricted = pair.restrict(u)
         m_restricted = coarse.apply(restricted)
         tau = m_restricted - pair.restrict(fine.apply(u))
         residual = rhs_coarse + tau - m_restricted
-        corrected = np.empty_like(restricted)
-        for l in range(setup.l):
-            if l > 0:
-                residual[..., l, :, :] += corrected[..., l - 1, -1:, :]  # the predecessor's last node, on every node
-            corrected[..., l, :, :] = restricted[..., l, :, :] + setup.coarse_sweep.solve(residual[..., l, :, :])
-        u_half = u + pair.interpolate(corrected - restricted)
+        residual[..., 1:, :, :] += restricted[..., :-1, -1:, :]
+        # the sweeps in sequence, in Fourier space: each interval adds its
+        # predecessor's correction at the last node, then applies P^{-1}
+        chain = np.moveaxis(to_hat(residual, axis=-1), -3, 0).swapaxes(-1, -2)[..., None].copy()  # (L, ..., H, M, 1)
+        for l, r in enumerate(chain):  # in place: each residual becomes its interval's correction
+            if l:
+                r += chain[l - 1, ..., -1:, :]
+            np.matmul(sweep.inverse[: r.shape[-3]], r, out=r)
+        correction = from_hat(np.moveaxis(chain[..., 0], 0, -3).swapaxes(-1, -2), coarse.n_space, axis=-1)
+        u_half = u + pair.interpolate(correction)
         # fine level: one batched sweep over all intervals
         residual = rhs - fine.apply(u_half)
         residual[..., 1:, :, :] += u_half[..., :-1, -1:, :]  # the predecessor's last node, on every node

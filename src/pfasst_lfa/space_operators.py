@@ -24,22 +24,26 @@ class CirculantOperator:
     scale: float = 1.0
 
     def materialize(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for off, coeff in self.stencil.items():
-            idx = (np.arange(self.n) + off) % self.n
-            a[np.arange(self.n), idx] += coeff
-        return self.scale * a
+        return np.ascontiguousarray(self.apply(np.eye(self.n)).T)
 
     def first_column(self) -> np.ndarray:
-        """Column 0 of the materialized matrix, bit for bit."""
-        col = np.zeros(self.n)
-        for off, coeff in self.stencil.items():
-            col[-off % self.n] += coeff
-        return self.scale * col
+        """Column 0 of the materialized matrix, bit for bit: A e_0."""
+        return self.apply(np.eye(1, self.n)[0])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u along the last (grid) axis: sum_o scale * c_o * roll(u, -o), no n x n product."""
-        return sum(self.scale * coeff * np.roll(u, -off, axis=-1) for off, coeff in self.stencil.items())
+        """A u along the last (grid) axis: sum_o scale * c_o * u_{j+o}, no n x n product.
+
+        The rows of u, wrap-padded and laid end to end, make one copy in which each offset's term is one slice for
+        all rows; the terms add onto zeros in the stencil's order, bitwise the sum of ``np.roll(u, -o)`` terms.
+        """
+        lo = min([0, *self.stencil])
+        width = max([0, *self.stencil]) - lo + self.n
+        padded = np.take(u, np.arange(lo, lo + width), axis=-1, mode="wrap").ravel()
+        body = padded.size - width + self.n  # through the last row's n-th value
+        out = np.zeros(padded.size, np.result_type(self.scale, padded))
+        for off, coeff in self.stencil.items():
+            out[:body] += self.scale * coeff * padded[off - lo : off - lo + body]
+        return out.reshape(-1, width)[:, : self.n].reshape(np.shape(u))
 
     def symbol(self, k) -> np.ndarray:
         """Eigenvalue(s) lambda_k = scale * sum_j c_j exp(i 2 pi k j / n)."""

@@ -66,18 +66,18 @@ class TransferPair:
         The even points take u, the odd points the midpoint stencil applied to u.
         """
         u = np.asarray(u)
-        odd = self.generator_interp.apply(u)
-        out = np.empty(u.shape[:-1] + (self.n_fine,), dtype=np.result_type(u, odd))
-        out[..., 0::2] = u
-        out[..., 1::2] = odd
-        return out
+        return np.stack([u, self.generator_interp.apply(u)], axis=-1).reshape(*u.shape[:-1], self.n_fine)
 
     def restrict(self, u: np.ndarray) -> np.ndarray:
         """Restrict the last axis of a stack from N to N/2 points: (u_even + G_r^T u_odd) / 2."""
         u = np.asarray(u)
+        return 0.5 * (u[..., 0::2] + self._adjoint_restr.apply(u[..., 1::2]))
+
+    @cached_property
+    def _adjoint_restr(self) -> CirculantOperator:
+        """G_r^T: the restriction stencil with its offsets negated."""
         gen = self.generator_restr
-        adjoint = CirculantOperator(n=gen.n, stencil={-o: c for o, c in gen.stencil.items()}, scale=gen.scale)
-        return 0.5 * (u[..., 0::2] + adjoint.apply(u[..., 1::2]))
+        return CirculantOperator(n=gen.n, stencil={-o: c for o, c in gen.stencil.items()}, scale=gen.scale)
 
     @cached_property
     def interpolation(self) -> np.ndarray:

@@ -24,7 +24,12 @@ block column and ``iteration_matrix`` copies that column down the block
 diagonals; the package itself assembles no dense T.
 ``triangle_iteration_matrix`` is the serial build over T's causal block
 triangle that the column builder replaced: it solves and multiplies every
-column block from its own interval on.
+column block from its own interval on.  ``interval_run`` is
+``solvers.pfasst_run_algorithmic`` as it ran before its sweeps became
+per-harmonic products: one fft, a forward substitution over the nodes and
+one ifft per coarse interval, and every stencil a sum of ``np.roll`` terms
+(``roll_apply``), where ``CirculantOperator.apply`` sums slices of one
+wrap-padded copy.
 """
 
 import numpy as np
@@ -40,6 +45,7 @@ from pfasst_lfa.analysis import (
 )
 from pfasst_lfa.errors import RangeError
 from pfasst_lfa.linalg import scaled
+from pfasst_lfa.space_operators import CirculantOperator
 
 
 def pair_stacks(d: lfa.BlockDecomposition):
@@ -215,3 +221,65 @@ def asymptotic_ratio(errors: np.ndarray, rel_floor: float = 1e-14) -> float:
     start = 2 * len(e) // 3
     ratios = e[start + 1 :] / e[start:-1]
     return float(np.exp(np.mean(np.log(ratios))))
+
+
+def roll_apply(op: CirculantOperator, u: np.ndarray) -> np.ndarray:
+    """A u along the last axis as the sum of scale * c_o * roll(u, -o), in the stencil's order."""
+    return sum(op.scale * coeff * np.roll(u, -off, axis=-1) for off, coeff in op.stencil.items())
+
+
+def substitution_solve(problem, qdelta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """P^{-1} r for the sweep P = I - dt*(Q_Delta kron A): fft, forward substitution over the nodes, ifft."""
+    dt_sigma = problem.dt * np.fft.fft(problem.operator.first_column())
+    xhat = np.fft.fft(r, axis=-1)
+    for i in range(len(qdelta)):
+        if i:
+            xhat[..., i, :] += dt_sigma * (qdelta[i, :i] @ xhat[..., :i, :])
+        xhat[..., i, :] /= 1.0 - qdelta[i, i] * dt_sigma
+    x = np.fft.ifft(xhat, axis=-1)
+    return x if np.iscomplexobj(r) else x.real
+
+
+def interval_run(setup: solvers.TwoLevelSetup, rhs: np.ndarray, start: np.ndarray, iterations: int) -> list:
+    """``solvers.pfasst_run_algorithmic`` with one coarse sweep call per interval and every stencil by ``roll_apply``."""
+    fine, coarse, pair, qdelta = setup.fine, setup.coarse, setup.pair, setup.qdelta
+    gen = pair.generator_restr
+    adjoint = CirculantOperator(n=gen.n, stencil={-o: c for o, c in gen.stencil.items()}, scale=gen.scale)
+
+    def apply(problem, u):
+        return u - problem.dt * (problem.rule.q @ roll_apply(problem.operator, u))
+
+    def restrict(u):
+        return 0.5 * (u[..., 0::2] + roll_apply(adjoint, u[..., 1::2]))
+
+    def interpolate(u):
+        odd = roll_apply(pair.generator_interp, u)
+        out = np.empty(u.shape[:-1] + (pair.n_fine,), dtype=np.result_type(u, odd))
+        out[..., 0::2] = u
+        out[..., 1::2] = odd
+        return out
+
+    start = np.asarray(start)
+    stack = start.shape[:-1]
+    shape = (*stack, setup.l, setup.m_nodes, fine.n_space)
+    rhs = np.asarray(rhs).reshape(shape)
+    u = start.reshape(shape).astype(np.result_type(start, rhs, float))
+    rhs_coarse = restrict(rhs)
+    trace = [u.reshape(*stack, -1)]
+    for _ in range(iterations):
+        restricted = restrict(u)
+        m_restricted = apply(coarse, restricted)
+        residual = rhs_coarse + (m_restricted - restrict(apply(fine, u))) - m_restricted
+        corrected = np.empty_like(restricted)
+        for l in range(setup.l):
+            if l > 0:
+                residual[..., l, :, :] += corrected[..., l - 1, -1:, :]
+            corrected[..., l, :, :] = restricted[..., l, :, :] + substitution_solve(
+                coarse, qdelta, residual[..., l, :, :]
+            )
+        u_half = u + interpolate(corrected - restricted)
+        residual = rhs - apply(fine, u_half)
+        residual[..., 1:, :, :] += u_half[..., :-1, -1:, :]
+        u = u_half + substitution_solve(fine, qdelta, residual)
+        trace.append(u.reshape(*stack, -1))
+    return trace

@@ -62,6 +62,7 @@ def test_analyze_writes_all_artifacts(tmp_path):
     assert set(report["files"]) == {"trace.csv", "spectrum.csv", "report.json", "timings.json"}
     assert set(json.loads((out / "timings.json").read_text())["wall_time_seconds"]) == {
         "run_and_compare",
+        "pfasst_run_algorithmic",
         "write_outputs",
     }
     assert report["config"]["problem"] == "diffusion"

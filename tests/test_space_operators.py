@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from pfasst_lfa.analysis import ExperimentConfig
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.space_operators import (
@@ -12,6 +13,7 @@ from pfasst_lfa.space_operators import (
     make_advection,
     make_diffusion,
 )
+from pfasst_lfa.transfer import build_ci_pair
 
 
 def test_circulant_symbol_matches_fft_oracle():
@@ -37,6 +39,27 @@ def test_circulant_stencil_action_and_first_column_match_the_matrix(op):
     np.testing.assert_array_equal(op.first_column(), a[:, 0])
     u = np.random.default_rng(4).standard_normal((3, 2, op.n))
     np.testing.assert_allclose(op.apply(u), u @ a.T, rtol=0, atol=1e-13 * np.abs(a).max())
+
+
+def _package_stencils():
+    """Every stencil the package builds: both problems on both levels, both transfer generators and G_r^T."""
+    for n in (4, 16, 128):  # n = 4: the 8-point interpolation stencil wraps the 2-point coarse grid
+        for problem in (make_diffusion(n, 0.3), make_advection(n, 0.7)):
+            yield problem.operator
+            yield coarsen(problem).operator
+        pair = build_ci_pair(n)
+        yield from (pair.generator_interp, pair.generator_restr, pair._adjoint_restr)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_circulant_apply_is_bitwise_the_roll_sum(complex_):
+    rng = np.random.default_rng(5)
+    for op in _package_stencils():
+        u = rng.standard_normal((2, 3, op.n))
+        if complex_:
+            u = u + 1j * rng.standard_normal(u.shape)
+        for x in (u, u[1, 2], u[..., ::-1]):  # a stack, one row, a strided view
+            assert np.array_equal(op.apply(x), oracles.roll_apply(op, x))
 
 
 def test_circulant_eigenvectors_are_fourier_modes():
