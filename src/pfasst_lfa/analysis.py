@@ -28,7 +28,7 @@ from .collocation import CollocationProblem, spread_initial
 from .errors import ConfigurationError
 from .linalg import convolved, norm2
 from .quadrature import MAX_NODES, QDELTA_KINDS, QuadratureRule, build_qdelta
-from .space_operators import ModelProblem, coarsen, exact_solution, make_advection, make_diffusion
+from .space_operators import exact_solution, make_advection, make_diffusion
 from .solvers import TwoLevelSetup, mlsdc_step, pfasst_run_algorithmic
 from .transfer import (
     INTERP_EXACTNESS, RESTR_EXACTNESS, build_ci_pair, check_restriction_condition, harmonic_diagonals,
@@ -150,6 +150,11 @@ class ExperimentConfig:
     def dx(self) -> float:
         return 1.0 / self.n
 
+    @property
+    def cfl(self) -> float:
+        """coefficient * dt / dx, the Courant number the report gives for advection."""
+        return self.resolved_coefficient() * self.dt / self.dx
+
     def resolved_coefficient(self) -> float:
         """nu or c; mu is the parabolic mesh ratio nu*dt/dx^2."""
         if self.coefficient is not None:
@@ -164,7 +169,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentContext:
-    """One configuration's model problem and two-level setup, shared by the three routes.
+    """One configuration and its two-level setup, shared by the three routes.
 
     What the strategies derive from them is built on first use and kept:
     the block decomposition of each mode (which keeps its own eigenvalues,
@@ -174,7 +179,6 @@ class ExperimentContext:
     """
 
     cfg: ExperimentConfig
-    fine: ModelProblem
     setup: TwoLevelSetup
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -198,7 +202,9 @@ class ExperimentContext:
     @cached_property
     def initial_iterate(self) -> np.ndarray:
         """The spread iterate, u0 on every node of every interval; treat as read-only."""
-        return spread_initial(exact_solution(self.fine, self.cfg.wavenumber, 0.0), self.cfg.m, self.cfg.l)
+        cfg = self.cfg
+        u0 = exact_solution(cfg.problem, cfg.n, cfg.resolved_coefficient(), cfg.wavenumber, 0.0)
+        return spread_initial(u0, cfg.m, cfg.l)
 
     @cached_property
     def initial_error(self) -> np.ndarray:
@@ -207,17 +213,17 @@ class ExperimentContext:
 
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
-    """The model problem, its coarsening to n/2 points, their transfers and the one Q_Delta of both levels."""
-    fine = (make_diffusion if cfg.problem == "diffusion" else make_advection)(cfg.n, cfg.resolved_coefficient())
+    """The model problem's operator on n and on n/2 points, their transfers and the one Q_Delta of both levels."""
+    make, nu = (make_diffusion if cfg.problem == "diffusion" else make_advection), cfg.resolved_coefficient()
     rule = QuadratureRule.radau_right(cfg.m)
     setup = TwoLevelSetup(
-        fine=CollocationProblem(fine.operator, rule, cfg.dt),
-        coarse=CollocationProblem(coarsen(fine).operator, rule, cfg.dt),
+        fine=CollocationProblem(make(cfg.n, nu), rule, cfg.dt),
+        coarse=CollocationProblem(make(cfg.n // 2, nu), rule, cfg.dt),
         pair=build_ci_pair(cfg.n),
         l=cfg.l,
         qdelta=build_qdelta(rule, cfg.resolved_qdelta_kind()),
     )
-    return ExperimentContext(cfg=cfg, fine=fine, setup=setup)
+    return ExperimentContext(cfg=cfg, setup=setup)
 
 
 def node_times(cfg: ExperimentConfig, rule: QuadratureRule) -> np.ndarray:
@@ -228,12 +234,12 @@ def node_times(cfg: ExperimentConfig, rule: QuadratureRule) -> np.ndarray:
 
 def exact_trajectory(ctx: ExperimentContext) -> np.ndarray:
     """Analytic PDE solution sampled at every (interval, node, grid point)."""
-    cfg = ctx.cfg
+    cfg, nu = ctx.cfg, ctx.cfg.resolved_coefficient()
     times = node_times(cfg, ctx.setup.fine.rule)
     out = np.empty((cfg.l, cfg.m, cfg.n))
     for i in range(cfg.l):
         for j in range(cfg.m):
-            out[i, j] = exact_solution(ctx.fine, cfg.wavenumber, times[i, j])
+            out[i, j] = exact_solution(cfg.problem, cfg.n, nu, cfg.wavenumber, times[i, j])
     return out.ravel()
 
 

@@ -158,7 +158,7 @@ def cmd_analyze(args, parser) -> int:
         "files": [trace_path.name, spectrum_path.name, "report.json", "timings.json"],
     }
     if cfg.problem == "advection":
-        report["cfl"] = trace.context.fine.cfl(cfg.dt)
+        report["cfl"] = cfg.cfl
     _write_json(out / "report.json", report)
     # the kernels' work, not their results: the report's bytes do not depend on it
     decompositions = {mode: trace.context.decomposition(mode) for mode in cfg.blocks}

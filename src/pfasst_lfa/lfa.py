@@ -206,7 +206,7 @@ def _pair_blocks(setup: TwoLevelSetup, shift: np.ndarray):
         x_hi = np.linalg.solve(pt, bm_hi)
         d, d_hat = diags.d[k], diags.d_hat[k]
         f, f_hat = diags.f[k], diags.f_hat[k]
-        cgc = np.zeros_like(s)
+        cgc = np.empty_like(s)  # all four quadrants are assigned below
         cgc[:, :dim, :dim] = eye - 0.5 * d * f * x_lo
         cgc[:, :dim, dim:] = -0.5 * d * f_hat * x_hi
         cgc[:, dim:, :dim] = -0.5 * d_hat * f * x_lo

@@ -54,53 +54,25 @@ class CirculantOperator:
         return self.scale * lam
 
 
-@dataclass(frozen=True)
-class ModelProblem:
-    """A semi-discretized PDE: U_t = A U with a circulant A."""
-
-    kind: str  # "diffusion" or "advection"
-    n: int
-    coefficient: float  # nu or c
-    operator: CirculantOperator
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.n
-
-    def grid(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
-    def cfl(self, dt: float) -> float:
-        return self.coefficient * dt / self.dx
-
-
-def make_diffusion(n: int, nu: float) -> ModelProblem:
+def make_diffusion(n: int, nu: float) -> CirculantOperator:
     """Second-order central diffusion, negative semi-definite convention."""
     dx = 1.0 / n
-    op = CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=nu / dx**2)
-    return ModelProblem(kind="diffusion", n=n, coefficient=nu, operator=op)
+    return CirculantOperator(n=n, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=nu / dx**2)
 
 
-def make_advection(n: int, c: float) -> ModelProblem:
+def make_advection(n: int, c: float) -> CirculantOperator:
     """Third-order upwind-biased advection transporting rightwards at speed c."""
     dx = 1.0 / n
-    op = CirculantOperator(
+    return CirculantOperator(
         n=n,
         stencil={-2: 1.0, -1: -6.0, 0: 3.0, 1: 2.0},
         scale=-c / (6.0 * dx),
     )
-    return ModelProblem(kind="advection", n=n, coefficient=c, operator=op)
 
 
-def exact_solution(p: ModelProblem, k: int, t: float) -> np.ndarray:
-    """PDE solution for initial data sin(2 pi k x), sampled on the grid."""
-    x = p.grid()
-    if p.kind == "diffusion":
-        return np.exp(-p.coefficient * (2 * np.pi * k) ** 2 * t) * np.sin(2 * np.pi * k * x)
-    return np.sin(2 * np.pi * k * (x - p.coefficient * t))
-
-
-def coarsen(p: ModelProblem) -> ModelProblem:
-    """The same model problem on the grid with half the points."""
-    maker = make_diffusion if p.kind == "diffusion" else make_advection
-    return maker(p.n // 2, p.coefficient)
+def exact_solution(problem: str, n: int, coefficient: float, k: int, t: float) -> np.ndarray:
+    """PDE solution for initial data sin(2 pi k x), sampled on the grid x_j = j/n; coefficient is nu or c."""
+    x = np.arange(n) / n
+    if problem == "diffusion":
+        return np.exp(-coefficient * (2 * np.pi * k) ** 2 * t) * np.sin(2 * np.pi * k * x)
+    return np.sin(2 * np.pi * k * (x - coefficient * t))

@@ -15,7 +15,6 @@ from oracles import asymptotic_ratio
 from pfasst_lfa import lfa
 from pfasst_lfa.analysis import (
     ExperimentConfig,
-    build_context,
     run_and_compare,
 )
 from pfasst_lfa.collocation import CollocationProblem, spread_initial
@@ -28,7 +27,7 @@ from pfasst_lfa.solvers import (
     richardson_step,
     sdc_preconditioner,
 )
-from pfasst_lfa.space_operators import coarsen, make_advection, make_diffusion
+from pfasst_lfa.space_operators import make_advection, make_diffusion
 from pfasst_lfa.transfer import (
     build_ci_pair,
     check_restriction_condition,
@@ -41,12 +40,11 @@ def _report(number, label, detail):
     print(f"[criterion {number:2d}] PASS: {label} ({detail})")
 
 
-def _two_level(prob, m, l, dt, qdelta_kind):
-    cprob = coarsen(prob)
+def _two_level(make, n, coefficient, m, l, dt, qdelta_kind):
     rule = QuadratureRule.radau_right(m)
-    pair = build_ci_pair(prob.n)
-    fine = CollocationProblem(prob.operator, rule, dt)
-    coarse = CollocationProblem(cprob.operator, rule, dt)
+    pair = build_ci_pair(n)
+    fine = CollocationProblem(make(n, coefficient), rule, dt)
+    coarse = CollocationProblem(make(n // 2, coefficient), rule, dt)
     setup = TwoLevelSetup(fine, coarse, pair, l, qdelta=build_qdelta(rule, qdelta_kind))
     return rule, pair, fine, coarse, setup
 
@@ -68,9 +66,9 @@ def _hand_sdc_sweep(a, q, qdelta, dt, c, u):
 def test_criterion_01_sdc_equivalence():
     start = time.perf_counter()
     n, m, dt = 16, 3, 0.1
-    prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
+    op = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
     rule = QuadratureRule.radau_right(m)
-    cp = CollocationProblem(prob.operator, rule, dt)
+    cp = CollocationProblem(op, rule, dt)
     qd = build_qdelta(rule, "implicit-euler")
     p = sdc_preconditioner(cp, qd)
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
@@ -80,7 +78,7 @@ def test_criterion_01_sdc_equivalence():
     dev = 0.0
     for _ in range(10):
         u_a = richardson_step(p, cp.matrix, c, u_a)
-        u_b = _hand_sdc_sweep(prob.operator.materialize(), rule.q, qd, dt, c, u_b)
+        u_b = _hand_sdc_sweep(op.materialize(), rule.q, qd, dt, c, u_b)
         dev = max(dev, float(np.max(np.abs(u_a - u_b))))
     elapsed = time.perf_counter() - start
     assert dev < 1e-12
@@ -91,8 +89,8 @@ def test_criterion_01_sdc_equivalence():
 def test_criterion_02_mlsdc_equivalence():
     start = time.perf_counter()
     n, m, dt = 32, 3, 0.1
-    prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
-    rule, pair, fine, coarse, setup = _two_level(prob, m, 1, dt, "implicit-euler")
+    nu = 10.0 * (1.0 / n) ** 2 / dt
+    rule, pair, fine, coarse, setup = _two_level(make_diffusion, n, nu, m, 1, dt, "implicit-euler")
     rng = np.random.default_rng(12)
     c = rng.standard_normal(fine.dim)
     u = rng.standard_normal(fine.dim)
@@ -110,13 +108,12 @@ def test_criterion_03_pfasst_equivalence():
     start = time.perf_counter()
     n, m, l, dt, iterations = 128, 5, 4, 0.1, 10
     problems = [
-        make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt),
-        make_advection(n, 4.88e-3),
+        (make_diffusion, 10.0 * (1.0 / n) ** 2 / dt, "implicit-euler"),
+        (make_advection, 4.88e-3, "lu"),
     ]
     worst = 0.0
-    for prob in problems:
-        kind = "implicit-euler" if prob.kind == "diffusion" else "lu"
-        rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, kind)
+    for make, coefficient, kind in problems:
+        rule, pair, fine, coarse, setup = _two_level(make, n, coefficient, m, l, dt, kind)
         p_gs, p_j = setup.composite_preconditioners
         u0 = np.sin(2 * np.pi * np.arange(n) / n)
         rhs = np.zeros((l, m, n))
@@ -135,8 +132,8 @@ def test_criterion_03_pfasst_equivalence():
 def test_criterion_04_rigorous_block_transform():
     start = time.perf_counter()
     n, m, l, dt = 64, 3, 4, 0.1
-    prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
-    rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
+    nu = 10.0 * (1.0 / n) ** 2 / dt
+    rule, pair, fine, coarse, setup = _two_level(make_diffusion, n, nu, m, l, dt, "implicit-euler")
     t = oracles.iteration_matrix(setup)
     d = lfa.tc_decompose(setup)
     # the defective eigenvalues scatter under the dense eigensolver, so the
@@ -171,8 +168,8 @@ def test_criterion_05_transfer_transform():
 def test_criterion_06_norm_identity():
     start = time.perf_counter()
     n, m, l, dt = 64, 3, 4, 0.1
-    prob = make_diffusion(n, 10.0 * (1.0 / n) ** 2 / dt)
-    rule, pair, fine, coarse, setup = _two_level(prob, m, l, dt, "implicit-euler")
+    nu = 10.0 * (1.0 / n) ** 2 / dt
+    rule, pair, fine, coarse, setup = _two_level(make_diffusion, n, nu, m, l, dt, "implicit-euler")
     block_norm = lfa.tc_decompose(setup).norm
     full_norm = float(np.linalg.norm(oracles.iteration_matrix(setup), 2))
     rel = abs(block_norm - full_norm) / full_norm
@@ -268,6 +265,6 @@ def test_criterion_10_restriction_condition():
 
 def test_criterion_11_cfl_reproduction():
     cfg = ExperimentConfig(problem="advection", coefficient=4.88e-3)
-    cfl = build_context(cfg).fine.cfl(cfg.dt)
+    cfl = cfg.cfl
     assert cfl == 0.062464
     _report(11, "advection defaults reproduce the CFL number", f"cfl = {cfl}")

@@ -37,7 +37,7 @@ def test_collocation_rejects_nonpositive_dt():
 
 def test_collocation_apply_equals_dense_matrix_on_stacks():
     rule = QuadratureRule.radau_right(3)
-    op = make_diffusion(8, 0.05).operator
+    op = make_diffusion(8, 0.05)
     p = CollocationProblem(op, rule, 0.1)
     u = np.random.default_rng(1).standard_normal((2, 4, 3, 8))
     expected = (p.matrix @ u.reshape(8, 24).T).T.reshape(u.shape)
@@ -74,19 +74,19 @@ def test_spread_initial_tiles_nodes_and_intervals():
 
 @pytest.mark.parametrize("l", [1, 2, 4])
 def test_composite_matrix_equals_three_layer_assembly(l):
-    prob = make_diffusion(8, 1e-2)
+    op = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
-    p = CollocationProblem(prob.operator, rule, 0.1)
+    p = CollocationProblem(op, rule, 0.1)
     np.testing.assert_allclose(_composite_matrix(p, l), three_layer_matrix(p, l), atol=1e-14)
 
 
 def test_composite_solution_continues_single_interval_solution():
     # solving over L intervals equals solving interval-by-interval, passing
     # the last node value forward
-    prob = make_diffusion(8, 1e-2)
+    op = make_diffusion(8, 1e-2)
     rule = QuadratureRule.radau_right(3)
     dt, l = 0.1, 3
-    p = CollocationProblem(prob.operator, rule, dt)
+    p = CollocationProblem(op, rule, dt)
     u0 = np.sin(2 * np.pi * np.arange(8) / 8)
     rhs = np.zeros((l, p.dim))
     rhs[0] = spread_initial(u0, 3)
@@ -102,5 +102,5 @@ def test_composite_needs_at_least_one_interval():
     # the composite matrix assumes l >= 1; ExperimentConfig refuses l = 0, and l = 1 is one interval's matrix
     with pytest.raises(ConfigurationError, match="must be >= 1, got 0"):
         ExperimentConfig(problem="diffusion", mu=10.0, l=0)
-    p = CollocationProblem(make_diffusion(8, 1e-2).operator, QuadratureRule.radau_right(2), 0.1)
+    p = CollocationProblem(make_diffusion(8, 1e-2), QuadratureRule.radau_right(2), 0.1)
     np.testing.assert_array_equal(_composite_matrix(p, 1), p.matrix)

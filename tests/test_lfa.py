@@ -10,14 +10,14 @@ import pytest
 
 import clusters
 import oracles
-from pfasst_lfa import lfa
+from pfasst_lfa import lfa, solvers
 from pfasst_lfa.analysis import ExperimentConfig, build_context, tc_similarity_residual
 from pfasst_lfa.collocation import CollocationProblem
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import convolved, scaled, sort_eigenvalues
 from pfasst_lfa.quadrature import QuadratureRule, build_qdelta
 from pfasst_lfa.solvers import TwoLevelSetup
-from pfasst_lfa.space_operators import CirculantOperator, coarsen, make_advection, make_diffusion
+from pfasst_lfa.space_operators import CirculantOperator, make_advection, make_diffusion
 from pfasst_lfa.transfer import build_ci_pair, harmonic_diagonals
 
 
@@ -27,9 +27,9 @@ def _setup(op_f, op_c, m, l, dt, qdelta_kind="implicit-euler"):
     return TwoLevelSetup(fine, coarse, build_ci_pair(op_f.n), l, qdelta=build_qdelta(rule, qdelta_kind))
 
 
-def _assemble(prob, m, l, dt, qdelta_kind):
-    """The setup of a model problem and its coarsening; it builds T's first block column on first use."""
-    return _setup(prob.operator, coarsen(prob).operator, m, l, dt, qdelta_kind)
+def _assemble(make, n, coefficient, m, l, dt, qdelta_kind):
+    """The setup of ``make``'s operator on n and on n/2 points; it builds T's first block column on first use."""
+    return _setup(make(n, coefficient), make(n // 2, coefficient), m, l, dt, qdelta_kind)
 
 
 def _eigenvalues(d):
@@ -41,8 +41,7 @@ def _eigenvalues(d):
     [(make_diffusion, "implicit-euler"), (make_advection, "lu")],
 )
 def test_tc_action_equals_full_matrix(make, qdelta_kind):
-    prob = make(16, 5e-3)
-    setup = _assemble(prob, 3, 4, 0.1, qdelta_kind)
+    setup = _assemble(make, 16, 5e-3, 3, 4, 0.1, qdelta_kind)
     t = oracles.iteration_matrix(setup)
     d = lfa.tc_decompose(setup)
     rng = np.random.default_rng(1)
@@ -52,8 +51,7 @@ def test_tc_action_equals_full_matrix(make, qdelta_kind):
 
 
 def test_transform_is_unitary_and_invertible():
-    prob = make_diffusion(16, 5e-3)
-    setup = _assemble(prob, 3, 2, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, 3, 2, 0.1, "implicit-euler")
     for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(2 * 3 * 16) + 1j * rng.standard_normal(2 * 3 * 16)
@@ -66,8 +64,7 @@ def test_transform_is_unitary_and_invertible():
 
 @pytest.mark.parametrize("l", [1, 3])
 def test_transform_round_trip_is_unitary(l):
-    prob = make_advection(16, 4.88e-3)
-    setup = _assemble(prob, 2, l, 0.1, "lu")
+    setup = _assemble(make_advection, 16, 4.88e-3, 2, l, 0.1, "lu")
     rng = np.random.default_rng(5)
     # the transform is defined at l = 1 in both modes, though c blocks are not
     for meta in (lfa.tc_decompose(setup).meta, lfa.TransformMeta(mode="c", n=16, l=l, m=2)):
@@ -80,8 +77,7 @@ def test_transform_round_trip_is_unitary(l):
 
 
 def test_rows_select_exactly_the_blocks_of_the_given_harmonics():
-    prob = make_diffusion(16, 5e-3)
-    setup = _assemble(prob, 3, 3, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, 3, 3, 0.1, "implicit-euler")
     for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         rows = d.meta.rows({2, 5})
         np.testing.assert_array_equal(rows, [i for i, idx in enumerate(d.meta.block_index()) if idx[0] in (2, 5)])
@@ -94,8 +90,7 @@ def test_rows_select_exactly_the_blocks_of_the_given_harmonics():
     [(make_diffusion, "implicit-euler", 4), (make_advection, "lu", 3), (make_diffusion, "lu", 7)],
 )
 def test_batched_kernel_equals_one_pair_at_a_time(make, qdelta_kind, l):
-    prob = make(32, 5e-3)
-    setup = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    setup = _assemble(make, 32, 5e-3, 3, l, 0.1, qdelta_kind)
     tc = lfa.tc_decompose(setup)
     assert isinstance(tc.blocks, np.ndarray) and tc.blocks.shape == (16, 6 * l, 6 * l)
     shift = np.eye(l, k=-1)[None]
@@ -128,8 +123,7 @@ def _mirror_row(meta, k, j):
     [(make_diffusion, 1e-2, "implicit-euler"), (make_advection, 4.88e-3, "lu")],
 )
 def test_mirror_blocks_have_equal_power_norms(make, coefficient, qdelta_kind):
-    prob = make(32, coefficient)
-    setup = _assemble(prob, 3, 4, 0.1, qdelta_kind)
+    setup = _assemble(make, 32, coefficient, 3, 4, 0.1, qdelta_kind)
     k_max = 20
     for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         dim = d.meta.block_dim // 2
@@ -158,8 +152,7 @@ def test_transfer_diagonals_are_real_up_to_round_off(n):
 
 @pytest.mark.parametrize("l,qdelta_kind", [(1, "implicit-euler"), (4, "lu"), (7, "implicit-euler")])
 def test_symmetric_stencil_tc_blocks_are_real_and_flagged(l, qdelta_kind):
-    prob = make_diffusion(32, 5e-3)
-    setup = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    setup = _assemble(make_diffusion, 32, 5e-3, 3, l, 0.1, qdelta_kind)
     assert lfa._symmetric_stencil(setup.fine.operator) and lfa._symmetric_stencil(setup.coarse.operator)
     tc = lfa.tc_decompose(setup)
     assert tc.conjugate_symmetric
@@ -180,7 +173,7 @@ def test_symmetric_stencil_tc_blocks_are_real_and_flagged(l, qdelta_kind):
 @pytest.mark.parametrize("l,qdelta_kind", [(1, "implicit-euler"), (4, "lu"), (7, "implicit-euler")])
 def test_symmetric_stencil_tc_spectra_are_closed_under_conjugation(l, qdelta_kind):
     # the real eigensolver returns complex eigenvalues in exact conjugate pairs
-    vals = lfa.tc_decompose(_assemble(make_diffusion(32, 5e-3), 3, l, 0.1, qdelta_kind)).eigenvalues
+    vals = lfa.tc_decompose(_assemble(make_diffusion, 32, 5e-3, 3, l, 0.1, qdelta_kind)).eigenvalues
     assert np.any(vals.imag != 0)
     for row in vals:
         assert np.array_equal(sort_eigenvalues(row.conj()), row)
@@ -191,7 +184,7 @@ def test_tc_decompose_holds_one_stack(make, coefficient):
     # 64 blocks of 24 x 24: the per-pair temporaries are a few blocks, so the
     # peak stays near the stored stack; a complex stack converted to its real
     # part afterwards would peak at three times the real stack
-    setup = _assemble(make(128, coefficient), 3, 4, 0.1, "lu")
+    setup = _assemble(make, 128, coefficient, 3, 4, 0.1, "lu")
     tracemalloc.start()
     try:
         d = lfa.tc_decompose(setup)
@@ -203,7 +196,7 @@ def test_tc_decompose_holds_one_stack(make, coefficient):
 
 
 def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():
-    setup = _assemble(make_advection(32, 4.88e-3), 3, 4, 0.1, "lu")
+    setup = _assemble(make_advection, 32, 4.88e-3, 3, 4, 0.1, "lu")
     tc = lfa.tc_decompose(setup)
     assert not tc.conjugate_symmetric
     assert not lfa.c_decompose(setup).conjugate_symmetric
@@ -220,7 +213,7 @@ def test_conjugate_symmetry_flag_is_false_without_symmetric_stencils():
     "make,coefficient,qdelta_kind", [(make_diffusion, 5e-3, "implicit-euler"), (make_advection, 4.88e-3, "lu")]
 )
 def test_conjugate_time_frequencies_give_conjugate_c_blocks_for_symmetric_stencils(make, coefficient, qdelta_kind, l):
-    d = lfa.c_decompose(_assemble(make(32, coefficient), 3, l, 0.1, qdelta_kind))
+    d = lfa.c_decompose(_assemble(make, 32, coefficient, 3, l, 0.1, qdelta_kind))
     symmetric = make is make_diffusion
     assert d.conjugate_symmetric == symmetric
     blocks = d.blocks.reshape(16, l, *d.blocks.shape[1:])
@@ -239,7 +232,7 @@ def test_conjugate_time_frequencies_give_conjugate_c_blocks_for_symmetric_stenci
 )
 def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n, l, m, visited):
     # (N/4 + 1) mirror-representative pairs, each with the built time frequencies 1..L-1, only 1..L/2 if conjugate-symmetric
-    d = lfa.c_decompose(_assemble(make(n, 5e-3), m, l, 0.1, "implicit-euler"))
+    d = lfa.c_decompose(_assemble(make, n, 5e-3, m, l, 0.1, "implicit-euler"))
     rows = []
     original = lfa.scaled
 
@@ -258,8 +251,7 @@ def test_c_norm_kernel_visits_one_block_per_symmetry_orbit(monkeypatch, make, n,
 @pytest.mark.parametrize("make,qdelta_kind", [(make_diffusion, "implicit-euler"), (make_advection, "lu")])
 def test_block_power_norms_match_matrix_power(make, qdelta_kind, l):
     # the mirror and conjugate representatives carry the SVD norms of every block's powers
-    prob = make(32, 5e-3)
-    setup = _assemble(prob, 3, l, 0.1, qdelta_kind)
+    setup = _assemble(make, 32, 5e-3, 3, l, 0.1, qdelta_kind)
     k_max = 12
     for d in (lfa.tc_decompose(setup), lfa.c_decompose(setup)):
         norms = lfa.block_power_norms(d, k_max)
@@ -271,8 +263,7 @@ def test_block_power_norms_match_matrix_power(make, qdelta_kind, l):
 
 
 def test_tc_eigenvalues_match_full_spectrum_via_clusters():
-    prob = make_diffusion(16, 5e-3)
-    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, 3, 4, 0.1, "implicit-euler")
     d = lfa.tc_decompose(setup)
     dist = clusters.matched_cluster_distance(np.linalg.eigvals(oracles.iteration_matrix(setup)), _eigenvalues(d))
     assert dist < 1e-8
@@ -284,7 +275,7 @@ def test_tc_eigenvalues_match_full_spectrum_via_clusters():
 )
 def test_tc_similarity_residual_detects_one_changed_entry(make, coefficient, qdelta_kind):
     n, m, l, delta = 16, 3, 4, 1e-9
-    setup = _assemble(make(n, coefficient), m, l, 0.1, qdelta_kind)
+    setup = _assemble(make, n, coefficient, m, l, 0.1, qdelta_kind)
     column, d = setup.iteration_column, lfa.tc_decompose(setup)
     scale = max(np.max(np.abs(column)), 1.0)
     assert tc_similarity_residual(column, d) <= 1e-14
@@ -311,7 +302,7 @@ def test_tc_similarity_residual_per_interval_has_the_bits_of_one_pass(make, coef
     # one fft/ifft pair per interval of T's column against one pair over the whole column: the same transforms
     # of every line, so the same residual bit for bit, with real (diffusion) and complex (advection) tc blocks,
     # and with one tc block entry changed, where the residual is no longer round-off
-    setup = _assemble(make(16, coefficient), 3, l, 0.1, qdelta_kind)
+    setup = _assemble(make, 16, coefficient, 3, l, 0.1, qdelta_kind)
     column, d = setup.iteration_column, lfa.tc_decompose(setup)
     blocks = d.blocks.copy()
     blocks[3, 1, 2] += 1e-9
@@ -336,7 +327,7 @@ def test_tc_blocks_are_block_lower_triangular_over_intervals(make, coefficient, 
     # each diagonal 2M x 2M block is the L = 1 tc block, so the spectrum is
     # the L = 1 spectrum with multiplicity L.
     l, m = 4, 3
-    setup = _assemble(make(16, coefficient), m, l, 0.1, qdelta_kind)
+    setup = _assemble(make, 16, coefficient, m, l, 0.1, qdelta_kind)
     d = lfa.tc_decompose(setup)
     one = lfa.tc_decompose(replace(setup, l=1))
     blocks = _interval_blocks(d, l, m)
@@ -363,7 +354,7 @@ def test_tc_blocks_are_leading_sections_of_one_block_toeplitz_operator(make, coe
     # the 2L block is the L block: the tc block of every L is a section of one
     # causal block Toeplitz operator per harmonic pair.
     m = 3
-    setup = _assemble(make(32, coefficient), m, l, 0.1, qdelta_kind)
+    setup = _assemble(make, 32, coefficient, m, l, 0.1, qdelta_kind)
     blocks = _interval_blocks(lfa.tc_decompose(setup), l, m)
     for i in range(l):
         for j in range(i + 1):
@@ -372,9 +363,59 @@ def test_tc_blocks_are_leading_sections_of_one_block_toeplitz_operator(make, coe
     np.testing.assert_allclose(double[:, :l, :, :l], blocks, rtol=0, atol=1e-14)
 
 
+# Dense eigvals of a tc block scatter around eig(C_0), each eigenvalue an L-fold Jordan chain, by up to
+# (eps ||B||)^(1/L): measured at most 0.37 of it at n = 32, 64 and L = 4, 8, 16 on both problems (0.70 at L = 2).
+# At L = 1 the block is C_0 itself and the distance is C_0's own conditioning (a double zero eigenvalue on
+# diffusion): at most 5.03 eps ||B|| at M = 3 and 11.0 at M = 5.
+TC_SCATTER_MULTIPLE = 2.0
+TC_SCATTER_MULTIPLE_L1 = 20.0
+
+
+@pytest.fixture(scope="module")
+def one_interval_mlsdc_rho():
+    """rho of the dense one-interval MLSDC iteration matrix at n = 32, M = 3, per problem."""
+    rho = {}
+    for problem, coefficient in (("diffusion", {"mu": 10.0}), ("advection", {"coefficient": 0.02})):
+        setup = build_context(ExperimentConfig(problem=problem, n=32, m=3, l=1, **coefficient)).setup
+        pf, pc = (solvers.sdc_preconditioner(level, setup.qdelta) for level in (setup.fine, setup.coarse))
+        t = solvers.mlsdc_iteration_matrix(pf, pc, setup.pair, setup.fine.matrix)
+        rho[problem] = float(np.abs(np.linalg.eigvals(t)).max())
+    return rho
+
+
+@pytest.mark.parametrize("l", [1, 4, 8, 16])
+@pytest.mark.parametrize(
+    "problem,coefficient,rho",
+    [("diffusion", {"mu": 10.0}, 0.416710), ("advection", {"coefficient": 0.02}, 0.016991)],
+    ids=["diffusion", "advection"],
+)
+def test_tc_spectrum_is_the_one_interval_block_repeated(one_interval_mlsdc_rho, problem, coefficient, rho, l):
+    # C_0, a pair's leading 2M x 2M interval block, is every diagonal interval block of its tc block, which is
+    # block lower triangular; so the exact tc spectrum is eig(C_0) L-fold, its rate is one-interval MLSDC's at
+    # every L, and the dense eigvals of the tc block lie within the Jordan-chain scatter radius of eig(C_0).
+    m = 3
+    setup = build_context(ExperimentConfig(problem=problem, n=32, m=m, l=l, **coefficient)).setup
+    d = lfa.tc_decompose(setup)
+    blocks = _interval_blocks(d, l, m)
+    pair_c0 = lfa._pair_blocks(setup, np.zeros((1, 1, 1)))
+    dense = np.linalg.eigvals(d.blocks)
+    multiple = TC_SCATTER_MULTIPLE_L1 if l == 1 else TC_SCATTER_MULTIPLE
+    rho_c0 = 0.0
+    for k in range(len(d.blocks)):
+        c0 = pair_c0(k)[0]
+        for i in range(l):
+            assert np.abs(blocks[k, i, :, i] - c0).max() <= 1e-12 * np.abs(c0).max()
+            assert not blocks[k, i, :, i + 1 :].any()
+        exact = np.linalg.eigvals(c0)
+        rho_c0 = max(rho_c0, np.abs(exact).max())
+        radius = (np.finfo(float).eps * np.linalg.norm(d.blocks[k], 2)) ** (1 / l)
+        assert np.abs(dense[k][:, None] - exact).min(axis=1).max() <= multiple * radius
+    assert rho_c0 == pytest.approx(one_interval_mlsdc_rho[problem], rel=1e-12, abs=0)
+    assert rho_c0 == pytest.approx(rho, abs=5e-7)
+
+
 def test_tc_norm_identity():
-    prob = make_diffusion(16, 5e-3)
-    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, 3, 4, 0.1, "implicit-euler")
     t = oracles.iteration_matrix(setup)
     d = lfa.tc_decompose(setup)
     assert d.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-10)
@@ -382,8 +423,7 @@ def test_tc_norm_identity():
 
 
 def test_block_power_norm_reduces_to_norm_and_identity():
-    prob = make_diffusion(16, 5e-3)
-    d = lfa.tc_decompose(_assemble(prob, 3, 2, 0.1, "implicit-euler"))
+    d = lfa.tc_decompose(_assemble(make_diffusion, 16, 5e-3, 3, 2, 0.1, "implicit-euler"))
     assert lfa.block_power_norms(d, 0)[0] == pytest.approx(1.0)
     assert lfa.block_power_norms(d, 1)[1] == pytest.approx(d.norm, rel=1e-12)
 
@@ -412,9 +452,8 @@ def test_full_mode_is_the_first_block_column_as_one_block():
 
 
 def test_identity_block_spectra_and_power_norms_match_the_matrix():
-    prob = make_diffusion(16, 5e-3)
     n, m, l = 16, 3, 2
-    setup = _assemble(prob, m, l, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, m, l, 0.1, "implicit-euler")
     t = oracles.iteration_matrix(setup)
     d = lfa.BlockDecomposition(setup.iteration_column[None], lfa.TransformMeta("full", n, l, m))
     np.testing.assert_array_equal(d.meta.block_index(), [[-1, -1]])
@@ -487,8 +526,7 @@ def test_c_blocks_action_matches_periodic_oracle():
 
 
 def test_c_decompose_zeroes_constant_time_frequency():
-    prob = make_diffusion(16, 5e-3)
-    d = lfa.c_decompose(_assemble(prob, 3, 4, 0.1, "implicit-euler"))
+    d = lfa.c_decompose(_assemble(make_diffusion, 16, 5e-3, 3, 4, 0.1, "implicit-euler"))
     for block, idx in zip(d.blocks, d.meta.block_index()):
         if idx[1] == 0:
             np.testing.assert_array_equal(block, 0.0)
@@ -513,8 +551,7 @@ def test_c_decompose_raises_on_a_singular_block():
 
 
 def test_block_indexing_and_dimensions():
-    prob = make_diffusion(16, 5e-3)
-    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, 3, 4, 0.1, "implicit-euler")
     tc = lfa.tc_decompose(setup)
     assert len(tc.blocks) == 8
     assert all(b.shape == (24, 24) for b in tc.blocks)
@@ -526,8 +563,7 @@ def test_block_indexing_and_dimensions():
 
 
 def test_matched_cluster_distance_detects_mutation():
-    prob = make_diffusion(16, 5e-3)
-    setup = _assemble(prob, 3, 4, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, 3, 4, 0.1, "implicit-euler")
     d_bad = lfa.tc_decompose(replace(setup, qdelta=-setup.qdelta))
     dist = clusters.matched_cluster_distance(np.linalg.eigvals(oracles.iteration_matrix(setup)), _eigenvalues(d_bad))
     assert dist > 1e-8
@@ -538,8 +574,8 @@ def _stencil_family(family: str, n: int):
     if family == "complex-scale":
         stencil = {-1: 1.0, 0: -2.0, 1: 1.0}
         return tuple(CirculantOperator(n=k, stencil=stencil, scale=0.3 + 0.1j) for k in (n, n // 2))
-    prob = (make_diffusion if family.startswith("diffusion") else make_advection)(n, 5e-3)
-    return prob.operator, coarsen(prob).operator
+    make = make_diffusion if family.startswith("diffusion") else make_advection
+    return make(n, 5e-3), make(n // 2, 5e-3)
 
 
 @pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
@@ -566,7 +602,7 @@ def test_chunked_norms_equal_the_pairwise_oracle(monkeypatch, decompose, family,
 
 
 def test_chunked_norms_of_the_full_block_equal_the_oracle():
-    column = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu").iteration_column
+    column = _assemble(make_advection, 16, 4.88e-3, 3, 2, 0.1, "lu").iteration_column
     d = lfa.BlockDecomposition(column[None], lfa.TransformMeta("full", 16, 2, 3))
     expected = oracles.pairwise_power_norms(d, 4)
     assert np.array_equal(lfa.block_power_norms(d, 4), expected)
@@ -631,7 +667,7 @@ def test_matched_cluster_distance_equals_per_tolerance_recomputation():
         fresh = [(int(np.sum(labels == c)), complex(a[labels == c].mean())) for c in np.unique(labels)]
         assert clusters._clusters(a, tree, tol) == fresh
     # and on a real pair of spectra
-    setup = _assemble(make_diffusion(16, 5e-3), 3, 4, 0.1, "implicit-euler")
+    setup = _assemble(make_diffusion, 16, 5e-3, 3, 4, 0.1, "implicit-euler")
     full, blocks = np.linalg.eigvals(oracles.iteration_matrix(setup)), _eigenvalues(lfa.tc_decompose(setup))
     assert clusters.matched_cluster_distance(full, blocks, tols) == min(
         clusters.matched_cluster_distance(full, blocks, (tol,)) for tol in tols
@@ -649,7 +685,7 @@ def test_certified_norms_of_two_chunk_stacks_equal_the_oracle(
     # is too small for the Frobenius bound and is certified at every k >= 2, and
     # half the block is settled by its Frobenius norm at every k >= 2
     l, m, k_max = 2, 3, 6
-    block = lfa.tc_decompose(_assemble(make(16, 5e-3), m, l, 0.1, qdelta_kind)).blocks[1]
+    block = lfa.tc_decompose(_assemble(make, 16, 5e-3, m, l, 0.1, qdelta_kind)).blocks[1]
     d = lfa.BlockDecomposition(np.stack([block, factor * block]), lfa.TransformMeta("tc", 4, l, m))
     monkeypatch.setattr(lfa, "NORM_CHUNK_ENTRIES", block.size)
     expected = oracles.pairwise_power_norms(d, k_max)
@@ -736,7 +772,7 @@ def test_a_one_chunk_c_stack_solves_its_largest_frobenius_block_alone_first(monk
     # the 27 representative 6 x 6 c blocks of advection n = 32, L = 4 fit one chunk: at each k >= 2 the
     # block of the largest Frobenius norm takes a one-block Gram first, and the Frobenius bound settles
     # most of the other 26 before their Gram
-    d = lfa.c_decompose(_assemble(make_advection(32, 0.02), 3, 4, 0.1, "lu"))
+    d = lfa.c_decompose(_assemble(make_advection, 32, 0.02, 3, 4, 0.1, "lu"))
     k_max = 8
     assert len(list(d.norm_chunks())) == 1 and d.norm > 0
     expected = oracles.pairwise_power_norms(d, k_max)
@@ -811,7 +847,7 @@ def test_spectrum_chunks_keep_more_rows_than_eigvals_holds_the_gil_for(dim):
     ],
 )
 def test_chunked_spectra_equal_one_batched_call(make, coefficient, mode, m, l, chunks):
-    d = getattr(lfa, f"{mode}_decompose")(_assemble(make(64, coefficient), m, l, 0.1, "lu"))
+    d = getattr(lfa, f"{mode}_decompose")(_assemble(make, 64, coefficient, m, l, 0.1, "lu"))
     assert len(lfa.spectrum_chunks(*d.blocks.shape[:2])) == chunks
     assert np.array_equal(lfa.block_spectra(d), sort_eigenvalues(np.linalg.eigvals(d.blocks)))
     assert d.eigvals_chunks == {"chunks": chunks, "main_thread": chunks}  # no futures: every chunk solved here
@@ -823,7 +859,7 @@ def test_chunked_spectra_equal_one_batched_call(make, coefficient, mode, m, l, c
 
 def test_block_spectra_solves_the_chunks_the_worker_has_not_started_and_joins_the_rest():
     # three chunks: one the worker has solved, one still queued (cancelled and solved here), one never handed over
-    d = lfa.tc_decompose(_assemble(make_diffusion(64, 0.05), 3, 16, 0.1, "lu"))
+    d = lfa.tc_decompose(_assemble(make_diffusion, 64, 0.05, 3, 16, 0.1, "lu"))
     rows = [d.blocks[chunk] for chunk in lfa.spectrum_chunks(*d.blocks.shape[:2])]
     done, queued = Future(), Future()
     done.set_result(np.linalg.eigvals(rows[0]))
@@ -848,7 +884,7 @@ class _RecordingWorker:
 @pytest.mark.parametrize("mode", ["tc", "c"])
 def test_decompose_hands_over_each_chunk_once_it_is_built(mode):
     # the views come in row order, and each already holds its final blocks
-    setup = _assemble(make_advection(64, 0.02), 3, 16, 0.1, "lu")
+    setup = _assemble(make_advection, 64, 0.02, 3, 16, 0.1, "lu")
     worker = _RecordingWorker()
     d = getattr(lfa, f"{mode}_decompose")(setup, worker)
     chunks = lfa.spectrum_chunks(*d.blocks.shape[:2])
@@ -865,7 +901,7 @@ def test_decompose_hands_over_each_chunk_once_it_is_built(mode):
 def test_toeplitz_norm_equals_the_svd_norm_of_the_assembled_matrix(make, qdelta_kind, l):
     # Lanczos on X^H X from X's first block column against the SVD of the assembled X: T's column and T^3's
     # (real), and a complex column, T's plus i times a Gaussian one, whose X^H needs the conjugate
-    column = _assemble(make(16, 5e-3), 3, l, 0.1, qdelta_kind).iteration_column
+    column = _assemble(make, 16, 5e-3, 3, l, 0.1, qdelta_kind).iteration_column
     w = column.shape[1]
     noise = np.random.default_rng(l).standard_normal(column.shape)
     for x in (column, convolved(convolved(column, column), column), column + 0.5j * noise):
@@ -877,7 +913,7 @@ def test_toeplitz_norm_equals_the_svd_norm_of_the_assembled_matrix(make, qdelta_
 def test_block_convolution_equals_the_pairwise_sums_bit_for_bit(l):
     # one stacked product per block of the left operand adds into each block in the order of the pairwise loop:
     # T's column times itself, a real and a complex vector, and a complex column times T's
-    column = _assemble(make_advection(16, 4.88e-3), 3, l, 0.1, "lu").iteration_column
+    column = _assemble(make_advection, 16, 4.88e-3, 3, l, 0.1, "lu").iteration_column
     x = np.random.default_rng(l).standard_normal((2, len(column)))
     complex_column = column + 1j * np.random.default_rng(l).standard_normal(column.shape)
     for a, b in ((column, column), (column, x[0]), (column, x[0] + 1j * x[1]), (complex_column, column)):
@@ -898,7 +934,7 @@ def test_toeplitz_norm_of_a_circulant_column_reaches_past_the_constant_subspace(
 def test_toeplitz_norm_of_round_off_powers(l):
     # at M = 1 the blocks are nilpotent to round-off: T^k's norms fall to 1e-30 and below, and the scaled
     # column keeps them relative to the SVD of the scaled matrix
-    column = _assemble(make_advection(16, 6.25e-4), 1, l, 0.1, "lu").iteration_column
+    column = _assemble(make_advection, 16, 6.25e-4, 1, l, 0.1, "lu").iteration_column
     power = column
     for k in range(1, 7):
         scale, x = scaled(power[None])
@@ -911,7 +947,7 @@ def test_toeplitz_norm_of_round_off_powers(l):
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_a_non_finite_column_has_a_nan_toeplitz_norm(value):
-    column = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu").iteration_column.copy()
+    column = _assemble(make_advection, 16, 4.88e-3, 3, 2, 0.1, "lu").iteration_column.copy()
     column[-1, 0] = value
     assert np.isnan(lfa.toeplitz_norm2(column))
     d = lfa.BlockDecomposition(column[None], lfa.TransformMeta("full", 16, 2, 3))
@@ -920,7 +956,7 @@ def test_a_non_finite_column_has_a_nan_toeplitz_norm(value):
 
 
 def test_full_decompose_holds_the_iteration_column_as_its_one_block():
-    setup = _assemble(make_advection(16, 4.88e-3), 3, 2, 0.1, "lu")
+    setup = _assemble(make_advection, 16, 4.88e-3, 3, 2, 0.1, "lu")
     d = lfa.full_decompose(setup)
     assert d.meta == lfa.TransformMeta("full", 16, 2, 3) and d.handed == []
     column = setup.iteration_column

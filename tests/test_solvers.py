@@ -24,7 +24,6 @@ from pfasst_lfa.solvers import (
 )
 from pfasst_lfa.space_operators import (
     CirculantOperator,
-    coarsen,
     make_advection,
     make_diffusion,
 )
@@ -33,18 +32,24 @@ from pfasst_lfa.transfer import build_ci_pair, node_propagation
 EPS = np.finfo(float).eps
 
 
+def _nu(n, dt=0.1):
+    """The diffusion coefficient of mesh ratio mu = 10."""
+    return 10.0 * (1.0 / n) ** 2 / dt
+
+
 def _small_problem(n=16, m=3, dt=0.1, nu=None):
-    nu = 10.0 * (1.0 / n) ** 2 / dt if nu is None else nu
-    prob = make_diffusion(n, nu)
+    """The coefficient, the Radau rule and the collocation problem of diffusion on n points."""
+    nu = _nu(n, dt) if nu is None else nu
     rule = QuadratureRule.radau_right(m)
-    return prob, rule, CollocationProblem(prob.operator, rule, dt)
+    return nu, rule, CollocationProblem(make_diffusion(n, nu), rule, dt)
 
 
-def _setup(prob, m, l, kind="implicit-euler", dt=0.1):
-    """The two-level setup of ``prob`` and its coarsening, on one Radau rule."""
+def _setup(make, n, coefficient, m, l, kind="implicit-euler", dt=0.1):
+    """The two-level setup of ``make``'s operator on n and on n/2 points, on one Radau rule."""
     rule = QuadratureRule.radau_right(m)
-    fine, coarse = CollocationProblem(prob.operator, rule, dt), CollocationProblem(coarsen(prob).operator, rule, dt)
-    return TwoLevelSetup(fine, coarse, build_ci_pair(prob.n), l, qdelta=build_qdelta(rule, kind))
+    fine = CollocationProblem(make(n, coefficient), rule, dt)
+    coarse = CollocationProblem(make(n // 2, coefficient), rule, dt)
+    return TwoLevelSetup(fine, coarse, build_ci_pair(n), l, qdelta=build_qdelta(rule, kind))
 
 
 def _first_interval_rhs(u0, m, l):
@@ -57,7 +62,7 @@ def _first_interval_rhs(u0, m, l):
 @pytest.mark.parametrize("coupled", [False, True], ids=["jacobi", "gauss-seidel"])
 @pytest.mark.parametrize("l", [1, 3])
 def test_preconditioner_solve_matches_dense_solve(l, coupled):
-    prob, rule, cp = _small_problem(n=8)
+    _, rule, cp = _small_problem(n=8)
     p = sdc_preconditioner(cp, build_qdelta(rule, "implicit-euler"))
     coupling = node_propagation(rule.m) if coupled else None
     # oracles: the kron block Jacobi and the dense block lower-bidiagonal Gauss-Seidel
@@ -94,7 +99,7 @@ def test_preconditioner_refuses_rows_that_do_not_split_into_l_blocks(coupling):
 @pytest.mark.parametrize("kind", ["implicit-euler", "lu"])
 def test_node_sweep_equals_dense_preconditioner(kind, make, coefficient, complex_stack):
     rule = QuadratureRule.radau_right(3)
-    cp = CollocationProblem(make(8, coefficient).operator, rule, 0.1)
+    cp = CollocationProblem(make(8, coefficient), rule, 0.1)
     qd = build_qdelta(rule, kind)
     rng = np.random.default_rng(3)
     r = rng.standard_normal((2, 4, 3, 8))
@@ -110,10 +115,9 @@ def test_node_sweep_equals_dense_preconditioner(kind, make, coefficient, complex
     "make,coefficient,kind", [(make_diffusion, 0.05, "implicit-euler"), (make_advection, 0.5, "lu")]
 )
 def test_node_sweep_condition_is_the_pivot_spread_of_each_stencil(make, coefficient, kind):
-    prob = make(16, coefficient)
-    setup = _setup(prob, 3, 2, kind)
-    for level, sweep in ((prob, setup.fine_sweep), (coarsen(prob), setup.coarse_sweep)):
-        pivots = np.abs(1.0 - 0.1 * np.outer(np.diag(setup.qdelta), level.operator.symbol(np.arange(level.n))))
+    setup = _setup(make, 16, coefficient, 3, 2, kind)
+    for level, sweep in ((make(16, coefficient), setup.fine_sweep), (make(8, coefficient), setup.coarse_sweep)):
+        pivots = np.abs(1.0 - 0.1 * np.outer(np.diag(setup.qdelta), level.symbol(np.arange(level.n))))
         assert sweep.condition == pytest.approx(pivots.max() / pivots.min(), rel=1e-13)
 
 
@@ -126,7 +130,7 @@ def test_node_sweep_rejects_singular_node_factor():
 
 
 def test_sdc_sweeps_converge_to_collocation_solution():
-    prob, rule, cp = _small_problem()
+    _, rule, cp = _small_problem()
     qd = build_qdelta(rule, "implicit-euler")
     p = sdc_preconditioner(cp, qd)
     u0 = np.sin(2 * np.pi * np.arange(16) / 16)
@@ -139,7 +143,7 @@ def test_sdc_sweeps_converge_to_collocation_solution():
 
 
 def test_sdc_iteration_matrix_consistent_with_step():
-    prob, rule, cp = _small_problem(n=8)
+    _, rule, cp = _small_problem(n=8)
     qd = build_qdelta(rule, "lu")
     p = sdc_preconditioner(cp, qd)
     t = sdc_iteration_matrix(p, cp.matrix)
@@ -154,8 +158,8 @@ def test_sdc_iteration_matrix_consistent_with_step():
 
 def test_mlsdc_step_equals_explicit_preconditioner_formula():
     n, m, dt = 32, 3, 0.1
-    prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = CollocationProblem(coarsen(prob).operator, rule, dt)
+    nu, rule, fine = _small_problem(n=n, m=m, dt=dt)
+    coarse = CollocationProblem(make_diffusion(n // 2, nu), rule, dt)
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
@@ -171,8 +175,8 @@ def test_mlsdc_step_equals_explicit_preconditioner_formula():
 
 def test_mlsdc_iteration_matrix_consistent_with_step():
     n, m, dt = 32, 3, 0.1
-    prob, rule, fine = _small_problem(n=n, m=m, dt=dt)
-    coarse = CollocationProblem(coarsen(prob).operator, rule, dt)
+    nu, rule, fine = _small_problem(n=n, m=m, dt=dt)
+    coarse = CollocationProblem(make_diffusion(n // 2, nu), rule, dt)
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
@@ -189,8 +193,8 @@ def test_mlsdc_iteration_matrix_consistent_with_step():
 def test_mlsdc_step_rejects_broken_restriction_condition():
     # a pair whose restriction no longer projects the last node correctly
     n, m = 16, 3
-    prob, rule, fine = _small_problem(n=n, m=m)
-    coarse = CollocationProblem(coarsen(prob).operator, rule, 0.1)
+    nu, rule, fine = _small_problem(n=n, m=m)
+    coarse = CollocationProblem(make_diffusion(n // 2, nu), rule, 0.1)
     pair = build_ci_pair(n)
     qd = build_qdelta(rule, "implicit-euler")
     pf = sdc_preconditioner(fine, qd)
@@ -224,7 +228,7 @@ def test_lifted_transfer_commutes_with_node_propagation(l):
 
 def test_composite_mlsdc_step_matches_iteration_operator():
     n, m, l = 16, 3, 4
-    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    setup = _setup(make_diffusion, n, _nu(n), m, l)
     p_gs, p_j = setup.composite_preconditioners
     rhs = _first_interval_rhs(np.sin(2 * np.pi * np.arange(n) / n), m, l)
     t = oracles.iteration_matrix(setup)
@@ -240,7 +244,7 @@ def test_composite_mlsdc_step_matches_iteration_operator():
 def test_mlsdc_step_from_m_column_equals_the_step_with_the_dense_m(make, kind, l):
     # M u by block convolution with M's first block column against the dense oracle M (a one-block column, whose
     # product is M @ u), on a real and a complex iterate; the inner sums differ in order, so to round-off
-    setup = _setup(make(16, 5e-3), 3, l, kind)
+    setup = _setup(make, 16, 5e-3, 3, l, kind)
     p_gs, p_j = setup.composite_preconditioners
     column, dense = setup.composite_column, oracles.composite_matrix(setup)
     rng = np.random.default_rng(l)
@@ -256,7 +260,7 @@ def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
     # both block preconditioners are solved through the one-interval LU, so
     # the only factorizations are P_fine (M*N rows) and P_coarse (M*N/2 rows)
     n, m, l = 16, 3, 4
-    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    setup = _setup(make_diffusion, n, _nu(n), m, l)
     sizes = []
     original = scipy.linalg.lu_factor
 
@@ -290,7 +294,7 @@ def test_iteration_matrix_has_the_bits_of_the_causal_triangle_build(problem, l):
 
 @pytest.mark.parametrize("l", [1, 2, 4])
 def test_setup_matrix_route_is_built_once_from_the_composite_column(l):
-    setup, w = _setup(_small_problem(n=16, m=3)[0], 3, l), 3 * 16
+    setup, w = _setup(make_diffusion, 16, _nu(16), 3, l), 3 * 16
     # M's first block column is C, then -N, then zeros, and the dense M (against its three-layer oracle in
     # test_collocation.py) is assembled from it
     column = setup.composite_column
@@ -303,7 +307,7 @@ def test_setup_matrix_route_is_built_once_from_the_composite_column(l):
 
 def test_pfasst_algorithmic_equals_matrix_form():
     n, m, l = 16, 3, 4
-    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    setup = _setup(make_diffusion, n, _nu(n), m, l)
     p_gs, p_j = setup.composite_preconditioners
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
     rhs = _first_interval_rhs(u0, m, l)
@@ -327,7 +331,7 @@ def test_pfasst_algorithmic_equals_matrix_form():
 )
 def test_pfasst_algorithmic_equals_step_matrix_iterates(make, kind, l, m):
     n = 16
-    setup = _setup(make(n, 5e-3), m, l, kind)
+    setup = _setup(make, n, 5e-3, m, l, kind)
     p_gs, p_j = setup.composite_preconditioners
     dim = len(setup.composite_column)
     rng = np.random.default_rng(l + 10 * m)
@@ -354,7 +358,7 @@ def test_pfasst_algorithmic_equals_step_matrix_iterates_at_many_intervals(make, 
     # the Fourier-space coarse chain against the dense LU route over 16 and 64
     # intervals; the worst deviation is 5.2e-15 (24 eps) of max |iterate|
     n, m = 16, 3
-    setup = _setup(make(n, coefficient), m, l, kind)
+    setup = _setup(make, n, coefficient, m, l, kind)
     p_gs, p_j = setup.composite_preconditioners
     dim = len(setup.composite_column)
     rng = np.random.default_rng(l)
@@ -375,7 +379,7 @@ def test_pfasst_run_equals_the_interval_by_interval_oracle(make, coefficient, ki
     # the per-harmonic inverses, the Fourier-space coarse chain and the sliced
     # stencils only reorder round-off: over these 96 runs of 5 iterations the
     # worst deviation of an iterate is 5.3e-15 (24 eps) of its max |entry|
-    setup = _setup(make(16, coefficient), m, l, kind)
+    setup = _setup(make, 16, coefficient, m, l, kind)
     rng = np.random.default_rng(l + 10 * m)
     dim = l * m * 16
     rhs = rng.standard_normal((2, dim))
@@ -390,7 +394,7 @@ def test_pfasst_run_equals_the_interval_by_interval_oracle(make, coefficient, ki
 
 def test_node_sweep_inverse_is_the_lower_triangular_inverse_of_each_harmonic():
     # P on harmonic k is I - dt*sigma_k*Q_Delta; the stored inverse is its inverse, lower triangular
-    prob, rule, cp = _small_problem(n=8, m=3)
+    _, rule, cp = _small_problem(n=8, m=3)
     qd = build_qdelta(rule, "lu")
     sweep = node_sweep(cp, qd)
     dt_sigma = cp.dt * np.fft.fft(cp.operator.first_column())
@@ -401,7 +405,7 @@ def test_node_sweep_inverse_is_the_lower_triangular_inverse_of_each_harmonic():
 
 def test_pfasst_initial_state_override_propagates_errors():
     n, m, l = 16, 3, 4
-    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    setup = _setup(make_diffusion, n, _nu(n), m, l)
     t = oracles.iteration_matrix(setup)
     rng = np.random.default_rng(8)
     e0 = rng.standard_normal(t.shape[0])
@@ -412,7 +416,7 @@ def test_pfasst_initial_state_override_propagates_errors():
 
 def test_pfasst_converges_to_composite_solution():
     n, m, l = 16, 3, 4
-    setup = _setup(_small_problem(n=n, m=m)[0], m, l)
+    setup = _setup(make_diffusion, n, _nu(n), m, l)
     u0 = np.sin(2 * np.pi * np.arange(n) / n)
     rhs = _first_interval_rhs(u0, m, l)
     exact = np.linalg.solve(oracles.composite_matrix(setup), rhs)

@@ -1,14 +1,13 @@
-"""Circulant operators and model problems against FFT and PDE oracles."""
+"""Circulant operators and the model problems' operators against FFT and PDE oracles."""
 
 import numpy as np
 import pytest
 
 import oracles
-from pfasst_lfa.analysis import ExperimentConfig
+from pfasst_lfa.analysis import ExperimentConfig, build_context
 from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.space_operators import (
     CirculantOperator,
-    coarsen,
     exact_solution,
     make_advection,
     make_diffusion,
@@ -31,7 +30,7 @@ def test_circulant_symbol_matches_fft_oracle():
     [
         CirculantOperator(n=12, stencil={-2: 0.5, 0: -1.0, 3: 2.0}, scale=1.7),
         CirculantOperator(n=2, stencil={-1: 1.0, 0: -2.0, 1: 1.0}, scale=3.0),  # offsets alias
-        make_advection(16, 0.7).operator,
+        make_advection(16, 0.7),
     ],
 )
 def test_circulant_stencil_action_and_first_column_match_the_matrix(op):
@@ -44,9 +43,9 @@ def test_circulant_stencil_action_and_first_column_match_the_matrix(op):
 def _package_stencils():
     """Every stencil the package builds: both problems on both levels, both transfer generators and G_r^T."""
     for n in (4, 16, 128):  # n = 4: the 8-point interpolation stencil wraps the 2-point coarse grid
-        for problem in (make_diffusion(n, 0.3), make_advection(n, 0.7)):
-            yield problem.operator
-            yield coarsen(problem).operator
+        for make, coefficient in ((make_diffusion, 0.3), (make_advection, 0.7)):
+            yield make(n, coefficient)
+            yield make(n // 2, coefficient)
         pair = build_ci_pair(n)
         yield from (pair.generator_interp, pair.generator_restr, pair._adjoint_restr)
 
@@ -74,11 +73,11 @@ def test_circulant_eigenvectors_are_fourier_modes():
 
 def test_diffusion_matrix_entries_and_spectrum():
     n, nu = 16, 2.5e-3
-    p = make_diffusion(n, nu)
-    a = p.operator.materialize()
+    op = make_diffusion(n, nu)
+    a = op.materialize()
     dx = 1.0 / n
     np.testing.assert_allclose(a[3, 2:5], nu / dx**2 * np.array([1.0, -2.0, 1.0]))
-    lam = p.operator.symbol(np.arange(n))
+    lam = op.symbol(np.arange(n))
     np.testing.assert_allclose(lam.imag, 0.0, atol=1e-10)
     assert np.all(lam.real <= 1e-12)  # negative semi-definite
     # analytic symbol: -(4 nu / dx^2) sin^2(pi k / n)
@@ -89,12 +88,12 @@ def test_diffusion_matrix_entries_and_spectrum():
 
 def test_advection_matrix_entries_and_spectrum():
     n, c = 16, 4.88e-3
-    p = make_advection(n, c)
-    a = p.operator.materialize()
+    op = make_advection(n, c)
+    a = op.materialize()
     dx = 1.0 / n
     row = a[5, 3:7]  # offsets -2..+1
     np.testing.assert_allclose(row, -c / (6 * dx) * np.array([1.0, -6.0, 3.0, 2.0]))
-    lam = p.operator.symbol(np.arange(n))
+    lam = op.symbol(np.arange(n))
     # third-order upwind: nonpositive real part, real at k = 0 and k = n/2
     assert np.all(lam.real <= 1e-12)
     assert abs(lam[0]) < 1e-12
@@ -105,52 +104,60 @@ def test_advection_matrix_entries_and_spectrum():
 
 
 def test_advection_row_sums_vanish():
-    p = make_advection(8, 1e-2)
-    np.testing.assert_allclose(p.operator.materialize().sum(axis=1), 0.0, atol=1e-15)
+    op = make_advection(8, 1e-2)
+    np.testing.assert_allclose(op.materialize().sum(axis=1), 0.0, atol=1e-15)
 
 
 def test_exact_solution_diffusion_satisfies_heat_kernel_decay():
-    p = make_diffusion(32, 1e-2)
+    n, nu = 32, 1e-2
     k, t = 3, 0.7
-    u = exact_solution(p, k, t)
-    u0 = exact_solution(p, k, 0.0)
-    decay = np.exp(-p.coefficient * (2 * np.pi * k) ** 2 * t)
+    u = exact_solution("diffusion", n, nu, k, t)
+    u0 = exact_solution("diffusion", n, nu, k, 0.0)
+    decay = np.exp(-nu * (2 * np.pi * k) ** 2 * t)
     np.testing.assert_allclose(u, decay * u0, atol=1e-14)
-    np.testing.assert_allclose(u0, np.sin(2 * np.pi * k * p.grid()), atol=1e-14)
+    np.testing.assert_allclose(u0, np.sin(2 * np.pi * k * np.arange(n) / n), atol=1e-14)
 
 
 def test_exact_solution_advection_is_a_shift():
-    p = make_advection(32, 2e-2)
+    n, c = 32, 2e-2
     k, t = 2, 0.5
-    u = exact_solution(p, k, t)
+    u = exact_solution("advection", n, c, k, t)
     np.testing.assert_allclose(
-        u, np.sin(2 * np.pi * k * (p.grid() - p.coefficient * t)), atol=1e-14
+        u, np.sin(2 * np.pi * k * (np.arange(n) / n - c * t)), atol=1e-14
     )
 
 
 def test_exact_solution_semidiscrete_consistency():
     # d/dt of the sampled PDE solution approximately equals A u for smooth modes
-    p = make_diffusion(128, 1e-3)
+    n, nu = 128, 1e-3
     k, t, eps = 1, 0.3, 1e-6
-    du = (exact_solution(p, k, t + eps) - exact_solution(p, k, t - eps)) / (2 * eps)
-    au = p.operator.materialize() @ exact_solution(p, k, t)
+    du = (exact_solution("diffusion", n, nu, k, t + eps) - exact_solution("diffusion", n, nu, k, t - eps)) / (2 * eps)
+    au = make_diffusion(n, nu).materialize() @ exact_solution("diffusion", n, nu, k, t)
     np.testing.assert_allclose(du, au, atol=1e-4)
 
 
 def test_cfl_number_and_kind_guard():
-    p = make_advection(128, 4.88e-3)
-    assert p.cfl(0.1) == 0.062464
+    cfg = ExperimentConfig(problem="advection", n=128, coefficient=4.88e-3, dt=0.1)
+    assert cfg.cfl == 0.062464
     # cfl assumes advection; ExperimentConfig refuses the diffusion mesh ratio mu for it
     with pytest.raises(ConfigurationError, match="mu applies to diffusion only"):
         ExperimentConfig(problem="advection", mu=10.0)
 
 
-def test_coarsen_halves_the_grid():
-    p = make_advection(16, 1e-2)
-    c = coarsen(p)
-    assert c.n == 8
-    assert c.kind == p.kind
-    assert c.coefficient == p.coefficient
+@pytest.mark.parametrize(
+    "problem,make,coefficient",
+    [("diffusion", make_diffusion, {"mu": 10.0}), ("advection", make_advection, {"coefficient": 1e-2})],
+    ids=["diffusion", "advection"],
+)
+def test_build_context_coarse_operator_is_the_maker_on_half_the_grid(problem, make, coefficient):
+    cfg = ExperimentConfig(problem=problem, n=16, **coefficient)
+    setup = build_context(cfg).setup
+    for level, n in ((setup.fine, 16), (setup.coarse, 8)):
+        expected = make(n, cfg.resolved_coefficient())
+        assert level.operator.n == n
+        # the same offsets in the same order, and the same scale to the bit
+        assert list(level.operator.stencil.items()) == list(expected.stencil.items())
+        assert level.operator.scale == expected.scale
 
 
 def test_model_problem_rejects_bad_sizes_and_coefficients():
