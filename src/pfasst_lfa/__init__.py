@@ -12,7 +12,6 @@ from .errors import (
     ConfigurationError,
     FactorizationError,
     PfasstLfaError,
-    RangeError,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "ConfigurationError",
     "FactorizationError",
     "PfasstLfaError",
-    "RangeError",
 ]

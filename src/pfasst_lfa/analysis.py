@@ -36,6 +36,7 @@ from .transfer import (
 )
 from . import lfa
 
+PROBLEMS = ("diffusion", "advection")
 STRATEGIES = ("rho", "norm", "norm-power", "apply")
 BLOCK_MODES = ("tc", "c", "full")
 
@@ -86,8 +87,8 @@ class ExperimentConfig:
     blocks: tuple[str, ...] = ("tc",)
 
     def __post_init__(self):
-        if self.problem not in ("diffusion", "advection"):
-            raise ConfigurationError(f"unknown problem {self.problem!r}")
+        if self.problem not in PROBLEMS:
+            raise ConfigurationError(f"unknown problem {self.problem!r} (choose from {', '.join(PROBLEMS)})")
         if self.mu is not None and self.problem != "diffusion":
             raise ConfigurationError("the mesh ratio mu applies to diffusion only")
         if (self.coefficient is None) == (self.mu is None):

@@ -31,8 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import INTERP_EXACTNESS, RESTR_EXACTNESS, STRATEGIES, ExperimentConfig, run_and_compare, verify_checks
-from .errors import ConfigurationError, PfasstLfaError, RangeError
+from .analysis import BLOCK_MODES, INTERP_EXACTNESS, PROBLEMS, RESTR_EXACTNESS, STRATEGIES, ExperimentConfig
+from .analysis import run_and_compare, verify_checks
+from .errors import ConfigurationError, PfasstLfaError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,6 +49,11 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray, int_columns: in
         fh.write(",".join(header) + "\n" + row * rows % tuple(table.ravel().tolist()))
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """A comma list as a tuple of its non-empty names."""
+    return tuple(name for name in text.split(",") if name)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfasst-lfa",
@@ -56,22 +62,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pfasst-lfa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="run one experiment and write its artifacts")
-    pa.add_argument("--problem", required=True, choices=["diffusion", "advection"])
-    pa.add_argument("--n", type=int, default=128, help="fine spatial grid size, a multiple of 4")
-    pa.add_argument("--m", type=int, default=5, help="quadrature nodes per interval")
-    pa.add_argument("--l", type=int, default=4, help="time intervals (processors)")
-    pa.add_argument("--dt", type=float, default=0.1, help="interval length")
+    # an option left out is absent from the namespace: ExperimentConfig alone sets its default and refuses its value
+    pa = sub.add_parser("analyze", help="run one experiment and write its artifacts",
+                        argument_default=argparse.SUPPRESS)
+    pa.add_argument("--problem", required=True, metavar="{" + ",".join(PROBLEMS) + "}")
+    pa.add_argument("--n", type=int, help="fine spatial grid size, a multiple of 4")
+    pa.add_argument("--m", type=int, help="quadrature nodes per interval")
+    pa.add_argument("--l", type=int, help="time intervals (processors)")
+    pa.add_argument("--dt", type=float, help="interval length")
     pa.add_argument("--coefficient", type=float, help="diffusion nu or advection speed c")
     pa.add_argument("--mu", type=float, help="parabolic mesh ratio nu*dt/dx^2 (diffusion)")
-    pa.add_argument("--wavenumber", type=int, default=1, help="initial-data wavenumber k")
-    pa.add_argument("--iterations", type=int, default=10, help="PFASST iteration count K")
-    pa.add_argument(
-        "--strategies",
-        default=",".join(STRATEGIES),
-        help="comma list out of rho,norm,norm-power,apply",
-    )
-    pa.add_argument("--blocks", default="tc", help="comma list out of tc,c,full")
+    pa.add_argument("--wavenumber", type=int, help="initial-data wavenumber k")
+    pa.add_argument("--iterations", type=int, help="PFASST iteration count K")
+    pa.add_argument("--strategies", type=_names, help=f"comma list out of {','.join(STRATEGIES)}")
+    pa.add_argument("--blocks", type=_names, help=f"comma list out of {','.join(BLOCK_MODES)}")
     pa.add_argument("--out", required=True, help="output directory")
 
     pv = sub.add_parser("verify", help="run the cross-module equivalence suite")
@@ -86,19 +90,7 @@ def cmd_analyze(args, parser) -> int:
 
     timings = {}
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(
-        problem=args.problem,
-        n=args.n,
-        m=args.m,
-        l=args.l,
-        dt=args.dt,
-        coefficient=args.coefficient,
-        mu=args.mu,
-        wavenumber=args.wavenumber,
-        iterations=args.iterations,
-        strategies=tuple(s for s in args.strategies.split(",") if s),
-        blocks=tuple(m for m in args.blocks.split(",") if m),
-    )
+    cfg = ExperimentConfig(**{name: value for name, value in vars(args).items() if name not in ("command", "out")})
     trace = run_and_compare(cfg)
     timings["run_and_compare"] = time.perf_counter() - t0
     timings["pfasst_run_algorithmic"] = trace.run_seconds
@@ -108,7 +100,9 @@ def cmd_analyze(args, parser) -> int:
         if not np.all(np.isfinite(values)):
             k = int(np.argmin(np.isfinite(values)))
             kind = "run" if name.startswith("actual") else "prediction"
-            raise RangeError(f"{name} is not finite from iteration {k}: the {kind} overflows double precision")
+            print(f"error: {name} is not finite from iteration {k}: the {kind} overflows double precision",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL
 
     out.mkdir(parents=True, exist_ok=True)
 

@@ -8,10 +8,6 @@ class PfasstLfaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class RangeError(PfasstLfaError):
-    """A result is not finite: the run overflows double precision (the CLI's exit 3)."""
-
-
 class FactorizationError(PfasstLfaError):
     """A matrix factorization failed (singular or near-singular input)."""
 

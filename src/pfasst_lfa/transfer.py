@@ -90,16 +90,10 @@ class TransferPair:
         return self.restrict(np.eye(self.n_fine)).T
 
 
-def build_ci_pair(
-    n_fine: int, interp_exactness: int = INTERP_EXACTNESS, restr_exactness: int = RESTR_EXACTNESS
-) -> TransferPair:
-    """CI pair with the requested polynomial exactness on each leg."""
+def build_ci_pair(n_fine: int) -> TransferPair:
+    """CI pair whose legs have polynomial exactness INTERP_EXACTNESS and RESTR_EXACTNESS."""
     nc = n_fine // 2
-    return TransferPair(
-        n_fine=n_fine,
-        generator_interp=midpoint_generator(nc, interp_exactness),
-        generator_restr=midpoint_generator(nc, restr_exactness),
-    )
+    return TransferPair(n_fine, midpoint_generator(nc, INTERP_EXACTNESS), midpoint_generator(nc, RESTR_EXACTNESS))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
-"""Shared fixtures."""
+"""Shared fixtures, and one BLAS thread unless the environment sets another count."""
 
+import os
 import time
 from concurrent.futures import Future
 
 import pytest
+
+# as in CI: numpy is not loaded yet, so its BLAS reads these, and on a multi-core host
+# the eigenvalue worker runs beside one BLAS thread instead of oversubscribing the cores
+for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 
 @pytest.fixture

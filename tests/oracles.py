@@ -43,7 +43,6 @@ from pfasst_lfa.analysis import (
     PhaseSegmentation,
     _segment_sse,
 )
-from pfasst_lfa.errors import RangeError
 from pfasst_lfa.linalg import scaled
 from pfasst_lfa.space_operators import CirculantOperator
 
@@ -217,7 +216,7 @@ def asymptotic_ratio(errors: np.ndarray, rel_floor: float = 1e-14) -> float:
     mask = errors > rel_floor * errors[0]
     e = errors[mask]
     if len(e) < 3:
-        raise RangeError("too few usable error values for an asymptotic ratio")
+        raise ValueError("too few usable error values for an asymptotic ratio")
     start = 2 * len(e) // 3
     ratios = e[start + 1 :] / e[start:-1]
     return float(np.exp(np.mean(np.log(ratios))))

@@ -26,7 +26,7 @@ from pfasst_lfa.analysis import (
     predict,
     run_and_compare,
 )
-from pfasst_lfa.errors import ConfigurationError, RangeError
+from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import sort_eigenvalues
 
 
@@ -779,5 +779,5 @@ def test_detect_phases_excludes_round_off_floor():
 def test_asymptotic_ratio_of_geometric_decay():
     errors = 5.0 * 0.37 ** np.arange(30)
     assert asymptotic_ratio(errors) == pytest.approx(0.37, rel=1e-10)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValueError):
         asymptotic_ratio(np.array([1.0, 0.5]))

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism and exit codes."""
 
+import argparse
 import concurrent.futures
 import json
 import os
@@ -7,7 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -582,7 +583,7 @@ def test_analyze_advection_reports_cfl(tmp_path):
     assert report["config"]["qdelta_kind"] == "lu"
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--problem", "diffusion", "--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
@@ -617,6 +618,7 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--problem", "membrane", "--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
+    assert "unknown problem 'membrane'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(
             [
@@ -632,6 +634,50 @@ def test_usage_errors_exit_2(tmp_path):
             ]
         )
     assert exc.value.code == EXIT_USAGE
+
+
+def test_every_analyze_option_but_out_is_a_config_field_without_a_default_or_choices():
+    # ExperimentConfig alone holds a request's defaults and choices
+    parser = cli._build_parser()
+    analyze = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["analyze"]
+    options = {action.dest for action in analyze._actions if action.dest != "help"}
+    assert options - {"out"} <= {field.name for field in fields(ExperimentConfig)}
+    assert all(action.choices is None for action in analyze._actions)
+    args = parser.parse_args(["analyze", "--problem", "diffusion", "--out", "out"])
+    assert vars(args) == {"command": "analyze", "problem": "diffusion", "out": "out"}
+
+
+@pytest.mark.parametrize(
+    "flags,given",
+    [
+        ([], {}),
+        (
+            ["--n", "32", "--m", "3", "--l", "2", "--dt", "0.2", "--wavenumber", "2", "--iterations", "4",
+             "--strategies", "rho,,apply", "--blocks", "c,tc"],
+            {"n": 32, "m": 3, "l": 2, "dt": 0.2, "wavenumber": 2, "iterations": 4, "strategies": ("rho", "apply"),
+             "blocks": ("c", "tc")},
+        ),
+    ],
+    ids=["defaults-only", "every-option"],
+)
+def test_analyze_hands_run_and_compare_the_config_of_the_given_options(tmp_path, monkeypatch, flags, given):
+    # an option left out takes the config's default; --strategies and --blocks arrive as tuples
+    class Stop(Exception):
+        pass
+
+    configs = []
+
+    def record(cfg):
+        configs.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(cli, "run_and_compare", record)
+    with pytest.raises(Stop):
+        main(["analyze", "--problem", "diffusion", "--mu", "10", *flags, "--out", str(tmp_path / "out")])
+    expected = ExperimentConfig(problem="diffusion", mu=10.0, **given)
+    assert configs == [expected]
+    assert repr(configs[0]) == repr(expected)  # the same types too: 10.0, not 10
+    assert not (tmp_path / "out").exists()
 
 
 def _refused(argv) -> int:

@@ -50,7 +50,7 @@ from pfasst_lfa.errors import ConfigurationError
 from pfasst_lfa.linalg import convolved, sort_eigenvalues
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import mlsdc_step, pfasst_run_algorithmic
-from pfasst_lfa.transfer import build_ci_pair, node_propagation
+from pfasst_lfa.transfer import TransferPair, midpoint_generator, node_propagation
 
 DT = 0.1
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -348,7 +348,7 @@ def test_transform_vector_is_unitary_and_inverted(mode, n, l, m):
     st.integers(0, 2**32 - 1),
 )
 def test_stencil_transfers_equal_the_dense_matrices(n, interp_degree, restr_degree, batch, m, complex_, seed):
-    pair = build_ci_pair(n, interp_degree, restr_degree)
+    pair = TransferPair(n, midpoint_generator(n // 2, interp_degree), midpoint_generator(n // 2, restr_degree))
     rng = np.random.default_rng(seed)
 
     def stack(points):

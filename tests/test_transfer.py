@@ -45,7 +45,7 @@ def test_midpoint_generator_weights_from_lagrange_oracle(degree):
 
 def test_interpolation_reproduces_smooth_periodic_data():
     n = 64
-    pair = build_ci_pair(n, interp_exactness=6)
+    pair = build_ci_pair(n)
     x_c = np.arange(n // 2) / (n // 2)
     x_f = np.arange(n) / n
     for k in (1, 2, 3):
@@ -62,7 +62,7 @@ def test_interpolation_even_rows_are_identity():
 
 
 def test_restriction_is_half_transposed_interpolation_of_its_generator():
-    pair = build_ci_pair(16, restr_exactness=2)
+    pair = build_ci_pair(16)
     expected = np.empty((16, 8))
     expected[0::2] = np.eye(8)
     expected[1::2] = pair.generator_restr.materialize()
