@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_verify(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    except PfasstLfaError as exc:
+    except (PfasstLfaError, RuntimeWarning) as exc:  # a numpy overflow raises under -W error::RuntimeWarning
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except np.linalg.LinAlgError as exc:

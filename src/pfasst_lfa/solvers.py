@@ -7,7 +7,6 @@ it).  The tests pin the two routes against each other.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,52 +20,40 @@ from .transfer import TransferPair, node_propagation
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """P, or kron(I_L, P) with -N = -kron(coupling, I) below it, solved through the cached LU of P.
+    """P, or kron(I_L, P) with -N = -kron(coupling, I) below it, solved by ``np.linalg.solve`` with P.
 
     The interval count L is the right-hand side's row count over the rows
-    of P.  ``coupling=None`` is block Jacobi, independent intervals; an
-    M x M coupling is block Gauss-Seidel, x_i = P^{-1}(r_i + N x_{i-1}),
+    of P.  ``coupling=None`` is block Jacobi, independent intervals, solved
+    in one call with the L blocks side by side; an M x M coupling is block
+    Gauss-Seidel, x_i = P^{-1}(r_i + N x_{i-1}), one call per interval,
     acting on the node axis of each interval.  Neither N nor the (L*d)^2
-    matrix is formed.  Solve on one thread only: two threads calling
-    ``scipy.linalg.lu_solve`` on one ``lu`` return wrong solutions (scipy
-    1.17.1; separate copies of the factors do not), likely because its
-    getrs wrapper shifts the pivot array in place.
+    matrix is formed.
     """
 
     matrix: np.ndarray
     coupling: np.ndarray | None = None
 
-    @cached_property
-    def lu(self) -> tuple:
-        """scipy LU factors of P; a zero pivot or a failed factorization is a FactorizationError."""
-        import scipy.linalg  # only the matrix route factors: the tc and c analyses never import scipy
-
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """P^{-1} rhs for d rows by LAPACK's gesv (getrf, then getrs); a singular P is a FactorizationError."""
         try:
-            with warnings.catch_warnings():
-                # the zero-pivot check below turns the warning into an error
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(self.matrix)
-        except (ValueError, np.linalg.LinAlgError) as exc:
+            return np.linalg.solve(self.matrix, rhs)
+        except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"cannot factor preconditioner: {exc}") from exc
-        if np.any(np.diag(lu[0]) == 0):
-            raise FactorizationError("singular preconditioner")
-        return lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """P^{-1} rhs for a vector or column stack of L*d rows, one row block per interval."""
-        import scipy.linalg
-
         rhs = np.asarray(rhs)
         d = len(self.matrix)
         blocks = rhs.reshape(-1, d, *rhs.shape[1:])  # a ValueError unless the rows split into blocks of d
-        # the LU solve returns Fortran-ordered blocks; a Fortran-ordered
-        # result takes them without a transposing copy
-        out = np.empty(rhs.shape, dtype=np.result_type(rhs, float), order="F")
+        if self.coupling is None:
+            x = self._solve(np.moveaxis(blocks, 0, 1).reshape(d, -1))
+            return np.moveaxis(x.reshape(d, len(blocks), *rhs.shape[1:]), 0, 1).reshape(rhs.shape)
+        out = np.empty(rhs.shape, dtype=np.result_type(rhs, float))
         for i, r in enumerate(blocks):
-            if i and self.coupling is not None:
+            if i:
                 previous = out[(i - 1) * d : i * d]
                 r = r + (self.coupling @ previous.reshape(len(self.coupling), -1)).reshape(previous.shape)
-            out[i * d : (i + 1) * d] = scipy.linalg.lu_solve(self.lu, r)
+            out[i * d : (i + 1) * d] = self._solve(r)
         return out
 
 
@@ -130,7 +117,9 @@ def _lifted(transfer: np.ndarray, x: np.ndarray) -> np.ndarray:
     Kronecker product is never formed.
     """
     blocks = x.reshape(x.shape[0] // transfer.shape[1], transfer.shape[1], -1)
-    return (transfer @ blocks).reshape(-1, *x.shape[1:])
+    out = np.empty((len(blocks) * len(transfer), *x.shape[1:]), np.result_type(transfer, x))
+    np.matmul(transfer, blocks, out=out.reshape(len(blocks), len(transfer), -1))
+    return out
 
 
 def mlsdc_step(
@@ -190,12 +179,15 @@ def pfasst_iteration_column(
     row = [m_column[d : 2 * d], m_column[:d]] if lo else [m_column[:d]]  # [M_10, M_11], or M_00
     band = np.negative(fine_jacobi.solve(np.hstack(row)))  # [-P^{-1}(-N), -P^{-1} C]
     band[np.arange(d), lo + np.arange(d)] += 1.0
-    cgc = np.negative(_lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m_column))))
+    cgc = _lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m_column)))
+    np.negative(cgc, out=cgc)
     cgc[np.arange(d), np.arange(d)] += 1.0
-    column = np.empty_like(cgc)
-    for i in range(0, size, d):
-        np.matmul(band[:, max(lo - i, 0) :], cgc[max(i - lo, 0) : i + d], out=column[i : i + d])
-    return column
+    # T's block i reads the coarse factor's blocks i - 1 and i: from the last block up, each overwrites its own
+    block = np.empty((d, d))  # so the build holds one column beside M's
+    for i in reversed(range(0, size, d)):
+        np.matmul(band[:, max(lo - i, 0) :], cgc[max(i - lo, 0) : i + d], out=block)
+        cgc[i : i + d] = block
+    return cgc
 
 
 @dataclass

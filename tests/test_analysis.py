@@ -455,24 +455,6 @@ def test_the_worker_thread_runs_no_package_code(monkeypatch, worker_takes_every_
     assert set(worker_linalg) == {"eigvals"}
 
 
-def test_lu_solves_stay_on_the_main_thread(monkeypatch):
-    # two threads calling scipy's lu_solve on one LU factorization can return wrong solutions: given a spare
-    # core, the worker still runs no Preconditioner.solve, in an analysis or in verify
-    monkeypatch.setattr(analysis, "_spare_core", lambda: True)
-    solve, threads = solvers.Preconditioner.solve, []
-
-    def recording(self, rhs):
-        threads.append(threading.current_thread())
-        return solve(self, rhs)
-
-    monkeypatch.setattr(solvers.Preconditioner, "solve", recording)
-    trace = run_and_compare(_small_cfg(iterations=20, blocks=("tc", "full")))
-    assert trace.context.decomposition("full").grams["solved"] == 1 + 19
-    analyzed = len(threads)
-    assert all(residual <= tol for _, residual, tol in analysis.verify_checks("small"))
-    assert 0 < analyzed < len(threads) and set(threads) == {threading.main_thread()}
-
-
 # multi-chunk stacks: 32 tc blocks of 96 (3 chunks), 256 tc blocks of 40 (10), 512 c blocks of 6 (3)
 MULTI_CHUNK = [
     (dict(n=64, l=16, blocks=("tc",)), {"tc": 3}),

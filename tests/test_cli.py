@@ -16,7 +16,7 @@ import pytest
 
 import clusters
 import oracles
-from pfasst_lfa import analysis, cli, lfa
+from pfasst_lfa import analysis, cli, lfa, solvers
 from pfasst_lfa.analysis import (
     STRATEGY4_FLOOR,
     ExperimentConfig,
@@ -335,6 +335,21 @@ def test_analyze_refuses_non_finite_results(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_overflow_under_warnings_as_errors_exits_3(tmp_path):
+    # as CI runs every CLI call: under -W error::RuntimeWarning numpy's overflow warning is raised, and it is
+    # a numerical failure like the non-finite check's, one error line and exit 3 with nothing written
+    out = tmp_path / "out"
+    argv = ["analyze", "--problem", "diffusion", "--mu", "1e300", "--n", "16", "--m", "3", "--l", "2",
+            "--iterations", "3", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "pfasst_lfa.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERICAL
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "overflow" in line
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_analyze_names_a_non_finite_prediction(tmp_path, capsys, monkeypatch):
     original = analysis.predict
 
@@ -494,10 +509,10 @@ def test_analyze_reports_the_node_sweep_condition_in_closed_form(tmp_path):
     assert condition["coarse"] == pytest.approx(1 + 10.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("blocks", ["tc,c", "full"])
+@pytest.mark.parametrize("blocks", ["tc,c", "full", "verify"])
 def test_analyze_cold_start_imports_scipy_only_for_the_matrix_route(tmp_path, blocks):
-    # a fresh interpreter: the tc and c analyses import numpy alone, and only
-    # the matrix route loads scipy, for its LU
+    # a fresh interpreter: the tc and c analyses and verify, which solves with numpy alone, import no
+    # scipy; only the matrix route's full-mode 2-norms load it, for Lanczos' eigh_tridiagonal
     code = (
         "import sys\n"
         "from pfasst_lfa.cli import main\n"
@@ -506,10 +521,12 @@ def test_analyze_cold_start_imports_scipy_only_for_the_matrix_route(tmp_path, bl
     )
     argv = ["analyze", "--problem", "advection", "--coefficient", "0.5", "--n", "16", "--m", "3", "--l", "2",
             "--iterations", "3", "--blocks", blocks, "--out", str(tmp_path)]
+    if blocks == "verify":
+        argv = ["verify", "--scale", "small"]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    loaded = proc.stdout.split()
+    loaded = proc.stdout.splitlines()[-1].split()  # the line after verify's table
     if blocks == "full":
         assert "scipy.linalg" in loaded
     else:
@@ -759,11 +776,11 @@ def test_analyze_c_mode_at_one_interval_exits_2_naming_l(tmp_path, capsys, monke
     assert len(runs) == 1
 
 
-# Each check's tracemalloc peak in ``verify --scale large`` (L*M*N = 2560), in MB: 34.5, 65.6, 35.2 and 43.0 here
-# (4 MB more in a fresh process, which imports scipy inside check 1), bounded with a margin of 14-17 MB.  M and T
-# are held as their first block columns (13 MB each) and check 2 transforms one interval of T's column at a time.
-# A dense M or T (52 MB), or one fft/ifft pair over T's whole column (check 2 then peaks at 85.2), breaks a bound:
-# assembling M for check 1 and transforming the whole column for check 2 read 72.0, 135.2, 85.2 and 93.0
+# Each check's tracemalloc peak in ``verify --scale large`` (L*M*N = 2560), in MB: 45.2, 39.8, 21.1 and 28.9, here
+# and in a fresh process alike, bounded with a margin of 5-40 MB.  M and T are held as their first block columns
+# (13 MB each): check 1 builds T's in the coarse factor's buffer beside M's (the build alone peaks at 40.8) and
+# steps the iterates' differences with it, and check 2 transforms one interval of T's column at a time.  A dense M
+# or T (52 MB) breaks check 1's bound
 VERIFY_LARGE_PEAK_MB = (50, 80, 50, 60)
 
 
@@ -827,6 +844,60 @@ def test_verify_detects_qdelta_mutation(monkeypatch, capsys, scale):
     rows = capsys.readouterr().out.splitlines()[1:-1]
     assert [row.split()[-1] for row in rows] == ["PASS", "FAIL", "PASS", "PASS"]
     assert rows[1].startswith("tc blocks vs transformed T column")
+
+
+@pytest.mark.parametrize("scale", ["small", "large"])
+def test_verify_detects_a_mutated_fine_sweep(monkeypatch, capsys, scale):
+    # the algorithmic run's fine sweep from Q_Delta's diagonal alone, a valid but other sweep: check 1 alone
+    # fails, as the matrix route and the tc blocks keep the setup's Q_Delta, and verify exits 4
+    monkeypatch.setattr(solvers.TwoLevelSetup, "fine_sweep",
+                        property(lambda setup: solvers.node_sweep(setup.fine, np.diag(np.diag(setup.qdelta)))))
+    assert main(["verify", "--scale", scale]) == EXIT_VERIFICATION
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[-1] for row in rows] == ["FAIL", "PASS", "PASS", "PASS"]
+    assert rows[0].startswith("pfasst matrix vs algorithmic")
+
+
+def test_verify_detects_a_tampered_iteration_column(monkeypatch, capsys):
+    # one block of T's first block column off by about 1e-6 of max |T|: check 1 steps the run's iterates with it and
+    # check 2 transforms it, so both fail
+    original = solvers.pfasst_iteration_column
+
+    def tampered(*args):
+        column = original(*args)
+        d = column.shape[1]
+        column[d : 2 * d] += 1e-6 * np.max(np.abs(column)) * np.random.default_rng(7).standard_normal((d, d))
+        return column
+
+    monkeypatch.setattr(solvers, "pfasst_iteration_column", tampered)
+    assert main(["verify", "--scale", "small"]) == EXIT_VERIFICATION
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[-1] for row in rows] == ["FAIL", "FAIL", "PASS", "PASS"]
+
+
+def test_verify_check_1_iterates_equal_the_mlsdc_step_loop(monkeypatch):
+    # check 1 takes one mlsdc_step and then steps the differences by T's first block column; with five
+    # mlsdc_step calls, the former check 1, in place of the algorithmic run, its residual is the distance
+    # between the two matrix routes' iterates, and T is the setup's cached column, built once
+    steps, contexts, built = [], [], []
+    build_context, column = analysis.build_context, solvers.pfasst_iteration_column
+    monkeypatch.setattr(analysis, "build_context", lambda cfg: contexts.append(build_context(cfg)) or contexts[-1])
+    monkeypatch.setattr(solvers, "pfasst_iteration_column", lambda *args: built.append(1) or column(*args))
+
+    def stepped(setup, rhs, start, iterations):
+        p_gs, p_j = setup.composite_preconditioners
+        steps.append(start)
+        for _ in range(iterations):
+            steps.append(solvers.mlsdc_step(p_j, p_gs, setup.pair, setup.composite_column, rhs.ravel(), steps[-1]))
+        return steps
+
+    monkeypatch.setattr(analysis, "pfasst_run_algorithmic", stepped)
+    checks = analysis.verify_checks("small")
+    name, residual, _ = next(checks)
+    assert name == "pfasst matrix vs algorithmic" and len(steps) == 6
+    assert 0 < residual <= 1e-13 * max(np.max(np.abs(u)) for u in steps)
+    assert built == [1] and "iteration_column" in vars(contexts[0].setup)
+    assert next(checks)[1] <= analysis.TC_SIMILARITY_TOL and built == [1]
 
 
 def test_verify_prints_the_transfer_structure_residual_of_tampered_diagonals(monkeypatch, capsys):

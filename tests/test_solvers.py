@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oracles
 from pfasst_lfa import solvers
@@ -257,20 +256,20 @@ def test_mlsdc_step_from_m_column_equals_the_step_with_the_dense_m(make, kind, l
 
 
 def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
-    # both block preconditioners are solved through the one-interval LU, so
-    # the only factorizations are P_fine (M*N rows) and P_coarse (M*N/2 rows)
+    # both block preconditioners are solved by np.linalg.solve with the one-interval P, so the only
+    # factorizations are P_fine (M*N rows) once, for the band, and P_coarse (M*N/2 rows) once per interval
     n, m, l = 16, 3, 4
     setup = _setup(make_diffusion, n, _nu(n), m, l)
     sizes = []
-    original = scipy.linalg.lu_factor
+    original = np.linalg.solve
 
-    def counted(a, *args, **kwargs):
+    def counted(a, b):
         sizes.append(a.shape)
-        return original(a, *args, **kwargs)
+        return original(a, b)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     assert setup.iteration_column.shape == (l * m * n, m * n)
-    assert sorted(sizes) == [(m * n // 2, m * n // 2), (m * n, m * n)]
+    assert sorted(sizes) == [(m * n // 2, m * n // 2)] * l + [(m * n, m * n)]
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 8])
