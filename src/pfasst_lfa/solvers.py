@@ -46,8 +46,8 @@ class Preconditioner:
         d = len(self.matrix)
         blocks = rhs.reshape(-1, d, *rhs.shape[1:])  # a ValueError unless the rows split into blocks of d
         if self.coupling is None:
-            x = self._solve(np.moveaxis(blocks, 0, 1).reshape(d, -1))
-            return np.moveaxis(x.reshape(d, len(blocks), *rhs.shape[1:]), 0, 1).reshape(rhs.shape)
+            x = self._solve(blocks.swapaxes(0, 1).reshape(d, -1))
+            return x.reshape(d, len(blocks), -1).swapaxes(0, 1).reshape(rhs.shape)
         out = np.empty(rhs.shape, dtype=np.result_type(rhs, float))
         for i, r in enumerate(blocks):
             if i:
