@@ -435,6 +435,7 @@ def tc_similarity_residual(column: np.ndarray, d: lfa.BlockDecomposition) -> flo
         # every entry off the pair blocks must be 0; the pair entries are indexed (k, node, s, node', s')
         hat[:, :, pairs, :, :, pairs] -= blocks[:, :, i].transpose(0, 2, 1, 4, 3)
         residual = max(residual, float(np.max(np.abs(hat))))
+        del hat  # freed before the next interval's transforms are formed
     return residual / max(float(np.max(np.abs(column))), 1.0)
 
 

@@ -162,32 +162,46 @@ def mlsdc_iteration_matrix(
 
 
 def pfasst_iteration_column(
-    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, m_column: np.ndarray
+    coarse_gs: Preconditioner, fine_jacobi: Preconditioner, pair: TransferPair, c: np.ndarray, l: int
 ) -> np.ndarray:
-    """The first block column, (L*M*N) x (M*N), of T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), from M's.
+    """The first block column, (L*M*N) x (M*N), of T = (I - Phat^{-1} M)(I - T_up Ptilde^{-1} T_down M), from C and K.
 
-    Every interval has the same operators and both preconditioners are causal,
-    so M and T are block lower triangular Toeplitz, fixed by their first block
-    columns.  Block i of T's is S's band, its blocks i - 1 and i (one solve of
-    M's band [M_10, M_11], M's blocks 1 and 0), times the matching row blocks of
-    the coarse factor's column block 0 (one Gauss-Seidel solve of M's column).
-    Leaving S's zero blocks out of the inner sums moves the column from the
-    dense formula's by up to 7e-17 (L*M*N = 640) and 1.1e-15 (2560) of max |T|.
+    M and T are block lower triangular Toeplitz, fixed by their first block
+    columns; M's is C (one interval's collocation matrix), -N, then zeros.  The
+    coupling K = 1 e_M^T passes the last node on, so N = E Lam, E = 1 kron I and
+    Lam the last node's rows.  One P_fine solve of [E, C] gives S's blocks,
+    S_0 = I - P^{-1} C and S_1 = F Lam with F = P^{-1} E; one P_coarse solve of
+    [T_down C, E_c] gives the coarse factor's, K_0 = I - T_up x_0 and
+    K_i = -T_up G y_i, G = P_coarse^{-1} E_c, through the Gauss-Seidel chain
+    y_1 = Lam x_0 - R Lam, y_(i+1) = (Lam G) y_i of (N/2) x (M*N) arrays.  So
+    T_0 = S_0 K_0, T_1 = -(S_0 T_up G) y_1 + F Lam K_0 and, for i >= 2, the
+    rank-N/2 T_i = -(S_0 T_up G Lam G + F Lam T_up G) y_(i-1).  The build is
+    free of any Fourier or circulant structure: it uses only K's.
     """
-    size, d = m_column.shape
-    lo = d if size > d else 0  # block row 1, or block row 0 when L = 1
-    row = [m_column[d : 2 * d], m_column[:d]] if lo else [m_column[:d]]  # [M_10, M_11], or M_00
-    band = np.negative(fine_jacobi.solve(np.hstack(row)))  # [-P^{-1}(-N), -P^{-1} C]
-    band[np.arange(d), lo + np.arange(d)] += 1.0
-    cgc = _lifted(pair.interpolation, coarse_gs.solve(_lifted(pair.restriction, m_column)))
-    np.negative(cgc, out=cgc)
-    cgc[np.arange(d), np.arange(d)] += 1.0
-    # T's block i reads the coarse factor's blocks i - 1 and i: from the last block up, each overwrites its own
-    block = np.empty((d, d))  # so the build holds one column beside M's
-    for i in reversed(range(0, size, d)):
-        np.matmul(band[:, max(lo - i, 0) :], cgc[max(i - lo, 0) : i + d], out=block)
-        cgc[i : i + d] = block
-    return cgc
+    d, k = len(c), coarse_gs.coupling[:, -1:]  # K = k e_M^T
+    n, n_coarse = d // len(k), len(pair.restriction)
+    fine = fine_jacobi.solve(np.hstack([np.kron(k, np.eye(n)), c]))  # [F, P^{-1} C]
+    f, s0 = fine[:, :n], fine[:, n:]
+    np.negative(s0, out=s0)
+    s0[np.arange(d), np.arange(d)] += 1.0
+    coarse = coarse_gs._solve(np.hstack([_lifted(pair.restriction, c), np.kron(k, np.eye(n_coarse))]))  # [x_0, G]
+    k0 = _lifted(pair.interpolation, coarse[:, :d])
+    np.negative(k0, out=k0)
+    k0[np.arange(d), np.arange(d)] += 1.0
+    out = np.empty((l * d, d))
+    np.matmul(s0, k0, out=out[:d])
+    if l == 1:
+        return out
+    y = coarse[-n_coarse:, :d]  # Lam x_0, in place: K_0 no longer reads x_0
+    y[:, -n:] -= pair.restriction
+    g, g_last = coarse[:, d:], coarse[-n_coarse:, d:]
+    s0_up_g = s0 @ _lifted(pair.interpolation, g)
+    np.matmul(np.hstack([-s0_up_g, f]), np.vstack([y, k0[-n:]]), out=out[d : 2 * d])  # rank <= 3N/2
+    w = -(s0_up_g @ g_last + f @ (pair.interpolation @ g_last))
+    for i in range(2 * d, l * d, d):
+        np.matmul(w, y, out=out[i : i + d])
+        y = g_last @ y
+    return out
 
 
 @dataclass
@@ -244,7 +258,7 @@ class TwoLevelSetup:
     @cached_property
     def iteration_column(self) -> np.ndarray:
         """The first block column of the PFASST iteration matrix T of the composite system, which fixes T."""
-        return pfasst_iteration_column(*self.composite_preconditioners, self.pair, self.composite_column)
+        return pfasst_iteration_column(*self.composite_preconditioners, self.pair, self.fine.matrix, self.l)
 
 
 def pfasst_run_algorithmic(

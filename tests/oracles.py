@@ -22,14 +22,18 @@ its defining product over all columns, blind to its block Toeplitz
 structure, where ``solvers.pfasst_iteration_column`` forms only its first
 block column and ``iteration_matrix`` copies that column down the block
 diagonals; the package itself assembles no dense T.
-``triangle_iteration_matrix`` is the serial build over T's causal block
-triangle that the column builder replaced: it solves and multiplies every
-column block from its own interval on.  ``interval_run`` is
-``solvers.pfasst_run_algorithmic`` as it ran before its sweeps became
-per-harmonic products: one fft, a forward substitution over the nodes and
-one ifft per coarse interval, and every stencil a sum of ``np.roll`` terms
-(``roll_apply``), where ``CirculantOperator.apply`` sums slices of one
-wrap-padded copy.
+``band_iteration_column`` is the build the column builder replaced: block i
+of T's column is S's band, its blocks i - 1 and i, times the coarse
+factor's, with P_coarse factored once per interval, where the builder
+carries the intervals' coupling by rank-N/2 products from one P_fine and
+one P_coarse factorization.  ``triangle_iteration_matrix`` is the serial
+build over T's causal block triangle that the band build replaced: it
+solves and multiplies every column block from its own interval on.
+``interval_run`` is ``solvers.pfasst_run_algorithmic`` as it ran before its
+sweeps became per-harmonic products: one fft, a forward substitution over
+the nodes and one ifft per coarse interval, and every stencil a sum of
+``np.roll`` terms (``roll_apply``), where ``CirculantOperator.apply`` sums
+slices of one wrap-padded copy.
 """
 
 import numpy as np
@@ -122,12 +126,30 @@ def iteration_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
     return block_toeplitz(setup.iteration_column, setup.fine.dim)
 
 
+def band_iteration_column(setup: solvers.TwoLevelSetup) -> np.ndarray:
+    """T's first block column from band products: block i is S's band, blocks i - 1 and i, times the coarse factor's.
+
+    The band [P^{-1} N, I - P^{-1} C] is one P_fine solve of M's band [M_10, M_11]
+    (M_00 alone when L = 1), and the coarse factor's column block 0 one
+    Gauss-Seidel solve of M's restricted column, P_coarse factored once per interval.
+    """
+    (coarse_gs, fine_jacobi), pair, m_column = setup.composite_preconditioners, setup.pair, setup.composite_column
+    size, d = m_column.shape
+    lo = d if size > d else 0  # block row 1, or block row 0 when L = 1
+    row = [m_column[d : 2 * d], m_column[:d]] if lo else [m_column[:d]]  # [M_10, M_11], or M_00
+    band = np.negative(fine_jacobi.solve(np.hstack(row)))  # [-P^{-1}(-N), -P^{-1} C]
+    band[np.arange(d), lo + np.arange(d)] += 1.0
+    cgc = -solvers._lifted(pair.interpolation, coarse_gs.solve(solvers._lifted(pair.restriction, m_column)))
+    cgc[np.arange(d), np.arange(d)] += 1.0
+    return np.vstack([band[:, max(lo - i, 0) :] @ cgc[max(i - lo, 0) : i + d] for i in range(0, size, d)])
+
+
 def triangle_iteration_matrix(setup: solvers.TwoLevelSetup) -> np.ndarray:
     """T over its causal block triangle: column block j of both factors solved and multiplied from interval j on.
 
     Block (i, j) is S's block row i, in a zeroed (M*N, L*M*N) buffer, times the
     coarse factor's column block j, so column block 0 is formed as
-    ``solvers.pfasst_iteration_column`` forms it, and every other column block
+    ``band_iteration_column`` forms it, and every other column block
     from fewer intervals than block (i - j, 0) of that column.
     """
     (coarse_gs, fine_jacobi), pair, m = setup.composite_preconditioners, setup.pair, composite_matrix(setup)

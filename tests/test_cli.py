@@ -776,11 +776,13 @@ def test_analyze_c_mode_at_one_interval_exits_2_naming_l(tmp_path, capsys, monke
     assert len(runs) == 1
 
 
-# Each check's tracemalloc peak in ``verify --scale large`` (L*M*N = 2560), in MB: 45.2, 39.8, 21.1 and 28.9, here
-# and in a fresh process alike, bounded with a margin of 5-40 MB.  M and T are held as their first block columns
-# (13 MB each): check 1 builds T's in the coarse factor's buffer beside M's (the build alone peaks at 40.8) and
-# steps the iterates' differences with it, and check 2 transforms one interval of T's column at a time.  A dense M
-# or T (52 MB) breaks check 1's bound
+# Each check's tracemalloc peak in ``verify --scale large`` (L*M*N = 2560), in MB: 31.0, 33.6, 21.1 and 28.9, here
+# and in a fresh process alike (45.2, 39.8, 21.1 and 28.9 with T's column from band products, and check 2 holding
+# one interval's transforms into the next), bounded with a margin of 5-45 MB.  M and T are held as their first
+# block columns (13 MB each): check 1 builds T's from one P_fine and one P_coarse solve, without M's (the build
+# alone peaks at 23.3), and steps the iterates' differences with it, and check 2 transforms one interval of T's
+# column at a time.  A dense M or T (52 MB) breaks check 1's bound.  This call sets the dense-verify benchmark's
+# peak RSS: 120.5 MB with the band build, 111.5 MB now (medians of 20 alternating pairs, 1 BLAS thread)
 VERIFY_LARGE_PEAK_MB = (50, 80, 50, 60)
 
 
@@ -873,6 +875,26 @@ def test_verify_detects_a_tampered_iteration_column(monkeypatch, capsys):
     assert main(["verify", "--scale", "small"]) == EXIT_VERIFICATION
     rows = capsys.readouterr().out.splitlines()[1:-1]
     assert [row.split()[-1] for row in rows] == ["FAIL", "FAIL", "PASS", "PASS"]
+
+
+def test_verify_detects_a_column_built_without_the_coupling_factor(monkeypatch, capsys):
+    # the column's one P_fine solve, of [E, C], with its coupling factor F = P_fine^{-1} E zeroed: T's blocks
+    # i >= 1 lose S's sub-diagonal block F Lam, so check 1 (the run against T's steps) and check 2 (the tc blocks
+    # against T's column) fail, and verify exits 4
+    n, w, zeroed = 32, 3 * 32, []  # verify --scale small: N and M*N
+    solve = solvers.Preconditioner._solve
+
+    def without_f(p, rhs):
+        x = solve(p, rhs)
+        if rhs.shape == (w, n + w):  # [F, P_fine^{-1} C]
+            x[:, :n] = 0.0
+            zeroed.append(1)
+        return x
+
+    monkeypatch.setattr(solvers.Preconditioner, "_solve", without_f)
+    assert main(["verify", "--scale", "small"]) == EXIT_VERIFICATION
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[-1] for row in rows] == ["FAIL", "FAIL", "PASS", "PASS"] and zeroed == [1]
 
 
 def test_verify_check_1_iterates_equal_the_mlsdc_step_loop(monkeypatch):

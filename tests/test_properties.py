@@ -134,6 +134,21 @@ def test_iteration_matrix_equals_the_dense_formula(cfg):
 
 
 @PROPERTY
+@given(configs())
+@example(ExperimentConfig(problem="advection", coefficient=0.02, n=16, m=1, l=1, iterations=6, qdelta_kind="lu"))
+@example(ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=1, l=3, iterations=6, qdelta_kind="implicit-euler"))
+def test_iteration_column_equals_the_band_product_build(cfg):
+    # T_00 = S_0 K_0 is the band build's product and has its bits.  Blocks i >= 1 are rank-N/2 products in the
+    # column and full band products in the oracle: they differ by at most 1.84e-15 of max |T| over 2400 random
+    # draws of this strategy (diffusion, n = 32, M = 4, L = 2, mu = 7.93, where a 40-digit reference of block 1
+    # is 2.3e-16 from the column and 8.3e-16 from the band build), so 4e-15 is the bound
+    setup = build_context(cfg).setup
+    column, band, w = setup.iteration_column, oracles.band_iteration_column(setup), cfg.m * cfg.n
+    assert np.array_equal(column[:w].view(np.uint64), band[:w].view(np.uint64))
+    assert np.max(np.abs(column - band)) <= 4e-15 * np.max(np.abs(band))
+
+
+@PROPERTY
 @given(configs(ls=(1, 2, 3, 4, 8)))
 def test_the_dense_formula_is_block_lower_triangular_toeplitz(cfg):
     # every interval has the same operators, so block (i, j) of T is block (i - j, 0), and 0 above the

@@ -255,10 +255,12 @@ def test_mlsdc_step_from_m_column_equals_the_step_with_the_dense_m(make, kind, l
         np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
 
 
-def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
-    # both block preconditioners are solved by np.linalg.solve with the one-interval P, so the only
-    # factorizations are P_fine (M*N rows) once, for the band, and P_coarse (M*N/2 rows) once per interval
-    n, m, l = 16, 3, 4
+@pytest.mark.parametrize("l", [1, 2, 4, 8])
+def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch, l):
+    # both block preconditioners are solved by np.linalg.solve with the one-interval P, and the intervals'
+    # coupling is carried by rank-N/2 products, so a T build factors P_fine (M*N rows) and P_coarse (M*N/2
+    # rows) once each at every L
+    n, m = 16, 3
     setup = _setup(make_diffusion, n, _nu(n), m, l)
     sizes = []
     original = np.linalg.solve
@@ -269,26 +271,44 @@ def test_iteration_matrix_factors_no_composite_square_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     assert setup.iteration_column.shape == (l * m * n, m * n)
-    assert sorted(sizes) == [(m * n // 2, m * n // 2)] * l + [(m * n, m * n)]
+    assert sorted(sizes) == [(m * n // 2, m * n // 2), (m * n, m * n)]
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("problem", ["diffusion", "advection"])
 def test_iteration_matrix_has_the_bits_of_the_causal_triangle_build(problem, l):
     # the serial build over the causal block triangle forms T's first block column over each product's whole
-    # inner dimension, S's zero blocks included; the column's band products leave those out and, at these
-    # shapes, still have its bits, zero signs included (at L*M*N = 2560 they differ by 1.1e-15 of max |T|).
-    # Its other column blocks are solved from interval j on, and equal the Toeplitz copies bit for bit with
-    # OpenBLAS, but the test does not pin how a BLAS tiles them
+    # inner dimension, S's zero blocks included.  T_00 = S_0 K_0 is the same product in the column, so it has
+    # the triangle's bits, zero signs included, at every L, and so does the whole column at L = 1.  Blocks
+    # i >= 1 are rank-N/2 products in the column, and T's blocks below its first column are copies of the
+    # column's: at these shapes all are within 4.8e-16 of max |T| of the triangle's (bound 1e-15, a margin of
+    # 2).  The triangle's other column blocks are solved from interval j on, and equal its first column's bit
+    # for bit with OpenBLAS, but the test does not pin how a BLAS tiles them
     coefficient = {"mu": 10.0} if problem == "diffusion" else {"coefficient": 0.02}
     setup = build_context(ExperimentConfig(problem=problem, n=16, m=3, l=l, **coefficient)).setup
     triangle = oracles.triangle_iteration_matrix(setup)
     column, w = setup.iteration_column, 3 * 16
-    assert np.array_equal(column.view(np.uint64), triangle[:, :w].view(np.uint64))
+    assert np.array_equal(column[:w].view(np.uint64), triangle[:w, :w].view(np.uint64))
+    assert l > 1 or np.array_equal(column.view(np.uint64), triangle.view(np.uint64))
     t = oracles.iteration_matrix(setup)
     for i in range(l - 1):
         assert not np.any(t[i * w : (i + 1) * w, (i + 1) * w :].view(np.uint64))  # +0.0 above the diagonal
     assert np.max(np.abs(t - triangle)) <= 1e-15 * np.max(np.abs(triangle))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("problem", ["diffusion", "advection"])
+def test_iteration_column_blocks_have_the_rank_of_the_interval_coupling(problem, m):
+    # the intervals are coupled through N = K kron I, K = 1 e_M^T, whose rank is N: S's block 1 has rank N and the
+    # coarse factor's blocks i >= 1 rank N/2, so T's column block 1 has rank <= 3N/2 and blocks i >= 2 rank <= N/2
+    # (numerical rank: singular values above 1e-13 of the largest)
+    n, l = (32, 4) if m == 3 else (16, 5)
+    coefficient = {"mu": 10.0} if problem == "diffusion" else {"coefficient": 0.02}
+    setup = build_context(ExperimentConfig(problem=problem, n=n, m=m, l=l, **coefficient)).setup
+    blocks = setup.iteration_column.reshape(l, m * n, m * n)
+    sigma = np.linalg.svd(blocks, compute_uv=False)
+    ranks = np.sum(sigma > 1e-13 * sigma[:, :1], axis=1)
+    assert ranks[1] <= 3 * n // 2 and np.all(ranks[2:] <= n // 2), ranks
 
 
 @pytest.mark.parametrize("l", [1, 2, 4])
