@@ -441,28 +441,31 @@ def toeplitz_norm2(column: np.ndarray) -> float:
 
     Lanczos on X^H X of the ``scaled`` column, fully reorthogonalized, from a fixed-seed Gaussian (a constant vector
     stays in the k = 0 harmonic's invariant subspace).  X q is ``convolved``; X^H r is too, of the blocks'
-    conjugate transposes with r's blocks reversed, then reversed back.  It stops once the top Ritz value theta has
-    residual beta_j |s_j| <= 1e-15 theta, or once the basis spans the space.  The basis is the leading rows of one
-    buffer, doubled when it fills, so a step copies no earlier vector.  No (L*w)^2 array is formed.
+    conjugate transposes with r's blocks reversed, then reversed back.  The top Ritz pair (theta, s) of the j x j
+    tridiagonal comes from ``np.linalg.eigh`` at checkpoints only: j = 1, then j + max(1, j // 8), any step whose
+    beta_j is exactly 0 and j = L*w; so the solves cost O(j^3) in all, as the last one does.  It stops at the first
+    checkpoint where beta_j |s_j| <= 1e-15 theta, or once the basis spans the space.  The basis is the leading rows
+    of one buffer, doubled when it fills, so a step copies no earlier vector.  No (L*w)^2 array is formed.
     """
     (scale,), (x,) = scaled(column[None])
     if not np.all(np.isfinite(x)):
         return np.nan
-    from scipy.linalg import eigh_tridiagonal  # only the matrix route: the tc and c analyses never import scipy
     w, start = x.shape[-1], np.random.default_rng(0).standard_normal(len(x))
     x_h = np.swapaxes(x.reshape(-1, w, w), -2, -1).conj()
     rows = np.empty((min(32, len(x)), len(x)), x.dtype)  # the basis is its first j rows; doubled when full
-    rows[0], j, alpha, beta = start / np.linalg.norm(start), 1, [], []
+    rows[0], j, checkpoint, alpha, beta = start / np.linalg.norm(start), 1, 1, [], []
     while True:
         basis = rows[:j]
         r = convolved(x_h, convolved(x, basis[-1]).reshape(-1, w)[::-1])[::-1].ravel()  # X^H X q_j
         alpha.append(np.vdot(basis[-1], r).real)
         for _ in range(2):  # Gram-Schmidt twice against the whole basis keeps it orthonormal
             r -= (basis.conj() @ r) @ basis
-        (theta,), s = eigh_tridiagonal(alpha, beta, select="i", select_range=(len(alpha) - 1,) * 2)
         beta.append(np.linalg.norm(r))
-        if beta[-1] * abs(s[-1, 0]) <= 1e-15 * theta or j == len(x):
-            return float(scale * np.sqrt(theta))
+        if j == checkpoint or not beta[-1] or j == len(x):  # a zero beta_j stops here: r / beta_j is never formed
+            checkpoint = j + max(1, j // 8)
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))  # lower triangle; ascending
+            if beta[-1] * abs(s[-1, -1]) <= 1e-15 * theta[-1] or j == len(x):
+                return float(scale * np.sqrt(theta[-1]))
         if j == len(rows):
             rows = np.concatenate([rows, np.empty((min(j, len(x) - j), len(x)), x.dtype)])
         rows[j] = r / beta[-1]

@@ -509,10 +509,10 @@ def test_analyze_reports_the_node_sweep_condition_in_closed_form(tmp_path):
     assert condition["coarse"] == pytest.approx(1 + 10.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("blocks", ["tc,c", "full", "verify"])
-def test_analyze_cold_start_imports_scipy_only_for_the_matrix_route(tmp_path, blocks):
-    # a fresh interpreter: the tc and c analyses and verify, which solves with numpy alone, import no
-    # scipy; only the matrix route's full-mode 2-norms load it, for Lanczos' eigh_tridiagonal
+@pytest.mark.parametrize("blocks", ["tc,c", "full", "tc,c,full", "verify"])
+def test_a_cold_start_imports_no_scipy(tmp_path, blocks):
+    # a fresh interpreter: no analysis and no verify imports scipy, the matrix route's full-mode 2-norms
+    # included (their Lanczos solves its Ritz pairs with numpy's eigh)
     code = (
         "import sys\n"
         "from pfasst_lfa.cli import main\n"
@@ -526,11 +526,7 @@ def test_analyze_cold_start_imports_scipy_only_for_the_matrix_route(tmp_path, bl
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    loaded = proc.stdout.splitlines()[-1].split()  # the line after verify's table
-    if blocks == "full":
-        assert "scipy.linalg" in loaded
-    else:
-        assert loaded == []
+    assert proc.stdout.splitlines()[-1].split() == []  # the line after verify's table
 
 
 def test_importing_the_cli_loads_no_scipy_and_no_executor():

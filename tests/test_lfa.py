@@ -946,6 +946,45 @@ def test_toeplitz_norm_of_round_off_powers(l):
     assert lfa.toeplitz_norm2(np.zeros((l * 16, 16))) == 0.0
 
 
+def _svd_norm(column):
+    return np.linalg.svd(oracles.block_toeplitz(column, column.shape[1]), compute_uv=False)[0]
+
+
+def test_toeplitz_norm_of_a_rank_one_column():
+    # the blocks u_i v^T: each block column of X is a shifted u times v^T, so X has rank L = 3 and Lanczos meets
+    # an invariant subspace within a few steps, where beta falls to round-off
+    rng = np.random.default_rng(7)
+    column = np.outer(rng.standard_normal(12), rng.standard_normal(4))
+    np.testing.assert_allclose(lfa.toeplitz_norm2(column), _svd_norm(column), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_toeplitz_norm_solves_the_ritz_pair_only_at_checkpoints(monkeypatch, dtype):
+    # a Gaussian column of L*w = 24 runs Lanczos past j = 16, where the checkpoints start to skip steps
+    # (16, 18, 20, ...): the Ritz pair is never solved at j = 17, and the norm still matches the SVD
+    rng = np.random.default_rng(5)
+    column = rng.standard_normal((24, 6)) + (1j * rng.standard_normal((24, 6)) if dtype is complex else 0)
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (sizes.append(len(a)), eigh(a))[1])
+    norm = lfa.toeplitz_norm2(column)
+    monkeypatch.undo()
+    assert sizes[:16] == list(range(1, 17)) and 17 not in sizes and max(sizes) >= 18
+    np.testing.assert_allclose(norm, _svd_norm(column), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("l", [2, 4])
+def test_toeplitz_norm_of_a_multiple_of_an_isometry(l):
+    # X_0 = 2 I and the other blocks 0: X^H X = 4 I, and Lanczos stops at j = 1 with theta = alpha.  At L = 4,
+    # Gram-Schmidt leaves r exactly 0 there (beta_1 = 0, never divided by) and alpha is exactly 1/4 of the
+    # scaled column, so the norm is exactly 2; at L = 2, ||q_1||^2 rounds off 1 and the norm is 2 to round-off
+    column = np.zeros((l * 4, 4))
+    column[:4] = 2 * np.eye(4)
+    norm = lfa.toeplitz_norm2(column)  # pytest turns a RuntimeWarning into an error
+    np.testing.assert_allclose(norm, _svd_norm(column), rtol=1e-13, atol=0)
+    if l == 4:
+        assert norm == 2.0
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_a_non_finite_column_has_a_nan_toeplitz_norm(value):
     column = _assemble(make_advection, 16, 4.88e-3, 3, 2, 0.1, "lu").iteration_column.copy()
