@@ -27,12 +27,14 @@ from .transfer import harmonic_diagonals, node_propagation
 
 # Matrix entries per chunk of the norm and power kernels: every
 # representative block of a c stack, one or two blocks of a large tc stack.
-# A block's 2-norm and powers do not depend on the chunk it is in.
+# tc norm-power counts float64 words instead: of a run of power columns, and
+# of a chunk's symbol samples or sections with their Grams.  A block's 2-norm
+# and powers do not depend on the chunk it is in.
 NORM_CHUNK_ENTRIES = 2**16
-# The margin delta of the norm-power certificate (``_below``).  The Gram's rounding
-# and Cholesky's backward error are about d*eps relative (3.6e-14 at d = 160), so a
-# certified block's computed norm would be below m(1 - delta)(1 + O(d eps)) < m, the
-# running max: the max is the exhaustive one bit for bit.
+# The margin delta of the norm-power certificates (``_below``, the Frobenius and symbol
+# bounds).  The Gram's rounding and Cholesky's backward error are about d*eps relative
+# (3.6e-14 at d = 160), so a certified block's computed norm would be below
+# m(1 - delta)(1 + O(d eps)) < m, the running max: the max is the exhaustive one bit for bit.
 NORM_CERTIFICATE_DELTA = 1e-8
 # Rows (blocks times d) per chunk of the eigenvalue solve, at least.  numpy's batched
 # eigvals holds the GIL on a stack of 500 rows or fewer (numpy 2.4), so two threads
@@ -103,7 +105,8 @@ class BlockDecomposition:
     meta: TransformMeta
     conjugate_symmetric: bool = False
 
-    # per (block, k) of the norm kernel: "solved" (eigvalsh or Lanczos), else "certified" (Cholesky), else "bounded"
+    # per (block, k) of the norm kernel: "solved" (eigvalsh or Lanczos), "certified" (Cholesky), else "bounded"
+    # (a Frobenius bound; in tc mode also the symbol bound)
     grams: dict = field(
         default_factory=lambda: {"solved": 0, "certified": 0, "bounded": 0}, init=False, repr=False, compare=False
     )
@@ -367,38 +370,177 @@ def block_spectra(d: BlockDecomposition) -> np.ndarray:
 
 
 def _visit_order(d: BlockDecomposition) -> np.ndarray | None:
-    """None if ``d.norm_chunks()`` is one chunk; else the chunks by descending max ||B||, in tc mode by rho(C_0) first.
-
-    C_0, a tc block's leading 2M x 2M interval block, has the block's
-    spectrum, and the largest ||B^k|| moves to the largest rho as k grows:
-    the chunk holding it comes first.  Chunks stay views of the stack.
-    """
+    """None if ``d.norm_chunks()`` is one chunk; else the chunks by descending max ||B||."""
     step = max(1, NORM_CHUNK_ENTRIES // d.blocks[0].size)
     if len(d.block_norms) <= step:
         return None
-    order = np.argsort(-np.maximum.reduceat(d.block_norms, np.arange(0, len(d.block_norms), step)), kind="stable")
-    if d.meta.mode == "tc":
-        lead = np.concatenate([np.arange(d.meta.m), d.meta.l * d.meta.m + np.arange(d.meta.m)])
-        c0 = d.blocks[: len(d.block_norms), lead[:, None], lead]
-        first = np.argmax(np.max(np.abs(np.linalg.eigvals(c0)), axis=-1)) // step
-        order = np.concatenate([[first], order[order != first]])
-    return order
+    return np.argsort(-np.maximum.reduceat(d.block_norms, np.arange(0, len(d.block_norms), step)), kind="stable")
+
+
+def _runs(count: int, words: int) -> list[slice]:
+    """Slices of ``count`` items of ``words`` float64 words each: ``NORM_CHUNK_ENTRIES`` words a slice, or one item."""
+    step = max(1, NORM_CHUNK_ENTRIES // words)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _power_columns(d: BlockDecomposition, k_max: int):
+    """(ks, P): B^k's first block column of every representative tc block for each k of ``ks``, runs of 2..k_max.
+
+    A tc block is the leading L x L section of a block lower Toeplitz operator whose w x w blocks (w = 2M) are
+    indexed (half, node); its first block column C, in (interval, half, node) order, fixes it.  Block row i of
+    B^k's column is [C_i ... C_0] times block rows 0..i of B^(k-1)'s, one product per row, from the last row up,
+    in place: a row is overwritten once no later row reads it.  P, (len(ks), pairs, L, w, w), is a view of one
+    buffer of at most ``NORM_CHUNK_ENTRIES`` float64 words (one k at least), overwritten by the next run.
+    """
+    if k_max < 2:
+        return
+    l, m = d.meta.l, d.meta.m
+    w = 2 * m
+    # a view: (pair, half, interval, node, half', node') of the representative blocks' first block columns
+    column = d.blocks[: d.meta.n // 4 + 1].reshape(-1, 2, l, m, 2, l, m)[..., 0, :]
+    shape = (len(column), l, w, w)
+    step = max(1, NORM_CHUNK_ENTRIES * 8 // (np.prod(shape) * d.blocks.itemsize))
+    buffer = np.empty((min(step, k_max - 1), *shape), d.blocks.dtype)
+    buffer[-1].reshape(-1, l, 2, m, 2, m)[...] = column.transpose(0, 2, 1, 3, 4, 5)  # B's, read by the first k
+    for start in range(2, k_max + 1, step):
+        rows = column[:, :, ::-1].transpose(0, 1, 3, 2, 4, 5).reshape(-1, w, l * w)  # [C_(L-1) ... C_0], a copy
+        ks = range(start, min(start + step, k_max + 1))
+        for j in range(len(ks)):
+            power = buffer[j]
+            power[...] = buffer[j - 1]  # j = 0: the last of the previous run
+            for i in reversed(range(l)):
+                power[:, i] = rows[:, :, (l - 1 - i) * w :] @ power[:, : i + 1].reshape(-1, (i + 1) * w, w)
+        del rows  # not held through the norms
+        yield ks, buffer[: len(ks)]
+
+
+def _sections(x: np.ndarray) -> np.ndarray:
+    """The (L*w)^2 block lower Toeplitz sections of a (b, L, w, w) stack of first block columns."""
+    b, l, w = x.shape[:3]
+    out = np.zeros((b, l, w, l, w), x.dtype)
+    for j in range(l):
+        out[:, j:, :, j] = x[:, : l - j]
+    return out.reshape(b, l * w, l * w)
+
+
+def _symbol(x: np.ndarray) -> np.ndarray:
+    """S_q = sum_j x_j exp(-2 pi i jq/(2L - 1)) of each column of a (b, L, w, w) stack, for q < L if real, else 2L - 1.
+
+    A real column's S_(2L-1-q) is conj(S_q), and has its singular values; its real and imaginary parts are two
+    real products.
+    """
+    b, l, w = x.shape[:3]
+    q = np.arange(l if np.isrealobj(x) else 2 * l - 1)
+    angles = 2 * np.pi * (np.outer(q, np.arange(l)) % (2 * l - 1)) / (2 * l - 1)
+    flat = x.reshape(b, l, w * w)
+    if np.iscomplexobj(x):
+        return (np.exp(-1j * angles) @ flat).reshape(b, -1, w, w)
+    samples = np.empty((b, l, w * w), complex)
+    parts = samples.view(float).reshape(b, l, w * w, 2)
+    np.matmul(np.cos(angles), flat, out=parts[..., 0])
+    np.matmul(-np.sin(angles), flat, out=parts[..., 1])
+    return samples.reshape(b, l, w, w)
+
+
+def _symbol_bounds(x: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Upper bounds on ||X||_2 of each section X of a (b, L, w, w) stack of finite ``scaled`` first block columns.
+
+    X is a compression of the block circulant of order 2L - 1 whose first block column is x padded by L - 1 zero
+    blocks, so ||X||_2 <= max_q ||S_q||_2 over the ``_symbol`` samples.  Each ||S_q||_2 is bounded by its Frobenius
+    norm; where that bound is not below the column's ``limit``, by ||G^2||_F^(1/4) >= ||S_q||_2, G = S_q^H S_q
+    (a Schatten norm); where that is not either, by its 2-norm (``_norms2``).  The computed samples' entries err by
+    at most 4(L + 8) eps sum_j |x_j| (L twiddled terms, and the twiddles' own error), so by at most
+    4(L + 8) eps sqrt(L sum_j ||x_j||_F^2) < 4(L + 8) L w eps in norm (|x| < 1), which is added to each bound; a
+    computed bound errs by less than 4 w^3 eps relative, by which it is raised.
+    """
+    l, w, eps = x.shape[1], x.shape[-1], np.finfo(float).eps
+    samples = _symbol(x).reshape(-1, w, w)
+    margin, grow = 4 * (l + 8) * l * w * eps, 1 + 4 * w**3 * eps
+    cut = np.repeat((limit - margin) / grow, len(samples) // len(x))  # each sample's column's limit, net
+    norms = np.sqrt(np.einsum("bij,bij->b", samples.view(float), samples.view(float)))
+    tight = np.flatnonzero(norms >= cut)  # the samples their Frobenius norm does not settle
+    if len(tight):
+        gram = _gram(samples[tight])
+        square = (gram @ gram).view(float)
+        norms[tight] = np.einsum("bij,bij->b", square, square) ** 0.125
+        left = norms[tight] >= cut[tight]
+        if left.any():
+            norms[tight[left]] = _norms2(1.0, gram[left])
+    return grow * np.max(norms.reshape(len(x), -1), axis=-1) + margin
+
+
+def _tc_power_norms(d: BlockDecomposition, norms: np.ndarray) -> None:
+    """``norms[k]`` for k >= 2 in tc mode, the max over the assembled sections of ``_power_columns``' columns.
+
+    At each k the block of the largest section Frobenius norm sum_j (L - j) ||P_j||_F^2 is solved alone, for a
+    max m_k.  Every other block is then settled below m_k (1 - delta) by that Frobenius norm, else, if finite,
+    by ``_symbol_bounds``; the rest are assembled in chunks, settled by ``_below`` or solved.  Each step takes a
+    whole run of k at once.
+    """
+    l, w = d.meta.l, 2 * d.meta.m
+    words = d.blocks.itemsize // 8  # float64 words per entry
+    weights = l - np.arange(l)  # block j of a column lies on L - j block diagonals of its section
+    samples = l if words == 1 else 2 * l - 1  # per column (``_symbol``)
+    sections = 2 * (l * w) ** 2 * words  # float64 words of a section and its Gram
+    cap = 1 - NORM_CERTIFICATE_DELTA  # a block is settled below m_k cap
+    for ks, power in _power_columns(d, len(norms) - 1):
+        pairs = power.shape[1]
+        power = power.reshape(-1, l, w, w)  # row r holds pair r % pairs at k = ks[r // pairs]
+        k = np.repeat(ks, pairs)
+        scale, frob = np.empty(len(power)), np.empty(len(power))
+        for rows in _runs(len(power), (words + 1) * l * w * w):  # a chunk's |P| and scaled copy
+            scale[rows], x = scaled(power[rows].reshape(-1, l * w, w))
+            x = x.reshape(-1, l, w, w).view(float)
+            frob[rows] = np.einsum("...ij,...ij->...", x, x) @ weights  # ||X/s||_F^2 < L^2 w^2: no overflow
+        del x  # not held through the sections
+        shift = 1 - np.frexp(scale)[1][:, None, None, None]  # x = power 2^shift, so rows are scaled alike below
+
+        def part(rows):
+            return np.ldexp(power[rows].view(float), shift[rows]).view(power.dtype)
+
+        with np.errstate(over="ignore"):  # s sqrt(frob) overflows only near max float
+            lone = np.argmax((np.sqrt(frob) * scale).reshape(len(ks), pairs), axis=1) + pairs * np.arange(len(ks))
+        for rows in _runs(len(lone), sections):
+            norms[k[lone[rows]]] = _norms2(scale[lone[rows]], _gram(_sections(part(lone[rows]))))
+        d.grams["solved"] += len(lone)
+        with np.errstate(over="ignore"):  # a subnormal s overflows the limit to inf
+            limit = norms[k] * cap / scale  # a NaN m_k, or an inf or NaN frob, never settles
+            unsettled = ~(frob < np.square(limit))
+        unsettled[lone] = False
+        finite = np.flatnonzero(unsettled & np.isfinite(frob))
+        for rows in _runs(len(finite), 6 * samples * w * w):  # the complex samples, their conjugates and Grams
+            take = finite[rows]
+            unsettled[take] = ~(_symbol_bounds(part(take), limit[take]) < limit[take])
+        left = np.flatnonzero(unsettled)
+        d.grams["bounded"] += len(power) - len(lone) - len(left)
+        for same in np.split(left, np.searchsorted(left, pairs * np.arange(1, len(ks)))):  # one k's, in chunks
+            for rows in _runs(len(same), sections):
+                take, at = same[rows], k[same[0]]
+                gram = _gram(_sections(part(take)))
+                certified = _below(scale[take], gram, norms[at] * cap)
+                if not certified:
+                    norms[at] = np.maximum(norms[at], np.max(_norms2(scale[take], gram)))  # a NaN norm stays NaN
+                d.grams["certified" if certified else "solved"] += len(take)
+                del gram  # not held through the next chunk
 
 
 def block_power_norms(d: BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, i.e. ||T^k||_2 block-wise.
 
-    k = 1 is the decomposition's cached ``norm``.  One pass per chunk of ``d.norm_chunks()``, in ``_visit_order``,
-    forms B^k = B^(k-1) B for all the chunk's blocks at once, in the field of the stack (real for symmetric-stencil
-    tc blocks); no power outlives its chunk.  Full mode forms T^k's first block column instead, by ``convolved``
-    with T's, and its 2-norm by ``toeplitz_norm2``.  A block with ||B^k||_F below the running max times 1 - delta
-    is settled without a Gram (a first chunk's largest-||B^k||_F block is solved alone, for a max); the rest are
-    solved only where ``_below`` fails on them.
+    k = 1 is the decomposition's cached ``norm``.  tc mode takes k >= 2 from the blocks' first block columns
+    (``_tc_power_norms``).  c mode makes one pass per chunk of ``d.norm_chunks()``, in ``_visit_order``, and forms
+    B^k = B^(k-1) B for all the chunk's blocks at once; no power outlives its chunk.  A block with ||B^k||_F below
+    the running max times 1 - delta is settled without a Gram (a first chunk's largest-||B^k||_F block is solved
+    alone, for a max); the rest are solved only where ``_below`` fails on them.  Full mode forms T^k's first block
+    column instead, by ``convolved`` with T's, and its 2-norm by ``toeplitz_norm2``.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
     if k_max:
         norms[1] = d.norm
+    if d.meta.mode == "tc":
+        _tc_power_norms(d, norms)
+        return norms
     full = d.meta.mode == "full"
     for i, blocks in enumerate(d.norm_chunks(_visit_order(d) if k_max > 1 else None)):
         power = blocks  # full mode: T's first block column

@@ -1,9 +1,11 @@
 """Unbatched forms of kernels the program runs batched, kept as the oracles of its tests.
 
 ``pairwise_power_norms`` walks the block stack one harmonic pair at a time,
-where ``lfa.block_power_norms`` walks row chunks; ``exhaustive_phases``
-refits every split, where ``analysis.detect_phases`` refits only the splits
-its closed-form residuals shortlist.  Both must give the same floats bit for
+where ``lfa.block_power_norms`` walks row chunks, and in tc mode forms each
+pair's ``convolution_powers`` from its ``tc_column``, where the kernel forms
+them for every pair at once; ``exhaustive_phases`` refits every split, where
+``analysis.detect_phases`` refits only the splits its closed-form residuals
+shortlist.  Both must give the same floats bit for
 bit.  ``transform_matrix`` is ``lfa.transform_vector`` as a dense matrix.
 ``asymptotic_ratio`` measures the late contraction of a trace, which the
 acceptance suite compares with the predicted spectral radius.
@@ -182,21 +184,55 @@ def convolved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(b.shape)
 
 
+def tc_column(block: np.ndarray, meta: lfa.TransformMeta) -> np.ndarray:
+    """A tc block's first block column, (L, 2M, 2M), its rows and columns in (interval, half, node) order.
+
+    The block, in (half, interval, node) order, is the leading section of a block lower Toeplitz operator.
+    """
+    l, m = meta.l, meta.m
+    order = np.arange(2 * l * m).reshape(2, l, m).transpose(1, 0, 2).ravel()
+    return block[np.ix_(order, order[: 2 * m])].reshape(l, 2 * m, 2 * m)
+
+
+def convolution_powers(column: np.ndarray, k_max: int):
+    """B^k's first block column for k = 1..k_max, B block lower Toeplitz with first block column ``column``, (L, w, w).
+
+    Block row i of B^k's is [C_i ... C_0] times block rows 0..i of B^(k-1)'s, one product, as
+    ``lfa._power_columns`` forms it for a whole stack at once.
+    """
+    l, w = column.shape[:2]
+    row = np.hstack(column[::-1])  # [C_(L-1) ... C_0]
+    power = column
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = np.stack([row[:, (l - 1 - i) * w :] @ power[: i + 1].reshape(-1, w) for i in range(l)])
+        yield power
+
+
 def pairwise_power_norms(d: lfa.BlockDecomposition, k_max: int) -> np.ndarray:
     """max over blocks of ||B^k||_2 for k = 0..k_max, pair by pair, in the field of the stored stack.
 
     In full mode T^k's first block column is formed by ``linalg.convolved`` and
     its 2-norm taken by ``lfa.toeplitz_norm2``, as ``lfa.block_power_norms`` does.
+    In tc mode k = 1 is the stored blocks' norm, and k >= 2 each block's
+    ``convolution_powers``, each assembled by ``block_toeplitz`` and its norm
+    taken by ``lfa._norms2``.
     """
     norms = np.zeros(k_max + 1)
     norms[0] = 1.0
-    full = d.meta.mode == "full"
+    full, tc = d.meta.mode == "full", d.meta.mode == "tc"
     for blocks in pair_stacks(d):
+        if tc:
+            w = 2 * d.meta.m
+            for k, power in enumerate(convolution_powers(tc_column(blocks[0], d.meta), k_max), 1):
+                section = blocks if k == 1 else block_toeplitz(power.reshape(-1, w), w)[None]
+                norms[k] = np.maximum(norms[k], max_norm2(section))  # a NaN stays
+            continue
         power = blocks  # full mode: T's first block column
         for k in range(1, k_max + 1):
             if k > 1:
                 power = linalg.convolved(power, blocks) if full else power @ blocks
-            norms[k] = max(norms[k], lfa.toeplitz_norm2(power[0]) if full else max_norm2(power))
+            norms[k] = np.maximum(norms[k], lfa.toeplitz_norm2(power[0]) if full else max_norm2(power))
     return norms
 
 

@@ -646,15 +646,17 @@ def test_norm_kernels_take_no_svd(monkeypatch, problem):
 
 def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
     # ||B|| is taken once per block mode and read by the norm strategy, the
-    # aggregates and norm-power at k = 1: K scalings per row chunk of the
+    # aggregates and norm-power at k = 1: one scaling per row chunk of the
     # N/4 + 1 = 5 mirror-representative pairs; at the default size one chunk
-    # holds them all, at two blocks per chunk it takes three.  Of the 25 tc
-    # (block, k >= 2) norms, the Frobenius bound settles none of diffusion's
-    # and 16 of advection's without a Gram, and the Cholesky certificate spares
-    # the eigensolver 12 (one chunk) or 10 (three) of diffusion's and 4 of advection's
+    # holds them all, at two blocks per chunk it takes three.  tc norm-power
+    # scales only the pairs' power columns (2M columns), no 2LM block.  Of the 25
+    # tc (block, k >= 2) norms, 5 lone blocks are solved; the Frobenius bound
+    # settles none of diffusion's and 16 of advection's, the symbol bound 16 and
+    # 4, and the certificate spares the eigensolver 1 of diffusion's when the
+    # sections take one chunk, 2 at one section per chunk
     tc_grams_by_chunks = {
-        "diffusion": ({"solved": 18, "certified": 12, "bounded": 0}, {"solved": 20, "certified": 10, "bounded": 0}),
-        "advection": ({"solved": 10, "certified": 4, "bounded": 16}, {"solved": 10, "certified": 4, "bounded": 16}),
+        "diffusion": ({"solved": 13, "certified": 1, "bounded": 16}, {"solved": 12, "certified": 2, "bounded": 16}),
+        "advection": ({"solved": 10, "certified": 0, "bounded": 20}, {"solved": 10, "certified": 0, "bounded": 20}),
     }
     original, default_entries = lfa.scaled, lfa.NORM_CHUNK_ENTRIES
     for problem, (grams_of_one, grams_of_three) in tc_grams_by_chunks.items():
@@ -672,7 +674,8 @@ def test_run_and_compare_takes_each_block_norm_once(monkeypatch):
             monkeypatch.setattr(lfa, "scaled", counted)
             trace = run_and_compare(cfg)
             # full mode scales T's first block column (M*N columns) at k = 1 and T^k's from k = 2 on, never T
-            assert calls == {tc_dim: tc_chunks * cfg.iterations, cfg.m * cfg.n: cfg.iterations}
+            assert calls[tc_dim] == tc_chunks and calls[cfg.m * cfg.n] == cfg.iterations
+            assert set(calls) == {tc_dim, 2 * cfg.m, cfg.m * cfg.n}
             grams = {mode: trace.context.decomposition(mode).grams for mode in cfg.blocks}
             assert grams["tc"] == tc_grams and sum(tc_grams.values()) == 5 * cfg.iterations  # one per (block, k)
             assert grams["full"] == full_grams

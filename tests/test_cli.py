@@ -74,15 +74,16 @@ def test_analyze_writes_all_artifacts(tmp_path):
 
 def test_analyze_writes_the_norm_kernel_counts_to_timings_only(tmp_path):
     # one count per (block, k).  At L = 16 the 9 representative tc blocks (96 x 96)
-    # take two norm chunks: the second chunk's two blocks are certified at k = 2..5,
-    # and the first chunk's six besides its lone block at three of those four k (the
-    # Frobenius bound settles none of these diffusion blocks).  The 72 c blocks (6 x 6)
-    # fit one chunk, whose lone largest block is solved at every k; of the other 284
-    # (block, k >= 2) norms the Frobenius bound settles 241 and the certificate 43
+    # are solved at k = 1, and at each k = 2..5 the one of the largest section
+    # Frobenius norm; of the other 32 (block, k) norms the Frobenius bound settles
+    # none of these diffusion blocks, the symbol bound 29, and the certificate 2 of
+    # the 3 left.  The 72 c blocks (6 x 6) fit one chunk, whose lone largest block is
+    # solved at every k; of the other 284 (block, k >= 2) norms the Frobenius bound
+    # settles 241 and the certificate 43
     out = _analyze(tmp_path, "--l", "16", "--blocks", "tc,c")
     grams = json.loads((out / "timings.json").read_text())["norm_grams"]
     assert grams == {
-        "tc": {"solved": 9 + 4 + 6, "certified": 4 * 2 + 3 * 6, "bounded": 0},
+        "tc": {"solved": 9 + 4 + 1, "certified": 2, "bounded": 29},
         "c": {"solved": 72 + 4, "certified": 43, "bounded": 241},
     }
     assert "grams" not in (out / "report.json").read_text()

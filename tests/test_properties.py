@@ -47,7 +47,7 @@ from pfasst_lfa.analysis import (
 from pfasst_lfa.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from pfasst_lfa.collocation import spread_initial
 from pfasst_lfa.errors import ConfigurationError
-from pfasst_lfa.linalg import convolved, sort_eigenvalues
+from pfasst_lfa.linalg import convolved, scaled, sort_eigenvalues
 from pfasst_lfa.quadrature import QDELTA_KINDS
 from pfasst_lfa.solvers import mlsdc_step, pfasst_run_algorithmic
 from pfasst_lfa.transfer import TransferPair, midpoint_generator, node_propagation
@@ -310,6 +310,27 @@ def test_certified_power_norms_equal_the_pairwise_oracle(cfg):
             assert np.array_equal(norms, oracles.pairwise_power_norms(d, cfg.iterations))
             assert sum(chunked.grams.values()) == len(chunked.block_norms) * cfg.iterations  # one per (block, k)
         assert chunks == 1 or mode == "tc"  # every c stack here fits one default chunk
+
+
+@PROPERTY
+@given(configs(iterations=6, ls=(1, 2, 3, 4, 8, 16)))
+@example(ExperimentConfig(problem="advection", coefficient=0.02, n=16, m=2, l=1, iterations=6))
+@example(ExperimentConfig(problem="diffusion", mu=10.0, n=16, m=3, l=16, iterations=6))
+def test_the_symbol_bound_is_never_below_the_section_norm(cfg):
+    # at every (block, k) of both fields, whichever samples the 2-norm is taken of (limit 0: all, inf: none), the
+    # bound of the scaled column is at least its section's norm, so no block is settled at its own norm.  At
+    # L = 1 the one sample is the block itself, and the 2-norm bound is its norm within the rounding allowance
+    d = build_context(cfg).decomposition("tc")
+    w = 2 * cfg.m
+    for block in d.blocks[: cfg.n // 4 + 1]:
+        for power in oracles.convolution_powers(oracles.tc_column(block, d.meta), cfg.iterations):
+            _, x = scaled(power.reshape(1, -1, w))
+            exact = oracles.max_norm2(oracles.block_toeplitz(x[0], w)[None])
+            x = x.reshape(1, cfg.l, w, w)
+            bounds = [lfa._symbol_bounds(x, np.array([limit]))[0] for limit in (0, exact, np.inf)]
+            assert min(bounds) >= exact
+            if cfg.l == 1:  # |x| < 1: the allowance is below 1e-11 relative and absolute
+                assert bounds[0] == pytest.approx(exact, rel=1e-11, abs=1e-11)
 
 
 @PROPERTY
